@@ -611,6 +611,57 @@ func BenchmarkResultStoreWarm(b *testing.B) {
 	b.ReportMetric(float64(store.SizeBytes()), "store_bytes")
 }
 
+// BenchmarkResultStoreOpen measures the store's read path at the size
+// of a warm paper-suite cache: the open-scan of a 4000-entry log plus
+// 400 Loads spread across it. Set-up appends one simulated report
+// under 4000 distinct SeqLen keys, so it costs a single simulation.
+// MB_per_s is log bytes indexed per second of the timed loop.
+func BenchmarkResultStoreOpen(b *testing.B) {
+	const entries, loads = 4000, 400
+	dir := b.TempDir()
+	store, err := resultstore.Open(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sys := core.DefaultSystem(8)
+	wl := core.Workload{Model: model.TinyLlama42M(), Mode: model.Autoregressive}
+	rep, err := core.Run(sys, wl)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for n := 1; n <= entries; n++ {
+		wl.SeqLen = n
+		if err := store.Append(sys, wl, rep); err != nil {
+			b.Fatal(err)
+		}
+	}
+	size := store.SizeBytes()
+	store.Close()
+	var indexed int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s, err := resultstore.Open(dir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for n := entries / loads; n <= entries; n += entries / loads {
+			wl.SeqLen = n
+			if _, ok := s.Load(sys, wl); !ok {
+				b.Fatalf("entry SeqLen=%d missed", n)
+			}
+		}
+		indexed = s.Len()
+		s.Close()
+	}
+	b.StopTimer()
+	if indexed != entries {
+		b.Fatalf("open indexed %d entries, want %d", indexed, entries)
+	}
+	b.ReportMetric(float64(indexed), "entries")
+	b.ReportMetric(float64(size)*float64(b.N)/1e6/b.Elapsed().Seconds(), "MB_per_s")
+}
+
 // BenchmarkSurrogateFrontier measures the surrogate-first plan
 // frontier scan at the pinned 8-chip point with a cold report cache
 // each iteration — fit the additive cost model, predict all 256 joint

@@ -37,13 +37,17 @@ package resultstore
 
 import (
 	"bufio"
+	"bytes"
+	"cmp"
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 
@@ -127,7 +131,8 @@ type Store struct {
 }
 
 // Open opens (creating if needed) the result store under dir. The
-// whole log is scanned once: report records are indexed by digest,
+// whole log is scanned once: report records are indexed by digest
+// from their envelope (the report JSON is decoded only by Load),
 // table records re-register their per-edge wirings, and records that
 // are truncated, corrupt, or from another digest version are counted
 // and skipped — a damaged log degrades to extra simulations, never to
@@ -162,10 +167,21 @@ func (s *Store) scan() error {
 		return fmt.Errorf("resultstore: %w", err)
 	}
 	defer f.Close()
-	r := bufio.NewReader(f)
+	// Report lines are indexed in the reader's buffer; longer lines (a
+	// 64-chip table record reaches 400 KB) gather into one reused buffer.
+	r := bufio.NewReaderSize(f, 64<<10)
+	var long []byte
 	var offset int64
 	for {
-		line, err := r.ReadBytes('\n')
+		line, err := r.ReadSlice('\n')
+		if err == bufio.ErrBufferFull {
+			long = append(long[:0], line...)
+			for err == bufio.ErrBufferFull {
+				line, err = r.ReadSlice('\n')
+				long = append(long, line...)
+			}
+			line = long
+		}
 		if len(line) == 0 && err != nil {
 			break
 		}
@@ -181,26 +197,23 @@ func (s *Store) scan() error {
 	return nil
 }
 
-// indexLine parses one log line and folds it into the index; anything
-// unparseable is skipped.
+// indexLine folds one log line into the index; anything unparseable
+// is skipped. A report record is indexed from its envelope alone; a
+// table record takes the full JSON decode.
 func (s *Store) indexLine(line []byte, offset int64, length int, complete bool) {
+	if !complete {
+		s.skipped++
+		return
+	}
+	if digest, _, ok := decodeReportLine(line); ok {
+		s.index[digest] = entryRef{offset: offset, length: length}
+		return
+	}
 	var rec record
-	if !complete || json.Unmarshal(line, &rec) != nil {
+	switch {
+	case json.Unmarshal(line, &rec) != nil:
 		s.skipped++
-		return
-	}
-	if rec.V != DigestVersion {
-		s.skipped++
-		return
-	}
-	switch rec.Kind {
-	case "report":
-		if rec.Digest == "" || crc32.ChecksumIEEE(rec.Report) != rec.CRC {
-			s.skipped++
-			return
-		}
-		s.index[rec.Digest] = entryRef{offset: offset, length: length}
-	case "table":
+	case rec.V == DigestVersion && rec.Kind == "table":
 		edges := make(map[hw.Edge]hw.LinkClass, len(rec.Edges))
 		for _, e := range rec.Edges {
 			edges[hw.Edge{From: e.From, To: e.To}] = e.Class
@@ -217,6 +230,59 @@ func (s *Store) indexLine(line []byte, offset int64, length int, complete bool) 
 	default:
 		s.skipped++
 	}
+}
+
+// reportPrefix is the head of every report line Append writes: json.Marshal
+// renders record's fields in declaration order, without whitespace.
+var reportPrefix = []byte(fmt.Sprintf(`{"kind":"report","v":%d,"digest":"`, DigestVersion))
+
+// decodeReportLine reads a complete report line in exactly the bytes
+// Append writes, {"kind":"report","v":<DigestVersion>,"digest":"…",
+// "crc":N,"report":{…}} with the crc key absent for a zero CRC, and
+// returns its digest and raw report once their CRC checks. It decodes
+// no report JSON: the CRC, computed by Append over json.Marshal output,
+// stands for the report's well-formedness, and Load's decode answers a
+// miss if it ever fails. Any other line (a table record, another
+// version, damage, JSON Append would not write, or a digest needing
+// escapes) returns ok=false and is not a report of this store.
+func decodeReportLine(line []byte) (digest string, body []byte, ok bool) {
+	rest, found := bytes.CutPrefix(line, reportPrefix)
+	if !found {
+		return "", nil, false
+	}
+	end := bytes.IndexFunc(rest, func(r rune) bool { return r < 0x20 || r > 0x7e || r == '\\' || r == '"' })
+	if end <= 0 || rest[end] != '"' {
+		return "", nil, false
+	}
+	digest, rest = string(rest[:end]), rest[end+1:]
+	var crc uint64
+	if rest, found = bytes.CutPrefix(rest, []byte(`,"crc":`)); found {
+		// omitempty drops a zero CRC, so a written one has no leading 0.
+		n := 0
+		for ; n < len(rest) && '0' <= rest[n] && rest[n] <= '9'; n++ {
+			if crc = crc*10 + uint64(rest[n]-'0'); crc > math.MaxUint32 {
+				return "", nil, false
+			}
+		}
+		if n == 0 || rest[0] == '0' {
+			return "", nil, false
+		}
+		rest = rest[n:]
+	}
+	body, found = bytes.CutPrefix(rest, []byte(`,"report":`))
+	body, complete := bytes.CutSuffix(body, []byte("}\n"))
+	if !found || !complete || len(body) < 2 || body[0] != '{' || body[len(body)-1] != '}' ||
+		crc32.ChecksumIEEE(body) != uint32(crc) {
+		return "", nil, false
+	}
+	return digest, body, true
+}
+
+// reportBody returns the raw report bytes of one indexed log line, or
+// ok=false unless it is an intact report record for digest.
+func reportBody(line []byte, digest string) ([]byte, bool) {
+	d, body, ok := decodeReportLine(line)
+	return body, ok && d == digest
 }
 
 // Load returns the persisted report for the configuration, or ok=false
@@ -242,13 +308,12 @@ func (s *Store) Load(sys core.System, wl core.Workload) (*core.Report, bool) {
 	if _, err := io.ReadFull(io.NewSectionReader(f, ref.offset, int64(ref.length)), line); err != nil {
 		return nil, false
 	}
-	var rec record
-	if json.Unmarshal(line, &rec) != nil ||
-		rec.Digest != digest || crc32.ChecksumIEEE(rec.Report) != rec.CRC {
+	body, ok := reportBody(line, digest)
+	if !ok {
 		return nil, false
 	}
 	rep := &core.Report{}
-	if json.Unmarshal(rec.Report, rep) != nil {
+	if json.Unmarshal(body, rep) != nil {
 		return nil, false
 	}
 	// The requested configuration is the key; restating it exactly
@@ -323,7 +388,9 @@ func (s *Store) appendTableLocked(tableDigest string) error {
 		rec.Edges = append(rec.Edges, tableEdge{From: e.From, To: e.To, Class: c})
 	}
 	// Canonical edge order, matching hw.TableNetwork's digest walk.
-	sortEdges(rec.Edges)
+	slices.SortFunc(rec.Edges, func(a, b tableEdge) int {
+		return cmp.Or(cmp.Compare(a.From, b.From), cmp.Compare(a.To, b.To))
+	})
 	line, err := json.Marshal(rec)
 	if err != nil {
 		return fmt.Errorf("resultstore: encode table: %w", err)
@@ -333,15 +400,6 @@ func (s *Store) appendTableLocked(tableDigest string) error {
 	}
 	s.tables[tableDigest] = true
 	return nil
-}
-
-func sortEdges(edges []tableEdge) {
-	for i := 1; i < len(edges); i++ {
-		for j := i; j > 0 && (edges[j].From < edges[j-1].From ||
-			(edges[j].From == edges[j-1].From && edges[j].To < edges[j-1].To)); j-- {
-			edges[j], edges[j-1] = edges[j-1], edges[j]
-		}
-	}
 }
 
 // writeLineLocked appends one record line in a single write (atomic
@@ -427,10 +485,9 @@ func (s *Store) CompactTo(dstDir string) (*Store, error) {
 			return nil, fmt.Errorf("resultstore: compact read %s: %w", digest, err)
 		}
 		// Re-validate before copying: the record was clean at scan
-		// time, but the bytes travel once more.
-		var rec record
-		if json.Unmarshal(line, &rec) != nil || rec.Kind != "report" ||
-			rec.Digest != digest || crc32.ChecksumIEEE(rec.Report) != rec.CRC {
+		// time, but the bytes travel once more. The scan trusted the
+		// CRC; a compacted log keeps only bodies that are valid JSON.
+		if body, ok := reportBody(line, digest); !ok || !json.Valid(body) {
 			continue
 		}
 		trimmed := line

@@ -1,8 +1,10 @@
 package resultstore
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -505,4 +507,180 @@ func TestCompactTo(t *testing.T) {
 	if re.Len() != 2 {
 		t.Errorf("reopened compacted store holds %d entries, want 2", re.Len())
 	}
+}
+
+// The scan trusts a report's CRC for its well-formedness, so a forged
+// line whose body is not JSON but whose CRC matches is indexed. Load
+// answers it with a miss, and CompactTo leaves it out of the copy.
+func TestCompactDropsForgedBody(t *testing.T) {
+	dir := t.TempDir()
+	sys, wl := testPoint(2)
+	body := []byte(`{"Cycles":}`)
+	line := fmt.Sprintf("%s%s\",\"crc\":%d,\"report\":%s}\n",
+		reportPrefix, Digest(sys, wl), crc32.ChecksumIEEE(body), body)
+	if err := os.WriteFile(logPath(dir), []byte(line), 0o666); err != nil {
+		t.Fatal(err)
+	}
+	src, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	if src.Len() != 1 || src.Skipped() != 0 {
+		t.Errorf("Len, Skipped = %d, %d; want 1, 0", src.Len(), src.Skipped())
+	}
+	if _, ok := src.Load(sys, wl); ok {
+		t.Error("Load returned a report for a body that is not JSON")
+	}
+	dst, err := src.CompactTo(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dst.Close()
+	if dst.Len() != 0 || dst.SizeBytes() != 0 {
+		t.Errorf("compacted store holds %d entries in %d bytes, want none",
+			dst.Len(), dst.SizeBytes())
+	}
+}
+
+// testdata/v3.log was written by Append under DigestVersion 3 and is
+// never regenerated: it pins that logs already on disk still read the
+// same. In order it holds reports for 2-chip autoregressive, a table
+// wiring plus a report routed over it, 4-chip prompt with one Cycles
+// digit flipped (CRC damage), 4-chip autoregressive, and 8-chip
+// autoregressive torn halfway through its line.
+func TestGoldenV3Log(t *testing.T) {
+	const table = "afe38c5f3eef37fb7b5aac51d8af0d6b5553fa78823038107f22b7fef2b076df"
+	raw, err := os.ReadFile(filepath.Join("testdata", "v3.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(logPath(dir), raw, 0o666); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if s.Len() != 3 || s.Skipped() != 2 {
+		t.Errorf("Len, Skipped = %d, %d; want 3, 2", s.Len(), s.Skipped())
+	}
+	slow := hw.MIPI().Slower(3)
+	wantEdges := map[hw.Edge]hw.LinkClass{{From: 0, To: 1}: slow, {From: 1, To: 0}: slow}
+	if !s.tables[table] {
+		t.Error("the table record was not re-registered")
+	}
+	if edges, ok := hw.TableEdges(table); !ok || !reflect.DeepEqual(edges, wantEdges) {
+		t.Fatalf("table re-registered as %v, %v; want %v", edges, ok, wantEdges)
+	}
+
+	ar := core.Workload{Model: model.TinyLlama42M(), Mode: model.Autoregressive}
+	pr := core.Workload{Model: model.TinyLlama42M(), Mode: model.Prompt}
+	tableSys := core.DefaultSystem(2)
+	tableSys.HW.Network = hw.Network{Profile: hw.NetTable, TableDigest: table}
+	tableSys.HW.Topology = hw.TopoRing
+	for _, p := range []struct {
+		sys    core.System
+		wl     core.Workload
+		stored bool
+	}{
+		{core.DefaultSystem(2), ar, true},
+		{tableSys, ar, true},
+		{core.DefaultSystem(4), pr, false},
+		{core.DefaultSystem(4), ar, true},
+		{core.DefaultSystem(8), ar, false},
+	} {
+		got, ok := s.Load(p.sys, p.wl)
+		if ok != p.stored {
+			t.Errorf("%d chips %v: Load ok = %v, want %v", p.sys.Chips, p.wl.Mode, ok, p.stored)
+			continue
+		}
+		if ok && !reflect.DeepEqual(got, mustRun(t, p.sys, p.wl)) {
+			t.Errorf("%d chips %v: stored report differs from a fresh run", p.sys.Chips, p.wl.Mode)
+		}
+	}
+
+	// Every intact report line Append wrote passes the envelope decoder,
+	// the only path that indexes reports.
+	var fast int
+	for _, line := range bytes.SplitAfter(raw, []byte("\n")) {
+		if _, _, ok := decodeReportLine(line); ok {
+			fast++
+		}
+	}
+	if fast != 3 {
+		t.Errorf("envelope decoder read %d report lines, want 3", fast)
+	}
+}
+
+// FuzzDecodeReportLine checks the envelope decoder against the full
+// JSON decode it short-cuts: it never panics, and any line it accepts
+// json.Unmarshal reads as the same intact report record of this
+// version. The seed corpus in testdata/fuzz holds lines Append wrote: a
+// plain report, a report whose CRC is zero (key omitted), a table
+// record, a CRC-damaged report, a truncated one, one doctored to "v":0,
+// and a record whose digest needs JSON escapes. A small record is added
+// so mutations reach the accept path quickly.
+func FuzzDecodeReportLine(f *testing.F) {
+	small := json.RawMessage(`{"a":[1,"}"]}`)
+	line, err := json.Marshal(record{Kind: "report", V: DigestVersion, Digest: "d",
+		CRC: crc32.ChecksumIEEE(small), Report: small})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(append(line, '\n'))
+	f.Fuzz(func(t *testing.T, line []byte) {
+		digest, body, ok := decodeReportLine(line)
+		if !ok {
+			return
+		}
+		var rec record
+		if err := json.Unmarshal(line, &rec); err != nil {
+			t.Fatalf("accepted a line json.Unmarshal rejects: %v", err)
+		}
+		if rec.Kind != "report" || rec.V != DigestVersion || rec.Digest != digest ||
+			!bytes.Equal(rec.Report, body) {
+			t.Fatalf("accepted digest %q (%d report bytes) but json.Unmarshal reads kind %q v%d digest %q (%d report bytes, equal %v)",
+				digest, len(body), rec.Kind, rec.V, rec.Digest, len(rec.Report), bytes.Equal(rec.Report, body))
+		}
+		if crc32.ChecksumIEEE(body) != rec.CRC {
+			t.Fatalf("accepted a report whose bytes do not match its CRC %d", rec.CRC)
+		}
+	})
+}
+
+// The digest renders System and Workload with %#v. A pointer, func,
+// chan or unsafe pointer anywhere in either type renders as an address,
+// a map or interface holds content the type does not pin down, and a
+// GoString method replaces the field-by-field rendering: any of them
+// lets two processes digest one configuration differently.
+func TestDigestKeyIsPlainData(t *testing.T) {
+	goStringer := reflect.TypeFor[fmt.GoStringer]()
+	seen := map[reflect.Type]bool{}
+	var walk func(typ reflect.Type, path string)
+	walk = func(typ reflect.Type, path string) {
+		if seen[typ] {
+			return
+		}
+		seen[typ] = true
+		if typ.Implements(goStringer) {
+			t.Errorf("%s (%v) has a GoString method", path, typ)
+		}
+		switch typ.Kind() {
+		case reflect.Pointer, reflect.Map, reflect.Func, reflect.Chan,
+			reflect.Interface, reflect.UnsafePointer:
+			t.Errorf("%s is a %v (%v)", path, typ.Kind(), typ)
+		case reflect.Array, reflect.Slice:
+			walk(typ.Elem(), path+"[]")
+		case reflect.Struct:
+			for i := range typ.NumField() {
+				fld := typ.Field(i)
+				walk(fld.Type, path+"."+fld.Name)
+			}
+		}
+	}
+	walk(reflect.TypeFor[core.System](), "System")
+	walk(reflect.TypeFor[core.Workload](), "Workload")
 }

@@ -5,7 +5,6 @@ import (
 
 	"mcudist/internal/collective"
 	"mcudist/internal/core"
-	"mcudist/internal/evalpool"
 	"mcudist/internal/hw"
 )
 
@@ -37,116 +36,36 @@ type AutotuneResult struct {
 	Margin float64
 }
 
-// AutotunePlan exhaustively enumerates the class × topology grid for
-// the synchronization classes the workload executes (two per strategy
-// and mode, so topologies^2 candidates — 16 on the four stock shapes,
-// of which the 4 all-same tuples share their simulation with the
-// uniform baselines), evaluates every distinct configuration through
+// AutotunePlan is the session search of AutotuneSession over the one
+// phase the workload runs, with every candidate verified: it
+// enumerates the class × topology grid of the synchronization classes
+// the workload executes (two per strategy and mode, so topologies^2
+// candidates — 16 on the four stock shapes), evaluates each through
 // the shared evalpool engine, and returns the winning plan with its
-// margin over the best uniform topology. The enumeration covers only
-// active classes, so the grid stays small and every evaluated point
-// is a genuine behavioral variant; points repeated across calls (or
-// shared with BestTopology and the frontiers) are served from the
-// process-wide report cache. Ties keep the earliest candidate in
-// enumeration order, so the paper's tree wins exact draws.
+// margin over the best uniform topology. Points are spelled
+// phase-restricted, so the 4 all-same tuples share their simulations
+// with the uniform baselines (and with BestTopology and the
+// frontiers): the grid evaluates exactly its distinct configurations,
+// and points repeated across calls are served from the process-wide
+// report cache. Ties keep the earliest candidate in enumeration order,
+// so the paper's tree wins exact draws.
 func AutotunePlan(base core.System, wl core.Workload) (*AutotuneResult, error) {
 	classes := collective.ActiveClasses(base.Strategy, wl.Mode)
 	if len(classes) == 0 {
 		return nil, fmt.Errorf("explore: the %s strategy executes no collective synchronizations to plan", base.Strategy)
 	}
-	topos := hw.Topologies()
-
-	// Odometer over the active classes: the first candidate binds
-	// every class to topos[0] (the tree), and idx[0] cycles fastest.
-	// All-same tuples are behaviorally identical to the uniform
-	// baselines (the goldens pin that equivalence bit for bit), so
-	// they reference the baseline's report instead of paying a second
-	// simulation under a different cache key: the grid evaluates
-	// exactly its distinct configurations.
-	type candidate struct {
-		plan collective.Plan
-		// uniform is the index into topos of the baseline this
-		// candidate shares its simulation with (-1 for mixed tuples,
-		// which get their own evalpool point).
-		uniform int
-		point   int // index into points for mixed tuples
-	}
-	var cands []candidate
-	points := make([]evalpool.Point, 0, len(topos))
-	idx := make([]int, len(classes))
-	for {
-		var p collective.Plan
-		same := true
-		for i, c := range classes {
-			p = p.With(c, topos[idx[i]])
-			same = same && idx[i] == idx[0]
-		}
-		c := candidate{plan: p, uniform: -1}
-		if same {
-			c.uniform = idx[0]
-		} else {
-			c.point = len(points)
-			sys := base
-			sys.Options.SyncPlan = p
-			points = append(points, evalpool.Point{System: sys, Workload: wl})
-		}
-		cands = append(cands, c)
-		j := 0
-		for ; j < len(idx); j++ {
-			idx[j]++
-			if idx[j] < len(topos) {
-				break
-			}
-			idx[j] = 0
-		}
-		if j == len(idx) {
-			break
-		}
-	}
-	// Uniform baselines are spelled as run topologies with the zero
-	// plan, so they share cache entries with BestTopology and the
-	// frontier sweeps.
-	mixed := len(points)
-	for _, topo := range topos {
-		sys := base
-		sys.Options.SyncPlan = collective.Plan{}
-		sys.HW.Topology = topo
-		points = append(points, evalpool.Point{System: sys, Workload: wl})
-	}
-	reports, err := evalpool.Map(points)
+	sp := newPlanSpace(sessionMode{wl: wl, classes: classes})
+	ps, err := searchPlans("autotune", sp, base, nil, 0, false)
 	if err != nil {
-		return nil, fmt.Errorf("explore: autotune: %w", err)
+		return nil, err
 	}
-
-	reportOf := func(c candidate) *core.Report {
-		if c.uniform >= 0 {
-			return reports[mixed+c.uniform]
-		}
-		return reports[c.point]
-	}
-	best := 0
-	for i := 1; i < len(cands); i++ {
-		if reportOf(cands[i]).Cycles < reportOf(cands[best]).Cycles {
-			best = i
-		}
-	}
-	uni := 0
-	for i := 1; i < len(topos); i++ {
-		if reports[mixed+i].Cycles < reports[mixed+uni].Cycles {
-			uni = i
-		}
-	}
-
 	res := &AutotuneResult{
-		Plan:          cands[best].plan,
-		Report:        reportOf(cands[best]),
-		BestUniform:   topos[uni],
-		UniformReport: reports[mixed+uni],
+		Plan:          ps.candidate(ps.best),
+		Report:        ps.exact[ps.best].reports[0],
+		BestUniform:   ps.uniformTopo,
+		UniformReport: ps.exact[ps.uniform].reports[0],
 	}
+	res.PerClass = perClass(res.Plan, classes)
 	res.Margin = res.UniformReport.Cycles / res.Report.Cycles
-	for _, c := range classes {
-		topo, _ := cands[best].plan.Explicit(c)
-		res.PerClass = append(res.PerClass, ClassChoice{Class: c, Topology: topo})
-	}
 	return res, nil
 }

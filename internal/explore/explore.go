@@ -1,18 +1,28 @@
-// Package explore is a design-space exploration layer on top of the
-// simulator: given a model and a workload, it answers the sizing
-// questions the paper's scheme raises in practice — how many chips
-// until off-chip traffic leaves the critical path, which chip counts
-// are even legal for a geometry, and which configurations are
-// Pareto-optimal in latency and energy.
+// Package explore is the design-space exploration layer on top of the
+// simulator. Given a model and a workload, it answers the sizing and
+// placement questions the paper's scheme raises in practice: how many
+// chips until off-chip traffic leaves the critical path, which chip
+// counts are legal for a geometry, which configurations are
+// Pareto-optimal in latency and energy, and which per-sync topology
+// plan, per-family DRAM tiling, or post-fault re-plan to deploy.
 //
-// Concurrency model: every search in this package evaluates its
-// candidates through the shared evalpool engine. Frontier fans its
-// whole point set out at once; the first-match searches
+// Every autotuner runs one predict-then-verify core (search.go):
+// enumerate an axis product, rank the candidates by an additive
+// prediction, verify the predicted top-K plus the always-verified
+// baselines exactly, and pick the winner on exact cycles, ties going
+// to the earliest candidate. AutotunePlan, AutotuneSession,
+// AutotuneTiling, PlanFrontier, PlanBudgetFit, Surrogate.Verify and
+// EvalSessionPlan differ only in their axes, their predictor and how
+// they spell a candidate as evaluation points.
+//
+// Concurrency model: every search evaluates its candidates through
+// the shared evalpool engine. The autotuners and frontiers fan a whole
+// point set out at once; the first-match searches
 // (MinChipsOffChipFree, BudgetFit) evaluate one worker-sized wave at
 // a time so an answer at a small chip count never pays for the large
-// ones. The sequential decision is always made over results in count
-// order, so answers are identical to the serial scan; repeated points
-// are served from the process-wide report cache.
+// ones. Decisions are always made over results in candidate order, so
+// answers are identical to a serial scan; repeated points are served
+// from the process-wide report cache.
 package explore
 
 import (
@@ -115,31 +125,24 @@ func MinChipsOffChipFree(base core.System, wl core.Workload, maxChips int) (*Poi
 		maxChips, wl.Model.Name)
 }
 
-// gridEval is the shared evaluation step behind every frontier in
-// this package: it fans the whole candidate grid out through the
-// evalpool tiers and marks the latency/energy Pareto front across the
-// union. Each frontier differs only in how it spells its grid.
-func gridEval(points []evalpool.Point) ([]*core.Report, []bool, error) {
-	reports, err := evalpool.Map(points)
-	if err != nil {
-		return nil, nil, fmt.Errorf("explore: %w", err)
+// reportPareto is paretoMask over the reports' latency and energy.
+func reportPareto(reports []*core.Report) []bool {
+	secs := make([]float64, len(reports))
+	joules := make([]float64, len(reports))
+	for i, rep := range reports {
+		secs[i], joules[i] = rep.Seconds, rep.Energy.Total()
 	}
-	return reports, paretoMask(reports), nil
+	return paretoMask(secs, joules)
 }
 
 // Frontier evaluates the workload at the given chip counts and marks
 // the latency/energy Pareto front.
 func Frontier(base core.System, wl core.Workload, chips []int) ([]Point, error) {
-	pts := make([]evalpool.Point, len(chips))
-	for i, n := range chips {
-		sys := base
-		sys.Chips = n
-		pts[i] = evalpool.Point{System: sys, Workload: wl}
-	}
-	reports, pareto, err := gridEval(pts)
+	reports, err := evalpool.Eval(base, wl, chips)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("explore: %w", err)
 	}
+	pareto := reportPareto(reports)
 	points := make([]Point, len(chips))
 	for i, rep := range reports {
 		points[i] = Point{Chips: chips[i], Report: rep, Pareto: pareto[i]}
@@ -153,55 +156,9 @@ func markPareto(points []Point) {
 	for i := range points {
 		reports[i] = points[i].Report
 	}
-	for i, p := range paretoMask(reports) {
+	for i, p := range reportPareto(reports) {
 		points[i].Pareto = p
 	}
-}
-
-// paretoMask flags reports not dominated in (latency, energy): a
-// report is dominated when another is no worse on both axes and
-// strictly better on at least one; exact duplicates (equal latency AND
-// equal energy) do not dominate each other, so both stay on the front.
-//
-// Single pass over a latency-sorted order instead of the O(n²)
-// all-pairs scan: with candidates sorted by latency, a point can only
-// be dominated by the minimum energy seen at strictly lower latency,
-// or by a strictly lower energy at equal latency.
-func paretoMask(reports []*core.Report) []bool {
-	pareto := make([]bool, len(reports))
-	order := make([]int, len(reports))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		pa, pb := reports[order[a]], reports[order[b]]
-		if pa.Seconds != pb.Seconds {
-			return pa.Seconds < pb.Seconds
-		}
-		return pa.Energy.Total() < pb.Energy.Total()
-	})
-	bestEnergy := math.Inf(1) // min energy among strictly faster points
-	for g := 0; g < len(order); {
-		// One group of equal-latency points; within it only a strictly
-		// lower energy dominates, so the group minimum survives
-		// (duplicates of the minimum included).
-		sec := reports[order[g]].Seconds
-		end := g
-		groupMin := math.Inf(1)
-		for ; end < len(order) && reports[order[end]].Seconds == sec; end++ {
-			if e := reports[order[end]].Energy.Total(); e < groupMin {
-				groupMin = e
-			}
-		}
-		for ; g < end; g++ {
-			e := reports[order[g]].Energy.Total()
-			pareto[order[g]] = bestEnergy > e && groupMin >= e
-		}
-		if groupMin < bestEnergy {
-			bestEnergy = groupMin
-		}
-	}
-	return pareto
 }
 
 // ParetoFront returns only the Pareto-optimal points, ordered by
@@ -258,28 +215,17 @@ type TopologyPoint struct {
 // chip-count grid and marks the latency/energy Pareto front across
 // the union — the network shape becomes an exploration axis next to
 // the chip count. Points are returned grouped by topology in enum
-// order, chip counts ascending within each topology.
+// order, chip counts ascending within each topology: the
+// NetworkFrontier of the base system's own network.
 func TopologyFrontier(base core.System, wl core.Workload, chips []int) ([]TopologyPoint, error) {
-	topos := hw.Topologies()
-	points := make([]evalpool.Point, 0, len(topos)*len(chips))
-	out := make([]TopologyPoint, 0, len(topos)*len(chips))
-	for _, topo := range topos {
-		for _, n := range chips {
-			sys := base
-			sys.HW.Topology = topo
-			sys.Chips = n
-			points = append(points, evalpool.Point{System: sys, Workload: wl})
-			out = append(out, TopologyPoint{Topology: topo, Chips: n})
-		}
-	}
-	reports, pareto, err := gridEval(points)
+	points, err := NetworkFrontier(base, wl, chips, []hw.Network{base.HW.Network})
 	if err != nil {
 		return nil, err
 	}
-	for i, rep := range reports {
-		out[i].Report = rep
-		out[i].C2CCyclesByClass = classCycles(rep)
-		out[i].Pareto = pareto[i]
+	out := make([]TopologyPoint, len(points))
+	for i, p := range points {
+		out[i] = TopologyPoint{Topology: p.Topology, Chips: p.Chips, Report: p.Report,
+			C2CCyclesByClass: p.C2CCyclesByClass, Pareto: p.Pareto}
 	}
 	return out, nil
 }
@@ -309,28 +255,24 @@ type NetworkPoint struct {
 // chip counts ascending.
 func NetworkFrontier(base core.System, wl core.Workload, chips []int, nets []hw.Network) ([]NetworkPoint, error) {
 	topos := hw.Topologies()
-	points := make([]evalpool.Point, 0, len(nets)*len(topos)*len(chips))
-	out := make([]NetworkPoint, 0, len(nets)*len(topos)*len(chips))
-	for _, net := range nets {
-		for _, topo := range topos {
-			for _, n := range chips {
-				sys := base
-				sys.HW.Network = net
-				sys.HW.Topology = topo
-				sys.Chips = n
-				points = append(points, evalpool.Point{System: sys, Workload: wl})
-				out = append(out, NetworkPoint{Topology: topo, Network: net, Chips: n})
-			}
-		}
+	grid := odometer(len(chips), len(topos), len(nets))
+	points := make([]evalpool.Point, grid.n)
+	out := make([]NetworkPoint, grid.n)
+	for i := range grid.n {
+		d := grid.at(i)
+		p := NetworkPoint{Topology: topos[d[1]], Network: nets[d[2]], Chips: chips[d[0]]}
+		sys := base
+		sys.HW.Network, sys.HW.Topology, sys.Chips = p.Network, p.Topology, p.Chips
+		points[i], out[i] = evalpool.Point{System: sys, Workload: wl}, p
 	}
-	reports, pareto, err := gridEval(points)
+	reports, err := evalpool.Map(points)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("explore: %w", err)
 	}
-	for i, rep := range reports {
-		out[i].Report = rep
-		out[i].C2CCyclesByClass = classCycles(rep)
-		out[i].Pareto = pareto[i]
+	for i, pareto := range reportPareto(reports) {
+		out[i].Report = reports[i]
+		out[i].C2CCyclesByClass = classCycles(reports[i])
+		out[i].Pareto = pareto
 	}
 	return out, nil
 }
@@ -353,12 +295,7 @@ func BestTopology(base core.System, wl core.Workload) (hw.Topology, *core.Report
 	if err != nil {
 		return 0, nil, fmt.Errorf("explore: %w", err)
 	}
-	best := 0
-	for i := 1; i < len(reports); i++ {
-		if reports[i].Cycles < reports[best].Cycles {
-			best = i
-		}
-	}
+	best := winner(indices(len(topos)), func(i int) float64 { return reports[i].Cycles })
 	return topos[best], reports[best], nil
 }
 

@@ -80,82 +80,58 @@ type PlanFrontierResult struct {
 func planCell(sys core.System, cfg model.Config, opts PlanFrontierOptions) ([]VerifiedPlan, int, error) {
 	sopts := SessionOptions{PromptSeqLen: opts.PromptSeqLen, DecodeSeqLen: opts.DecodeSeqLen}
 	if opts.Exhaustive {
-		modes, union, err := sessionModes(sys, cfg, sopts)
+		sp, err := sessionSpace(sys, cfg, sopts)
 		if err != nil {
 			return nil, 0, err
 		}
-		cands := enumerateSession(union, hw.Topologies())
-		exact, modeReports, err := sessionExhaustive(sys, modes, cands)
+		ps, err := searchPlans("session grid", sp, sys, nil, 0, true)
 		if err != nil {
 			return nil, 0, err
 		}
-		out := make([]VerifiedPlan, len(cands))
-		for i, c := range cands {
-			reps := modeReports[i]
-			vp := VerifiedPlan{
-				Plan:            c.plan,
-				Cycles:          exact[i],
-				PredictedCycles: exact[i],
-				PrefillReport:   reps[0],
-				DecodeReport:    reps[len(reps)-1],
-			}
-			for _, rep := range reps {
-				vp.Seconds += rep.Seconds
-				vp.Joules += rep.Energy.Total()
-			}
-			vp.PredictedJoules = vp.Joules
-			out[i] = vp
+		out := make([]VerifiedPlan, len(ps.sel))
+		for k, e := range ps.exact {
+			out[k] = verifiedPlan(ps.candidate(k), e.SessionCost, e)
 		}
-		return out, len(cands), nil
+		return out, ps.cands.n, nil
 	}
 
 	s, err := FitSurrogate(sys, cfg, sopts)
 	if err != nil {
 		return nil, 0, err
 	}
-	cands := s.Candidates()
-	predS := make([]float64, len(cands))
-	predJ := make([]float64, len(cands))
-	for i, p := range cands {
-		predS[i] = s.PredictSeconds(p)
-		predJ[i] = s.PredictJoules(p)
+	cands := s.grid()
+	predS := make([]float64, cands.n)
+	predJ := make([]float64, cands.n)
+	for i := range predS {
+		pred := s.predict(cands.at(i))
+		predS[i], predJ[i] = pred.Seconds, pred.Joules
 	}
 
 	topK := opts.TopK
 	if topK <= 0 {
 		topK = DefaultSessionTopK
 	}
-	pick := map[int]bool{}
 	// Seed the verification set: the predicted top-K on each
 	// objective, plus the uniform plans — whose phase points are the
 	// surrogate's own probes, so they verify without new simulations
 	// and keep the scan honest against every single-topology baseline.
+	pick := make([]bool, cands.n)
 	for _, pred := range [][]float64{predS, predJ} {
-		order := make([]int, len(cands))
-		for i := range order {
-			order[i] = i
+		for _, i := range verifySet(rankStable(pred), topK, s.uniforms()) {
+			pick[i] = true
 		}
-		p := pred
-		sort.SliceStable(order, func(x, y int) bool { return p[order[x]] < p[order[y]] })
-		for k := 0; k < topK && k < len(order); k++ {
-			pick[order[k]] = true
-		}
-	}
-	nTopos := len(hw.Topologies())
-	for ti := 0; ti < nTopos; ti++ {
-		pick[allSameIndex(ti, len(s.union), nTopos)] = true
 	}
 
 	verify := func(sel []int) ([]VerifiedPlan, error) {
 		plans := make([]collective.Plan, len(sel))
 		for j, i := range sel {
-			plans[j] = cands[i]
+			plans[j] = s.plan(cands.at(i))
 		}
 		return s.Verify(sys, plans)
 	}
-	sel := make([]int, 0, len(pick))
-	for i := range cands {
-		if pick[i] {
+	var sel []int
+	for i, picked := range pick {
+		if picked {
 			sel = append(sel, i)
 		}
 	}
@@ -189,8 +165,8 @@ func planCell(sys core.System, cfg model.Config, opts PlanFrontierOptions) ([]Ve
 		errS *= 2
 		errJ *= 2
 		var band []int
-		for i := range cands {
-			if pick[i] {
+		for i, picked := range pick {
+			if picked {
 				continue
 			}
 			cornerS, cornerJ := predS[i]-errS, predJ[i]-errJ
@@ -222,16 +198,13 @@ func planCell(sys core.System, cfg model.Config, opts PlanFrontierOptions) ([]Ve
 
 	// Return in candidate enumeration order, so output is independent
 	// of the refinement's round structure.
-	order := make([]int, len(sel))
-	for i := range order {
-		order[i] = i
-	}
+	order := indices(len(sel))
 	sort.Slice(order, func(a, b int) bool { return sel[order[a]] < sel[order[b]] })
 	out := make([]VerifiedPlan, len(order))
 	for j, k := range order {
 		out[j] = verified[k]
 	}
-	return out, len(cands), nil
+	return out, cands.n, nil
 }
 
 // PlanFrontier scans the collective-plan axis jointly with the chip
@@ -273,47 +246,11 @@ func PlanFrontier(base core.System, cfg model.Config, chips []int, opts PlanFron
 	for i, p := range res.Points {
 		secs[i], jls[i] = p.Seconds, p.Joules
 	}
-	for i, pareto := range sessionParetoMask(secs, jls) {
+	for i, pareto := range paretoMask(secs, jls) {
 		res.Points[i].Pareto = pareto
 	}
 	res.ExactSims = int(evalpool.Evaluations() - evalsBefore)
 	return res, nil
-}
-
-// sessionParetoMask is paretoMask over explicit (seconds, joules)
-// session objectives (frontier reports carry one phase each; a
-// session point aggregates two).
-func sessionParetoMask(secs, jls []float64) []bool {
-	pareto := make([]bool, len(secs))
-	order := make([]int, len(secs))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		if secs[order[a]] != secs[order[b]] {
-			return secs[order[a]] < secs[order[b]]
-		}
-		return jls[order[a]] < jls[order[b]]
-	})
-	bestEnergy := math.Inf(1)
-	for g := 0; g < len(order); {
-		sec := secs[order[g]]
-		end := g
-		groupMin := math.Inf(1)
-		for ; end < len(order) && secs[order[end]] == sec; end++ {
-			if e := jls[order[end]]; e < groupMin {
-				groupMin = e
-			}
-		}
-		for ; g < end; g++ {
-			e := jls[order[g]]
-			pareto[order[g]] = bestEnergy > e && groupMin >= e
-		}
-		if groupMin < bestEnergy {
-			bestEnergy = groupMin
-		}
-	}
-	return pareto
 }
 
 // PlanBudgetFit is BudgetFit rewired onto the surrogate: it returns
@@ -334,7 +271,7 @@ func PlanBudgetFit(base core.System, cfg model.Config, maxChips int, maxSeconds,
 		if err != nil {
 			return nil, fmt.Errorf("explore: plan budget fit (%d chips): %w", n, err)
 		}
-		best := -1
+		var fit []int
 		for i, vp := range verified {
 			if vp.Seconds < bestLatency {
 				bestLatency = vp.Seconds
@@ -345,11 +282,10 @@ func PlanBudgetFit(base core.System, cfg model.Config, maxChips int, maxSeconds,
 			if vp.Seconds > maxSeconds || vp.Joules > maxJoules {
 				continue
 			}
-			if best < 0 || vp.Cycles < verified[best].Cycles {
-				best = i
-			}
+			fit = append(fit, i)
 		}
-		if best >= 0 {
+		if len(fit) > 0 {
+			best := fit[winner(fit, func(k int) float64 { return verified[fit[k]].Cycles })]
 			return &PlanPoint{Network: base.HW.Network, Chips: n, VerifiedPlan: verified[best]}, nil
 		}
 	}

@@ -92,6 +92,14 @@ func TestPlanFrontierMatchesExhaustive8(t *testing.T) {
 			exact.Candidates, exact.GridSims)
 	}
 	comparePlanFronts(t, surrogate, exact)
+	// The exhaustive scan predicts nothing: every predicted objective
+	// is the exact one.
+	for _, p := range exact.Points {
+		if p.PredictedCycles != p.Cycles || p.PredictedSeconds != p.Seconds || p.PredictedJoules != p.Joules {
+			t.Fatalf("exhaustive point %s predicted (%g, %g s, %g J), exact (%g, %g s, %g J)",
+				p.Plan, p.PredictedCycles, p.PredictedSeconds, p.PredictedJoules, p.Cycles, p.Seconds, p.Joules)
+		}
+	}
 }
 
 // The same equivalence at the paper's 64-chip scaled point — the

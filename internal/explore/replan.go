@@ -32,26 +32,17 @@ type SessionCost struct {
 // degraded-wiring validation a stale plan must pass before it can be
 // priced at all.
 func EvalSessionPlan(sys core.System, cfg model.Config, plan collective.Plan, opts SessionOptions) (*SessionCost, error) {
-	modes, _, err := sessionModes(sys, cfg, opts)
+	sp, err := sessionSpace(sys, cfg, opts)
 	if err != nil {
 		return nil, err
 	}
-	sys.Options.SyncPlan = plan
-	pts := make([]evalpool.Point, len(modes))
-	for i, m := range modes {
-		pts[i] = evalpool.Point{System: sys, Workload: m.wl}
-	}
-	reports, err := evalpool.Map(pts)
+	exact, err := evalExact("session plan eval", 1, func(_ int, buf []evalpool.Point) []evalpool.Point {
+		return sp.points(buf, sys, plan, true)
+	})
 	if err != nil {
-		return nil, fmt.Errorf("explore: session plan eval: %w", err)
+		return nil, err
 	}
-	var cost SessionCost
-	for _, rep := range reports {
-		cost.Cycles += rep.Cycles
-		cost.Seconds += rep.Seconds
-		cost.Joules += rep.Energy.Total()
-	}
-	return &cost, nil
+	return &exact[0].SessionCost, nil
 }
 
 // ReplanResult compares serving a stale plan on a degraded system

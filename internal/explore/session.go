@@ -2,7 +2,7 @@ package explore
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"mcudist/internal/collective"
 	"mcudist/internal/core"
@@ -18,14 +18,16 @@ import (
 // classes), and evaluating each candidate as deployed costs two
 // simulations, so exhaustive enumeration runs ~2·4^4 exact simulations
 // per operating point — and multiplies again under a network-profile
-// axis. AutotuneSession makes that tractable with a predict-then-verify
-// structure: the shared Surrogate (surrogate.go) — a per-class cost
-// decomposition built from one probe simulation per (class, topology) —
-// predicts every candidate's session cost additively in microseconds,
-// and only the predicted top-K candidates (plus the four uniform
-// sessions, which the margin needs anyway) are verified with exact
-// simulations. The exact simulator stays the ground truth: the winner
-// is always chosen on verified cycles, never on predictions.
+// axis. AutotuneSession makes that tractable with the package's
+// predict-then-verify core (search.go): the shared Surrogate
+// (surrogate.go) — a per-class cost decomposition built from one probe
+// simulation per (class, topology) — predicts every candidate's
+// session cost additively in microseconds, and only the predicted
+// top-K candidates (plus the four uniform sessions, which the margin
+// needs anyway) are verified with exact simulations. The exact
+// simulator stays the ground truth: the winner is always chosen on
+// verified cycles, never on predictions. AutotunePlan is the same
+// search over a single phase with every candidate verified.
 
 // DefaultSessionTopK is the number of predicted-best candidates
 // AutotuneSession verifies exactly when SessionOptions.TopK is zero.
@@ -132,123 +134,210 @@ type SessionResult struct {
 	Network hw.Network
 }
 
-// sessionMode is one phase of the session: its workload and the
-// synchronization classes it executes.
+// sessionMode is one phase of a plan search: its workload, the
+// synchronization classes it executes, and their positions on the
+// joint plan axis.
 type sessionMode struct {
 	wl      core.Workload
 	classes []collective.SyncClass
+	axis    []int // axis[k] is classes[k]'s position in the union
 }
 
-// sessionModes resolves the two phases and the ordered union of their
-// active classes (the joint plan's axis). The tensor-parallel phases
-// contribute disjoint classes; the replicated exchanges execute in
-// both phases and appear once.
-func sessionModes(base core.System, cfg model.Config, opts SessionOptions) ([]sessionMode, []collective.SyncClass, error) {
+// planSpace is the joint class × topology plan axis of a set of
+// phases: the ordered union of their active classes, each bound to one
+// of the stock topologies.
+type planSpace struct {
+	modes []sessionMode
+	union []collective.SyncClass
+	topos []hw.Topology
+}
+
+// newPlanSpace resolves the phases' joint plan axis. The
+// tensor-parallel phases contribute disjoint classes; the replicated
+// exchanges execute in both phases and appear once.
+func newPlanSpace(modes ...sessionMode) planSpace {
+	sp := planSpace{modes: modes, topos: hw.Topologies()}
+	for mi := range sp.modes {
+		m := &sp.modes[mi]
+		m.axis = make([]int, len(m.classes))
+		for k, c := range m.classes {
+			a := slices.Index(sp.union, c)
+			if a < 0 {
+				a = len(sp.union)
+				sp.union = append(sp.union, c)
+			}
+			m.axis[k] = a
+		}
+	}
+	return sp
+}
+
+// sessionSpace resolves a session's two phases — the prompt prefill and
+// one decode step — and their joint plan axis.
+func sessionSpace(base core.System, cfg model.Config, opts SessionOptions) (planSpace, error) {
 	pre := collective.ActiveClasses(base.Strategy, model.Prompt)
 	dec := collective.ActiveClasses(base.Strategy, model.Autoregressive)
 	if len(pre) == 0 || len(dec) == 0 {
-		return nil, nil, fmt.Errorf("explore: the %s strategy executes no collective synchronizations to plan", base.Strategy)
+		return planSpace{}, fmt.Errorf("explore: the %s strategy executes no collective synchronizations to plan", base.Strategy)
 	}
-	modes := []sessionMode{
-		{wl: core.Workload{Model: cfg, Mode: model.Prompt, SeqLen: opts.PromptSeqLen}, classes: pre},
-		{wl: core.Workload{Model: cfg, Mode: model.Autoregressive, SeqLen: opts.DecodeSeqLen}, classes: dec},
-	}
-	var union []collective.SyncClass
-	seen := map[collective.SyncClass]bool{}
-	for _, m := range modes {
-		for _, c := range m.classes {
-			if !seen[c] {
-				seen[c] = true
-				union = append(union, c)
-			}
-		}
-	}
-	return modes, union, nil
+	return newPlanSpace(
+		sessionMode{wl: core.Workload{Model: cfg, Mode: model.Prompt, SeqLen: opts.PromptSeqLen}, classes: pre},
+		sessionMode{wl: core.Workload{Model: cfg, Mode: model.Autoregressive, SeqLen: opts.DecodeSeqLen}, classes: dec},
+	), nil
 }
 
-// sessionModePoint spells one phase's exact evaluation under a binding
-// choice. All of the phase's classes on one topology collapse to the
-// zero-plan + run-topology spelling, sharing cache entries with the
-// uniform baselines, BestTopology, and the frontier sweeps; mixed
-// tuples bind the phase's classes explicitly, matching AutotunePlan's
-// grid spelling. The base system's own SyncPlan is overridden either
-// way.
-func sessionModePoint(base core.System, m sessionMode, pick func(collective.SyncClass) hw.Topology) evalpool.Point {
-	sys := base
-	same := true
-	t0 := pick(m.classes[0])
-	for _, c := range m.classes[1:] {
-		if pick(c) != t0 {
-			same = false
-			break
-		}
+// reference locates the base system's run topology — the surrogate's
+// reference — among the axis's topologies.
+func (sp planSpace) reference(t hw.Topology) (int, error) {
+	if i := slices.Index(sp.topos, t); i >= 0 {
+		return i, nil
 	}
-	if same {
-		sys.Options.SyncPlan = collective.Plan{}
-		sys.HW.Topology = t0
-	} else {
-		var p collective.Plan
+	return 0, fmt.Errorf("explore: %s is not a supported topology", t)
+}
+
+// grid enumerates the joint candidates in the odometer order every
+// plan search shares (first class cycling fastest, so ties keep the
+// earliest candidate and the paper's tree wins exact draws): candidate
+// i binds union[a] to topos[grid.at(i)[a]].
+func (sp planSpace) grid() axisGrid {
+	sizes := make([]int, len(sp.union))
+	for a := range sizes {
+		sizes[a] = len(sp.topos)
+	}
+	return odometer(sizes...)
+}
+
+// plan binds every class on the axis to its digit's topology.
+func (sp planSpace) plan(digits []int) collective.Plan {
+	var p collective.Plan
+	for a, c := range sp.union {
+		p = p.With(c, sp.topos[digits[a]])
+	}
+	return p
+}
+
+// uniforms lists the candidates binding every class to one topology,
+// in topology order: the uniform plans every plan search verifies.
+// With the first class cycling fastest, topology t sits at t times the
+// sum of the digits' place values.
+func (sp planSpace) uniforms() []int {
+	places, place := 0, 1
+	for range sp.union {
+		places += place
+		place *= len(sp.topos)
+	}
+	out := make([]int, len(sp.topos))
+	for t := range out {
+		out[t] = t * places
+	}
+	return out
+}
+
+// phasePoint spells one phase of a joint plan as an evaluation point.
+// As deployed, the whole plan rides in the phase's cache key, which is
+// how a user runs it (and why the naive grid costs a simulation per
+// phase and candidate). Phase-restricted, the phase binds only its own
+// classes, a class the plan leaves unbound taking the zero topology,
+// and a phase whose classes all share one topology collapses to the
+// zero plan on that run topology, sharing cache entries with the
+// uniform baselines, BestTopology and the frontier sweeps. The base
+// system's own SyncPlan is overridden either way.
+func phasePoint(base core.System, m sessionMode, p collective.Plan, deployed bool) evalpool.Point {
+	sys := base
+	sys.Options.SyncPlan = p
+	if !deployed {
+		t0, _ := p.Explicit(m.classes[0])
+		var q collective.Plan
+		same := true
 		for _, c := range m.classes {
-			p = p.With(c, pick(c))
+			t, _ := p.Explicit(c)
+			q = q.With(c, t)
+			same = same && t == t0
 		}
-		sys.Options.SyncPlan = p
+		sys.Options.SyncPlan = q
+		if same {
+			sys.Options.SyncPlan = collective.Plan{}
+			sys.HW.Topology = t0
+		}
 	}
 	return evalpool.Point{System: sys, Workload: m.wl}
 }
 
-// sessionEval collects evaluation points with deduplication, so one
-// Map call serves every distinct configuration of a stage.
-type sessionEval struct {
-	points []evalpool.Point
-	index  map[evalpool.Point]int
-}
-
-func newSessionEval() *sessionEval {
-	return &sessionEval{index: map[evalpool.Point]int{}}
-}
-
-func (se *sessionEval) add(pt evalpool.Point) int {
-	if i, ok := se.index[pt]; ok {
-		return i
+// points appends a joint plan's evaluation points, one per phase.
+func (sp planSpace) points(buf []evalpool.Point, base core.System, p collective.Plan, deployed bool) []evalpool.Point {
+	for _, m := range sp.modes {
+		buf = append(buf, phasePoint(base, m, p, deployed))
 	}
-	i := len(se.points)
-	se.points = append(se.points, pt)
-	se.index[pt] = i
-	return i
+	return buf
 }
 
-// sessionCand is one joint candidate: its topology index per union
-// class (odometer order, first index cycling fastest — the same
-// enumeration AutotunePlan uses, so ties keep the earliest candidate
-// and the paper's tree wins exact draws) and the fully bound plan.
-type sessionCand struct {
-	idx  []int
-	plan collective.Plan
+// planSearch is a finished search over a plan space's joint grid.
+type planSearch struct {
+	planSpace
+	cands axisGrid
+	// predicted is each candidate's predicted cycles (nil when every
+	// candidate was verified).
+	predicted []float64
+	// sel lists the verified candidates in verification order; exact[k]
+	// evaluates sel[k].
+	sel   []int
+	exact []exactCost
+	// best and uniform are the positions in sel of the winner and of
+	// the best uniform plan, which binds every class to uniformTopo.
+	best, uniform int
+	uniformTopo   hw.Topology
 }
 
-// enumerateSession builds the joint grid over the union classes.
-func enumerateSession(union []collective.SyncClass, topos []hw.Topology) []sessionCand {
-	var cands []sessionCand
-	idx := make([]int, len(union))
-	for {
-		var p collective.Plan
-		for i, c := range union {
-			p = p.With(c, topos[idx[i]])
+// searchPlans runs the predict-then-verify core over sp's joint grid.
+// With a fitted surrogate it ranks the grid by predicted cycles and
+// verifies only the predicted top-K plus the uniform plans; with none
+// it verifies every candidate. deployed picks the point spelling and
+// what names the step in errors.
+func searchPlans(what string, sp planSpace, base core.System, s *Surrogate, topK int, deployed bool) (*planSearch, error) {
+	ps := &planSearch{planSpace: sp, cands: sp.grid()}
+	uniforms := sp.uniforms()
+	if s == nil {
+		ps.sel = indices(ps.cands.n)
+	} else {
+		ps.predicted = make([]float64, ps.cands.n)
+		for i := range ps.predicted {
+			ps.predicted[i] = s.predict(ps.cands.at(i)).Cycles
 		}
-		cands = append(cands, sessionCand{idx: append([]int(nil), idx...), plan: p})
-		j := 0
-		for ; j < len(idx); j++ {
-			idx[j]++
-			if idx[j] < len(topos) {
-				break
-			}
-			idx[j] = 0
+		if topK <= 0 {
+			topK = DefaultSessionTopK
 		}
-		if j == len(idx) {
-			break
-		}
+		ps.sel = verifySet(rankStable(ps.predicted), topK, uniforms)
 	}
-	return cands
+	var err error
+	ps.exact, err = evalExact(what, len(ps.sel), func(k int, buf []evalpool.Point) []evalpool.Point {
+		return sp.points(buf, base, ps.candidate(k), deployed)
+	})
+	if err != nil {
+		return nil, err
+	}
+	ps.best = winner(ps.sel, func(k int) float64 { return ps.exact[k].Cycles })
+	at := make([]int, len(uniforms))
+	for t, u := range uniforms {
+		at[t] = slices.Index(ps.sel, u)
+	}
+	t := winner(uniforms, func(t int) float64 { return ps.exact[at[t]].Cycles })
+	ps.uniform, ps.uniformTopo = at[t], sp.topos[t]
+	return ps, nil
+}
+
+// candidate is the plan of the k-th verified candidate.
+func (ps *planSearch) candidate(k int) collective.Plan {
+	return ps.plan(ps.cands.at(ps.sel[k]))
+}
+
+// perClass lists a plan's choice per class, in class order.
+func perClass(p collective.Plan, classes []collective.SyncClass) []ClassChoice {
+	var out []ClassChoice
+	for _, c := range classes {
+		topo, _ := p.Explicit(c)
+		out = append(out, ClassChoice{Class: c, Topology: topo})
+	}
+	return out
 }
 
 // AutotuneSession tunes the per-sync collective plan of a whole
@@ -269,238 +358,57 @@ func enumerateSession(union []collective.SyncClass, topos []hw.Topology) []sessi
 // Set the returned Plan on System.Options.SyncPlan to deploy it.
 func AutotuneSession(base core.System, cfg model.Config, opts SessionOptions) (*SessionResult, error) {
 	evalsBefore := evalpool.Evaluations()
-	modes, union, err := sessionModes(base, cfg, opts)
+	sp, err := sessionSpace(base, cfg, opts)
 	if err != nil {
 		return nil, err
 	}
-	topos := hw.Topologies()
-	refIdx := topoIndex(topos, base.HW.Topology)
-	if refIdx < 0 {
-		return nil, fmt.Errorf("explore: %s is not a supported topology", base.HW.Topology)
+	ref, err := sp.reference(base.HW.Topology)
+	if err != nil {
+		return nil, err
 	}
-	cands := enumerateSession(union, topos)
-
+	var s *Surrogate
+	what := "session grid"
+	if !opts.Exhaustive {
+		if s, err = fitSurrogate(base, sp, ref); err != nil {
+			return nil, err
+		}
+		what = "session verify"
+	}
+	ps, err := searchPlans(what, sp, base, s, opts.TopK, opts.Exhaustive)
+	if err != nil {
+		return nil, err
+	}
+	best := ps.exact[ps.best]
 	res := &SessionResult{
-		Candidates: len(cands),
-		GridSims:   2 * len(cands),
-		Network:    base.HW.Network,
+		Plan:            ps.candidate(ps.best),
+		Cycles:          best.Cycles,
+		PredictedCycles: best.Cycles,
+		PrefillReport:   best.reports[0],
+		DecodeReport:    best.reports[1],
+		BestUniform:     ps.uniformTopo,
+		UniformCycles:   ps.exact[ps.uniform].Cycles,
+		RankAccuracy:    1,
+		Candidates:      ps.cands.n,
+		GridSims:        2 * ps.cands.n,
+		Network:         base.HW.Network,
 	}
-	var exact map[int]float64              // candidate index -> exact session cycles
-	var modeReports map[int][]*core.Report // candidate index -> per-phase reports
-	var predicted []float64
-	var verifyOrder []int
-
-	if opts.Exhaustive {
-		exact, modeReports, err = sessionExhaustive(base, modes, cands)
-		if err != nil {
-			return nil, err
-		}
-		for i := range cands {
-			verifyOrder = append(verifyOrder, i)
-		}
-	} else {
-		pred, err := fitSurrogate(base, modes, union, topos, refIdx)
-		if err != nil {
-			return nil, err
-		}
-		res.Costs = pred.costs
-		predicted = make([]float64, len(cands))
-		for i, c := range cands {
-			predicted[i] = pred.predictCycles(c.idx)
-		}
-		// Rank by predicted cost; ties keep enumeration order.
-		order := make([]int, len(cands))
-		for i := range order {
-			order[i] = i
-		}
-		sort.SliceStable(order, func(a, b int) bool {
-			if predicted[order[a]] != predicted[order[b]] {
-				return predicted[order[a]] < predicted[order[b]]
-			}
-			return order[a] < order[b]
-		})
-		topK := opts.TopK
-		if topK <= 0 {
-			topK = DefaultSessionTopK
-		}
-		if topK > len(order) {
-			topK = len(order)
-		}
-		verifyOrder = append(verifyOrder, order[:topK]...)
-		// The uniform sessions verify for free — their zero-plan
-		// spellings are the margin baseline's own points — and pinning
-		// them in the verified set guarantees the winner never loses to
-		// a uniform plan.
-		inSet := map[int]bool{}
-		for _, i := range verifyOrder {
-			inSet[i] = true
-		}
-		for ti := range topos {
-			if i := allSameIndex(ti, len(union), len(topos)); !inSet[i] {
-				inSet[i] = true
-				verifyOrder = append(verifyOrder, i)
-			}
-		}
-		exact, modeReports, err = sessionVerify(base, modes, cands, verifyOrder)
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	// Winner: fewest exact session cycles among the verified
-	// candidates; ties keep the earliest candidate in enumeration
-	// order.
-	best := -1
-	for _, i := range verifyOrder {
-		if best < 0 || exact[i] < exact[best] || (exact[i] == exact[best] && i < best) {
-			best = i
-		}
-	}
-	res.Plan = cands[best].plan
-	res.Cycles = exact[best]
-	res.PrefillReport = modeReports[best][0]
-	res.DecodeReport = modeReports[best][1]
-	if opts.Exhaustive {
-		res.PredictedCycles = res.Cycles
-		res.RankAccuracy = 1
-	} else {
-		res.PredictedCycles = predicted[best]
-		for _, i := range verifyOrder {
+	res.PerClass = perClass(res.Plan, sp.union)
+	res.Margin = res.UniformCycles / res.Cycles
+	if s != nil {
+		res.PredictedCycles = ps.predicted[ps.sel[ps.best]]
+		res.Costs = s.costs
+		var order []int
+		order, res.RankAccuracy = rankVerified(ps.sel, ps.predicted, ps.exact)
+		for _, k := range order {
 			res.Verified = append(res.Verified, SessionCandidate{
-				Plan:            cands[i].plan,
-				PredictedCycles: predicted[i],
-				Cycles:          exact[i],
+				Plan:            ps.candidate(k),
+				PredictedCycles: ps.predicted[ps.sel[k]],
+				Cycles:          ps.exact[k].Cycles,
 			})
 		}
-		sort.SliceStable(res.Verified, func(a, b int) bool {
-			return res.Verified[a].PredictedCycles < res.Verified[b].PredictedCycles
-		})
-		res.RankAccuracy = rankConcordance(res.Verified)
 	}
-	for _, c := range union {
-		topo, _ := res.Plan.Explicit(c)
-		res.PerClass = append(res.PerClass, ClassChoice{Class: c, Topology: topo})
-	}
-	// Best uniform session: the all-same candidates are always
-	// verified (exhaustive trivially includes them).
-	uniBest := -1
-	for ti := range topos {
-		i := allSameIndex(ti, len(union), len(topos))
-		if uniBest < 0 || exact[i] < exact[allSameIndex(uniBest, len(union), len(topos))] {
-			uniBest = ti
-		}
-	}
-	res.BestUniform = topos[uniBest]
-	res.UniformCycles = exact[allSameIndex(uniBest, len(union), len(topos))]
-	res.Margin = res.UniformCycles / res.Cycles
 	res.ExactSims = int(evalpool.Evaluations() - evalsBefore)
 	return res, nil
-}
-
-// allSameIndex is the enumeration index of the candidate binding every
-// class to topology ti: with the first class's index cycling fastest,
-// that is ti summed over every digit's place value.
-func allSameIndex(ti, classes, topos int) int {
-	idx, place := 0, 1
-	for k := 0; k < classes; k++ {
-		idx += ti * place
-		place *= topos
-	}
-	return idx
-}
-
-// sessionVerify evaluates the selected candidates exactly, one
-// phase-restricted point per phase (so probe and uniform points are
-// reused from the cache), and returns exact session cycles plus the
-// per-phase reports.
-func sessionVerify(base core.System, modes []sessionMode, cands []sessionCand, sel []int) (map[int]float64, map[int][]*core.Report, error) {
-	ev := newSessionEval()
-	pts := make(map[int][]int, len(sel))
-	for _, i := range sel {
-		c := cands[i]
-		ids := make([]int, len(modes))
-		for mi, m := range modes {
-			cc := c
-			ids[mi] = ev.add(sessionModePoint(base, m, func(x collective.SyncClass) hw.Topology {
-				t, _ := cc.plan.Explicit(x)
-				return t
-			}))
-		}
-		pts[i] = ids
-	}
-	reports, err := evalpool.Map(ev.points)
-	if err != nil {
-		return nil, nil, fmt.Errorf("explore: session verify: %w", err)
-	}
-	exact := make(map[int]float64, len(sel))
-	modeReports := make(map[int][]*core.Report, len(sel))
-	for i, ids := range pts {
-		var sum float64
-		reps := make([]*core.Report, len(ids))
-		for mi, id := range ids {
-			reps[mi] = reports[id]
-			sum += reports[id].Cycles
-		}
-		exact[i] = sum
-		modeReports[i] = reps
-	}
-	return exact, modeReports, nil
-}
-
-// sessionExhaustive evaluates every joint candidate as deployed: the
-// fully merged plan rides in both phases' cache keys, which is exactly
-// how a user runs the plan — and why the naive grid costs
-// 2 × candidates simulations (phase results that cannot depend on the
-// other phase's bindings still occupy distinct cache entries). This is
-// the ground truth the pruned search is held to.
-func sessionExhaustive(base core.System, modes []sessionMode, cands []sessionCand) (map[int]float64, map[int][]*core.Report, error) {
-	ev := newSessionEval()
-	pts := make(map[int][]int, len(cands))
-	for i, c := range cands {
-		sys := base
-		sys.Options.SyncPlan = c.plan
-		ids := make([]int, len(modes))
-		for mi, m := range modes {
-			ids[mi] = ev.add(evalpool.Point{System: sys, Workload: m.wl})
-		}
-		pts[i] = ids
-	}
-	reports, err := evalpool.Map(ev.points)
-	if err != nil {
-		return nil, nil, fmt.Errorf("explore: session grid: %w", err)
-	}
-	exact := make(map[int]float64, len(cands))
-	modeReports := make(map[int][]*core.Report, len(cands))
-	for i, ids := range pts {
-		var sum float64
-		reps := make([]*core.Report, len(ids))
-		for mi, id := range ids {
-			reps[mi] = reports[id]
-			sum += reports[id].Cycles
-		}
-		exact[i] = sum
-		modeReports[i] = reps
-	}
-	return exact, modeReports, nil
-}
-
-// rankConcordance is the fraction of verified candidate pairs whose
-// exact ordering agrees with the predicted ordering (list is in
-// predicted order; exact ties count as concordant).
-func rankConcordance(v []SessionCandidate) float64 {
-	if len(v) < 2 {
-		return 1
-	}
-	pairs, ok := 0, 0
-	for i := 0; i < len(v); i++ {
-		for j := i + 1; j < len(v); j++ {
-			pairs++
-			if v[i].Cycles <= v[j].Cycles {
-				ok++
-			}
-		}
-	}
-	return float64(ok) / float64(pairs)
 }
 
 // AutotuneSessionNetworks folds the network axis into the session

@@ -1,7 +1,7 @@
 package explore
 
 import (
-	"fmt"
+	"slices"
 
 	"mcudist/internal/collective"
 	"mcudist/internal/core"
@@ -30,34 +30,19 @@ import (
 // the shared evalpool tiers, so a store-backed process fits the
 // surrogate without simulating at all.
 type Surrogate struct {
-	modes  []sessionMode
-	union  []collective.SyncClass
-	topos  []hw.Topology
+	planSpace
 	refIdx int
-	pos    map[collective.SyncClass]int // union class -> candidate index position
 
-	// Per-phase all-reference baselines and per (phase, class,
-	// topology) measured deltas, for both objectives. The energy model
-	// reads the same probe reports the cycle model does — the second
-	// objective is free.
-	baseCycles  []float64
-	baseSecs    []float64
-	baseJoules  []float64
-	deltaCycles []map[collective.SyncClass][]float64
-	deltaSecs   []map[collective.SyncClass][]float64
-	deltaJoules []map[collective.SyncClass][]float64
+	// base[m] is phase m's all-reference cost and delta[m][k][t] the
+	// measured change from binding the phase's k-th class to topology t
+	// with every other class held at the reference (zero for the
+	// reference itself). Each entry is one objective vector: the
+	// latency and energy models read the same probe reports the cycle
+	// model does, so the second objective is free.
+	base  []SessionCost
+	delta [][][]SessionCost
 
 	costs []ClassCost
-}
-
-// topoIndex locates t in topos, or -1.
-func topoIndex(topos []hw.Topology, t hw.Topology) int {
-	for i, tt := range topos {
-		if tt == t {
-			return i
-		}
-	}
-	return -1
 }
 
 // FitSurrogate fits the additive session cost model for the base
@@ -65,116 +50,105 @@ func topoIndex(topos []hw.Topology, t hw.Topology) int {
 // (phase, class, topology), cycles and energy both. The base system's
 // run topology is the reference the deltas are measured against.
 func FitSurrogate(base core.System, cfg model.Config, opts SessionOptions) (*Surrogate, error) {
-	modes, union, err := sessionModes(base, cfg, opts)
+	sp, err := sessionSpace(base, cfg, opts)
 	if err != nil {
 		return nil, err
 	}
-	topos := hw.Topologies()
-	refIdx := topoIndex(topos, base.HW.Topology)
-	if refIdx < 0 {
-		return nil, fmt.Errorf("explore: %s is not a supported topology", base.HW.Topology)
+	ref, err := sp.reference(base.HW.Topology)
+	if err != nil {
+		return nil, err
 	}
-	return fitSurrogate(base, modes, union, topos, refIdx)
+	return fitSurrogate(base, sp, ref)
 }
 
-// fitSurrogate runs the probe simulations — the uniform sessions (the
-// margin baselines need them anyway) and one single-deviation probe
-// per (phase, class, non-reference topology) — and assembles the
-// model.
-func fitSurrogate(base core.System, modes []sessionMode, union []collective.SyncClass, topos []hw.Topology, refIdx int) (*Surrogate, error) {
-	ref := topos[refIdx]
-	ev := newSessionEval()
-	uniform := make([][]int, len(modes))
-	type probeRef struct {
-		mode  int
-		class collective.SyncClass
-		topo  int
-		point int
-	}
-	var probes []probeRef
-	for mi, m := range modes {
-		uniform[mi] = make([]int, len(topos))
-		for ti, t := range topos {
-			tt := t
-			uniform[mi][ti] = ev.add(sessionModePoint(base, m, func(collective.SyncClass) hw.Topology { return tt }))
+// fitSurrogate runs the probe simulations — per phase, the uniform
+// plans (the margin baselines need them anyway) and one
+// single-deviation probe per (class, non-reference topology) — as one
+// deduplicated exact evaluation, and assembles the model.
+func fitSurrogate(base core.System, sp planSpace, ref int) (*Surrogate, error) {
+	type probe struct{ mode, class, topo int } // class -1: the phase's uniform plan
+	var probes []probe
+	for mi, m := range sp.modes {
+		for t := range sp.topos {
+			probes = append(probes, probe{mi, -1, t})
 		}
-		for _, c := range m.classes {
-			for ti, t := range topos {
-				if ti == refIdx {
-					continue
+		for k := range m.classes {
+			for t := range sp.topos {
+				if t != ref {
+					probes = append(probes, probe{mi, k, t})
 				}
-				cc, tt := c, t
-				pt := ev.add(sessionModePoint(base, m, func(x collective.SyncClass) hw.Topology {
-					if x == cc {
-						return tt
-					}
-					return ref
-				}))
-				probes = append(probes, probeRef{mode: mi, class: c, topo: ti, point: pt})
 			}
 		}
 	}
-	reports, err := evalpool.Map(ev.points)
+	exact, err := evalExact("surrogate probes", len(probes), func(j int, buf []evalpool.Point) []evalpool.Point {
+		pr := probes[j]
+		m := sp.modes[pr.mode]
+		var p collective.Plan
+		for k, c := range m.classes {
+			t := ref
+			if pr.class < 0 || pr.class == k {
+				t = pr.topo
+			}
+			p = p.With(c, sp.topos[t])
+		}
+		return append(buf, phasePoint(base, m, p, false))
+	})
 	if err != nil {
-		return nil, fmt.Errorf("explore: surrogate probes: %w", err)
+		return nil, err
 	}
 	s := &Surrogate{
-		modes:       modes,
-		union:       union,
-		topos:       topos,
-		refIdx:      refIdx,
-		pos:         make(map[collective.SyncClass]int, len(union)),
-		baseCycles:  make([]float64, len(modes)),
-		baseSecs:    make([]float64, len(modes)),
-		baseJoules:  make([]float64, len(modes)),
-		deltaCycles: make([]map[collective.SyncClass][]float64, len(modes)),
-		deltaSecs:   make([]map[collective.SyncClass][]float64, len(modes)),
-		deltaJoules: make([]map[collective.SyncClass][]float64, len(modes)),
+		planSpace: sp,
+		refIdx:    ref,
+		base:      make([]SessionCost, len(sp.modes)),
+		delta:     make([][][]SessionCost, len(sp.modes)),
 	}
-	for i, c := range union {
-		s.pos[c] = i
-	}
-	classC2C := func(rep *core.Report, c collective.SyncClass) float64 {
-		for _, cs := range rep.ByClass {
-			if cs.Class == c {
-				return cs.C2CCycles
-			}
+	// The cost vector lists every phase's reference entries first, then
+	// the deviations in probe order.
+	for j, pr := range probes {
+		if pr.class >= 0 || pr.topo != ref {
+			continue
 		}
-		return 0
-	}
-	for mi, m := range modes {
-		s.baseCycles[mi] = reports[uniform[mi][refIdx]].Cycles
-		s.baseSecs[mi] = reports[uniform[mi][refIdx]].Seconds
-		s.baseJoules[mi] = reports[uniform[mi][refIdx]].Energy.Total()
-		s.deltaCycles[mi] = map[collective.SyncClass][]float64{}
-		s.deltaSecs[mi] = map[collective.SyncClass][]float64{}
-		s.deltaJoules[mi] = map[collective.SyncClass][]float64{}
-		for _, c := range m.classes {
-			s.deltaCycles[mi][c] = make([]float64, len(topos))
-			s.deltaSecs[mi][c] = make([]float64, len(topos))
-			s.deltaJoules[mi][c] = make([]float64, len(topos))
+		m := sp.modes[pr.mode]
+		s.base[pr.mode] = exact[j].SessionCost
+		s.delta[pr.mode] = make([][]SessionCost, len(m.classes))
+		for k, c := range m.classes {
+			s.delta[pr.mode][k] = make([]SessionCost, len(sp.topos))
 			s.costs = append(s.costs, ClassCost{
 				Mode:      m.wl.Mode,
 				Class:     c,
-				Topology:  ref,
-				C2CCycles: classC2C(reports[uniform[mi][refIdx]], c),
+				Topology:  sp.topos[ref],
+				C2CCycles: classC2C(exact[j].reports[0], c),
 			})
 		}
 	}
-	for _, pr := range probes {
-		rep := reports[pr.point]
-		s.deltaCycles[pr.mode][pr.class][pr.topo] = rep.Cycles - s.baseCycles[pr.mode]
-		s.deltaSecs[pr.mode][pr.class][pr.topo] = rep.Seconds - s.baseSecs[pr.mode]
-		s.deltaJoules[pr.mode][pr.class][pr.topo] = rep.Energy.Total() - s.baseJoules[pr.mode]
+	for j, pr := range probes {
+		if pr.class < 0 {
+			continue
+		}
+		m := sp.modes[pr.mode]
+		c := m.classes[pr.class]
+		d := exact[j].minus(s.base[pr.mode])
+		s.delta[pr.mode][pr.class][pr.topo] = d
 		s.costs = append(s.costs, ClassCost{
-			Mode:        modes[pr.mode].wl.Mode,
-			Class:       pr.class,
-			Topology:    s.topos[pr.topo],
-			DeltaCycles: rep.Cycles - s.baseCycles[pr.mode],
-			C2CCycles:   classC2C(rep, pr.class),
+			Mode:        m.wl.Mode,
+			Class:       c,
+			Topology:    sp.topos[pr.topo],
+			DeltaCycles: d.Cycles,
+			C2CCycles:   classC2C(exact[j].reports[0], c),
 		})
 	}
 	return s, nil
+}
+
+// classC2C is class c's link busy time in rep — the ByClass
+// attribution the decomposition rests on.
+func classC2C(rep *core.Report, c collective.SyncClass) float64 {
+	for _, cs := range rep.ByClass {
+		if cs.Class == c {
+			return cs.C2CCycles
+		}
+	}
+	return 0
 }
 
 // Classes returns the session's joint plan axis: the ordered union of
@@ -198,10 +172,10 @@ func (s *Surrogate) Costs() []ClassCost {
 // fastest) every search in this package shares, so ties resolve
 // identically everywhere.
 func (s *Surrogate) Candidates() []collective.Plan {
-	cands := enumerateSession(s.union, s.topos)
-	out := make([]collective.Plan, len(cands))
-	for i, c := range cands {
-		out[i] = c.plan
+	g := s.grid()
+	out := make([]collective.Plan, g.n)
+	for i := range out {
+		out[i] = s.plan(g.at(i))
 	}
 	return out
 }
@@ -211,7 +185,7 @@ func (s *Surrogate) Candidates() []collective.Plan {
 func (s *Surrogate) planIdx(p collective.Plan) []int {
 	idx := make([]int, len(s.union))
 	for i, c := range s.union {
-		idx[i] = topoIndex(s.topos, p.Topology(c, s.topos[s.refIdx]))
+		idx[i] = slices.Index(s.topos, p.Topology(c, s.topos[s.refIdx]))
 	}
 	return idx
 }
@@ -220,54 +194,34 @@ func (s *Surrogate) planIdx(p collective.Plan) []int {
 // prefill plus one decode step) from the fitted deltas — a few
 // additions, no simulation.
 func (s *Surrogate) PredictCycles(p collective.Plan) float64 {
-	return s.predictCycles(s.planIdx(p))
+	return s.predict(s.planIdx(p)).Cycles
 }
 
 // PredictSeconds predicts the plan's whole-session wall time the same
 // way (seconds are fitted from the probe reports directly, so clock
 // differences between phases need no assumptions).
 func (s *Surrogate) PredictSeconds(p collective.Plan) float64 {
-	return s.predictSeconds(s.planIdx(p))
+	return s.predict(s.planIdx(p)).Seconds
 }
 
 // PredictJoules predicts the plan's whole-session energy the same
 // way.
 func (s *Surrogate) PredictJoules(p collective.Plan) float64 {
-	return s.predictJoules(s.planIdx(p))
+	return s.predict(s.planIdx(p)).Joules
 }
 
-func (s *Surrogate) predictCycles(idx []int) float64 {
-	total := 0.0
+// predict composes a candidate's session cost from the fitted deltas:
+// per phase the baseline plus its classes' deltas in class order, then
+// the phases summed. Ranks and RankAccuracy depend on predictions to
+// the last bit, so that summation order is part of the model.
+func (s *Surrogate) predict(digits []int) SessionCost {
+	var total SessionCost
 	for mi, m := range s.modes {
-		cycles := s.baseCycles[mi]
-		for _, c := range m.classes {
-			cycles += s.deltaCycles[mi][c][idx[s.pos[c]]]
+		phase := s.base[mi]
+		for k, a := range m.axis {
+			phase = phase.plus(s.delta[mi][k][digits[a]])
 		}
-		total += cycles
-	}
-	return total
-}
-
-func (s *Surrogate) predictSeconds(idx []int) float64 {
-	total := 0.0
-	for mi, m := range s.modes {
-		secs := s.baseSecs[mi]
-		for _, c := range m.classes {
-			secs += s.deltaSecs[mi][c][idx[s.pos[c]]]
-		}
-		total += secs
-	}
-	return total
-}
-
-func (s *Surrogate) predictJoules(idx []int) float64 {
-	total := 0.0
-	for mi, m := range s.modes {
-		joules := s.baseJoules[mi]
-		for _, c := range m.classes {
-			joules += s.deltaJoules[mi][c][idx[s.pos[c]]]
-		}
-		total += joules
+		total = total.plus(phase)
 	}
 	return total
 }
@@ -277,33 +231,15 @@ func (s *Surrogate) predictJoules(idx []int) float64 {
 // from the cache tiers — and returns one VerifiedPlan per input, in
 // input order.
 func (s *Surrogate) Verify(base core.System, plans []collective.Plan) ([]VerifiedPlan, error) {
-	cands := make([]sessionCand, len(plans))
-	sel := make([]int, len(plans))
-	for i, p := range plans {
-		cands[i] = sessionCand{idx: s.planIdx(p), plan: p}
-		sel[i] = i
-	}
-	exact, modeReports, err := sessionVerify(base, s.modes, cands, sel)
+	exact, err := evalExact("session verify", len(plans), func(k int, buf []evalpool.Point) []evalpool.Point {
+		return s.points(buf, base, plans[k], false)
+	})
 	if err != nil {
 		return nil, err
 	}
 	out := make([]VerifiedPlan, len(plans))
-	for i, p := range plans {
-		reps := modeReports[i]
-		vp := VerifiedPlan{
-			Plan:             p,
-			PredictedCycles:  s.predictCycles(cands[i].idx),
-			PredictedSeconds: s.predictSeconds(cands[i].idx),
-			PredictedJoules:  s.predictJoules(cands[i].idx),
-			Cycles:           exact[i],
-			PrefillReport:    reps[0],
-			DecodeReport:     reps[len(reps)-1],
-		}
-		for _, rep := range reps {
-			vp.Seconds += rep.Seconds
-			vp.Joules += rep.Energy.Total()
-		}
-		out[i] = vp
+	for k, p := range plans {
+		out[k] = verifiedPlan(p, s.predict(s.planIdx(p)), exact[k])
 	}
 	return out, nil
 }
@@ -324,4 +260,20 @@ type VerifiedPlan struct {
 	// evaluations.
 	PrefillReport *core.Report
 	DecodeReport  *core.Report
+}
+
+// verifiedPlan pairs a plan's exact session evaluation with its
+// prediction.
+func verifiedPlan(p collective.Plan, pred SessionCost, e exactCost) VerifiedPlan {
+	return VerifiedPlan{
+		Plan:             p,
+		PredictedCycles:  pred.Cycles,
+		PredictedSeconds: pred.Seconds,
+		PredictedJoules:  pred.Joules,
+		Cycles:           e.Cycles,
+		Seconds:          e.Seconds,
+		Joules:           e.Joules,
+		PrefillReport:    e.reports[0],
+		DecodeReport:     e.reports[len(e.reports)-1],
+	}
 }

@@ -2,7 +2,6 @@ package explore
 
 import (
 	"fmt"
-	"sort"
 
 	"mcudist/internal/core"
 	"mcudist/internal/deploy"
@@ -207,25 +206,6 @@ func tilingPoint(base core.System, wl core.Workload, ta, tf memsim.Tiling) evalp
 	return evalpool.Point{System: sys, Workload: wl}
 }
 
-// rankByCost returns pool indices ordered by cost ascending (stable,
-// ties keep pool order), capped to limit when limit > 0.
-func rankByCost(cost []float64, limit int) []int {
-	order := make([]int, len(cost))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		if cost[order[a]] != cost[order[b]] {
-			return cost[order[a]] < cost[order[b]]
-		}
-		return order[a] < order[b]
-	})
-	if limit > 0 && limit < len(order) {
-		order = order[:limit]
-	}
-	return order
-}
-
 // AutotuneTiling tunes the DRAM-backed memory hierarchy's tile shapes
 // per layer family — one tiling for the attention projections, one
 // for the feed-forward matrices — for the base system's streamed-tier
@@ -272,156 +252,94 @@ func AutotuneTiling(base core.System, wl core.Workload, opts TilingOptions) (*Ti
 			return nil, fmt.Errorf("explore: pricing FFN tiling %s: %w", t, err)
 		}
 	}
-	aList := rankByCost(aCost, opts.Candidates)
-	fList := rankByCost(fCost, opts.Candidates)
-
-	// The pair grid, in deterministic enumeration order (attention
-	// outer), with its additive prediction.
-	type pair struct {
-		ai, fi int // pool indices
-	}
-	pairs := make([]pair, 0, len(aList)*len(fList))
-	predicted := make([]float64, 0, len(aList)*len(fList))
-	for _, ai := range aList {
-		for _, fi := range fList {
-			pairs = append(pairs, pair{ai: ai, fi: fi})
-			predicted = append(predicted, aCost[ai]+fCost[fi])
-		}
-	}
-	res := &TilingResult{
-		Candidates: len(pairs),
-		GridSims:   len(pairs),
+	aList, fList := rankStable(aCost), rankStable(fCost)
+	if c := opts.Candidates; c > 0 && c < len(pool) {
+		aList, fList = aList[:c], fList[:c]
 	}
 
-	// Select what to verify exactly.
-	var verifyOrder []int
-	if opts.Exhaustive {
-		for i := range pairs {
-			verifyOrder = append(verifyOrder, i)
-		}
-	} else {
-		order := make([]int, len(pairs))
-		for i := range order {
-			order[i] = i
-		}
-		sort.SliceStable(order, func(a, b int) bool {
-			if predicted[order[a]] != predicted[order[b]] {
-				return predicted[order[a]] < predicted[order[b]]
-			}
-			return order[a] < order[b]
-		})
-		topK := opts.TopK
-		if topK <= 0 {
-			topK = DefaultTilingTopK
-		}
-		if topK > len(order) {
-			topK = len(order)
-		}
-		verifyOrder = append(verifyOrder, order[:topK]...)
-	}
-
-	// The uniform baseline: the predicted-best single tilings shared
-	// by both families, always verified (the margin needs them). A
-	// uniform point (t, t) shares its cache entry with the grid pair
-	// (t, t) when both families kept t.
+	// The pair grid, attention outer (the FFN axis cycles fastest),
+	// with its additive prediction. The predicted-best uniform tilings
+	// shared by both families follow the grid as extra candidates: the
+	// margin baseline, always verified. A uniform (t, t) shares its
+	// cache entry with the grid pair (t, t) when both families kept t,
+	// and as a later candidate never displaces it on a tie.
+	grid := odometer(len(fList), len(aList))
 	uCost := make([]float64, len(pool))
 	for i := range pool {
 		uCost[i] = aCost[i] + fCost[i]
 	}
-	uniList := rankByCost(uCost, DefaultUniformVerify)
-
-	// Evaluate: one deduplicated point per selected pair + uniform.
-	ev := newSessionEval()
-	pairPt := make(map[int]int, len(verifyOrder))
-	for _, i := range verifyOrder {
-		p := pairs[i]
-		pairPt[i] = ev.add(tilingPoint(base, wl, pool[p.ai], pool[p.fi]))
+	uniList := rankStable(uCost)
+	if len(uniList) > DefaultUniformVerify {
+		uniList = uniList[:DefaultUniformVerify]
 	}
-	uniPt := make([]int, len(uniList))
+	predicted := make([]float64, grid.n, grid.n+len(uniList))
+	for i := range grid.n {
+		d := grid.at(i)
+		predicted[i] = aCost[aList[d[1]]] + fCost[fList[d[0]]]
+	}
+	uniforms := make([]int, len(uniList))
 	for j, pi := range uniList {
-		uniPt[j] = ev.add(tilingPoint(base, wl, pool[pi], pool[pi]))
+		uniforms[j] = len(predicted)
+		predicted = append(predicted, uCost[pi])
 	}
-	reports, err := evalpool.Map(ev.points)
+	pair := func(i int) (attn, ffn memsim.Tiling) {
+		if i >= grid.n {
+			t := pool[uniList[i-grid.n]]
+			return t, t
+		}
+		d := grid.at(i)
+		return pool[aList[d[1]]], pool[fList[d[0]]]
+	}
+
+	// Verify the predicted top-K pairs (every pair under Exhaustive)
+	// and the uniforms; the winner is chosen on exact cycles.
+	ranked, topK := indices(grid.n), grid.n
+	if !opts.Exhaustive {
+		ranked, topK = rankStable(predicted[:grid.n]), opts.TopK
+		if topK <= 0 {
+			topK = DefaultTilingTopK
+		}
+	}
+	sel := verifySet(ranked, topK, uniforms)
+	exact, err := evalExact("tiling verify", len(sel), func(k int, buf []evalpool.Point) []evalpool.Point {
+		attn, ffn := pair(sel[k])
+		return append(buf, tilingPoint(base, wl, attn, ffn))
+	})
 	if err != nil {
-		return nil, fmt.Errorf("explore: tiling verify: %w", err)
+		return nil, err
 	}
-
-	// Winner: fewest exact cycles over verified pairs and uniforms;
-	// ties keep the earliest grid index (uniform extras rank after the
-	// grid, so a uniform duplicate of a grid pair never displaces it).
-	best, bestKey := -1, 0
-	bestCycles := 0.0
-	consider := func(key, pt int) {
-		c := reports[pt].Cycles
-		if best < 0 || c < bestCycles || (c == bestCycles && key < bestKey) {
-			best, bestKey, bestCycles = pt, key, c
-		}
+	best := winner(sel, func(k int) float64 { return exact[k].Cycles })
+	nv := len(sel) - len(uniforms) // the verified pairs precede the uniforms
+	uni := nv + winner(sel[nv:], func(j int) float64 { return exact[nv+j].Cycles })
+	res := &TilingResult{
+		Cycles:          exact[best].Cycles,
+		PredictedCycles: predicted[sel[best]],
+		Report:          exact[best].reports[0],
+		UniformCycles:   exact[uni].Cycles,
+		UniformReport:   exact[uni].reports[0],
+		RankAccuracy:    1,
+		Candidates:      grid.n,
+		GridSims:        grid.n,
 	}
-	for _, i := range verifyOrder {
-		consider(i, pairPt[i])
-	}
-	for j := range uniList {
-		consider(len(pairs)+j, uniPt[j])
-	}
-	if bestKey < len(pairs) {
-		res.Attn, res.FFN = pool[pairs[bestKey].ai], pool[pairs[bestKey].fi]
-		res.PredictedCycles = predicted[bestKey]
-	} else {
-		pi := uniList[bestKey-len(pairs)]
-		res.Attn, res.FFN = pool[pi], pool[pi]
-		res.PredictedCycles = uCost[pi]
-	}
-	res.Cycles = bestCycles
-	res.Report = reports[best]
-
-	// Best uniform and the per-family win margin.
-	uniBest := 0
-	for j := 1; j < len(uniPt); j++ {
-		if reports[uniPt[j]].Cycles < reports[uniPt[uniBest]].Cycles {
-			uniBest = j
-		}
-	}
-	res.BestUniform = pool[uniList[uniBest]]
-	res.UniformCycles = reports[uniPt[uniBest]].Cycles
-	res.UniformReport = reports[uniPt[uniBest]]
+	res.Attn, res.FFN = pair(sel[best])
+	res.BestUniform, _ = pair(sel[uni])
 	res.Margin = res.UniformCycles / res.Cycles
 
-	// The verified table and the predictor's rank concordance.
-	for _, i := range verifyOrder {
-		res.Verified = append(res.Verified, TilingCandidate{
-			Attn:            pool[pairs[i].ai],
-			FFN:             pool[pairs[i].fi],
-			PredictedCycles: predicted[i],
-			Cycles:          reports[pairPt[i]].Cycles,
-		})
+	// The verified table, in predicted order with the predictor's rank
+	// concordance (grid order under Exhaustive, where nothing ranks).
+	order := indices(nv)
+	if !opts.Exhaustive {
+		order, res.RankAccuracy = rankVerified(sel[:nv], predicted, exact)
 	}
-	if opts.Exhaustive {
-		res.RankAccuracy = 1
-	} else {
-		sort.SliceStable(res.Verified, func(a, b int) bool {
-			return res.Verified[a].PredictedCycles < res.Verified[b].PredictedCycles
+	for _, k := range order {
+		attn, ffn := pair(sel[k])
+		res.Verified = append(res.Verified, TilingCandidate{
+			Attn:            attn,
+			FFN:             ffn,
+			PredictedCycles: predicted[sel[k]],
+			Cycles:          exact[k].Cycles,
 		})
-		res.RankAccuracy = tilingConcordance(res.Verified)
 	}
 	res.ExactSims = int(evalpool.Evaluations() - evalsBefore)
 	return res, nil
-}
-
-// tilingConcordance is the fraction of verified pair orderings the
-// prediction got right (list in predicted order; exact ties count as
-// concordant).
-func tilingConcordance(v []TilingCandidate) float64 {
-	if len(v) < 2 {
-		return 1
-	}
-	pairs, ok := 0, 0
-	for i := 0; i < len(v); i++ {
-		for j := i + 1; j < len(v); j++ {
-			pairs++
-			if v[i].Cycles <= v[j].Cycles {
-				ok++
-			}
-		}
-	}
-	return float64(ok) / float64(pairs)
 }

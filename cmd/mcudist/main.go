@@ -5,7 +5,7 @@
 // Usage:
 //
 //	mcudist -model tinyllama -mode autoregressive -chips 8
-//	mcudist -model mobilebert -chips 4 -strategy tensor
+//	mcudist -model mobilebert -mode prompt -chips 4 -strategy tensor
 //	mcudist -model scaled -mode prompt -chips 64 -csv
 package main
 
@@ -16,7 +16,6 @@ import (
 	"strings"
 
 	"mcudist/internal/core"
-	"mcudist/internal/deploy"
 	"mcudist/internal/model"
 	"mcudist/internal/partition"
 	"mcudist/internal/perfsim"
@@ -26,7 +25,7 @@ import (
 
 func main() {
 	var (
-		modelName = flag.String("model", "tinyllama", "model: tinyllama | scaled | mobilebert | smollm")
+		modelName = flag.String("model", "tinyllama", "model: tinyllama | scaled | mobilebert | smollm | edgellama")
 		modeName  = flag.String("mode", "autoregressive", "mode: autoregressive | prompt")
 		chips     = flag.Int("chips", 8, "number of MCUs")
 		seqLen    = flag.Int("seqlen", 0, "sequence length (0 = paper default)")
@@ -37,11 +36,11 @@ func main() {
 	)
 	flag.Parse()
 
-	cfg, err := pickModel(*modelName)
+	cfg, err := model.ByName(*modelName)
 	if err != nil {
 		fatal(err)
 	}
-	mode, err := pickMode(*modeName)
+	mode, err := model.ParseMode(*modeName)
 	if err != nil {
 		fatal(err)
 	}
@@ -60,8 +59,14 @@ func main() {
 
 	var tl *trace.Timeline
 	if *traceOut != "" || *gantt {
+		// Re-simulate with a timeline attached; the report path above
+		// stays allocation-light without one.
+		d, err := core.Lower(sys, wl)
+		if err != nil {
+			fatal(err)
+		}
 		tl = &trace.Timeline{}
-		if err := runForTrace(sys, wl, tl); err != nil {
+		if _, err := perfsim.RunTraced(d, tl); err != nil {
 			fatal(err)
 		}
 	}
@@ -119,60 +124,6 @@ func main() {
 		if err := tl.Render(os.Stdout, 100); err != nil {
 			fatal(err)
 		}
-	}
-}
-
-// runForTrace re-runs the simulation with a timeline attached (the
-// report path stays allocation-light when tracing is off).
-func runForTrace(sys core.System, wl core.Workload, tl *trace.Timeline) error {
-	plan, err := buildPlanFor(sys, wl.Model)
-	if err != nil {
-		return err
-	}
-	d, err := deploy.New(plan, sys.HW, wl.Mode, wl.ResolvedSeqLen(), sys.Options)
-	if err != nil {
-		return err
-	}
-	_, err = perfsim.RunTraced(d, tl)
-	return err
-}
-
-func buildPlanFor(sys core.System, cfg model.Config) (*partition.Plan, error) {
-	switch sys.Strategy {
-	case partition.TensorParallel:
-		return partition.NewTensorParallel(cfg, sys.Chips)
-	case partition.Replicated:
-		return partition.NewReplicated(cfg, sys.Chips)
-	case partition.Pipeline:
-		return partition.NewPipeline(cfg, sys.Chips)
-	default:
-		return nil, fmt.Errorf("unknown strategy %v", sys.Strategy)
-	}
-}
-
-func pickModel(name string) (model.Config, error) {
-	switch strings.ToLower(name) {
-	case "tinyllama":
-		return model.TinyLlama42M(), nil
-	case "scaled", "tinyllama64":
-		return model.TinyLlamaScaled64(), nil
-	case "mobilebert":
-		return model.MobileBERT512(), nil
-	case "smollm":
-		return model.SmolLM135M(), nil
-	default:
-		return model.Config{}, fmt.Errorf("unknown model %q (tinyllama | scaled | mobilebert | smollm)", name)
-	}
-}
-
-func pickMode(name string) (model.Mode, error) {
-	switch strings.ToLower(name) {
-	case "autoregressive", "ar":
-		return model.Autoregressive, nil
-	case "prompt":
-		return model.Prompt, nil
-	default:
-		return 0, fmt.Errorf("unknown mode %q (autoregressive | prompt)", name)
 	}
 }
 

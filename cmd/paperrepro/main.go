@@ -22,11 +22,9 @@ import (
 	"os"
 	"strings"
 
-	"mcudist/internal/evalpool"
+	"mcudist/internal/cli"
 	"mcudist/internal/experiments"
-	"mcudist/internal/prof"
 	"mcudist/internal/report"
-	"mcudist/internal/resultstore"
 )
 
 type step struct {
@@ -36,32 +34,13 @@ type step struct {
 
 func main() {
 	only := flag.String("only", "", "run one experiment: fig4a fig4b fig4c fig5a fig5b fig5c fig6 table1 headline ablations topology network syncplan session extensions fleet memtier resilience")
-	workers := flag.Int("workers", 0, "concurrent evaluations (0 = GOMAXPROCS)")
 	cluster := flag.Int("cluster", 4, "network ablation: chips per fast local cluster")
 	backhaul := flag.Float64("backhaul", 10, "network ablation: inter-cluster bandwidth slowdown vs MIPI")
-	cacheDir := flag.String("cache-dir", "", "persistent result store directory: configurations simulated once are reloaded on every later run (default off; falls back to $MCUDIST_CACHE)")
-	cacheStats := flag.Bool("cache-stats", false, "print memory-hit / disk-hit / exact-simulation counts and store size to stderr at exit")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memProfile := flag.String("memprofile", "", "write an allocation profile to this file at exit")
+	sess := cli.Register()
 	flag.Parse()
-	stopProf, err := prof.Start(*cpuProfile, *memProfile)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "paperrepro:", err)
-		os.Exit(1)
+	if err := sess.Start(); err != nil {
+		fatal(err)
 	}
-	defer func() {
-		if err := stopProf(); err != nil {
-			fmt.Fprintln(os.Stderr, "paperrepro:", err)
-			os.Exit(1)
-		}
-	}()
-	evalpool.SetWorkers(*workers)
-	store, err := openCache(*cacheDir)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "paperrepro:", err)
-		os.Exit(1)
-	}
-	defer printCacheStats(*cacheStats, store)
 
 	all := []step{
 		{"fig4a", fig4(experiments.Fig4a, "paper: 26.1x at 8 chips, L3-bound below")},
@@ -89,15 +68,16 @@ func main() {
 			continue
 		}
 		if err := s.run(); err != nil {
-			fmt.Fprintf(os.Stderr, "paperrepro: %s: %v\n", s.name, err)
-			os.Exit(1)
+			fatal(fmt.Errorf("%s: %w", s.name, err))
 		}
 		fmt.Println()
 		ran++
 	}
 	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "paperrepro: unknown experiment %q\n", *only)
-		os.Exit(1)
+		fatal(fmt.Errorf("unknown experiment %q", *only))
+	}
+	if err := sess.Close(); err != nil {
+		fatal(err)
 	}
 }
 
@@ -469,48 +449,14 @@ func resilienceStudy() error {
 	return t.Render(os.Stdout)
 }
 
-// openCache attaches the persistent result store to the evaluation
-// pool: the -cache-dir flag, or the MCUDIST_CACHE environment variable
-// when the flag is empty, or nothing (the cache stays off).
-func openCache(dir string) (*resultstore.Store, error) {
-	if dir == "" {
-		dir = os.Getenv("MCUDIST_CACHE")
-	}
-	if dir == "" {
-		return nil, nil
-	}
-	store, err := resultstore.Open(dir)
-	if err != nil {
-		return nil, err
-	}
-	evalpool.SetStore(store)
-	return store, nil
-}
-
-// printCacheStats reports the cache-tier split on stderr (stdout
-// carries the tables, byte-identical cold or warm), in a
-// grep-friendly key=value line: a fully warm store shows
-// exact_sims=0, which the CI smoke pins over the whole experiment
-// suite.
-func printCacheStats(show bool, store *resultstore.Store) {
-	if !show {
-		return
-	}
-	st := evalpool.GetStats()
-	fmt.Fprintf(os.Stderr, "cache-stats: memory_hits=%d disk_hits=%d exact_sims=%d",
-		st.MemoryHits, st.DiskHits, st.Simulations)
-	if store != nil {
-		fmt.Fprintf(os.Stderr, " store_entries=%d store_bytes=%d store_dir=%s",
-			store.Len(), store.SizeBytes(), store.Dir())
-	} else {
-		fmt.Fprint(os.Stderr, " store=off")
-	}
-	fmt.Fprintln(os.Stderr)
-}
-
 func yn(b bool) string {
 	if b {
 		return "yes"
 	}
 	return "no"
+}
+
+func fatal(err error) {
+	fmt.Fprintln(os.Stderr, "paperrepro:", err)
+	os.Exit(1)
 }

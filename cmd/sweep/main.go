@@ -37,6 +37,7 @@ import (
 	"strconv"
 	"strings"
 
+	"mcudist/internal/cli"
 	"mcudist/internal/collective"
 	"mcudist/internal/core"
 	"mcudist/internal/evalpool"
@@ -45,15 +46,39 @@ import (
 	"mcudist/internal/hw"
 	"mcudist/internal/memsim"
 	"mcudist/internal/model"
-	"mcudist/internal/prof"
 	"mcudist/internal/report"
 	"mcudist/internal/resilience"
 	"mcudist/internal/resultstore"
 )
 
+// study is what the flags select: one base system (each point sets
+// its chip count), one workload, the chip counts, and the inputs of
+// the modes that read them.
+type study struct {
+	base   core.System
+	wl     core.Workload
+	chips  []int
+	faults []resilience.Fault
+	topK   int
+
+	// -fleet only. The rates stay unparsed, because only the fleet
+	// mode reads them; the trace and fleet options are templates each
+	// rate fills in.
+	rates string
+	trace fleet.TraceOptions
+	fleet fleet.Options
+}
+
+// at returns the base system with n chips.
+func (s study) at(n int) core.System {
+	sys := s.base
+	sys.Chips = n
+	return sys
+}
+
 func main() {
 	var (
-		modelName  = flag.String("model", "tinyllama", "model: tinyllama | scaled | mobilebert | edgellama")
+		modelName  = flag.String("model", "tinyllama", "model: tinyllama | scaled | mobilebert | smollm | edgellama")
 		modeName   = flag.String("mode", "autoregressive", "mode: autoregressive | prompt")
 		chipsList  = flag.String("chips", "1,2,4,8", "comma-separated chip counts")
 		seqLen     = flag.Int("seqlen", 0, "sequence length (0 = paper default)")
@@ -61,11 +86,11 @@ func main() {
 		netName    = flag.String("network", "uniform", "link-layer profile: uniform | clustered")
 		backhaul   = flag.Float64("backhaul", 10, "clustered profile: inter-cluster bandwidth slowdown vs MIPI")
 		cluster    = flag.Int("cluster", 4, "clustered profile: chips per fast local cluster")
-		planSpec   = flag.String("plan", "", "per-sync collective plan, e.g. prefill=ring,decode=tree (empty = uniform -topology)")
+		planSpec   = flag.String("plan", "", "per-sync collective plan, e.g. prefill=ring,decode=tree (empty = uniform -topology); plain and -fault sweeps only")
 		autotune   = flag.Bool("autotune", false, "autotune the per-sync plan at each chip count and report it against the best uniform topology")
 		session    = flag.Bool("autotune-session", false, "autotune prefill+decode jointly at each chip count (predict-then-verify over the full class x topology grid; -mode is ignored, -seqlen sets the prompt length)")
 		topK       = flag.Int("topk", 0, "session autotuning: predicted-best candidates to verify exactly (0 = default)")
-		fleetMode  = flag.Bool("fleet", false, "fleet-serving mode: sweep Poisson arrival rates over a chip-group fleet with continuous batching (one CSV row per rate; -mode/-seqlen/-topology flags are ignored)")
+		fleetMode  = flag.Bool("fleet", false, "fleet-serving mode: sweep Poisson arrival rates over a chip-group fleet with continuous batching (one CSV row per rate; -topology, -network, -netlist, -mode and -seqlen are ignored)")
 		rates      = flag.String("rates", "50,100,200,400,800,1600", "fleet: comma-separated offered arrival rates, requests per second")
 		requests   = flag.Int("requests", 2000, "fleet: requests per trace")
 		seed       = flag.Uint64("seed", 11, "fleet: trace RNG seed")
@@ -89,41 +114,36 @@ func main() {
 		tileSpec   = flag.String("tile", "", "dram: weight-tile shape KxN for streamed GEMMs, e.g. 32x256 (empty = auto: largest tile fitting one stream-buffer slot)")
 		ffnTile    = flag.String("ffn-tile", "", "dram: tile-shape override for the FFN layer family (empty = inherit -tile)")
 		tiling     = flag.Bool("autotune-tiling", false, "dram: autotune per-family tile shapes at each chip count (predict-then-verify over the attention x FFN tiling grid) and report them against the best uniform tiling")
-		workers    = flag.Int("workers", 0, "concurrent evaluations (0 = GOMAXPROCS)")
-		cacheDir   = flag.String("cache-dir", "", "persistent result store directory: configurations simulated once are reloaded on every later run (default off; falls back to $MCUDIST_CACHE)")
-		cacheStats = flag.Bool("cache-stats", false, "print memory-hit / disk-hit / exact-simulation counts and store size to stderr after the sweep")
 		compactDir = flag.String("cache-compact", "", "after the sweep, compact the persistent store into this directory, keeping only current-format entries (requires an attached store)")
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProfile = flag.String("memprofile", "", "write an allocation profile to this file at exit")
 	)
+	sess := cli.Register()
 	flag.Parse()
-	stopProf, err := prof.Start(*cpuProfile, *memProfile)
-	if err != nil {
+	if err := sess.Start(); err != nil {
 		fatal(err)
 	}
-	defer func() {
-		if err := stopProf(); err != nil {
-			fatal(err)
-		}
-	}()
-	evalpool.SetWorkers(*workers)
-	store, err := openCache(*cacheDir)
-	if err != nil {
-		fatal(err)
-	}
-	defer printCacheStats(*cacheStats, store)
-	defer func() {
-		if err := compactCache(*compactDir, store); err != nil {
-			fatal(err)
-		}
-	}()
 
-	topo, err := hw.ParseTopology(*topoName)
+	var s study
+	cfg, err := model.ByName(*modelName)
 	if err != nil {
 		fatal(err)
 	}
-	network, err := buildNetwork(*netName, *cluster, *backhaul)
+	mode, err := model.ParseMode(*modeName)
 	if err != nil {
+		fatal(err)
+	}
+	s.wl = core.Workload{Model: cfg, Mode: mode, SeqLen: *seqLen}
+	for _, part := range strings.Split(*chipsList, ",") {
+		n, err := strconv.Atoi(strings.TrimSpace(part))
+		if err != nil {
+			fatal(fmt.Errorf("bad chip count %q: %v", part, err))
+		}
+		s.chips = append(s.chips, n)
+	}
+	s.base = core.DefaultSystem(0)
+	if s.base.HW.Topology, err = hw.ParseTopology(*topoName); err != nil {
+		fatal(err)
+	}
+	if s.base.HW.Network, err = buildNetwork(*netName, *cluster, *backhaul); err != nil {
 		fatal(err)
 	}
 	if *netlist != "" {
@@ -131,288 +151,224 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		if network, err = nl.Network(); err != nil {
+		if s.base.HW.Network, err = nl.Network(); err != nil {
 			fatal(err)
 		}
 	}
-	var faults []resilience.Fault
+	if s.base.HW.Mem, err = buildMem(*memName, *memDepth, *memBanks, *memBPC, *memBurst, *memSetup, *memPJ, *tileSpec, *ffnTile); err != nil {
+		fatal(err)
+	}
+	if s.base.Options.SyncPlan, err = collective.ParsePlan(*planSpec); err != nil {
+		fatal(err)
+	}
+	s.topK = *topK
+	s.rates = *rates
+	s.trace = fleet.TraceOptions{Requests: *requests, Seed: *seed}
+	s.fleet = fleet.Options{Model: cfg, Groups: *groups, MaxBatch: *maxBatch, Autotune: *fleetTune, NoPrePrice: *fleetSlow}
 	if *faultSpec != "" {
-		if faults, err = resilience.ParseFaults(*faultSpec); err != nil {
+		if s.faults, err = resilience.ParseFaults(*faultSpec); err != nil {
 			fatal(err)
 		}
+		s.fleet.Fault = &fleet.FaultPlan{AtSeconds: *faultAt, Group: *faultGroup, Faults: s.faults, Replan: *faultTune}
 	}
-	if *replan && len(faults) == 0 {
+
+	// The modes are separate studies with their own columns: at most
+	// one runs, -plan reaches none of them, and -fault only those that
+	// degrade the board. With none set, the plain sweep runs.
+	run := plainSweep
+	if len(s.faults) > 0 {
+		run = faultSweep
+	}
+	picked := ""
+	for _, m := range []struct {
+		flag  string
+		on    bool
+		fault bool
+		run   func(study) (*report.Table, error)
+	}{
+		{"-autotune", *autotune, false, autotuneSweep},
+		{"-autotune-session", *session, false, sessionSweep},
+		{"-autotune-tiling", *tiling, false, tilingSweep},
+		{"-replan", *replan, true, replanSweep},
+		{"-fleet", *fleetMode, true, fleetSweep},
+	} {
+		switch {
+		case !m.on:
+			continue
+		case picked != "":
+			fatal(fmt.Errorf("%s and %s are separate modes: choose one", picked, m.flag))
+		case !s.base.Options.SyncPlan.IsZero():
+			fatal(fmt.Errorf("-plan applies to the plain and -fault sweeps, not %s", m.flag))
+		case len(s.faults) > 0 && !m.fault:
+			fatal(fmt.Errorf("-fault combines with the plain sweep, -replan or -fleet, not %s", m.flag))
+		}
+		picked, run = m.flag, m.run
+	}
+	if *replan && len(s.faults) == 0 {
 		fatal(fmt.Errorf("-replan needs a -fault spec to degrade the board with"))
 	}
-	plan, err := collective.ParsePlan(*planSpec)
+	if *tiling && !s.base.HW.Mem.Enabled() {
+		fatal(fmt.Errorf("-autotune-tiling needs the hierarchical memory model (-mem dram)"))
+	}
+	if *tiling && (*tileSpec != "" || *ffnTile != "") {
+		fatal(fmt.Errorf("choose -autotune-tiling or explicit -tile/-ffn-tile, not both"))
+	}
+
+	t, err := run(s)
 	if err != nil {
 		fatal(err)
-	}
-	if *autotune && !plan.IsZero() {
-		fatal(fmt.Errorf("choose -plan or -autotune, not both"))
-	}
-	if *session && (*autotune || !plan.IsZero()) {
-		fatal(fmt.Errorf("choose -autotune-session or -plan/-autotune, not both"))
-	}
-	mem, err := buildMem(*memName, *memDepth, *memBanks, *memBPC, *memBurst, *memSetup, *memPJ, *tileSpec, *ffnTile)
-	if err != nil {
-		fatal(err)
-	}
-	if *tiling {
-		if !mem.Enabled() {
-			fatal(fmt.Errorf("-autotune-tiling needs the hierarchical memory model (-mem dram)"))
-		}
-		if *tileSpec != "" || *ffnTile != "" {
-			fatal(fmt.Errorf("choose -autotune-tiling or explicit -tile/-ffn-tile, not both"))
-		}
-		if *autotune || *session || !plan.IsZero() {
-			fatal(fmt.Errorf("choose -autotune-tiling or -plan/-autotune/-autotune-session, not both"))
-		}
-	}
-	if *replan && (*autotune || *session || *tiling || *fleetMode) {
-		fatal(fmt.Errorf("-replan is its own study: drop -autotune/-autotune-session/-autotune-tiling/-fleet"))
-	}
-	if len(faults) > 0 && (*autotune || *session || *tiling) {
-		fatal(fmt.Errorf("-fault combines with the plain sweep, -replan, or -fleet"))
-	}
-
-	var cfg model.Config
-	switch strings.ToLower(*modelName) {
-	case "tinyllama":
-		cfg = model.TinyLlama42M()
-	case "scaled":
-		cfg = model.TinyLlamaScaled64()
-	case "mobilebert":
-		cfg = model.MobileBERT512()
-	case "edgellama":
-		cfg = model.EdgeLlama1B()
-	default:
-		fatal(fmt.Errorf("unknown model %q", *modelName))
-	}
-	mode := model.Autoregressive
-	if strings.HasPrefix(strings.ToLower(*modeName), "p") {
-		mode = model.Prompt
-	}
-
-	var chips []int
-	for _, part := range strings.Split(*chipsList, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil {
-			fatal(fmt.Errorf("bad chip count %q: %v", part, err))
-		}
-		chips = append(chips, n)
-	}
-
-	if *fleetMode {
-		if len(chips) != 1 {
-			fatal(fmt.Errorf("-fleet takes a single -chips value (group width), got %v", chips))
-		}
-		var fp *fleet.FaultPlan
-		if len(faults) > 0 {
-			fp = &fleet.FaultPlan{AtSeconds: *faultAt, Group: *faultGroup, Faults: faults, Replan: *faultTune}
-		}
-		fleetSweep(cfg, chips[0], mem, *rates, *requests, *seed, *groups, *maxBatch, *fleetTune, *fleetSlow, fp)
-		return
-	}
-	wl := core.Workload{Model: cfg, Mode: mode, SeqLen: *seqLen}
-	if *replan {
-		replanSweep(topo, network, mem, cfg, *seqLen, *topK, faults, chips)
-		return
-	}
-	if *session {
-		sessionSweep(topo, network, mem, cfg, *seqLen, *topK, chips)
-		return
-	}
-	if *autotune {
-		autotuneSweep(topo, network, mem, wl, chips)
-		return
-	}
-	if *tiling {
-		tilingSweep(topo, network, mem, wl, *topK, chips)
-		return
-	}
-	if len(faults) > 0 {
-		faultSweep(topo, network, mem, plan, wl, faults, chips)
-		return
-	}
-	base1 := core.DefaultSystem(1)
-	base1.HW.Topology = topo
-	base1.HW.Network = network
-	base1.HW.Mem = mem
-	base1.Options.SyncPlan = plan
-	reports, err := evalpool.Eval(base1, wl, chips)
-	if err != nil {
-		fatal(err)
-	}
-	base := reports[0]
-
-	t := report.NewTable("", "chips", "cycles", "ms", "speedup",
-		"compute_cycles", "l2l1_cycles", "l3_cycles", "c2c_cycles",
-		"energy_mj", "edp_js", "tier")
-	for i, r := range reports {
-		t.AddRow(chips[i], r.Cycles, r.Seconds*1e3, core.Speedup(base, r),
-			r.Breakdown.Compute, r.Breakdown.L2L1, r.Breakdown.L3, r.Breakdown.C2C,
-			r.Energy.Total()*1e3, r.EDP, r.Tier.String())
 	}
 	if err := t.CSV(os.Stdout); err != nil {
+		fatal(err)
+	}
+	if err := compactCache(*compactDir, sess.Store); err != nil {
+		fatal(err)
+	}
+	if err := sess.Close(); err != nil {
 		fatal(err)
 	}
 }
 
+// plainSweep emits one CSV row per chip count: the exact cost of the
+// workload and its speedup over the first count.
+func plainSweep(s study) (*report.Table, error) {
+	reports, err := evalpool.Eval(s.base, s.wl, s.chips)
+	if err != nil {
+		return nil, err
+	}
+	t := report.NewTable("", "chips", "cycles", "ms", "speedup",
+		"compute_cycles", "l2l1_cycles", "l3_cycles", "c2c_cycles",
+		"energy_mj", "edp_js", "tier")
+	for i, r := range reports {
+		t.AddRow(s.chips[i], r.Cycles, r.Seconds*1e3, core.Speedup(reports[0], r),
+			r.Breakdown.Compute, r.Breakdown.L2L1, r.Breakdown.L3, r.Breakdown.C2C,
+			r.Energy.Total()*1e3, r.EDP, r.Tier.String())
+	}
+	return t, nil
+}
+
+// faultSweep emits one CSV row per chip count: the exact cost of the
+// workload on the board degraded by the -fault spec. The chips column
+// is the pristine count; degraded_chips what survives the faults.
+func faultSweep(s study) (*report.Table, error) {
+	t := report.NewTable("", "chips", "degraded_chips", "cycles", "ms",
+		"compute_cycles", "l2l1_cycles", "l3_cycles", "c2c_cycles",
+		"energy_mj", "edp_js", "tier")
+	for _, n := range s.chips {
+		deg, _, err := resilience.Degrade(s.at(n), s.wl.Model, s.faults...)
+		if err != nil {
+			return nil, fmt.Errorf("%d chips: %w", n, err)
+		}
+		r, err := evalpool.Run(deg, s.wl)
+		if err != nil {
+			return nil, fmt.Errorf("%d chips: %w", n, err)
+		}
+		t.AddRow(n, deg.Chips, r.Cycles, r.Seconds*1e3,
+			r.Breakdown.Compute, r.Breakdown.L2L1, r.Breakdown.L3, r.Breakdown.C2C,
+			r.Energy.Total()*1e3, r.EDP, r.Tier.String())
+	}
+	return t, nil
+}
+
 // autotuneSweep emits one CSV row per chip count: the autotuned
-// per-sync plan against the best uniform topology. The plan column
-// joins assignments with "+" (the flag syntax's commas would split
-// the CSV cell); ParsePlan accepts both separators, so the cell
-// pastes straight back into -plan.
-func autotuneSweep(topo hw.Topology, network hw.Network, mem hw.MemHierarchy, wl core.Workload, chips []int) {
+// per-sync plan against the best uniform topology.
+func autotuneSweep(s study) (*report.Table, error) {
 	t := report.NewTable("", "chips", "plan", "cycles", "ms",
 		"best_uniform", "uniform_cycles", "margin")
-	for _, n := range chips {
-		sys := core.DefaultSystem(n)
-		sys.HW.Topology = topo
-		sys.HW.Network = network
-		sys.HW.Mem = mem
-		res, err := explore.AutotunePlan(sys, wl)
+	for _, n := range s.chips {
+		res, err := explore.AutotunePlan(s.at(n), s.wl)
 		if err != nil {
-			fatal(fmt.Errorf("%d chips: %w", n, err))
+			return nil, fmt.Errorf("%d chips: %w", n, err)
 		}
-		t.AddRow(n, strings.ReplaceAll(res.Plan.String(), ",", "+"),
+		t.AddRow(n, planCell(res.Plan.String()),
 			res.Report.Cycles, res.Report.Seconds*1e3,
 			res.BestUniform.String(), res.UniformReport.Cycles, res.Margin)
 	}
-	if err := t.CSV(os.Stdout); err != nil {
-		fatal(err)
-	}
+	return t, nil
 }
 
 // sessionSweep emits one CSV row per chip count: the jointly autotuned
 // prefill+decode plan, its exact and predicted session cost, the best
 // uniform session it beats, and the predict-then-verify search's
-// exact-simulation bill against the naive joint grid. The plan column
-// uses the "+"-joined spelling and pastes straight back into -plan.
-func sessionSweep(topo hw.Topology, network hw.Network, mem hw.MemHierarchy, cfg model.Config, seqLen, topK int, chips []int) {
+// exact-simulation bill against the naive joint grid.
+func sessionSweep(s study) (*report.Table, error) {
 	t := report.NewTable("", "chips", "plan", "cycles", "predicted_cycles",
 		"best_uniform", "uniform_cycles", "margin", "rank_acc", "exact_sims", "grid_sims")
-	for _, n := range chips {
-		sys := core.DefaultSystem(n)
-		sys.HW.Topology = topo
-		sys.HW.Network = network
-		sys.HW.Mem = mem
-		res, err := explore.AutotuneSession(sys, cfg, explore.SessionOptions{TopK: topK, PromptSeqLen: seqLen})
+	for _, n := range s.chips {
+		res, err := explore.AutotuneSession(s.at(n), s.wl.Model,
+			explore.SessionOptions{TopK: s.topK, PromptSeqLen: s.wl.SeqLen})
 		if err != nil {
-			fatal(fmt.Errorf("%d chips: %w", n, err))
+			return nil, fmt.Errorf("%d chips: %w", n, err)
 		}
-		t.AddRow(n, strings.ReplaceAll(res.Plan.String(), ",", "+"),
+		t.AddRow(n, planCell(res.Plan.String()),
 			res.Cycles, res.PredictedCycles,
 			res.BestUniform.String(), res.UniformCycles, res.Margin,
 			res.RankAccuracy, res.ExactSims, res.GridSims)
 	}
-	if err := t.CSV(os.Stdout); err != nil {
-		fatal(err)
-	}
+	return t, nil
 }
 
 // tilingSweep emits one CSV row per chip count: the autotuned
 // per-family weight-tile shapes under the DRAM hierarchy against the
 // best uniform tiling. The attn/ffn cells use the KxN spelling and
 // paste straight back into -tile / -ffn-tile.
-func tilingSweep(topo hw.Topology, network hw.Network, mem hw.MemHierarchy, wl core.Workload, topK int, chips []int) {
+func tilingSweep(s study) (*report.Table, error) {
 	t := report.NewTable("", "chips", "attn_tile", "ffn_tile", "cycles", "ms",
 		"best_uniform", "uniform_cycles", "margin", "rank_acc", "exact_sims", "grid_sims")
-	for _, n := range chips {
-		sys := core.DefaultSystem(n)
-		sys.HW.Topology = topo
-		sys.HW.Network = network
-		sys.HW.Mem = mem
-		res, err := explore.AutotuneTiling(sys, wl, explore.TilingOptions{TopK: topK})
+	for _, n := range s.chips {
+		res, err := explore.AutotuneTiling(s.at(n), s.wl, explore.TilingOptions{TopK: s.topK})
 		if err != nil {
-			fatal(fmt.Errorf("%d chips: %w", n, err))
+			return nil, fmt.Errorf("%d chips: %w", n, err)
 		}
 		t.AddRow(n, res.Attn.String(), res.FFN.String(),
 			res.Cycles, res.Report.Seconds*1e3,
 			res.BestUniform.String(), res.UniformCycles, res.Margin,
 			res.RankAccuracy, res.ExactSims, res.GridSims)
 	}
-	if err := t.CSV(os.Stdout); err != nil {
-		fatal(err)
-	}
-}
-
-// faultSweep emits one CSV row per chip count: the exact cost of the
-// workload on the board degraded by the -fault spec. The chips column
-// is the pristine count; degraded_chips what survives the faults.
-func faultSweep(topo hw.Topology, network hw.Network, mem hw.MemHierarchy, plan collective.Plan, wl core.Workload, faults []resilience.Fault, chips []int) {
-	t := report.NewTable("", "chips", "degraded_chips", "cycles", "ms",
-		"compute_cycles", "l2l1_cycles", "l3_cycles", "c2c_cycles",
-		"energy_mj", "edp_js", "tier")
-	for _, n := range chips {
-		sys := core.DefaultSystem(n)
-		sys.HW.Topology = topo
-		sys.HW.Network = network
-		sys.HW.Mem = mem
-		sys.Options.SyncPlan = plan
-		deg, _, err := resilience.Degrade(sys, wl.Model, faults...)
-		if err != nil {
-			fatal(fmt.Errorf("%d chips: %w", n, err))
-		}
-		r, err := evalpool.Run(deg, wl)
-		if err != nil {
-			fatal(fmt.Errorf("%d chips: %w", n, err))
-		}
-		t.AddRow(n, deg.Chips, r.Cycles, r.Seconds*1e3,
-			r.Breakdown.Compute, r.Breakdown.L2L1, r.Breakdown.L3, r.Breakdown.C2C,
-			r.Energy.Total()*1e3, r.EDP, r.Tier.String())
-	}
-	if err := t.CSV(os.Stdout); err != nil {
-		fatal(err)
-	}
+	return t, nil
 }
 
 // replanSweep emits one CSV row per chip count: the resilience margin
 // of the -fault scenario — the stale pristine-tuned plan priced on the
-// degraded board against re-planning for it. Plan cells use the
-// "+"-joined spelling and paste straight back into -plan.
-func replanSweep(topo hw.Topology, network hw.Network, mem hw.MemHierarchy, cfg model.Config, seqLen, topK int, faults []resilience.Fault, chips []int) {
+// degraded board against re-planning for it.
+func replanSweep(s study) (*report.Table, error) {
 	t := report.NewTable("", "chips", "degraded_chips", "faults", "stale_plan", "static_cycles",
 		"adopted_plan", "adopted_cycles", "replan_pays", "margin", "margin_joules", "exact_sims")
-	for _, n := range chips {
-		sys := core.DefaultSystem(n)
-		sys.HW.Topology = topo
-		sys.HW.Network = network
-		sys.HW.Mem = mem
-		study, err := resilience.ReplanStudy(sys, cfg, faults,
-			explore.SessionOptions{TopK: topK, PromptSeqLen: seqLen})
+	for _, n := range s.chips {
+		res, err := resilience.ReplanStudy(s.at(n), s.wl.Model, s.faults,
+			explore.SessionOptions{TopK: s.topK, PromptSeqLen: s.wl.SeqLen})
 		if err != nil {
-			fatal(fmt.Errorf("%d chips: %w", n, err))
+			return nil, fmt.Errorf("%d chips: %w", n, err)
 		}
-		r := study.Replan
+		r := res.Replan
 		static := 0.0
 		if r.Static != nil {
 			static = r.Static.Cycles
 		}
-		t.AddRow(n, study.DegradedChips,
-			strings.ReplaceAll(resilience.FaultsString(study.Faults), ",", "+"),
-			strings.ReplaceAll(study.Pristine.Plan.String(), ",", "+"), static,
-			strings.ReplaceAll(r.AdoptedPlan.String(), ",", "+"), r.AdoptedCycles,
+		t.AddRow(n, res.DegradedChips, planCell(resilience.FaultsString(res.Faults)),
+			planCell(res.Pristine.Plan.String()), static,
+			planCell(r.AdoptedPlan.String()), r.AdoptedCycles,
 			r.ReplanPays, r.MarginCycles, r.MarginJoules, r.ExactSims)
 	}
-	if err := t.CSV(os.Stdout); err != nil {
-		fatal(err)
-	}
+	return t, nil
 }
 
 // fleetSweep emits one CSV row per offered arrival rate: the serving
-// metrics of a chip-group fleet under a seeded Poisson trace. The plan
-// column uses the "+"-joined spelling (empty when -fleet-autotune is
-// off) and pastes straight back into -plan. A -fault plan adds its
-// post-fault record in the trailing columns (zero rows when the fault
-// never fired before the trace drained).
-func fleetSweep(cfg model.Config, chipsPerGroup int, mem hw.MemHierarchy, rateList string, requests int, seed uint64, groups, maxBatch int, autotune, serial bool, fp *fleet.FaultPlan) {
+// metrics of a chip-group fleet under a seeded Poisson trace. The
+// group is the paper's system at the single -chips width with the
+// -mem hierarchy. The plan column reads uniform unless
+// -fleet-autotune picks a plan. A -fault plan adds its post-fault
+// record in the trailing columns (zero rows when the fault never fired
+// before the trace drained).
+func fleetSweep(s study) (*report.Table, error) {
+	if len(s.chips) != 1 {
+		return nil, fmt.Errorf("-fleet takes a single -chips value (group width), got %v", s.chips)
+	}
 	var rates []float64
-	for _, part := range strings.Split(rateList, ",") {
+	for _, part := range strings.Split(s.rates, ",") {
 		r, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
 		if err != nil {
-			fatal(fmt.Errorf("bad rate %q: %v", part, err))
+			return nil, fmt.Errorf("bad rate %q: %v", part, err)
 		}
 		rates = append(rates, r)
 	}
@@ -422,23 +378,16 @@ func fleetSweep(cfg model.Config, chipsPerGroup int, mem hw.MemHierarchy, rateLi
 	t := report.NewTable("", "offered_req_s", "achieved_req_s", "p50_s", "p99_s",
 		"p50_ttft_s", "tok_s", "J_per_req", "mean_queue", "max_queue",
 		"mean_batch", "util", "plan", "post_fault_chips", "post_fault_plan")
-	sys := core.DefaultSystem(chipsPerGroup)
-	sys.HW.Mem = mem
+	opts := s.fleet
+	opts.System = core.DefaultSystem(s.chips[0])
+	opts.System.HW.Mem = s.base.HW.Mem
 	for _, rate := range rates {
-		res, err := fleet.Run(fleet.Options{
-			Trace: fleet.PoissonTrace(fleet.TraceOptions{
-				Requests: requests, RatePerSecond: rate, Seed: seed,
-			}),
-			System:     sys,
-			Model:      cfg,
-			Groups:     groups,
-			MaxBatch:   maxBatch,
-			Autotune:   autotune,
-			NoPrePrice: serial,
-			Fault:      fp,
-		})
+		trace := s.trace
+		trace.RatePerSecond = rate
+		opts.Trace = fleet.PoissonTrace(trace)
+		res, err := fleet.Run(opts)
 		if err != nil {
-			fatal(fmt.Errorf("rate %g: %w", rate, err))
+			return nil, fmt.Errorf("rate %g: %w", rate, err)
 		}
 		m := res.Metrics
 		util := 0.0
@@ -449,13 +398,17 @@ func fleetSweep(cfg model.Config, chipsPerGroup int, mem hw.MemHierarchy, rateLi
 		t.AddRow(rate, m.RequestsPerSecond, m.P50LatencySeconds, m.P99LatencySeconds,
 			m.P50TTFTSeconds, m.TokensPerSecond, m.EnergyPerRequestJoules,
 			m.MeanQueueDepth, m.MaxQueueDepth, m.MeanBatch, util,
-			strings.ReplaceAll(res.Plan.String(), ",", "+"),
-			res.PostFaultChips, strings.ReplaceAll(res.PostFaultPlan.String(), ",", "+"))
+			planCell(res.Plan.String()),
+			res.PostFaultChips, planCell(res.PostFaultPlan.String()))
 	}
-	if err := t.CSV(os.Stdout); err != nil {
-		fatal(err)
-	}
+	return t, nil
 }
+
+// planCell spells a comma-separated plan or fault list for one CSV
+// cell: the commas would split the cell, so the items join with "+",
+// which ParsePlan also accepts — a plan cell pastes straight back
+// into -plan.
+func planCell(s string) string { return strings.ReplaceAll(s, ",", "+") }
 
 // buildMem maps the -mem* / -tile flags to a memory hierarchy. The
 // dram profile starts from the LPDDR5 preset and applies only the
@@ -527,44 +480,6 @@ func buildNetwork(name string, clusterSize int, backhaul float64) (hw.Network, e
 	default:
 		return hw.Network{}, fmt.Errorf("network profile %s has no flag spelling (use the mcudist.TableNetwork API)", profile)
 	}
-}
-
-// openCache attaches the persistent result store to the evaluation
-// pool: the -cache-dir flag, or the MCUDIST_CACHE environment variable
-// when the flag is empty, or nothing (the cache stays off).
-func openCache(dir string) (*resultstore.Store, error) {
-	if dir == "" {
-		dir = os.Getenv("MCUDIST_CACHE")
-	}
-	if dir == "" {
-		return nil, nil
-	}
-	store, err := resultstore.Open(dir)
-	if err != nil {
-		return nil, err
-	}
-	evalpool.SetStore(store)
-	return store, nil
-}
-
-// printCacheStats reports the cache-tier split on stderr (stdout
-// carries the CSV), in a grep-friendly key=value line, so sims-saved
-// claims are measurable from the CLI: a fully warm store shows
-// exact_sims=0.
-func printCacheStats(show bool, store *resultstore.Store) {
-	if !show {
-		return
-	}
-	st := evalpool.GetStats()
-	fmt.Fprintf(os.Stderr, "cache-stats: memory_hits=%d disk_hits=%d exact_sims=%d",
-		st.MemoryHits, st.DiskHits, st.Simulations)
-	if store != nil {
-		fmt.Fprintf(os.Stderr, " store_entries=%d store_bytes=%d store_dir=%s",
-			store.Len(), store.SizeBytes(), store.Dir())
-	} else {
-		fmt.Fprint(os.Stderr, " store=off")
-	}
-	fmt.Fprintln(os.Stderr)
 }
 
 // compactCache rewrites the attached store into dir, dropping entries

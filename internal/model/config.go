@@ -9,6 +9,7 @@ package model
 import (
 	"errors"
 	"fmt"
+	"strings"
 )
 
 // NormKind selects the per-block normalization.
@@ -88,6 +89,19 @@ func (m Mode) String() string {
 		return "autoregressive"
 	}
 	return "prompt"
+}
+
+// ParseMode is the inverse of Mode.String for command-line flags:
+// "autoregressive" (or "ar") and "prompt", case-insensitively.
+func ParseMode(s string) (Mode, error) {
+	switch strings.ToLower(s) {
+	case "autoregressive", "ar":
+		return Autoregressive, nil
+	case "prompt":
+		return Prompt, nil
+	default:
+		return 0, fmt.Errorf("unknown mode %q (autoregressive | prompt)", s)
+	}
 }
 
 // Config describes one transformer model using the paper's dimension
@@ -339,6 +353,26 @@ func EdgeLlama1B() Config {
 		ActBytes:    1,
 		AccBytes:    4,
 		ReduceBytes: 1,
+	}
+}
+
+// ByName returns the preset a command-line -model flag names,
+// case-insensitively: tinyllama, scaled (alias tinyllama64),
+// mobilebert, smollm or edgellama.
+func ByName(name string) (Config, error) {
+	switch strings.ToLower(name) {
+	case "tinyllama":
+		return TinyLlama42M(), nil
+	case "scaled", "tinyllama64":
+		return TinyLlamaScaled64(), nil
+	case "mobilebert":
+		return MobileBERT512(), nil
+	case "smollm":
+		return SmolLM135M(), nil
+	case "edgellama":
+		return EdgeLlama1B(), nil
+	default:
+		return Config{}, fmt.Errorf("unknown model %q (tinyllama | scaled | mobilebert | smollm | edgellama)", name)
 	}
 }
 

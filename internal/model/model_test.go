@@ -2,6 +2,7 @@ package model
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"mcudist/internal/tensor"
@@ -11,6 +12,48 @@ func TestPresetsValidate(t *testing.T) {
 	for _, cfg := range []Config{TinyLlama42M(), TinyLlamaScaled64(), MobileBERT512()} {
 		if err := cfg.Validate(); err != nil {
 			t.Errorf("%s: %v", cfg.Name, err)
+		}
+	}
+}
+
+func TestByName(t *testing.T) {
+	for name, want := range map[string]string{
+		"tinyllama":   "tinyllama-42m",
+		"TinyLlama":   "tinyllama-42m",
+		"scaled":      "tinyllama-scaled64",
+		"tinyllama64": "tinyllama-scaled64",
+		"MobileBERT":  "mobilebert-512",
+		"smollm":      "smollm-135m",
+		"EDGELLAMA":   "edgellama-1b",
+	} {
+		cfg, err := ByName(name)
+		if err != nil || cfg.Name != want {
+			t.Errorf("ByName(%q) = %q, %v; want %q", name, cfg.Name, err, want)
+		}
+	}
+	_, err := ByName("llama")
+	if err == nil {
+		t.Fatal("ByName accepted an unknown name")
+	}
+	for _, name := range []string{"tinyllama", "scaled", "mobilebert", "smollm", "edgellama"} {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("unknown-name error %q does not list %s", err, name)
+		}
+	}
+}
+
+func TestParseMode(t *testing.T) {
+	for _, m := range []Mode{Autoregressive, Prompt} {
+		if got, err := ParseMode(m.String()); err != nil || got != m {
+			t.Errorf("ParseMode(%q) = %v, %v", m.String(), got, err)
+		}
+	}
+	if got, err := ParseMode("AR"); err != nil || got != Autoregressive {
+		t.Errorf("ParseMode(AR) = %v, %v", got, err)
+	}
+	for _, bad := range []string{"p", "foo", ""} {
+		if _, err := ParseMode(bad); err == nil {
+			t.Errorf("ParseMode(%q) accepted", bad)
 		}
 	}
 }

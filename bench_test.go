@@ -756,6 +756,45 @@ func BenchmarkFleetServingWarm(b *testing.B) {
 	b.ReportMetric(res.Metrics.MeanBatch, "mean_batch")
 }
 
+// BenchmarkFleetReplay100k is the fleet rung of the per-layer ladder:
+// a warm 100k-request replay at 200 req/s (the two-group fleet's
+// knee) on two 64-chip TinyLlamaScaled64 groups. Every step price is
+// already in the memo, so the op is the scheduler alone — admission,
+// batching, step pricing from the fleet-local table, completion
+// bookkeeping and metric assembly. It fails if any simulation runs.
+func BenchmarkFleetReplay100k(b *testing.B) {
+	opts := fleet.Options{
+		Trace: fleet.PoissonTrace(fleet.TraceOptions{
+			Requests: 100_000, RatePerSecond: 200, Seed: 1,
+		}),
+		System: core.DefaultSystem(64),
+		Model:  model.TinyLlamaScaled64(),
+		Groups: 2,
+	}
+	if _, err := fleet.Run(opts); err != nil {
+		b.Fatal(err) // prime the memo
+	}
+	simsBefore := evalpool.Simulations()
+	var res *fleet.Result
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r, err := fleet.Run(opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		res = r
+	}
+	b.StopTimer()
+	if sims := evalpool.Simulations() - simsBefore; sims != 0 {
+		b.Fatalf("warm fleet replay ran %d simulations, want 0", sims)
+	}
+	m := res.Metrics
+	b.ReportMetric(float64(len(opts.Trace.Requests)*b.N)/b.Elapsed().Seconds(), "requests_per_wallsec")
+	b.ReportMetric(float64((m.PrefillSteps+m.DecodeSteps)*b.N)/b.Elapsed().Seconds(), "steps_per_wallsec")
+	b.ReportMetric(float64(res.DistinctShapes), "distinct_shapes")
+	b.ReportMetric(m.P99LatencySeconds*1e3, "sim_p99_ms")
+}
+
 // BenchmarkMemsimTiledGEMM measures the closed-form tile planner on
 // an EdgeLlama-1B FFN GEMM slice (K=2048, N=704 per chip at 8-way
 // tensor parallelism): enumerating every candidate tiling and pricing

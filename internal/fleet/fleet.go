@@ -22,20 +22,30 @@
 // oracle pool, whose results are byte-identical by evalpool's own
 // guarantee.
 //
-// Before the serial replay starts, a dry pre-pricing pass enumerates
-// the speculative shape rectangle the trace can touch (every distinct
-// prompt length at batch 1, every context bucket a decoding session
-// can cross at every micro-batch width up to the cap) and prices it
-// through evalpool workers-wide. The replay then runs as pure memory
-// hits, so a cold fleet run pays its exact simulations in parallel
-// instead of one at a time inside the event loop. Options.NoPrePrice
-// forces the lazy reference path the pass is pinned byte-identical to.
+// Before the replay starts, the run lays out the shape rectangle the
+// trace can touch (every distinct prompt length at batch 1, every
+// context bucket a decoding session can cross at every micro-batch
+// width up to the cap) as one dense price table per system, which the
+// event loop indexes directly by slot. A dry pre-pricing pass fills
+// the table through evalpool workers-wide, so a cold fleet run pays
+// its exact simulations in parallel instead of one at a time inside
+// the event loop. Options.NoPrePrice forces the lazy reference path,
+// which fills each slot on first use and which the pass is pinned
+// byte-identical to.
+//
+// A warm replay does linear work and allocates no object per request
+// or per session: in-flight sessions live by value in their group's
+// batch, queued requests are indices into the trace, a trace already
+// in arrival order is read in place, and the latency percentiles are
+// selected in place rather than sorted.
 package fleet
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -229,8 +239,7 @@ type Metrics struct {
 	// rate.
 	RequestsPerSecond float64
 	// Energy: the analytical model's joules summed over every
-	// scheduled step, and the per-request quotient. A decode step's
-	// energy is split evenly across its batch.
+	// scheduled step, and the per-request quotient.
 	TotalEnergyJoules      float64
 	EnergyPerRequestJoules float64
 	// Queue depth (requests in system): time-weighted mean over the
@@ -278,70 +287,97 @@ type Result struct {
 	PostFaultMargin float64
 }
 
-// session is one admitted request's decoding state.
+// session is one prefilled request's decoding state. Sessions live by
+// value in their group's active batch, so admitting one allocates
+// nothing.
 type session struct {
-	req       Request
-	ctx       int // current context length in tokens
-	remaining int // decode tokens still to generate
-	energy    float64
-	prefilled float64 // prefill completion time (TTFT reference)
+	arrival   float64 // the request's arrival time
+	ctx       int     // current context length in tokens
+	remaining int     // decode tokens still to generate
 }
 
-// stepCost is one priced step shape.
-type stepCost struct {
-	seconds float64
-	joules  float64
-}
-
-// shapeKey identifies a step shape in the fleet-local price memo.
-type shapeKey struct {
+// shape is one step shape: a prefill of seqLen prompt tokens at batch
+// 1, or a decode micro-batch of width batch at bucketed context seqLen.
+type shape struct {
 	mode   model.Mode
 	seqLen int
 	batch  int
 }
 
+// stepCost is one priced step shape; ok marks a filled table slot.
+type stepCost struct {
+	seconds float64
+	joules  float64
+	ok      bool
+}
+
+// priceTable is one system's step prices, dense over the fleet's shape
+// rectangle: costs[i] prices fleet.shapes[i] on sys.
+type priceTable struct {
+	sys   core.System
+	costs []stepCost
+}
+
+// filled counts the table's priced slots.
+func (t *priceTable) filled() int {
+	n := 0
+	for _, c := range t.costs {
+		if c.ok {
+			n++
+		}
+	}
+	return n
+}
+
 // group is one chip group's scheduler state.
 type group struct {
-	id          int
-	promptQ     []*session // waiting for prefill, FIFO
-	active      []*session // admitted sessions, admission order
+	id int
+	// promptQ[head:] are the indices (into fleet.reqs) of the requests
+	// waiting for prefill, FIFO. When the backing array is full and at
+	// least half of it is consumed, arrive slides the queue down to
+	// the front instead of growing it, so the array stays within twice
+	// the queue's peak depth and a lightly loaded group never
+	// reallocates.
+	promptQ     []int
+	head        int
+	active      []session // prefilled sessions, admission order
+	prices      *priceTable
 	busy        bool
 	busySeconds float64
 	// The in-flight step (at most one per group, guarded by busy) is
 	// parked in step* and consumed by the reusable finish callback, so
 	// scheduling a step allocates no closure.
-	stepPrefill *session // non-nil → prefill step; nil → decode step
-	stepWidth   int
-	stepJoules  float64
-	stepEnd     float64
-	finish      func()
+	stepReq   int // the prefilling request's index; -1 for a decode step
+	stepWidth int
+	stepEnd   float64
+	finish    func()
 }
 
-func (g *group) outstanding() int { return len(g.promptQ) + len(g.active) }
+func (g *group) outstanding() int { return len(g.promptQ) - g.head + len(g.active) }
 
 // fleet is one run's full state.
 type fleet struct {
 	opts   Options
-	sys    core.System
 	eng    *eventsim.Engine
 	groups []*group
-	prices map[shapeKey]stepCost
-	// last* is a one-entry fast path over prices: consecutive steps
-	// overwhelmingly repeat the previous step's shape (a decode batch
-	// keeps its width and bucket for many tokens), so the hot loop
-	// usually skips the map hash entirely. lastDeg keys the entry to
-	// the memo it came from (pristine vs degraded).
-	lastKey   shapeKey
-	lastCost  stepCost
-	lastValid bool
-	lastDeg   bool
-	// Fault state: degGroup is -1 until the FaultPlan fires, then the
-	// id of the degraded group, which prices its steps on degSys
-	// through its own memo (degraded shapes can never share a price
-	// with pristine ones — the systems differ).
-	degGroup        int
-	degSys          core.System
-	degPrices       map[shapeKey]stepCost
+	// The shape rectangle (see speculativeShapes) lays every step shape
+	// the trace can touch out in one slice: first one slot per distinct
+	// prompt length (promptSlot maps a length to its slot), then the
+	// decode shapes bucket-major, so the decode step at bucketed context
+	// c and width w sits at len(promptSlot) +
+	// (c-minBucket)/ctxStep*batchCap + w-1. Each system prices the
+	// rectangle in its own dense table.
+	shapes     []shape
+	promptSlot map[int]int
+	minBucket  int
+	ctxStep    int
+	batchCap   int
+	pristine   priceTable
+	// Fault state: degraded is nil until the FaultPlan fires, then the
+	// table the degraded group prices its later steps from (degraded
+	// shapes can never share a price with pristine ones — the systems
+	// differ).
+	degraded        *priceTable
 	postFaultChips  int
 	postFaultPlan   collective.Plan
 	postFaultMargin float64
@@ -364,9 +400,11 @@ type fleet struct {
 	stride      int
 	sinceSample int
 
+	// latencies and ttfts are owned by the run: metrics reorders them.
 	latencies []float64
 	ttfts     []float64
 
+	decodeBudget  int64 // the trace's decode tokens, summed up front
 	decodedTokens int64
 	totalEnergy   float64
 	prefillSteps  int
@@ -377,6 +415,9 @@ type fleet struct {
 }
 
 const maxQueueSamples = 512
+
+// byArrival orders requests by arrival time.
+func byArrival(a, b Request) int { return cmp.Compare(a.ArrivalSeconds, b.ArrivalSeconds) }
 
 // Run simulates the trace on the fleet and returns its metrics.
 func Run(opts Options) (*Result, error) {
@@ -410,6 +451,7 @@ func Run(opts Options) (*Result, error) {
 			return nil, fmt.Errorf("fleet: fault plan without faults")
 		}
 	}
+	var budget int64
 	for i, r := range opts.Trace.Requests {
 		if r.PromptLen <= 0 {
 			return nil, fmt.Errorf("fleet: request %d: prompt length %d must be positive", i, r.PromptLen)
@@ -420,6 +462,7 @@ func Run(opts Options) (*Result, error) {
 		if r.ArrivalSeconds < 0 || math.IsNaN(r.ArrivalSeconds) || math.IsInf(r.ArrivalSeconds, 0) {
 			return nil, fmt.Errorf("fleet: request %d: bad arrival time %v", i, r.ArrivalSeconds)
 		}
+		budget += int64(r.DecodeTokens)
 	}
 
 	simsBefore := evalpool.Simulations()
@@ -438,54 +481,58 @@ func Run(opts Options) (*Result, error) {
 		res.AutotuneMargin = tuned.Margin
 	}
 
-	f := &fleet{
-		opts:     opts,
-		sys:      sys,
-		eng:      eventsim.NewEngine(),
-		prices:   make(map[shapeKey]stepCost),
-		stride:   1,
-		degGroup: -1,
+	// Arrivals are fed in arrival order, equal times in trace order. A
+	// trace already in that order is read in place; any other is
+	// stably sorted into a copy, so the caller's trace is never
+	// modified.
+	reqs := opts.Trace.Requests
+	if !slices.IsSortedFunc(reqs, byArrival) {
+		reqs = slices.Clone(reqs)
+		slices.SortStableFunc(reqs, byArrival)
 	}
+	f := &fleet{
+		opts:         opts,
+		eng:          eventsim.NewEngine(),
+		ctxStep:      cmp.Or(opts.ContextBucket, 32),
+		batchCap:     cmp.Or(opts.MaxBatch, 8),
+		reqs:         reqs,
+		stride:       1,
+		latencies:    make([]float64, 0, len(reqs)),
+		ttfts:        make([]float64, 0, len(reqs)),
+		decodeBudget: budget,
+	}
+	f.speculativeShapes()
+	f.pristine = priceTable{sys: sys, costs: make([]stepCost, len(f.shapes))}
 	if opts.Fault != nil {
 		f.eng.At(opts.Fault.AtSeconds, f.applyFault)
 	}
 	for i := 0; i < groups; i++ {
-		g := &group{id: i}
+		g := &group{id: i, prices: &f.pristine}
 		g.finish = func() {
-			if s := g.stepPrefill; s != nil {
-				g.stepPrefill = nil
-				f.finishPrefill(g, s, g.stepEnd)
+			if r := g.stepReq; r >= 0 {
+				f.finishPrefill(g, r, g.stepEnd)
 			} else {
-				f.finishDecode(g, g.stepWidth, g.stepJoules, g.stepEnd)
+				f.finishDecode(g, g.stepWidth, g.stepEnd)
 			}
 		}
 		f.groups = append(f.groups, g)
 	}
 
-	// Arrivals are sorted defensively (stable, so equal times keep
-	// trace order) and fed lazily: only the next arrival sits in the
-	// event queue, and delivering it schedules the one after. The
-	// next arrival is scheduled before the delivered request is
-	// processed so simultaneous arrivals still run in trace order.
-	reqs := make([]Request, len(opts.Trace.Requests))
-	copy(reqs, opts.Trace.Requests)
-	sort.SliceStable(reqs, func(i, j int) bool {
-		return reqs[i].ArrivalSeconds < reqs[j].ArrivalSeconds
-	})
-	f.reqs = reqs
+	// Only the next arrival sits in the event queue, and delivering it
+	// schedules the one after. The next arrival is scheduled before the
+	// delivered request is processed so simultaneous arrivals still run
+	// in trace order.
 	f.arriveNext = func() {
 		i := f.nextReq
 		f.nextReq++
 		if f.nextReq < len(f.reqs) {
 			f.eng.At(f.reqs[f.nextReq].ArrivalSeconds, f.arriveNext)
 		}
-		f.arrive(f.reqs[i])
+		f.arrive(i)
 	}
-	if len(reqs) > 0 {
-		f.eng.At(reqs[0].ArrivalSeconds, f.arriveNext)
-	}
+	f.eng.At(reqs[0].ArrivalSeconds, f.arriveNext)
 	if !opts.NoPrePrice {
-		f.prePrice(reqs)
+		f.prePrice()
 	}
 	end := f.eng.Run()
 	if f.err != nil {
@@ -496,12 +543,16 @@ func Run(opts Options) (*Result, error) {
 		// arrival or completion, not the fault time.
 		end = f.lastDepthAt
 	}
+	if err := f.conserved(end); err != nil {
+		return nil, err
+	}
 
 	res.Metrics = f.metrics(end)
-	res.DistinctShapes = len(f.prices) + len(f.degPrices)
+	res.DistinctShapes = f.pristine.filled()
 	res.ExactSims = evalpool.Simulations() - simsBefore
 	res.Evaluations = evalpool.Evaluations() - evalsBefore
-	if f.degGroup >= 0 {
+	if f.degraded != nil {
+		res.DistinctShapes += f.degraded.filled()
 		res.FaultApplied = true
 		res.PostFaultChips = f.postFaultChips
 		res.PostFaultPlan = f.postFaultPlan
@@ -510,9 +561,32 @@ func Run(opts Options) (*Result, error) {
 	return res, nil
 }
 
-// arrive routes one request to the least-loaded group and kicks its
+// conserved checks the run's conservation invariants at the makespan
+// end: every request completed and none is left in the system, every
+// decode budget was generated exactly, and no group was busy longer
+// than the makespan. A violation is a scheduler bug, reported as the
+// run's error.
+func (f *fleet) conserved(end float64) error {
+	if f.completed != len(f.reqs) || f.depth != 0 {
+		return fmt.Errorf("fleet: conservation: %d of %d requests completed, %d left in the system",
+			f.completed, len(f.reqs), f.depth)
+	}
+	if f.decodedTokens != f.decodeBudget {
+		return fmt.Errorf("fleet: conservation: decoded %d tokens, the trace budgets %d",
+			f.decodedTokens, f.decodeBudget)
+	}
+	for _, g := range f.groups {
+		if g.busySeconds > end {
+			return fmt.Errorf("fleet: conservation: group %d busy %gs of a %gs makespan",
+				g.id, g.busySeconds, end)
+		}
+	}
+	return nil
+}
+
+// arrive routes request i to the least-loaded group and kicks its
 // scheduler.
-func (f *fleet) arrive(req Request) {
+func (f *fleet) arrive(i int) {
 	if f.err != nil {
 		return
 	}
@@ -523,64 +597,55 @@ func (f *fleet) arrive(req Request) {
 			best = g
 		}
 	}
-	best.promptQ = append(best.promptQ, &session{req: req, ctx: req.PromptLen, remaining: req.DecodeTokens})
+	if q := best.promptQ; len(q) == cap(q) && best.head >= len(q)/2 {
+		best.promptQ, best.head = q[:copy(q, q[best.head:])], 0
+	}
+	best.promptQ = append(best.promptQ, i)
 	f.noteDepth(now, +1)
 	f.start(best, now)
 }
 
-// maxBatch returns the effective decode micro-batch cap.
-func (f *fleet) maxBatch() int {
-	if f.opts.MaxBatch == 0 {
-		return 8
-	}
-	return f.opts.MaxBatch
-}
-
 // bucket rounds a decode context up to the pricing bucket.
 func (f *fleet) bucket(n int) int {
-	b := f.opts.ContextBucket
-	if b == 0 {
-		b = 32
-	}
+	b := f.ctxStep
 	if b == 1 || n%b == 0 {
 		return n
 	}
 	return (n/b + 1) * b
 }
 
-// price returns the cost of one step shape on group g through the
-// oracle tiers, memoized fleet-locally so the scheduler's hot loop
-// costs one map probe per step. A group degraded by the FaultPlan
-// prices against the degraded system through its own memo.
-func (f *fleet) price(g *group, mode model.Mode, seqLen, batch int) (stepCost, error) {
-	deg := g.id == f.degGroup
-	key := shapeKey{mode: mode, seqLen: seqLen, batch: batch}
-	if f.lastValid && key == f.lastKey && deg == f.lastDeg {
-		return f.lastCost, nil
-	}
-	prices, sys := f.prices, f.sys
-	if deg {
-		prices, sys = f.degPrices, f.degSys
-	}
-	if c, ok := prices[key]; ok {
-		f.lastKey, f.lastCost, f.lastValid, f.lastDeg = key, c, true, deg
+// price returns the cost of the step shape in slot i of the shape
+// rectangle on group g: a direct index into the group's price table
+// (the degraded system's, once the FaultPlan has hit the group),
+// pricing the slot through the oracle tiers on its first use.
+func (f *fleet) price(g *group, i int) (stepCost, error) {
+	t := g.prices
+	if c := t.costs[i]; c.ok {
 		return c, nil
 	}
-	rep, err := evalpool.Run(sys, core.Workload{Model: f.opts.Model, Mode: mode, SeqLen: seqLen, Batch: batch})
+	k := f.shapes[i]
+	c, err := f.evaluate(t.sys, k)
 	if err != nil {
-		return stepCost{}, fmt.Errorf("fleet: price %s seq=%d batch=%d: %w", mode, seqLen, batch, err)
+		return stepCost{}, fmt.Errorf("fleet: price %s seq=%d batch=%d: %w", k.mode, k.seqLen, k.batch, err)
 	}
-	c := stepCost{seconds: rep.Seconds, joules: rep.Energy.Total()}
-	prices[key] = c
-	f.lastKey, f.lastCost, f.lastValid, f.lastDeg = key, c, true, deg
+	t.costs[i] = c
 	return c, nil
+}
+
+// evaluate prices one step shape on sys through evalpool.
+func (f *fleet) evaluate(sys core.System, k shape) (stepCost, error) {
+	rep, err := evalpool.Run(sys, core.Workload{Model: f.opts.Model, Mode: k.mode, SeqLen: k.seqLen, Batch: k.batch})
+	if err != nil {
+		return stepCost{}, err
+	}
+	return stepCost{seconds: rep.Seconds, joules: rep.Energy.Total(), ok: true}, nil
 }
 
 // applyFault is the FaultPlan event: it degrades the target group's
 // system via resilience.Degrade (optionally re-tuning the collective
-// plan on the degraded wiring) and routes the group's later steps to
-// the degraded price memo. The step in flight keeps its committed
-// finish time and price.
+// plan on the degraded wiring) and points the group at a fresh price
+// table for the degraded system. The step in flight keeps its
+// committed finish time and price.
 func (f *fleet) applyFault() {
 	if f.err != nil {
 		return
@@ -591,7 +656,7 @@ func (f *fleet) applyFault() {
 		return
 	}
 	fp := f.opts.Fault
-	deg, _, err := resilience.Degrade(f.sys, f.opts.Model, fp.Faults...)
+	deg, _, err := resilience.Degrade(f.pristine.sys, f.opts.Model, fp.Faults...)
 	if err != nil {
 		f.err = fmt.Errorf("fleet: fault at %gs: %w", fp.AtSeconds, err)
 		return
@@ -607,34 +672,32 @@ func (f *fleet) applyFault() {
 		f.postFaultPlan = tuned.Plan
 		f.postFaultMargin = tuned.Margin
 	}
-	f.degGroup = fp.Group
-	f.degSys = deg
-	f.degPrices = make(map[shapeKey]stepCost)
+	f.degraded = &priceTable{sys: deg, costs: make([]stepCost, len(f.shapes))}
+	f.groups[fp.Group].prices = f.degraded
 	f.postFaultChips = deg.Chips
-	f.lastValid = false
 }
 
-// speculativeShapes enumerates every step shape the trace can touch:
-// each distinct prompt length at batch 1 and — when any request
-// decodes — every pricing bucket in the context range a decoding
-// session can cross, at every micro-batch width up to the cap. The
-// rectangle over-covers what the replay actually prices (a decode
-// step's bucketed context is a bucket multiple between the smallest
-// decoding prompt's bucket and the bucket of the longest session's
-// final context, and its width never exceeds the cap), and it is a
-// pure function of (trace, scheduler options): cold and warm runs of
-// the same options price the same set, so a warm store still replays
-// with zero exact simulations.
-func (f *fleet) speculativeShapes(reqs []Request) []shapeKey {
-	var shapes []shapeKey
-	seenPrompt := make(map[int]bool)
+// speculativeShapes lays out the shape rectangle: every step shape the
+// trace can touch — each distinct prompt length at batch 1 and, when
+// any request decodes, every pricing bucket in the context range a
+// decoding session can cross at every micro-batch width up to the
+// cap. The rectangle over-covers what the replay actually prices (a
+// decode step's bucketed context is a bucket multiple between the
+// smallest decoding prompt's bucket and the bucket of the longest
+// session's final context, and its width never exceeds the cap), so
+// every step the replay schedules has a slot, and it is a pure
+// function of (trace, scheduler options): cold and warm runs of the
+// same options price the same set, so a warm store still replays with
+// zero exact simulations.
+func (f *fleet) speculativeShapes() {
+	f.promptSlot = make(map[int]int)
 	minCtx, maxCtx := 0, 0
 	decode := false
-	for i := range reqs {
-		r := &reqs[i]
-		if !seenPrompt[r.PromptLen] {
-			seenPrompt[r.PromptLen] = true
-			shapes = append(shapes, shapeKey{mode: model.Prompt, seqLen: r.PromptLen, batch: 1})
+	for i := range f.reqs {
+		r := &f.reqs[i]
+		if _, seen := f.promptSlot[r.PromptLen]; !seen {
+			f.promptSlot[r.PromptLen] = len(f.shapes)
+			f.shapes = append(f.shapes, shape{mode: model.Prompt, seqLen: r.PromptLen, batch: 1})
 		}
 		if r.DecodeTokens > 0 {
 			last := r.PromptLen + r.DecodeTokens - 1
@@ -648,44 +711,37 @@ func (f *fleet) speculativeShapes(reqs []Request) []shapeKey {
 		}
 	}
 	if decode {
-		step := f.opts.ContextBucket
-		if step == 0 {
-			step = 32
-		}
-		for ctx := f.bucket(minCtx); ctx <= f.bucket(maxCtx); ctx += step {
-			for width := 1; width <= f.maxBatch(); width++ {
-				shapes = append(shapes, shapeKey{mode: model.Autoregressive, seqLen: ctx, batch: width})
+		f.minBucket = f.bucket(minCtx)
+		for ctx := f.minBucket; ctx <= f.bucket(maxCtx); ctx += f.ctxStep {
+			for width := 1; width <= f.batchCap; width++ {
+				f.shapes = append(f.shapes, shape{mode: model.Autoregressive, seqLen: ctx, batch: width})
 			}
 		}
 	}
-	return shapes
 }
 
-// prePrice prices the speculative shape rectangle through evalpool
-// with the pool's worker width, then seeds the fleet-local memo so the
-// serial replay runs as pure memory hits. A speculative shape that
-// fails to evaluate is skipped, not fatal: the replay may never need
-// it, and if it does, the lazy path repeats the error and fails the
-// run exactly like the reference path. Prices are evalpool results
-// either way, so metrics are byte-identical to the lazy path.
-func (f *fleet) prePrice(reqs []Request) {
-	shapes := f.speculativeShapes(reqs)
-	costs := make([]stepCost, len(shapes))
-	ok := make([]bool, len(shapes))
+// decodeSlot is the rectangle slot of a decode step of the given width
+// whose widest context is ctx tokens.
+func (f *fleet) decodeSlot(ctx, width int) int {
+	return len(f.promptSlot) + (f.bucket(ctx)-f.minBucket)/f.ctxStep*f.batchCap + width - 1
+}
+
+// prePrice fills the pristine table through evalpool with the pool's
+// worker width, so the serial replay runs as pure table hits. A shape
+// that fails to evaluate is left unfilled, not fatal: the replay may
+// never need it, and if it does, the lazy path repeats the error and
+// fails the run exactly like the reference path. Prices are evalpool
+// results either way, so metrics are byte-identical to the lazy path.
+func (f *fleet) prePrice() {
+	costs := f.pristine.costs
 	price := func(i int) {
-		k := shapes[i]
-		rep, err := evalpool.Run(f.sys, core.Workload{Model: f.opts.Model, Mode: k.mode, SeqLen: k.seqLen, Batch: k.batch})
-		if err != nil {
-			return
-		}
-		costs[i] = stepCost{seconds: rep.Seconds, joules: rep.Energy.Total()}
-		ok[i] = true
+		costs[i], _ = f.evaluate(f.pristine.sys, f.shapes[i])
 	}
-	if workers := evalpool.Default().Workers(); workers > 1 && len(shapes) > 1 {
+	if workers := evalpool.Default().Workers(); workers > 1 && len(costs) > 1 {
 		var next atomic.Int64
 		var wg sync.WaitGroup
-		if workers > len(shapes) {
-			workers = len(shapes)
+		if workers > len(costs) {
+			workers = len(costs)
 		}
 		wg.Add(workers)
 		for w := 0; w < workers; w++ {
@@ -693,7 +749,7 @@ func (f *fleet) prePrice(reqs []Request) {
 				defer wg.Done()
 				for {
 					i := int(next.Add(1)) - 1
-					if i >= len(shapes) {
+					if i >= len(costs) {
 						return
 					}
 					price(i)
@@ -702,13 +758,8 @@ func (f *fleet) prePrice(reqs []Request) {
 		}
 		wg.Wait()
 	} else {
-		for i := range shapes {
+		for i := range costs {
 			price(i)
-		}
-	}
-	for i, k := range shapes {
-		if ok[i] {
-			f.prices[k] = costs[i]
 		}
 	}
 }
@@ -722,37 +773,29 @@ func (f *fleet) start(g *group, now float64) {
 		return
 	}
 	switch {
-	case len(g.promptQ) > 0 && len(g.active) < f.maxBatch():
-		s := g.promptQ[0]
-		g.promptQ[0] = nil
-		g.promptQ = g.promptQ[1:]
-		cost, err := f.price(g, model.Prompt, s.req.PromptLen, 1)
+	case g.head < len(g.promptQ) && len(g.active) < f.batchCap:
+		r := g.promptQ[g.head]
+		g.head++
+		cost, err := f.price(g, f.promptSlot[f.reqs[r].PromptLen])
 		if err != nil {
 			f.err = err
 			return
 		}
 		end := now + cost.seconds
-		s.energy += cost.joules
 		f.totalEnergy += cost.joules
 		f.prefillSteps++
 		g.busy = true
 		g.busySeconds += cost.seconds
-		g.stepPrefill = s
+		g.stepReq = r
 		g.stepEnd = end
 		f.eng.At(end, g.finish)
 	case len(g.active) > 0:
-		width := len(g.active)
-		if cap := f.maxBatch(); width > cap {
-			width = cap
-		}
-		batch := g.active[:width]
+		width := min(len(g.active), f.batchCap)
 		maxCtx := 0
-		for _, s := range batch {
-			if s.ctx > maxCtx {
-				maxCtx = s.ctx
-			}
+		for _, s := range g.active[:width] {
+			maxCtx = max(maxCtx, s.ctx)
 		}
-		cost, err := f.price(g, model.Autoregressive, f.bucket(maxCtx), width)
+		cost, err := f.price(g, f.decodeSlot(maxCtx, width))
 		if err != nil {
 			f.err = err
 			return
@@ -763,27 +806,26 @@ func (f *fleet) start(g *group, now float64) {
 		f.batchSum += int64(width)
 		g.busy = true
 		g.busySeconds += cost.seconds
-		g.stepPrefill = nil
+		g.stepReq = -1
 		g.stepWidth = width
-		g.stepJoules = cost.joules
 		g.stepEnd = end
 		f.eng.At(end, g.finish)
 	}
 }
 
-// finishPrefill admits the prefilled session to the decode pool (or
+// finishPrefill admits prefilled request r to the decode pool (or
 // completes it outright when it has no decode budget) and reschedules.
-func (f *fleet) finishPrefill(g *group, s *session, end float64) {
+func (f *fleet) finishPrefill(g *group, r int, end float64) {
 	if f.err != nil {
 		return
 	}
 	g.busy = false
-	s.prefilled = end
-	f.ttfts = append(f.ttfts, end-s.req.ArrivalSeconds)
-	if s.remaining == 0 {
-		f.complete(s, end)
+	req := &f.reqs[r]
+	f.ttfts = append(f.ttfts, end-req.ArrivalSeconds)
+	if req.DecodeTokens == 0 {
+		f.complete(req.ArrivalSeconds, end)
 	} else {
-		g.active = append(g.active, s)
+		g.active = append(g.active, session{arrival: req.ArrivalSeconds, ctx: req.PromptLen, remaining: req.DecodeTokens})
 	}
 	f.start(g, end)
 }
@@ -791,38 +833,32 @@ func (f *fleet) finishPrefill(g *group, s *session, end float64) {
 // finishDecode advances the first `width` active sessions by one token
 // each, completes the ones that exhausted their budget, and
 // reschedules.
-func (f *fleet) finishDecode(g *group, width int, joules float64, end float64) {
+func (f *fleet) finishDecode(g *group, width int, end float64) {
 	if f.err != nil {
 		return
 	}
 	g.busy = false
-	share := joules / float64(width)
 	kept := g.active[:0]
 	for i, s := range g.active {
 		if i < width {
 			s.ctx++
 			s.remaining--
-			s.energy += share
+			f.decodedTokens++
 			if s.remaining == 0 {
-				f.decodedTokens++
-				f.complete(s, end)
+				f.complete(s.arrival, end)
 				continue
 			}
-			f.decodedTokens++
 		}
 		kept = append(kept, s)
-	}
-	for i := len(kept); i < len(g.active); i++ {
-		g.active[i] = nil
 	}
 	g.active = kept
 	f.start(g, end)
 }
 
-// complete records one finished request.
-func (f *fleet) complete(s *session, end float64) {
+// complete records one finished request that arrived at arrival.
+func (f *fleet) complete(arrival, end float64) {
 	f.completed++
-	f.latencies = append(f.latencies, end-s.req.ArrivalSeconds)
+	f.latencies = append(f.latencies, end-arrival)
 	f.noteDepth(end, -1)
 }
 
@@ -880,11 +916,11 @@ func (f *fleet) metrics(end float64) Metrics {
 	if f.decodeSteps > 0 {
 		m.MeanBatch = float64(f.batchSum) / float64(f.decodeSteps)
 	}
-	m.P50LatencySeconds = percentile(f.latencies, 50)
-	m.P99LatencySeconds = percentile(f.latencies, 99)
+	// The mean sums in completion order; the percentile selection then
+	// reorders the run-owned series in place.
 	m.MeanLatencySeconds = mean(f.latencies)
-	m.P50TTFTSeconds = percentile(f.ttfts, 50)
-	m.P99TTFTSeconds = percentile(f.ttfts, 99)
+	m.P50LatencySeconds, m.P99LatencySeconds = percentiles(f.latencies)
+	m.P50TTFTSeconds, m.P99TTFTSeconds = percentiles(f.ttfts)
 	for _, g := range f.groups {
 		util := 0.0
 		if end > 0 {
@@ -895,24 +931,69 @@ func (f *fleet) metrics(end float64) Metrics {
 	return m
 }
 
-// percentile is the nearest-rank percentile of the values (0 when
-// empty). The input is copied before sorting: completion order is part
-// of the deterministic record.
-func percentile(values []float64, p float64) float64 {
+// percentiles returns the nearest-rank P50 and P99 of the values (0
+// when empty), reordering them in place: P99 is selected first, which
+// leaves every value of lower rank in front of it, so P50 is then
+// selected within that front part alone.
+func percentiles(values []float64) (p50, p99 float64) {
 	if len(values) == 0 {
-		return 0
+		return 0, 0
 	}
-	s := make([]float64, len(values))
-	copy(s, values)
-	sort.Float64s(s)
-	rank := int(math.Ceil(p / 100 * float64(len(s))))
-	if rank < 1 {
-		rank = 1
+	k99 := nearestRank(99, len(values)) - 1
+	p99 = selectKth(values, k99)
+	p50 = selectKth(values[:k99+1], nearestRank(50, len(values))-1)
+	return p50, p99
+}
+
+// nearestRank is the 1-based nearest rank of percentile p among n
+// values.
+func nearestRank(p float64, n int) int {
+	rank := int(math.Ceil(p / 100 * float64(n)))
+	return min(max(rank, 1), n)
+}
+
+// selectKth reorders s so that s[k] holds the value a full sort would
+// put there, with no larger value before it and no smaller one after,
+// and returns it. It is Hoare's quickselect around a median-of-three
+// pivot: expected linear time, and an already ordered range (latencies
+// of a saturated fleet complete nearly in order) partitions without a
+// swap. After 2·log2(n) rounds it sorts whatever range is left, so no
+// input costs more than a sort.
+func selectKth(s []float64, k int) float64 {
+	lo, hi := 0, len(s)-1
+	for rounds := 2 * bits.Len(uint(len(s))); lo < hi; rounds-- {
+		if rounds == 0 {
+			slices.Sort(s[lo : hi+1])
+			break
+		}
+		a, b, c := s[lo], s[lo+(hi-lo)/2], s[hi]
+		pivot := max(min(a, b), min(max(a, b), c))
+		// Afterwards s[lo:j+1] <= pivot <= s[i:hi+1], and anything
+		// between the two equals the pivot.
+		i, j := lo, hi
+		for i <= j {
+			for s[i] < pivot {
+				i++
+			}
+			for s[j] > pivot {
+				j--
+			}
+			if i <= j {
+				s[i], s[j] = s[j], s[i]
+				i++
+				j--
+			}
+		}
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return s[k]
+		}
 	}
-	if rank > len(s) {
-		rank = len(s)
-	}
-	return s[rank-1]
+	return s[k]
 }
 
 func mean(values []float64) float64 {

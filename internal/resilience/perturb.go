@@ -2,6 +2,7 @@ package resilience
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -50,9 +51,9 @@ type Fault struct {
 	Chip int
 	// Edge is the slowed edge (FaultSlowEdge).
 	Edge hw.Edge
-	// Factor is the slowdown multiple, >= 1: a FaultSlowEdge divides
-	// the edge bandwidth by it, a FaultStraggle divides the chip's
-	// compute throughput by it.
+	// Factor is the finite slowdown multiple, >= 1: a FaultSlowEdge
+	// divides the edge bandwidth by it, a FaultStraggle divides the
+	// chip's compute throughput by it.
 	Factor float64
 }
 
@@ -190,8 +191,8 @@ func Perturb(sys core.System, faults ...Fault) (core.System, []int, error) {
 			}
 			dropped[f.Chip] = true
 		case FaultSlowEdge:
-			if !(f.Factor >= 1) {
-				return core.System{}, nil, fmt.Errorf("resilience: slow-edge factor %g must be >= 1", f.Factor)
+			if !(f.Factor >= 1) || math.IsInf(f.Factor, 1) {
+				return core.System{}, nil, fmt.Errorf("resilience: slow-edge factor %g must be finite and >= 1", f.Factor)
 			}
 			fwd, fok := edges[f.Edge]
 			rev := hw.Edge{From: f.Edge.To, To: f.Edge.From}
@@ -209,8 +210,8 @@ func Perturb(sys core.System, faults ...Fault) (core.System, []int, error) {
 			if f.Chip < 0 || f.Chip >= n {
 				return core.System{}, nil, fmt.Errorf("resilience: straggle chip %d out of range for %d chips", f.Chip, n)
 			}
-			if !(f.Factor >= 1) {
-				return core.System{}, nil, fmt.Errorf("resilience: straggle factor %g must be >= 1", f.Factor)
+			if !(f.Factor >= 1) || math.IsInf(f.Factor, 1) {
+				return core.System{}, nil, fmt.Errorf("resilience: straggle factor %g must be finite and >= 1", f.Factor)
 			}
 			if straggler >= 0 && straggler != f.Chip {
 				return core.System{}, nil, fmt.Errorf("resilience: the simulator models one straggler chip, got %d and %d", straggler, f.Chip)

@@ -1,7 +1,9 @@
 package resilience
 
 import (
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"mcudist/internal/core"
@@ -32,6 +34,30 @@ func TestParseFaults(t *testing.T) {
 			t.Errorf("accepted bad fault spec %q", bad)
 		}
 	}
+}
+
+// FuzzParseFaults checks the fault-spec parser on arbitrary input: it
+// never panics, and every spec it accepts renders (FaultsString) to a
+// spelling that parses back to the same spelling. Spellings are
+// compared rather than faults, so NaN factors, which the parser
+// accepts and Perturb rejects, still match. The seed corpus in
+// testdata/fuzz holds the TestParseFaults specs and the CI fault
+// specs.
+func FuzzParseFaults(f *testing.F) {
+	f.Fuzz(func(t *testing.T, spec string) {
+		faults, err := ParseFaults(spec)
+		if err != nil {
+			return
+		}
+		spelled := FaultsString(faults)
+		again, err := ParseFaults(spelled)
+		if err != nil {
+			t.Fatalf("%q parsed, but its spelling %q does not: %v", spec, spelled, err)
+		}
+		if got := FaultsString(again); got != spelled {
+			t.Fatalf("%q: spelling %q parses back as %q", spec, spelled, got)
+		}
+	})
 }
 
 func TestPerturbSlowEdge(t *testing.T) {
@@ -148,6 +174,33 @@ func TestPerturbRejectsBadFaults(t *testing.T) {
 	sys.HW.Network = chain
 	if _, _, err := Perturb(sys, SlowEdge(0, 2, 10)); err == nil {
 		t.Error("slowed an unwired edge")
+	}
+}
+
+// Perturb itself rejects a non-finite factor for both fault kinds.
+// Unchecked, an infinite straggle factor becomes StragglerFactor =
+// 1/+Inf = 0, which the simulator reads as "no straggler", so the
+// "degraded" system prices exactly like the pristine one, and an
+// infinite slow-edge factor fails only inside the network table.
+func TestPerturbRejectsNonFiniteFactors(t *testing.T) {
+	sys := core.DefaultSystem(8)
+	for _, factor := range []float64{math.Inf(1), math.Inf(-1), math.NaN()} {
+		for _, tc := range []struct {
+			fault Fault
+			want  string
+		}{
+			{StraggleChip(3, factor), "straggle factor"},
+			{SlowEdge(0, 1, factor), "slow-edge factor"},
+		} {
+			deg, _, err := Perturb(sys, tc.fault)
+			if err == nil {
+				t.Errorf("%v accepted: straggler factor %g", tc.fault, deg.Options.StragglerFactor)
+				continue
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%v: error %q does not name the %s", tc.fault, err, tc.want)
+			}
+		}
 	}
 }
 

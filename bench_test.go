@@ -1,12 +1,11 @@
 package mcudist
 
 // Benchmark harness: one benchmark per table and figure of the
-// paper's evaluation section (see DESIGN.md for the experiment
-// index), plus the ablations. Each iteration regenerates the full
-// experiment through the deployment planner, the event-driven
-// simulator, and the energy model; figure data is attached as custom
-// benchmark metrics so `go test -bench` output doubles as the
-// numeric record of the reproduction.
+// paper's evaluation section, plus the ablations. Each iteration
+// regenerates the full experiment through the deployment planner, the
+// event-driven simulator, and the energy model; figure data is
+// attached as custom benchmark metrics so `go test -bench` output
+// doubles as the numeric record of the reproduction.
 
 import (
 	"fmt"

@@ -33,6 +33,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -364,11 +365,19 @@ func fleetSweep(s study) (*report.Table, error) {
 	if len(s.chips) != 1 {
 		return nil, fmt.Errorf("-fleet takes a single -chips value (group width), got %v", s.chips)
 	}
+	// fleet.PoissonTrace defaults a non-positive rate or request count,
+	// which would serve a different trace than the row is labelled with.
+	if s.trace.Requests < 1 {
+		return nil, fmt.Errorf("-requests %d must be at least 1", s.trace.Requests)
+	}
 	var rates []float64
 	for _, part := range strings.Split(s.rates, ",") {
 		r, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
 		if err != nil {
 			return nil, fmt.Errorf("bad rate %q: %v", part, err)
+		}
+		if !(r > 0) || math.IsInf(r, 1) {
+			return nil, fmt.Errorf("-rates: rate %q must be positive and finite", part)
 		}
 		rates = append(rates, r)
 	}
@@ -462,8 +471,8 @@ func buildMem(name string, depth, banks int, bpc float64, burst, setup int, pj f
 }
 
 // buildNetwork maps the -network / -cluster / -backhaul flags to a
-// network description. The per-edge table profile has no CLI spelling
-// (it needs a wiring list); construct it through the library API.
+// network description. The per-edge table profile has no -network
+// spelling (it needs a wiring list); -netlist reads one from a file.
 func buildNetwork(name string, clusterSize int, backhaul float64) (hw.Network, error) {
 	profile, err := hw.ParseNetworkProfile(name)
 	if err != nil {
@@ -478,7 +487,7 @@ func buildNetwork(name string, clusterSize int, backhaul float64) (hw.Network, e
 		}
 		return hw.ClusteredNetwork(hw.MIPI(), hw.MIPI().Slower(backhaul), clusterSize), nil
 	default:
-		return hw.Network{}, fmt.Errorf("network profile %s has no flag spelling (use the mcudist.TableNetwork API)", profile)
+		return hw.Network{}, fmt.Errorf("network profile %s has no flag spelling (use -netlist)", profile)
 	}
 }
 

@@ -166,6 +166,9 @@ func TestActiveClasses(t *testing.T) {
 }
 
 func TestSyncClassStrings(t *testing.T) {
+	if n := len(Classes()); n != 6 {
+		t.Fatalf("%d sync classes, want 6", n)
+	}
 	seen := map[string]bool{}
 	for _, c := range Classes() {
 		if !c.Valid() {

@@ -35,6 +35,10 @@ func TestRunDefaultSystem(t *testing.T) {
 	if len(rep.PerChip) != 8 {
 		t.Fatalf("per-chip stats = %d", len(rep.PerChip))
 	}
+	if len(rep.ByClass) != 2 || len(rep.C2CEnergyByClass) != 2 {
+		t.Fatalf("per-class split = %d sync, %d energy classes, want 2 (decode MHSA, FFN)",
+			len(rep.ByClass), len(rep.C2CEnergyByClass))
+	}
 }
 
 func TestWorkloadDefaultSeqLens(t *testing.T) {

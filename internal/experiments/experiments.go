@@ -1,6 +1,6 @@
 // Package experiments regenerates every table and figure of the
 // paper's evaluation section from the simulator, plus the ablations
-// called out in DESIGN.md. Each experiment returns structured data;
+// and extension studies. Each experiment returns structured data;
 // cmd/paperrepro renders them and the root benchmarks wrap them.
 //
 // Concurrency model: every experiment evaluates its configurations

@@ -68,6 +68,9 @@ func (c LinkClass) Validate() error {
 	if !(c.BandwidthBytesPerSec > 0) || math.IsInf(c.BandwidthBytesPerSec, 1) {
 		return fmt.Errorf("hw: link bandwidth must be positive and finite, got %g", c.BandwidthBytesPerSec)
 	}
+	if math.IsNaN(c.EnergyPJPerByte) || math.IsInf(c.EnergyPJPerByte, 0) {
+		return fmt.Errorf("hw: link energy must be finite, got %g pJ/B", c.EnergyPJPerByte)
+	}
 	if c.SetupCycles < 0 || c.EnergyPJPerByte < 0 {
 		return fmt.Errorf("hw: link costs must be non-negative")
 	}

@@ -111,7 +111,8 @@ func TestTableNetworkRejectsBadTables(t *testing.T) {
 
 // Non-finite bandwidths (Slower(0) gives +Inf; 0/0-style configs give
 // NaN) must not validate: an infinite-bandwidth link silently zeroes
-// every transfer time.
+// every transfer time. Nor may a non-finite energy, which would turn
+// every energy figure into NaN or +Inf.
 func TestLinkClassRejectsNonFiniteBandwidth(t *testing.T) {
 	for _, bad := range []float64{math.Inf(1), math.NaN(), 0, -1} {
 		c := MIPI()
@@ -121,6 +122,16 @@ func TestLinkClassRejectsNonFiniteBandwidth(t *testing.T) {
 		}
 		if err := UniformNetwork(c).Validate(); err == nil {
 			t.Errorf("uniform network with bandwidth %g validated", bad)
+		}
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1)} {
+		c := MIPI()
+		c.EnergyPJPerByte = bad
+		if err := c.Validate(); err == nil {
+			t.Errorf("energy %g pJ/B validated", bad)
+		}
+		if err := UniformNetwork(c).Validate(); err == nil {
+			t.Errorf("uniform network with energy %g pJ/B validated", bad)
 		}
 	}
 }

@@ -1,8 +1,10 @@
 package resilience
 
 import (
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -104,6 +106,39 @@ func TestNetlistFromNetworkRoundTrip(t *testing.T) {
 	}
 }
 
+// FuzzParseNetlist checks the netlist parser on arbitrary input: it
+// never panics, every netlist it accepts has finite class costs, and
+// its canonical Format spelling parses back to a netlist that formats
+// to the same text and resolves to an equal edge table. The seed
+// corpus in testdata/fuzz holds sampleNetlist and every
+// TestParseNetlistRejectsMalformed input, the non-finite energy lines
+// among them.
+func FuzzParseNetlist(f *testing.F) {
+	finite := func(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
+	f.Fuzz(func(t *testing.T, text string) {
+		nl, err := ParseNetlist(strings.NewReader(text))
+		if err != nil {
+			return
+		}
+		for name, c := range nl.Classes {
+			if !finite(c.BandwidthBytesPerSec) || !finite(c.EnergyPJPerByte) {
+				t.Fatalf("%q: class %q has non-finite costs %+v", text, name, c)
+			}
+		}
+		spelled := nl.Format()
+		again, err := ParseNetlist(strings.NewReader(spelled))
+		if err != nil {
+			t.Fatalf("%q parsed, but its spelling %q does not: %v", text, spelled, err)
+		}
+		if got := again.Format(); got != spelled {
+			t.Fatalf("%q: spelling %q formats again as %q", text, spelled, got)
+		}
+		if !reflect.DeepEqual(again.EdgeTable(), nl.EdgeTable()) {
+			t.Fatalf("%q: spelling %q resolves to a different edge table", text, spelled)
+		}
+	})
+}
+
 func TestLoadNetlist(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "board.netlist")
 	if err := os.WriteFile(path, []byte(sampleNetlist), 0o644); err != nil {
@@ -135,6 +170,8 @@ func TestParseNetlistRejectsMalformed(t *testing.T) {
 		"class bad float":    "chips 4\nclass mipi fast 256 100\n",
 		"class bad setup":    "chips 4\nclass mipi 0.5e9 soon 100\n",
 		"class zero bw":      "chips 4\nclass mipi 0 256 100\n",
+		"class NaN energy":   "chips 4\nclass m 0.5e9 256 NaN\nlink 0 1 m\n",
+		"class +Inf energy":  "chips 4\nclass m 0.5e9 256 +Inf\nlink 0 1 m\n",
 		"duplicate class":    "chips 4\nclass mipi 0.5e9 256 100\nclass mipi 1e9 0 0\n",
 		"link before chips":  "class mipi 0.5e9 256 100\nlink 0 1 mipi\nchips 4\n",
 		"link field count":   "chips 4\nclass mipi 0.5e9 256 100\nlink 0 1\n",

@@ -21,7 +21,11 @@ func TestParseFaults(t *testing.T) {
 	if !reflect.DeepEqual(faults, want) {
 		t.Fatalf("parsed %+v, want %+v", faults, want)
 	}
-	// The String spelling round-trips through the parser.
+	// The String spelling is canonical and round-trips through the
+	// parser.
+	if got := FaultsString(faults); got != "drop:3,slow:0-1x10,straggle:2x2" {
+		t.Fatalf("faults spell as %q", got)
+	}
 	again, err := ParseFaults(FaultsString(faults))
 	if err != nil {
 		t.Fatal(err)

@@ -1,9 +1,6 @@
 package mcudist
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 // Facade-level tests: the public API exercised exactly as README and
 // the examples present it.
@@ -15,9 +12,6 @@ func TestFacadeRun(t *testing.T) {
 	}
 	if rep.Cycles <= 0 {
 		t.Fatal("no runtime")
-	}
-	if rep.Tier != TierDoubleBuffered {
-		t.Fatalf("tier %v", rep.Tier)
 	}
 }
 
@@ -86,16 +80,6 @@ func TestFacadeStrategies(t *testing.T) {
 	}
 }
 
-func TestFacadeSiracusaParams(t *testing.T) {
-	p := Siracusa()
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if p.Chip.Cores != 8 {
-		t.Fatal("not the paper's chip")
-	}
-}
-
 func TestFacadeGeneration(t *testing.T) {
 	g, err := RunGeneration(DefaultSystem(8), TinyLlama42M(), 8, 2)
 	if err != nil {
@@ -138,95 +122,5 @@ func TestFacadeGQAPreset(t *testing.T) {
 	}
 	if _, err := Run(DefaultSystem(4), Workload{Model: cfg, Mode: Autoregressive}); err == nil {
 		t.Fatal("4 chips on 3 KV heads accepted")
-	}
-}
-
-func TestFacadeSyncPlan(t *testing.T) {
-	plan, err := ParsePlan("prefill=ring,decode=tree")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := plan.String(); got != "prefill=ring,decode=tree" {
-		t.Fatalf("plan prints %q", got)
-	}
-	if len(SyncClasses()) != 6 {
-		t.Fatalf("%d sync classes", len(SyncClasses()))
-	}
-	if topo, ok := UniformPlan(TopologyRing).Explicit(SyncDecodeFFN); !ok || topo != TopologyRing {
-		t.Fatal("uniform plan does not bind every class")
-	}
-
-	sys := DefaultSystem(8)
-	sys.Options.SyncPlan = plan
-	wl := Workload{Model: TinyLlama42M(), Mode: Prompt}
-	rep, err := Run(sys, wl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.ByClass) != 2 || rep.ByClass[0].Class != SyncPrefillMHSA {
-		t.Fatalf("report classes = %v", rep.ByClass)
-	}
-	if rep.ByClass[0].Topology != TopologyRing {
-		t.Fatalf("prefill ran on %s, want ring", rep.ByClass[0].Topology)
-	}
-	if len(rep.C2CEnergyByClass) != 2 {
-		t.Fatal("per-class energy split missing")
-	}
-
-	res, err := AutotunePlan(DefaultSystem(8), wl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Margin < 1 || len(res.PerClass) != 2 {
-		t.Fatalf("autotune margin %g, %d classes", res.Margin, len(res.PerClass))
-	}
-}
-
-func TestFacadeResilience(t *testing.T) {
-	faults, err := ParseFaults("drop:3,slow:0-1x10,straggle:2x2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(faults) != 3 || faults[0].Kind != FaultDropChip {
-		t.Fatalf("parsed faults = %v", faults)
-	}
-	if got := FaultsString(faults); got != "drop:3,slow:0-1x10,straggle:2x2" {
-		t.Fatalf("faults round-trip to %q", got)
-	}
-
-	sys := DefaultSystem(8)
-	deg, remap, err := Degrade(sys, TinyLlama42M(), DropChip(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if deg.Chips != 7 || len(remap) != 8 || remap[3] != -1 {
-		t.Fatalf("degrade: chips=%d remap=%v", deg.Chips, remap)
-	}
-	if deg.HW.Network == sys.HW.Network {
-		t.Fatal("degraded network shares the pristine digest")
-	}
-
-	torus, err := TorusNetwork(4, 2, MIPI())
-	if err != nil {
-		t.Fatal(err)
-	}
-	nl, err := NetlistFromNetwork(torus, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := ParseNetlist(strings.NewReader(nl.Format()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Chips != 8 || len(back.Edges) != len(nl.Edges) {
-		t.Fatalf("netlist round-trip: chips=%d links=%d/%d", back.Chips, len(back.Edges), len(nl.Edges))
-	}
-
-	study, err := ReplanStudy(sys, TinyLlama42M(), []Fault{SlowEdge(0, 1, 10)}, SessionOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if study.Replan.MarginCycles < 1 {
-		t.Fatalf("resilience margin %g < 1", study.Replan.MarginCycles)
 	}
 }

@@ -370,6 +370,10 @@ func fleetSweep(s study) (*report.Table, error) {
 	if s.trace.Requests < 1 {
 		return nil, fmt.Errorf("-requests %d must be at least 1", s.trace.Requests)
 	}
+	// fleet.Run serves one group for -groups 0.
+	if s.fleet.Groups < 1 {
+		return nil, fmt.Errorf("-groups %d must be at least 1", s.fleet.Groups)
+	}
 	var rates []float64
 	for _, part := range strings.Split(s.rates, ",") {
 		r, err := strconv.ParseFloat(strings.TrimSpace(part), 64)

@@ -229,6 +229,36 @@ func TestPlanTextRoundTrip(t *testing.T) {
 	}
 }
 
+// FuzzParsePlan checks the plan parser on arbitrary input: it never
+// panics, every plan it accepts spells (String) to text that parses
+// back to an equal plan with the same spelling, and MarshalText and
+// UnmarshalText round-trip it. The seed corpus in testdata/fuzz holds
+// the TestParsePlanSpellings inputs and the CI -plan spellings.
+func FuzzParsePlan(f *testing.F) {
+	f.Fuzz(func(t *testing.T, s string) {
+		p, err := ParsePlan(s)
+		if err != nil {
+			return
+		}
+		spelled := p.String()
+		again, err := ParsePlan(spelled)
+		if err != nil {
+			t.Fatalf("%q parsed, but its spelling %q does not: %v", s, spelled, err)
+		}
+		if again != p || again.String() != spelled {
+			t.Fatalf("%q: spelling %q parses back as %q", s, spelled, again)
+		}
+		text, err := p.MarshalText()
+		if err != nil {
+			t.Fatalf("%q: MarshalText: %v", s, err)
+		}
+		var back Plan
+		if err := back.UnmarshalText(text); err != nil || back != p {
+			t.Fatalf("%q: text %q unmarshals as %q (%v)", s, text, back, err)
+		}
+	})
+}
+
 func mustParse(t *testing.T, s string) Plan {
 	t.Helper()
 	p, err := ParsePlan(s)

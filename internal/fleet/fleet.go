@@ -430,10 +430,10 @@ func Run(opts Options) (*Result, error) {
 	if opts.Model.L == 0 {
 		return nil, fmt.Errorf("fleet: no model configured")
 	}
-	groups := opts.Groups
-	if groups <= 0 {
-		groups = 1
+	if opts.Groups < 0 {
+		return nil, fmt.Errorf("fleet: group count %d must be non-negative", opts.Groups)
 	}
+	groups := max(opts.Groups, 1)
 	if opts.MaxBatch < 0 {
 		return nil, fmt.Errorf("fleet: max batch %d must be non-negative", opts.MaxBatch)
 	}

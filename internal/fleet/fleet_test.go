@@ -211,6 +211,11 @@ func TestFleetValidation(t *testing.T) {
 	if _, err := Run(opts); err == nil {
 		t.Error("zero prompt length accepted")
 	}
+	opts = smallOptions(10, 1)
+	opts.Groups = -1
+	if _, err := Run(opts); err == nil {
+		t.Error("negative group count accepted")
+	}
 }
 
 // The seeded Poisson generator is stable: the same options always

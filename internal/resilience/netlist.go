@@ -16,6 +16,7 @@ package resilience
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -41,6 +42,10 @@ type Netlist struct {
 	Edges map[hw.Edge]string
 }
 
+// maxClassName bounds a class name, so every line Format spells stays
+// far below the scanner's line limit.
+const maxClassName = 256
+
 // ParseNetlist reads the netlist file format:
 //
 //	# comments and blank lines are ignored
@@ -50,9 +55,10 @@ type Netlist struct {
 //	link 2 0 mipi                 # directed edge
 //
 // Every malformed input — a missing or duplicate chips line, an
-// unknown directive, an undeclared or redeclared class, a chip index
-// out of range, a self-edge, a duplicate edge, a non-positive
-// bandwidth — is rejected with the offending line number.
+// unknown directive, an undeclared or redeclared class, a class name
+// longer than maxClassName bytes, a chip index out of range, a
+// self-edge, a duplicate edge, a non-positive bandwidth, a line of 64
+// KiB or more — is rejected with the offending line number.
 func ParseNetlist(r io.Reader) (*Netlist, error) {
 	nl := &Netlist{
 		Classes: map[string]hw.LinkClass{},
@@ -90,6 +96,9 @@ func ParseNetlist(r io.Reader) (*Netlist, error) {
 				return nil, fmt.Errorf("netlist line %d: want `class <name> <bandwidth B/s> <setup cycles> <pJ/B>`", line)
 			}
 			name := fields[1]
+			if len(name) > maxClassName {
+				return nil, fmt.Errorf("netlist line %d: class name of %d bytes is longer than %d", line, len(name), maxClassName)
+			}
 			if _, dup := nl.Classes[name]; dup {
 				return nil, fmt.Errorf("netlist line %d: class %q already declared", line, name)
 			}
@@ -149,7 +158,9 @@ func ParseNetlist(r io.Reader) (*Netlist, error) {
 			return nil, fmt.Errorf("netlist line %d: unknown directive %q (want chips | class | link)", line, fields[0])
 		}
 	}
-	if err := sc.Err(); err != nil {
+	if err := sc.Err(); errors.Is(err, bufio.ErrTooLong) {
+		return nil, fmt.Errorf("netlist line %d: longer than %d bytes", line+1, bufio.MaxScanTokenSize-1)
+	} else if err != nil {
 		return nil, fmt.Errorf("netlist: %w", err)
 	}
 	if !sawChips {

@@ -106,14 +106,25 @@ func TestNetlistFromNetworkRoundTrip(t *testing.T) {
 	}
 }
 
+// longClassNetlist declares and wires one class whose name is n bytes
+// long, spelling its bandwidth 5e8. Format respells that 5e+08, two
+// bytes longer: with no bound on names, n = 65516 parses (a 65534-byte
+// class line) but its spelling exceeds the scanner's line limit.
+func longClassNetlist(n int) string {
+	name := strings.Repeat("c", n)
+	return "chips 4\nclass " + name + " 5e8 256 100\nlink 0 1 " + name + "\n"
+}
+
 // FuzzParseNetlist checks the netlist parser on arbitrary input: it
 // never panics, every netlist it accepts has finite class costs, and
 // its canonical Format spelling parses back to a netlist that formats
 // to the same text and resolves to an equal edge table. The seed
 // corpus in testdata/fuzz holds sampleNetlist and every
 // TestParseNetlistRejectsMalformed input, the non-finite energy lines
-// among them.
+// among them; the 65516-byte class name is added here, since the
+// fuzzer does not grow inputs that long in a short run.
 func FuzzParseNetlist(f *testing.F) {
+	f.Add(longClassNetlist(65516))
 	finite := func(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 	f.Fuzz(func(t *testing.T, text string) {
 		nl, err := ParseNetlist(strings.NewReader(text))
@@ -183,10 +194,31 @@ func TestParseNetlistRejectsMalformed(t *testing.T) {
 		"bidi duplicates":    "chips 4\nclass mipi 0.5e9 256 100\nlink 1 0 mipi\nlink 0 1 mipi bidi\n",
 		"bad bidi marker":    "chips 4\nclass mipi 0.5e9 256 100\nlink 0 1 mipi both\n",
 		"no links":           "chips 4\nclass mipi 0.5e9 256 100\n",
+		"long class name":    longClassNetlist(65516),
 	}
 	for name, input := range cases {
 		if _, err := ParseNetlist(strings.NewReader(input)); err == nil {
 			t.Errorf("%s: accepted %q", name, input)
 		}
+	}
+}
+
+// The class-name bound and the scanner's line limit both name the
+// offending line, and a name at the bound still round-trips.
+func TestParseNetlistLongLines(t *testing.T) {
+	for input, want := range map[string]string{
+		longClassNetlist(maxClassName + 1):               "netlist line 2: ",
+		"chips 4\n#" + strings.Repeat("x", 1<<16) + "\n": "netlist line 2: ",
+	} {
+		if _, err := ParseNetlist(strings.NewReader(input)); err == nil || !strings.HasPrefix(err.Error(), want) {
+			t.Errorf("%.40q...: error %v, want prefix %q", input, err, want)
+		}
+	}
+	nl, err := ParseNetlist(strings.NewReader(longClassNetlist(maxClassName)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ParseNetlist(strings.NewReader(nl.Format())); err != nil {
+		t.Fatalf("a %d-byte class name does not round-trip: %v", maxClassName, err)
 	}
 }

@@ -82,15 +82,23 @@ func BenchmarkScheduleIntern(b *testing.B) {
 }
 
 // BenchmarkSingleRun64Chips stresses the simulator at the largest
-// system size.
+// system size, once per collective shape with its schedule interned:
+// the paper's tree, and the ring and fully-connected exchange, whose
+// 64-chip points set sweep-cold's tail (perfsim.run_us_p99,
+// op_tail_ms).
 func BenchmarkSingleRun64Chips(b *testing.B) {
 	wl := core.Workload{Model: model.TinyLlamaScaled64(), Mode: model.Prompt}
-	sys := core.DefaultSystem(64)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.Run(sys, wl); err != nil {
-			b.Fatal(err)
-		}
+	for _, topo := range []hw.Topology{hw.TopoTree, hw.TopoRing, hw.TopoFullyConnected} {
+		b.Run(topo.String(), func(b *testing.B) {
+			sys := core.DefaultSystem(64)
+			sys.HW.Topology = topo
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := core.Run(sys, wl); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -1,0 +1,111 @@
+package core
+
+import (
+	"crypto/sha256"
+	"fmt"
+	"testing"
+
+	"mcudist/internal/collective"
+	"mcudist/internal/hw"
+	"mcudist/internal/model"
+	"mcudist/internal/partition"
+)
+
+// reportDigests pins the sha256 of %+v of the whole Report — per-chip
+// counters, per-class link splits, ByClass and energy included — on
+// the paths golden_test.go (uniform network, no faults) does not
+// reach: clustered networks, whose two link classes alternate along
+// the ring; a degraded link; a straggler; a per-sync collective plan;
+// and the pipeline, whose bare schedule interns the zero link class
+// ahead of its chain's classes. Any drift in any counter's bits trips
+// them.
+var reportDigests = []struct {
+	name   string
+	sys    func() System
+	wl     Workload
+	digest string
+}{
+	{
+		name: "scaled-prompt-64-ring-clustered",
+		sys: func() System {
+			s := DefaultSystem(64)
+			s.HW.Topology = hw.TopoRing
+			s.HW.Network = hw.ClusteredNetwork(hw.MIPI(), hw.MIPI().Slower(10), 4)
+			return s
+		},
+		wl:     Workload{Model: model.TinyLlamaScaled64(), Mode: model.Prompt},
+		digest: "9d558c36351195b25b070e576d1e2aaa8ebc958a5d2c0919fc3761e31b361fa9",
+	},
+	{
+		name: "scaled-prompt-64-fc-clustered",
+		sys: func() System {
+			s := DefaultSystem(64)
+			s.HW.Topology = hw.TopoFullyConnected
+			s.HW.Network = hw.ClusteredNetwork(hw.MIPI(), hw.MIPI().Slower(10), 4)
+			return s
+		},
+		wl:     Workload{Model: model.TinyLlamaScaled64(), Mode: model.Prompt},
+		digest: "1727b21164560c9242eb9398ed2a77152317d65b4fd0663832d514276981c2a7",
+	},
+	{
+		name: "tinyllama-prompt-8-ring-degraded",
+		sys: func() System {
+			s := DefaultSystem(8)
+			s.HW.Topology = hw.TopoRing
+			s.Options.DegradedLinkChip, s.Options.DegradedLinkFactor = 3, 0.25
+			return s
+		},
+		wl:     Workload{Model: model.TinyLlama42M(), Mode: model.Prompt},
+		digest: "b06f550c9952bca60514418b4c2774e3072a558c95ba34283b7f826787a18cf3",
+	},
+	{
+		name: "tinyllama-ar-8-ring-straggler",
+		sys: func() System {
+			s := DefaultSystem(8)
+			s.HW.Topology = hw.TopoRing
+			s.Options.StragglerChip, s.Options.StragglerFactor = 5, 0.5
+			return s
+		},
+		wl:     Workload{Model: model.TinyLlama42M(), Mode: model.Autoregressive},
+		digest: "2295259caa6ac865e880f2ca81fc2fa4c9ab2ddd4ceb2a9afbc39b978465c7a6",
+	},
+	{
+		name: "scaled-prompt-64-plan-prefill-ring",
+		sys: func() System {
+			s := DefaultSystem(64)
+			plan, err := collective.ParsePlan("prefill=ring,decode=tree")
+			if err != nil {
+				panic(err)
+			}
+			s.Options.SyncPlan = plan
+			return s
+		},
+		wl:     Workload{Model: model.TinyLlamaScaled64(), Mode: model.Prompt},
+		digest: "ddab2aa9f89770b18430ae0f8c78362b7bc673b8ecb1a343f95c33e89fa997e3",
+	},
+	{
+		name: "tinyllama-ar-8-pipeline",
+		sys: func() System {
+			s := DefaultSystem(8)
+			s.Strategy = partition.Pipeline
+			return s
+		},
+		wl:     Workload{Model: model.TinyLlama42M(), Mode: model.Autoregressive},
+		digest: "13fadda65d7432e1e5fd55641ac4342d72e892350b5dd283a450716ac7629bb4",
+	},
+}
+
+func TestReportDigests(t *testing.T) {
+	for _, c := range reportDigests {
+		t.Run(c.name, func(t *testing.T) {
+			rep, err := Run(c.sys(), c.wl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := fmt.Sprintf("%x", sha256.Sum256([]byte(fmt.Sprintf("%+v", *rep))))
+			if got != c.digest {
+				t.Errorf("report digest = %s, want %s", got, c.digest)
+			}
+		})
+	}
+}

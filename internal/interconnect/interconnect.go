@@ -166,12 +166,22 @@ type Hop struct {
 	// the original partial instead and accumulates only at the
 	// receiver.
 	FromAccumulated bool
+	// class indexes Class in the owning Schedule's Classes, recorded
+	// when annotate resolves it. It sits in FromAccumulated's padding,
+	// so a Hop stays 64 bytes.
+	class int32
 	// Class is the link class of the edge this hop crosses, resolved
 	// from the platform's network description at lowering time. The
 	// zero class marks an unresolved/undefined edge; Validate rejects
 	// it.
 	Class hw.LinkClass
 }
+
+// ClassIndex is the index of the hop's Class in its schedule's
+// Classes, resolved at lowering, so a simulator maps the schedule's
+// few classes to its own ids instead of hashing a LinkClass per hop.
+// It is 0 on a bare schedule, which resolves no classes.
+func (h *Hop) ClassIndex() int { return int(h.class) }
 
 // ReduceHops returns the hops of the all-reduce in a valid dependency
 // order: every chip's hop to its parent appears after the hops of its

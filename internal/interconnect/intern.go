@@ -87,12 +87,16 @@ func ScheduleCacheSize() int {
 	return len(internMap)
 }
 
-// ResetScheduleCache drops every interned schedule (the cache has no
-// eviction of its own). The lowering counter keeps counting across
-// resets. Primarily a test hook; per-edge tables registered with
-// hw.TableNetwork stay registered.
+// ResetScheduleCache drops every interned collective schedule and
+// every interned pipeline chain (neither cache evicts on its own), so
+// the next request of any key lowers afresh, as in a new process. The
+// lowering counter keeps counting across resets. Per-edge tables
+// registered with hw.TableNetwork stay registered.
 func ResetScheduleCache() {
 	internMu.Lock()
 	internMap = map[scheduleKey]*internEntry{}
 	internMu.Unlock()
+	chainMu.Lock()
+	chainMap = map[chainKey]*chainEntry{}
+	chainMu.Unlock()
 }

@@ -142,3 +142,22 @@ func TestCachedPipelineChainInterns(t *testing.T) {
 		t.Fatal("equal (network, chips) pairs should share one interned chain")
 	}
 }
+
+// ResetScheduleCache drops interned pipeline chains along with the
+// collective schedules: a chain fetched after a reset is lowered
+// afresh, as in a new process.
+func TestResetScheduleCacheDropsChains(t *testing.T) {
+	net := hw.UniformNetwork(hw.MIPI())
+	a, err := CachedPipelineChain(net, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ResetScheduleCache()
+	b, err := CachedPipelineChain(net, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a == b {
+		t.Fatal("the chain fetched after a reset is the one interned before it")
+	}
+}

@@ -114,13 +114,13 @@ func NewBareSchedule(topo hw.Topology, n, groupSize int) (*Schedule, error) {
 }
 
 // annotate resolves each hop's link class under the network
-// description and collects the distinct classes in first-use order
-// (the per-class accounting axis of the simulator). Reduce hops are
-// resolved before broadcast hops, so class 0 is always the class of
-// the first reduce hop.
+// description, collects the distinct classes in first-use order (the
+// per-class accounting axis of the simulator) and records each hop's
+// index into that list. Reduce hops are resolved before broadcast
+// hops, so class 0 is always the class of the first reduce hop.
 func (s *Schedule) annotate(net hw.Network) error {
 	s.Classes = nil
-	seen := map[hw.LinkClass]bool{}
+	index := map[hw.LinkClass]int32{}
 	assign := func(hops []Hop) error {
 		for i := range hops {
 			c, err := net.LinkFor(hops[i].From, hops[i].To)
@@ -128,11 +128,14 @@ func (s *Schedule) annotate(net hw.Network) error {
 				return fmt.Errorf("interconnect: %s schedule over %d chips: hop %d->%d: %w",
 					s.Topology, s.N, hops[i].From, hops[i].To, err)
 			}
-			hops[i].Class = c
-			if !seen[c] {
-				seen[c] = true
+			id, ok := index[c]
+			if !ok {
+				id = int32(len(s.Classes))
+				index[c] = id
 				s.Classes = append(s.Classes, c)
 			}
+			hops[i].Class = c
+			hops[i].class = id
 		}
 		return nil
 	}
@@ -168,11 +171,14 @@ func scheduleFromTree(topo hw.Topology, t *Tree) *Schedule {
 // price is 2(N-1) serialized setup latencies.
 func ringSchedule(n int) *Schedule {
 	s := &Schedule{
-		Topology: hw.TopoRing,
-		N:        n,
-		Root:     0,
-		Chunks:   n,
-		Depth:    n - 1,
+		Topology:  hw.TopoRing,
+		N:         n,
+		Root:      0,
+		Chunks:    n,
+		Depth:     n - 1,
+		Reduce:    make([]Hop, 0, n*(n-1)),
+		Broadcast: make([]Hop, 0, n*(n-1)),
+		Final:     make([]Final, 0, n),
 	}
 	frac := 1 / float64(n)
 	for step := 0; step < n-1; step++ {
@@ -222,6 +228,8 @@ func fullyConnectedSchedule(n int) *Schedule {
 	if n == 1 {
 		s.Depth = 0
 	}
+	s.Reduce = make([]Hop, 0, n*(n-1))
+	s.Final = make([]Final, 0, n)
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
 			if i == j {
@@ -266,9 +274,8 @@ func (s *Schedule) CollectiveBytes(reducePayload, bcastPayload int64) int64 {
 // indices in range, sane fractions, every hop resolved to a defined
 // link class (no routing over unwired edges), each chip's partial
 // reaching a finalizing chip exactly once per chunk, and the broadcast
-// phase
-// (together with the finalize placement) delivering every chunk to
-// every chip in dependency order.
+// phase (together with the finalize placement) delivering every chunk
+// to every chip in dependency order.
 func (s *Schedule) Validate() error {
 	if s.N <= 0 || s.Chunks <= 0 {
 		return fmt.Errorf("interconnect: schedule over %d chips / %d chunks", s.N, s.Chunks)
@@ -276,39 +283,48 @@ func (s *Schedule) Validate() error {
 	if s.Root < 0 || s.Root >= s.N {
 		return fmt.Errorf("interconnect: root %d out of range", s.Root)
 	}
-	for _, h := range append(append([]Hop{}, s.Reduce...), s.Broadcast...) {
-		if h.From < 0 || h.From >= s.N || h.To < 0 || h.To >= s.N || h.From == h.To {
-			return fmt.Errorf("interconnect: hop %d->%d out of range", h.From, h.To)
-		}
-		if h.Chunk < 0 || h.Chunk >= s.Chunks {
-			return fmt.Errorf("interconnect: hop %d->%d chunk %d out of range", h.From, h.To, h.Chunk)
-		}
-		if h.Frac <= 0 || h.Frac > 1 {
-			return fmt.Errorf("interconnect: hop %d->%d fraction %g out of (0,1]", h.From, h.To, h.Frac)
-		}
-		if !h.Class.Defined() {
-			return fmt.Errorf("interconnect: hop %d->%d crosses an undefined edge (no link class resolved; lower the schedule with NewSchedule against a network that wires it)", h.From, h.To)
+	for _, hops := range [2][]Hop{s.Reduce, s.Broadcast} {
+		for i := range hops {
+			h := &hops[i]
+			if h.From < 0 || h.From >= s.N || h.To < 0 || h.To >= s.N || h.From == h.To {
+				return fmt.Errorf("interconnect: hop %d->%d out of range", h.From, h.To)
+			}
+			if h.Chunk < 0 || h.Chunk >= s.Chunks {
+				return fmt.Errorf("interconnect: hop %d->%d chunk %d out of range", h.From, h.To, h.Chunk)
+			}
+			if h.Frac <= 0 || h.Frac > 1 {
+				return fmt.Errorf("interconnect: hop %d->%d fraction %g out of (0,1]", h.From, h.To, h.Frac)
+			}
+			if !h.Class.Defined() {
+				return fmt.Errorf("interconnect: hop %d->%d crosses an undefined edge (no link class resolved; lower the schedule with NewSchedule against a network that wires it)", h.From, h.To)
+			}
 		}
 	}
 
-	// Symbolic reduce: contrib[chip][chunk] counts how many times each
-	// original partial has been folded into the accumulator. An
-	// accumulated send moves the live set; a plain send moves only the
-	// sender's own contribution.
-	contrib := make([][]map[int]int, s.N)
-	for c := range contrib {
-		contrib[c] = make([]map[int]int, s.Chunks)
-		for q := range contrib[c] {
-			contrib[c][q] = map[int]int{c: 1}
+	// Symbolic reduce: contrib[(c*Chunks+q)*N+src] counts how many
+	// times chip src's original partial has been folded into chip c's
+	// accumulator for chunk q. An accumulated send moves the live set;
+	// a plain send moves only the sender's own contribution.
+	n, chunks := s.N, s.Chunks
+	contrib := make([]int, n*chunks*n)
+	for c := 0; c < n; c++ {
+		for q := 0; q < chunks; q++ {
+			contrib[(c*chunks+q)*n+c] = 1
 		}
 	}
-	for _, h := range s.Reduce {
-		sent := map[int]int{h.From: 1}
-		if h.FromAccumulated {
-			sent = contrib[h.From][h.Chunk]
+	row := func(chip, chunk int) []int {
+		off := (chip*chunks + chunk) * n
+		return contrib[off : off+n : off+n]
+	}
+	for i := range s.Reduce {
+		h := &s.Reduce[i]
+		to := row(h.To, h.Chunk)
+		if !h.FromAccumulated {
+			to[h.From]++
+			continue
 		}
-		for chip, cnt := range sent {
-			contrib[h.To][h.Chunk][chip] += cnt
+		for src, cnt := range row(h.From, h.Chunk) {
+			to[src] += cnt
 		}
 	}
 	for _, f := range s.Final {
@@ -318,8 +334,8 @@ func (s *Schedule) Validate() error {
 		if f.Frac <= 0 || f.Frac > 1 {
 			return fmt.Errorf("interconnect: finalize fraction %g out of (0,1]", f.Frac)
 		}
-		for chip := 0; chip < s.N; chip++ {
-			if got := contrib[f.Chip][f.Chunk][chip]; got != 1 {
+		for chip, got := range row(f.Chip, f.Chunk) {
+			if got != 1 {
 				return fmt.Errorf("interconnect: chunk %d finalized on chip %d holds chip %d's partial %d times, want exactly once",
 					f.Chunk, f.Chip, chip, got)
 			}
@@ -332,23 +348,21 @@ func (s *Schedule) Validate() error {
 	// Broadcast reachability: starting from the finalized (chip,
 	// chunk) pairs, every hop must forward an already-present chunk,
 	// and afterwards every chip must hold every chunk.
-	has := make([][]bool, s.N)
-	for c := range has {
-		has[c] = make([]bool, s.Chunks)
-	}
+	has := make([]bool, n*chunks)
 	for _, f := range s.Final {
-		has[f.Chip][f.Chunk] = true
+		has[f.Chip*chunks+f.Chunk] = true
 	}
-	for _, h := range s.Broadcast {
-		if !has[h.From][h.Chunk] {
+	for i := range s.Broadcast {
+		h := &s.Broadcast[i]
+		if !has[h.From*chunks+h.Chunk] {
 			return fmt.Errorf("interconnect: broadcast hop %d->%d forwards chunk %d before receiving it",
 				h.From, h.To, h.Chunk)
 		}
-		has[h.To][h.Chunk] = true
+		has[h.To*chunks+h.Chunk] = true
 	}
-	for c := 0; c < s.N; c++ {
-		for q := 0; q < s.Chunks; q++ {
-			if !has[c][q] {
+	for c := 0; c < n; c++ {
+		for q := 0; q < chunks; q++ {
+			if !has[c*chunks+q] {
 				return fmt.Errorf("interconnect: chunk %d never reaches chip %d", q, c)
 			}
 		}

@@ -1,7 +1,11 @@
 package interconnect
 
 import (
+	"fmt"
+	"strconv"
+	"strings"
 	"testing"
+	"unsafe"
 
 	"mcudist/internal/hw"
 )
@@ -238,28 +242,243 @@ func TestBuildTreeEdgeCases(t *testing.T) {
 }
 
 // A corrupted schedule must fail validation: duplicated contribution,
-// missing broadcast coverage, and out-of-order forwarding.
+// missing broadcast coverage, and out-of-order forwarding. The 8-chip
+// tree has one chunk; the ring cases exercise the chunk axis of the
+// dense counters, where a row-index slip would hide. Each verdict and
+// error text must also match the reference validator's.
 func TestScheduleValidateCatchesCorruption(t *testing.T) {
-	sched, _ := NewSchedule(netParams(hw.TopoTree, 4), 8)
-	dup := *sched
-	dup.Reduce = append(append([]Hop{}, sched.Reduce...), Hop{From: 1, To: 0, Frac: 1, FromAccumulated: false, Class: hw.MIPI()})
-	if err := dup.Validate(); err == nil {
-		t.Error("double contribution not caught")
+	tree, _ := NewSchedule(netParams(hw.TopoTree, 4), 8)
+	ring, _ := NewSchedule(netParams(hw.TopoRing, 4), 8)
+	// Hop 19 of the 8-chip ring is step 2's 3->4 send of chunk 1,
+	// which chip 0 finalizes after four more accumulating hops.
+	const mid = 19
+	for _, tc := range []struct {
+		name   string
+		mutate func() *Schedule
+		want   string
+	}{
+		{"tree double contribution", func() *Schedule {
+			dup := *tree
+			dup.Reduce = append(append([]Hop{}, tree.Reduce...), Hop{From: 1, To: 0, Frac: 1, FromAccumulated: false, Class: hw.MIPI()})
+			return &dup
+		}, "exactly once"},
+		{"tree unreached chip", func() *Schedule {
+			short := *tree
+			short.Broadcast = tree.Broadcast[:len(tree.Broadcast)-1]
+			return &short
+		}, "never reaches"},
+		{"tree out-of-order broadcast", func() *Schedule {
+			// Swapping first and last hop of the 8-chip tree broadcast
+			// makes a chip forward before it received.
+			re := *tree
+			re.Broadcast = append([]Hop{}, tree.Broadcast...)
+			last := len(re.Broadcast) - 1
+			re.Broadcast[0], re.Broadcast[last] = re.Broadcast[last], re.Broadcast[0]
+			return &re
+		}, "before receiving"},
+		{"ring reduce-scatter hop duplicated in place", func() *Schedule {
+			dup := *ring
+			dup.Reduce = append(append(append([]Hop{}, ring.Reduce[:mid+1]...), ring.Reduce[mid]), ring.Reduce[mid+1:]...)
+			return &dup
+		}, "partial 2 times"},
+		{"ring reduce hop dropped", func() *Schedule {
+			drop := *ring
+			drop.Reduce = append(append([]Hop{}, ring.Reduce[:mid]...), ring.Reduce[mid+1:]...)
+			return &drop
+		}, "partial 0 times"},
+		{"ring final moved to a chunk its chip does not own", func() *Schedule {
+			moved := *ring
+			moved.Final = append([]Final{}, ring.Final...)
+			moved.Final[3].Chunk = 6 // chip 3 owns chunk 4
+			return &moved
+		}, "exactly once"},
+		{"ring broadcast hops swapped", func() *Schedule {
+			// Step 1's 0->1 hop forwards chunk 0, which chip 0 receives
+			// only from step 0's 7->0 hop.
+			sw := *ring
+			sw.Broadcast = append([]Hop{}, ring.Broadcast...)
+			sw.Broadcast[7], sw.Broadcast[8] = sw.Broadcast[8], sw.Broadcast[7]
+			return &sw
+		}, "before receiving"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := tc.mutate()
+			err := s.Validate()
+			if err == nil {
+				t.Fatal("corruption not caught")
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("error %q does not say %q", err, tc.want)
+			}
+			if ref := validateReference(s); ref == nil || ref.Error() != err.Error() {
+				t.Errorf("Validate says %q, the reference %v", err, ref)
+			}
+		})
+	}
+}
+
+// validateReference is Validate as it was before it counted over one
+// dense array: one map of source chips per (chip, chunk). It is the
+// oracle FuzzScheduleValidate and the corruption cases hold Validate
+// to, verdict and error text alike.
+func validateReference(s *Schedule) error {
+	if s.N <= 0 || s.Chunks <= 0 {
+		return fmt.Errorf("interconnect: schedule over %d chips / %d chunks", s.N, s.Chunks)
+	}
+	if s.Root < 0 || s.Root >= s.N {
+		return fmt.Errorf("interconnect: root %d out of range", s.Root)
+	}
+	for _, h := range append(append([]Hop{}, s.Reduce...), s.Broadcast...) {
+		if h.From < 0 || h.From >= s.N || h.To < 0 || h.To >= s.N || h.From == h.To {
+			return fmt.Errorf("interconnect: hop %d->%d out of range", h.From, h.To)
+		}
+		if h.Chunk < 0 || h.Chunk >= s.Chunks {
+			return fmt.Errorf("interconnect: hop %d->%d chunk %d out of range", h.From, h.To, h.Chunk)
+		}
+		if h.Frac <= 0 || h.Frac > 1 {
+			return fmt.Errorf("interconnect: hop %d->%d fraction %g out of (0,1]", h.From, h.To, h.Frac)
+		}
+		if !h.Class.Defined() {
+			return fmt.Errorf("interconnect: hop %d->%d crosses an undefined edge (no link class resolved; lower the schedule with NewSchedule against a network that wires it)", h.From, h.To)
+		}
 	}
 
-	short := *sched
-	short.Broadcast = sched.Broadcast[:len(sched.Broadcast)-1]
-	if err := short.Validate(); err == nil {
-		t.Error("unreached chip not caught")
+	contrib := make([][]map[int]int, s.N)
+	for c := range contrib {
+		contrib[c] = make([]map[int]int, s.Chunks)
+		for q := range contrib[c] {
+			contrib[c][q] = map[int]int{c: 1}
+		}
+	}
+	for _, h := range s.Reduce {
+		sent := map[int]int{h.From: 1}
+		if h.FromAccumulated {
+			sent = contrib[h.From][h.Chunk]
+		}
+		for chip, cnt := range sent {
+			contrib[h.To][h.Chunk][chip] += cnt
+		}
+	}
+	for _, f := range s.Final {
+		if f.Chip < 0 || f.Chip >= s.N || f.Chunk < 0 || f.Chunk >= s.Chunks {
+			return fmt.Errorf("interconnect: finalize (%d, chunk %d) out of range", f.Chip, f.Chunk)
+		}
+		if f.Frac <= 0 || f.Frac > 1 {
+			return fmt.Errorf("interconnect: finalize fraction %g out of (0,1]", f.Frac)
+		}
+		for chip := 0; chip < s.N; chip++ {
+			if got := contrib[f.Chip][f.Chunk][chip]; got != 1 {
+				return fmt.Errorf("interconnect: chunk %d finalized on chip %d holds chip %d's partial %d times, want exactly once",
+					f.Chunk, f.Chip, chip, got)
+			}
+		}
+	}
+	if len(s.Final) == 0 {
+		return fmt.Errorf("interconnect: no finalizing chip")
 	}
 
-	reordered := *sched
-	reordered.Broadcast = append([]Hop{}, sched.Broadcast...)
-	last := len(reordered.Broadcast) - 1
-	reordered.Broadcast[0], reordered.Broadcast[last] = reordered.Broadcast[last], reordered.Broadcast[0]
-	// Swapping first and last hop of the 8-chip tree broadcast makes a
-	// chip forward before it received.
-	if err := reordered.Validate(); err == nil {
-		t.Error("out-of-order broadcast not caught")
+	has := make([][]bool, s.N)
+	for c := range has {
+		has[c] = make([]bool, s.Chunks)
+	}
+	for _, f := range s.Final {
+		has[f.Chip][f.Chunk] = true
+	}
+	for _, h := range s.Broadcast {
+		if !has[h.From][h.Chunk] {
+			return fmt.Errorf("interconnect: broadcast hop %d->%d forwards chunk %d before receiving it",
+				h.From, h.To, h.Chunk)
+		}
+		has[h.To][h.Chunk] = true
+	}
+	for c := 0; c < s.N; c++ {
+		for q := 0; q < s.Chunks; q++ {
+			if !has[c][q] {
+				return fmt.Errorf("interconnect: chunk %d never reaches chip %d", q, c)
+			}
+		}
+	}
+	return nil
+}
+
+// FuzzScheduleValidate builds a tree, star, ring or fully-connected
+// schedule over 1-64 chips and applies fuzz-chosen mutations, five
+// bytes each: kind, list (even: reduce, odd: broadcast), a two-byte
+// hop or finalize index, and a value. Validate and validateReference
+// must agree on the verdict and the error text.
+func FuzzScheduleValidate(f *testing.F) {
+	f.Fuzz(func(t *testing.T, topo, chips uint8, ops []byte) {
+		n := 1 + int(chips)%64
+		s, err := NewSchedule(netParams(hw.Topologies()[int(topo)%len(hw.Topologies())], 4), n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := 0; k+5 <= len(ops) && k < 5*32; k += 5 {
+			kind, list, i, v := ops[k]%6, ops[k+1], int(ops[k+2])<<8|int(ops[k+3]), int(ops[k+4])
+			if kind == 5 {
+				// Move a finalize, possibly out of range.
+				fin := &s.Final[i%len(s.Final)]
+				if list%2 == 0 {
+					fin.Chip = v%(s.N+2) - 1
+				} else {
+					fin.Chunk = v%(s.Chunks+2) - 1
+				}
+				continue
+			}
+			hops := &s.Reduce
+			if list%2 == 1 {
+				hops = &s.Broadcast
+			}
+			if len(*hops) == 0 {
+				continue
+			}
+			i %= len(*hops)
+			switch kind {
+			case 0: // drop
+				*hops = append((*hops)[:i:i], (*hops)[i+1:]...)
+			case 1: // duplicate in place
+				*hops = append((*hops)[:i+1:i+1], (*hops)[i:]...)
+			case 2: // swap
+				j := v % len(*hops)
+				(*hops)[i], (*hops)[j] = (*hops)[j], (*hops)[i]
+			case 3: // re-chunk, possibly out of range
+				(*hops)[i].Chunk = v%(s.Chunks+2) - 1
+			case 4:
+				(*hops)[i].FromAccumulated = !(*hops)[i].FromAccumulated
+			}
+		}
+		got, want := s.Validate(), validateReference(s)
+		if (got == nil) != (want == nil) || (got != nil && got.Error() != want.Error()) {
+			t.Fatalf("%s over %d chips: Validate = %v, reference = %v", s.Topology, n, got, want)
+		}
+	})
+}
+
+// Lowering and validating the heaviest stock schedule — the 64-chip
+// ring on a clustered network, 8,064 hops over two link classes — must
+// allocate a bounded number of times, not once per hop or per (chip,
+// chunk) pair as a map-per-accumulator validation does (31,150).
+func TestRingLoweringAllocs(t *testing.T) {
+	p := netParams(hw.TopoRing, 4)
+	p.Network = hw.ClusteredNetwork(hw.MIPI(), hw.MIPI().Slower(10), 4)
+	allocs := testing.AllocsPerRun(5, func() {
+		s, err := NewSchedule(p, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 32 {
+		t.Errorf("lowering and validating the 64-chip clustered ring allocates %.0f times, want at most 32", allocs)
+	}
+}
+
+// Every schedule hop of a 64-chip collective is one Hop; the class
+// index annotate records rides in FromAccumulated's padding.
+func TestHopStays64Bytes(t *testing.T) {
+	if strconv.IntSize == 64 && unsafe.Sizeof(Hop{}) != 64 {
+		t.Errorf("Hop is %d bytes, want 64", unsafe.Sizeof(Hop{}))
 	}
 }

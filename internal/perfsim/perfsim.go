@@ -32,6 +32,7 @@ package perfsim
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"mcudist/internal/collective"
@@ -169,10 +170,10 @@ type Sim struct {
 	d *deploy.Deployment
 	// sched is the run topology's schedule. lows holds it (always at
 	// index 0) plus one lowered schedule per topology the collective
-	// plan binds, each with its hops' class ids interned once at
-	// setup, so the per-sync hop loops index the class axis directly
-	// instead of hashing a LinkClass per hop; scheds maps a bound
-	// topology to its index in lows.
+	// plan binds, each with its schedule classes mapped to run class
+	// ids once at setup, so the per-sync hop loops index the class axis
+	// through Hop.ClassIndex instead of hashing a LinkClass per hop;
+	// scheds maps a bound topology to its index in lows.
 	sched  *interconnect.Schedule
 	lows   []loweredSched
 	scheds map[hw.Topology]int32
@@ -229,6 +230,11 @@ type Sim struct {
 	phaseBuf []float64
 	tiles    []int64
 	bcast    []int64
+	// hopMemo (indexed by run class id) and rootMemo (by root-work
+	// kernel) memoize the pure per-hop prices hopOn and execScaled
+	// would otherwise recompute for every hop.
+	hopMemo  []hopPrice
+	rootMemo []kernelPrice
 
 	// linkGen[i] records the generation that last initialized
 	// linkRes[i]; gen is bumped per run, so links are re-initialized
@@ -262,11 +268,33 @@ type Sim struct {
 }
 
 // loweredSched is one schedule bound for this run plus the run-local
-// interned id of every hop's link class, resolved once at setup.
+// class id of each of its classes, indexed by Hop.ClassIndex.
 type loweredSched struct {
-	sc     *interconnect.Schedule
-	reduce []int32 // class id per sc.Reduce hop
-	bcast  []int32 // class id per sc.Broadcast hop
+	sc  *interconnect.Schedule
+	ids []int32
+}
+
+// kernelPrice is the chip-independent cost of one kernel execution:
+// its L2↔L1 bytes with their DMA time, and its compute cycles before
+// any straggler slowdown. frac is the share of the kernel a memoized
+// price covers; the zero value is the price of a zero share, so a
+// cleared memo never answers wrongly.
+type kernelPrice struct {
+	frac   float64
+	bytes  int64
+	dmaT   float64
+	cycles float64
+}
+
+// hopPrice is one link class's memoized transfer: the bytes a hop
+// carrying share frac of a tile moves, and their nominal duration. The
+// zero value is the price of a zero share of an empty tile, so a
+// cleared memo never answers wrongly.
+type hopPrice struct {
+	tile    int64
+	frac    float64
+	payload int64
+	dur     float64
 }
 
 // pipeHop is one lowered hop of the routed pipeline handoff chain: a
@@ -310,8 +338,9 @@ func (s *Sim) link(from, to int) *eventsim.Resource {
 }
 
 // lowerSched registers one schedule for this run: its classes join the
-// accounting axis in declaration order and every hop's class id is
-// resolved through the intern map once, here, instead of per sync.
+// accounting axis in declaration order, each interned once here. A bare
+// schedule (the pipeline's) resolved no classes; its hops all carry the
+// zero class, which joins the axis when the schedule has any hop.
 func (s *Sim) lowerSched(sc *interconnect.Schedule) int32 {
 	idx := int32(len(s.lows))
 	if len(s.lows) < cap(s.lows) {
@@ -321,16 +350,12 @@ func (s *Sim) lowerSched(sc *interconnect.Schedule) int32 {
 	}
 	lo := &s.lows[idx]
 	lo.sc = sc
+	lo.ids = lo.ids[:0]
 	for _, c := range sc.Classes {
-		s.classIndex(c)
+		lo.ids = append(lo.ids, int32(s.classIndex(c)))
 	}
-	lo.reduce = lo.reduce[:0]
-	for i := range sc.Reduce {
-		lo.reduce = append(lo.reduce, int32(s.classIndex(sc.Reduce[i].Class)))
-	}
-	lo.bcast = lo.bcast[:0]
-	for i := range sc.Broadcast {
-		lo.bcast = append(lo.bcast, int32(s.classIndex(sc.Broadcast[i].Class)))
+	if len(sc.Classes) == 0 && len(sc.Reduce)+len(sc.Broadcast) > 0 {
+		lo.ids = append(lo.ids, int32(s.classIndex(hw.LinkClass{})))
 	}
 	return idx
 }
@@ -507,6 +532,11 @@ func (s *Sim) RunTraced(d *deploy.Deployment, tl *trace.Timeline) (*Result, erro
 	for c := range s.classAcc {
 		s.classAcc[c] = classAccum{byLink: carveInts(s.accByLink, c, nc)}
 	}
+	if cap(s.hopMemo) < nc {
+		s.hopMemo = make([]hopPrice, nc)
+	}
+	s.hopMemo = s.hopMemo[:nc]
+	clear(s.hopMemo)
 
 	// Reusable resources: the chips' exclusive devices and one
 	// full-duplex link per directed pair, re-initialized in place.
@@ -553,6 +583,11 @@ func (s *Sim) RunTraced(d *deploy.Deployment, tl *trace.Timeline) (*Result, erro
 		end = s.runPipeline()
 	default:
 		return nil, fmt.Errorf("perfsim: unknown strategy %v", d.Plan.Strategy)
+	}
+	if math.IsInf(end, 0) || math.IsNaN(end) {
+		// A finite, positive link bandwidth or fault factor can still
+		// overflow a transfer time; report it rather than print +Inf.
+		return nil, fmt.Errorf("perfsim: simulated runtime is not finite (%g cycles): a link or fault setting overflows the cycle count", end)
 	}
 
 	// Results escape into caches shared between callers (evalpool
@@ -694,39 +729,57 @@ func carveInts(backing []int64, i, nc int) []int64 {
 // execCost runs one kernel on a chip starting no earlier than t: tile
 // DMA and compute serialize, matching the stacked accounting.
 func (s *Sim) execCost(chip int, t float64, cost *kernels.Cost) float64 {
-	bytes := cost.TotalL2L1Bytes()
+	p := s.price(cost.TotalL2L1Bytes(), cost.Cycles)
+	return s.execPriced(chip, t, cost.Name, &p)
+}
+
+// price is the chip-independent cost of moving bytes L2↔L1 and
+// computing for cycles.
+func (s *Sim) price(bytes int64, cycles float64) kernelPrice {
+	p := kernelPrice{bytes: bytes, cycles: cycles}
 	if bytes > 0 {
-		dmaT := kernels.DMATime(bytes, s.dmaL2BPC, s.dmaL2Setup, s.l1Tile)
-		t = s.dma[chip].UseAfter(t, dmaT, nil)
-		s.span(chip, "dma-l2l1", cost.Name, t-dmaT, t)
-		s.stats[chip].L2L1Cycles += dmaT
-		s.stats[chip].L2L1Bytes += bytes
+		p.dmaT = kernels.DMATime(bytes, s.dmaL2BPC, s.dmaL2Setup, s.l1Tile)
 	}
-	if cost.Cycles > 0 {
-		cycles := cost.Cycles
+	return p
+}
+
+// execScaled runs a fraction of a kernel's cost (tile-level collective
+// work): its activation traffic and cycles scale, and it moves no
+// weights. The price is a pure function of the kernel and the
+// fraction, so memo, which a sync keeps per kernel, reprices only when
+// the fraction changes.
+func (s *Sim) execScaled(chip int, t float64, cost *kernels.Cost, frac float64, memo *kernelPrice) float64 {
+	if memo.frac != frac {
+		*memo = s.price(int64(float64(cost.ActInBytes)*frac)+int64(float64(cost.ActOutBytes)*frac), cost.Cycles*frac)
+		memo.frac = frac
+	}
+	return s.execPriced(chip, t, cost.Name, memo)
+}
+
+// execPriced runs one priced kernel on a chip starting no earlier than
+// t. The straggler slowdown, the one chip-dependent part of a price,
+// applies here.
+func (s *Sim) execPriced(chip int, t float64, name string, p *kernelPrice) float64 {
+	st := &s.stats[chip]
+	if p.bytes > 0 {
+		t = s.dma[chip].UseAfter(t, p.dmaT, nil)
+		s.span(chip, "dma-l2l1", name, t-p.dmaT, t)
+		st.L2L1Cycles += p.dmaT
+		st.L2L1Bytes += p.bytes
+	}
+	if p.cycles > 0 {
+		cycles := p.cycles
 		if f := s.strFactor; f > 0 && chip == s.strChip {
 			cycles /= f
 		}
 		t = s.cluster[chip].UseAfter(t, cycles, nil)
-		s.span(chip, "compute", cost.Name, t-cycles, t)
-		s.stats[chip].ComputeCycles += cycles
+		s.span(chip, "compute", name, t-cycles, t)
+		st.ComputeCycles += cycles
 	}
-	if t > s.stats[chip].End {
-		s.stats[chip].End = t
+	if t > st.End {
+		st.End = t
 	}
 	return t
-}
-
-// execScaled runs a fraction of a kernel's cost (tile-level collective
-// work).
-func (s *Sim) execScaled(chip int, t float64, cost *kernels.Cost, frac float64) float64 {
-	scaled := kernels.Cost{
-		Name:        cost.Name,
-		Cycles:      cost.Cycles * frac,
-		ActInBytes:  int64(float64(cost.ActInBytes) * frac),
-		ActOutBytes: int64(float64(cost.ActOutBytes) * frac),
-	}
-	return s.execCost(chip, t, &scaled)
 }
 
 // l3Time prices moving bytes over the off-chip path: the DRAM channel
@@ -863,18 +916,25 @@ func (s *Sim) execTiled(chip int, t float64, cost *kernels.Cost, p *memsim.Plan)
 	return prevCd
 }
 
-// hopOn moves payload across one directed link resource of the given
-// interned link class — each edge transfers at its own class's rate
-// and setup cost, which is what lets one schedule mix fast local
-// links with a slow backhaul. Links touching a degraded chip (failure
-// injection) transfer at the configured fraction of nominal
-// bandwidth.
-func (s *Sim) hopOn(link *eventsim.Resource, from, to int, ready float64, payload int64, id int32) float64 {
-	dur := s.classes[id].TransferCycles(s.freqHz, payload)
+// hopOn moves share frac of a tile across the directed link from->to
+// of the given interned link class — each edge transfers at its own
+// class's rate and setup cost, which is what lets one schedule mix fast
+// local links with a slow backhaul. The nominal transfer is a pure
+// function of (class, tile, frac), memoized per class: a ring step
+// moves equal shares over every link, and on a clustered ring the class
+// alternates along the ring. Links touching a degraded chip (failure
+// injection) transfer at the configured fraction of nominal bandwidth.
+func (s *Sim) hopOn(from, to int, ready float64, tile int64, frac float64, id int32) float64 {
+	m := &s.hopMemo[id]
+	if m.tile != tile || m.frac != frac {
+		payload := interconnect.ScalePayload(tile, frac)
+		*m = hopPrice{tile: tile, frac: frac, payload: payload, dur: s.classes[id].TransferCycles(s.freqHz, payload)}
+	}
+	payload, dur := m.payload, m.dur
 	if f := s.degFactor; f > 0 && (from == s.degChip || to == s.degChip) {
 		dur /= f
 	}
-	end := link.UseAfter(ready, dur, nil)
+	end := s.link(from, to).UseAfter(ready, dur, nil)
 	if s.tl != nil {
 		// Each tree edge is its own full-duplex PHY: trace it as its
 		// own exclusive resource. The labels are formatted only on the
@@ -989,6 +1049,13 @@ func (s *Sim) sync(class collective.SyncClass, ready []float64, reducePayload, b
 	chunks := sc.Chunks
 	partial := s.partial
 	has := s.has
+	// The reduce add's and each root-work kernel's memoized prices.
+	var add kernelPrice
+	if cap(s.rootMemo) < len(rootWork) {
+		s.rootMemo = make([]kernelPrice, len(rootWork))
+	}
+	roots := s.rootMemo[:len(rootWork)]
+	clear(roots)
 	for k := 0; k < nt; k++ {
 		frac := 1.0 / float64(nt)
 		for c := 0; c < n; c++ {
@@ -1005,15 +1072,14 @@ func (s *Sim) sync(class collective.SyncClass, ready []float64, reducePayload, b
 				// receiver accumulates.
 				start = ready[h.From]
 			}
-			end := s.hopOn(s.link(h.From, h.To), h.From, h.To, start,
-				interconnect.ScalePayload(tiles[k], h.Frac), lo.reduce[i])
-			addEnd := s.execScaled(h.To, maxF(end, partial[h.To*chunks+h.Chunk]), &s.d.ReduceAdd, frac*h.Frac)
+			end := s.hopOn(h.From, h.To, start, tiles[k], h.Frac, lo.ids[h.ClassIndex()])
+			addEnd := s.execScaled(h.To, maxF(end, partial[h.To*chunks+h.Chunk]), &s.d.ReduceAdd, frac*h.Frac, &add)
 			partial[h.To*chunks+h.Chunk] = addEnd
 		}
 		for _, f := range sc.Final {
 			t := partial[f.Chip*chunks+f.Chunk]
 			for i := range rootWork {
-				t = s.execScaled(f.Chip, t, &rootWork[i], frac*f.Frac)
+				t = s.execScaled(f.Chip, t, &rootWork[i], frac*f.Frac, &roots[i])
 			}
 			if t > arrive[f.Chip] {
 				arrive[f.Chip] = t
@@ -1022,8 +1088,7 @@ func (s *Sim) sync(class collective.SyncClass, ready []float64, reducePayload, b
 		}
 		for i := range sc.Broadcast {
 			h := &sc.Broadcast[i]
-			end := s.hopOn(s.link(h.From, h.To), h.From, h.To, has[h.From*chunks+h.Chunk],
-				interconnect.ScalePayload(bcastTiles[k], h.Frac), lo.bcast[i])
+			end := s.hopOn(h.From, h.To, has[h.From*chunks+h.Chunk], bcastTiles[k], h.Frac, lo.ids[h.ClassIndex()])
 			if end > has[h.To*chunks+h.Chunk] {
 				has[h.To*chunks+h.Chunk] = end
 			}
@@ -1177,7 +1242,7 @@ func (s *Sim) runPipeline() float64 {
 			// direct hop on fully wired networks, multi-hop through
 			// surviving chips when the direct edge is missing.
 			for _, h := range s.pipeHops[s.pipeOff[c]:s.pipeOff[c+1]] {
-				t = s.hopOn(s.link(int(h.from), int(h.to)), int(h.from), int(h.to), t, actPayload, h.class)
+				t = s.hopOn(int(h.from), int(h.to), t, actPayload, 1, h.class)
 			}
 		}
 	}

@@ -320,3 +320,34 @@ func BenchmarkSimulate8ChipAR(b *testing.B) {
 		}
 	}
 }
+
+// The allocation-free hot path the package comment promises: a warm
+// run of the 64-chip ring (8,064 hops per synchronization) on a pinned
+// arena allocates only its Result — the Result itself, LinkClasses,
+// PerChip, the two backings of the per-chip class counters, ByClass
+// and its per-link backing. The arena comes from NewSim, not the
+// package pool, which drops items under the race detector.
+func TestWarmRingRunAllocatesOnlyItsResult(t *testing.T) {
+	p, err := partition.NewTensorParallel(model.TinyLlamaScaled64(), 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plat := hw.Siracusa()
+	plat.Topology = hw.TopoRing
+	d, err := deploy.New(p, plat, model.Prompt, 256, deploy.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewSim()
+	if _, err := s.Run(d); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := s.Run(d); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 7 {
+		t.Errorf("a warm 64-chip ring run allocates %.0f times, want at most the Result's 7", allocs)
+	}
+}

@@ -242,3 +242,54 @@ func TestPerturbedDigestNeverCollides(t *testing.T) {
 		t.Error("materialized table digest collides with the uniform profile")
 	}
 }
+
+// A link slowdown every validator accepts — a positive, finite
+// bandwidth or slow-edge factor — can still overflow a transfer time to
+// +Inf cycles. The simulator must report that as an error instead of a
+// runtime of +Inf (which printed a NaN speedup and exited 0). The three
+// spellings: a clustered backhaul 1e308x slower, a slow:0-1x1e308
+// fault, and a netlist class of 1e-300 B/s.
+func TestOverflowingLinkIsAnError(t *testing.T) {
+	wl := core.Workload{Model: model.TinyLlama42M(), Mode: model.Autoregressive}
+	ring := core.DefaultSystem(8)
+	ring.HW.Topology = hw.TopoRing
+
+	backhaul := ring
+	backhaul.HW.Network = hw.ClusteredNetwork(hw.MIPI(), hw.MIPI().Slower(1e308), 4)
+
+	faults, err := ParseFaults("slow:0-1x1e308")
+	if err != nil {
+		t.Fatal(err)
+	}
+	slowed, _, err := Degrade(ring, wl.Model, faults...)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	nl, err := ParseNetlist(strings.NewReader("chips 2\nclass m 1e-300 256 100\nlink 0 1 m bidi\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wired := core.DefaultSystem(2)
+	if wired.HW.Network, err = nl.Network(); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		name string
+		sys  core.System
+	}{
+		{"backhaul 1e308", backhaul},
+		{"slow:0-1x1e308", slowed},
+		{"netlist class 1e-300 B/s", wired},
+	} {
+		rep, err := core.Run(tc.sys, wl)
+		if err == nil {
+			t.Errorf("%s: accepted with %g cycles", tc.name, rep.Cycles)
+			continue
+		}
+		if !strings.Contains(err.Error(), "not finite") {
+			t.Errorf("%s: error %q does not say the runtime is not finite", tc.name, err)
+		}
+	}
+}

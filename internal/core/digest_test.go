@@ -16,9 +16,11 @@ import (
 // the paths golden_test.go (uniform network, no faults) does not
 // reach: clustered networks, whose two link classes alternate along
 // the ring; a degraded link; a straggler; a per-sync collective plan;
-// and the pipeline, whose bare schedule interns the zero link class
-// ahead of its chain's classes. Any drift in any counter's bits trips
-// them.
+// the pipeline, whose bare schedule interns the zero link class ahead
+// of its chain's classes; and the DRAM tier, whose streamed GEMMs run
+// tile by tile (per-family, ragged and default tilings, a shallow
+// two-bank and a 1<<20-deep prefetch engine, a straggler). Any drift
+// in any counter's bits trips them.
 var reportDigests = []struct {
 	name   string
 	sys    func() System
@@ -92,6 +94,62 @@ var reportDigests = []struct {
 		},
 		wl:     Workload{Model: model.TinyLlama42M(), Mode: model.Autoregressive},
 		digest: "13fadda65d7432e1e5fd55641ac4342d72e892350b5dd283a450716ac7629bb4",
+	},
+	{
+		name: "edgellama-ar-8-dram-tiled",
+		sys: func() System {
+			s := DefaultSystem(8)
+			s.HW.Mem = hw.LPDDR5()
+			s.HW.Mem.TileK, s.HW.Mem.TileN = 32, 352
+			s.HW.Mem.FFNTileK, s.HW.Mem.FFNTileN = 32, 512
+			return s
+		},
+		wl:     Workload{Model: model.EdgeLlama1B(), Mode: model.Autoregressive},
+		digest: "05f0e327d005f0a62009d8f5a639a39eca91817957344d4cb3c0e3bc0b38b26d",
+	},
+	{
+		name: "tinyllama-prompt-2-dram-d1b2",
+		sys: func() System {
+			s := DefaultSystem(2)
+			s.HW.Mem = hw.LPDDR5()
+			s.HW.Mem.PrefetchDepth, s.HW.Mem.SRAMBanks = 1, 2
+			return s
+		},
+		wl:     Workload{Model: model.TinyLlama42M(), Mode: model.Prompt},
+		digest: "795f143eedc994267bfd19df4940eb9a0cc3cee0d65fe0e34f599324d9e003cb",
+	},
+	{
+		name: "tinyllama-ar-2-dram-deep",
+		sys: func() System {
+			s := DefaultSystem(2)
+			s.HW.Mem = hw.LPDDR5()
+			s.HW.Mem.PrefetchDepth = 1 << 20
+			return s
+		},
+		wl:     Workload{Model: model.TinyLlama42M(), Mode: model.Autoregressive},
+		digest: "d8937de1924e880064c687581c98e4d67559a4d42d07d6c76c9dbbe74d1e3810",
+	},
+	{
+		name: "edgellama-ar-8-dram-straggler",
+		sys: func() System {
+			s := DefaultSystem(8)
+			s.HW.Mem = hw.LPDDR5()
+			s.Options.StragglerChip, s.Options.StragglerFactor = 5, 0.5
+			return s
+		},
+		wl:     Workload{Model: model.EdgeLlama1B(), Mode: model.Autoregressive},
+		digest: "dc0409d69939142d4210b21eea743cda0c745fb835a388aa2f6b4d87880115f6",
+	},
+	{
+		name: "edgellama-prompt-8-dram-ragged",
+		sys: func() System {
+			s := DefaultSystem(8)
+			s.HW.Mem = hw.LPDDR5()
+			s.HW.Mem.TileK, s.HW.Mem.TileN = 100, 37
+			return s
+		},
+		wl:     Workload{Model: model.EdgeLlama1B(), Mode: model.Prompt},
+		digest: "9d7763f0e569209894b37adf2409f95474932678e1ac574e86d99f9e52cb034f",
 	},
 }
 

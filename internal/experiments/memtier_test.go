@@ -103,3 +103,23 @@ func TestMemTilingAutotune(t *testing.T) {
 			r.RankAccuracy, r.ExactSims, r.GridSims)
 	}
 }
+
+// TestMemTilingAutotuneWarmAllocs bounds what a warm paper pass pays
+// for the tiling study: with every verification a report-cache hit,
+// what is left is the lowering and the closed-form predictor, which
+// plans each distinct GEMM once per candidate tiling and keeps no
+// per-tile state.
+func TestMemTilingAutotuneWarmAllocs(t *testing.T) {
+	if _, err := MemTilingAutotune(); err != nil {
+		t.Fatal(err)
+	}
+	a := testing.AllocsPerRun(3, func() {
+		if _, err := MemTilingAutotune(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if a > 5000 {
+		t.Fatalf("warm MemTilingAutotune allocates %.0f times, want at most 5000", a)
+	}
+	t.Logf("warm MemTilingAutotune: %.0f allocations", a)
+}

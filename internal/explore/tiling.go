@@ -2,6 +2,7 @@ package explore
 
 import (
 	"fmt"
+	"slices"
 
 	"mcudist/internal/core"
 	"mcudist/internal/deploy"
@@ -101,41 +102,69 @@ type TilingResult struct {
 	Verified []TilingCandidate
 }
 
-// famGEMMs is one streamed chip's tileable GEMMs of one layer family,
-// with the chip's per-forward block count as the multiplier.
-type famGEMMs struct {
+// family is one layer family's tileable GEMMs on the streamed chips.
+// The chips of a deployment repeat a few GEMM shapes (EdgeLlama-1B's 8
+// chips stream 56 GEMMs of 5 shapes), so familyCost plans each
+// distinct shape once per tiling.
+type family struct {
+	// shapes are the distinct GEMMs, in first-seen order.
+	shapes []memsim.GEMM
+	// chips are the streamed chips with GEMMs in this family.
+	chips []famChip
+	// makespan and spill are familyCost's per-shape prices.
+	makespan, spill []float64
+}
+
+// famChip is one streamed chip's share of a family: its per-forward
+// block count as the multiplier, and its GEMMs in kernel order as
+// indexes into family.shapes.
+type famChip struct {
 	blocks float64
-	gemms  []memsim.GEMM
+	gemms  []int
+}
+
+// index returns g's index in f.shapes, appending it when new.
+func (f *family) index(g memsim.GEMM) int {
+	j := slices.Index(f.shapes, g)
+	if j < 0 {
+		j = len(f.shapes)
+		f.shapes = append(f.shapes, g)
+	}
+	return j
 }
 
 // tilingFamilies splits the streamed chips' tileable GEMMs by layer
 // family (the kernels carry the FFN tag the deployment planner set).
-func tilingFamilies(d *deploy.Deployment) (attn, ffn []famGEMMs) {
+func tilingFamilies(d *deploy.Deployment) (attn, ffn *family) {
+	attn, ffn = &family{}, &family{}
 	for i := range d.Chips {
 		cd := &d.Chips[i]
 		if cd.Tier != deploy.TierStreamed {
 			continue
 		}
-		var a, f famGEMMs
-		a.blocks = float64(cd.Blocks)
-		f.blocks = float64(cd.Blocks)
+		a := famChip{blocks: float64(cd.Blocks)}
+		f := famChip{blocks: float64(cd.Blocks)}
 		for _, ops := range [][]kernels.Cost{cd.MHSA, cd.FC} {
 			for _, c := range ops {
 				if g, ok := memsim.GEMMOf(c); ok {
 					if c.FFN {
-						f.gemms = append(f.gemms, g)
+						f.gemms = append(f.gemms, ffn.index(g))
 					} else {
-						a.gemms = append(a.gemms, g)
+						a.gemms = append(a.gemms, attn.index(g))
 					}
 				}
 			}
 		}
 		if len(a.gemms) > 0 {
-			attn = append(attn, a)
+			attn.chips = append(attn.chips, a)
 		}
 		if len(f.gemms) > 0 {
-			ffn = append(ffn, f)
+			ffn.chips = append(ffn.chips, f)
 		}
+	}
+	for _, fam := range []*family{attn, ffn} {
+		fam.makespan = make([]float64, len(fam.shapes))
+		fam.spill = make([]float64, len(fam.shapes))
 	}
 	return attn, ffn
 }
@@ -144,17 +173,15 @@ func tilingFamilies(d *deploy.Deployment) (attn, ffn []famGEMMs) {
 // every streamed GEMM's slot-fitting tilings, in first-seen order.
 // One shared pool (rather than per-family grids) keeps uniform
 // tilings well-defined for both families.
-func tilingPool(ch memsim.Channel, fams ...[]famGEMMs) []memsim.Tiling {
+func tilingPool(ch memsim.Channel, fams ...*family) []memsim.Tiling {
 	var pool []memsim.Tiling
 	seen := map[memsim.Tiling]bool{}
 	for _, fam := range fams {
-		for _, cg := range fam {
-			for _, g := range cg.gemms {
-				for _, t := range memsim.CandidateTilings(ch, g) {
-					if !seen[t] {
-						seen[t] = true
-						pool = append(pool, t)
-					}
+		for _, g := range fam.shapes {
+			for _, t := range memsim.CandidateTilings(ch, g) {
+				if !seen[t] {
+					seen[t] = true
+					pool = append(pool, t)
 				}
 			}
 		}
@@ -168,25 +195,32 @@ func tilingPool(ch memsim.Channel, fams ...[]famGEMMs) []memsim.Tiling {
 // extra column pass re-reads the GEMM input from L3 — the term that
 // makes narrow tiles expensive even when their makespan looks good).
 // Tile dimensions larger than a GEMM's own K/N clamp inside PlanGEMM,
-// so every pool tiling prices every GEMM.
-func familyCost(ch memsim.Channel, fam []famGEMMs, t memsim.Tiling, spill bool) (float64, error) {
-	var worst float64
-	for _, cg := range fam {
-		var sum float64
-		for _, g := range cg.gemms {
-			p, err := memsim.PlanGEMM(ch, g, t)
-			if err != nil {
-				return 0, err
+// so every pool tiling prices every GEMM. Each distinct GEMM is
+// planned once; the chips' sums add its prices in kernel order.
+func familyCost(ch memsim.Channel, fam *family, t memsim.Tiling, spill bool) (float64, error) {
+	for j, g := range fam.shapes {
+		p, err := memsim.PlanGEMM(ch, g, t)
+		if err != nil {
+			return 0, err
+		}
+		fam.makespan[j] = p.Makespan()
+		if spill {
+			refetch := int64(p.ActPasses) + 1
+			if refetch < 2 {
+				refetch = 2
 			}
-			sum += p.Makespan()
+			ab := int64(g.ActElemBytes)
+			bytes := int64(g.M)*int64(g.K)*ab*refetch + int64(g.M)*int64(g.N)*ab
+			fam.spill[j] = ch.TransferCycles(bytes)
+		}
+	}
+	var worst float64
+	for _, cg := range fam.chips {
+		var sum float64
+		for _, j := range cg.gemms {
+			sum += fam.makespan[j]
 			if spill {
-				refetch := int64(p.ActPasses) + 1
-				if refetch < 2 {
-					refetch = 2
-				}
-				ab := int64(g.ActElemBytes)
-				bytes := int64(g.M)*int64(g.K)*ab*refetch + int64(g.M)*int64(g.N)*ab
-				sum += ch.TransferCycles(bytes)
+				sum += fam.spill[j]
 			}
 		}
 		if c := cg.blocks * sum; c > worst {
@@ -231,7 +265,7 @@ func AutotuneTiling(base core.System, wl core.Workload, opts TilingOptions) (*Ti
 		return nil, err
 	}
 	attn, ffn := tilingFamilies(d)
-	if len(attn) == 0 || len(ffn) == 0 {
+	if len(attn.chips) == 0 || len(ffn.chips) == 0 {
 		return nil, fmt.Errorf("explore: tiling autotune needs a streamed-tier deployment with tileable GEMMs in both layer families (tier %v)", d.WorstTier())
 	}
 	ch := memsim.ChannelOf(base.HW)

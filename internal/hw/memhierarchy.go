@@ -212,8 +212,8 @@ func (m MemHierarchy) Validate() error {
 		return fmt.Errorf("hw: tile dimensions must be set together (TileN=%d TileK=%d)", m.TileN, m.TileK)
 	case (m.FFNTileN > 0) != (m.FFNTileK > 0):
 		return fmt.Errorf("hw: FFN tile dimensions must be set together (FFNTileN=%d FFNTileK=%d)", m.FFNTileN, m.FFNTileK)
-	case m.DRAMPJPerByte < 0:
-		return fmt.Errorf("hw: DRAM energy must be non-negative, got %g", m.DRAMPJPerByte)
+	case !(m.DRAMPJPerByte >= 0) || math.IsInf(m.DRAMPJPerByte, 1):
+		return fmt.Errorf("hw: DRAM energy must be non-negative and finite, got %g", m.DRAMPJPerByte)
 	}
 	return nil
 }

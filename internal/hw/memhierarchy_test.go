@@ -1,6 +1,9 @@
 package hw
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func TestMemProfileRoundTrip(t *testing.T) {
 	for _, p := range MemProfiles() {
@@ -83,6 +86,9 @@ func TestMemHierarchyValidateRejects(t *testing.T) {
 		{"half ffn tiling", func(m *MemHierarchy) { m.FFNTileK = 64 }},
 		{"negative tile", func(m *MemHierarchy) { m.TileN, m.TileK = -1, -1 }},
 		{"negative energy", func(m *MemHierarchy) { m.DRAMPJPerByte = -1 }},
+		{"NaN energy", func(m *MemHierarchy) { m.DRAMPJPerByte = math.NaN() }},
+		{"+Inf energy", func(m *MemHierarchy) { m.DRAMPJPerByte = math.Inf(1) }},
+		{"-Inf energy", func(m *MemHierarchy) { m.DRAMPJPerByte = math.Inf(-1) }},
 		{"invalid profile", func(m *MemHierarchy) { m.Profile = MemProfile(42) }},
 	}
 	for _, tc := range cases {

@@ -1,11 +1,14 @@
 package hw
 
 import (
+	"cmp"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 )
@@ -223,18 +226,15 @@ func TableNetwork(edges map[Edge]LinkClass) (Network, error) {
 		}
 		keys = append(keys, e)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].From != keys[j].From {
-			return keys[i].From < keys[j].From
+	slices.SortFunc(keys, func(a, b Edge) int {
+		if c := cmp.Compare(a.From, b.From); c != 0 {
+			return c
 		}
-		return keys[i].To < keys[j].To
+		return cmp.Compare(a.To, b.To)
 	})
 	h := sha256.New()
 	for _, e := range keys {
-		c := edges[e]
-		fmt.Fprintf(h, "%d>%d:%016x:%d:%016x;", e.From, e.To,
-			math.Float64bits(c.BandwidthBytesPerSec), c.SetupCycles,
-			math.Float64bits(c.EnergyPJPerByte))
+		h.Write(appendEdgeDigest(make([]byte, 0, 128), e, edges[e]))
 	}
 	digest := hex.EncodeToString(h.Sum(nil))
 
@@ -246,6 +246,30 @@ func TableNetwork(edges map[Edge]LinkClass) (Network, error) {
 	tableReg[digest] = cp
 	tableMu.Unlock()
 	return Network{Profile: NetTable, TableDigest: digest}, nil
+}
+
+// appendEdgeDigest appends one edge's digest record,
+// "from>to:bandwidth bits:setup:energy bits;", with both ids and the
+// setup in decimal and both float bit patterns as 16 lowercase hex
+// digits.
+func appendEdgeDigest(b []byte, e Edge, c LinkClass) []byte {
+	b = strconv.AppendInt(b, int64(e.From), 10)
+	b = append(b, '>')
+	b = strconv.AppendInt(b, int64(e.To), 10)
+	b = append(b, ':')
+	b = appendHex16(b, math.Float64bits(c.BandwidthBytesPerSec))
+	b = append(b, ':')
+	b = strconv.AppendInt(b, int64(c.SetupCycles), 10)
+	b = append(b, ':')
+	b = appendHex16(b, math.Float64bits(c.EnergyPJPerByte))
+	return append(b, ';')
+}
+
+// appendHex16 appends v as 16 lowercase hex digits, zero-padded.
+func appendHex16(b []byte, v uint64) []byte {
+	var be [8]byte
+	binary.BigEndian.PutUint64(be[:], v)
+	return hex.AppendEncode(b, be[:])
 }
 
 // lookupTable returns the registered table, or nil.

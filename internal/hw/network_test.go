@@ -97,6 +97,58 @@ func TestTableNetworkCanonicalDigest(t *testing.T) {
 	}
 }
 
+// TestTableNetworkDigestPinned pins the content digests of two tables:
+// a materialized 64-chip clustered network, and a table with
+// non-round floats, multi-digit chip ids and energies whose bit
+// patterns have leading zero hex digits. Result-store table records
+// persist the digest, so its spelling must never change.
+func TestTableNetworkDigestPinned(t *testing.T) {
+	clustered, err := NetworkEdges(ClusteredNetwork(MIPI(), MIPI().Slower(10), 4), 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	odd := map[Edge]LinkClass{
+		{0, 1}:    {BandwidthBytesPerSec: 3.14159e8, SetupCycles: 7, EnergyPJPerByte: 0},
+		{1, 0}:    {BandwidthBytesPerSec: 2.5e8, SetupCycles: 300, EnergyPJPerByte: 1e-300},
+		{10, 3}:   {BandwidthBytesPerSec: 1.2345678901234e9, SetupCycles: 1234567, EnergyPJPerByte: 2.718281828459045},
+		{3, 127}:  {BandwidthBytesPerSec: 5e-7, SetupCycles: 0, EnergyPJPerByte: 99.99},
+		{127, 10}: {BandwidthBytesPerSec: 0.1, SetupCycles: 65536, EnergyPJPerByte: 1.5e300},
+	}
+	for _, c := range []struct {
+		name   string
+		edges  map[Edge]LinkClass
+		digest string
+	}{
+		{"clustered-64", clustered, "88ac36e7e0aceaf5d7f9e0bef61a1d114a29d0719a84cfd871146aaf291cd535"},
+		{"odd-floats", odd, "8d35cfa6ced0fdd8dd3b2b97c0d3e66c4f693f06d811f76bdb193a743cf4f337"},
+	} {
+		net, err := TableNetwork(c.edges)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if net.TableDigest != c.digest {
+			t.Errorf("%s: digest %s, want %s", c.name, net.TableDigest, c.digest)
+		}
+	}
+}
+
+// TestTableNetworkAllocs bounds the allocations of registering a
+// 64-chip fully-connected table (4032 edges): a handful for the sort,
+// the digest and the registered copy, none per edge.
+func TestTableNetworkAllocs(t *testing.T) {
+	edges, err := NetworkEdges(UniformNetwork(MIPI()), 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a := testing.AllocsPerRun(10, func() {
+		if _, err := TableNetwork(edges); err != nil {
+			t.Fatal(err)
+		}
+	}); a > 32 {
+		t.Fatalf("TableNetwork allocates %.0f times on %d edges, want at most 32", a, len(edges))
+	}
+}
+
 func TestTableNetworkRejectsBadTables(t *testing.T) {
 	if _, err := TableNetwork(nil); err == nil {
 		t.Error("empty table accepted")

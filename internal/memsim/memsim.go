@@ -9,7 +9,8 @@
 // The unit of planning is one GEMM: PlanGEMM cuts its K×N weight
 // matrix into TileK×TileN tiles (N-major order, so each output column
 // group's partial sums complete before the next begins) and prices
-// every tile's DRAM fetch, L2→L1 DMA, compute share, and bank stall.
+// each tile shape's DRAM fetch, L2→L1 DMA, compute share, and bank
+// stall; a plan has at most four shapes however many tiles it has.
 // Plan.Makespan evaluates the pipeline recurrence in closed form; the
 // performance simulator replays the identical per-tile costs on its
 // eventsim resources, so the closed form and the event-driven result
@@ -28,6 +29,7 @@ package memsim
 
 import (
 	"fmt"
+	"iter"
 	"strconv"
 	"strings"
 
@@ -163,9 +165,38 @@ func GEMMOf(c kernels.Cost) (GEMM, bool) {
 	}, true
 }
 
-// Plan is the fully priced tile schedule of one GEMM: per-tile DRAM
-// fetch time, L2→L1 DMA time, compute share, and bank-contention
-// stall, in execution order (N-major, K-inner).
+// Tile is the price of one tile of a plan: its DRAM channel
+// occupancy, its L2→L1 cluster-DMA occupancy (weight tile + activation
+// slice in + partial out on column-group boundaries), its prorated
+// compute-cluster occupancy, its SRAM bank-contention charge, and its
+// L2↔L1 traffic in bytes.
+//
+// Stall is what the arbiter steals while the next tile's prefetch is
+// in flight during this tile's work: min(DMA+Comp, next Fetch) /
+// Banks, zero for the last tile. Deterministic by construction — it
+// depends on the tile prices, not on event timing — which keeps the
+// closed form and the event replay identical and makes the charge
+// monotone in Banks.
+type Tile struct {
+	Fetch, DMA, Comp, Stall float64
+	L2L1Bytes               int64
+}
+
+// A plan's tiles come in at most four shapes: the interior or last K
+// band of a column group × an interior or last column group. The last
+// band is ragged when TileK does not divide K and also writes the
+// column group's output back; the last group is ragged when TileN
+// does not divide N. A shape index has lastBand set for a group's
+// last K band and lastGroup set for the last column group.
+const (
+	lastBand  = 1
+	lastGroup = 2
+)
+
+// Plan is the fully priced tile schedule of one GEMM. It stores the
+// price of each tile shape and of each (shape, next shape) stall, not
+// one entry per tile; All walks the tiles in execution order (N-major,
+// K-inner).
 type Plan struct {
 	Tiling Tiling
 	// Tiles = ceil(K/TileK) * ceil(N/TileN).
@@ -175,29 +206,70 @@ type Plan struct {
 	ActPasses int
 	// Depth and Banks echo the channel knobs the plan was priced
 	// under (the recurrence needs Depth; Banks is already folded into
-	// Stall).
+	// each tile's Stall).
 	Depth, Banks int
-
-	// Fetch[i] is tile i's DRAM channel occupancy.
-	Fetch []float64
-	// DMA[i] is tile i's L2→L1 cluster-DMA occupancy (weight tile +
-	// activation slice in + partial out on column-group boundaries).
-	DMA []float64
-	// Comp[i] is tile i's prorated compute-cluster occupancy.
-	Comp []float64
-	// Stall[i] is the SRAM bank-contention charge: while tile i+1's
-	// prefetch is in flight during tile i's work, the arbiter steals
-	// min(work_i, fetch_{i+1}) / Banks cycles. Deterministic by
-	// construction — it depends on the per-tile costs, not on event
-	// timing — which keeps the closed form and the event replay
-	// identical and makes the charge monotone in Banks.
-	Stall []float64
-	// L2L1Bytes[i] is tile i's L2↔L1 traffic in bytes.
-	L2L1Bytes []int64
 
 	// WeightBytes is the whole weight matrix (= sum of tile fetches'
 	// payloads), billed once as off-chip traffic.
 	WeightBytes int64
+
+	// bands = ceil(K/TileK): K bands per column group.
+	bands int
+	// shape[s] is shape s's tile, with Stall zero; stall[s][n] is the
+	// Stall of a shape-s tile followed by a shape-n tile.
+	shape [4]Tile
+	stall [4][4]float64
+}
+
+// shapeOf returns the shape index of the tile in column group n, K
+// band k.
+func (p *Plan) shapeOf(n, k int) int {
+	s := 0
+	if k == p.bands-1 {
+		s |= lastBand
+	}
+	if n == p.ActPasses-1 {
+		s |= lastGroup
+	}
+	return s
+}
+
+// All walks the plan's tiles in execution order: column group by
+// column group, each group's K bands in order. It steps (group, band)
+// counters rather than dividing the tile index: the walk is the inner
+// loop of every tiled replay.
+func (p *Plan) All() iter.Seq2[int, Tile] {
+	return func(yield func(int, Tile) bool) {
+		n, k := 0, 0
+		s := p.shapeOf(0, 0)
+		for i := 0; i < p.Tiles; i++ {
+			t := p.shape[s]
+			if k++; k == p.bands {
+				n, k = n+1, 0
+			}
+			next := s
+			if i < p.Tiles-1 {
+				next = p.shapeOf(n, k)
+				t.Stall = p.stall[s][next]
+			}
+			if !yield(i, t) {
+				return
+			}
+			s = next
+		}
+	}
+}
+
+// Slots is the number of stream-buffer slots the pipeline recurrence
+// needs: Depth+1, but never more than Tiles. A slot index at or past
+// Tiles is never reused, so the clamp changes no result, and a huge
+// Depth neither overflows Depth+1 nor allocates a slot per unit of
+// depth.
+func (p *Plan) Slots() int {
+	if p.Depth >= p.Tiles {
+		return p.Tiles
+	}
+	return p.Depth + 1
 }
 
 // resolveTiling returns the effective tiling: t itself when set, else
@@ -259,60 +331,57 @@ func PlanGEMM(ch Channel, g GEMM, t Tiling) (*Plan, error) {
 
 	nK := (g.K + tk - 1) / tk
 	nN := (g.N + tn - 1) / tn
-	tiles := nK * nN
 	p := &Plan{
-		Tiling:    Tiling{K: tk, N: tn},
-		Tiles:     tiles,
-		ActPasses: nN,
-		Depth:     ch.Depth,
-		Banks:     ch.Banks,
-		Fetch:     make([]float64, tiles),
-		DMA:       make([]float64, tiles),
-		Comp:      make([]float64, tiles),
-		Stall:     make([]float64, tiles),
-		L2L1Bytes: make([]int64, tiles),
+		Tiling:      Tiling{K: tk, N: tn},
+		Tiles:       nK * nN,
+		ActPasses:   nN,
+		Depth:       ch.Depth,
+		Banks:       ch.Banks,
+		WeightBytes: int64(g.K) * int64(g.N) * wb,
+		bands:       nK,
 	}
 
 	total := float64(g.K) * float64(g.N)
-	i := 0
-	for nIdx := 0; nIdx < nN; nIdx++ {
-		tnI := tn
-		if rem := g.N - nIdx*tn; rem < tn {
-			tnI = rem
+	for s := range p.shape {
+		tkI, tnI := tk, tn
+		if s&lastBand != 0 {
+			tkI = g.K - (nK-1)*tk
 		}
-		for kIdx := 0; kIdx < nK; kIdx++ {
-			tkI := tk
-			if rem := g.K - kIdx*tk; rem < tk {
-				tkI = rem
-			}
-			wBytes := int64(tkI) * int64(tnI) * wb
-			actIn := int64(g.M) * int64(tkI) * ab
-			var actOut int64
-			if kIdx == nK-1 {
-				// The column group's accumulators are complete:
-				// write the M×tnI output slice back.
-				actOut = int64(g.M) * int64(tnI) * ab
-			}
-			l2l1 := wBytes + actIn + actOut
-			p.Fetch[i] = ch.TransferCycles(wBytes)
-			p.DMA[i] = kernels.DMATime(l2l1, ch.L2BytesPerCycle, ch.L2SetupCycles, ch.L1TileBytes)
-			p.Comp[i] = g.ComputeCycles * float64(tkI) * float64(tnI) / total
-			p.L2L1Bytes[i] = l2l1
-			p.WeightBytes += wBytes
-			i++
+		if s&lastGroup != 0 {
+			tnI = g.N - (nN-1)*tn
+		}
+		wBytes := int64(tkI) * int64(tnI) * wb
+		actIn := int64(g.M) * int64(tkI) * ab
+		var actOut int64
+		if s&lastBand != 0 {
+			// The column group's accumulators are complete: write
+			// the M×tnI output slice back.
+			actOut = int64(g.M) * int64(tnI) * ab
+		}
+		l2l1 := wBytes + actIn + actOut
+		p.shape[s] = Tile{
+			Fetch:     ch.TransferCycles(wBytes),
+			DMA:       kernels.DMATime(l2l1, ch.L2BytesPerCycle, ch.L2SetupCycles, ch.L1TileBytes),
+			Comp:      g.ComputeCycles * float64(tkI) * float64(tnI) / total,
+			L2L1Bytes: l2l1,
 		}
 	}
-	for i := 0; i < tiles-1; i++ {
-		work := p.DMA[i] + p.Comp[i]
-		next := p.Fetch[i+1]
-		if next < work {
-			p.Stall[i] = next / float64(ch.Banks)
-		} else {
-			p.Stall[i] = work / float64(ch.Banks)
+	for s, t := range p.shape {
+		work := t.DMA + t.Comp
+		for n, u := range p.shape {
+			if next := u.Fetch; next < work {
+				p.stall[s][n] = next / float64(ch.Banks)
+			} else {
+				p.stall[s][n] = work / float64(ch.Banks)
+			}
 		}
 	}
 	return p, nil
 }
+
+// stackSlots is how many stream-buffer slots Makespan keeps on the
+// stack; a deeper prefetch engine allocates its slot ring.
+const stackSlots = 8
 
 // Makespan evaluates the pipeline recurrence in closed form: with
 // slots = Depth+1 stream-buffer slots, tile i's fetch may start once
@@ -328,23 +397,42 @@ func PlanGEMM(ch Channel, g GEMM, t Tiling) (*Plan, error) {
 // value — pinned by a test — so plan makespans double as an exact
 // additive predictor for the tiling autotuner.
 func (p *Plan) Makespan() float64 {
-	slots := p.Depth + 1
-	// cdRing[j] holds cd[i-slots+ (j offset)]; small fixed window.
-	cdRing := make([]float64, slots)
-	var fdPrev, cdPrev float64
-	for i := 0; i < p.Tiles; i++ {
+	// ring[j] holds the drain time of slot j's latest tile. When every
+	// tile gets a fresh slot, each drain time read is the initial zero
+	// and no ring is needed.
+	slots := p.Slots()
+	var buf [stackSlots]float64
+	var ring []float64
+	if slots < p.Tiles {
+		if slots <= len(buf) {
+			ring = buf[:slots]
+		} else {
+			ring = make([]float64, slots)
+		}
+	}
+	var fdPrev, cdPrev, drained float64
+	slot := 0
+	for _, t := range p.All() {
+		if ring != nil {
+			drained = ring[slot]
+		}
 		fd := fdPrev
-		if drained := cdRing[i%slots]; drained > fd {
+		if drained > fd {
 			fd = drained
 		}
-		fd += p.Fetch[i]
+		fd += t.Fetch
 		cs := cdPrev
 		if fd > cs {
 			cs = fd
 		}
-		cd := cs + p.DMA[i] + p.Comp[i] + p.Stall[i]
+		cd := cs + t.DMA + t.Comp + t.Stall
 		fdPrev, cdPrev = fd, cd
-		cdRing[i%slots] = cd
+		if ring != nil {
+			ring[slot] = cd
+			if slot++; slot == slots {
+				slot = 0
+			}
+		}
 	}
 	return cdPrev
 }
@@ -354,8 +442,8 @@ func (p *Plan) Makespan() float64 {
 // breakdown).
 func (p *Plan) WorkCycles() float64 {
 	var s float64
-	for i := 0; i < p.Tiles; i++ {
-		s += p.DMA[i] + p.Comp[i] + p.Stall[i]
+	for _, t := range p.All() {
+		s += t.DMA + t.Comp + t.Stall
 	}
 	return s
 }

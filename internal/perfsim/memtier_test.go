@@ -70,6 +70,40 @@ func TestExecTiledMatchesPlanMakespan(t *testing.T) {
 	}
 }
 
+// TestExecTiledHugeDepth pins the slot clamp on the replay: at the
+// deepest representable prefetch depth, where Depth+1 slots would
+// overflow, replaying a plan still takes exactly its makespan, which
+// equals the makespan at a depth of one slot per tile.
+func TestExecTiledHugeDepth(t *testing.T) {
+	hwp := dramParams()
+	e := kernels.Elem{Weight: 1, Act: 1, Acc: 4, Reduce: 1}
+	cost := kernels.Linear(hwp, 16, 2048, 5632, e)
+	g, ok := memsim.GEMMOf(cost)
+	if !ok {
+		t.Fatal("Linear must yield a GEMM")
+	}
+	tl := memsim.Tiling{K: 256, N: 128}
+	ch := memsim.ChannelOf(hwp)
+	ch.Depth = math.MaxInt
+	plan, err := memsim.PlanGEMM(ch, g, tl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch.Depth = plan.Tiles
+	bounded, err := memsim.PlanGEMM(ch, g, tl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := tiledSim()
+	end := s.execTiled(0, 0, &cost, plan)
+	if want := plan.Makespan(); end != want {
+		t.Fatalf("elapsed %g != makespan %g", end, want)
+	}
+	if want := bounded.Makespan(); end != want {
+		t.Fatalf("elapsed at depth MaxInt %g != makespan at depth Tiles %g", end, want)
+	}
+}
+
 // TestExecTiledBackToBack pins that a second GEMM right after a first
 // one still reproduces its own makespan: the shared io/dma/cluster
 // resources never delay the explicit-ready chain.

@@ -860,7 +860,7 @@ func (s *Sim) phase(chip int, t float64, ops []kernels.Cost, plans []*memsim.Pla
 
 // execTiled runs one weight-streaming GEMM tile-by-tile: each tile's
 // DRAM fetch occupies the chip's io engine (gated by the channel being
-// free and by its stream-buffer slot having drained, Depth+1 slots),
+// free and by its stream-buffer slot having drained, Plan.Slots slots),
 // then its L2→L1 DMA and compute+stall serialize after the previous
 // tile's work — exactly the recurrence Plan.Makespan evaluates in
 // closed form, so with a free chip the elapsed time equals the plan
@@ -873,37 +873,41 @@ func (s *Sim) phase(chip int, t float64, ops []kernels.Cost, plans []*memsim.Pla
 // whole weight matrix is billed once as off-chip bytes — so the root
 // chip's buckets still sum exactly to its elapsed time.
 func (s *Sim) execTiled(chip int, t float64, cost *kernels.Cost, p *memsim.Plan) float64 {
-	slots := p.Depth + 1
+	slots := p.Slots()
 	ring := growFloats(s.tileRing, slots)
 	s.tileRing = ring
 	start := t
 	prevCd := t
 	var charged float64
 	st := &s.stats[chip]
-	for i := 0; i < p.Tiles; i++ {
+	slot := 0
+	for _, tile := range p.All() {
 		ready := start
-		if r := ring[i%slots]; r > ready {
+		if r := ring[slot]; r > ready {
 			ready = r
 		}
-		fEnd := s.io[chip].UseAfter(ready, p.Fetch[i], nil)
+		fEnd := s.io[chip].UseAfter(ready, tile.Fetch, nil)
 		if s.tl != nil {
-			s.span(chip, "dma-l3", "tile-fetch", fEnd-p.Fetch[i], fEnd)
+			s.span(chip, "dma-l3", "tile-fetch", fEnd-tile.Fetch, fEnd)
 		}
-		dEnd := s.dma[chip].UseAfter(maxF(fEnd, prevCd), p.DMA[i], nil)
-		s.span(chip, "dma-l2l1", cost.Name, dEnd-p.DMA[i], dEnd)
-		comp := p.Comp[i]
+		dEnd := s.dma[chip].UseAfter(maxF(fEnd, prevCd), tile.DMA, nil)
+		s.span(chip, "dma-l2l1", cost.Name, dEnd-tile.DMA, dEnd)
+		comp := tile.Comp
 		if f := s.strFactor; f > 0 && chip == s.strChip {
 			comp /= f
 		}
-		work := comp + p.Stall[i]
+		work := comp + tile.Stall
 		cEnd := s.cluster[chip].UseAfter(dEnd, work, nil)
 		s.span(chip, "compute", cost.Name, cEnd-work, cEnd)
-		st.L2L1Cycles += p.DMA[i]
-		st.L2L1Bytes += p.L2L1Bytes[i]
+		st.L2L1Cycles += tile.DMA
+		st.L2L1Bytes += tile.L2L1Bytes
 		st.ComputeCycles += comp
-		st.L3Cycles += p.Stall[i]
-		charged += p.DMA[i] + comp + p.Stall[i]
-		ring[i%slots] = cEnd
+		st.L3Cycles += tile.Stall
+		charged += tile.DMA + comp + tile.Stall
+		ring[slot] = cEnd
+		if slot++; slot == slots {
+			slot = 0
+		}
 		prevCd = cEnd
 	}
 	st.L3Bytes += p.WeightBytes

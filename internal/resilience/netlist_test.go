@@ -150,6 +150,34 @@ func FuzzParseNetlist(f *testing.F) {
 	})
 }
 
+// TestNetlistDigestPinned pins the table digest of a measured wiring
+// with non-round rates and energies: result-store table records
+// persist it, so a netlist must register under the same digest in
+// every build.
+func TestNetlistDigestPinned(t *testing.T) {
+	const board = `chips 12
+class mipi 4.87654321e8 251 97.25
+class spi  3.3333333e7  61  0.000125
+class i3c  1.25e6       0   0
+link 0 1 mipi bidi
+link 1 2 mipi bidi
+link 2 11 spi bidi
+link 11 10 i3c
+link 10 0 spi bidi
+`
+	nl, err := ParseNetlist(strings.NewReader(board))
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, err := nl.Network()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "f24fa0d361e8b4be46199fdd14e7698ed12386b39359d4c1e522b9986560ac7b"; net.TableDigest != want {
+		t.Fatalf("netlist digest %s, want %s", net.TableDigest, want)
+	}
+}
+
 func TestLoadNetlist(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "board.netlist")
 	if err := os.WriteFile(path, []byte(sampleNetlist), 0o644); err != nil {

@@ -70,8 +70,10 @@ func (w Workload) ResolvedBatch() int {
 
 // Report is the consolidated outcome of one simulated forward pass.
 type Report struct {
-	System   System
-	Workload Workload
+	// The result store keys a report by its configuration and Load
+	// restates it, so the stored body carries no echo of it.
+	System   System   `json:"-"`
+	Workload Workload `json:"-"`
 
 	// Cycles is the total runtime in cluster cycles.
 	Cycles float64
@@ -92,8 +94,10 @@ type Report struct {
 	// L3Bytes is total off-chip traffic; C2CBytes total link traffic.
 	L3Bytes  int64
 	C2CBytes int64
-	// PerChip carries the raw simulator counters.
-	PerChip []perfsim.ChipStats
+	// MaxChipBusyCycles is the busiest chip's compute + L2↔L1 + L3
+	// cycles (for the pipeline, the slowest stage). The per-chip
+	// counters behind it are in perfsim.Result.
+	MaxChipBusyCycles float64
 	// ByClass splits the synchronization and link accounting per
 	// synchronization class (which classes ran, on which topology,
 	// with how much traffic) — the attribution axis for per-sync
@@ -107,27 +111,34 @@ type Report struct {
 
 // Run plans, simulates, and evaluates one workload on one system.
 func Run(sys System, wl Workload) (*Report, error) {
+	rep, _, err := run(sys, wl)
+	return rep, err
+}
+
+// run is Run that also returns the simulator result the report
+// summarizes.
+func run(sys System, wl Workload) (*Report, *perfsim.Result, error) {
 	if sys.Chips <= 0 {
-		return nil, fmt.Errorf("core: chip count %d must be positive", sys.Chips)
+		return nil, nil, fmt.Errorf("core: chip count %d must be positive", sys.Chips)
 	}
 	if wl.Batch < 0 {
-		return nil, fmt.Errorf("core: micro-batch width %d must be non-negative", wl.Batch)
+		return nil, nil, fmt.Errorf("core: micro-batch width %d must be non-negative", wl.Batch)
 	}
 	if wl.Batch > 1 && wl.Mode != model.Autoregressive {
-		return nil, fmt.Errorf("core: micro-batch width %d needs autoregressive mode (prompt batching is the sequence length)", wl.Batch)
+		return nil, nil, fmt.Errorf("core: micro-batch width %d needs autoregressive mode (prompt batching is the sequence length)", wl.Batch)
 	}
 	plan, err := buildPlan(sys, wl.Model)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	s := wl.ResolvedSeqLen()
 	d, err := deploy.NewBatched(plan, sys.HW, wl.Mode, s, wl.ResolvedBatch(), sys.Options)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	res, err := perfsim.Run(d)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	e := energy.FromResult(sys.HW, res)
 	rep := &Report{
@@ -141,15 +152,18 @@ func Run(sys System, wl Workload) (*Report, error) {
 		Tier:      d.WorstTier(),
 		Syncs:     res.Syncs,
 		C2CBytes:  res.TotalC2CBytes,
-		PerChip:   res.PerChip,
 		ByClass:   res.ByClass,
 
 		C2CEnergyByClass: energy.C2CByClass(sys.HW, res),
 	}
 	for i := range res.PerChip {
-		rep.L3Bytes += res.PerChip[i].L3Bytes
+		st := &res.PerChip[i]
+		rep.L3Bytes += st.L3Bytes
+		if busy := st.ComputeCycles + st.L2L1Cycles + st.L3Cycles; busy > rep.MaxChipBusyCycles {
+			rep.MaxChipBusyCycles = busy
+		}
 	}
-	return rep, nil
+	return rep, res, nil
 }
 
 // Lower runs just the deployment planner for a (system, workload)

@@ -10,7 +10,7 @@ import (
 )
 
 func TestRunDefaultSystem(t *testing.T) {
-	rep, err := Run(DefaultSystem(8), Workload{Model: model.TinyLlama42M(), Mode: model.Autoregressive})
+	rep, res, err := run(DefaultSystem(8), Workload{Model: model.TinyLlama42M(), Mode: model.Autoregressive})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,8 +32,8 @@ func TestRunDefaultSystem(t *testing.T) {
 	if rep.Syncs != 16 {
 		t.Fatalf("syncs = %d, want 16", rep.Syncs)
 	}
-	if len(rep.PerChip) != 8 {
-		t.Fatalf("per-chip stats = %d", len(rep.PerChip))
+	if len(res.PerChip) != 8 {
+		t.Fatalf("per-chip stats = %d", len(res.PerChip))
 	}
 	if len(rep.ByClass) != 2 || len(rep.C2CEnergyByClass) != 2 {
 		t.Fatalf("per-class split = %d sync, %d energy classes, want 2 (decode MHSA, FFN)",
@@ -106,12 +106,12 @@ func TestBaselineStrategiesRun(t *testing.T) {
 }
 
 func TestL3BytesAggregated(t *testing.T) {
-	rep, err := Run(DefaultSystem(8), Workload{Model: model.TinyLlama42M(), Mode: model.Autoregressive})
+	rep, res, err := run(DefaultSystem(8), Workload{Model: model.TinyLlama42M(), Mode: model.Autoregressive})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var sum int64
-	for _, c := range rep.PerChip {
+	for _, c := range res.PerChip {
 		sum += c.L3Bytes
 	}
 	if rep.L3Bytes != sum {
@@ -120,5 +120,27 @@ func TestL3BytesAggregated(t *testing.T) {
 	// Double-buffered: the whole model crosses L3 once per forward.
 	if rep.L3Bytes != int64(model.TinyLlama42M().TotalWeightBytes()) {
 		t.Fatalf("L3 bytes %d, want one model worth", rep.L3Bytes)
+	}
+}
+
+// MaxChipBusyCycles is the per-chip maximum it summarizes, bit for bit:
+// ExtensionBatchingStudy's pipeline throughput reads it.
+func TestMaxChipBusyCyclesSummarizesPerChip(t *testing.T) {
+	for _, strat := range []partition.Strategy{partition.TensorParallel, partition.Pipeline} {
+		sys := DefaultSystem(8)
+		sys.Strategy = strat
+		rep, res, err := run(sys, Workload{Model: model.TinyLlama42M(), Mode: model.Prompt, SeqLen: 16})
+		if err != nil {
+			t.Fatalf("%v: %v", strat, err)
+		}
+		var want float64
+		for _, st := range res.PerChip {
+			if busy := st.ComputeCycles + st.L2L1Cycles + st.L3Cycles; busy > want {
+				want = busy
+			}
+		}
+		if want <= 0 || math.Float64bits(rep.MaxChipBusyCycles) != math.Float64bits(want) {
+			t.Errorf("%v: MaxChipBusyCycles = %v, want the per-chip maximum %v", strat, rep.MaxChipBusyCycles, want)
+		}
 	}
 }

@@ -1,6 +1,8 @@
 package deploy
 
 import (
+	"math"
+
 	"mcudist/internal/hw"
 	"mcudist/internal/mem"
 	"mcudist/internal/model"
@@ -112,7 +114,8 @@ func streamTileBytes(hwp hw.Params) int {
 // PrefetchDepth+1 slots (one active tile, the rest in flight) of the
 // largest tile either layer family pins — the full slot when a family
 // auto-sizes. Pinned tiles larger than a slot are capped here; the
-// planner rejects them with a real error when it builds the plans.
+// planner rejects them with a real error when it builds the plans. A
+// buffer past math.MaxInt bytes saturates there.
 func streamBufferBytes(p *partition.Plan, hwp hw.Params) int {
 	slot := streamTileBytes(hwp)
 	tile := 0
@@ -127,6 +130,9 @@ func streamBufferBytes(p *partition.Plan, hwp hw.Params) int {
 		if fam > tile {
 			tile = fam
 		}
+	}
+	if tile > 0 && hwp.Mem.PrefetchDepth >= math.MaxInt/tile {
+		return math.MaxInt
 	}
 	return (hwp.Mem.PrefetchDepth + 1) * tile
 }

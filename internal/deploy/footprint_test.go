@@ -1,6 +1,7 @@
 package deploy
 
 import (
+	"math"
 	"testing"
 
 	"mcudist/internal/hw"
@@ -51,6 +52,9 @@ func TestStreamBufferBytes(t *testing.T) {
 		{"oversized tile capped at the slot", dram(func(m *hw.MemHierarchy) {
 			m.TileK, m.TileN = 512, 512 // 256 KiB > one 128 KiB slot
 		}), 3 * slot},
+		{"largest depth saturates", dram(func(m *hw.MemHierarchy) {
+			m.PrefetchDepth = math.MaxInt // (depth+1) * slot wraps to 0
+		}), math.MaxInt},
 	}
 	for _, tc := range cases {
 		if got := streamBufferBytes(p, tc.hwp); got != tc.want {

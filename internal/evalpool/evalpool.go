@@ -184,6 +184,10 @@ func (p *Pool) Run(sys core.System, wl core.Workload) (*core.Report, error) {
 	return f.rep, f.err
 }
 
+// simulate is the exact evaluation fill runs on a miss in both tiers;
+// tests replace it to hold a flight open.
+var simulate = core.Run
+
 // fill resolves one memory miss: the persistent store if attached,
 // an exact simulation otherwise. Exactly one fill runs per point at
 // any time (the caller holds the point's flight).
@@ -196,7 +200,7 @@ func (p *Pool) fill(sys core.System, wl core.Workload) (*core.Report, error) {
 		}
 	}
 	p.sims.Add(1)
-	rep, err := core.Run(sys, wl)
+	rep, err := simulate(sys, wl)
 	if err == nil {
 		if s := p.store.Load(); s != nil {
 			// A failed append degrades the store to a smaller cache,

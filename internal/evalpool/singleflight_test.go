@@ -1,6 +1,7 @@
 package evalpool
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 
@@ -58,11 +59,19 @@ func TestSingleflightOneSimulationPerPoint(t *testing.T) {
 // Reset must not break the singleflight guarantee: requests that
 // joined a flight before the cache drop still share its result, and
 // the flight settles into the post-Reset cache so later requests hit
-// memory instead of re-simulating.
+// memory instead of re-simulating. The simulation is held until every
+// requester has joined the flight and Reset has returned, so the
+// flight is open through the Reset on every run.
 func TestSingleflightSurvivesReset(t *testing.T) {
 	p := New(8)
 	sys := core.DefaultSystem(2)
 	wl := core.Workload{Model: model.TinyLlama42M(), Mode: model.Autoregressive}
+	release := make(chan struct{})
+	simulate = func(sys core.System, wl core.Workload) (*core.Report, error) {
+		<-release
+		return core.Run(sys, wl)
+	}
+	t.Cleanup(func() { simulate = core.Run })
 
 	const goroutines = 32
 	var done sync.WaitGroup
@@ -75,7 +84,13 @@ func TestSingleflightSurvivesReset(t *testing.T) {
 			}
 		}()
 	}
-	p.Reset() // concurrent with the flight: must not double-simulate
+	// Every requester but the flight's owner counts a memory hit as
+	// it joins.
+	for p.Stats().MemoryHits < goroutines-1 {
+		runtime.Gosched()
+	}
+	p.Reset() // while the flight is open: must not double-simulate
+	close(release)
 	done.Wait()
 
 	if sims := p.Simulations(); sims != 1 {

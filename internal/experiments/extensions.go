@@ -202,15 +202,9 @@ func ExtensionBatchingStudy() ([]BatchRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Per-stage occupancy from the simulated single request: the
-	// slowest stage bounds pipeline throughput.
-	var maxStage float64
-	for _, st := range pipe.PerChip {
-		busy := st.ComputeCycles + st.L2L1Cycles + st.L3Cycles
-		if busy > maxStage {
-			maxStage = busy
-		}
-	}
+	// The slowest stage of the simulated single request bounds
+	// pipeline throughput.
+	maxStage := pipe.MaxChipBusyCycles
 	freq := pipeSys.HW.Chip.FreqHz
 
 	var rows []BatchRow

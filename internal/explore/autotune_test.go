@@ -8,6 +8,7 @@ import (
 	"mcudist/internal/hw"
 	"mcudist/internal/model"
 	"mcudist/internal/partition"
+	"mcudist/internal/perfsim"
 )
 
 // The autotuner at the 64-chip prompt point must rediscover the PR 2
@@ -126,8 +127,18 @@ func TestFrontierPointsCarryClassCycles(t *testing.T) {
 			}
 			sum += cc.C2CCycles
 		}
+		// The per-chip counters live in the simulator result; rerun
+		// the point's lowering to read them.
+		d, err := core.Lower(p.Report.System, p.Report.Workload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := perfsim.Run(d)
+		if err != nil {
+			t.Fatal(err)
+		}
 		var chips float64
-		for _, st := range p.Report.PerChip {
+		for _, st := range res.PerChip {
 			chips += st.C2CCycles
 		}
 		if sum != chips {

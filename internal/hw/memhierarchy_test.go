@@ -39,6 +39,24 @@ func TestMemProfileRoundTrip(t *testing.T) {
 	}
 }
 
+// FuzzParseMemProfile: the parser never panics, and an accepted
+// spelling's canonical name parses back to the same profile and name.
+// Seeds in testdata/fuzz cover every alias, case, whitespace, an
+// unknown name and the empty string.
+func FuzzParseMemProfile(f *testing.F) {
+	f.Fuzz(func(t *testing.T, s string) {
+		p, err := ParseMemProfile(s)
+		if err != nil {
+			return
+		}
+		name := p.String()
+		back, err := ParseMemProfile(name)
+		if err != nil || back != p || back.String() != name {
+			t.Fatalf("%q parses as %s, whose name parses as %s (%v)", s, name, back, err)
+		}
+	})
+}
+
 func TestMemHierarchyZeroValueIsFlatAndValid(t *testing.T) {
 	var m MemHierarchy
 	if m.Enabled() {

@@ -213,16 +213,34 @@ var (
 // table must validate; edges not present are undefined and reject
 // schedules that route over them.
 func TableNetwork(edges map[Edge]LinkClass) (Network, error) {
+	digest, err := DigestTable(edges)
+	if err != nil {
+		return Network{}, err
+	}
+	cp := make(map[Edge]LinkClass, len(edges))
+	for e, c := range edges {
+		cp[e] = c
+	}
+	tableMu.Lock()
+	tableReg[digest] = cp
+	tableMu.Unlock()
+	return Network{Profile: NetTable, TableDigest: digest}, nil
+}
+
+// DigestTable validates an explicit per-edge link table and returns
+// the canonical content digest TableNetwork registers it under,
+// without registering it.
+func DigestTable(edges map[Edge]LinkClass) (string, error) {
 	if len(edges) == 0 {
-		return Network{}, fmt.Errorf("hw: per-edge table must define at least one edge")
+		return "", fmt.Errorf("hw: per-edge table must define at least one edge")
 	}
 	keys := make([]Edge, 0, len(edges))
 	for e, c := range edges {
 		if e.From < 0 || e.To < 0 || e.From == e.To {
-			return Network{}, fmt.Errorf("hw: bad table edge %d->%d", e.From, e.To)
+			return "", fmt.Errorf("hw: bad table edge %d->%d", e.From, e.To)
 		}
 		if err := c.Validate(); err != nil {
-			return Network{}, fmt.Errorf("hw: table edge %d->%d: %w", e.From, e.To, err)
+			return "", fmt.Errorf("hw: table edge %d->%d: %w", e.From, e.To, err)
 		}
 		keys = append(keys, e)
 	}
@@ -236,16 +254,7 @@ func TableNetwork(edges map[Edge]LinkClass) (Network, error) {
 	for _, e := range keys {
 		h.Write(appendEdgeDigest(make([]byte, 0, 128), e, edges[e]))
 	}
-	digest := hex.EncodeToString(h.Sum(nil))
-
-	cp := make(map[Edge]LinkClass, len(edges))
-	for e, c := range edges {
-		cp[e] = c
-	}
-	tableMu.Lock()
-	tableReg[digest] = cp
-	tableMu.Unlock()
-	return Network{Profile: NetTable, TableDigest: digest}, nil
+	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
 // appendEdgeDigest appends one edge's digest record,

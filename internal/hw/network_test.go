@@ -95,6 +95,18 @@ func TestTableNetworkCanonicalDigest(t *testing.T) {
 	if c == a {
 		t.Error("different tables collided on one digest")
 	}
+	// DigestTable names the same digest without registering the table.
+	unregistered := map[Edge]LinkClass{{2, 3}: MIPI().Slower(7)}
+	d, err := DigestTable(unregistered)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := TableEdges(d); ok {
+		t.Error("DigestTable registered the table")
+	}
+	if n, err := TableNetwork(unregistered); err != nil || n.TableDigest != d {
+		t.Errorf("TableNetwork digest %q (%v), DigestTable %q", n.TableDigest, err, d)
+	}
 }
 
 // TestTableNetworkDigestPinned pins the content digests of two tables:

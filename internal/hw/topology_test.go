@@ -23,6 +23,25 @@ func TestTopologyStringAndParse(t *testing.T) {
 	}
 }
 
+// FuzzParseTopology drives the parser through Topology.UnmarshalText,
+// the path JSON decoding takes: it never panics, and an accepted
+// spelling's canonical name unmarshals back to the same topology and
+// name. Seeds in testdata/fuzz cover every alias, case, whitespace, an
+// unknown name and the empty string.
+func FuzzParseTopology(f *testing.F) {
+	f.Fuzz(func(t *testing.T, s string) {
+		var topo Topology
+		if err := topo.UnmarshalText([]byte(s)); err != nil {
+			return
+		}
+		name := topo.String()
+		var back Topology
+		if err := back.UnmarshalText([]byte(name)); err != nil || back != topo || back.String() != name {
+			t.Fatalf("%q unmarshals as %s, whose name unmarshals as %s (%v)", s, name, back, err)
+		}
+	})
+}
+
 func TestValidateRejectsUnknownTopology(t *testing.T) {
 	p := Siracusa()
 	p.Topology = Topology(99)

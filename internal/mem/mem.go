@@ -6,6 +6,7 @@ package mem
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -115,9 +116,17 @@ type Footprint struct {
 	CommBytes int
 }
 
-// Total returns the summed footprint.
+// Total returns the summed footprint, saturating at math.MaxInt
+// instead of wrapping.
 func (f Footprint) Total() int {
-	return f.WeightBytes + f.KVBytes + f.ActivationBytes + f.CommBytes
+	total := 0
+	for _, b := range [...]int{f.WeightBytes, f.KVBytes, f.ActivationBytes, f.CommBytes} {
+		if b > math.MaxInt-total {
+			return math.MaxInt
+		}
+		total += b
+	}
+	return total
 }
 
 // FitsIn reports whether the footprint fits the given budget.

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -117,6 +118,10 @@ func TestFootprint(t *testing.T) {
 	}
 	if f.FitsIn(154) {
 		t.Fatal("overflow accepted")
+	}
+	huge := Footprint{WeightBytes: math.MaxInt, KVBytes: 20, ActivationBytes: 30}
+	if huge.Total() != math.MaxInt || huge.FitsIn(1<<30) {
+		t.Fatalf("total = %d, want it saturated at math.MaxInt", huge.Total())
 	}
 }
 

@@ -20,10 +20,14 @@
 //   - The log is append-only JSON lines with a per-record CRC. A
 //     truncated or corrupt record — a crashed writer, a torn page — is
 //     skipped (the configuration is simply re-simulated), never fatal.
+//   - A report body holds only what the report's readers use: no
+//     configuration echo (the digest keys it and Load restates the
+//     requested configuration) and no per-chip counters.
 //   - Reports whose system routes over an explicit per-edge table
 //     (hw.NetTable) persist the table wiring alongside the entry, so a
 //     cold process rehydrates the registry before serving table-backed
-//     configurations.
+//     configurations. A wiring is written as its distinct link classes
+//     plus one (from, to, class index) integer triple per edge.
 //   - Errors are never persisted: a failed evaluation may be transient
 //     (or fixed by the next release), so only successful reports reach
 //     the log.
@@ -44,6 +48,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"maps"
 	"math"
 	"os"
 	"path/filepath"
@@ -68,7 +73,11 @@ import (
 // v3: hw.Params gained the Mem hierarchy (profile, DRAM channel,
 // prefetch depth, SRAM banks, per-family tilings, DRAM energy), which
 // changes the canonical rendering of every system.
-const DigestVersion = 3
+//
+// v4: a stored report drops its per-chip counters (core.Report keeps
+// only MaxChipBusyCycles) and its System/Workload echo, and a table
+// record writes its wiring as a class list plus integer triples.
+const DigestVersion = 4
 
 // Digest returns the canonical content address of one evaluation
 // point: a versioned sha256 over an exact rendering of every System
@@ -83,31 +92,32 @@ func Digest(sys core.System, wl core.Workload) string {
 	return fmt.Sprintf("v%d-%x", DigestVersion, h.Sum(nil))
 }
 
-// record is one line of the append-only log.
+// record is one report line of the append-only log.
 type record struct {
-	// Kind is "report" or "table".
+	// Kind is "report".
 	Kind string `json:"kind"`
 	// V is the digest/format version the record was written under;
 	// records from other versions are ignored on read.
 	V int `json:"v"`
 
-	// Report records: the configuration digest, the CRC-32 (IEEE) of
-	// the raw report bytes, and the report itself.
+	// The configuration digest, the CRC-32 (IEEE) of the raw report
+	// bytes, and the report itself.
 	Digest string          `json:"digest,omitempty"`
 	CRC    uint32          `json:"crc,omitempty"`
 	Report json.RawMessage `json:"report,omitempty"`
-
-	// Table records: the hw.TableNetwork content digest and the edge
-	// list needed to re-register it in a cold process.
-	Table string      `json:"table,omitempty"`
-	Edges []tableEdge `json:"edges,omitempty"`
 }
 
-// tableEdge is one wired edge of a persisted per-edge link table.
-type tableEdge struct {
-	From  int          `json:"from"`
-	To    int          `json:"to"`
-	Class hw.LinkClass `json:"class"`
+// tableRecord is one per-edge table line of the log: the
+// hw.TableNetwork content digest and the wiring that re-registers it
+// in a cold process. Classes lists the distinct link classes in their
+// first use along the canonical (from, to) edge order; Edges holds one
+// (from, to, index into Classes) triple per edge, in that order.
+type tableRecord struct {
+	Kind    string         `json:"kind"`
+	V       int            `json:"v"`
+	Table   string         `json:"table"`
+	Classes []hw.LinkClass `json:"classes"`
+	Edges   []int          `json:"edges"`
 }
 
 // entryRef locates one report record inside the log.
@@ -167,8 +177,8 @@ func (s *Store) scan() error {
 		return fmt.Errorf("resultstore: %w", err)
 	}
 	defer f.Close()
-	// Report lines are indexed in the reader's buffer; longer lines (a
-	// 64-chip table record reaches 400 KB) gather into one reused buffer.
+	// Lines are indexed in the reader's buffer; longer ones (a table
+	// record on more than about 90 chips) gather into one reused buffer.
 	r := bufio.NewReaderSize(f, 64<<10)
 	var long []byte
 	var offset int64
@@ -199,7 +209,7 @@ func (s *Store) scan() error {
 
 // indexLine folds one log line into the index; anything unparseable
 // is skipped. A report record is indexed from its envelope alone; a
-// table record takes the full JSON decode.
+// table record re-registers its wiring.
 func (s *Store) indexLine(line []byte, offset int64, length int, complete bool) {
 	if !complete {
 		s.skipped++
@@ -209,27 +219,16 @@ func (s *Store) indexLine(line []byte, offset int64, length int, complete bool) 
 		s.index[digest] = entryRef{offset: offset, length: length}
 		return
 	}
-	var rec record
-	switch {
-	case json.Unmarshal(line, &rec) != nil:
-		s.skipped++
-	case rec.V == DigestVersion && rec.Kind == "table":
-		edges := make(map[hw.Edge]hw.LinkClass, len(rec.Edges))
-		for _, e := range rec.Edges {
-			edges[hw.Edge{From: e.From, To: e.To}] = e.Class
-		}
-		net, err := hw.TableNetwork(edges)
-		if err != nil || net.TableDigest != rec.Table {
-			// The wiring does not reproduce its recorded digest: the
-			// record is damaged. TableNetwork interned it under its
-			// actual content digest, which no entry references.
-			s.skipped++
+	if digest, edges, ok := decodeTableLine(line); ok {
+		// A wiring that does not reproduce its recorded digest is
+		// damaged. TableNetwork interned it under its actual content
+		// digest, which no entry references.
+		if net, err := hw.TableNetwork(edges); err == nil && net.TableDigest == digest {
+			s.tables[digest] = true
 			return
 		}
-		s.tables[rec.Table] = true
-	default:
-		s.skipped++
 	}
+	s.skipped++
 }
 
 // reportPrefix is the head of every report line Append writes: json.Marshal
@@ -278,6 +277,49 @@ func decodeReportLine(line []byte) (digest string, body []byte, ok bool) {
 	return digest, body, true
 }
 
+// encodeTableLine renders the table record of a per-edge wiring under
+// its hw.TableNetwork digest, without the trailing newline.
+func encodeTableLine(digest string, edges map[hw.Edge]hw.LinkClass) ([]byte, error) {
+	keys := slices.SortedFunc(maps.Keys(edges), func(a, b hw.Edge) int {
+		return cmp.Or(cmp.Compare(a.From, b.From), cmp.Compare(a.To, b.To))
+	})
+	rec := tableRecord{Kind: "table", V: DigestVersion, Table: digest, Edges: make([]int, 0, 3*len(keys))}
+	index := map[hw.LinkClass]int{}
+	for _, e := range keys {
+		c := edges[e]
+		i, ok := index[c]
+		if !ok {
+			i = len(rec.Classes)
+			index[c] = i
+			rec.Classes = append(rec.Classes, c)
+		}
+		rec.Edges = append(rec.Edges, e.From, e.To, i)
+	}
+	return json.Marshal(rec)
+}
+
+// decodeTableLine reads a table line of this version and returns its
+// recorded digest and wiring, or ok=false unless the edges are whole
+// (from, to, class) triples and every class index is in range. It
+// registers nothing and leaves the digest to the caller: the open
+// scan keeps a wiring only when hw.TableNetwork registers it under the
+// recorded digest.
+func decodeTableLine(line []byte) (digest string, edges map[hw.Edge]hw.LinkClass, ok bool) {
+	var rec tableRecord
+	if json.Unmarshal(line, &rec) != nil || rec.Kind != "table" || rec.V != DigestVersion ||
+		len(rec.Edges)%3 != 0 {
+		return "", nil, false
+	}
+	edges = make(map[hw.Edge]hw.LinkClass, len(rec.Edges)/3)
+	for t := rec.Edges; len(t) > 0; t = t[3:] {
+		if t[2] < 0 || t[2] >= len(rec.Classes) {
+			return "", nil, false
+		}
+		edges[hw.Edge{From: t[0], To: t[1]}] = rec.Classes[t[2]]
+	}
+	return rec.Table, edges, true
+}
+
 // reportBody returns the raw report bytes of one indexed log line, or
 // ok=false unless it is an intact report record for digest.
 func reportBody(line []byte, digest string) ([]byte, bool) {
@@ -316,9 +358,7 @@ func (s *Store) Load(sys core.System, wl core.Workload) (*core.Report, bool) {
 	if json.Unmarshal(body, rep) != nil {
 		return nil, false
 	}
-	// The requested configuration is the key; restating it exactly
-	// sidesteps any serialization asymmetry in the System/Workload
-	// echo (and makes the report self-describing for the caller).
+	// The body holds no configuration: the requested one is the key.
 	rep.System = sys
 	rep.Workload = wl
 	return rep, true
@@ -383,15 +423,7 @@ func (s *Store) appendTableLocked(tableDigest string) error {
 	if !ok {
 		return fmt.Errorf("resultstore: per-edge table %q is not registered", tableDigest)
 	}
-	rec := record{Kind: "table", V: DigestVersion, Table: tableDigest}
-	for e, c := range edges {
-		rec.Edges = append(rec.Edges, tableEdge{From: e.From, To: e.To, Class: c})
-	}
-	// Canonical edge order, matching hw.TableNetwork's digest walk.
-	slices.SortFunc(rec.Edges, func(a, b tableEdge) int {
-		return cmp.Or(cmp.Compare(a.From, b.From), cmp.Compare(a.To, b.To))
-	})
-	line, err := json.Marshal(rec)
+	line, err := encodeTableLine(tableDigest, edges)
 	if err != nil {
 		return fmt.Errorf("resultstore: encode table: %w", err)
 	}

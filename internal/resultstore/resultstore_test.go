@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"maps"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -258,8 +259,8 @@ func TestDigestVersionMismatchInvalidates(t *testing.T) {
 
 // Reports on table-backed networks persist their per-edge wiring, so
 // the log is self-contained: reopening re-registers the table (and a
-// table record whose wiring does not reproduce its recorded digest is
-// rejected).
+// table record that is not whole (from, to, class) triples, or whose
+// wiring does not reproduce its recorded digest, is rejected).
 func TestTableNetworkPersisted(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
@@ -303,21 +304,30 @@ func TestTableNetworkPersisted(t *testing.T) {
 		t.Error("table not registered after reopen")
 	}
 
-	// A table record with a forged digest must be skipped.
-	doctored := strings.Replace(string(raw), net.TableDigest[:8], "deadbeef", 1)
-	dir2 := t.TempDir()
-	if err := os.MkdirAll(dir2, 0o777); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(logPath(dir2), []byte(doctored), 0o666); err != nil {
-		t.Fatal(err)
-	}
-	s3, err := Open(dir2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s3.Skipped() == 0 {
-		t.Error("forged table digest was accepted")
+	// A table record with a forged digest, a ragged edge list or a
+	// class index out of range is skipped; the report stays indexed.
+	for _, d := range []struct{ name, old, new string }{
+		{"forged digest", net.TableDigest[:8], "deadbeef"},
+		{"ragged edges", `"edges":[0,1,0,1,0,0]`, `"edges":[0,1,0,1,0]`},
+		{"class out of range", `"edges":[0,1,0,1,0,0]`, `"edges":[0,1,0,1,0,1]`},
+	} {
+		doctored := strings.Replace(string(raw), d.old, d.new, 1)
+		if doctored == string(raw) {
+			t.Fatalf("%s: nothing to doctor in %s", d.name, raw)
+		}
+		dir2 := t.TempDir()
+		if err := os.WriteFile(logPath(dir2), []byte(doctored), 0o666); err != nil {
+			t.Fatal(err)
+		}
+		s3, err := Open(dir2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s3.Skipped() != 1 || s3.Len() != 1 || len(s3.tables) != 0 {
+			t.Errorf("%s: Skipped, Len, tables = %d, %d, %d; want 1, 1, 0",
+				d.name, s3.Skipped(), s3.Len(), len(s3.tables))
+		}
+		s3.Close()
 	}
 }
 
@@ -543,55 +553,77 @@ func TestCompactDropsForgedBody(t *testing.T) {
 	}
 }
 
-// testdata/v3.log was written by Append under DigestVersion 3 and is
-// never regenerated: it pins that logs already on disk still read the
-// same. In order it holds reports for 2-chip autoregressive, a table
-// wiring plus a report routed over it, 4-chip prompt with one Cycles
-// digit flipped (CRC damage), 4-chip autoregressive, and 8-chip
-// autoregressive torn halfway through its line.
-func TestGoldenV3Log(t *testing.T) {
-	const table = "afe38c5f3eef37fb7b5aac51d8af0d6b5553fa78823038107f22b7fef2b076df"
-	raw, err := os.ReadFile(filepath.Join("testdata", "v3.log"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	if err := os.WriteFile(logPath(dir), raw, 0o666); err != nil {
-		t.Fatal(err)
-	}
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if s.Len() != 3 || s.Skipped() != 2 {
-		t.Errorf("Len, Skipped = %d, %d; want 3, 2", s.Len(), s.Skipped())
-	}
-	slow := hw.MIPI().Slower(3)
-	wantEdges := map[hw.Edge]hw.LinkClass{{From: 0, To: 1}: slow, {From: 1, To: 0}: slow}
-	if !s.tables[table] {
-		t.Error("the table record was not re-registered")
-	}
-	if edges, ok := hw.TableEdges(table); !ok || !reflect.DeepEqual(edges, wantEdges) {
-		t.Fatalf("table re-registered as %v, %v; want %v", edges, ok, wantEdges)
-	}
+// goldenTable is the per-edge wiring both golden logs persist: chips 0
+// and 1 joined both ways by a MIPI link three times slower.
+const goldenTable = "afe38c5f3eef37fb7b5aac51d8af0d6b5553fa78823038107f22b7fef2b076df"
 
+// goldenPoint is one configuration a golden log holds, in log order,
+// and whether its record is intact.
+type goldenPoint struct {
+	sys    core.System
+	wl     core.Workload
+	stored bool
+}
+
+// goldenPoints lists the five reports both golden logs hold, in order:
+// 2-chip autoregressive, 2-chip autoregressive routed over
+// goldenTable, 4-chip prompt with one Cycles digit flipped (CRC
+// damage), 4-chip autoregressive, and 8-chip autoregressive torn
+// halfway through its line.
+func goldenPoints() []goldenPoint {
 	ar := core.Workload{Model: model.TinyLlama42M(), Mode: model.Autoregressive}
 	pr := core.Workload{Model: model.TinyLlama42M(), Mode: model.Prompt}
 	tableSys := core.DefaultSystem(2)
-	tableSys.HW.Network = hw.Network{Profile: hw.NetTable, TableDigest: table}
+	tableSys.HW.Network = hw.Network{Profile: hw.NetTable, TableDigest: goldenTable}
 	tableSys.HW.Topology = hw.TopoRing
-	for _, p := range []struct {
-		sys    core.System
-		wl     core.Workload
-		stored bool
-	}{
+	return []goldenPoint{
 		{core.DefaultSystem(2), ar, true},
 		{tableSys, ar, true},
 		{core.DefaultSystem(4), pr, false},
 		{core.DefaultSystem(4), ar, true},
 		{core.DefaultSystem(8), ar, false},
-	} {
+	}
+}
+
+// openGolden opens a store on a directory holding the named golden log
+// under the file name name.
+func openGolden(t *testing.T, golden, name string) (*Store, []byte) {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", golden))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, name), raw, 0o666); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatalf("opening a store on %s as %s: %v", golden, name, err)
+	}
+	t.Cleanup(func() { s.Close() })
+	return s, raw
+}
+
+// testdata/v4.log was written by Append under DigestVersion 4 and is
+// never regenerated: it pins that logs already on disk still read the
+// same. It holds goldenPoints' reports and, ahead of the table-routed
+// one, the goldenTable wiring.
+func TestGoldenV4Log(t *testing.T) {
+	s, raw := openGolden(t, "v4.log", filepath.Base(logPath("")))
+	if s.Len() != 3 || s.Skipped() != 2 {
+		t.Errorf("Len, Skipped = %d, %d; want 3, 2", s.Len(), s.Skipped())
+	}
+	slow := hw.MIPI().Slower(3)
+	wantEdges := map[hw.Edge]hw.LinkClass{{From: 0, To: 1}: slow, {From: 1, To: 0}: slow}
+	if !s.tables[goldenTable] {
+		t.Error("the table record was not re-registered")
+	}
+	if edges, ok := hw.TableEdges(goldenTable); !ok || !reflect.DeepEqual(edges, wantEdges) {
+		t.Fatalf("table re-registered as %v, %v; want %v", edges, ok, wantEdges)
+	}
+
+	for _, p := range goldenPoints() {
 		got, ok := s.Load(p.sys, p.wl)
 		if ok != p.stored {
 			t.Errorf("%d chips %v: Load ok = %v, want %v", p.sys.Chips, p.wl.Mode, ok, p.stored)
@@ -615,14 +647,41 @@ func TestGoldenV3Log(t *testing.T) {
 	}
 }
 
+// testdata/v3.log was written by Append under DigestVersion 3 (report
+// bodies with per-chip counters and the configuration echo, table
+// edges as objects) and is never regenerated. It holds the same
+// records as v4.log. A v4 store reads v3 data as misses, never as
+// errors: under its own file name it is not read at all, and copied
+// into the v4 log every line is skipped.
+func TestGoldenV3Log(t *testing.T) {
+	s, _ := openGolden(t, "v3.log", "results-v3.log")
+	if s.Len() != 0 || s.Skipped() != 0 {
+		t.Errorf("v3 log under its own name: Len, Skipped = %d, %d; want 0, 0", s.Len(), s.Skipped())
+	}
+	for _, p := range goldenPoints() {
+		if _, ok := s.Load(p.sys, p.wl); ok {
+			t.Errorf("%d chips %v: served from a v3 log", p.sys.Chips, p.wl.Mode)
+		}
+	}
+
+	s, _ = openGolden(t, "v3.log", filepath.Base(logPath("")))
+	if s.Len() != 0 || s.Skipped() != 6 {
+		t.Errorf("v3 lines in the v4 log: Len, Skipped = %d, %d; want 0, 6", s.Len(), s.Skipped())
+	}
+	if s.tables[goldenTable] {
+		t.Error("a v3 table record was registered")
+	}
+}
+
 // FuzzDecodeReportLine checks the envelope decoder against the full
 // JSON decode it short-cuts: it never panics, and any line it accepts
 // json.Unmarshal reads as the same intact report record of this
-// version. The seed corpus in testdata/fuzz holds lines Append wrote: a
-// plain report, a report whose CRC is zero (key omitted), a table
-// record, a CRC-damaged report, a truncated one, one doctored to "v":0,
-// and a record whose digest needs JSON escapes. A small record is added
-// so mutations reach the accept path quickly.
+// version. The seed corpus in testdata/fuzz holds lines Append wrote
+// under v3 and their v4 twins (named -v4): a plain report, a report
+// whose CRC is zero (key omitted), a table record, a CRC-damaged
+// report, a truncated one, one doctored to "v":0, and a record whose
+// digest needs JSON escapes. A small record is added so mutations
+// reach the accept path quickly.
 func FuzzDecodeReportLine(f *testing.F) {
 	small := json.RawMessage(`{"a":[1,"}"]}`)
 	line, err := json.Marshal(record{Kind: "report", V: DigestVersion, Digest: "d",
@@ -649,6 +708,94 @@ func FuzzDecodeReportLine(f *testing.F) {
 			t.Fatalf("accepted a report whose bytes do not match its CRC %d", rec.CRC)
 		}
 	})
+}
+
+// FuzzDecodeTableLine checks the table record's decoder against the
+// registry it feeds: it never panics, a line the open scan accepts (a
+// decoded wiring whose content digest is the recorded one) registers
+// through hw.TableNetwork under that digest, and re-encoding the
+// wiring decodes to the same digest and edges. The seed corpus in
+// testdata/fuzz holds a 2-chip record, a 64-chip two-class record, an
+// out-of-range class index, a ragged edge list, a negative chip id and
+// a v3-shaped record.
+func FuzzDecodeTableLine(f *testing.F) {
+	f.Fuzz(func(t *testing.T, line []byte) {
+		digest, edges, ok := decodeTableLine(line)
+		if !ok {
+			return
+		}
+		// Checked without registering, so rejected mutations do not
+		// pile up in the process-wide table registry.
+		if d, err := hw.DigestTable(edges); err != nil || d != digest {
+			return
+		}
+		net, err := hw.TableNetwork(edges)
+		if err != nil || net.TableDigest != digest {
+			t.Fatalf("accepted table %s, but its wiring registers as %q (%v)", digest, net.TableDigest, err)
+		}
+		again, err := encodeTableLine(digest, edges)
+		if err != nil {
+			t.Fatalf("re-encoding an accepted table: %v", err)
+		}
+		d2, e2, ok := decodeTableLine(again)
+		if !ok || d2 != digest || !maps.Equal(e2, edges) {
+			t.Fatalf("re-encoded table decodes as %q (ok %v, %d edges), want %q (%d edges)",
+				d2, ok, len(e2), digest, len(edges))
+		}
+	})
+}
+
+// Size guards: a report body holds no per-chip counters and no
+// configuration echo, and a table wiring is a class list plus integer
+// triples. Either creeping back would blow these bounds (a 64-chip
+// report line was 15.6-17.8 KB and a 64-chip table record 414 KB).
+func TestRecordSizeBounds(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	wl := core.Workload{Model: model.TinyLlamaScaled64(), Mode: model.Prompt}
+	sys := core.DefaultSystem(64)
+	if err := s.Append(sys, wl, mustRun(t, sys, wl)); err != nil {
+		t.Fatal(err)
+	}
+	edges, err := hw.NetworkEdges(hw.UniformNetwork(hw.MIPI()), 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, err := hw.TableNetwork(edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.HW.Network, sys.HW.Topology = net, hw.TopoFullyConnected
+	if err := s.Append(sys, wl, mustRun(t, sys, wl)); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(logPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reports, tables int
+	for _, line := range bytes.SplitAfter(raw, []byte("\n")) {
+		switch {
+		case len(line) == 0:
+		case bytes.HasPrefix(line, []byte(`{"kind":"table"`)):
+			tables++
+			if len(line) > 64<<10 {
+				t.Errorf("64-chip fully-connected table line is %d bytes, want at most %d", len(line), 64<<10)
+			}
+		default:
+			reports++
+			if len(line) > 2048 {
+				t.Errorf("64-chip prompt report line is %d bytes, want at most 2048", len(line))
+			}
+		}
+	}
+	if reports != 2 || tables != 1 {
+		t.Errorf("log holds %d report and %d table lines, want 2 and 1", reports, tables)
+	}
 }
 
 // The digest renders System and Workload with %#v. A pointer, func,

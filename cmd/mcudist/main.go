@@ -35,6 +35,9 @@ func main() {
 		gantt     = flag.Bool("gantt", false, "print a per-chip timeline chart")
 	)
 	flag.Parse()
+	if *seqLen < 0 {
+		fatal(fmt.Errorf("-seqlen %d must be non-negative (0 = paper default)", *seqLen))
+	}
 
 	cfg, err := model.ByName(*modelName)
 	if err != nil {

@@ -132,6 +132,12 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	if *seqLen < 0 {
+		fatal(fmt.Errorf("-seqlen %d must be non-negative (0 = paper default)", *seqLen))
+	}
+	if *topK < 0 {
+		fatal(fmt.Errorf("-topk %d must be non-negative (0 = default)", *topK))
+	}
 	s.wl = core.Workload{Model: cfg, Mode: mode, SeqLen: *seqLen}
 	for _, part := range strings.Split(*chipsList, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(part))

@@ -17,7 +17,7 @@ func crossValidate(t *testing.T, cfg model.Config, n int, mode model.Mode, s int
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := deploy.New(p, hw.Siracusa(), mode, s, deploy.Options{})
+	d, err := deploy.NewBatched(p, hw.Siracusa(), mode, s, 1, deploy.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestCrossValidationAgainstSimulator(t *testing.T) {
 func TestEstimateRejectsBaselines(t *testing.T) {
 	cfg := model.TinyLlama42M()
 	p, _ := partition.NewReplicated(cfg, 4)
-	d, err := deploy.New(p, hw.Siracusa(), model.Prompt, 16, deploy.Options{})
+	d, err := deploy.NewBatched(p, hw.Siracusa(), model.Prompt, 16, 1, deploy.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,8 +72,8 @@ func TestEstimateMonotoneInBlocks(t *testing.T) {
 	long.L = 16
 	p1, _ := partition.NewTensorParallel(short, 8)
 	p2, _ := partition.NewTensorParallel(long, 8)
-	d1, _ := deploy.New(p1, hw.Siracusa(), model.Autoregressive, 128, deploy.Options{})
-	d2, _ := deploy.New(p2, hw.Siracusa(), model.Autoregressive, 128, deploy.Options{})
+	d1, _ := deploy.NewBatched(p1, hw.Siracusa(), model.Autoregressive, 128, 1, deploy.Options{})
+	d2, _ := deploy.NewBatched(p2, hw.Siracusa(), model.Autoregressive, 128, 1, deploy.Options{})
 	e1, err := Estimate(d1)
 	if err != nil {
 		t.Fatal(err)
@@ -90,8 +90,8 @@ func TestEstimateMonotoneInBlocks(t *testing.T) {
 func TestEstimatePrefetchExposure(t *testing.T) {
 	cfg := model.TinyLlama42M()
 	p, _ := partition.NewTensorParallel(cfg, 8)
-	hidden, _ := deploy.New(p, hw.Siracusa(), model.Autoregressive, 128, deploy.Options{})
-	exposed, _ := deploy.New(p, hw.Siracusa(), model.Autoregressive, 128, deploy.Options{PrefetchExposed: true})
+	hidden, _ := deploy.NewBatched(p, hw.Siracusa(), model.Autoregressive, 128, 1, deploy.Options{})
+	exposed, _ := deploy.NewBatched(p, hw.Siracusa(), model.Autoregressive, 128, 1, deploy.Options{PrefetchExposed: true})
 	eh, err := Estimate(hidden)
 	if err != nil {
 		t.Fatal(err)

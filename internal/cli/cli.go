@@ -42,10 +42,14 @@ func Register() *Session {
 	return s
 }
 
-// Start begins the CPU profile, sizes the default evaluation pool, and
-// attaches the result store named by -cache-dir, or by $MCUDIST_CACHE
-// when the flag is empty (neither leaves the cache off).
+// Start rejects a negative -workers, begins the CPU profile, sizes the
+// default evaluation pool, and attaches the result store named by
+// -cache-dir, or by $MCUDIST_CACHE when the flag is empty (neither
+// leaves the cache off).
 func (s *Session) Start() error {
+	if s.workers < 0 {
+		return fmt.Errorf("-workers %d must be non-negative (0 = GOMAXPROCS)", s.workers)
+	}
 	if s.cpuProfile != "" {
 		f, err := os.Create(s.cpuProfile)
 		if err != nil {

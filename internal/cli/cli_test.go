@@ -1,6 +1,7 @@
 package cli
 
 import (
+	"strings"
 	"testing"
 
 	"mcudist/internal/evalpool"
@@ -50,5 +51,13 @@ func TestStartWithoutCacheLeavesPoolDetached(t *testing.T) {
 	s := start(t, "")
 	if s.Store != nil || evalpool.Default().Store() != nil {
 		t.Fatal("a store was attached with neither -cache-dir nor $MCUDIST_CACHE set")
+	}
+}
+
+func TestStartRejectsNegativeWorkers(t *testing.T) {
+	s := &Session{workers: -3}
+	err := s.Start()
+	if err == nil || !strings.Contains(err.Error(), "-workers -3") {
+		t.Fatalf("Start with -workers -3: err = %v, want one naming the flag", err)
 	}
 }

@@ -153,36 +153,6 @@ func (p Plan) Topology(c SyncClass, run hw.Topology) hw.Topology {
 	return run
 }
 
-// Merge combines two plans; bindings present in exactly one side carry
-// over, and both sides binding the same class to the same topology is
-// fine. Conflicting bindings are an error — merging a prefill-tuned
-// and a decode-tuned plan must not silently drop either decision.
-func (p Plan) Merge(o Plan) (Plan, error) {
-	out := p
-	for c := SyncClass(0); c < NumSyncClasses; c++ {
-		t, ok := o.Explicit(c)
-		if !ok {
-			continue
-		}
-		if prev, bound := p.Explicit(c); bound && prev != t {
-			return Plan{}, fmt.Errorf("collective: merge conflict: %s bound to %s and %s", c, prev, t)
-		}
-		out.choice[c] = o.choice[c]
-	}
-	return out, nil
-}
-
-// Uniform returns the plan binding every class to one topology —
-// behaviorally identical to selecting t as the run topology, spelled
-// as a plan (the golden tests pin that equivalence bit for bit).
-func Uniform(t hw.Topology) Plan {
-	var p Plan
-	for c := SyncClass(0); c < NumSyncClasses; c++ {
-		p = p.With(c, t)
-	}
-	return p
-}
-
 // String renders the plan in ParsePlan's flag syntax, compressing the
 // prefill and decode pairs when both members share a topology
 // ("prefill=ring,decode=tree"). The zero plan prints as "uniform".

@@ -45,35 +45,6 @@ func TestWithExplicitResolve(t *testing.T) {
 	}
 }
 
-func TestUniformPlan(t *testing.T) {
-	p := Uniform(hw.TopoRing)
-	for _, c := range Classes() {
-		if topo, ok := p.Explicit(c); !ok || topo != hw.TopoRing {
-			t.Errorf("%s = %v/%v, want ring", c, topo, ok)
-		}
-	}
-}
-
-func TestMerge(t *testing.T) {
-	prefill := Plan{}.With(PrefillMHSA, hw.TopoRing).With(PrefillFFN, hw.TopoRing)
-	decode := Plan{}.With(DecodeMHSA, hw.TopoTree).With(DecodeFFN, hw.TopoTree)
-	merged, err := prefill.Merge(decode)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if merged.String() != "prefill=ring,decode=tree" {
-		t.Errorf("merged plan prints %q", merged.String())
-	}
-	// Agreeing bindings merge fine; conflicting ones error.
-	if _, err := merged.Merge(prefill); err != nil {
-		t.Errorf("agreeing merge failed: %v", err)
-	}
-	conflict := Plan{}.With(PrefillMHSA, hw.TopoStar)
-	if _, err := merged.Merge(conflict); err == nil {
-		t.Error("conflicting merge accepted")
-	}
-}
-
 func TestStringParsePlanRoundTrip(t *testing.T) {
 	plans := []Plan{
 		{},
@@ -264,6 +235,15 @@ func mustParse(t *testing.T, s string) Plan {
 	p, err := ParsePlan(s)
 	if err != nil {
 		t.Fatal(err)
+	}
+	return p
+}
+
+// Uniform returns the plan binding every class to one topology.
+func Uniform(t hw.Topology) Plan {
+	var p Plan
+	for c := SyncClass(0); c < NumSyncClasses; c++ {
+		p = p.With(c, t)
 	}
 	return p
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"mcudist/internal/model"
@@ -72,5 +73,21 @@ func TestBatchValidation(t *testing.T) {
 	}
 	if _, err := Run(sys, Workload{Model: model.TinyLlama42M(), Mode: model.Autoregressive, Batch: -1}); err == nil {
 		t.Error("negative batch accepted")
+	}
+}
+
+// A negative sequence length is an error, not the paper default: each
+// raw value digests to its own store key, so a silent default would
+// simulate and store the paper point once per spelling.
+func TestNegativeSeqLenRejected(t *testing.T) {
+	sys := DefaultSystem(8)
+	for _, mode := range []model.Mode{model.Autoregressive, model.Prompt} {
+		wl := Workload{Model: model.TinyLlama42M(), Mode: mode, SeqLen: -5}
+		if _, err := Run(sys, wl); err == nil || !strings.Contains(err.Error(), "sequence length -5") {
+			t.Errorf("%v: Run with SeqLen -5: err = %v", mode, err)
+		}
+		if _, err := Lower(sys, wl); err == nil || !strings.Contains(err.Error(), "sequence length -5") {
+			t.Errorf("%v: Lower with SeqLen -5: err = %v", mode, err)
+		}
 	}
 }

@@ -118,11 +118,8 @@ func Run(sys System, wl Workload) (*Report, error) {
 // run is Run that also returns the simulator result the report
 // summarizes.
 func run(sys System, wl Workload) (*Report, *perfsim.Result, error) {
-	if sys.Chips <= 0 {
-		return nil, nil, fmt.Errorf("core: chip count %d must be positive", sys.Chips)
-	}
-	if wl.Batch < 0 {
-		return nil, nil, fmt.Errorf("core: micro-batch width %d must be non-negative", wl.Batch)
+	if err := checkShape(sys, wl); err != nil {
+		return nil, nil, err
 	}
 	if wl.Batch > 1 && wl.Mode != model.Autoregressive {
 		return nil, nil, fmt.Errorf("core: micro-batch width %d needs autoregressive mode (prompt batching is the sequence length)", wl.Batch)
@@ -172,14 +169,30 @@ func run(sys System, wl Workload) (*Report, *perfsim.Result, error) {
 // tilings from this lowering's closed-form plan makespans instead of
 // simulating them.
 func Lower(sys System, wl Workload) (*deploy.Deployment, error) {
-	if sys.Chips <= 0 {
-		return nil, fmt.Errorf("core: chip count %d must be positive", sys.Chips)
+	if err := checkShape(sys, wl); err != nil {
+		return nil, err
 	}
 	plan, err := buildPlan(sys, wl.Model)
 	if err != nil {
 		return nil, err
 	}
 	return deploy.NewBatched(plan, sys.HW, wl.Mode, wl.ResolvedSeqLen(), wl.ResolvedBatch(), sys.Options)
+}
+
+// checkShape rejects a chip count, micro-batch width or sequence
+// length no lowering can honour. Zero widths and lengths select the
+// defaults; a negative one is an error, not a silent default.
+func checkShape(sys System, wl Workload) error {
+	if sys.Chips <= 0 {
+		return fmt.Errorf("core: chip count %d must be positive", sys.Chips)
+	}
+	if wl.Batch < 0 {
+		return fmt.Errorf("core: micro-batch width %d must be non-negative", wl.Batch)
+	}
+	if wl.SeqLen < 0 {
+		return fmt.Errorf("core: sequence length %d must be non-negative", wl.SeqLen)
+	}
+	return nil
 }
 
 func buildPlan(sys System, cfg model.Config) (*partition.Plan, error) {
@@ -193,26 +206,6 @@ func buildPlan(sys System, cfg model.Config) (*partition.Plan, error) {
 	default:
 		return nil, fmt.Errorf("core: unknown strategy %v", sys.Strategy)
 	}
-}
-
-// Sweep runs the workload across several chip counts on otherwise
-// identical systems and returns reports in order. This is the serial
-// reference path: internal/evalpool provides the concurrent, memoized
-// equivalent (verified byte-identical against this function) and is
-// what the figure generators and the public facade route through;
-// core cannot depend on it without an import cycle.
-func Sweep(base System, wl Workload, chipCounts []int) ([]*Report, error) {
-	out := make([]*Report, 0, len(chipCounts))
-	for _, n := range chipCounts {
-		sys := base
-		sys.Chips = n
-		rep, err := Run(sys, wl)
-		if err != nil {
-			return nil, fmt.Errorf("core: %d chips: %w", n, err)
-		}
-		out = append(out, rep)
-	}
-	return out, nil
 }
 
 // Speedup returns base.Cycles / r.Cycles.

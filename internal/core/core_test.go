@@ -74,12 +74,13 @@ func TestRunValidation(t *testing.T) {
 }
 
 func TestSweepOrdering(t *testing.T) {
-	reports, err := Sweep(DefaultSystem(1), Workload{Model: model.TinyLlama42M(), Mode: model.Autoregressive}, []int{1, 2, 4, 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reports) != 4 {
-		t.Fatalf("reports = %d", len(reports))
+	var reports []*Report
+	for _, n := range []int{1, 2, 4, 8} {
+		rep, err := Run(DefaultSystem(n), Workload{Model: model.TinyLlama42M(), Mode: model.Autoregressive})
+		if err != nil {
+			t.Fatal(err)
+		}
+		reports = append(reports, rep)
 	}
 	for i := 1; i < len(reports); i++ {
 		if reports[i].Cycles >= reports[i-1].Cycles {
@@ -101,6 +102,11 @@ func TestBaselineStrategiesRun(t *testing.T) {
 		}
 		if rep.Cycles <= 0 {
 			t.Fatalf("%v: no runtime", strat)
+		}
+		// A pipeline hands activations stage to stage: no intra-block
+		// synchronization at all.
+		if strat == partition.Pipeline && rep.Syncs != 0 {
+			t.Errorf("pipeline ran %d synchronizations, want 0", rep.Syncs)
 		}
 	}
 }

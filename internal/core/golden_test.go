@@ -201,7 +201,9 @@ func TestGoldenTreeByteIdentical(t *testing.T) {
 			if g.flatVia {
 				sys.HW.GroupSize = g.chips
 			}
-			sys.Options.SyncPlan = collective.Uniform(g.topology)
+			for _, c := range collective.Classes() {
+				sys.Options.SyncPlan = sys.Options.SyncPlan.With(c, g.topology)
+			}
 			rep, err := Run(sys, Workload{Model: g.cfg(), Mode: g.mode})
 			if err != nil {
 				t.Fatal(err)

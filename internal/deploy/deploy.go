@@ -121,15 +121,9 @@ type Deployment struct {
 	BcastPayload  int64
 }
 
-// New lowers a partition plan onto the hardware for the given
-// workload, a single-session step (micro-batch width 1).
-func New(p *partition.Plan, hwp hw.Params, mode model.Mode, s int, opts Options) (*Deployment, error) {
-	return NewBatched(p, hwp, mode, s, 1, opts)
-}
-
 // NewBatched lowers a partition plan for a decode micro-batch of
 // `batch` concurrent sessions (each at context length s); batch <= 1
-// is the single-session lowering New produces. Batching widens every
+// is the paper's single-session step. Batching widens every
 // GEMM's row dimension while weight bytes, kernel setup, and per-hop
 // link setup stay fixed — the continuous-batching amortization — and
 // multiplies the resident KV footprint, which is the pressure that
@@ -373,15 +367,6 @@ func spillBytes(ops []kernels.Cost, l1Tile int64) int64 {
 	return total
 }
 
-// MHSACost returns the aggregated MHSA-phase cost of a chip.
-func (d *Deployment) MHSACost(chip int) kernels.Cost { return sumCosts(d.Chips[chip].MHSA) }
-
-// FCCost returns the aggregated FC-phase cost of a chip.
-func (d *Deployment) FCCost(chip int) kernels.Cost { return sumCosts(d.Chips[chip].FC) }
-
-// RootSyncCost returns the aggregated root serial cost per sync.
-func (d *Deployment) RootSyncCost() kernels.Cost { return sumCosts(d.RootSync) }
-
 // WorstTier returns the weakest placement across chips — the tier
 // that governs whether the system as a whole avoids exposed off-chip
 // traffic.
@@ -393,14 +378,4 @@ func (d *Deployment) WorstTier() Tier {
 		}
 	}
 	return worst
-}
-
-// TotalL3BytesPerForward returns the steady-state L3 weight traffic of
-// one full forward pass across all chips.
-func (d *Deployment) TotalL3BytesPerForward() int64 {
-	var total int64
-	for _, c := range d.Chips {
-		total += c.StreamBytesPerBlock * int64(c.Blocks)
-	}
-	return total
 }

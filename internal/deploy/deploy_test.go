@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"mcudist/internal/hw"
+	"mcudist/internal/kernels"
 	"mcudist/internal/model"
 	"mcudist/internal/partition"
 )
@@ -19,11 +20,34 @@ func mustTP(t *testing.T, cfg model.Config, n int) *partition.Plan {
 
 func mustDeploy(t *testing.T, p *partition.Plan, mode model.Mode, s int) *Deployment {
 	t.Helper()
-	d, err := New(p, hw.Siracusa(), mode, s, Options{})
+	d, err := NewBatched(p, hw.Siracusa(), mode, s, 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return d
+}
+
+// phaseCost sums one phase's kernel sequence on a chip.
+func phaseCost(ops []kernels.Cost) kernels.Cost {
+	var total kernels.Cost
+	for _, op := range ops {
+		total.Cycles += op.Cycles
+		total.MACs += op.MACs
+		total.WeightBytes += op.WeightBytes
+		total.ActInBytes += op.ActInBytes
+		total.ActOutBytes += op.ActOutBytes
+	}
+	return total
+}
+
+// l3BytesPerForward is the steady-state L3 weight traffic of one full
+// forward pass across all chips.
+func l3BytesPerForward(d *Deployment) int64 {
+	var total int64
+	for _, c := range d.Chips {
+		total += c.StreamBytesPerBlock * int64(c.Blocks)
+	}
+	return total
 }
 
 // The tier table below is the capacity arithmetic that produces every
@@ -83,8 +107,8 @@ func TestMobileBERTTiers(t *testing.T) {
 func TestResidentAllHasNoL3Traffic(t *testing.T) {
 	cfg := model.TinyLlamaScaled64()
 	d := mustDeploy(t, mustTP(t, cfg, 32), model.Autoregressive, 128)
-	if d.TotalL3BytesPerForward() != 0 {
-		t.Fatalf("resident-all deployment moves %d L3 bytes", d.TotalL3BytesPerForward())
+	if l3BytesPerForward(d) != 0 {
+		t.Fatalf("resident-all deployment moves %d L3 bytes", l3BytesPerForward(d))
 	}
 }
 
@@ -92,7 +116,7 @@ func TestStreamingTiersMoveWholeModelPerForward(t *testing.T) {
 	cfg := model.TinyLlama42M()
 	for _, n := range []int{1, 2, 4, 8} {
 		d := mustDeploy(t, mustTP(t, cfg, n), model.Autoregressive, 128)
-		if got := d.TotalL3BytesPerForward(); got != int64(cfg.TotalWeightBytes()) {
+		if got := l3BytesPerForward(d); got != int64(cfg.TotalWeightBytes()) {
 			t.Errorf("n=%d: L3 bytes per forward %d, want full model %d",
 				n, got, cfg.TotalWeightBytes())
 		}
@@ -119,12 +143,12 @@ func TestOpsCoverAllMACs(t *testing.T) {
 	for _, mode := range []model.Mode{model.Autoregressive, model.Prompt} {
 		s := model.PaperSeqLen(cfg, mode)
 		single := mustDeploy(t, mustTP(t, cfg, 1), mode, s)
-		singleMACs := single.MHSACost(0).MACs + single.FCCost(0).MACs
+		singleMACs := phaseCost(single.Chips[0].MHSA).MACs + phaseCost(single.Chips[0].FC).MACs
 		for _, n := range []int{2, 4, 8} {
 			d := mustDeploy(t, mustTP(t, cfg, n), mode, s)
 			var total int64
 			for c := range d.Chips {
-				total += d.MHSACost(c).MACs + d.FCCost(c).MACs
+				total += phaseCost(d.Chips[c].MHSA).MACs + phaseCost(d.Chips[c].FC).MACs
 			}
 			if total != singleMACs {
 				t.Errorf("%v n=%d: distributed MACs %d != single %d", mode, n, total, singleMACs)
@@ -138,7 +162,7 @@ func TestPerChipCyclesShrinkWithChips(t *testing.T) {
 	prev := -1.0
 	for _, n := range []int{1, 2, 4, 8} {
 		d := mustDeploy(t, mustTP(t, cfg, n), model.Prompt, 16)
-		c := d.MHSACost(0).Cycles + d.FCCost(0).Cycles
+		c := phaseCost(d.Chips[0].MHSA).Cycles + phaseCost(d.Chips[0].FC).Cycles
 		if prev > 0 && c >= prev {
 			t.Errorf("n=%d: per-chip cycles %g did not shrink from %g", n, c, prev)
 		}
@@ -151,11 +175,11 @@ func TestSubLinearComputeScaling(t *testing.T) {
 	// utilization-loss effect the paper reports for MobileBERT).
 	cfg := model.MobileBERT512()
 	single := mustDeploy(t, mustTP(t, cfg, 1), model.Prompt, 268)
-	singleCycles := single.MHSACost(0).Cycles + single.FCCost(0).Cycles
+	singleCycles := phaseCost(single.Chips[0].MHSA).Cycles + phaseCost(single.Chips[0].FC).Cycles
 	multi := mustDeploy(t, mustTP(t, cfg, 4), model.Prompt, 268)
 	var total float64
 	for c := range multi.Chips {
-		total += multi.MHSACost(c).Cycles + multi.FCCost(c).Cycles
+		total += phaseCost(multi.Chips[c].MHSA).Cycles + phaseCost(multi.Chips[c].FC).Cycles
 	}
 	if total <= singleCycles {
 		t.Fatalf("4-chip aggregate compute %g <= single-chip %g: utilization loss missing", total, singleCycles)
@@ -184,7 +208,7 @@ func TestReplicatedBaselineLowering(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Prompt mode: rows split across chips.
-	d, err := New(p, hw.Siracusa(), model.Prompt, 16, Options{})
+	d, err := NewBatched(p, hw.Siracusa(), model.Prompt, 16, 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +220,7 @@ func TestReplicatedBaselineLowering(t *testing.T) {
 		t.Fatalf("replicated tier %v, want streamed", d.WorstTier())
 	}
 	// Autoregressive: one active chip, three idle.
-	da, err := New(p, hw.Siracusa(), model.Autoregressive, 128, Options{})
+	da, err := NewBatched(p, hw.Siracusa(), model.Autoregressive, 128, 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +241,7 @@ func TestPipelineBaselineLowering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := New(p, hw.Siracusa(), model.Prompt, 16, Options{})
+	d, err := NewBatched(p, hw.Siracusa(), model.Prompt, 16, 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,11 +258,11 @@ func TestPipelineBaselineLowering(t *testing.T) {
 func TestModeValidation(t *testing.T) {
 	cfg := model.MobileBERT512()
 	p := mustTP(t, cfg, 2)
-	if _, err := New(p, hw.Siracusa(), model.Autoregressive, 128, Options{}); err == nil {
+	if _, err := NewBatched(p, hw.Siracusa(), model.Autoregressive, 128, 1, Options{}); err == nil {
 		t.Fatal("autoregressive encoder accepted")
 	}
 	ll := mustTP(t, model.TinyLlama42M(), 2)
-	if _, err := New(ll, hw.Siracusa(), model.Prompt, 0, Options{}); err == nil {
+	if _, err := NewBatched(ll, hw.Siracusa(), model.Prompt, 0, 1, Options{}); err == nil {
 		t.Fatal("zero sequence length accepted")
 	}
 }
@@ -263,7 +287,7 @@ func TestWeightBytesConservedAcrossChips(t *testing.T) {
 		d := mustDeploy(t, mustTP(t, cfg, n), model.Autoregressive, 128)
 		var weightBytes int64
 		for c := range d.Chips {
-			weightBytes += d.MHSACost(c).WeightBytes + d.FCCost(c).WeightBytes
+			weightBytes += phaseCost(d.Chips[c].MHSA).WeightBytes + phaseCost(d.Chips[c].FC).WeightBytes
 		}
 		if weightBytes != int64(cfg.BlockWeightBytes()) {
 			t.Errorf("n=%d: per-block weight bytes touched %d, want %d", n, weightBytes, cfg.BlockWeightBytes())
@@ -277,7 +301,7 @@ func TestGatedFFNOpsLarger(t *testing.T) {
 	gated.FFN = model.FFNGated
 	d1 := mustDeploy(t, mustTP(t, cfg, 4), model.Prompt, 16)
 	d2 := mustDeploy(t, mustTP(t, gated, 4), model.Prompt, 16)
-	if d2.FCCost(0).MACs <= d1.FCCost(0).MACs {
+	if phaseCost(d2.Chips[0].FC).MACs <= phaseCost(d1.Chips[0].FC).MACs {
 		t.Fatal("gated FFN should cost more MACs")
 	}
 }

@@ -79,7 +79,7 @@ func TestStreamedFootprintUsesStreamBuffer(t *testing.T) {
 	}
 	hwp := hw.Siracusa()
 	hwp.Mem = hw.LPDDR5()
-	dram, err := New(p, hwp, model.Autoregressive, s, Options{})
+	dram, err := NewBatched(p, hwp, model.Autoregressive, s, 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,11 +12,11 @@ func TestGQADeploymentMACsConserved(t *testing.T) {
 	for _, mode := range []model.Mode{model.Autoregressive, model.Prompt} {
 		s := 64
 		single := mustDeploy(t, mustTP(t, cfg, 1), mode, s)
-		singleMACs := single.MHSACost(0).MACs + single.FCCost(0).MACs
+		singleMACs := phaseCost(single.Chips[0].MHSA).MACs + phaseCost(single.Chips[0].FC).MACs
 		d := mustDeploy(t, mustTP(t, cfg, 3), mode, s)
 		var total int64
 		for c := range d.Chips {
-			total += d.MHSACost(c).MACs + d.FCCost(c).MACs
+			total += phaseCost(d.Chips[c].MHSA).MACs + phaseCost(d.Chips[c].FC).MACs
 		}
 		if total != singleMACs {
 			t.Errorf("%v: distributed MACs %d != single %d", mode, total, singleMACs)
@@ -29,7 +29,7 @@ func TestGQAWeightBytesConserved(t *testing.T) {
 	d := mustDeploy(t, mustTP(t, cfg, 3), model.Autoregressive, 64)
 	var weightBytes int64
 	for c := range d.Chips {
-		weightBytes += d.MHSACost(c).WeightBytes + d.FCCost(c).WeightBytes
+		weightBytes += phaseCost(d.Chips[c].MHSA).WeightBytes + phaseCost(d.Chips[c].FC).WeightBytes
 	}
 	if weightBytes != int64(cfg.BlockWeightBytes()) {
 		t.Errorf("per-block weights touched %d, want %d", weightBytes, cfg.BlockWeightBytes())
@@ -44,20 +44,20 @@ func TestGQAKVTrafficSmaller(t *testing.T) {
 	// (smaller K/V projections and KV cache reads).
 	dg := mustDeploy(t, mustTP(t, gqa, 3), model.Autoregressive, 128)
 	dm := mustDeploy(t, mustTP(t, mha, 3), model.Autoregressive, 128)
-	if dg.MHSACost(0).TotalL2L1Bytes() >= dm.MHSACost(0).TotalL2L1Bytes() {
+	if phaseCost(dg.Chips[0].MHSA).TotalL2L1Bytes() >= phaseCost(dm.Chips[0].MHSA).TotalL2L1Bytes() {
 		t.Errorf("GQA MHSA bytes %d not below MHA %d",
-			dg.MHSACost(0).TotalL2L1Bytes(), dm.MHSACost(0).TotalL2L1Bytes())
+			phaseCost(dg.Chips[0].MHSA).TotalL2L1Bytes(), phaseCost(dm.Chips[0].MHSA).TotalL2L1Bytes())
 	}
 }
 
 func TestDeployOptionsNoSpill(t *testing.T) {
 	cfg := model.MobileBERT512()
 	p := mustTP(t, cfg, 1)
-	with, err := New(p, hw.Siracusa(), model.Prompt, 268, Options{})
+	with, err := NewBatched(p, hw.Siracusa(), model.Prompt, 268, 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	without, err := New(p, hw.Siracusa(), model.Prompt, 268, Options{NoActivationSpill: true})
+	without, err := NewBatched(p, hw.Siracusa(), model.Prompt, 268, 1, Options{NoActivationSpill: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestDeployOptionsNoSpill(t *testing.T) {
 		t.Error("disabling spill did not shrink exposed L3 bytes")
 	}
 	// Weight traffic is identical either way.
-	if with.TotalL3BytesPerForward() != without.TotalL3BytesPerForward() {
+	if l3BytesPerForward(with) != l3BytesPerForward(without) {
 		t.Error("spill option changed weight traffic")
 	}
 }

@@ -163,13 +163,3 @@ func singleChipBlockOps(cfg model.Config, mode model.Mode, s, batch int, hwp hw.
 	ops = append(ops, rootSyncOps(cfg, mode, s, batch, hwp)...)
 	return ops
 }
-
-// sumCosts aggregates a kernel sequence.
-func sumCosts(ops []kernels.Cost) kernels.Cost {
-	var total kernels.Cost
-	total.Name = "total"
-	for _, op := range ops {
-		total = total.Add(op)
-	}
-	return total
-}

@@ -105,23 +105,3 @@ func C2CByClass(p hw.Params, res *perfsim.Result) []ClassEnergy {
 	}
 	return out
 }
-
-// FromResultIdleAware evaluates the model with every chip powered for
-// the whole inference (P × T_total per chip) instead of the paper's
-// compute-time-only term — the accounting that penalizes
-// parallelization when chips wait on each other.
-func FromResultIdleAware(p hw.Params, res *perfsim.Result) Report {
-	rep := FromResult(p, res)
-	rep.Compute = 0
-	wall := p.CyclesToSeconds(res.TotalCycles)
-	for range res.PerChip {
-		rep.Compute += p.Chip.ClusterPowerW * wall
-	}
-	return rep
-}
-
-// EDP returns the energy-delay product in joule-seconds for a result
-// under the given parameters.
-func EDP(p hw.Params, res *perfsim.Result) float64 {
-	return FromResult(p, res).Total() * p.CyclesToSeconds(res.TotalCycles)
-}

@@ -7,7 +7,7 @@
 // simulated exactly once per process.
 //
 // The engine is guaranteed to produce byte-identical results to the
-// serial path (core.Run in a loop, core.Sweep): results are returned
+// serial path (core.Run in a loop): results are returned
 // in input order, errors are reported for the lowest failing input
 // index, and core.Run shares no mutable state between runs. The
 // equivalence is locked in by TestPoolMatchesSerial and a race-detector
@@ -290,8 +290,8 @@ func (p *Pool) Map(points []Point) ([]*core.Report, error) {
 }
 
 // Eval runs the workload across several chip counts on otherwise
-// identical systems — the pooled equivalent of core.Sweep, returning
-// reports in chip-list order.
+// identical systems — the pooled equivalent of core.Run in a loop over
+// the chip counts, returning reports in chip-list order.
 func (p *Pool) Eval(base core.System, wl core.Workload, chips []int) ([]*core.Report, error) {
 	points := make([]Point, len(chips))
 	for i, n := range chips {

@@ -68,24 +68,37 @@ func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
+// serialSweep is the serial reference path the pool is held to:
+// core.Run in a loop, one report per chip count, in order.
+func serialSweep(t *testing.T, base core.System, wl core.Workload, chips []int) []*core.Report {
+	t.Helper()
+	out := make([]*core.Report, len(chips))
+	for i, n := range chips {
+		sys := base
+		sys.Chips = n
+		rep, err := core.Run(sys, wl)
+		if err != nil {
+			t.Fatalf("%d chips: %v", n, err)
+		}
+		out[i] = rep
+	}
+	return out
+}
+
 // TestPoolMatchesSerial checks the engine against the serial reference
-// path (core.Sweep / core.Run in a loop): byte-identical reports in
-// the same order.
+// path: byte-identical reports in the same order.
 func TestPoolMatchesSerial(t *testing.T) {
 	wl := core.Workload{Model: model.TinyLlama42M(), Mode: model.Autoregressive}
 	chips := []int{1, 2, 4, 8}
 
-	serial, err := core.Sweep(core.DefaultSystem(1), wl, chips)
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial := serialSweep(t, core.DefaultSystem(1), wl, chips)
 	pooled, err := New(8).Eval(core.DefaultSystem(1), wl, chips)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range serial {
 		if !reflect.DeepEqual(serial[i], pooled[i]) {
-			t.Fatalf("chips=%d: pooled report differs from core.Sweep:\n%+v\nvs\n%+v",
+			t.Fatalf("chips=%d: pooled report differs from the serial reference:\n%+v\nvs\n%+v",
 				chips[i], serial[i], pooled[i])
 		}
 	}

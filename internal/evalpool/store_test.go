@@ -139,10 +139,7 @@ func TestConcurrentPoolsSharedDir(t *testing.T) {
 	if s.Len() != len(chips) {
 		t.Errorf("store holds %d entries, want %d", s.Len(), len(chips))
 	}
-	serial, err := core.Sweep(core.DefaultSystem(1), wl, chips)
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial := serialSweep(t, core.DefaultSystem(1), wl, chips)
 	for i, n := range chips {
 		got, ok := s.Load(core.DefaultSystem(n), wl)
 		if !ok {

@@ -82,10 +82,9 @@ func (q *eventQueue) pop() event {
 
 // Engine owns the event queue and the simulated clock.
 type Engine struct {
-	now    Time
-	queue  eventQueue
-	seq    uint64
-	events uint64
+	now   Time
+	queue eventQueue
+	seq   uint64
 }
 
 // NewEngine returns an engine with the clock at zero.
@@ -97,20 +96,15 @@ func NewEngine() *Engine {
 func (e *Engine) Now() Time { return e.now }
 
 // Reset returns the engine to its initial state — clock at zero, no
-// queued events, counters cleared — keeping the queue's backing array
-// so a recycled engine schedules without reallocating. Arena reuse
-// (perfsim's pooled simulations) resets one engine per run instead of
-// allocating one.
+// queued events — keeping the queue's backing array so a recycled
+// engine schedules without reallocating. Arena reuse (perfsim's pooled
+// simulations) resets one engine per run instead of allocating one.
 func (e *Engine) Reset() {
 	clear(e.queue) // release callback references
 	e.queue = e.queue[:0]
 	e.now = 0
 	e.seq = 0
-	e.events = 0
 }
-
-// Processed returns the number of events executed so far.
-func (e *Engine) Processed() uint64 { return e.events }
 
 // At schedules fn to run at absolute time t. Scheduling in the past
 // panics: it indicates a causality bug in the model.
@@ -125,99 +119,40 @@ func (e *Engine) At(t Time, fn func()) {
 	e.queue.push(event{at: t, seq: e.seq, call: fn})
 }
 
-// After schedules fn to run delay cycles from now.
-func (e *Engine) After(delay Time, fn func()) {
-	if delay < 0 {
-		panic(fmt.Sprintf("eventsim: negative delay %v", delay))
-	}
-	e.At(e.now+delay, fn)
-}
-
 // Run executes events until the queue is empty and returns the final
 // simulated time.
 func (e *Engine) Run() Time {
 	for len(e.queue) > 0 {
 		ev := e.queue.pop()
 		e.now = ev.at
-		e.events++
 		ev.call()
 	}
 	return e.now
 }
-
-// RunUntil executes events with timestamps <= deadline, leaving later
-// events queued, and advances the clock to min(deadline, last event).
-func (e *Engine) RunUntil(deadline Time) Time {
-	for len(e.queue) > 0 && e.queue[0].at <= deadline {
-		ev := e.queue.pop()
-		e.now = ev.at
-		e.events++
-		ev.call()
-	}
-	if e.now < deadline && len(e.queue) > 0 {
-		e.now = deadline
-	}
-	return e.now
-}
-
-// Pending returns the number of queued events.
-func (e *Engine) Pending() int { return len(e.queue) }
 
 // Resource is a FIFO-served exclusive device (a DMA engine, a link
-// endpoint, a compute cluster). Acquire queues a usage of a given
-// duration; done fires when the usage completes. Busy time is
-// accumulated for utilization accounting.
+// endpoint, a compute cluster). UseAfter queues a usage of a given
+// duration; done fires when the usage completes.
 type Resource struct {
-	eng       *Engine
-	name      string
-	freeAt    Time
-	busy      Time
-	uses      uint64
-	lastStart Time
+	eng    *Engine
+	freeAt Time
 }
 
-// NewResource creates a resource bound to an engine.
-func NewResource(eng *Engine, name string) *Resource {
-	return &Resource{eng: eng, name: name}
+// Init (re)binds the resource to an engine with fresh state, in place:
+// a pooled simulation keeps a dense slice of Resource values and
+// re-initializes them per run instead of allocating each behind a
+// pointer.
+func (r *Resource) Init(eng *Engine) {
+	*r = Resource{eng: eng}
 }
 
-// Init (re)binds the resource to an engine with fresh state, in place.
-// It is the arena-reuse counterpart of NewResource: a pooled simulation
-// keeps a dense slice of Resource values and re-initializes them per
-// run instead of allocating each behind a pointer.
-func (r *Resource) Init(eng *Engine, name string) {
-	*r = Resource{eng: eng, name: name}
-}
-
-// Name returns the resource's diagnostic name.
-func (r *Resource) Name() string { return r.name }
-
-// Use occupies the resource for duration cycles starting no earlier
-// than now, queuing FIFO behind earlier users. It returns the
-// completion time and invokes done (if non-nil) at that time.
-func (r *Resource) Use(duration Time, done func(start, end Time)) Time {
-	if duration < 0 {
-		panic(fmt.Sprintf("eventsim: negative use duration %v on %s", duration, r.name))
-	}
-	start := r.freeAt
-	if now := r.eng.Now(); start < now {
-		start = now
-	}
-	end := start + duration
-	r.freeAt = end
-	r.busy += duration
-	r.uses++
-	r.lastStart = start
-	if done != nil {
-		r.eng.At(end, func() { done(start, end) })
-	}
-	return end
-}
-
-// UseAfter is like Use but the usage cannot start before ready.
+// UseAfter occupies the resource for duration cycles starting no
+// earlier than ready or now, queuing FIFO behind earlier users. It
+// returns the completion time and invokes done (if non-nil) at that
+// time.
 func (r *Resource) UseAfter(ready Time, duration Time, done func(start, end Time)) Time {
 	if duration < 0 {
-		panic(fmt.Sprintf("eventsim: negative use duration %v on %s", duration, r.name))
+		panic(fmt.Sprintf("eventsim: negative use duration %v", duration))
 	}
 	start := r.freeAt
 	if start < ready {
@@ -228,60 +163,8 @@ func (r *Resource) UseAfter(ready Time, duration Time, done func(start, end Time
 	}
 	end := start + duration
 	r.freeAt = end
-	r.busy += duration
-	r.uses++
-	r.lastStart = start
 	if done != nil {
 		r.eng.At(end, func() { done(start, end) })
 	}
 	return end
 }
-
-// FreeAt returns the earliest time a new usage could start.
-func (r *Resource) FreeAt() Time { return r.freeAt }
-
-// BusyTime returns the cumulative occupied cycles.
-func (r *Resource) BusyTime() Time { return r.busy }
-
-// Uses returns the number of completed or queued usages.
-func (r *Resource) Uses() uint64 { return r.uses }
-
-// Barrier synchronizes n parties: each party calls Arrive with its own
-// ready time; when all have arrived, the release callback fires at the
-// maximum arrival time.
-type Barrier struct {
-	eng     *Engine
-	need    int
-	arrived int
-	latest  Time
-	release func(at Time)
-	done    bool
-}
-
-// NewBarrier creates a barrier for n parties. release fires exactly
-// once, at the latest arrival time.
-func NewBarrier(eng *Engine, n int, release func(at Time)) *Barrier {
-	if n <= 0 {
-		panic("eventsim: barrier needs at least one party")
-	}
-	return &Barrier{eng: eng, need: n, release: release}
-}
-
-// Arrive registers one party as ready at time t.
-func (b *Barrier) Arrive(t Time) {
-	if b.done {
-		panic("eventsim: arrival after barrier release")
-	}
-	if t > b.latest {
-		b.latest = t
-	}
-	b.arrived++
-	if b.arrived == b.need {
-		b.done = true
-		at := b.latest
-		b.eng.At(at, func() { b.release(at) })
-	}
-}
-
-// Arrived returns how many parties have arrived so far.
-func (b *Barrier) Arrived() int { return b.arrived }

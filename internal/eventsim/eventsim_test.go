@@ -41,18 +41,6 @@ func TestSimultaneousEventsAreFIFO(t *testing.T) {
 	}
 }
 
-func TestAfterSchedulesRelative(t *testing.T) {
-	eng := NewEngine()
-	var hit Time = -1
-	eng.At(10, func() {
-		eng.After(5, func() { hit = eng.Now() })
-	})
-	eng.Run()
-	if hit != 15 {
-		t.Fatalf("After fired at %v, want 15", hit)
-	}
-}
-
 func TestSchedulingInPastPanics(t *testing.T) {
 	eng := NewEngine()
 	eng.At(10, func() {
@@ -66,61 +54,30 @@ func TestSchedulingInPastPanics(t *testing.T) {
 	eng.Run()
 }
 
-func TestNegativeDelayPanics(t *testing.T) {
-	eng := NewEngine()
-	defer func() {
-		if recover() == nil {
-			t.Error("negative delay did not panic")
-		}
-	}()
-	eng.After(-1, func() {})
-}
-
-func TestRunUntilLeavesLaterEvents(t *testing.T) {
-	eng := NewEngine()
-	var ran []Time
-	for _, at := range []Time{1, 2, 3, 10, 20} {
-		at := at
-		eng.At(at, func() { ran = append(ran, at) })
-	}
-	eng.RunUntil(5)
-	if len(ran) != 3 {
-		t.Fatalf("RunUntil(5) ran %d events, want 3", len(ran))
-	}
-	if eng.Pending() != 2 {
-		t.Fatalf("pending = %d, want 2", eng.Pending())
-	}
-	eng.Run()
-	if len(ran) != 5 {
-		t.Fatalf("Run after RunUntil ran %d total, want 5", len(ran))
-	}
-}
-
 func TestResourceSerializesUsers(t *testing.T) {
 	eng := NewEngine()
-	r := NewResource(eng, "dma")
+	var r Resource
+	r.Init(eng)
 	var spans [][2]Time
 	for i := 0; i < 3; i++ {
-		r.Use(10, func(s, e Time) { spans = append(spans, [2]Time{s, e}) })
+		r.UseAfter(0, 10, func(s, e Time) { spans = append(spans, [2]Time{s, e}) })
 	}
 	eng.Run()
 	want := [][2]Time{{0, 10}, {10, 20}, {20, 30}}
+	if len(spans) != len(want) {
+		t.Fatalf("spans = %v, want %v", spans, want)
+	}
 	for i, sp := range spans {
 		if sp != want[i] {
 			t.Fatalf("span %d = %v, want %v", i, sp, want[i])
 		}
 	}
-	if r.BusyTime() != 30 {
-		t.Fatalf("busy = %v, want 30", r.BusyTime())
-	}
-	if r.Uses() != 3 {
-		t.Fatalf("uses = %d, want 3", r.Uses())
-	}
 }
 
 func TestResourceUseAfterHonorsReadyTime(t *testing.T) {
 	eng := NewEngine()
-	r := NewResource(eng, "link")
+	var r Resource
+	r.Init(eng)
 	var first, second [2]Time
 	r.UseAfter(100, 10, func(s, e Time) { first = [2]Time{s, e} })
 	// Queued behind the first, even though ready earlier.
@@ -136,51 +93,16 @@ func TestResourceUseAfterHonorsReadyTime(t *testing.T) {
 
 func TestResourceInterleavedWithEvents(t *testing.T) {
 	eng := NewEngine()
-	r := NewResource(eng, "cluster")
+	var r Resource
+	r.Init(eng)
 	var end Time
 	eng.At(50, func() {
-		r.Use(25, func(_, e Time) { end = e })
+		r.UseAfter(0, 25, func(_, e Time) { end = e })
 	})
 	eng.Run()
 	if end != 75 {
 		t.Fatalf("usage scheduled at t=50 ended at %v, want 75", end)
 	}
-}
-
-func TestBarrierReleasesAtLatestArrival(t *testing.T) {
-	eng := NewEngine()
-	var released Time = -1
-	b := NewBarrier(eng, 3, func(at Time) { released = at })
-	b.Arrive(5)
-	b.Arrive(42)
-	b.Arrive(17)
-	eng.Run()
-	if released != 42 {
-		t.Fatalf("released at %v, want 42", released)
-	}
-}
-
-func TestBarrierSingleParty(t *testing.T) {
-	eng := NewEngine()
-	var released Time = -1
-	b := NewBarrier(eng, 1, func(at Time) { released = at })
-	b.Arrive(9)
-	eng.Run()
-	if released != 9 {
-		t.Fatalf("released at %v, want 9", released)
-	}
-}
-
-func TestBarrierExtraArrivalPanics(t *testing.T) {
-	eng := NewEngine()
-	b := NewBarrier(eng, 1, func(Time) {})
-	b.Arrive(1)
-	defer func() {
-		if recover() == nil {
-			t.Error("extra arrival did not panic")
-		}
-	}()
-	b.Arrive(2)
 }
 
 // Property: for any random set of event times, execution order is the
@@ -215,8 +137,8 @@ func TestPropertyEventOrdering(t *testing.T) {
 	}
 }
 
-// Property: a resource's total busy time equals the sum of requested
-// durations, and usage spans never overlap.
+// Property: usage spans never overlap, and back-to-back users ready at
+// zero finish at the sum of their durations.
 func TestPropertyResourceNoOverlap(t *testing.T) {
 	f := func(raw []uint8) bool {
 		if len(raw) == 0 {
@@ -226,16 +148,17 @@ func TestPropertyResourceNoOverlap(t *testing.T) {
 			raw = raw[:100]
 		}
 		eng := NewEngine()
-		r := NewResource(eng, "x")
+		var r Resource
+		r.Init(eng)
 		var spans [][2]Time
-		var total Time
+		var total, end Time
 		for _, v := range raw {
 			d := Time(v)
 			total += d
-			r.Use(d, func(s, e Time) { spans = append(spans, [2]Time{s, e}) })
+			end = r.UseAfter(0, d, func(s, e Time) { spans = append(spans, [2]Time{s, e}) })
 		}
 		eng.Run()
-		if r.BusyTime() != total {
+		if end != total {
 			return false
 		}
 		for i := 1; i < len(spans); i++ {
@@ -250,26 +173,23 @@ func TestPropertyResourceNoOverlap(t *testing.T) {
 	}
 }
 
-func TestProcessedCounter(t *testing.T) {
-	eng := NewEngine()
-	const n = 37
-	for i := 0; i < n; i++ {
-		eng.At(Time(i), func() {})
-	}
-	eng.Run()
-	if eng.Processed() != n {
-		t.Fatalf("processed = %d, want %d", eng.Processed(), n)
-	}
-}
-
+// BenchmarkEngineThroughput schedules events in bursts of 1024 (each
+// at a random offset from now, half of them through a resource) and
+// drains each burst with Run.
 func BenchmarkEngineThroughput(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	eng := NewEngine()
+	var r Resource
+	r.Init(eng)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		eng.At(eng.Now()+Time(rng.Intn(64)), func() {})
-		if eng.Pending() > 1024 {
-			eng.RunUntil(eng.Now() + 32)
+		if i%2 == 0 {
+			eng.At(eng.Now()+Time(rng.Intn(64)), func() {})
+		} else {
+			r.UseAfter(0, Time(rng.Intn(64)), func(_, _ Time) {})
+		}
+		if i%1024 == 1023 {
+			eng.Run()
 		}
 	}
 	eng.Run()

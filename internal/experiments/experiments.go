@@ -14,8 +14,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"mcudist/internal/core"
 	"mcudist/internal/deploy"
 	"mcudist/internal/evalpool"
@@ -196,24 +194,4 @@ func Fig6() (*Fig6Result, error) {
 		})
 	}
 	return out, nil
-}
-
-// row lookup helper for tests and the headline metrics.
-func (f *Fig4Result) Row(chips int) (BreakdownRow, error) {
-	for _, r := range f.Rows {
-		if r.Chips == chips {
-			return r, nil
-		}
-	}
-	return BreakdownRow{}, fmt.Errorf("experiments: no row for %d chips", chips)
-}
-
-// Point lookup helper.
-func (f *Fig5Result) Point(chips int, scaled bool) (Fig5Point, error) {
-	for _, p := range f.Points {
-		if p.Chips == chips && p.Scaled == scaled {
-			return p, nil
-		}
-	}
-	return Fig5Point{}, fmt.Errorf("experiments: no point for %d chips (scaled=%v)", chips, scaled)
 }

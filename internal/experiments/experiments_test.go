@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"testing"
 
 	"mcudist/internal/deploy"
@@ -409,4 +410,24 @@ func TestAblationGroupSizeAndLink(t *testing.T) {
 			t.Errorf("link bandwidth increase slowed runtime: %v", lb)
 		}
 	}
+}
+
+// Row returns the breakdown row for a chip count.
+func (f *Fig4Result) Row(chips int) (BreakdownRow, error) {
+	for _, r := range f.Rows {
+		if r.Chips == chips {
+			return r, nil
+		}
+	}
+	return BreakdownRow{}, fmt.Errorf("experiments: no row for %d chips", chips)
+}
+
+// Point returns the Fig. 5 point for a chip count and model.
+func (f *Fig5Result) Point(chips int, scaled bool) (Fig5Point, error) {
+	for _, p := range f.Points {
+		if p.Chips == chips && p.Scaled == scaled {
+			return p, nil
+		}
+	}
+	return Fig5Point{}, fmt.Errorf("experiments: no point for %d chips (scaled=%v)", chips, scaled)
 }

@@ -44,8 +44,8 @@ type AutotuneResult struct {
 // the shared evalpool engine, and returns the winning plan with its
 // margin over the best uniform topology. Points are spelled
 // phase-restricted, so the 4 all-same tuples share their simulations
-// with the uniform baselines (and with BestTopology and the
-// frontiers): the grid evaluates exactly its distinct configurations,
+// with the uniform baselines (and with plain sweeps of that topology):
+// the grid evaluates exactly its distinct configurations,
 // and points repeated across calls are served from the process-wide
 // report cache. Ties keep the earliest candidate in enumeration order,
 // so the paper's tree wins exact draws.

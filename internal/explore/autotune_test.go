@@ -8,7 +8,6 @@ import (
 	"mcudist/internal/hw"
 	"mcudist/internal/model"
 	"mcudist/internal/partition"
-	"mcudist/internal/perfsim"
 )
 
 // The autotuner at the 64-chip prompt point must rediscover the PR 2
@@ -102,57 +101,6 @@ func TestAutotunePlanSeesNetwork(t *testing.T) {
 	for _, cc := range res.PerClass {
 		if cc.Topology != hw.TopoFullyConnected {
 			t.Errorf("%s tuned to %s under the backhaul, want fully-connected", cc.Class, cc.Topology)
-		}
-	}
-}
-
-// The frontier points must surface the per-sync C2C attribution the
-// plan decisions rest on (the former omission left plan wins
-// unattributable from frontier output alone).
-func TestFrontierPointsCarryClassCycles(t *testing.T) {
-	base := core.DefaultSystem(1)
-	wl := core.Workload{Model: model.TinyLlama42M(), Mode: model.Prompt}
-	points, err := TopologyFrontier(base, wl, []int{2, 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range points {
-		if len(p.C2CCyclesByClass) != 2 {
-			t.Fatalf("topology point %s/%d: %d classes, want 2", p.Topology, p.Chips, len(p.C2CCyclesByClass))
-		}
-		var sum float64
-		for i, cc := range p.C2CCyclesByClass {
-			if cc.Class != p.Report.ByClass[i].Class || cc.Topology != p.Topology {
-				t.Errorf("%s/%d: class %v mismatched", p.Topology, p.Chips, cc)
-			}
-			sum += cc.C2CCycles
-		}
-		// The per-chip counters live in the simulator result; rerun
-		// the point's lowering to read them.
-		d, err := core.Lower(p.Report.System, p.Report.Workload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := perfsim.Run(d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var chips float64
-		for _, st := range res.PerChip {
-			chips += st.C2CCycles
-		}
-		if sum != chips {
-			t.Errorf("%s/%d: class cycles %g != chip totals %g", p.Topology, p.Chips, sum, chips)
-		}
-	}
-	nets, err := NetworkFrontier(base, wl, []int{8},
-		[]hw.Network{hw.UniformNetwork(hw.MIPI())})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range nets {
-		if len(p.C2CCyclesByClass) != 2 {
-			t.Fatalf("network point %s/%d lacks class attribution", p.Topology, p.Chips)
 		}
 	}
 }

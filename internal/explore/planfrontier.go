@@ -13,13 +13,12 @@ import (
 )
 
 // This file is the surrogate-first face of the frontier family:
-// Frontier, TopologyFrontier, and NetworkFrontier price every grid
-// cell with exact simulations, which is the right tool for the chip ×
-// topology × network axes (each cell is one simulation) but not for
-// the collective-plan axis, whose joint grid multiplies every cell by
+// Frontier prices every chip count with an exact simulation, which is
+// the right tool when each cell is one simulation but not for the
+// collective-plan axis, whose joint grid multiplies every cell by
 // topologies^classes (256 session plans for the tensor-parallel
-// scheme). PlanFrontier and PlanBudgetFit fold that axis in by
-// fitting the shared Surrogate once per (network, chip-count) cell —
+// scheme). PlanFrontier folds that axis in by fitting the shared
+// Surrogate once per (network, chip-count) cell —
 // ~20 probe simulations — predicting all candidates, and exactly
 // verifying only the predicted Pareto edge, the predicted top-K, and
 // the uniform baselines. Exact simulation remains the ground truth:
@@ -251,46 +250,4 @@ func PlanFrontier(base core.System, cfg model.Config, chips []int, opts PlanFron
 	}
 	res.ExactSims = int(evalpool.Evaluations() - evalsBefore)
 	return res, nil
-}
-
-// PlanBudgetFit is BudgetFit rewired onto the surrogate: it returns
-// the fewest-chip configuration whose tuned collective plan meets
-// both a session latency and a session energy budget. Chip counts are
-// scanned ascending with early exit — an answer at a small count
-// never pays for the large ones — and per count the surrogate
-// predicts the plan grid and only the predicted-best candidates (plus
-// the uniform baselines) are verified; the budget decision is always
-// made on exact numbers.
-func PlanBudgetFit(base core.System, cfg model.Config, maxChips int, maxSeconds, maxJoules float64, opts PlanFrontierOptions) (*PlanPoint, error) {
-	counts := LegalChipCounts(cfg, maxChips)
-	bestLatency, bestEnergy := math.Inf(1), math.Inf(1)
-	for _, n := range counts {
-		sys := base
-		sys.Chips = n
-		verified, _, err := planCell(sys, cfg, opts)
-		if err != nil {
-			return nil, fmt.Errorf("explore: plan budget fit (%d chips): %w", n, err)
-		}
-		var fit []int
-		for i, vp := range verified {
-			if vp.Seconds < bestLatency {
-				bestLatency = vp.Seconds
-			}
-			if vp.Joules < bestEnergy {
-				bestEnergy = vp.Joules
-			}
-			if vp.Seconds > maxSeconds || vp.Joules > maxJoules {
-				continue
-			}
-			fit = append(fit, i)
-		}
-		if len(fit) > 0 {
-			best := fit[winner(fit, func(k int) float64 { return verified[fit[k]].Cycles })]
-			return &PlanPoint{Network: base.HW.Network, Chips: n, VerifiedPlan: verified[best]}, nil
-		}
-	}
-	if bestLatency > maxSeconds {
-		return nil, fmt.Errorf("explore: session latency budget %.3g s unreachable with a tuned plan (best %.3g s)", maxSeconds, bestLatency)
-	}
-	return nil, fmt.Errorf("explore: session energy budget %.3g J unreachable with a tuned plan (best %.3g J)", maxJoules, bestEnergy)
 }

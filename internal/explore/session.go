@@ -240,7 +240,7 @@ func (sp planSpace) uniforms() []int {
 // classes, a class the plan leaves unbound taking the zero topology,
 // and a phase whose classes all share one topology collapses to the
 // zero plan on that run topology, sharing cache entries with the
-// uniform baselines, BestTopology and the frontier sweeps. The base
+// uniform baselines and plain sweeps of that topology. The base
 // system's own SyncPlan is overridden either way.
 func phasePoint(base core.System, m sessionMode, p collective.Plan, deployed bool) evalpool.Point {
 	sys := base

@@ -6,7 +6,6 @@ import (
 	"mcudist/internal/collective"
 	"mcudist/internal/core"
 	"mcudist/internal/evalpool"
-	"mcudist/internal/hw"
 	"mcudist/internal/model"
 )
 
@@ -19,9 +18,9 @@ import (
 // binding — and the fitted model predicts any joint plan's session
 // cycles and energy by composing the measured deltas additively, in
 // microseconds instead of simulations. Predictions only ever decide
-// what to verify: every consumer (AutotuneSession, PlanFrontier,
-// PlanBudgetFit) re-evaluates its predicted winners exactly and
-// decides on exact numbers.
+// what to verify: every consumer (AutotuneSession, PlanFrontier)
+// re-evaluates its predicted winners exactly and decides on exact
+// numbers.
 //
 // The single-deviation probes make the prediction exact whenever at
 // most one class per phase leaves the reference topology; the residual
@@ -151,35 +150,6 @@ func classC2C(rep *core.Report, c collective.SyncClass) float64 {
 	return 0
 }
 
-// Classes returns the session's joint plan axis: the ordered union of
-// both phases' active synchronization classes.
-func (s *Surrogate) Classes() []collective.SyncClass {
-	return append([]collective.SyncClass(nil), s.union...)
-}
-
-// Reference returns the topology the deltas are measured against (the
-// fitted system's run topology).
-func (s *Surrogate) Reference() hw.Topology { return s.topos[s.refIdx] }
-
-// Costs returns the fitted per-class cost vector — the decomposition
-// behind every prediction, reportable as a table.
-func (s *Surrogate) Costs() []ClassCost {
-	return append([]ClassCost(nil), s.costs...)
-}
-
-// Candidates enumerates the full joint class × topology grid as bound
-// plans, in the canonical odometer order (first union class cycling
-// fastest) every search in this package shares, so ties resolve
-// identically everywhere.
-func (s *Surrogate) Candidates() []collective.Plan {
-	g := s.grid()
-	out := make([]collective.Plan, g.n)
-	for i := range out {
-		out[i] = s.plan(g.at(i))
-	}
-	return out
-}
-
 // planIdx resolves a plan to per-union-class topology indices;
 // unbound classes resolve to the reference topology.
 func (s *Surrogate) planIdx(p collective.Plan) []int {
@@ -188,26 +158,6 @@ func (s *Surrogate) planIdx(p collective.Plan) []int {
 		idx[i] = slices.Index(s.topos, p.Topology(c, s.topos[s.refIdx]))
 	}
 	return idx
-}
-
-// PredictCycles predicts the plan's whole-session cycle cost (prompt
-// prefill plus one decode step) from the fitted deltas — a few
-// additions, no simulation.
-func (s *Surrogate) PredictCycles(p collective.Plan) float64 {
-	return s.predict(s.planIdx(p)).Cycles
-}
-
-// PredictSeconds predicts the plan's whole-session wall time the same
-// way (seconds are fitted from the probe reports directly, so clock
-// differences between phases need no assumptions).
-func (s *Surrogate) PredictSeconds(p collective.Plan) float64 {
-	return s.predict(s.planIdx(p)).Seconds
-}
-
-// PredictJoules predicts the plan's whole-session energy the same
-// way.
-func (s *Surrogate) PredictJoules(p collective.Plan) float64 {
-	return s.predict(s.planIdx(p)).Joules
 }
 
 // predict composes a candidate's session cost from the fitted deltas:

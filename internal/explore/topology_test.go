@@ -6,79 +6,8 @@ import (
 	"mcudist/internal/core"
 	"mcudist/internal/hw"
 	"mcudist/internal/model"
+	"mcudist/internal/perfsim"
 )
-
-func TestTopologyFrontierGrid(t *testing.T) {
-	wl := core.Workload{Model: model.TinyLlama42M(), Mode: model.Prompt}
-	chips := []int{2, 4, 8}
-	points, err := TopologyFrontier(core.DefaultSystem(1), wl, chips)
-	if err != nil {
-		t.Fatal(err)
-	}
-	topos := hw.Topologies()
-	if len(points) != len(topos)*len(chips) {
-		t.Fatalf("%d points, want %d", len(points), len(topos)*len(chips))
-	}
-	// Grid order: topology-major, chips ascending, reports populated
-	// and consistent with the point's own configuration.
-	anyPareto := false
-	for i, p := range points {
-		if p.Topology != topos[i/len(chips)] || p.Chips != chips[i%len(chips)] {
-			t.Fatalf("point %d = (%s, %d), want (%s, %d)",
-				i, p.Topology, p.Chips, topos[i/len(chips)], chips[i%len(chips)])
-		}
-		if p.Report == nil || p.Report.System.HW.Topology != p.Topology ||
-			p.Report.System.Chips != p.Chips {
-			t.Fatalf("point %d report does not match its configuration", i)
-		}
-		anyPareto = anyPareto || p.Pareto
-	}
-	if !anyPareto {
-		t.Fatal("no Pareto-optimal point in the grid")
-	}
-	// A dominated point must not be flagged: find the global best
-	// latency and energy; anything strictly worse on both axes with a
-	// flag is a bug.
-	for _, p := range points {
-		if !p.Pareto {
-			continue
-		}
-		for _, q := range points {
-			if q.Report.Seconds < p.Report.Seconds &&
-				q.Report.Energy.Total() < p.Report.Energy.Total() {
-				t.Fatalf("(%s, %d chips) flagged Pareto but dominated by (%s, %d chips)",
-					p.Topology, p.Chips, q.Topology, q.Chips)
-			}
-		}
-	}
-}
-
-func TestBestTopologyPicksMinimumLatency(t *testing.T) {
-	wl := core.Workload{Model: model.TinyLlama42M(), Mode: model.Prompt}
-	base := core.DefaultSystem(8)
-	topo, rep, err := BestTopology(base, wl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep == nil {
-		t.Fatal("no report")
-	}
-	for _, other := range hw.Topologies() {
-		sys := base
-		sys.HW.Topology = other
-		r, err := core.Run(sys, wl)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r.Cycles < rep.Cycles {
-			t.Errorf("BestTopology picked %s (%.0f cycles) but %s is faster (%.0f)",
-				topo, rep.Cycles, other, r.Cycles)
-		}
-	}
-	if rep.System.HW.Topology != topo {
-		t.Errorf("returned report's topology %s != %s", rep.System.HW.Topology, topo)
-	}
-}
 
 // On a single chip every topology degenerates to no communication at
 // all, so the frontier must agree across shapes.
@@ -99,6 +28,49 @@ func TestTopologySingleChipEquivalence(t *testing.T) {
 		if rep.Cycles != first.Cycles || rep.C2CBytes != 0 {
 			t.Errorf("%s on one chip: %.0f cycles / %d link bytes, want %.0f / 0",
 				topo, rep.Cycles, rep.C2CBytes, first.Cycles)
+		}
+	}
+}
+
+// Every report attributes its chip-to-chip link time to the
+// synchronization classes that produced it, each under the run
+// topology, and the per-class cycles sum to the simulator's per-chip
+// C2C totals.
+func TestClassCyclesSumToChipTotals(t *testing.T) {
+	wl := core.Workload{Model: model.TinyLlama42M(), Mode: model.Prompt}
+	for _, topo := range hw.Topologies() {
+		for _, n := range []int{2, 8} {
+			sys := core.DefaultSystem(n)
+			sys.HW.Topology = topo
+			rep, err := core.Run(sys, wl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rep.ByClass) != 2 {
+				t.Fatalf("%s/%d: %d classes, want 2", topo, n, len(rep.ByClass))
+			}
+			var sum float64
+			for _, cs := range rep.ByClass {
+				if cs.Topology != topo {
+					t.Errorf("%s/%d: class %s ran on %s", topo, n, cs.Class, cs.Topology)
+				}
+				sum += cs.C2CCycles
+			}
+			d, err := core.Lower(sys, wl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := perfsim.Run(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var chips float64
+			for _, st := range res.PerChip {
+				chips += st.C2CCycles
+			}
+			if sum != chips {
+				t.Errorf("%s/%d: class cycles %g != chip totals %g", topo, n, sum, chips)
+			}
 		}
 	}
 }

@@ -238,35 +238,10 @@ func (p Params) CyclesToSeconds(cycles float64) float64 {
 	return cycles / p.Chip.FreqHz
 }
 
-// SecondsToCycles converts wall-clock seconds to cluster cycles.
-func (p Params) SecondsToCycles(sec float64) float64 {
-	return sec * p.Chip.FreqHz
-}
-
-// LinkBytesPerCycle is the local/uniform link class bandwidth
-// expressed in payload bytes per cluster cycle. Per-edge consumers
-// (the event simulator) resolve each edge's own class via LinkFor;
-// this helper backs the closed-form estimates, which assume the
-// uniform class.
-func (p Params) LinkBytesPerCycle() float64 {
-	return p.Network.Local.BytesPerCycle(p.Chip.FreqHz)
-}
-
-// LinkFor resolves the link class of the directed edge from->to under
-// the platform's network description.
-func (p Params) LinkFor(from, to int) (LinkClass, error) {
-	return p.Network.LinkFor(from, to)
-}
-
 // UsableL2Bytes is the L2 capacity available to the deployment planner
 // after the runtime reservation.
 func (p Params) UsableL2Bytes() int {
 	return p.Chip.L2Bytes - p.Chip.L2ReserveBytes
-}
-
-// PeakMACsPerCycle is the peak int8 MAC throughput of one chip.
-func (p Params) PeakMACsPerCycle() int {
-	return p.Chip.Cores * p.Chip.MACsPerCorePerCycle
 }
 
 // Validate reports the first structural problem with the parameter

@@ -30,11 +30,6 @@ const (
 	memProfileCount // sentinel for validation
 )
 
-// MemProfiles returns every supported memory profile, in enum order.
-func MemProfiles() []MemProfile {
-	return []MemProfile{MemFlat, MemDRAM}
-}
-
 func (p MemProfile) String() string {
 	switch p {
 	case MemFlat:

@@ -6,7 +6,7 @@ import (
 )
 
 func TestMemProfileRoundTrip(t *testing.T) {
-	for _, p := range MemProfiles() {
+	for p := MemProfile(0); p < memProfileCount; p++ {
 		if !p.Valid() {
 			t.Fatalf("%s reported invalid", p)
 		}

@@ -5,9 +5,8 @@ import "fmt"
 // This file generates explicit per-edge wirings on top of the
 // TableNetwork machinery: a materializer that expands any network
 // profile into its edge table (the form the resilience tier perturbs),
-// and two classic sparse fabrics — the 2D torus and the dragonfly —
-// that exercise multi-hop stage routing because most chip pairs have
-// no direct edge.
+// and the 2D torus, a sparse fabric that exercises multi-hop stage
+// routing because most chip pairs have no direct edge.
 
 // NetworkEdges materializes the network's wiring over chips 0..n-1 as
 // an explicit per-edge table: every directed edge the network defines
@@ -76,39 +75,6 @@ func TorusNetwork(dimX, dimY int, c LinkClass) (Network, error) {
 			chip := y*dimX + x
 			wire(chip, y*dimX+(x+1)%dimX)
 			wire(chip, ((y+1)%dimY)*dimX+x)
-		}
-	}
-	return TableNetwork(edges)
-}
-
-// DragonflyNetwork wires groups x perGroup chips as a dragonfly: each
-// group of perGroup consecutive chips is fully connected with the
-// local class, and every group pair is joined by one bidirectional
-// global link with the global class. The global link between groups a
-// and b attaches to deterministic port chips — a's chip a*perGroup +
-// b%perGroup and b's chip b*perGroup + a%perGroup — so global traffic
-// spreads across a group's members instead of converging on chip 0.
-func DragonflyNetwork(groups, perGroup int, local, global LinkClass) (Network, error) {
-	if groups < 1 || perGroup < 1 || groups*perGroup < 2 {
-		return Network{}, fmt.Errorf("hw: dragonfly %d groups x %d chips needs at least 2 chips", groups, perGroup)
-	}
-	edges := make(map[Edge]LinkClass)
-	for g := 0; g < groups; g++ {
-		base := g * perGroup
-		for i := 0; i < perGroup; i++ {
-			for j := 0; j < perGroup; j++ {
-				if i != j {
-					edges[Edge{From: base + i, To: base + j}] = local
-				}
-			}
-		}
-	}
-	for a := 0; a < groups; a++ {
-		for b := a + 1; b < groups; b++ {
-			pa := a*perGroup + b%perGroup
-			pb := b*perGroup + a%perGroup
-			edges[Edge{From: pa, To: pb}] = global
-			edges[Edge{From: pb, To: pa}] = global
 		}
 	}
 	return TableNetwork(edges)

@@ -141,41 +141,3 @@ func TestTorusNetworkLinkFor(t *testing.T) {
 		t.Fatal("1x1 torus should be rejected")
 	}
 }
-
-func TestDragonflyNetwork(t *testing.T) {
-	local, global := MIPI(), MIPI().Slower(4)
-	net, err := DragonflyNetwork(3, 4, local, global)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Local all-to-all inside group 0.
-	c, err := net.LinkFor(1, 2)
-	if err != nil || c != local {
-		t.Fatalf("local edge 1->2: class %+v err %v, want local", c, err)
-	}
-	// Global link between groups 0 and 1: ports 0*4+1%4=1 and 1*4+0%4=4.
-	c, err = net.LinkFor(1, 4)
-	if err != nil || c != global {
-		t.Fatalf("global edge 1->4: class %+v err %v, want global", c, err)
-	}
-	// Non-port cross-group pairs are unwired.
-	if _, err := net.LinkFor(0, 4); err == nil {
-		t.Fatal("cross-group non-port edge 0->4 should be unwired")
-	}
-	// Edge count: 3 groups x 4*3 local + 3 group pairs x 2 directions.
-	edges, _ := TableEdges(net.TableDigest)
-	if len(edges) != 3*12+3*2 {
-		t.Fatalf("dragonfly has %d directed edges, want %d", len(edges), 3*12+3*2)
-	}
-	// Round trip: equal parameters, equal network.
-	again, err := DragonflyNetwork(3, 4, local, global)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again != net {
-		t.Fatal("equal dragonfly parameters produced unequal networks")
-	}
-	if _, err := DragonflyNetwork(1, 1, local, global); err == nil {
-		t.Fatal("1x1 dragonfly should be rejected")
-	}
-}

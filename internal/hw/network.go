@@ -103,11 +103,6 @@ const (
 	networkProfileCount // sentinel for validation
 )
 
-// NetworkProfiles returns every supported profile, in enum order.
-func NetworkProfiles() []NetworkProfile {
-	return []NetworkProfile{NetUniform, NetClustered, NetTable}
-}
-
 func (p NetworkProfile) String() string {
 	switch p {
 	case NetUniform:

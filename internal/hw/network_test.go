@@ -251,7 +251,7 @@ func TestTopologyTextRoundTrip(t *testing.T) {
 }
 
 func TestNetworkProfileTextRoundTrip(t *testing.T) {
-	for _, p := range NetworkProfiles() {
+	for p := NetworkProfile(0); p < networkProfileCount; p++ {
 		b, err := p.MarshalText()
 		if err != nil {
 			t.Fatalf("%v: %v", p, err)

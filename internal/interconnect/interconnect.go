@@ -95,46 +95,6 @@ func (t *Tree) Depth() int {
 	return depth
 }
 
-// Validate checks that the tree spans all chips exactly once and is
-// acyclic with the declared root.
-func (t *Tree) Validate() error {
-	if t.N <= 0 {
-		return fmt.Errorf("interconnect: empty tree")
-	}
-	if t.Parent[t.Root] != -1 {
-		return fmt.Errorf("interconnect: root %d has parent %d", t.Root, t.Parent[t.Root])
-	}
-	seen := make([]bool, t.N)
-	var walk func(int, int) error
-	walk = func(node, depth int) error {
-		if depth > t.N {
-			return fmt.Errorf("interconnect: cycle detected at %d", node)
-		}
-		if seen[node] {
-			return fmt.Errorf("interconnect: chip %d reached twice", node)
-		}
-		seen[node] = true
-		for _, c := range t.Children[node] {
-			if t.Parent[c] != node {
-				return fmt.Errorf("interconnect: child %d of %d has parent %d", c, node, t.Parent[c])
-			}
-			if err := walk(c, depth+1); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := walk(t.Root, 0); err != nil {
-		return err
-	}
-	for i, s := range seen {
-		if !s {
-			return fmt.Errorf("interconnect: chip %d unreachable", i)
-		}
-	}
-	return nil
-}
-
 // Subtree returns the chips in the subtree rooted at node (including
 // node itself), in reduce-dependency order (children before parents).
 func (t *Tree) Subtree(node int) []int {
@@ -219,13 +179,6 @@ func (t *Tree) BroadcastHops() []Hop {
 // the analytical estimates.
 func TransferCycles(p hw.Params, payloadBytes int64) float64 {
 	return p.Network.Local.TransferCycles(p.Chip.FreqHz, payloadBytes)
-}
-
-// AllReduceBytes is the total link traffic of one all-reduce +
-// broadcast of the given per-chip payload: (N-1) hops up and (N-1)
-// hops down.
-func AllReduceBytes(t *Tree, reducePayload, bcastPayload int64) int64 {
-	return int64(t.N-1) * (reducePayload + bcastPayload)
 }
 
 // RingAllReduceCycles estimates a ring all-reduce + all-gather over n

@@ -1,6 +1,7 @@
 package interconnect
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -146,14 +147,6 @@ func TestSubtreeOrder(t *testing.T) {
 	}
 }
 
-func TestAllReduceBytes(t *testing.T) {
-	tr, _ := BuildTree(8, 4)
-	// 7 hops up of 2048 B (int32 partials), 7 down of 512 B.
-	if got := AllReduceBytes(tr, 2048, 512); got != 7*(2048+512) {
-		t.Fatalf("all-reduce bytes = %d", got)
-	}
-}
-
 func TestTransferCycles(t *testing.T) {
 	p := hw.Siracusa()
 	if got := TransferCycles(p, 0); got != 0 {
@@ -249,4 +242,44 @@ func TestPropertyAcyclic(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// Validate checks that the tree spans all chips exactly once and is
+// acyclic with the declared root.
+func (t *Tree) Validate() error {
+	if t.N <= 0 {
+		return fmt.Errorf("interconnect: empty tree")
+	}
+	if t.Parent[t.Root] != -1 {
+		return fmt.Errorf("interconnect: root %d has parent %d", t.Root, t.Parent[t.Root])
+	}
+	seen := make([]bool, t.N)
+	var walk func(int, int) error
+	walk = func(node, depth int) error {
+		if depth > t.N {
+			return fmt.Errorf("interconnect: cycle detected at %d", node)
+		}
+		if seen[node] {
+			return fmt.Errorf("interconnect: chip %d reached twice", node)
+		}
+		seen[node] = true
+		for _, c := range t.Children[node] {
+			if t.Parent[c] != node {
+				return fmt.Errorf("interconnect: child %d of %d has parent %d", c, node, t.Parent[c])
+			}
+			if err := walk(c, depth+1); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if err := walk(t.Root, 0); err != nil {
+		return err
+	}
+	for i, s := range seen {
+		if !s {
+			return fmt.Errorf("interconnect: chip %d unreachable", i)
+		}
+	}
+	return nil
 }

@@ -80,13 +80,6 @@ func CachedSchedule(p hw.Params, n int) (*Schedule, error) {
 // cache-hit tests pin.
 func Lowerings() uint64 { return lowerings.Load() }
 
-// ScheduleCacheSize returns the number of interned entries.
-func ScheduleCacheSize() int {
-	internMu.Lock()
-	defer internMu.Unlock()
-	return len(internMap)
-}
-
 // ResetScheduleCache drops every interned collective schedule and
 // every interned pipeline chain (neither cache evicts on its own), so
 // the next request of any key lowers afresh, as in a new process. The

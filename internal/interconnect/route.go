@@ -114,11 +114,6 @@ func (pc *PipelineChain) Segment(c int) []ChainHop {
 	return pc.hops[pc.off[c]:pc.off[c+1]]
 }
 
-// Hops returns the total hop count across all boundaries — n-1 when
-// every stage pair is wired directly, more when any handoff routes
-// around a gap.
-func (pc *PipelineChain) Hops() int { return len(pc.hops) }
-
 // NewPipelineChain routes every stage boundary of an n-chip pipeline
 // over the network's wiring and resolves each hop's link class. A
 // boundary with no surviving path fails here, before any simulation

@@ -89,8 +89,8 @@ func TestPipelineChainDirect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pc.Hops() != 3 {
-		t.Fatalf("uniform 4-chip chain has %d hops, want 3", pc.Hops())
+	if len(pc.hops) != 3 {
+		t.Fatalf("uniform 4-chip chain has %d hops, want 3", len(pc.hops))
 	}
 	for c := 0; c < 3; c++ {
 		seg := pc.Segment(c)
@@ -123,8 +123,8 @@ func TestPipelineChainRoutesAroundMissingEdge(t *testing.T) {
 	if len(seg) != 2 || seg[0] != (ChainHop{From: 1, To: 3, Class: hw.MIPI()}) || seg[1] != (ChainHop{From: 3, To: 2, Class: hw.MIPI()}) {
 		t.Fatalf("boundary 1 segment = %+v, want 1->3->2", seg)
 	}
-	if pc.Hops() != 4 {
-		t.Fatalf("chain has %d hops, want 4", pc.Hops())
+	if len(pc.hops) != 4 {
+		t.Fatalf("chain has %d hops, want 4", len(pc.hops))
 	}
 }
 

@@ -45,28 +45,13 @@ type Cost struct {
 	ActOutBytes int64
 	// M, K, N record the GEMM shape (activations M×K against a K×N
 	// weight matrix) for kernels whose weight operand can be tiled by
-	// the memory-hierarchy simulator. Zero for elementwise kernels and
-	// for composite costs: Add deliberately drops the dims, because a
-	// summed cost is no longer one GEMM.
+	// the memory-hierarchy simulator. Zero for elementwise kernels.
 	M, K, N int
 	// FFN marks the cost as belonging to the feed-forward layer
 	// family; the memory-hierarchy autotuner assigns attention and FFN
 	// GEMMs independent tilings. Set by the deployment planner (the
-	// kernel models don't know which sublayer invokes them), and
-	// likewise dropped by Add.
+	// kernel models don't know which sublayer invokes them).
 	FFN bool
-}
-
-// Add combines two costs (sequential composition on one chip).
-func (c Cost) Add(o Cost) Cost {
-	return Cost{
-		Name:        c.Name,
-		Cycles:      c.Cycles + o.Cycles,
-		MACs:        c.MACs + o.MACs,
-		WeightBytes: c.WeightBytes + o.WeightBytes,
-		ActInBytes:  c.ActInBytes + o.ActInBytes,
-		ActOutBytes: c.ActOutBytes + o.ActOutBytes,
-	}
 }
 
 // TotalL2L1Bytes is all data the kernel moves between L2 and L1.
@@ -221,14 +206,4 @@ func DMATime(bytes int64, bytesPerCycle float64, setupCycles int, tileBytes int6
 		tiles = (bytes + tileBytes - 1) / tileBytes
 	}
 	return float64(bytes)/bytesPerCycle + float64(tiles)*float64(setupCycles)
-}
-
-// Utilization returns achieved/peak MAC throughput of a cost on the
-// given chip: 1.0 means every cycle retires the peak MAC count.
-func Utilization(p hw.Params, c Cost) float64 {
-	if c.Cycles <= 0 || c.MACs == 0 {
-		return 0
-	}
-	peak := float64(p.PeakMACsPerCycle())
-	return float64(c.MACs) / (c.Cycles * peak)
 }

@@ -60,7 +60,7 @@ func TestGEMVParallelizesOverOutputs(t *testing.T) {
 	p := hw.Siracusa()
 	// M=1 GEMV must still use all cores (split over N).
 	one := Linear(p, 1, 512, 512, int8Elem)
-	peak := float64(p.PeakMACsPerCycle())
+	peak := float64(p.Chip.Cores * p.Chip.MACsPerCorePerCycle)
 	minCycles := float64(one.MACs) / peak
 	if one.Cycles < minCycles {
 		t.Fatalf("GEMV cycles %g below physical minimum %g", one.Cycles, minCycles)
@@ -78,22 +78,6 @@ func TestMatMulActHasNoWeightBytes(t *testing.T) {
 	}
 	if c.ActInBytes != (64 + 64*128) {
 		t.Fatalf("act in bytes = %d", c.ActInBytes)
-	}
-}
-
-func TestCostAdd(t *testing.T) {
-	p := hw.Siracusa()
-	a := Linear(p, 1, 64, 64, int8Elem)
-	b := Softmax(p, 1, 64, int8Elem)
-	s := a.Add(b)
-	if s.Cycles != a.Cycles+b.Cycles {
-		t.Fatal("cycles did not add")
-	}
-	if s.MACs != a.MACs {
-		t.Fatal("MACs changed")
-	}
-	if s.TotalL2L1Bytes() != a.TotalL2L1Bytes()+b.TotalL2L1Bytes() {
-		t.Fatal("bytes did not add")
 	}
 }
 
@@ -202,4 +186,14 @@ func TestLinearPanicsOnBadShape(t *testing.T) {
 		}
 	}()
 	Linear(p, 0, 1, 1, int8Elem)
+}
+
+// Utilization returns achieved/peak MAC throughput of a cost on the
+// given chip: 1.0 means every cycle retires the peak MAC count.
+func Utilization(p hw.Params, c Cost) float64 {
+	if c.Cycles <= 0 || c.MACs == 0 {
+		return 0
+	}
+	peak := float64(p.Chip.Cores * p.Chip.MACsPerCorePerCycle)
+	return float64(c.MACs) / (c.Cycles * peak)
 }

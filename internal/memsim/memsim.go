@@ -437,24 +437,6 @@ func (p *Plan) Makespan() float64 {
 	return cdPrev
 }
 
-// WorkCycles is the chip-busy portion of the plan: every tile's DMA,
-// compute, and stall time (the part billed to the compute/DMA
-// breakdown).
-func (p *Plan) WorkCycles() float64 {
-	var s float64
-	for _, t := range p.All() {
-		s += t.DMA + t.Comp + t.Stall
-	}
-	return s
-}
-
-// ExposedCycles is the makespan not hidden behind work: the fetch
-// latency the prefetch depth failed to overlap (billed as off-chip
-// wait, the hierarchy's analogue of exposed L3 time).
-func (p *Plan) ExposedCycles() float64 {
-	return p.Makespan() - p.WorkCycles()
-}
-
 // minTileDim is the smallest tile dimension CandidateTilings descends
 // to: below ~32 elements per axis the per-tile setup costs dominate
 // any conceivable overlap win and the candidate grid just bloats.

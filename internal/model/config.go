@@ -233,11 +233,6 @@ func (c Config) KVBytesPerBlock(s int) int {
 	return 2 * s * c.KVDim() * c.ActBytes
 }
 
-// KVBytesTotal returns the KV-cache footprint across all blocks.
-func (c Config) KVBytesTotal(s int) int {
-	return c.L * c.KVBytesPerBlock(s)
-}
-
 // TinyLlama42M is the paper's main workload: the TinyLlama decoder
 // with E=512, intermediate size 2048, 8 heads, 8 layers. The paper
 // runs it with S=128 in autoregressive mode and S=16 in prompt mode.

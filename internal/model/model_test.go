@@ -114,9 +114,6 @@ func TestKVBytes(t *testing.T) {
 	if got := cfg.KVBytesPerBlock(128); got != 2*128*512 {
 		t.Fatalf("KV bytes per block = %d", got)
 	}
-	if got := cfg.KVBytesTotal(128); got != 8*2*128*512 {
-		t.Fatalf("KV bytes total = %d", got)
-	}
 }
 
 func TestValidateRejectsBadConfigs(t *testing.T) {

@@ -378,3 +378,13 @@ func BenchmarkDistributedForward(b *testing.B) {
 		e.Forward(x)
 	}
 }
+
+// ForwardStep runs one quantized autoregressive step.
+func (e *QuantEngine) ForwardStep(x *tensor.Mat) *tensor.Mat {
+	if e.cfg.Arch != model.Decoder {
+		panic("numeric: autoregressive mode requires a decoder")
+	}
+	out := e.run(x, e.pos)
+	e.pos++
+	return out
+}

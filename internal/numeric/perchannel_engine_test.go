@@ -128,3 +128,9 @@ func TestPerChannelAutoregressive(t *testing.T) {
 		}
 	}
 }
+
+// PerChannelWeights quantizes weights with one scale per output
+// channel (PULP-NN style) instead of one per tensor.
+func PerChannelWeights() EngineOption {
+	return func(e *QuantEngine) { e.perChannel = true }
+}

@@ -144,12 +144,6 @@ func quantizeBlocks(w *model.Weights, perChannel bool) []*QuantBlock {
 // EngineOption tunes the quantized engine.
 type EngineOption func(*QuantEngine)
 
-// PerChannelWeights quantizes weights with one scale per output
-// channel (PULP-NN style) instead of one per tensor.
-func PerChannelWeights() EngineOption {
-	return func(e *QuantEngine) { e.perChannel = true }
-}
-
 // ReduceMode selects the precision of the inter-chip partial-output
 // exchange.
 type ReduceMode int
@@ -230,16 +224,6 @@ func (e *QuantEngine) Forward(x *tensor.Mat) *tensor.Mat {
 	if e.cfg.Arch == model.Decoder {
 		e.pos = x.Rows
 	}
-	return out
-}
-
-// ForwardStep runs one quantized autoregressive step.
-func (e *QuantEngine) ForwardStep(x *tensor.Mat) *tensor.Mat {
-	if e.cfg.Arch != model.Decoder {
-		panic("numeric: autoregressive mode requires a decoder")
-	}
-	out := e.run(x, e.pos)
-	e.pos++
 	return out
 }
 

@@ -273,24 +273,6 @@ func (p *Plan) KVBytesPerBlockOnChip(chip, s int) int {
 	return p.Config.KVBytesPerBlock(s)
 }
 
-// SyncsPerBlock returns how many chip synchronizations one block
-// needs: the paper's headline property is exactly two for the
-// tensor-parallel scheme. Replicated sequence splitting synchronizes
-// around attention (context exchange) and at the end; a pipeline has
-// no intra-block sync, only stage-to-stage handoff.
-func (p *Plan) SyncsPerBlock() int {
-	switch p.Strategy {
-	case TensorParallel:
-		return 2
-	case Replicated:
-		return 2
-	case Pipeline:
-		return 0
-	default:
-		panic("partition: unknown strategy")
-	}
-}
-
 // ReducePayloadBytes is the per-hop payload of the partial-output
 // all-reduce for sequence length s: an S×E tile of partial sums in the
 // configured exchange precision (int8 as deployed, int32 for the exact

@@ -28,17 +28,6 @@ func TestTensorParallelNoReplication(t *testing.T) {
 	}
 }
 
-func TestTensorParallelTwoSyncsPerBlock(t *testing.T) {
-	cfg := model.TinyLlama42M()
-	p, err := NewTensorParallel(cfg, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := p.SyncsPerBlock(); got != 2 {
-		t.Fatalf("syncs per block = %d, paper requires exactly 2", got)
-	}
-}
-
 func TestTensorParallelEvenHeadSplit(t *testing.T) {
 	cfg := model.TinyLlama42M() // H=8, F=2048
 	p, _ := NewTensorParallel(cfg, 8)
@@ -192,9 +181,6 @@ func TestPipelineSplitsBlocks(t *testing.T) {
 	// Pipeline stores each weight exactly once.
 	if rf := p.ReplicationFactor(); rf != 1.0 {
 		t.Fatalf("pipeline replication factor %g, want 1", rf)
-	}
-	if p.SyncsPerBlock() != 0 {
-		t.Fatal("pipeline should have no intra-block syncs")
 	}
 }
 

@@ -25,7 +25,7 @@ func TestPropertyBreakdownConsistency(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		d, err := deploy.New(p, hw.Siracusa(), mode, s, deploy.Options{})
+		d, err := deploy.NewBatched(p, hw.Siracusa(), mode, s, 1, deploy.Options{})
 		if err != nil {
 			return false
 		}
@@ -58,7 +58,7 @@ func TestPropertyMoreChipsNotSlower(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d, err := deploy.New(p, hw.Siracusa(), model.Autoregressive, 128, deploy.Options{})
+		d, err := deploy.NewBatched(p, hw.Siracusa(), model.Autoregressive, 128, 1, deploy.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,7 +80,7 @@ func TestCommTileInvariantBytes(t *testing.T) {
 	p, _ := partition.NewTensorParallel(cfg, 4)
 	var bytes []int64
 	for _, tile := range []int{8 * 1024, 64 * 1024, 1 << 20} {
-		d, err := deploy.New(p, hw.Siracusa(), model.Prompt, 268, deploy.Options{CommTileBytes: tile})
+		d, err := deploy.NewBatched(p, hw.Siracusa(), model.Prompt, 268, 1, deploy.Options{CommTileBytes: tile})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,7 +101,7 @@ func TestCommTilePipelining(t *testing.T) {
 	cfg := model.MobileBERT512()
 	p, _ := partition.NewTensorParallel(cfg, 4)
 	run := func(tile int) float64 {
-		d, err := deploy.New(p, hw.Siracusa(), model.Prompt, 268, deploy.Options{CommTileBytes: tile})
+		d, err := deploy.NewBatched(p, hw.Siracusa(), model.Prompt, 268, 1, deploy.Options{CommTileBytes: tile})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,7 +126,7 @@ func TestGQASimulation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := deploy.New(p, hw.Siracusa(), model.Autoregressive, 128, deploy.Options{})
+	d, err := deploy.NewBatched(p, hw.Siracusa(), model.Autoregressive, 128, 1, deploy.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestGQASimulation(t *testing.T) {
 	mha := gqa
 	mha.KVHeads = 0
 	pm, _ := partition.NewTensorParallel(mha, 3)
-	dm, err := deploy.New(pm, hw.Siracusa(), model.Autoregressive, 128, deploy.Options{})
+	dm, err := deploy.NewBatched(pm, hw.Siracusa(), model.Autoregressive, 128, 1, deploy.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestDeepTreeSimulation(t *testing.T) {
 	p, _ := partition.NewTensorParallel(cfg, 64)
 	hwp := hw.Siracusa()
 	hwp.GroupSize = 2
-	d, err := deploy.New(p, hwp, model.Autoregressive, 128, deploy.Options{})
+	d, err := deploy.NewBatched(p, hwp, model.Autoregressive, 128, 1, deploy.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestDeepTreeSimulation(t *testing.T) {
 func TestReplicatedMoreChipsThanRows(t *testing.T) {
 	cfg := model.TinyLlama42M()
 	p, _ := partition.NewReplicated(cfg, 8)
-	d, err := deploy.New(p, hw.Siracusa(), model.Prompt, 4, deploy.Options{})
+	d, err := deploy.NewBatched(p, hw.Siracusa(), model.Prompt, 4, 1, deploy.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestReplicatedMoreChipsThanRows(t *testing.T) {
 func TestPipelineSingleStage(t *testing.T) {
 	cfg := model.TinyLlama42M()
 	p, _ := partition.NewPipeline(cfg, 1)
-	d, err := deploy.New(p, hw.Siracusa(), model.Prompt, 16, deploy.Options{})
+	d, err := deploy.NewBatched(p, hw.Siracusa(), model.Prompt, 16, 1, deploy.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

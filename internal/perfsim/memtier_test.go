@@ -24,7 +24,7 @@ func tiledSim() *Sim {
 	s.eng.Reset()
 	s.chipRes = growResources(s.chipRes, 3)
 	for i := range s.chipRes {
-		s.chipRes[i].Init(&s.eng, "")
+		s.chipRes[i].Init(&s.eng)
 	}
 	s.cluster = s.chipRes[:1]
 	s.dma = s.chipRes[1:2]
@@ -146,7 +146,7 @@ func TestDRAMHierarchyEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	flatDep, err := deploy.New(plan, hw.Siracusa(), model.Autoregressive, s, deploy.Options{})
+	flatDep, err := deploy.NewBatched(plan, hw.Siracusa(), model.Autoregressive, s, 1, deploy.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestDRAMHierarchyEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	dramDep, err := deploy.New(plan, dramParams(), model.Autoregressive, s, deploy.Options{})
+	dramDep, err := deploy.NewBatched(plan, dramParams(), model.Autoregressive, s, 1, deploy.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestDRAMDepthSaturates(t *testing.T) {
 	for i, depth := range []int{1, 2, 4} {
 		hwp := dramParams()
 		hwp.Mem.PrefetchDepth = depth
-		d, err := deploy.New(plan, hwp, model.Autoregressive, s, deploy.Options{})
+		d, err := deploy.NewBatched(plan, hwp, model.Autoregressive, s, 1, deploy.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -25,7 +25,7 @@ func runNet(t *testing.T, hwp hw.Params, n int, strategy partition.Strategy, mod
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := deploy.New(p, hwp, mode, 128, deploy.Options{})
+	d, err := deploy.NewBatched(p, hwp, mode, 128, 1, deploy.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestPipelineChainUsesNetworkClasses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := deploy.New(p, hwp, model.Prompt, 128, deploy.Options{})
+	d, err := deploy.NewBatched(p, hwp, model.Prompt, 128, 1, deploy.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func partialRun(t *testing.T, hwp hw.Params) (*Result, error) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := deploy.New(p, hwp, model.Prompt, 128, deploy.Options{})
+	d, err := deploy.NewBatched(p, hwp, model.Prompt, 128, 1, deploy.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -332,7 +332,7 @@ func (s *Sim) link(from, to int) *eventsim.Resource {
 	idx := from*s.n + to
 	if s.linkGen[idx] != s.gen {
 		s.linkGen[idx] = s.gen
-		s.linkRes[idx].Init(&s.eng, "")
+		s.linkRes[idx].Init(&s.eng)
 	}
 	return &s.linkRes[idx]
 }
@@ -384,9 +384,6 @@ func RunTraced(d *deploy.Deployment, tl *trace.Timeline) (*Result, error) {
 	simPool.Put(s)
 	return res, err
 }
-
-// Run simulates the deployment on this arena.
-func (s *Sim) Run(d *deploy.Deployment) (*Result, error) { return s.RunTraced(d, nil) }
 
 // RunTraced simulates the deployment on this arena, recording spans
 // into tl when non-nil.
@@ -542,7 +539,7 @@ func (s *Sim) RunTraced(d *deploy.Deployment, tl *trace.Timeline) (*Result, erro
 	// full-duplex link per directed pair, re-initialized in place.
 	s.chipRes = growResources(s.chipRes, 3*n)
 	for i := range s.chipRes {
-		s.chipRes[i].Init(&s.eng, "")
+		s.chipRes[i].Init(&s.eng)
 	}
 	s.cluster = s.chipRes[:n]
 	s.dma = s.chipRes[n : 2*n]

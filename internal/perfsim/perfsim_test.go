@@ -16,7 +16,7 @@ func runTP(t *testing.T, cfg model.Config, n int, mode model.Mode, s int, opts d
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := deploy.New(p, hw.Siracusa(), mode, s, opts)
+	d, err := deploy.NewBatched(p, hw.Siracusa(), mode, s, 1, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestL3BytesMatchDeployment(t *testing.T) {
 	cfg := model.TinyLlama42M()
 	for _, n := range []int{1, 4, 8} {
 		p, _ := partition.NewTensorParallel(cfg, n)
-		d, err := deploy.New(p, hw.Siracusa(), model.Autoregressive, 128, deploy.Options{})
+		d, err := deploy.NewBatched(p, hw.Siracusa(), model.Autoregressive, 128, 1, deploy.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -205,12 +205,15 @@ func TestL3BytesMatchDeployment(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var got int64
+		var got, planned int64
 		for i := range res.PerChip {
 			got += res.PerChip[i].L3Bytes - res.PerChip[i].L3SpillBytes
 		}
-		if got != d.TotalL3BytesPerForward() {
-			t.Errorf("n=%d: simulated L3 weight bytes %d != planned %d", n, got, d.TotalL3BytesPerForward())
+		for _, c := range d.Chips {
+			planned += c.StreamBytesPerBlock * int64(c.Blocks)
+		}
+		if got != planned {
+			t.Errorf("n=%d: simulated L3 weight bytes %d != planned %d", n, got, planned)
 		}
 	}
 }
@@ -239,7 +242,7 @@ func TestC2CBytesMatchTreeFormula(t *testing.T) {
 func TestReplicatedBaselineAutoregressiveNoSpeedup(t *testing.T) {
 	cfg := model.TinyLlama42M()
 	p, _ := partition.NewReplicated(cfg, 4)
-	d, err := deploy.New(p, hw.Siracusa(), model.Autoregressive, 128, deploy.Options{})
+	d, err := deploy.NewBatched(p, hw.Siracusa(), model.Autoregressive, 128, 1, deploy.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +261,7 @@ func TestReplicatedBaselineAutoregressiveNoSpeedup(t *testing.T) {
 func TestReplicatedPromptSplitsComputeButStreams(t *testing.T) {
 	cfg := model.TinyLlama42M()
 	p, _ := partition.NewReplicated(cfg, 4)
-	d, err := deploy.New(p, hw.Siracusa(), model.Prompt, 16, deploy.Options{})
+	d, err := deploy.NewBatched(p, hw.Siracusa(), model.Prompt, 16, 1, deploy.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +283,7 @@ func TestReplicatedPromptSplitsComputeButStreams(t *testing.T) {
 func TestPipelineSingleRequestLatencyNotImproved(t *testing.T) {
 	cfg := model.TinyLlama42M()
 	p, _ := partition.NewPipeline(cfg, 4)
-	d, err := deploy.New(p, hw.Siracusa(), model.Prompt, 16, deploy.Options{})
+	d, err := deploy.NewBatched(p, hw.Siracusa(), model.Prompt, 16, 1, deploy.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +315,7 @@ func TestStatsEndsConsistent(t *testing.T) {
 func BenchmarkSimulate8ChipAR(b *testing.B) {
 	cfg := model.TinyLlama42M()
 	p, _ := partition.NewTensorParallel(cfg, 8)
-	d, _ := deploy.New(p, hw.Siracusa(), model.Autoregressive, 128, deploy.Options{})
+	d, _ := deploy.NewBatched(p, hw.Siracusa(), model.Autoregressive, 128, 1, deploy.Options{})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := Run(d); err != nil {
@@ -334,16 +337,16 @@ func TestWarmRingRunAllocatesOnlyItsResult(t *testing.T) {
 	}
 	plat := hw.Siracusa()
 	plat.Topology = hw.TopoRing
-	d, err := deploy.New(p, plat, model.Prompt, 256, deploy.Options{})
+	d, err := deploy.NewBatched(p, plat, model.Prompt, 256, 1, deploy.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := NewSim()
-	if _, err := s.Run(d); err != nil {
+	if _, err := s.RunTraced(d, nil); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(3, func() {
-		if _, err := s.Run(d); err != nil {
+		if _, err := s.RunTraced(d, nil); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -30,7 +30,7 @@ func tryRunPlanned(plan collective.Plan, topo hw.Topology, net hw.Network, n int
 	hwp := hw.Siracusa()
 	hwp.Topology = topo
 	hwp.Network = net
-	d, err := deploy.New(p, hwp, mode, 128, deploy.Options{SyncPlan: plan})
+	d, err := deploy.NewBatched(p, hwp, mode, 128, 1, deploy.Options{SyncPlan: plan})
 	if err != nil {
 		return nil, err
 	}
@@ -44,7 +44,11 @@ func TestPlanUniformMatchesZeroPlan(t *testing.T) {
 	for _, topo := range hw.Topologies() {
 		for _, mode := range []model.Mode{model.Prompt, model.Autoregressive} {
 			base := runPlanned(t, collective.Plan{}, topo, 8, mode)
-			planned := runPlanned(t, collective.Uniform(topo), topo, 8, mode)
+			var uniform collective.Plan
+			for _, c := range collective.Classes() {
+				uniform = uniform.With(c, topo)
+			}
+			planned := runPlanned(t, uniform, topo, 8, mode)
 			if base.TotalCycles != planned.TotalCycles {
 				t.Errorf("%s/%s: uniform plan %v cycles, zero plan %v", topo, mode,
 					planned.TotalCycles, base.TotalCycles)
@@ -193,7 +197,7 @@ func TestPlanReplicatedClasses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := deploy.New(p, hw.Siracusa(), model.Prompt, 128, deploy.Options{
+	d, err := deploy.NewBatched(p, hw.Siracusa(), model.Prompt, 128, 1, deploy.Options{
 		SyncPlan: collective.Plan{}.With(collective.KVExchange, hw.TopoRing),
 	})
 	if err != nil {

@@ -20,7 +20,7 @@ func runTopo(t *testing.T, topo hw.Topology, n int, mode model.Mode) (*Result, *
 	}
 	hwp := hw.Siracusa()
 	hwp.Topology = topo
-	d, err := deploy.New(p, hwp, mode, 128, deploy.Options{})
+	d, err := deploy.NewBatched(p, hwp, mode, 128, 1, deploy.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestTopologyTraceExclusivity(t *testing.T) {
 	for _, topo := range hw.Topologies() {
 		for _, mode := range []model.Mode{model.Autoregressive, model.Prompt} {
 			_, _, tl := runTopo(t, topo, 8, mode)
-			if err := tl.CheckNoOverlap(); err != nil {
+			if err := checkNoOverlap(tl); err != nil {
 				t.Errorf("%s/%s: %v", topo, mode, err)
 			}
 		}

@@ -1,6 +1,7 @@
 package perfsim
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -18,7 +19,7 @@ func runTraced(t *testing.T, n int) (*Result, *trace.Timeline) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := deploy.New(p, hw.Siracusa(), model.Autoregressive, 128, deploy.Options{})
+	d, err := deploy.NewBatched(p, hw.Siracusa(), model.Autoregressive, 128, 1, deploy.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,6 +29,52 @@ func runTraced(t *testing.T, n int) (*Result, *trace.Timeline) {
 		t.Fatal(err)
 	}
 	return res, &tl
+}
+
+// busyByCategory sums span durations per category.
+func busyByCategory(tl *trace.Timeline) map[string]float64 {
+	out := map[string]float64{}
+	for _, s := range tl.Spans() {
+		out[s.Category] += s.Duration()
+	}
+	return out
+}
+
+// checkNoOverlap verifies that spans sharing a chip and category never
+// overlap (each models an exclusive resource). It returns the first
+// violation found.
+func checkNoOverlap(tl *trace.Timeline) error {
+	type key struct {
+		chip int
+		cat  string
+	}
+	last := map[key]trace.Span{}
+	for _, s := range tl.Spans() { // ordered by start
+		k := key{s.Chip, s.Category}
+		if prev, ok := last[k]; ok && s.Start < prev.End-1e-9 {
+			return fmt.Errorf("chip %d %s: %q [%g,%g) overlaps %q [%g,%g)",
+				s.Chip, s.Category, prev.Label, prev.Start, prev.End, s.Label, s.Start, s.End)
+		}
+		last[k] = s
+	}
+	return nil
+}
+
+func TestCheckNoOverlap(t *testing.T) {
+	var ok trace.Timeline
+	ok.Add(0, "compute", "a", 0, 10)
+	ok.Add(0, "compute", "b", 10, 20)
+	ok.Add(0, "link", "c", 5, 15) // different category: allowed
+	ok.Add(1, "compute", "d", 5, 15)
+	if err := checkNoOverlap(&ok); err != nil {
+		t.Fatalf("valid timeline rejected: %v", err)
+	}
+	var bad trace.Timeline
+	bad.Add(0, "compute", "a", 0, 10)
+	bad.Add(0, "compute", "b", 5, 15)
+	if err := checkNoOverlap(&bad); err == nil {
+		t.Fatal("overlapping spans accepted")
+	}
 }
 
 func TestTraceMatchesResult(t *testing.T) {
@@ -44,7 +91,7 @@ func TestTraceMatchesResult(t *testing.T) {
 	}
 	// Per-category compute busy cycles must match the stats summed
 	// over chips.
-	busy := tl.BusyCycles()
+	busy := busyByCategory(tl)
 	var compute float64
 	for i := range res.PerChip {
 		compute += res.PerChip[i].ComputeCycles
@@ -59,7 +106,7 @@ func TestTraceResourceExclusivity(t *testing.T) {
 	// overlap: each is an exclusive resource.
 	for _, n := range []int{1, 4, 8} {
 		_, tl := runTraced(t, n)
-		if err := tl.CheckNoOverlap(); err != nil {
+		if err := checkNoOverlap(tl); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
 	}
@@ -68,7 +115,7 @@ func TestTraceResourceExclusivity(t *testing.T) {
 func TestTraceUntracedRunIdentical(t *testing.T) {
 	res1, _ := runTraced(t, 8)
 	p, _ := partition.NewTensorParallel(model.TinyLlama42M(), 8)
-	d, _ := deploy.New(p, hw.Siracusa(), model.Autoregressive, 128, deploy.Options{})
+	d, _ := deploy.NewBatched(p, hw.Siracusa(), model.Autoregressive, 128, 1, deploy.Options{})
 	res2, err := Run(d)
 	if err != nil {
 		t.Fatal(err)
@@ -80,7 +127,7 @@ func TestTraceUntracedRunIdentical(t *testing.T) {
 
 func TestTraceContainsAllCategories(t *testing.T) {
 	_, tl := runTraced(t, 4) // resident-single: has L3 spans too
-	busy := tl.BusyCycles()
+	busy := busyByCategory(tl)
 	for _, cat := range []string{"compute", "dma-l2l1", "dma-l3"} {
 		if busy[cat] <= 0 {
 			t.Errorf("category %s missing from trace", cat)

@@ -51,9 +51,6 @@ func QuantizePerChannel(m *tensor.Mat) *QCMat {
 	return q
 }
 
-// At returns element (r, c).
-func (q *QCMat) At(r, c int) int8 { return q.Data[r*q.Cols+c] }
-
 // Row returns a view of row r.
 func (q *QCMat) Row(r int) []int8 { return q.Data[r*q.Cols : (r+1)*q.Cols] }
 
@@ -85,19 +82,6 @@ func (q *QCMat) SliceRows(lo, hi int) *QCMat {
 		Cols:   q.Cols,
 		Scales: append([]float32(nil), q.Scales...),
 		Data:   append([]int8(nil), q.Data[lo*q.Cols:hi*q.Cols]...),
-	}
-	return out
-}
-
-// Dequantize converts back to float32.
-func (q *QCMat) Dequantize() *tensor.Mat {
-	out := tensor.New(q.Rows, q.Cols)
-	for r := 0; r < q.Rows; r++ {
-		row := q.Row(r)
-		orow := out.Row(r)
-		for c := range row {
-			orow[c] = float32(row[c]) * q.Scales[c]
-		}
 	}
 	return out
 }
@@ -190,39 +174,6 @@ func (a *AccPC) Dequantize() *tensor.Mat {
 		orow := out.Row(r)
 		for c := range row {
 			orow[c] = float32(row[c]) * a.ActScale * a.WScales[c]
-		}
-	}
-	return out
-}
-
-// ConcatColsPC concatenates per-channel accumulators side by side (the
-// head-dimension partition: each chip produced distinct columns).
-func ConcatColsPC(parts ...*AccPC) *AccPC {
-	if len(parts) == 0 {
-		panic("quant: concat of nothing")
-	}
-	rows := parts[0].Rows
-	act := parts[0].ActScale
-	cols := 0
-	for _, p := range parts {
-		if p.Rows != rows {
-			panic("quant: per-channel concat row mismatch")
-		}
-		if p.ActScale != act {
-			panic("quant: per-channel concat act-scale mismatch")
-		}
-		cols += p.Cols
-	}
-	out := &AccPC{Rows: rows, Cols: cols, ActScale: act, Data: make([]int32, rows*cols)}
-	for _, p := range parts {
-		out.WScales = append(out.WScales, p.WScales...)
-	}
-	for r := 0; r < rows; r++ {
-		dst := out.Row(r)
-		off := 0
-		for _, p := range parts {
-			copy(dst[off:off+p.Cols], p.Row(r))
-			off += p.Cols
 		}
 	}
 	return out

@@ -89,22 +89,32 @@ func TestPerChannelColumnPartitionExact(t *testing.T) {
 	qx := Quantize(x)
 	qw := QuantizePerChannel(w)
 	full := MatMulQPC(qx, qw)
-	left := MatMulQPC(qx, qw.SliceCols(0, 5))
-	right := MatMulQPC(qx, qw.SliceCols(5, 12))
-	joined := ConcatColsPC(left, right)
-	if joined.Cols != full.Cols {
-		t.Fatal("concat shape wrong")
-	}
-	for i := range full.Data {
-		if full.Data[i] != joined.Data[i] {
-			t.Fatalf("acc[%d]: %d != %d", i, full.Data[i], joined.Data[i])
+	for _, part := range [][2]int{{0, 5}, {5, 12}} {
+		if !colsMatch(full, MatMulQPC(qx, qw.SliceCols(part[0], part[1])), part[0]) {
+			t.Fatalf("columns [%d, %d) differ from the unpartitioned product", part[0], part[1])
 		}
 	}
-	for c := range full.WScales {
-		if full.WScales[c] != joined.WScales[c] {
-			t.Fatal("scales not preserved by partition")
+}
+
+// colsMatch reports whether part holds full's columns from off on,
+// accumulators and per-channel scales both.
+func colsMatch(full, part *AccPC, off int) bool {
+	if part.Rows != full.Rows || off+part.Cols > full.Cols {
+		return false
+	}
+	for r := 0; r < part.Rows; r++ {
+		for c := 0; c < part.Cols; c++ {
+			if part.Row(r)[c] != full.Row(r)[off+c] {
+				return false
+			}
 		}
 	}
+	for c, s := range part.WScales {
+		if s != full.WScales[off+c] {
+			return false
+		}
+	}
+	return true
 }
 
 // And the inner-dimension (row) partition with int32 reduction is
@@ -141,16 +151,13 @@ func TestPropertyPerChannelPartitionExact(t *testing.T) {
 		inner.AddInPlace(MatMulQPC(qx.SliceCols(ks, k), qw.SliceRows(ks, k)))
 
 		ns := 1 + int(splitRaw>>4)%(n-1)
-		outer := ConcatColsPC(
-			MatMulQPC(qx, qw.SliceCols(0, ns)),
-			MatMulQPC(qx, qw.SliceCols(ns, n)),
-		)
 		for i := range full.Data {
-			if full.Data[i] != inner.Data[i] || full.Data[i] != outer.Data[i] {
+			if full.Data[i] != inner.Data[i] {
 				return false
 			}
 		}
-		return true
+		return colsMatch(full, MatMulQPC(qx, qw.SliceCols(0, ns)), 0) &&
+			colsMatch(full, MatMulQPC(qx, qw.SliceCols(ns, n)), ns)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -200,4 +207,17 @@ func TestPerChannelZeroColumn(t *testing.T) {
 			t.Fatal("zero column corrupted")
 		}
 	}
+}
+
+// Dequantize converts back to float32.
+func (q *QCMat) Dequantize() *tensor.Mat {
+	out := tensor.New(q.Rows, q.Cols)
+	for r := 0; r < q.Rows; r++ {
+		row := q.Row(r)
+		orow := out.Row(r)
+		for c := range row {
+			orow[c] = float32(row[c]) * q.Scales[c]
+		}
+	}
+	return out
 }

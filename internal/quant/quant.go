@@ -32,21 +32,8 @@ func NewQ(rows, cols int, scale float32) *QMat {
 	return &QMat{Rows: rows, Cols: cols, Scale: scale, Data: make([]int8, rows*cols)}
 }
 
-// At returns element (r, c).
-func (q *QMat) At(r, c int) int8 { return q.Data[r*q.Cols+c] }
-
 // Row returns a view of row r.
 func (q *QMat) Row(r int) []int8 { return q.Data[r*q.Cols : (r+1)*q.Cols] }
-
-// Bytes returns the storage footprint of the int8 payload.
-func (q *QMat) Bytes() int { return len(q.Data) }
-
-// Clone returns a deep copy.
-func (q *QMat) Clone() *QMat {
-	out := NewQ(q.Rows, q.Cols, q.Scale)
-	copy(out.Data, q.Data)
-	return out
-}
 
 // SliceCols returns a copy of columns [lo, hi); the scale is shared.
 func (q *QMat) SliceCols(lo, hi int) *QMat {
@@ -132,9 +119,6 @@ func NewAcc(rows, cols int, scale float32) *Acc {
 // Row returns a view of row r.
 func (a *Acc) Row(r int) []int32 { return a.Data[r*a.Cols : (r+1)*a.Cols] }
 
-// Bytes returns the storage footprint of the int32 payload.
-func (a *Acc) Bytes() int { return 4 * len(a.Data) }
-
 // AddInPlace accumulates b into a; scales must match. This is the
 // reduction step of the distributed partial sums.
 func (a *Acc) AddInPlace(b *Acc) {
@@ -195,20 +179,6 @@ func (a *Acc) Dequantize() *tensor.Mat {
 		out.Data[i] = float32(v) * a.Scale
 	}
 	return out
-}
-
-// Equal reports whether two quantized matrices have identical shape,
-// scale and codes.
-func Equal(a, b *QMat) bool {
-	if a.Rows != b.Rows || a.Cols != b.Cols || a.Scale != b.Scale {
-		return false
-	}
-	for i := range a.Data {
-		if a.Data[i] != b.Data[i] {
-			return false
-		}
-	}
-	return true
 }
 
 func clampInt8(v float64) int8 {

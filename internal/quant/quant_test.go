@@ -33,7 +33,9 @@ func TestQuantizeZeroMatrix(t *testing.T) {
 }
 
 func TestQuantizeUsesFullRange(t *testing.T) {
-	m := tensor.FromSlice(1, 2, []float32{-1, 1})
+	m := tensor.New(1, 2)
+	m.Set(0, 0, -1)
+	m.Set(0, 1, 1)
 	q := Quantize(m)
 	if q.Data[0] != -127 || q.Data[1] != 127 {
 		t.Fatalf("codes = %v, want [-127 127]", q.Data)
@@ -124,30 +126,6 @@ func TestQuantizeWithScaleConsistentAcrossSlices(t *testing.T) {
 				t.Fatal("slice-then-quantize differs from quantize-then-slice")
 			}
 		}
-	}
-}
-
-func TestEqual(t *testing.T) {
-	m := tensor.Random(4, 4, 1, 11)
-	a := Quantize(m)
-	b := a.Clone()
-	if !Equal(a, b) {
-		t.Fatal("clone not equal")
-	}
-	b.Data[0]++
-	if Equal(a, b) {
-		t.Fatal("modified clone still equal")
-	}
-}
-
-func TestBytes(t *testing.T) {
-	q := NewQ(3, 5, 1)
-	if q.Bytes() != 15 {
-		t.Fatalf("qmat bytes = %d, want 15", q.Bytes())
-	}
-	a := NewAcc(3, 5, 1)
-	if a.Bytes() != 60 {
-		t.Fatalf("acc bytes = %d, want 60", a.Bytes())
 	}
 }
 
@@ -260,3 +238,6 @@ func init() {
 		panic("quant: clamp sanity check failed")
 	}
 }
+
+// At returns element (r, c).
+func (q *QMat) At(r, c int) int8 { return q.Data[r*q.Cols+c] }

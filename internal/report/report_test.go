@@ -65,13 +65,13 @@ func TestFloatFormatting(t *testing.T) {
 
 func TestRowsCount(t *testing.T) {
 	tb := NewTable("", "a")
-	if tb.Rows() != 0 {
+	if len(tb.rows) != 0 {
 		t.Fatal("fresh table has rows")
 	}
 	tb.AddRow(1)
 	tb.AddRow(2)
-	if tb.Rows() != 2 {
-		t.Fatalf("rows = %d", tb.Rows())
+	if len(tb.rows) != 2 {
+		t.Fatalf("rows = %d", len(tb.rows))
 	}
 }
 

@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -30,8 +29,8 @@ import (
 // Netlist is a measured per-edge board wiring: a chip count, named
 // link classes (bandwidth/setup/energy triples), and the directed
 // edges wired between chips. It is the file-format view of
-// hw.TableNetwork: Parse and Format round-trip it, Network registers
-// it with the interned table machinery.
+// hw.TableNetwork: ParseNetlist reads it, Network registers it with
+// the interned table machinery.
 type Netlist struct {
 	// Chips is the number of chips the wiring spans (chip ids are
 	// 0..Chips-1).
@@ -42,7 +41,7 @@ type Netlist struct {
 	Edges map[hw.Edge]string
 }
 
-// maxClassName bounds a class name, so every line Format spells stays
+// maxClassName bounds a class name, so every line naming a class stays
 // far below the scanner's line limit.
 const maxClassName = 256
 
@@ -201,91 +200,4 @@ func (nl *Netlist) EdgeTable() map[hw.Edge]hw.LinkClass {
 // produce equal Network values — the content digest ignores naming.
 func (nl *Netlist) Network() (hw.Network, error) {
 	return hw.TableNetwork(nl.EdgeTable())
-}
-
-// NetlistFromNetwork materializes any network over n chips into a
-// netlist, naming the distinct classes c0, c1, ... in descending
-// bandwidth order. This is how a profile network (or a perturbed
-// table) is exported to the file format.
-func NetlistFromNetwork(net hw.Network, n int) (*Netlist, error) {
-	edges, err := hw.NetworkEdges(net, n)
-	if err != nil {
-		return nil, err
-	}
-	var classes []hw.LinkClass
-	seen := map[hw.LinkClass]bool{}
-	for _, c := range edges {
-		if !seen[c] {
-			seen[c] = true
-			classes = append(classes, c)
-		}
-	}
-	sort.Slice(classes, func(i, j int) bool {
-		a, b := classes[i], classes[j]
-		if a.BandwidthBytesPerSec != b.BandwidthBytesPerSec {
-			return a.BandwidthBytesPerSec > b.BandwidthBytesPerSec
-		}
-		if a.SetupCycles != b.SetupCycles {
-			return a.SetupCycles < b.SetupCycles
-		}
-		return a.EnergyPJPerByte < b.EnergyPJPerByte
-	})
-	nl := &Netlist{
-		Chips:   n,
-		Classes: make(map[string]hw.LinkClass, len(classes)),
-		Edges:   make(map[hw.Edge]string, len(edges)),
-	}
-	names := map[hw.LinkClass]string{}
-	for i, c := range classes {
-		name := fmt.Sprintf("c%d", i)
-		nl.Classes[name] = c
-		names[c] = name
-	}
-	for e, c := range edges {
-		nl.Edges[e] = names[c]
-	}
-	return nl, nil
-}
-
-// Format renders the netlist in the canonical file spelling: classes
-// in name order, edges sorted by (from, to) with symmetric same-class
-// pairs collapsed to one bidi line. Parse(Format(nl)) resolves to the
-// same edge table.
-func (nl *Netlist) Format() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "chips %d\n", nl.Chips)
-	names := make([]string, 0, len(nl.Classes))
-	for name := range nl.Classes {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		c := nl.Classes[name]
-		fmt.Fprintf(&b, "class %s %g %d %g\n", name, c.BandwidthBytesPerSec, c.SetupCycles, c.EnergyPJPerByte)
-	}
-	edges := make([]hw.Edge, 0, len(nl.Edges))
-	for e := range nl.Edges {
-		edges = append(edges, e)
-	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].From != edges[j].From {
-			return edges[i].From < edges[j].From
-		}
-		return edges[i].To < edges[j].To
-	})
-	emitted := make(map[hw.Edge]bool, len(edges))
-	for _, e := range edges {
-		if emitted[e] {
-			continue
-		}
-		name := nl.Edges[e]
-		rev := hw.Edge{From: e.To, To: e.From}
-		if revName, wired := nl.Edges[rev]; wired && revName == name && e.From < e.To {
-			fmt.Fprintf(&b, "link %d %d %s bidi\n", e.From, e.To, name)
-			emitted[rev] = true
-			continue
-		}
-		fmt.Fprintf(&b, "link %d %d %s\n", e.From, e.To, name)
-	}
-	return b.String()
 }

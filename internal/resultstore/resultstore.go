@@ -364,14 +364,6 @@ func (s *Store) Load(sys core.System, wl core.Workload) (*core.Report, bool) {
 	return rep, true
 }
 
-// Contains reports whether the configuration has a persisted entry.
-func (s *Store) Contains(sys core.System, wl core.Workload) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.index[Digest(sys, wl)]
-	return ok
-}
-
 // Append persists one successful evaluation. Configurations already
 // present are not re-written (content addressing makes duplicates
 // byte-equivalent), and a system routing over an explicit per-edge

@@ -5,15 +5,6 @@ import (
 	"testing/quick"
 )
 
-func TestFromSliceLengthPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("length mismatch accepted")
-		}
-	}()
-	FromSlice(2, 3, []float32{1, 2, 3})
-}
-
 func TestNegativeShapePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -25,14 +25,6 @@ func New(rows, cols int) *Mat {
 	return &Mat{Rows: rows, Cols: cols, Data: make([]float32, rows*cols)}
 }
 
-// FromSlice wraps data (length rows*cols) as a matrix without copying.
-func FromSlice(rows, cols int, data []float32) *Mat {
-	if len(data) != rows*cols {
-		panic(fmt.Sprintf("tensor: data length %d != %d*%d", len(data), rows, cols))
-	}
-	return &Mat{Rows: rows, Cols: cols, Data: data}
-}
-
 // Random returns a matrix with values uniform in [-scale, scale],
 // deterministic for a given seed.
 func Random(rows, cols int, scale float32, seed int64) *Mat {

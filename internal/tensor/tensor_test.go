@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -352,4 +353,12 @@ func BenchmarkMatMul128(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		MatMul(x, w)
 	}
+}
+
+// FromSlice wraps data (length rows*cols) as a matrix without copying.
+func FromSlice(rows, cols int, data []float32) *Mat {
+	if len(data) != rows*cols {
+		panic(fmt.Sprintf("tensor: data length %d != %d*%d", len(data), rows, cols))
+	}
+	return &Mat{Rows: rows, Cols: cols, Data: data}
 }

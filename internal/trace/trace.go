@@ -69,42 +69,6 @@ func (t *Timeline) End() float64 {
 	return end
 }
 
-// BusyCycles sums span durations per category.
-func (t *Timeline) BusyCycles() map[string]float64 {
-	out := map[string]float64{}
-	for _, s := range t.spans {
-		out[s.Category] += s.Duration()
-	}
-	return out
-}
-
-// CheckNoOverlap verifies that spans sharing a chip and category never
-// overlap (each models an exclusive resource). It returns the first
-// violation found.
-func (t *Timeline) CheckNoOverlap() error {
-	type key struct {
-		chip int
-		cat  string
-	}
-	byRes := map[key][]Span{}
-	for _, s := range t.spans {
-		k := key{s.Chip, s.Category}
-		byRes[k] = append(byRes[k], s)
-	}
-	for k, spans := range byRes {
-		sort.Slice(spans, func(i, j int) bool { return spans[i].Start < spans[j].Start })
-		for i := 1; i < len(spans); i++ {
-			if spans[i].Start < spans[i-1].End-1e-9 {
-				return fmt.Errorf("trace: chip %d %s: %q [%g,%g) overlaps %q [%g,%g)",
-					k.chip, k.cat,
-					spans[i-1].Label, spans[i-1].Start, spans[i-1].End,
-					spans[i].Label, spans[i].Start, spans[i].End)
-			}
-		}
-	}
-	return nil
-}
-
 // chromeEvent is one complete ("X" phase) trace event.
 type chromeEvent struct {
 	Name     string  `json:"name"`

@@ -33,37 +33,6 @@ func TestInvertedSpanPanics(t *testing.T) {
 	tl.Add(0, "compute", "bad", 10, 5)
 }
 
-func TestBusyCycles(t *testing.T) {
-	var tl Timeline
-	tl.Add(0, "compute", "a", 0, 10)
-	tl.Add(1, "compute", "b", 0, 15)
-	tl.Add(0, "link", "c", 0, 3)
-	busy := tl.BusyCycles()
-	if busy["compute"] != 25 {
-		t.Fatalf("compute busy = %g", busy["compute"])
-	}
-	if busy["link"] != 3 {
-		t.Fatalf("link busy = %g", busy["link"])
-	}
-}
-
-func TestCheckNoOverlap(t *testing.T) {
-	var ok Timeline
-	ok.Add(0, "compute", "a", 0, 10)
-	ok.Add(0, "compute", "b", 10, 20)
-	ok.Add(0, "link", "c", 5, 15) // different category: allowed
-	ok.Add(1, "compute", "d", 5, 15)
-	if err := ok.CheckNoOverlap(); err != nil {
-		t.Fatalf("valid timeline rejected: %v", err)
-	}
-	var bad Timeline
-	bad.Add(0, "compute", "a", 0, 10)
-	bad.Add(0, "compute", "b", 5, 15)
-	if err := bad.CheckNoOverlap(); err == nil {
-		t.Fatal("overlapping spans accepted")
-	}
-}
-
 func TestChromeJSON(t *testing.T) {
 	var tl Timeline
 	tl.Add(0, "compute", "linear", 0, 500) // 1 µs at 500 MHz

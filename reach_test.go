@@ -1,0 +1,352 @@
+package mcudist
+
+import (
+	"fmt"
+	"go/ast"
+	"go/build"
+	"go/importer"
+	"go/parser"
+	"go/token"
+	"go/types"
+	"os"
+	"path/filepath"
+	"sort"
+	"strings"
+	"testing"
+)
+
+// unreachedAllowed lists the internal/ declarations, or whole packages,
+// that TestInternalDeclarationsReachable accepts without a production
+// caller, each with the reason: the test that needs it.
+var unreachedAllowed = map[string]string{
+	"internal/analytic": "the closed-form cross-check TestCrossValidationAgainstSimulator holds the simulator to; the ROADMAP's simulator-oracle item decides its fate",
+	"internal/interconnect.(*Schedule).CollectiveBytes": "the expected link traffic in perfsim.TestTopologyTrafficConservation and interconnect.TestCollectiveBytes",
+	"internal/hw.TorusNetwork":                          "the multi-hop wiring fixture of interconnect.TestRouteTorusAroundGap and resilience.TestNetlistFromNetworkRoundTrip",
+}
+
+// TestInternalDeclarationsReachable type-checks the module and bench/
+// from source and fails naming every top-level function, method or type
+// under internal/ that no program reaches. The roots are the main
+// function of every package main (the commands, the examples and the
+// benchmark), plus the init functions and package-level variable
+// initializers of every package they import. A reached declaration
+// reaches whatever its body, signature or type definition names. A
+// method of a reached type is also reached when an interface method of
+// the same name is called on a reached path, or when it satisfies
+// error, fmt.Stringer, encoding.TextMarshaler or
+// encoding.TextUnmarshaler (checked by type). Code only tests call
+// belongs in a _test.go file.
+func TestInternalDeclarationsReachable(t *testing.T) {
+	tr, err := loadTree(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	unreached, err := tr.unreached()
+	if err != nil {
+		t.Fatal(err)
+	}
+	used := map[string]bool{}
+	var dead []string
+	for _, d := range unreached {
+		if key := allowedBy(d.name); key != "" {
+			used[key] = true
+			continue
+		}
+		dead = append(dead, fmt.Sprintf("%s (%s)", d.name, tr.fset.Position(d.obj.Pos())))
+	}
+	if len(dead) > 0 {
+		t.Errorf("%d internal/ declarations are reached by no command, example or benchmark; delete them, or move them into the _test.go file that needs them:\n\t%s",
+			len(dead), strings.Join(dead, "\n\t"))
+	}
+	for key := range unreachedAllowed {
+		if !used[key] {
+			t.Errorf("unreachedAllowed entry %q matches no unreached declaration; drop it", key)
+		}
+	}
+}
+
+// allowedBy returns the unreachedAllowed key covering a declaration
+// name, or "".
+func allowedBy(name string) string {
+	pkg, _, _ := strings.Cut(name, ".")
+	for _, key := range []string{name, pkg} {
+		if _, ok := unreachedAllowed[key]; ok {
+			return key
+		}
+	}
+	return ""
+}
+
+// sourceTree type-checks the packages under one directory from source
+// (non-test files only), naming each "mcudist" plus its path under the
+// directory: bench/ is the module mcudist/bench, so one mapping covers
+// both modules. Other imports come from the standard library.
+type sourceTree struct {
+	fset  *token.FileSet
+	std   types.Importer
+	dirs  map[string]string // import path -> directory
+	pkgs  map[string]*types.Package
+	files map[string][]*ast.File
+	info  *types.Info
+}
+
+func loadTree(root string) (*sourceTree, error) {
+	tr := &sourceTree{
+		fset:  token.NewFileSet(),
+		std:   importer.Default(),
+		dirs:  map[string]string{},
+		pkgs:  map[string]*types.Package{},
+		files: map[string][]*ast.File{},
+		info: &types.Info{
+			Defs: map[*ast.Ident]types.Object{},
+			Uses: map[*ast.Ident]types.Object{},
+		},
+	}
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if name := d.Name(); path != root && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+			return filepath.SkipDir
+		}
+		rel, err := filepath.Rel(root, path)
+		if err != nil {
+			return err
+		}
+		tr.dirs[strings.TrimSuffix("mcudist/"+filepath.ToSlash(rel), "/.")] = path
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for ip := range tr.dirs {
+		if _, err := tr.Import(ip); err != nil {
+			return nil, err
+		}
+	}
+	return tr, nil
+}
+
+// Import type-checks a tree package on first use (nil for a directory
+// without Go files) and hands any other path to the standard-library
+// importer.
+func (tr *sourceTree) Import(path string) (*types.Package, error) {
+	if p, ok := tr.pkgs[path]; ok {
+		return p, nil
+	}
+	dir, ok := tr.dirs[path]
+	if !ok {
+		return tr.std.Import(path)
+	}
+	bp, err := build.Default.ImportDir(dir, 0)
+	if _, none := err.(*build.NoGoError); none {
+		tr.pkgs[path] = nil
+		return nil, nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	var files []*ast.File
+	for _, name := range bp.GoFiles {
+		f, err := parser.ParseFile(tr.fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+	}
+	conf := types.Config{Importer: tr}
+	p, err := conf.Check(path, tr.fset, files, tr.info)
+	if err != nil {
+		return nil, err
+	}
+	tr.pkgs[path], tr.files[path] = p, files
+	return p, nil
+}
+
+// decl is one top-level function, method or type under internal/.
+type decl struct {
+	name string // e.g. internal/eventsim.(*Engine).Run
+	obj  types.Object
+}
+
+// unreached walks references from the roots and returns, sorted by
+// name, every internal/ declaration it never reaches.
+func (tr *sourceTree) unreached() ([]decl, error) {
+	stdIfaces, err := tr.stdInterfaces()
+	if err != nil {
+		return nil, err
+	}
+	nodes := map[types.Object][]ast.Node{} // every top-level declaration
+	var methods []*types.Func
+	var internal []decl
+	for ip, files := range tr.files {
+		rel := strings.TrimPrefix(ip, "mcudist/")
+		candidate := func(name string, obj types.Object) {
+			if strings.HasPrefix(rel, "internal/") {
+				internal = append(internal, decl{rel + "." + name, obj})
+			}
+		}
+		for _, f := range files {
+			for _, d := range f.Decls {
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					obj := tr.info.Defs[d.Name]
+					nodes[obj] = append(nodes[obj], d)
+					switch {
+					case d.Recv != nil:
+						methods = append(methods, obj.(*types.Func))
+						candidate(recvString(d.Recv.List[0].Type)+"."+d.Name.Name, obj)
+					case d.Name.Name != "init":
+						candidate(d.Name.Name, obj)
+					}
+				case *ast.GenDecl:
+					for _, s := range d.Specs {
+						switch s := s.(type) {
+						case *ast.TypeSpec:
+							obj := tr.info.Defs[s.Name]
+							nodes[obj] = append(nodes[obj], s)
+							candidate(s.Name.Name, obj)
+						case *ast.ValueSpec:
+							for _, n := range s.Names {
+								obj := tr.info.Defs[n]
+								nodes[obj] = append(nodes[obj], s)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+
+	reached := map[types.Object]bool{}
+	ifaceCalls := map[string]bool{}
+	var work []ast.Node
+	mark := func(obj types.Object) {
+		if fn, ok := obj.(*types.Func); ok {
+			obj = fn.Origin()
+			if recv := fn.Signature().Recv(); recv != nil && types.IsInterface(recv.Type()) {
+				ifaceCalls[fn.Name()] = true
+				return
+			}
+		}
+		if ns, ok := nodes[obj]; ok && !reached[obj] {
+			reached[obj] = true
+			work = append(work, ns...)
+		}
+	}
+
+	// Roots: every main function, and the initialization of every
+	// package its program imports, its own package included.
+	inited := map[*types.Package]bool{}
+	var initPkg func(p *types.Package)
+	initPkg = func(p *types.Package) {
+		if inited[p] {
+			return
+		}
+		inited[p] = true
+		for _, imp := range p.Imports() {
+			initPkg(imp)
+		}
+		for _, f := range tr.files[p.Path()] {
+			for _, d := range f.Decls {
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					if d.Recv == nil && d.Name.Name == "init" {
+						work = append(work, d)
+					}
+				case *ast.GenDecl:
+					if d.Tok == token.VAR {
+						work = append(work, d)
+					}
+				}
+			}
+		}
+	}
+	for _, p := range tr.pkgs {
+		if p != nil && p.Name() == "main" {
+			initPkg(p)
+			mark(p.Scope().Lookup("main"))
+		}
+	}
+
+	for len(work) > 0 {
+		for len(work) > 0 {
+			n := work[len(work)-1]
+			work = work[:len(work)-1]
+			ast.Inspect(n, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok && tr.info.Uses[id] != nil {
+					mark(tr.info.Uses[id])
+				}
+				return true
+			})
+		}
+		// A method of a reached type is reached when a call through an
+		// interface may land on it.
+		for _, m := range methods {
+			recv := m.Signature().Recv().Type()
+			if ptr, ok := recv.(*types.Pointer); ok {
+				recv = ptr.Elem()
+			}
+			named, ok := recv.(*types.Named)
+			if ok && reached[named.Obj()] && (ifaceCalls[m.Name()] || satisfies(named, m.Name(), stdIfaces)) {
+				mark(m)
+			}
+		}
+	}
+
+	var out []decl
+	for _, d := range internal {
+		if !reached[d.obj] {
+			out = append(out, d)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
+	return out, nil
+}
+
+// recvString renders a method receiver as T or (*T), dropping type
+// parameters.
+func recvString(e ast.Expr) string {
+	switch e := e.(type) {
+	case *ast.StarExpr:
+		return "(*" + recvString(e.X) + ")"
+	case *ast.IndexExpr:
+		return recvString(e.X)
+	case *ast.IndexListExpr:
+		return recvString(e.X)
+	case *ast.Ident:
+		return e.Name
+	}
+	return fmt.Sprintf("%T", e)
+}
+
+// stdInterfaces returns the standard-library interfaces through which
+// the runtime and the standard library call a program's methods.
+func (tr *sourceTree) stdInterfaces() ([]*types.Interface, error) {
+	out := []*types.Interface{types.Universe.Lookup("error").Type().Underlying().(*types.Interface)}
+	for _, n := range []struct{ pkg, name string }{
+		{"fmt", "Stringer"},
+		{"encoding", "TextMarshaler"},
+		{"encoding", "TextUnmarshaler"},
+	} {
+		p, err := tr.std.Import(n.pkg)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, p.Scope().Lookup(n.name).Type().Underlying().(*types.Interface))
+	}
+	return out, nil
+}
+
+// satisfies reports whether T or *T implements one of ifaces that
+// declares a method named name.
+func satisfies(t *types.Named, name string, ifaces []*types.Interface) bool {
+	for _, it := range ifaces {
+		for i := 0; i < it.NumMethods(); i++ {
+			if it.Method(i).Name() == name && (types.Implements(t, it) || types.Implements(types.NewPointer(t), it)) {
+				return true
+			}
+		}
+	}
+	return false
+}

@@ -481,8 +481,9 @@ func buildMem(name string, depth, banks int, bpc float64, burst, setup int, pj f
 }
 
 // buildNetwork maps the -network / -cluster / -backhaul flags to a
-// network description. The per-edge table profile has no -network
-// spelling (it needs a wiring list); -netlist reads one from a file.
+// network description. The per-edge table and view profiles have no
+// -network spelling: a table needs a wiring list, which -netlist reads
+// from a file, and a view is a degraded board, which -fault builds.
 func buildNetwork(name string, clusterSize int, backhaul float64) (hw.Network, error) {
 	profile, err := hw.ParseNetworkProfile(name)
 	if err != nil {
@@ -496,6 +497,8 @@ func buildNetwork(name string, clusterSize int, backhaul float64) (hw.Network, e
 			return hw.Network{}, fmt.Errorf("backhaul slowdown %g must be >= 1", backhaul)
 		}
 		return hw.ClusteredNetwork(hw.MIPI(), hw.MIPI().Slower(backhaul), clusterSize), nil
+	case hw.NetView:
+		return hw.Network{}, fmt.Errorf("network profile %s has no flag spelling (use -fault)", profile)
 	default:
 		return hw.Network{}, fmt.Errorf("network profile %s has no flag spelling (use -netlist)", profile)
 	}

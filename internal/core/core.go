@@ -180,17 +180,34 @@ func Lower(sys System, wl Workload) (*deploy.Deployment, error) {
 }
 
 // checkShape rejects a chip count, micro-batch width or sequence
-// length no lowering can honour. Zero widths and lengths select the
-// defaults; a negative one is an error, not a silent default.
+// length no lowering can honour, and option chips the system does not
+// have. Zero widths and lengths select the defaults; a negative one is
+// an error, not a silent default.
 func checkShape(sys System, wl Workload) error {
 	if sys.Chips <= 0 {
 		return fmt.Errorf("core: chip count %d must be positive", sys.Chips)
+	}
+	if err := sys.CheckOptionChips(); err != nil {
+		return err
 	}
 	if wl.Batch < 0 {
 		return fmt.Errorf("core: micro-batch width %d must be non-negative", wl.Batch)
 	}
 	if wl.SeqLen < 0 {
 		return fmt.Errorf("core: sequence length %d must be non-negative", wl.SeqLen)
+	}
+	return nil
+}
+
+// CheckOptionChips reports a set straggler or degraded-link factor on
+// a chip outside [0, Chips): the simulator would throttle nothing and
+// price the healthy board.
+func (s System) CheckOptionChips() error {
+	if o := s.Options; o.StragglerFactor > 0 && (o.StragglerChip < 0 || o.StragglerChip >= s.Chips) {
+		return fmt.Errorf("core: straggler chip %d is out of range for %d chips", o.StragglerChip, s.Chips)
+	}
+	if o := s.Options; o.DegradedLinkFactor > 0 && (o.DegradedLinkChip < 0 || o.DegradedLinkChip >= s.Chips) {
+		return fmt.Errorf("core: degraded-link chip %d is out of range for %d chips", o.DegradedLinkChip, s.Chips)
 	}
 	return nil
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"mcudist/internal/deploy"
@@ -70,6 +72,41 @@ func TestRunValidation(t *testing.T) {
 	}
 	if _, err := Run(DefaultSystem(4), Workload{Model: model.MobileBERT512(), Mode: model.Autoregressive}); err == nil {
 		t.Error("autoregressive encoder accepted")
+	}
+}
+
+// A set straggler or degraded-link factor on a chip the system does
+// not have throttled nothing: 8 chips with chip 99 at half speed priced
+// as the healthy board. Both are now errors naming the chip, from Run
+// and from Lower; an unset factor leaves the chip unchecked.
+func TestRunRejectsOptionChipsOutOfRange(t *testing.T) {
+	wl := Workload{Model: model.TinyLlama42M(), Mode: model.Autoregressive}
+	for _, tc := range []struct {
+		name string
+		opts deploy.Options
+	}{
+		{"straggler 99", deploy.Options{StragglerChip: 99, StragglerFactor: 0.5}},
+		{"straggler 8", deploy.Options{StragglerChip: 8, StragglerFactor: 0.5}},
+		{"straggler -1", deploy.Options{StragglerChip: -1, StragglerFactor: 0.5}},
+		{"degraded link 99", deploy.Options{DegradedLinkChip: 99, DegradedLinkFactor: 0.25}},
+		{"degraded link -1", deploy.Options{DegradedLinkChip: -1, DegradedLinkFactor: 0.25}},
+	} {
+		sys := DefaultSystem(8)
+		sys.Options = tc.opts
+		chip := fmt.Sprint(tc.opts.StragglerChip + tc.opts.DegradedLinkChip)
+		if rep, err := Run(sys, wl); err == nil {
+			t.Errorf("%s: Run accepted it with %g cycles", tc.name, rep.Cycles)
+		} else if !strings.Contains(err.Error(), "chip "+chip+" ") {
+			t.Errorf("%s: Run error %q does not name chip %s", tc.name, err, chip)
+		}
+		if _, err := Lower(sys, wl); err == nil {
+			t.Errorf("%s: Lower accepted it", tc.name)
+		}
+	}
+	sys := DefaultSystem(8)
+	sys.Options.StragglerChip, sys.Options.DegradedLinkChip = 99, 99
+	if _, err := Run(sys, wl); err != nil {
+		t.Errorf("chips without a factor rejected: %v", err)
 	}
 }
 

@@ -1,9 +1,10 @@
 // Package hw defines the hardware parameter sets used across the
 // simulator: the Siracusa-like MCU (compute cluster, memory hierarchy,
 // DMA engines), the chip-to-chip network — a per-edge assignment of
-// link classes (uniform MIPI by default, two-tier clustered and
-// explicit per-edge tables for mixed MIPI/SPI boards) — and the energy
-// constants of the paper's analytical model.
+// link classes (uniform MIPI by default, two-tier clustered, explicit
+// per-edge tables for mixed MIPI/SPI boards, and views of a degraded
+// board over any of them) — and the energy constants of the paper's
+// analytical model.
 //
 // All simulator and energy-model packages consume these parameters
 // instead of hard-coding constants, so alternative platforms can be

@@ -4,8 +4,8 @@ import "fmt"
 
 // This file generates explicit per-edge wirings on top of the
 // TableNetwork machinery: a materializer that expands any network
-// profile into its edge table (the form the resilience tier perturbs),
-// and the 2D torus, a sparse fabric that exercises multi-hop stage
+// profile into its edge table (the form stage routing searches), and
+// the 2D torus, a sparse fabric that exercises multi-hop stage
 // routing because most chip pairs have no direct edge.
 
 // NetworkEdges materializes the network's wiring over chips 0..n-1 as
@@ -13,9 +13,10 @@ import "fmt"
 // between those chips, with its resolved class. For the uniform and
 // clustered profiles that is the complete bipartite set (every ordered
 // pair is wired); for a table profile it is the registered edges
-// restricted to chips below n. The result is a fresh map the caller
-// may mutate — the fault-injection layer rewrites it and re-registers
-// the perturbed table.
+// restricted to chips below n, and for a view the edges its base wires
+// between the survivors, re-priced by its overrides. The result is a
+// fresh map the caller may mutate; stage routing reads it to find
+// multi-hop paths.
 func NetworkEdges(net Network, n int) (map[Edge]LinkClass, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("hw: cannot materialize a network over %d chips (need at least 2)", n)
@@ -24,29 +25,39 @@ func NetworkEdges(net Network, n int) (map[Edge]LinkClass, error) {
 		return nil, err
 	}
 	edges := make(map[Edge]LinkClass)
-	if net.Profile == NetTable {
+	switch net.Profile {
+	case NetTable:
 		table := lookupTable(net.TableDigest)
 		for e, c := range table {
 			if e.From < n && e.To < n {
 				edges[e] = c
 			}
 		}
-		if len(edges) == 0 {
-			return nil, fmt.Errorf("hw: per-edge table %s defines no edges below chip %d", net, n)
+	case NetView:
+		v := lookupView(net.TableDigest)
+		for from := 0; from < n; from++ {
+			for to := 0; to < n; to++ {
+				if c, ok := v.link(from, to); ok {
+					edges[Edge{From: from, To: to}] = c
+				}
+			}
 		}
-		return edges, nil
+	default:
+		for from := 0; from < n; from++ {
+			for to := 0; to < n; to++ {
+				if from == to {
+					continue
+				}
+				c, err := net.LinkFor(from, to)
+				if err != nil {
+					return nil, err
+				}
+				edges[Edge{From: from, To: to}] = c
+			}
+		}
 	}
-	for from := 0; from < n; from++ {
-		for to := 0; to < n; to++ {
-			if from == to {
-				continue
-			}
-			c, err := net.LinkFor(from, to)
-			if err != nil {
-				return nil, err
-			}
-			edges[Edge{From: from, To: to}] = c
-		}
+	if len(edges) == 0 {
+		return nil, noEdgesBelow(net, n)
 	}
 	return edges, nil
 }

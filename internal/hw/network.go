@@ -1,7 +1,6 @@
 package hw
 
 import (
-	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -99,6 +98,10 @@ const (
 	// wirings. Edges absent from the table are undefined and reject
 	// any schedule that routes over them.
 	NetTable
+	// NetView resolves edges through a degraded board registered with
+	// ViewNetwork: its surviving chips and re-priced edges over a base
+	// network of one of the other profiles (see View).
+	NetView
 
 	networkProfileCount // sentinel for validation
 )
@@ -111,6 +114,8 @@ func (p NetworkProfile) String() string {
 		return "clustered"
 	case NetTable:
 		return "table"
+	case NetView:
+		return "view"
 	default:
 		return fmt.Sprintf("network-profile(%d)", int(p))
 	}
@@ -120,7 +125,7 @@ func (p NetworkProfile) String() string {
 func (p NetworkProfile) Valid() bool { return p >= 0 && p < networkProfileCount }
 
 // ParseNetworkProfile maps a command-line spelling to a profile.
-// Accepted names: uniform | mipi, clustered | two-tier, table.
+// Accepted names: uniform | mipi, clustered | two-tier, table, view.
 func ParseNetworkProfile(s string) (NetworkProfile, error) {
 	switch strings.ToLower(strings.TrimSpace(s)) {
 	case "uniform", "mipi", "flat":
@@ -129,8 +134,10 @@ func ParseNetworkProfile(s string) (NetworkProfile, error) {
 		return NetClustered, nil
 	case "table", "per-edge", "netlist":
 		return NetTable, nil
+	case "view":
+		return NetView, nil
 	default:
-		return 0, fmt.Errorf("hw: unknown network profile %q (want uniform | clustered | table)", s)
+		return 0, fmt.Errorf("hw: unknown network profile %q (want uniform | clustered | table | view)", s)
 	}
 }
 
@@ -160,10 +167,10 @@ type Edge struct {
 
 // Network assigns a LinkClass to every directed chip-to-chip edge.
 // It is a comparable value type — the evalpool report cache keys on
-// the full hw.Params — so the explicit per-edge table is carried by a
-// canonical content digest into a process-wide registry rather than by
-// a map field: two networks built from equal tables compare equal and
-// share one cache entry.
+// the full hw.Params — so an explicit per-edge table or a degraded view
+// is carried by a canonical content digest into a process-wide
+// registry rather than by a map field: two networks built from equal
+// tables (or equal views) compare equal and share one cache entry.
 type Network struct {
 	Profile NetworkProfile
 	// Local is the uniform class (NetUniform) or the intra-cluster
@@ -174,8 +181,9 @@ type Network struct {
 	// ClusterSize is the number of consecutive chips per cluster
 	// (NetClustered only).
 	ClusterSize int
-	// TableDigest identifies a registered per-edge table (NetTable
-	// only): the canonical content digest returned by TableNetwork.
+	// TableDigest identifies a registered per-edge table (NetTable) or
+	// view (NetView): the canonical content digest TableNetwork or
+	// ViewNetwork returned.
 	TableDigest string
 }
 
@@ -230,26 +238,36 @@ func DigestTable(edges map[Edge]LinkClass) (string, error) {
 		return "", fmt.Errorf("hw: per-edge table must define at least one edge")
 	}
 	keys := make([]Edge, 0, len(edges))
-	for e, c := range edges {
-		if e.From < 0 || e.To < 0 || e.From == e.To {
-			return "", fmt.Errorf("hw: bad table edge %d->%d", e.From, e.To)
-		}
-		if err := c.Validate(); err != nil {
-			return "", fmt.Errorf("hw: table edge %d->%d: %w", e.From, e.To, err)
-		}
+	for e := range edges {
 		keys = append(keys, e)
 	}
-	slices.SortFunc(keys, func(a, b Edge) int {
-		if c := cmp.Compare(a.From, b.From); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.To, b.To)
-	})
+	slices.SortFunc(keys, compareEdges)
 	h := sha256.New()
 	for _, e := range keys {
+		if err := checkEdge(e, edges[e]); err != nil {
+			return "", err
+		}
 		h.Write(appendEdgeDigest(make([]byte, 0, 128), e, edges[e]))
 	}
 	return hex.EncodeToString(h.Sum(nil)), nil
+}
+
+// checkEdge reports the first problem with one wired edge of a table
+// or a view. Tables and views check edges in (from, to) order, so the
+// error names the first bad edge of that order.
+func checkEdge(e Edge, c LinkClass) error {
+	if e.From < 0 || e.To < 0 || e.From == e.To {
+		return fmt.Errorf("hw: bad edge %d->%d", e.From, e.To)
+	}
+	if err := c.Validate(); err != nil {
+		return fmt.Errorf("hw: edge %d->%d: %w", e.From, e.To, err)
+	}
+	return nil
+}
+
+// unwired is the error for an edge a table or a view does not wire.
+func unwired(from, to int) error {
+	return fmt.Errorf("hw: edge %d->%d is not wired", from, to)
 }
 
 // appendEdgeDigest appends one edge's digest record,
@@ -261,11 +279,7 @@ func appendEdgeDigest(b []byte, e Edge, c LinkClass) []byte {
 	b = append(b, '>')
 	b = strconv.AppendInt(b, int64(e.To), 10)
 	b = append(b, ':')
-	b = appendHex16(b, math.Float64bits(c.BandwidthBytesPerSec))
-	b = append(b, ':')
-	b = strconv.AppendInt(b, int64(c.SetupCycles), 10)
-	b = append(b, ':')
-	b = appendHex16(b, math.Float64bits(c.EnergyPJPerByte))
+	b = appendClassDigest(b, c)
 	return append(b, ';')
 }
 
@@ -302,9 +316,9 @@ func TableEdges(digest string) (map[Edge]LinkClass, bool) {
 }
 
 // LinkFor resolves the class of the directed edge from->to. An edge a
-// network does not define — a table edge that was never registered, or
-// an unwired chip pair — returns an error; schedule lowering surfaces
-// it before any simulation runs.
+// network does not define — a table or view that was never
+// registered, or an unwired chip pair — returns an error; schedule
+// lowering surfaces it before any simulation runs.
 func (n Network) LinkFor(from, to int) (LinkClass, error) {
 	if from == to {
 		return LinkClass{}, fmt.Errorf("hw: self-edge %d->%d has no link", from, to)
@@ -327,7 +341,17 @@ func (n Network) LinkFor(from, to int) (LinkClass, error) {
 		}
 		c, ok := table[Edge{From: from, To: to}]
 		if !ok {
-			return LinkClass{}, fmt.Errorf("hw: edge %d->%d is not wired in the per-edge table", from, to)
+			return LinkClass{}, unwired(from, to)
+		}
+		return c, nil
+	case NetView:
+		v := lookupView(n.TableDigest)
+		if v == nil {
+			return LinkClass{}, unregisteredView(n.TableDigest)
+		}
+		c, ok := v.link(from, to)
+		if !ok {
+			return LinkClass{}, unwired(from, to)
 		}
 		return c, nil
 	default:
@@ -336,8 +360,8 @@ func (n Network) LinkFor(from, to int) (LinkClass, error) {
 }
 
 // String names the network for sweep labels and reports: "uniform",
-// "clustered-4x10" (cluster size 4, backhaul 10x slower), or
-// "table-<digest prefix>".
+// "clustered-4x10" (cluster size 4, backhaul 10x slower),
+// "table-<digest prefix>" or "view-<digest prefix>".
 func (n Network) String() string {
 	switch n.Profile {
 	case NetUniform:
@@ -348,12 +372,12 @@ func (n Network) String() string {
 			slow = fmt.Sprintf("%g", n.Local.BandwidthBytesPerSec/n.Backhaul.BandwidthBytesPerSec)
 		}
 		return fmt.Sprintf("clustered-%dx%s", n.ClusterSize, slow)
-	case NetTable:
+	case NetTable, NetView:
 		d := n.TableDigest
 		if len(d) > 8 {
 			d = d[:8]
 		}
-		return "table-" + d
+		return n.Profile.String() + "-" + d
 	default:
 		return n.Profile.String()
 	}
@@ -380,7 +404,16 @@ func (n Network) Validate() error {
 			return fmt.Errorf("hw: per-edge table %q is not registered (build the network with TableNetwork)", n.TableDigest)
 		}
 		return nil
+	case NetView:
+		if lookupView(n.TableDigest) == nil {
+			return unregisteredView(n.TableDigest)
+		}
+		return nil
 	default:
 		return fmt.Errorf("hw: %s is not a supported network profile", n.Profile)
 	}
+}
+
+func unregisteredView(digest string) error {
+	return fmt.Errorf("hw: view %q is not registered (build the network with ViewNetwork)", digest)
 }

@@ -8,10 +8,10 @@ import (
 )
 
 // scheduleKey identifies one lowered schedule. hw.Network is a
-// comparable value — explicit per-edge tables are carried by their
-// canonical sha256 content digest, exactly like the evalpool cache
-// key — so two platforms request the same entry exactly when their
-// wiring, chip count, and topology match. GroupSize participates only
+// comparable value — explicit per-edge tables and degraded views are
+// carried by their canonical sha256 content digest, exactly like the
+// evalpool cache key — so two platforms request the same entry exactly
+// when their wiring, chip count, and topology match. GroupSize participates only
 // for the tree-lowered shapes; the ring and the fully-connected
 // exchange never consult it and normalize it away, so platforms
 // differing only in an unused group size share one entry.
@@ -83,8 +83,9 @@ func Lowerings() uint64 { return lowerings.Load() }
 // ResetScheduleCache drops every interned collective schedule and
 // every interned pipeline chain (neither cache evicts on its own), so
 // the next request of any key lowers afresh, as in a new process. The
-// lowering counter keeps counting across resets. Per-edge tables
-// registered with hw.TableNetwork stay registered.
+// lowering counter keeps counting across resets. Per-edge tables and
+// views registered with hw.TableNetwork and hw.ViewNetwork stay
+// registered.
 func ResetScheduleCache() {
 	internMu.Lock()
 	internMap = map[scheduleKey]*internEntry{}

@@ -1,14 +1,15 @@
 // Package resilience is the robustness tier: it imports measured
 // board wirings (netlists) into the per-edge network model, injects
 // deterministic faults — a dropped chip, a slowed edge, a compute
-// straggler — by rewriting the network table and hardware options, and
-// measures the re-planning margin: how much latency/energy a fleet
-// serving a stale pre-tuned plan loses on the degraded board before
-// re-running the autotuner pays.
+// straggler — by degrading the board as a view over its network
+// (hw.View: the surviving chips and the re-priced edges) and rewriting
+// the planner options, and measures the re-planning margin: how much
+// latency/energy a fleet serving a stale pre-tuned plan loses on the
+// degraded board before re-running the autotuner pays.
 //
 // Everything in the package is a pure rewrite of value-typed
 // configuration: a perturbed system carries a different interned
-// network table (a different content digest) and different planner
+// network view (a different content digest) and different planner
 // options, so the evalpool/resultstore cache tiers can never confuse
 // degraded results with pristine ones — the digests differ by
 // construction.
@@ -186,7 +187,7 @@ func LoadNetlist(path string) (*Netlist, error) {
 }
 
 // EdgeTable resolves the netlist into the explicit per-edge class
-// table — the map TableNetwork registers and Perturb rewrites.
+// table — the map TableNetwork registers.
 func (nl *Netlist) EdgeTable() map[hw.Edge]hw.LinkClass {
 	edges := make(map[hw.Edge]hw.LinkClass, len(nl.Edges))
 	for e, name := range nl.Edges {

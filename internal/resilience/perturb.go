@@ -158,15 +158,18 @@ func FaultsString(faults []Fault) string {
 // returns the degraded system plus the chip remap: remap[old] is the
 // survivor's new id, or -1 for a dropped chip.
 //
-// The network — whatever its profile — is first materialized into an
-// explicit per-edge table over the system's chips; slowed edges divide
-// their bandwidth inside that table, dropped chips remove their edges
-// and renumber the survivors consecutively, and the result registers
-// as a fresh interned table whose content digest can never collide
-// with the pristine wiring's. Stragglers ride in the deployment
-// options (which the evalpool cache key also covers). Every schedule
-// the degraded system lowers re-validates against the degraded wiring;
-// pipeline chains re-route through surviving stage paths.
+// The degraded network is a view over the system's network (see
+// hw.View): the surviving chips, renumbered consecutively in their old
+// order, and the slowed edges, whose bandwidth is divided in an
+// override of the view. A system whose network is already a view
+// composes onto the same base, so faults accumulate without a view
+// ever nesting. Every fault set gets a view of its own, registered
+// under a content digest no base network shares — even a straggler,
+// which leaves the wiring as it was — so the cache tiers never confuse
+// degraded results with pristine ones. Stragglers ride in the
+// deployment options (which the evalpool cache key also covers). Every
+// schedule the degraded system lowers re-validates against the degraded
+// wiring; pipeline chains re-route through surviving stage paths.
 func Perturb(sys core.System, faults ...Fault) (core.System, []int, error) {
 	n := sys.Chips
 	if n < 2 {
@@ -175,12 +178,15 @@ func Perturb(sys core.System, faults ...Fault) (core.System, []int, error) {
 	if len(faults) == 0 {
 		return core.System{}, nil, fmt.Errorf("resilience: no faults to apply")
 	}
-	edges, err := hw.NetworkEdges(sys.HW.Network, n)
+	if err := sys.CheckOptionChips(); err != nil {
+		return core.System{}, nil, fmt.Errorf("resilience: %w", err)
+	}
+	cur, err := hw.ViewOver(sys.HW.Network, n)
 	if err != nil {
 		return core.System{}, nil, fmt.Errorf("resilience: %w", err)
 	}
 
-	dropped := make(map[int]bool)
+	dropped := make([]bool, n)
 	straggler := -1
 	stragglerFactor := 0.0
 	for _, f := range faults {
@@ -194,17 +200,10 @@ func Perturb(sys core.System, faults ...Fault) (core.System, []int, error) {
 			if !(f.Factor >= 1) || math.IsInf(f.Factor, 1) {
 				return core.System{}, nil, fmt.Errorf("resilience: slow-edge factor %g must be finite and >= 1", f.Factor)
 			}
-			fwd, fok := edges[f.Edge]
-			rev := hw.Edge{From: f.Edge.To, To: f.Edge.From}
-			bwd, bok := edges[rev]
-			if !fok && !bok {
+			fwd := cur.Slow(f.Edge, f.Factor)
+			bwd := cur.Slow(hw.Edge{From: f.Edge.To, To: f.Edge.From}, f.Factor)
+			if !fwd && !bwd {
 				return core.System{}, nil, fmt.Errorf("resilience: edge %d->%d is not wired, nothing to slow", f.Edge.From, f.Edge.To)
-			}
-			if fok {
-				edges[f.Edge] = fwd.Slower(f.Factor)
-			}
-			if bok {
-				edges[rev] = bwd.Slower(f.Factor)
 			}
 		case FaultStraggle:
 			if f.Chip < 0 || f.Chip >= n {
@@ -230,42 +229,39 @@ func Perturb(sys core.System, faults ...Fault) (core.System, []int, error) {
 			sys.Options.StragglerChip, straggler)
 	}
 
-	// Renumber survivors consecutively, preserving order.
+	// Renumber survivors consecutively, preserving order; the overrides
+	// follow their chips, and those of dropped chips go with them.
 	remap := make([]int, n)
-	next := 0
-	for c := 0; c < n; c++ {
+	next := hw.View{Base: cur.Base}
+	for c := range n {
 		if dropped[c] {
 			remap[c] = -1
 			continue
 		}
-		remap[c] = next
-		next++
+		remap[c] = len(next.Survivors)
+		next.Survivors = append(next.Survivors, cur.Survivors[c])
 	}
-	if next < 2 {
-		return core.System{}, nil, fmt.Errorf("resilience: %d of %d chips dropped, fewer than 2 survive", len(dropped), n)
+	if len(next.Survivors) < 2 {
+		return core.System{}, nil, fmt.Errorf("resilience: %d of %d chips dropped, fewer than 2 survive", n-len(next.Survivors), n)
 	}
-
-	kept := make(map[hw.Edge]hw.LinkClass, len(edges))
-	for e, c := range edges {
-		from, to := remap[e.From], remap[e.To]
-		if from < 0 || to < 0 {
-			continue
+	for _, o := range cur.Overrides {
+		if from, to := remap[o.From], remap[o.To]; from >= 0 && to >= 0 {
+			next.Overrides = append(next.Overrides, hw.EdgeClass{Edge: hw.Edge{From: from, To: to}, Class: o.Class})
 		}
-		kept[hw.Edge{From: from, To: to}] = c
 	}
-	if len(kept) == 0 {
+	if !next.Wires() {
 		return core.System{}, nil, fmt.Errorf("resilience: no edges survive the faults")
 	}
-	net, err := hw.TableNetwork(kept)
+	net, err := hw.ViewNetwork(next)
 	if err != nil {
 		return core.System{}, nil, fmt.Errorf("resilience: %w", err)
 	}
 
 	out := sys
-	out.Chips = next
+	out.Chips = len(next.Survivors)
 	out.HW.Network = net
-	// Remap a pre-existing degradation target; clear it if its chip
-	// dropped (its links are gone with it).
+	// Remap a pre-existing degradation target or straggler; clear it if
+	// its chip dropped (its links and its compute are gone with it).
 	if out.Options.DegradedLinkFactor > 0 {
 		if nc := remap[out.Options.DegradedLinkChip]; nc >= 0 {
 			out.Options.DegradedLinkChip = nc
@@ -275,7 +271,12 @@ func Perturb(sys core.System, faults ...Fault) (core.System, []int, error) {
 		}
 	}
 	if out.Options.StragglerFactor > 0 {
-		out.Options.StragglerChip = remap[out.Options.StragglerChip]
+		if nc := remap[out.Options.StragglerChip]; nc >= 0 {
+			out.Options.StragglerChip = nc
+		} else {
+			out.Options.StragglerChip = 0
+			out.Options.StragglerFactor = 0
+		}
 	}
 	if straggler >= 0 {
 		out.Options.StragglerChip = remap[straggler]

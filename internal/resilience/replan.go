@@ -13,7 +13,9 @@ import (
 // across (more chips than heads never happens here, but a GQA model
 // can lose divisibility), the system shrinks to the largest legal
 // chip count at or below the survivor count — the realistic recovery:
-// re-partition onto the biggest usable subset and idle the rest.
+// re-partition onto the biggest usable subset and idle the rest. A
+// straggler or degraded link on an idled chip no longer slows the run,
+// so it is cleared.
 func Degrade(sys core.System, cfg model.Config, faults ...Fault) (core.System, []int, error) {
 	out, remap, err := Perturb(sys, faults...)
 	if err != nil {
@@ -23,8 +25,12 @@ func Degrade(sys core.System, cfg model.Config, faults ...Fault) (core.System, [
 	if len(counts) == 0 {
 		return core.System{}, nil, fmt.Errorf("resilience: no legal chip count at or below %d survivors", out.Chips)
 	}
-	if legal := counts[len(counts)-1]; legal != out.Chips {
-		out.Chips = legal
+	out.Chips = counts[len(counts)-1]
+	if out.Options.StragglerFactor > 0 && out.Options.StragglerChip >= out.Chips {
+		out.Options.StragglerChip, out.Options.StragglerFactor = 0, 0
+	}
+	if out.Options.DegradedLinkFactor > 0 && out.Options.DegradedLinkChip >= out.Chips {
+		out.Options.DegradedLinkChip, out.Options.DegradedLinkFactor = 0, 0
 	}
 	return out, remap, nil
 }

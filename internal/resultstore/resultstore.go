@@ -9,10 +9,11 @@
 //
 // Design points:
 //
-//   - Content addressing reuses the canonicalization pattern of
-//     hw.TableNetwork: a sha256 over an exact, deterministic rendering
-//     of every field of the configuration. Two Points collide on one
-//     entry exactly when the evalpool cache would have shared them.
+//   - Content addressing is a sha256 over an exact, deterministic
+//     encoding of every leaf field of the configuration, reached by a
+//     reflect walk, after a hash of the key types' shape. Two Points
+//     collide on one entry exactly when the evalpool cache would have
+//     shared them.
 //   - The digest is versioned (DigestVersion participates in the hash,
 //     the digest string, the log filename, and every record), so any
 //     format or semantics change invalidates old entries cleanly
@@ -24,10 +25,13 @@
 //     configuration echo (the digest keys it and Load restates the
 //     requested configuration) and no per-chip counters.
 //   - Reports whose system routes over an explicit per-edge table
-//     (hw.NetTable) persist the table wiring alongside the entry, so a
-//     cold process rehydrates the registry before serving table-backed
-//     configurations. A wiring is written as its distinct link classes
-//     plus one (from, to, class index) integer triple per edge.
+//     (hw.NetTable) or a degraded board (hw.NetView) persist the
+//     wiring alongside the entry, so a cold process rehydrates the
+//     registry before serving those configurations. A table is written
+//     as its distinct link classes plus one (from, to, class index)
+//     integer triple per edge; a view as its base network, its
+//     survivor list and its re-priced edges in the same triples, after
+//     its base's table record when the base is a table.
 //   - Errors are never persisted: a failed evaluation may be transient
 //     (or fixed by the next release), so only successful reports reach
 //     the log.
@@ -44,6 +48,8 @@ import (
 	"bytes"
 	"cmp"
 	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
@@ -52,6 +58,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"sort"
 	"sync"
@@ -77,19 +84,86 @@ import (
 // v4: a stored report drops its per-chip counters (core.Report keeps
 // only MaxChipBusyCycles) and its System/Workload echo, and a table
 // record writes its wiring as a class list plus integer triples.
-const DigestVersion = 4
+//
+// v5: the key is a walk over the configuration's leaves instead of
+// its %#v rendering, and a degraded board is a view record (base
+// network, survivors, re-priced edges) instead of a table record.
+const DigestVersion = 5
+
+var (
+	// keyPrefix opens every key's hashed bytes, and digestPrefix every
+	// digest string.
+	keyPrefix    = fmt.Sprintf("mcudist-resultstore/v%d\x00", DigestVersion)
+	digestPrefix = fmt.Sprintf("v%d-", DigestVersion)
+
+	// keyShape is the sha256 of the key types' zero values in Go
+	// syntax, which spells every type and field name in declaration
+	// order. Digest hashes it ahead of the leaves, so renaming,
+	// reordering or adding a field of System or Workload moves every
+	// key even where the leaf encoding would not.
+	keyShape = sync.OnceValue(func() [sha256.Size]byte {
+		return sha256.Sum256(fmt.Appendf(nil, "%#v\x00%#v", core.System{}, core.Workload{}))
+	})
+)
 
 // Digest returns the canonical content address of one evaluation
-// point: a versioned sha256 over an exact rendering of every System
-// and Workload field (Go-syntax formatting reaches unexported fields
-// like the collective plan's binding array, and float64 values render
-// in shortest-round-trip form, so distinct bit patterns yield distinct
-// digests). Two configurations digest equally exactly when the
-// in-process evalpool cache would have shared their entry.
+// point: a versioned sha256 over the key types' shape and every leaf
+// of System and Workload, walked in field order (appendLeaves), so
+// every field reaches the key by construction, unexported ones like
+// the collective plan's binding array included, and distinct float
+// bit patterns yield distinct digests. Two configurations digest
+// equally exactly when the in-process evalpool cache would have shared
+// their entry.
 func Digest(sys core.System, wl core.Workload) string {
-	h := sha256.New()
-	fmt.Fprintf(h, "mcudist-resultstore/v%d\x00%#v\x00%#v\x00", DigestVersion, sys, wl)
-	return fmt.Sprintf("v%d-%x", DigestVersion, h.Sum(nil))
+	// A key encodes to about 450 bytes, so it stays on the stack.
+	var buf [1024]byte
+	b := append(buf[:0], keyPrefix...)
+	shape := keyShape()
+	b = append(b, shape[:]...)
+	b = appendLeaves(b, reflect.ValueOf(&sys).Elem())
+	b = appendLeaves(b, reflect.ValueOf(&wl).Elem())
+	sum := sha256.Sum256(b)
+	var out [8 + 2*sha256.Size]byte
+	n := copy(out[:], digestPrefix)
+	hex.Encode(out[n:], sum[:])
+	return string(out[:n+2*sha256.Size])
+}
+
+// appendLeaves appends the encoding of every leaf of v in field order:
+// a varint per signed integer, a uvarint per unsigned one, a byte per
+// bool, the IEEE bits of a float, and a string as its length and
+// bytes. Arrays walk their elements; slices prefix their length. The
+// key types hold nothing else (TestDigestKeyIsPlainData).
+func appendLeaves(b []byte, v reflect.Value) []byte {
+	switch v.Kind() {
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		return binary.AppendVarint(b, v.Int())
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
+		return binary.AppendUvarint(b, v.Uint())
+	case reflect.Bool:
+		if v.Bool() {
+			return append(b, 1)
+		}
+		return append(b, 0)
+	case reflect.Float32, reflect.Float64:
+		return binary.LittleEndian.AppendUint64(b, math.Float64bits(v.Float()))
+	case reflect.String:
+		return append(binary.AppendUvarint(b, uint64(v.Len())), v.String()...)
+	case reflect.Slice:
+		b = binary.AppendUvarint(b, uint64(v.Len()))
+		fallthrough
+	case reflect.Array:
+		for i := range v.Len() {
+			b = appendLeaves(b, v.Index(i))
+		}
+		return b
+	case reflect.Struct:
+		for i := range v.NumField() {
+			b = appendLeaves(b, v.Field(i))
+		}
+		return b
+	}
+	panic(fmt.Sprintf("resultstore: a %v has no key encoding", v.Type()))
 }
 
 // record is one report line of the append-only log.
@@ -120,6 +194,22 @@ type tableRecord struct {
 	Edges   []int          `json:"edges"`
 }
 
+// viewRecord is one degraded-board line of the log: the hw.ViewNetwork
+// content digest and the view that re-registers it in a cold process.
+// Base is the view's base network (a table base's wiring is its own
+// record, written first) and Survivors its survivor list; Classes and
+// Edges hold the re-priced edges as a table record holds its wiring,
+// and are absent when the view re-prices none.
+type viewRecord struct {
+	Kind      string         `json:"kind"`
+	V         int            `json:"v"`
+	View      string         `json:"view"`
+	Base      hw.Network     `json:"base"`
+	Survivors []int          `json:"survivors"`
+	Classes   []hw.LinkClass `json:"classes,omitempty"`
+	Edges     []int          `json:"edges,omitempty"`
+}
+
 // entryRef locates one report record inside the log.
 type entryRef struct {
 	offset int64
@@ -136,6 +226,7 @@ type Store struct {
 	file     *os.File // O_APPEND write handle
 	index    map[string]entryRef
 	tables   map[string]bool // table digests already persisted
+	views    map[string]bool // view digests already persisted
 	skipped  int             // corrupt/truncated/foreign-version records ignored on open
 	tornTail bool            // log ends mid-record (a writer died); heal before appending
 }
@@ -143,7 +234,7 @@ type Store struct {
 // Open opens (creating if needed) the result store under dir. The
 // whole log is scanned once: report records are indexed by digest
 // from their envelope (the report JSON is decoded only by Load),
-// table records re-register their per-edge wirings, and records that
+// table and view records re-register their wirings, and records that
 // are truncated, corrupt, or from another digest version are counted
 // and skipped — a damaged log degrades to extra simulations, never to
 // an error or a wrong result.
@@ -162,6 +253,7 @@ func Open(dir string) (*Store, error) {
 		file:   f,
 		index:  map[string]entryRef{},
 		tables: map[string]bool{},
+		views:  map[string]bool{},
 	}
 	if err := s.scan(); err != nil {
 		f.Close()
@@ -209,7 +301,7 @@ func (s *Store) scan() error {
 
 // indexLine folds one log line into the index; anything unparseable
 // is skipped. A report record is indexed from its envelope alone; a
-// table record re-registers its wiring.
+// table or view record re-registers its wiring.
 func (s *Store) indexLine(line []byte, offset int64, length int, complete bool) {
 	if !complete {
 		s.skipped++
@@ -225,6 +317,14 @@ func (s *Store) indexLine(line []byte, offset int64, length int, complete bool) 
 		// digest, which no entry references.
 		if net, err := hw.TableNetwork(edges); err == nil && net.TableDigest == digest {
 			s.tables[digest] = true
+			return
+		}
+	}
+	if digest, view, ok := decodeViewLine(line); ok {
+		// Likewise for a view; one whose base is a table that no intact
+		// record registered fails to register at all.
+		if net, err := hw.ViewNetwork(view); err == nil && net.TableDigest == digest {
+			s.views[digest] = true
 			return
 		}
 	}
@@ -283,19 +383,49 @@ func encodeTableLine(digest string, edges map[hw.Edge]hw.LinkClass) ([]byte, err
 	keys := slices.SortedFunc(maps.Keys(edges), func(a, b hw.Edge) int {
 		return cmp.Or(cmp.Compare(a.From, b.From), cmp.Compare(a.To, b.To))
 	})
-	rec := tableRecord{Kind: "table", V: DigestVersion, Table: digest, Edges: make([]int, 0, 3*len(keys))}
-	index := map[hw.LinkClass]int{}
+	rec := tableRecord{Kind: "table", V: DigestVersion, Table: digest}
+	var tr triples
 	for _, e := range keys {
-		c := edges[e]
-		i, ok := index[c]
-		if !ok {
-			i = len(rec.Classes)
-			index[c] = i
-			rec.Classes = append(rec.Classes, c)
-		}
-		rec.Edges = append(rec.Edges, e.From, e.To, i)
+		tr.add(e, edges[e])
 	}
+	rec.Classes, rec.Edges = tr.classes, tr.edges
 	return json.Marshal(rec)
+}
+
+// triples collects edges as a record writes them: the distinct classes
+// in first-use order, and one (from, to, class index) triple per edge.
+type triples struct {
+	classes []hw.LinkClass
+	edges   []int
+	index   map[hw.LinkClass]int
+}
+
+func (t *triples) add(e hw.Edge, c hw.LinkClass) {
+	i, ok := t.index[c]
+	if !ok {
+		if t.index == nil {
+			t.index = map[hw.LinkClass]int{}
+		}
+		i = len(t.classes)
+		t.index[c] = i
+		t.classes = append(t.classes, c)
+	}
+	t.edges = append(t.edges, e.From, e.To, i)
+}
+
+// decodeTriples walks a record's (from, to, class) triples, or reports
+// ok=false unless they are whole and every class index is in range.
+func decodeTriples(classes []hw.LinkClass, edges []int, add func(hw.Edge, hw.LinkClass)) bool {
+	if len(edges)%3 != 0 {
+		return false
+	}
+	for t := edges; len(t) > 0; t = t[3:] {
+		if t[2] < 0 || t[2] >= len(classes) {
+			return false
+		}
+		add(hw.Edge{From: t[0], To: t[1]}, classes[t[2]])
+	}
+	return true
 }
 
 // decodeTableLine reads a table line of this version and returns its
@@ -306,18 +436,45 @@ func encodeTableLine(digest string, edges map[hw.Edge]hw.LinkClass) ([]byte, err
 // recorded digest.
 func decodeTableLine(line []byte) (digest string, edges map[hw.Edge]hw.LinkClass, ok bool) {
 	var rec tableRecord
-	if json.Unmarshal(line, &rec) != nil || rec.Kind != "table" || rec.V != DigestVersion ||
-		len(rec.Edges)%3 != 0 {
+	if json.Unmarshal(line, &rec) != nil || rec.Kind != "table" || rec.V != DigestVersion {
 		return "", nil, false
 	}
 	edges = make(map[hw.Edge]hw.LinkClass, len(rec.Edges)/3)
-	for t := rec.Edges; len(t) > 0; t = t[3:] {
-		if t[2] < 0 || t[2] >= len(rec.Classes) {
-			return "", nil, false
-		}
-		edges[hw.Edge{From: t[0], To: t[1]}] = rec.Classes[t[2]]
+	if !decodeTriples(rec.Classes, rec.Edges, func(e hw.Edge, c hw.LinkClass) { edges[e] = c }) {
+		return "", nil, false
 	}
 	return rec.Table, edges, true
+}
+
+// encodeViewLine renders the view record of a degraded board under its
+// hw.ViewNetwork digest, without the trailing newline.
+func encodeViewLine(digest string, v hw.View) ([]byte, error) {
+	rec := viewRecord{Kind: "view", V: DigestVersion, View: digest, Base: v.Base, Survivors: v.Survivors}
+	var tr triples
+	for _, o := range v.Overrides {
+		tr.add(o.Edge, o.Class)
+	}
+	rec.Classes, rec.Edges = tr.classes, tr.edges
+	return json.Marshal(rec)
+}
+
+// decodeViewLine reads a view line of this version and returns its
+// recorded digest and view, or ok=false unless its re-priced edges are
+// whole triples with every class index in range. Like decodeTableLine
+// it registers nothing: the open scan keeps a view only when
+// hw.ViewNetwork registers it under the recorded digest.
+func decodeViewLine(line []byte) (digest string, v hw.View, ok bool) {
+	var rec viewRecord
+	if json.Unmarshal(line, &rec) != nil || rec.Kind != "view" || rec.V != DigestVersion {
+		return "", hw.View{}, false
+	}
+	v = hw.View{Base: rec.Base, Survivors: rec.Survivors}
+	if !decodeTriples(rec.Classes, rec.Edges, func(e hw.Edge, c hw.LinkClass) {
+		v.Overrides = append(v.Overrides, hw.EdgeClass{Edge: e, Class: c})
+	}) {
+		return "", hw.View{}, false
+	}
+	return rec.View, v, true
 }
 
 // reportBody returns the raw report bytes of one indexed log line, or
@@ -367,10 +524,10 @@ func (s *Store) Load(sys core.System, wl core.Workload) (*core.Report, bool) {
 // Append persists one successful evaluation. Configurations already
 // present are not re-written (content addressing makes duplicates
 // byte-equivalent), and a system routing over an explicit per-edge
-// table writes the table wiring first so the entry is self-contained
-// for cold processes. Errors are reported but callers typically treat
-// a failed append as a cache-fill miss, not a failure of the
-// evaluation itself.
+// table or a degraded view writes that wiring first so the entry is
+// self-contained for cold processes. Errors are reported but callers
+// typically treat a failed append as a cache-fill miss, not a failure
+// of the evaluation itself.
 func (s *Store) Append(sys core.System, wl core.Workload, rep *core.Report) error {
 	digest := Digest(sys, wl)
 	s.mu.Lock()
@@ -378,8 +535,13 @@ func (s *Store) Append(sys core.System, wl core.Workload, rep *core.Report) erro
 	if _, ok := s.index[digest]; ok {
 		return nil
 	}
-	if sys.HW.Network.Profile == hw.NetTable {
-		if err := s.appendTableLocked(sys.HW.Network.TableDigest); err != nil {
+	switch net := sys.HW.Network; net.Profile {
+	case hw.NetTable:
+		if err := s.appendTableLocked(net.TableDigest); err != nil {
+			return err
+		}
+	case hw.NetView:
+		if err := s.appendViewLocked(net.TableDigest); err != nil {
 			return err
 		}
 	}
@@ -426,6 +588,33 @@ func (s *Store) appendTableLocked(tableDigest string) error {
 	return nil
 }
 
+// appendViewLocked persists the view registered under the given hw
+// view digest, once per store lifetime, after its base's table wiring
+// when the base is a table.
+func (s *Store) appendViewLocked(viewDigest string) error {
+	if s.views[viewDigest] {
+		return nil
+	}
+	v, ok := hw.ViewOf(viewDigest)
+	if !ok {
+		return fmt.Errorf("resultstore: view %q is not registered", viewDigest)
+	}
+	if v.Base.Profile == hw.NetTable {
+		if err := s.appendTableLocked(v.Base.TableDigest); err != nil {
+			return err
+		}
+	}
+	line, err := encodeViewLine(viewDigest, v)
+	if err != nil {
+		return fmt.Errorf("resultstore: encode view: %w", err)
+	}
+	if _, err := s.writeLineLocked(line); err != nil {
+		return err
+	}
+	s.views[viewDigest] = true
+	return nil
+}
+
 // writeLineLocked appends one record line in a single write (atomic
 // under O_APPEND, so concurrent stores on the same directory never
 // interleave partial records) and returns the record's offset. If the
@@ -453,7 +642,7 @@ func (s *Store) writeLineLocked(line []byte) (int64, error) {
 // CompactTo rewrites the store into dstDir, keeping only the newest
 // valid record per digest (duplicates from concurrent writers, corrupt
 // lines, torn tails, and foreign-version records are all dropped) and
-// each referenced per-edge table wiring once. The source store is not
+// each table and view wiring the scan registered once. The source store is not
 // modified — CI swaps the compacted directory in place of the old one
 // — and the returned store is open for use. Records are written in
 // digest order, so compacting equal contents yields byte-identical
@@ -472,13 +661,10 @@ func (s *Store) CompactTo(dstDir string) (*Store, error) {
 		digests = append(digests, d)
 		refs[d] = ref
 	}
-	tables := make([]string, 0, len(s.tables))
-	for t := range s.tables {
-		tables = append(tables, t)
-	}
+	tables := slices.Sorted(maps.Keys(s.tables))
+	views := slices.Sorted(maps.Keys(s.views))
 	s.mu.Unlock()
 	sort.Strings(digests)
-	sort.Strings(tables)
 
 	dst, err := Open(dstDir)
 	if err != nil {
@@ -493,10 +679,16 @@ func (s *Store) CompactTo(dstDir string) (*Store, error) {
 
 	dst.mu.Lock()
 	defer dst.mu.Unlock()
+	// The scan re-registered every persisted wiring, so each is
+	// available to re-encode.
 	for _, t := range tables {
-		// The scan re-registered every persisted wiring, so the edges
-		// are available to re-encode.
 		if err := dst.appendTableLocked(t); err != nil {
+			dst.file.Close()
+			return nil, err
+		}
+	}
+	for _, v := range views {
+		if err := dst.appendViewLocked(v); err != nil {
 			dst.file.Close()
 			return nil, err
 		}

@@ -553,9 +553,31 @@ func TestCompactDropsForgedBody(t *testing.T) {
 	}
 }
 
-// goldenTable is the per-edge wiring both golden logs persist: chips 0
+// goldenTable is the per-edge wiring the golden logs persist: chips 0
 // and 1 joined both ways by a MIPI link three times slower.
 const goldenTable = "afe38c5f3eef37fb7b5aac51d8af0d6b5553fa78823038107f22b7fef2b076df"
+
+// goldenViewUniform and goldenViewTable are the degraded boards v5.log
+// persists (goldenViews), by their hw.ViewNetwork digests.
+const (
+	goldenViewUniform = "01cfed3a0e437e3e42b93dd6fdebf60812f1d4737ddb1e5e8870dfdf680fa449"
+	goldenViewTable   = "a9444717e4e75c6610426435a755d537d991e13cd163434be2bde0adf657bfd5"
+)
+
+// goldenViews returns the two degraded boards of v5.log: a 4-chip
+// uniform board with chip 1 dropped and the new 0<->1 edge ten times
+// slower, and the goldenTable board with nothing dropped or re-priced
+// (the view a straggler gets).
+func goldenViews() (uniform, table hw.View) {
+	slow := hw.MIPI().Slower(10)
+	uniform = hw.View{
+		Base:      hw.UniformNetwork(hw.MIPI()),
+		Survivors: []int{0, 2, 3},
+		Overrides: []hw.EdgeClass{{Edge: hw.Edge{From: 0, To: 1}, Class: slow}, {Edge: hw.Edge{From: 1, To: 0}, Class: slow}},
+	}
+	table = hw.View{Base: hw.Network{Profile: hw.NetTable, TableDigest: goldenTable}, Survivors: []int{0, 1}}
+	return uniform, table
+}
 
 // goldenPoint is one configuration a golden log holds, in log order,
 // and whether its record is intact.
@@ -565,22 +587,31 @@ type goldenPoint struct {
 	stored bool
 }
 
-// goldenPoints lists the five reports both golden logs hold, in order:
+// goldenPoints lists the reports the golden logs hold, in order:
 // 2-chip autoregressive, 2-chip autoregressive routed over
 // goldenTable, 4-chip prompt with one Cycles digit flipped (CRC
-// damage), 4-chip autoregressive, and 8-chip autoregressive torn
-// halfway through its line.
+// damage), 4-chip autoregressive, then (v5.log only) 3-chip
+// autoregressive on goldenViewUniform and 2-chip autoregressive on
+// goldenViewTable with chip 1 at half speed, and last 8-chip
+// autoregressive torn halfway through its line.
 func goldenPoints() []goldenPoint {
 	ar := core.Workload{Model: model.TinyLlama42M(), Mode: model.Autoregressive}
 	pr := core.Workload{Model: model.TinyLlama42M(), Mode: model.Prompt}
 	tableSys := core.DefaultSystem(2)
 	tableSys.HW.Network = hw.Network{Profile: hw.NetTable, TableDigest: goldenTable}
 	tableSys.HW.Topology = hw.TopoRing
+	viewSys := core.DefaultSystem(3)
+	viewSys.HW.Network = hw.Network{Profile: hw.NetView, TableDigest: goldenViewUniform}
+	straggleSys := tableSys
+	straggleSys.HW.Network = hw.Network{Profile: hw.NetView, TableDigest: goldenViewTable}
+	straggleSys.Options.StragglerChip, straggleSys.Options.StragglerFactor = 1, 0.5
 	return []goldenPoint{
 		{core.DefaultSystem(2), ar, true},
 		{tableSys, ar, true},
 		{core.DefaultSystem(4), pr, false},
 		{core.DefaultSystem(4), ar, true},
+		{viewSys, ar, true},
+		{straggleSys, ar, true},
 		{core.DefaultSystem(8), ar, false},
 	}
 }
@@ -605,14 +636,15 @@ func openGolden(t *testing.T, golden, name string) (*Store, []byte) {
 	return s, raw
 }
 
-// testdata/v4.log was written by Append under DigestVersion 4 and is
+// testdata/v5.log was written by Append under DigestVersion 5 and is
 // never regenerated: it pins that logs already on disk still read the
-// same. It holds goldenPoints' reports and, ahead of the table-routed
-// one, the goldenTable wiring.
-func TestGoldenV4Log(t *testing.T) {
-	s, raw := openGolden(t, "v4.log", filepath.Base(logPath("")))
-	if s.Len() != 3 || s.Skipped() != 2 {
-		t.Errorf("Len, Skipped = %d, %d; want 3, 2", s.Len(), s.Skipped())
+// same. It holds goldenPoints' reports, the goldenTable wiring ahead of
+// the first report routed over it, and each golden view ahead of the
+// first report on it.
+func TestGoldenV5Log(t *testing.T) {
+	s, raw := openGolden(t, "v5.log", filepath.Base(logPath("")))
+	if s.Len() != 5 || s.Skipped() != 2 {
+		t.Errorf("Len, Skipped = %d, %d; want 5, 2", s.Len(), s.Skipped())
 	}
 	slow := hw.MIPI().Slower(3)
 	wantEdges := map[hw.Edge]hw.LinkClass{{From: 0, To: 1}: slow, {From: 1, To: 0}: slow}
@@ -622,15 +654,27 @@ func TestGoldenV4Log(t *testing.T) {
 	if edges, ok := hw.TableEdges(goldenTable); !ok || !reflect.DeepEqual(edges, wantEdges) {
 		t.Fatalf("table re-registered as %v, %v; want %v", edges, ok, wantEdges)
 	}
+	uniform, table := goldenViews()
+	for _, v := range []struct {
+		digest string
+		want   hw.View
+	}{{goldenViewUniform, uniform}, {goldenViewTable, table}} {
+		if !s.views[v.digest] {
+			t.Errorf("view %s was not re-registered", v.digest)
+		}
+		if got, ok := hw.ViewOf(v.digest); !ok || !reflect.DeepEqual(got, v.want) {
+			t.Fatalf("view re-registered as %+v, %v; want %+v", got, ok, v.want)
+		}
+	}
 
 	for _, p := range goldenPoints() {
 		got, ok := s.Load(p.sys, p.wl)
 		if ok != p.stored {
-			t.Errorf("%d chips %v: Load ok = %v, want %v", p.sys.Chips, p.wl.Mode, ok, p.stored)
+			t.Errorf("%d chips %v on %v: Load ok = %v, want %v", p.sys.Chips, p.wl.Mode, p.sys.HW.Network, ok, p.stored)
 			continue
 		}
 		if ok && !reflect.DeepEqual(got, mustRun(t, p.sys, p.wl)) {
-			t.Errorf("%d chips %v: stored report differs from a fresh run", p.sys.Chips, p.wl.Mode)
+			t.Errorf("%d chips %v on %v: stored report differs from a fresh run", p.sys.Chips, p.wl.Mode, p.sys.HW.Network)
 		}
 	}
 
@@ -642,34 +686,46 @@ func TestGoldenV4Log(t *testing.T) {
 			fast++
 		}
 	}
-	if fast != 3 {
-		t.Errorf("envelope decoder read %d report lines, want 3", fast)
+	if fast != 5 {
+		t.Errorf("envelope decoder read %d report lines, want 5", fast)
 	}
 }
 
-// testdata/v3.log was written by Append under DigestVersion 3 (report
-// bodies with per-chip counters and the configuration echo, table
-// edges as objects) and is never regenerated. It holds the same
-// records as v4.log. A v4 store reads v3 data as misses, never as
-// errors: under its own file name it is not read at all, and copied
-// into the v4 log every line is skipped.
-func TestGoldenV3Log(t *testing.T) {
-	s, _ := openGolden(t, "v3.log", "results-v3.log")
+// testdata/v4.log and testdata/v3.log were written by Append under
+// DigestVersion 4 and 3 and are never regenerated. v4.log holds
+// goldenPoints' reports but the view-routed ones, and the goldenTable
+// wiring (v3.log the same records in the v3 shape: report bodies with
+// per-chip counters and the configuration echo, table edges as
+// objects). A v5 store reads older data as misses, never as errors:
+// under its own file name an old log is not read at all, and copied
+// into the v5 log every line is skipped.
+func TestGoldenV4Log(t *testing.T) { testOldGoldenLog(t, 4) }
+
+func TestGoldenV3Log(t *testing.T) { testOldGoldenLog(t, 3) }
+
+func testOldGoldenLog(t *testing.T, version int) {
+	golden := fmt.Sprintf("v%d.log", version)
+	s, _ := openGolden(t, golden, fmt.Sprintf("results-v%d.log", version))
 	if s.Len() != 0 || s.Skipped() != 0 {
-		t.Errorf("v3 log under its own name: Len, Skipped = %d, %d; want 0, 0", s.Len(), s.Skipped())
+		t.Errorf("%s under its own name: Len, Skipped = %d, %d; want 0, 0", golden, s.Len(), s.Skipped())
 	}
 	for _, p := range goldenPoints() {
 		if _, ok := s.Load(p.sys, p.wl); ok {
-			t.Errorf("%d chips %v: served from a v3 log", p.sys.Chips, p.wl.Mode)
+			t.Errorf("%d chips %v: served from %s", p.sys.Chips, p.wl.Mode, golden)
 		}
 	}
 
-	s, _ = openGolden(t, "v3.log", filepath.Base(logPath("")))
+	s, _ = openGolden(t, golden, filepath.Base(logPath("")))
 	if s.Len() != 0 || s.Skipped() != 6 {
-		t.Errorf("v3 lines in the v4 log: Len, Skipped = %d, %d; want 0, 6", s.Len(), s.Skipped())
+		t.Errorf("%s lines in the v%d log: Len, Skipped = %d, %d; want 0, 6", golden, DigestVersion, s.Len(), s.Skipped())
 	}
 	if s.tables[goldenTable] {
-		t.Error("a v3 table record was registered")
+		t.Errorf("a %s table record was registered", golden)
+	}
+	for _, p := range goldenPoints() {
+		if _, ok := s.Load(p.sys, p.wl); ok {
+			t.Errorf("%d chips %v: served from %s copied into the v%d log", p.sys.Chips, p.wl.Mode, golden, DigestVersion)
+		}
 	}
 }
 
@@ -677,10 +733,10 @@ func TestGoldenV3Log(t *testing.T) {
 // JSON decode it short-cuts: it never panics, and any line it accepts
 // json.Unmarshal reads as the same intact report record of this
 // version. The seed corpus in testdata/fuzz holds lines Append wrote
-// under v3 and their v4 twins (named -v4): a plain report, a report
-// whose CRC is zero (key omitted), a table record, a CRC-damaged
-// report, a truncated one, one doctored to "v":0, and a record whose
-// digest needs JSON escapes. A small record is added so mutations
+// under v3 and their v4 and v5 twins (named -v4 and -v5): a plain
+// report, a report whose CRC is zero (key omitted), a table record, a
+// CRC-damaged report, a truncated one, one doctored to "v":0, and a
+// record whose digest needs JSON escapes. A small record is added so mutations
 // reach the accept path quickly.
 func FuzzDecodeReportLine(f *testing.F) {
 	small := json.RawMessage(`{"a":[1,"}"]}`)
@@ -716,8 +772,9 @@ func FuzzDecodeReportLine(f *testing.F) {
 // through hw.TableNetwork under that digest, and re-encoding the
 // wiring decodes to the same digest and edges. The seed corpus in
 // testdata/fuzz holds a 2-chip record, a 64-chip two-class record, an
-// out-of-range class index, a ragged edge list, a negative chip id and
-// a v3-shaped record.
+// out-of-range class index, a ragged edge list and a negative chip id,
+// each as written under v4 and as its v5 twin (named -v5), and a
+// v3-shaped record.
 func FuzzDecodeTableLine(f *testing.F) {
 	f.Fuzz(func(t *testing.T, line []byte) {
 		digest, edges, ok := decodeTableLine(line)
@@ -745,10 +802,50 @@ func FuzzDecodeTableLine(f *testing.F) {
 	})
 }
 
+// FuzzDecodeViewLine checks the view record's decoder against the
+// registry it feeds: it never panics, a line the open scan accepts (a
+// decoded view whose content digest is the recorded one) registers
+// through hw.ViewNetwork under that digest, and re-encoding the view
+// decodes to the same digest and view. The seed corpus in testdata/fuzz
+// holds views over a uniform, a clustered and a table base (the
+// goldenTable wiring, registered here first), a survivor list out of
+// order, a class index out of range, and a v4 table line.
+func FuzzDecodeViewLine(f *testing.F) {
+	slow := hw.MIPI().Slower(3)
+	if _, err := hw.TableNetwork(map[hw.Edge]hw.LinkClass{{From: 0, To: 1}: slow, {From: 1, To: 0}: slow}); err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, line []byte) {
+		digest, v, ok := decodeViewLine(line)
+		if !ok {
+			return
+		}
+		// Checked without registering, so rejected mutations do not
+		// pile up in the process-wide view registry.
+		if d, err := hw.DigestView(v); err != nil || d != digest {
+			return
+		}
+		net, err := hw.ViewNetwork(v)
+		if err != nil || net.Profile != hw.NetView || net.TableDigest != digest {
+			t.Fatalf("accepted view %s, but it registers as %v (%v)", digest, net, err)
+		}
+		again, err := encodeViewLine(digest, v)
+		if err != nil {
+			t.Fatalf("re-encoding an accepted view: %v", err)
+		}
+		d2, v2, ok := decodeViewLine(again)
+		if !ok || d2 != digest || !reflect.DeepEqual(v2, v) {
+			t.Fatalf("re-encoded view decodes as %q (ok %v) %+v, want %q %+v", d2, ok, v2, digest, v)
+		}
+	})
+}
+
 // Size guards: a report body holds no per-chip counters and no
-// configuration echo, and a table wiring is a class list plus integer
-// triples. Either creeping back would blow these bounds (a 64-chip
-// report line was 15.6-17.8 KB and a 64-chip table record 414 KB).
+// configuration echo, a table wiring is a class list plus integer
+// triples, and a degraded board is a view of its base. Any of them
+// creeping back would blow these bounds (a 64-chip report line was
+// 15.6-17.8 KB, a 64-chip table record 414 KB, and a 64-chip board
+// with a dropped chip and a slowed edge a ~31 KB table record).
 func TestRecordSizeBounds(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
@@ -770,14 +867,34 @@ func TestRecordSizeBounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys.HW.Network, sys.HW.Topology = net, hw.TopoFullyConnected
-	if err := s.Append(sys, wl, mustRun(t, sys, wl)); err != nil {
+	rep := mustRun(t, sys, wl)
+	if err := s.Append(sys, wl, rep); err != nil {
+		t.Fatal(err)
+	}
+	// The 64-chip board with chip 3 dropped and the new 0<->1 edge ten
+	// times slower; the record bound concerns the view, so the report
+	// is the one above.
+	drop := hw.View{Base: hw.UniformNetwork(hw.MIPI())}
+	for c := range 64 {
+		if c != 3 {
+			drop.Survivors = append(drop.Survivors, c)
+		}
+	}
+	for _, e := range []hw.Edge{{From: 0, To: 1}, {From: 1, To: 0}} {
+		drop.Overrides = append(drop.Overrides, hw.EdgeClass{Edge: e, Class: hw.MIPI().Slower(10)})
+	}
+	if sys.HW.Network, err = hw.ViewNetwork(drop); err != nil {
+		t.Fatal(err)
+	}
+	sys.Chips = 63
+	if err := s.Append(sys, wl, rep); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(logPath(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var reports, tables int
+	var reports, tables, views int
 	for _, line := range bytes.SplitAfter(raw, []byte("\n")) {
 		switch {
 		case len(line) == 0:
@@ -786,6 +903,11 @@ func TestRecordSizeBounds(t *testing.T) {
 			if len(line) > 64<<10 {
 				t.Errorf("64-chip fully-connected table line is %d bytes, want at most %d", len(line), 64<<10)
 			}
+		case bytes.HasPrefix(line, []byte(`{"kind":"view"`)):
+			views++
+			if len(line) > 1<<10 {
+				t.Errorf("64-chip drop+slow view line is %d bytes, want at most %d", len(line), 1<<10)
+			}
 		default:
 			reports++
 			if len(line) > 2048 {
@@ -793,16 +915,18 @@ func TestRecordSizeBounds(t *testing.T) {
 			}
 		}
 	}
-	if reports != 2 || tables != 1 {
-		t.Errorf("log holds %d report and %d table lines, want 2 and 1", reports, tables)
+	if reports != 3 || tables != 1 || views != 1 {
+		t.Errorf("log holds %d report, %d table and %d view lines, want 3, 1 and 1", reports, tables, views)
 	}
 }
 
-// The digest renders System and Workload with %#v. A pointer, func,
-// chan or unsafe pointer anywhere in either type renders as an address,
-// a map or interface holds content the type does not pin down, and a
-// GoString method replaces the field-by-field rendering: any of them
-// lets two processes digest one configuration differently.
+// The digest walks every leaf of System and Workload (appendLeaves) and
+// hashes the %#v rendering of their zero values. A pointer, func, chan
+// or unsafe pointer anywhere in either type holds an address, not
+// content, and a map or interface holds content the type does not pin
+// down: the walk has no encoding for any of them. A GoString method
+// replaces the field-by-field rendering of the shape. Any of them lets
+// two processes digest one configuration differently.
 func TestDigestKeyIsPlainData(t *testing.T) {
 	goStringer := reflect.TypeFor[fmt.GoStringer]()
 	seen := map[reflect.Type]bool{}

@@ -211,6 +211,18 @@ func main() {
 		}
 		picked, run = m.flag, m.run
 	}
+	// A flag only another mode reads would be dropped silently.
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	for _, name := range []string{"rates", "requests", "seed", "groups", "max-batch",
+		"fleet-autotune", "fleet-serial", "fault-at", "fault-group", "fault-replan"} {
+		if set[name] && !*fleetMode {
+			fatal(fmt.Errorf("-%s applies to -fleet only", name))
+		}
+	}
+	if set["topk"] && !*session && !*tiling && !*replan {
+		fatal(fmt.Errorf("-topk applies to -autotune-session, -autotune-tiling and -replan only"))
+	}
 	if *replan && len(s.faults) == 0 {
 		fatal(fmt.Errorf("-replan needs a -fault spec to degrade the board with"))
 	}

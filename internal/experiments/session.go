@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"fmt"
+
 	"mcudist/internal/core"
 	"mcudist/internal/explore"
 	"mcudist/internal/hw"
@@ -57,15 +59,16 @@ func SessionAutotune() ([]SessionRow, error) {
 	}
 	var rows []SessionRow
 	for _, sc := range scenarios {
-		results, err := explore.AutotuneSessionNetworks(
-			core.DefaultSystem(sc.chips), sc.cfg, explore.SessionOptions{}, nets)
-		if err != nil {
-			return nil, err
-		}
-		for _, res := range results {
+		for _, net := range nets {
+			sys := core.DefaultSystem(sc.chips)
+			sys.HW.Network = net
+			res, err := explore.AutotuneSession(sys, sc.cfg, explore.SessionOptions{})
+			if err != nil {
+				return nil, fmt.Errorf("experiments: session autotune on %s: %w", net, err)
+			}
 			rows = append(rows, SessionRow{
 				Chips:         sc.chips,
-				Network:       res.Network.String(),
+				Network:       net.String(),
 				Plan:          res.Plan.String(),
 				Cycles:        res.Cycles,
 				BestUniform:   res.BestUniform.String(),

@@ -11,9 +11,8 @@
 // prediction, verify the predicted top-K plus the always-verified
 // baselines exactly, and pick the winner on exact cycles, ties going
 // to the earliest candidate. AutotunePlan, AutotuneSession,
-// AutotuneTiling, PlanFrontier, Surrogate.Verify and EvalSessionPlan
-// differ only in their axes, their predictor and how they spell a
-// candidate as evaluation points.
+// AutotuneTiling and PlanFrontier differ only in their axes, their
+// predictor and how they spell a candidate as evaluation points.
 //
 // Concurrency model: every search evaluates its candidates through
 // the shared evalpool engine. The autotuners and frontiers fan a whole

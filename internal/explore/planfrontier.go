@@ -5,10 +5,8 @@ import (
 	"math"
 	"sort"
 
-	"mcudist/internal/collective"
 	"mcudist/internal/core"
 	"mcudist/internal/evalpool"
-	"mcudist/internal/hw"
 	"mcudist/internal/model"
 )
 
@@ -18,39 +16,26 @@ import (
 // collective-plan axis, whose joint grid multiplies every cell by
 // topologies^classes (256 session plans for the tensor-parallel
 // scheme). PlanFrontier folds that axis in by fitting the shared
-// Surrogate once per (network, chip-count) cell —
-// ~20 probe simulations — predicting all candidates, and exactly
-// verifying only the predicted Pareto edge, the predicted top-K, and
-// the uniform baselines. Exact simulation remains the ground truth:
-// every returned point is exactly evaluated, and predictions only
-// decide what is worth verifying.
+// surrogate once per chip count — ~20 probe simulations — predicting
+// all candidates, and exactly verifying only the predicted Pareto
+// edge, the predicted top-K, and the uniform baselines. Exact
+// simulation remains the ground truth: every returned point is
+// exactly evaluated, and predictions only decide what is worth
+// verifying.
 
 // PlanFrontierOptions tunes PlanFrontier.
 type PlanFrontierOptions struct {
-	// Networks is the optional network-profile axis; empty scans only
-	// the base system's network.
-	Networks []hw.Network
-	// TopK is the number of predicted-best candidates verified exactly
-	// per grid cell, on each objective (0 selects DefaultSessionTopK).
-	// The predicted Pareto edge and the uniform plans are always
-	// verified in addition.
-	TopK int
 	// Exhaustive disables the surrogate and evaluates every joint plan
 	// exactly, as deployed — the ground-truth reference the
 	// equivalence tests hold the surrogate-first scan to. It costs
 	// GridSims simulations.
 	Exhaustive bool
-	// PromptSeqLen / DecodeSeqLen override the session's two phase
-	// sequence lengths (0 selects the paper's values).
-	PromptSeqLen int
-	DecodeSeqLen int
 }
 
-// PlanPoint is one exactly-verified (network, chip count, plan)
-// candidate of a plan-aware frontier scan.
+// PlanPoint is one exactly-verified (chip count, plan) candidate of a
+// plan-aware frontier scan.
 type PlanPoint struct {
-	Network hw.Network
-	Chips   int
+	Chips int
 	VerifiedPlan
 	// Pareto marks session latency/energy Pareto-optimal points within
 	// the verified union.
@@ -60,9 +45,9 @@ type PlanPoint struct {
 // PlanFrontierResult is the outcome of a surrogate-first plan
 // frontier scan.
 type PlanFrontierResult struct {
-	// Points lists the exactly-verified candidates grouped by network
-	// in input order, then chip count ascending, then candidate in
-	// enumeration order; the Pareto marks span the whole union.
+	// Points lists the exactly-verified candidates grouped by chip
+	// count in input order, then candidate in enumeration order; the
+	// Pareto marks span the whole union.
 	Points []PlanPoint
 	// Candidates is the full plan-grid size across all cells; GridSims
 	// is the exact-simulation bill of enumerating it exhaustively as
@@ -74,15 +59,14 @@ type PlanFrontierResult struct {
 	ExactSims  int
 }
 
-// planCell runs one (network, chip count) cell of the scan and
-// returns its verified candidates in enumeration order.
-func planCell(sys core.System, cfg model.Config, opts PlanFrontierOptions) ([]VerifiedPlan, int, error) {
-	sopts := SessionOptions{PromptSeqLen: opts.PromptSeqLen, DecodeSeqLen: opts.DecodeSeqLen}
-	if opts.Exhaustive {
-		sp, err := sessionSpace(sys, cfg, sopts)
-		if err != nil {
-			return nil, 0, err
-		}
+// planCell runs one chip-count cell of the scan and returns its
+// verified candidates in enumeration order.
+func planCell(sys core.System, cfg model.Config, exhaustive bool) ([]VerifiedPlan, int, error) {
+	sp, err := sessionSpace(sys, cfg, SessionOptions{})
+	if err != nil {
+		return nil, 0, err
+	}
+	if exhaustive {
 		ps, err := searchPlans("session grid", sp, sys, nil, 0, true)
 		if err != nil {
 			return nil, 0, err
@@ -94,39 +78,49 @@ func planCell(sys core.System, cfg model.Config, opts PlanFrontierOptions) ([]Ve
 		return out, ps.cands.n, nil
 	}
 
-	s, err := FitSurrogate(sys, cfg, sopts)
+	ref, err := sp.reference(sys.HW.Topology)
 	if err != nil {
 		return nil, 0, err
 	}
-	cands := s.grid()
+	s, err := fitSurrogate(sys, sp, ref)
+	if err != nil {
+		return nil, 0, err
+	}
+	cands := sp.grid()
+	pred := make([]SessionCost, cands.n)
 	predS := make([]float64, cands.n)
 	predJ := make([]float64, cands.n)
-	for i := range predS {
-		pred := s.predict(cands.at(i))
-		predS[i], predJ[i] = pred.Seconds, pred.Joules
+	for i := range pred {
+		pred[i] = s.predict(cands.at(i))
+		predS[i], predJ[i] = pred[i].Seconds, pred[i].Joules
 	}
 
-	topK := opts.TopK
-	if topK <= 0 {
-		topK = DefaultSessionTopK
-	}
 	// Seed the verification set: the predicted top-K on each
 	// objective, plus the uniform plans — whose phase points are the
 	// surrogate's own probes, so they verify without new simulations
 	// and keep the scan honest against every single-topology baseline.
 	pick := make([]bool, cands.n)
-	for _, pred := range [][]float64{predS, predJ} {
-		for _, i := range verifySet(rankStable(pred), topK, s.uniforms()) {
+	for _, obj := range [][]float64{predS, predJ} {
+		for _, i := range verifySet(rankStable(obj), DefaultSessionTopK, sp.uniforms()) {
 			pick[i] = true
 		}
 	}
 
+	// verify evaluates candidates exactly, one phase-restricted point
+	// per phase, so probe and uniform configurations are served from
+	// the cache tiers.
 	verify := func(sel []int) ([]VerifiedPlan, error) {
-		plans := make([]collective.Plan, len(sel))
-		for j, i := range sel {
-			plans[j] = s.plan(cands.at(i))
+		exact, err := evalExact("session verify", len(sel), func(k int, buf []evalpool.Point) []evalpool.Point {
+			return sp.points(buf, sys, sp.plan(cands.at(sel[k])), false)
+		})
+		if err != nil {
+			return nil, err
 		}
-		return s.Verify(sys, plans)
+		out := make([]VerifiedPlan, len(sel))
+		for k, i := range sel {
+			out[k] = verifiedPlan(sp.plan(cands.at(i)), pred[i], exact[k])
+		}
+		return out, nil
 	}
 	var sel []int
 	for i, picked := range pick {
@@ -207,10 +201,10 @@ func planCell(sys core.System, cfg model.Config, opts PlanFrontierOptions) ([]Ve
 }
 
 // PlanFrontier scans the collective-plan axis jointly with the chip
-// count (and optionally the network profile): per (network, chips)
-// cell it fits the shared Surrogate, predicts the whole joint plan
-// grid on both session objectives, and exactly verifies the predicted
-// Pareto edge, the per-objective top-K, and the uniform baselines.
+// count on the base system's network: per chip count it fits the
+// shared surrogate, predicts the whole joint plan grid on both session
+// objectives, and exactly verifies the predicted Pareto edge, the
+// per-objective top-K, and the uniform baselines.
 // The returned points are all exactly evaluated, with the session
 // latency/energy Pareto front marked across the verified union — on
 // the pinned operating points the equivalence tests hold that front
@@ -218,24 +212,17 @@ func planCell(sys core.System, cfg model.Config, opts PlanFrontierOptions) ([]Ve
 // simulations (ExactSims vs GridSims).
 func PlanFrontier(base core.System, cfg model.Config, chips []int, opts PlanFrontierOptions) (*PlanFrontierResult, error) {
 	evalsBefore := evalpool.Evaluations()
-	nets := opts.Networks
-	if len(nets) == 0 {
-		nets = []hw.Network{base.HW.Network}
-	}
 	res := &PlanFrontierResult{}
-	for _, net := range nets {
-		for _, n := range chips {
-			sys := base
-			sys.HW.Network = net
-			sys.Chips = n
-			verified, cells, err := planCell(sys, cfg, opts)
-			if err != nil {
-				return nil, fmt.Errorf("explore: plan frontier (%s, %d chips): %w", net, n, err)
-			}
-			res.Candidates += cells
-			for _, vp := range verified {
-				res.Points = append(res.Points, PlanPoint{Network: net, Chips: n, VerifiedPlan: vp})
-			}
+	for _, n := range chips {
+		sys := base
+		sys.Chips = n
+		verified, cells, err := planCell(sys, cfg, opts.Exhaustive)
+		if err != nil {
+			return nil, fmt.Errorf("explore: plan frontier (%s, %d chips): %w", base.HW.Network, n, err)
+		}
+		res.Candidates += cells
+		for _, vp := range verified {
+			res.Points = append(res.Points, PlanPoint{Chips: n, VerifiedPlan: vp})
 		}
 	}
 	res.GridSims = 2 * res.Candidates

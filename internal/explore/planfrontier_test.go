@@ -17,8 +17,7 @@ func frontSet(res *PlanFrontierResult) (map[[2]float64]bool, map[string]PlanPoin
 	front := map[[2]float64]bool{}
 	byPlan := map[string]PlanPoint{}
 	for _, p := range res.Points {
-		key := p.Network.String() + "/" + p.Plan.String()
-		byPlan[key] = p
+		byPlan[p.Plan.String()] = p
 		if p.Pareto {
 			front[[2]float64{p.Seconds, p.Joules}] = true
 		}
@@ -47,7 +46,7 @@ func comparePlanFronts(t *testing.T, surrogate, exact *PlanFrontierResult) {
 		if !p.Pareto {
 			continue
 		}
-		ep, ok := eByPlan[p.Network.String()+"/"+p.Plan.String()]
+		ep, ok := eByPlan[p.Plan.String()]
 		if !ok {
 			t.Errorf("surrogate front plan %s not in the exhaustive grid", p.Plan)
 			continue
@@ -143,42 +142,49 @@ func TestPlanFrontierMatchesExhaustive64(t *testing.T) {
 	}
 }
 
-// The network axis folds in: one surrogate per (network, chips) cell,
-// points labeled with their cell, and the Pareto marks spanning the
-// whole union — a clustered backhaul's points must not be judged only
-// against each other.
+// PlanFrontier prices the base system's network, so a caller that
+// wants several network profiles loops over them and marks the Pareto
+// front across the union itself. With a slow backhaul crossed at both
+// chip counts (cluster size 2), the degraded cells are strictly worse:
+// every front point of the union must come from the uniform network.
 func TestPlanFrontierNetworks(t *testing.T) {
-	base := core.DefaultSystem(1)
 	cfg := model.TinyLlama42M()
 	nets := []hw.Network{
 		hw.UniformNetwork(hw.MIPI()),
-		// Cluster size 2, so the slow backhaul is crossed at both chip
-		// counts and the degraded cells are strictly worse.
 		hw.ClusteredNetwork(hw.MIPI(), hw.MIPI().Slower(10), 2),
 	}
-	res, err := PlanFrontier(base, cfg, []int{4, 8}, PlanFrontierOptions{Networks: nets})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Candidates != 4*256 {
-		t.Errorf("4-cell scan enumerates %d candidates, want %d", res.Candidates, 4*256)
-	}
-	cells := map[string]int{}
-	pareto := 0
-	for _, p := range res.Points {
-		cells[p.Network.String()+"/"+string(rune('0'+p.Chips))]++
-		if p.Pareto {
-			pareto++
-			// The slow backhaul strictly dominates nothing: every front
-			// point must come from the uniform network (same chips
-			// available on strictly faster links).
-			if p.Network != nets[0] {
-				t.Errorf("front point %s/%d chips/%s rides the degraded network", p.Network, p.Chips, p.Plan)
-			}
+	var secs, jls []float64
+	var from []hw.Network
+	for _, net := range nets {
+		base := core.DefaultSystem(1)
+		base.HW.Network = net
+		res, err := PlanFrontier(base, cfg, []int{4, 8}, PlanFrontierOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Candidates != 2*256 {
+			t.Errorf("network %s: 2-cell scan enumerates %d candidates, want %d", net, res.Candidates, 2*256)
+		}
+		chips := map[int]bool{}
+		for _, p := range res.Points {
+			chips[p.Chips] = true
+			secs = append(secs, p.Seconds)
+			jls = append(jls, p.Joules)
+			from = append(from, net)
+		}
+		if len(chips) != 2 {
+			t.Errorf("network %s: points span %d chip counts, want 2", net, len(chips))
 		}
 	}
-	if len(cells) != 4 {
-		t.Errorf("points span %d cells, want 4", len(cells))
+	pareto := 0
+	for i, on := range paretoMask(secs, jls) {
+		if !on {
+			continue
+		}
+		pareto++
+		if from[i] != nets[0] {
+			t.Errorf("front point %d (%g s, %g J) rides the degraded network", i, secs[i], jls[i])
+		}
 	}
 	if pareto == 0 {
 		t.Error("no Pareto-optimal point in the union")

@@ -25,13 +25,13 @@ type SessionCost struct {
 	Joules  float64
 }
 
-// EvalSessionPlan evaluates a fixed joint plan on the system exactly,
+// evalSessionPlan evaluates a fixed joint plan on the system exactly,
 // as deployed: the full plan rides in both phases' cache keys, the
 // spelling a serving fleet actually runs. A plan that routes an active
 // class over an edge the network does not wire fails here — the
 // degraded-wiring validation a stale plan must pass before it can be
 // priced at all.
-func EvalSessionPlan(sys core.System, cfg model.Config, plan collective.Plan, opts SessionOptions) (*SessionCost, error) {
+func evalSessionPlan(sys core.System, cfg model.Config, plan collective.Plan, opts SessionOptions) (*SessionCost, error) {
 	sp, err := sessionSpace(sys, cfg, opts)
 	if err != nil {
 		return nil, err
@@ -86,7 +86,7 @@ type ReplanResult struct {
 func ReplanSession(degraded core.System, cfg model.Config, stale collective.Plan, opts SessionOptions) (*ReplanResult, error) {
 	evalsBefore := evalpool.Evaluations()
 	res := &ReplanResult{StalePlan: stale}
-	static, err := EvalSessionPlan(degraded, cfg, stale, opts)
+	static, err := evalSessionPlan(degraded, cfg, stale, opts)
 	if err != nil {
 		res.StaticErr = err.Error()
 	} else {

@@ -19,7 +19,7 @@ import (
 // simulations, so exhaustive enumeration runs ~2·4^4 exact simulations
 // per operating point — and multiplies again under a network-profile
 // axis. AutotuneSession makes that tractable with the package's
-// predict-then-verify core (search.go): the shared Surrogate
+// predict-then-verify core (search.go): the shared surrogate
 // (surrogate.go) — a per-class cost decomposition built from one probe
 // simulation per (class, topology) — predicts every candidate's
 // session cost additively in microseconds, and only the predicted
@@ -47,11 +47,10 @@ type SessionOptions struct {
 	// equivalence tests hold the pruned search to; it costs
 	// 2·topologies^|classes| simulations.
 	Exhaustive bool
-	// PromptSeqLen / DecodeSeqLen override the two phases' sequence
-	// lengths (0 selects the paper's value for the model and mode,
-	// matching the PR 4 session ablation).
+	// PromptSeqLen overrides the prompt phase's sequence length (0
+	// selects the paper's value for the model); the decode step always
+	// runs at the paper's value.
 	PromptSeqLen int
-	DecodeSeqLen int
 }
 
 // SessionCandidate is one exactly-verified joint candidate: its plan,
@@ -60,27 +59,6 @@ type SessionCandidate struct {
 	Plan            collective.Plan
 	PredictedCycles float64
 	Cycles          float64
-}
-
-// ClassCost is one entry of the predictor's per-class cost vector: the
-// measured session-cycle delta of binding Class to Topology instead of
-// the reference topology, with every other class held at the
-// reference — one probe simulation per entry, composable additively
-// across classes and phases.
-type ClassCost struct {
-	// Mode is the phase the probe ran in (the class's own phase for
-	// the tensor-parallel classes; the replicated exchanges execute in
-	// both phases and get one entry per phase).
-	Mode model.Mode
-	// Class and Topology name the binding the probe measured.
-	Class    collective.SyncClass
-	Topology hw.Topology
-	// DeltaCycles is probe cycles minus the all-reference baseline's
-	// cycles for the phase (0 for the reference topology itself).
-	DeltaCycles float64
-	// C2CCycles is the class's link busy time in the probe — the
-	// ByClass attribution the decomposition rests on.
-	C2CCycles float64
 }
 
 // SessionResult is the outcome of a joint prefill+decode plan
@@ -127,11 +105,6 @@ type SessionResult struct {
 	// Verified lists the exactly-checked candidates in predicted order
 	// (empty under Exhaustive) — the predictor-vs-exact margin table.
 	Verified []SessionCandidate
-	// Costs is the predictor's per-class cost vector (empty under
-	// Exhaustive).
-	Costs []ClassCost
-	// Network is the network description the session was tuned for.
-	Network hw.Network
 }
 
 // sessionMode is one phase of a plan search: its workload, the
@@ -182,7 +155,7 @@ func sessionSpace(base core.System, cfg model.Config, opts SessionOptions) (plan
 	}
 	return newPlanSpace(
 		sessionMode{wl: core.Workload{Model: cfg, Mode: model.Prompt, SeqLen: opts.PromptSeqLen}, classes: pre},
-		sessionMode{wl: core.Workload{Model: cfg, Mode: model.Autoregressive, SeqLen: opts.DecodeSeqLen}, classes: dec},
+		sessionMode{wl: core.Workload{Model: cfg, Mode: model.Autoregressive}, classes: dec},
 	), nil
 }
 
@@ -293,7 +266,7 @@ type planSearch struct {
 // verifies only the predicted top-K plus the uniform plans; with none
 // it verifies every candidate. deployed picks the point spelling and
 // what names the step in errors.
-func searchPlans(what string, sp planSpace, base core.System, s *Surrogate, topK int, deployed bool) (*planSearch, error) {
+func searchPlans(what string, sp planSpace, base core.System, s *surrogate, topK int, deployed bool) (*planSearch, error) {
 	ps := &planSearch{planSpace: sp, cands: sp.grid()}
 	uniforms := sp.uniforms()
 	if s == nil {
@@ -366,7 +339,7 @@ func AutotuneSession(base core.System, cfg model.Config, opts SessionOptions) (*
 	if err != nil {
 		return nil, err
 	}
-	var s *Surrogate
+	var s *surrogate
 	what := "session grid"
 	if !opts.Exhaustive {
 		if s, err = fitSurrogate(base, sp, ref); err != nil {
@@ -390,13 +363,11 @@ func AutotuneSession(base core.System, cfg model.Config, opts SessionOptions) (*
 		RankAccuracy:    1,
 		Candidates:      ps.cands.n,
 		GridSims:        2 * ps.cands.n,
-		Network:         base.HW.Network,
 	}
 	res.PerClass = perClass(res.Plan, sp.union)
 	res.Margin = res.UniformCycles / res.Cycles
 	if s != nil {
 		res.PredictedCycles = ps.predicted[ps.sel[ps.best]]
-		res.Costs = s.costs
 		var order []int
 		order, res.RankAccuracy = rankVerified(ps.sel, ps.predicted, ps.exact)
 		for _, k := range order {
@@ -409,23 +380,4 @@ func AutotuneSession(base core.System, cfg model.Config, opts SessionOptions) (*
 	}
 	res.ExactSims = int(evalpool.Evaluations() - evalsBefore)
 	return res, nil
-}
-
-// AutotuneSessionNetworks folds the network axis into the session
-// autotuner: it tunes one joint plan per network profile on otherwise
-// identical systems — "a plan per network profile", the clustered
-// boards' deployment question — and returns results in input order.
-// All evaluations share the process-wide report cache.
-func AutotuneSessionNetworks(base core.System, cfg model.Config, opts SessionOptions, nets []hw.Network) ([]*SessionResult, error) {
-	out := make([]*SessionResult, len(nets))
-	for i, net := range nets {
-		sys := base
-		sys.HW.Network = net
-		res, err := AutotuneSession(sys, cfg, opts)
-		if err != nil {
-			return nil, fmt.Errorf("explore: session autotune on %s: %w", net, err)
-		}
-		out[i] = res
-	}
-	return out, nil
 }

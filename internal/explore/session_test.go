@@ -133,8 +133,8 @@ func TestAutotuneSessionMatchesExhaustive64(t *testing.T) {
 // verified candidates must largely agree with exact cycles, it must
 // rank the true winner first at the pinned 64-chip point (where every
 // top candidate deviates in at most one class per phase, making the
-// additive model exact), and its cost vector must carry one entry per
-// (phase, class, topology).
+// additive model exact), and its deltas must carry one entry per
+// (phase, class, topology), zero at the reference.
 func TestSessionPredictorRankAccuracy(t *testing.T) {
 	evalpool.ResetCache()
 	res, err := AutotuneSession(core.DefaultSystem(64), model.TinyLlamaScaled64(), SessionOptions{})
@@ -151,14 +151,30 @@ func TestSessionPredictorRankAccuracy(t *testing.T) {
 		t.Errorf("winner predicted at %g but measured %g: the single-deviation prediction should be exact here",
 			res.PredictedCycles, res.Cycles)
 	}
-	// 2 phases x 2 classes x 4 topologies.
-	if len(res.Costs) != 16 {
-		t.Fatalf("cost vector has %d entries, want 16", len(res.Costs))
+	sp, err := sessionSpace(core.DefaultSystem(64), model.TinyLlamaScaled64(), SessionOptions{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, c := range res.Costs {
-		if c.Topology == hw.TopoTree && c.DeltaCycles != 0 {
-			t.Errorf("reference entry %s/%s carries delta %g, want 0", c.Class, c.Topology, c.DeltaCycles)
+	ref, err := sp.reference(hw.TopoTree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := fitSurrogate(core.DefaultSystem(64), sp, ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries := 0
+	for mi, m := range sp.modes {
+		for k, c := range m.classes {
+			entries += len(s.delta[mi][k])
+			if d := s.delta[mi][k][ref]; d != (SessionCost{}) {
+				t.Errorf("reference entry %s/%s carries delta %+v, want 0", c, sp.topos[ref], d)
+			}
 		}
+	}
+	// 2 phases x 2 classes x 4 topologies.
+	if entries != 16 {
+		t.Errorf("surrogate has %d deltas, want 16", entries)
 	}
 
 	res8, err := AutotuneSession(core.DefaultSystem(8), model.TinyLlama42M(), SessionOptions{})
@@ -231,24 +247,31 @@ func TestAutotuneSessionPipelineRejected(t *testing.T) {
 	}
 }
 
-// AutotuneSessionNetworks tunes one plan per network profile: the
-// uniform result must match a direct call, and the clustered result
-// must be tuned for (and report) its own network.
+// AutotuneSession tunes for the base system's own network, so a caller
+// that loops over network profiles (as experiments.SessionAutotune
+// does) gets one plan per profile: the uniform result must match the
+// default system's, and the clustered result must be tuned for its own
+// slower backhaul.
 func TestAutotuneSessionNetworks(t *testing.T) {
-	base := core.DefaultSystem(8)
 	cfg := model.TinyLlama42M()
 	nets := []hw.Network{
 		hw.UniformNetwork(hw.MIPI()),
 		hw.ClusteredNetwork(hw.MIPI(), hw.MIPI().Slower(10), 4),
 	}
-	results, err := AutotuneSessionNetworks(base, cfg, SessionOptions{}, nets)
-	if err != nil {
-		t.Fatal(err)
+	var results []*SessionResult
+	for _, net := range nets {
+		sys := core.DefaultSystem(8)
+		sys.HW.Network = net
+		res, err := AutotuneSession(sys, cfg, SessionOptions{})
+		if err != nil {
+			t.Fatalf("network %s: %v", net, err)
+		}
+		if res.Margin < 1 {
+			t.Errorf("network %s margin %g < 1", net, res.Margin)
+		}
+		results = append(results, res)
 	}
-	if len(results) != 2 {
-		t.Fatalf("%d results for 2 networks", len(results))
-	}
-	direct, err := AutotuneSession(base, cfg, SessionOptions{})
+	direct, err := AutotuneSession(core.DefaultSystem(8), cfg, SessionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,15 +279,8 @@ func TestAutotuneSessionNetworks(t *testing.T) {
 		t.Errorf("uniform-network result %s/%g != direct %s/%g",
 			results[0].Plan, results[0].Cycles, direct.Plan, direct.Cycles)
 	}
-	for i, net := range nets {
-		if results[i].Network != net {
-			t.Errorf("result %d reports network %s, want %s", i, results[i].Network, net)
-		}
-		if results[i].Margin < 1 {
-			t.Errorf("network %s margin %g < 1", net, results[i].Margin)
-		}
-	}
-	if results[0].Plan == results[1].Plan && results[0].Cycles == results[1].Cycles {
-		t.Error("clustered backhaul changed nothing: results identical to uniform network")
+	if results[1].Cycles <= results[0].Cycles {
+		t.Errorf("clustered backhaul session %g cycles is no slower than the uniform network's %g",
+			results[1].Cycles, results[0].Cycles)
 	}
 }

@@ -1,15 +1,12 @@
 package explore
 
 import (
-	"slices"
-
 	"mcudist/internal/collective"
 	"mcudist/internal/core"
 	"mcudist/internal/evalpool"
-	"mcudist/internal/model"
 )
 
-// Surrogate is the per-class additive cost model behind every
+// surrogate is the per-class additive cost model behind every
 // surrogate-first search in this package, extracted from
 // AutotuneSession (where PR 5 proved the structure: 20 probe
 // simulations steer a 512-simulation grid to the provably identical
@@ -28,9 +25,8 @@ import (
 // which the verification pass absorbs. All probe points flow through
 // the shared evalpool tiers, so a store-backed process fits the
 // surrogate without simulating at all.
-type Surrogate struct {
+type surrogate struct {
 	planSpace
-	refIdx int
 
 	// base[m] is phase m's all-reference cost and delta[m][k][t] the
 	// measured change from binding the phase's k-th class to topology t
@@ -40,31 +36,13 @@ type Surrogate struct {
 	// model does, so the second objective is free.
 	base  []SessionCost
 	delta [][][]SessionCost
-
-	costs []ClassCost
-}
-
-// FitSurrogate fits the additive session cost model for the base
-// system's chip count and network: one whole-session probe per
-// (phase, class, topology), cycles and energy both. The base system's
-// run topology is the reference the deltas are measured against.
-func FitSurrogate(base core.System, cfg model.Config, opts SessionOptions) (*Surrogate, error) {
-	sp, err := sessionSpace(base, cfg, opts)
-	if err != nil {
-		return nil, err
-	}
-	ref, err := sp.reference(base.HW.Topology)
-	if err != nil {
-		return nil, err
-	}
-	return fitSurrogate(base, sp, ref)
 }
 
 // fitSurrogate runs the probe simulations — per phase, the uniform
 // plans (the margin baselines need them anyway) and one
 // single-deviation probe per (class, non-reference topology) — as one
 // deduplicated exact evaluation, and assembles the model.
-func fitSurrogate(base core.System, sp planSpace, ref int) (*Surrogate, error) {
+func fitSurrogate(base core.System, sp planSpace, ref int) (*surrogate, error) {
 	type probe struct{ mode, class, topo int } // class -1: the phase's uniform plan
 	var probes []probe
 	for mi, m := range sp.modes {
@@ -95,14 +73,11 @@ func fitSurrogate(base core.System, sp planSpace, ref int) (*Surrogate, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Surrogate{
+	s := &surrogate{
 		planSpace: sp,
-		refIdx:    ref,
 		base:      make([]SessionCost, len(sp.modes)),
 		delta:     make([][][]SessionCost, len(sp.modes)),
 	}
-	// The cost vector lists every phase's reference entries first, then
-	// the deviations in probe order.
 	for j, pr := range probes {
 		if pr.class >= 0 || pr.topo != ref {
 			continue
@@ -110,61 +85,24 @@ func fitSurrogate(base core.System, sp planSpace, ref int) (*Surrogate, error) {
 		m := sp.modes[pr.mode]
 		s.base[pr.mode] = exact[j].SessionCost
 		s.delta[pr.mode] = make([][]SessionCost, len(m.classes))
-		for k, c := range m.classes {
+		for k := range m.classes {
 			s.delta[pr.mode][k] = make([]SessionCost, len(sp.topos))
-			s.costs = append(s.costs, ClassCost{
-				Mode:      m.wl.Mode,
-				Class:     c,
-				Topology:  sp.topos[ref],
-				C2CCycles: classC2C(exact[j].reports[0], c),
-			})
 		}
 	}
 	for j, pr := range probes {
 		if pr.class < 0 {
 			continue
 		}
-		m := sp.modes[pr.mode]
-		c := m.classes[pr.class]
-		d := exact[j].minus(s.base[pr.mode])
-		s.delta[pr.mode][pr.class][pr.topo] = d
-		s.costs = append(s.costs, ClassCost{
-			Mode:        m.wl.Mode,
-			Class:       c,
-			Topology:    sp.topos[pr.topo],
-			DeltaCycles: d.Cycles,
-			C2CCycles:   classC2C(exact[j].reports[0], c),
-		})
+		s.delta[pr.mode][pr.class][pr.topo] = exact[j].minus(s.base[pr.mode])
 	}
 	return s, nil
-}
-
-// classC2C is class c's link busy time in rep — the ByClass
-// attribution the decomposition rests on.
-func classC2C(rep *core.Report, c collective.SyncClass) float64 {
-	for _, cs := range rep.ByClass {
-		if cs.Class == c {
-			return cs.C2CCycles
-		}
-	}
-	return 0
-}
-
-// planIdx resolves a plan to per-union-class topology indices;
-// unbound classes resolve to the reference topology.
-func (s *Surrogate) planIdx(p collective.Plan) []int {
-	idx := make([]int, len(s.union))
-	for i, c := range s.union {
-		idx[i] = slices.Index(s.topos, p.Topology(c, s.topos[s.refIdx]))
-	}
-	return idx
 }
 
 // predict composes a candidate's session cost from the fitted deltas:
 // per phase the baseline plus its classes' deltas in class order, then
 // the phases summed. Ranks and RankAccuracy depend on predictions to
 // the last bit, so that summation order is part of the model.
-func (s *Surrogate) predict(digits []int) SessionCost {
+func (s *surrogate) predict(digits []int) SessionCost {
 	var total SessionCost
 	for mi, m := range s.modes {
 		phase := s.base[mi]
@@ -174,24 +112,6 @@ func (s *Surrogate) predict(digits []int) SessionCost {
 		total = total.plus(phase)
 	}
 	return total
-}
-
-// Verify evaluates the given plans exactly — one phase-restricted
-// point per phase, so probe and uniform configurations are served
-// from the cache tiers — and returns one VerifiedPlan per input, in
-// input order.
-func (s *Surrogate) Verify(base core.System, plans []collective.Plan) ([]VerifiedPlan, error) {
-	exact, err := evalExact("session verify", len(plans), func(k int, buf []evalpool.Point) []evalpool.Point {
-		return s.points(buf, base, plans[k], false)
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]VerifiedPlan, len(plans))
-	for k, p := range plans {
-		out[k] = verifiedPlan(p, s.predict(s.planIdx(p)), exact[k])
-	}
-	return out, nil
 }
 
 // VerifiedPlan is one exactly-evaluated joint plan next to what the

@@ -157,13 +157,6 @@ type Options struct {
 	// MaxBatch caps the decode micro-batch width per group (default 8;
 	// 1 disables continuous batching — the sequential baseline).
 	MaxBatch int
-	// ContextBucket rounds decode-step contexts up to a multiple of
-	// this many tokens for pricing (default 32). Larger buckets mean
-	// fewer distinct step shapes (fewer exact simulations) at the cost
-	// of coarser step prices; a step is never priced below its true
-	// context. Prompts are priced at their exact length — a trace's
-	// distinct prompt lengths bound those shapes already.
-	ContextBucket int
 	// NoPrePrice disables the parallel shape pre-pricing pass, pricing
 	// every step shape lazily inside the strictly-serial event loop —
 	// the reference path pre-pricing is pinned byte-identical to.
@@ -172,9 +165,6 @@ type Options struct {
 	// and adopts the winning per-sync collective plan for every group,
 	// so fleet throughput inherits the per-sync plan wins.
 	Autotune bool
-	// AutotuneTopK is the session autotuner's pruning knob (0 =
-	// explore's default).
-	AutotuneTopK int
 	// Fault, when non-nil, injects a mid-trace hardware fault into one
 	// chip group: at AtSeconds the group's platform is rewritten by
 	// resilience.Degrade and every later step on it is priced on the
@@ -199,9 +189,6 @@ type FaultPlan struct {
 	Faults []resilience.Fault
 	// Replan re-tunes the collective plan for the degraded system.
 	Replan bool
-	// ReplanTopK is the re-planning autotuner's pruning knob (0 =
-	// explore's default).
-	ReplanTopK int
 }
 
 // QueueSample is one point of the queue-depth-over-time series.
@@ -365,12 +352,11 @@ type fleet struct {
 	// prompt length (promptSlot maps a length to its slot), then the
 	// decode shapes bucket-major, so the decode step at bucketed context
 	// c and width w sits at len(promptSlot) +
-	// (c-minBucket)/ctxStep*batchCap + w-1. Each system prices the
+	// (c-minBucket)/contextBucket*batchCap + w-1. Each system prices the
 	// rectangle in its own dense table.
 	shapes     []shape
 	promptSlot map[int]int
 	minBucket  int
-	ctxStep    int
 	batchCap   int
 	pristine   priceTable
 	// Fault state: degraded is nil until the FaultPlan fires, then the
@@ -437,9 +423,6 @@ func Run(opts Options) (*Result, error) {
 	if opts.MaxBatch < 0 {
 		return nil, fmt.Errorf("fleet: max batch %d must be non-negative", opts.MaxBatch)
 	}
-	if opts.ContextBucket < 0 {
-		return nil, fmt.Errorf("fleet: context bucket %d must be non-negative", opts.ContextBucket)
-	}
 	if fp := opts.Fault; fp != nil {
 		if fp.AtSeconds < 0 || math.IsNaN(fp.AtSeconds) || math.IsInf(fp.AtSeconds, 0) {
 			return nil, fmt.Errorf("fleet: bad fault time %v", fp.AtSeconds)
@@ -471,8 +454,7 @@ func Run(opts Options) (*Result, error) {
 	res := &Result{}
 	sys := opts.System
 	if opts.Autotune {
-		tuned, err := explore.AutotuneSession(sys, opts.Model,
-			explore.SessionOptions{TopK: opts.AutotuneTopK})
+		tuned, err := explore.AutotuneSession(sys, opts.Model, explore.SessionOptions{})
 		if err != nil {
 			return nil, fmt.Errorf("fleet: autotune: %w", err)
 		}
@@ -493,7 +475,6 @@ func Run(opts Options) (*Result, error) {
 	f := &fleet{
 		opts:         opts,
 		eng:          eventsim.NewEngine(),
-		ctxStep:      cmp.Or(opts.ContextBucket, 32),
 		batchCap:     cmp.Or(opts.MaxBatch, 8),
 		reqs:         reqs,
 		stride:       1,
@@ -605,13 +586,20 @@ func (f *fleet) arrive(i int) {
 	f.start(best, now)
 }
 
+// contextBucket is the pricing granularity of decode-step contexts:
+// a step is priced at its context rounded up to a multiple of this
+// many tokens, so a trace touches few distinct step shapes (few exact
+// simulations), and a step is never priced below its true context.
+// Prompts are priced at their exact length — a trace's distinct prompt
+// lengths bound those shapes already.
+const contextBucket = 32
+
 // bucket rounds a decode context up to the pricing bucket.
-func (f *fleet) bucket(n int) int {
-	b := f.ctxStep
-	if b == 1 || n%b == 0 {
+func bucket(n int) int {
+	if n%contextBucket == 0 {
 		return n
 	}
-	return (n/b + 1) * b
+	return (n/contextBucket + 1) * contextBucket
 }
 
 // price returns the cost of the step shape in slot i of the shape
@@ -662,8 +650,7 @@ func (f *fleet) applyFault() {
 		return
 	}
 	if fp.Replan {
-		tuned, err := explore.AutotuneSession(deg, f.opts.Model,
-			explore.SessionOptions{TopK: fp.ReplanTopK})
+		tuned, err := explore.AutotuneSession(deg, f.opts.Model, explore.SessionOptions{})
 		if err != nil {
 			f.err = fmt.Errorf("fleet: fault at %gs: replan: %w", fp.AtSeconds, err)
 			return
@@ -711,8 +698,8 @@ func (f *fleet) speculativeShapes() {
 		}
 	}
 	if decode {
-		f.minBucket = f.bucket(minCtx)
-		for ctx := f.minBucket; ctx <= f.bucket(maxCtx); ctx += f.ctxStep {
+		f.minBucket = bucket(minCtx)
+		for ctx := f.minBucket; ctx <= bucket(maxCtx); ctx += contextBucket {
 			for width := 1; width <= f.batchCap; width++ {
 				f.shapes = append(f.shapes, shape{mode: model.Autoregressive, seqLen: ctx, batch: width})
 			}
@@ -723,7 +710,7 @@ func (f *fleet) speculativeShapes() {
 // decodeSlot is the rectangle slot of a decode step of the given width
 // whose widest context is ctx tokens.
 func (f *fleet) decodeSlot(ctx, width int) int {
-	return len(f.promptSlot) + (f.bucket(ctx)-f.minBucket)/f.ctxStep*f.batchCap + width - 1
+	return len(f.promptSlot) + (bucket(ctx)-f.minBucket)/contextBucket*f.batchCap + width - 1
 }
 
 // prePrice fills the pristine table through evalpool with the pool's

@@ -83,14 +83,26 @@ func TestChipCountOnlyRoundingDifferences(t *testing.T) {
 }
 
 // Failure injection: a corrupted plan must be rejected before any
-// computation happens.
+// computation happens. Both engines validate the plan: one whose head
+// ranges no longer cover the model would compute a wrong answer.
 func TestExecutorRejectsCorruptPlan(t *testing.T) {
 	cfg := testCfg()
 	w := model.NewWeights(cfg, 47)
 	p, _ := partition.NewTensorParallel(cfg, 2)
 	p.Heads[1].Lo++ // break coverage
-	if _, err := NewExecutor(w, p); err == nil {
-		t.Fatal("corrupt plan accepted")
+	cal := Calibrate(w, tensor.Random(3, cfg.E, 1, 48))
+	for _, tc := range []struct {
+		engine string
+		build  func() error
+	}{
+		{"float", func() error { _, err := NewExecutor(w, p); return err }},
+		{"quant", func() error { _, err := NewQuantEngine(w, p, cal, ReduceInt32); return err }},
+	} {
+		t.Run(tc.engine, func(t *testing.T) {
+			if tc.build() == nil {
+				t.Errorf("%s engine accepted a corrupt plan", tc.engine)
+			}
+		})
 	}
 }
 

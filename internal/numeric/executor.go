@@ -75,15 +75,14 @@ type Stats struct {
 
 // Executor runs the float32 distributed forward pass.
 type Executor struct {
-	cfg    model.Config
-	plan   *partition.Plan
-	full   *model.Weights
-	tree   *interconnect.Tree
-	chips  [][]*ChipBlock // [chip][block]
-	kvK    [][]*tensor.Mat
-	kvV    [][]*tensor.Mat
-	pos    int
-	xState *tensor.Mat // root's residual stream between steps (unused across calls)
+	cfg   model.Config
+	plan  *partition.Plan
+	full  *model.Weights
+	tree  *interconnect.Tree
+	chips [][]*ChipBlock // [chip][block]
+	kvK   [][]*tensor.Mat
+	kvV   [][]*tensor.Mat
+	pos   int
 
 	Stats Stats
 }

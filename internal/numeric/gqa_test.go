@@ -69,6 +69,9 @@ func TestGQAAutoregressiveDistributed(t *testing.T) {
 	}
 }
 
+// The int32 exchange keeps the 4-chip GQA network bit-exact against
+// the single-chip one; the lossy int8 and int16 exchanges stay within
+// a bounded deviation of it.
 func TestGQAQuantizedInt32Exact(t *testing.T) {
 	cfg := gqaCfg()
 	w := model.NewWeights(cfg, 35)
@@ -84,6 +87,20 @@ func TestGQAQuantizedInt32Exact(t *testing.T) {
 	e, _ := NewQuantEngine(w, p4, cal, ReduceInt32)
 	if d := tensor.MaxAbsDiff(refOut, e.Forward(x)); d != 0 {
 		t.Fatalf("GQA int32-reduce differs by %g, want bit-exact", d)
+	}
+	for _, tc := range []struct {
+		name string
+		mode ReduceMode
+	}{{"int8", ReduceInt8}, {"int16", ReduceInt16}} {
+		t.Run(tc.name, func(t *testing.T) {
+			e, err := NewQuantEngine(w, p4, cal, tc.mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := tensor.MaxAbsDiff(refOut, e.Forward(x)); d > 0.25 {
+				t.Errorf("%s exchange: GQA deviation %g from the int32 exchange too large", tc.name, d)
+			}
+		})
 	}
 }
 

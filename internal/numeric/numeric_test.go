@@ -279,7 +279,7 @@ func TestRequantize16Saturates(t *testing.T) {
 	a := quant.NewAcc(1, 2, 1)
 	a.Data[0] = 1 << 30
 	a.Data[1] = -(1 << 30)
-	q := ptAcc{a}.req16(1)
+	q := requantize16(a, 1)
 	if q[0] != 32767 || q[1] != -32768 {
 		t.Fatalf("int16 saturation failed: %v", q)
 	}

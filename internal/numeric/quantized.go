@@ -113,23 +113,18 @@ func scaleOf(m *tensor.Mat) float32 {
 
 // QuantBlock holds one block's int8 weights (full tensors; slices are
 // taken per chip so that every chip shares the same codes and scales).
-// The weight representation is granularity-agnostic: per-tensor or
-// per-channel scales behind the same interface.
 type QuantBlock struct {
-	WQ, WK, WV, WO weight
-	W1, W2         weight
-	W3             weight
+	WQ, WK, WV, WO *quant.QMat
+	W1, W2         *quant.QMat
+	W3             *quant.QMat
 }
 
-func quantizeBlocks(w *model.Weights, perChannel bool) []*QuantBlock {
-	qz := func(m *tensor.Mat) weight {
+func quantizeBlocks(w *model.Weights) []*QuantBlock {
+	qz := func(m *tensor.Mat) *quant.QMat {
 		if m == nil {
 			return nil
 		}
-		if perChannel {
-			return pcWeight{quant.QuantizePerChannel(m)}
-		}
-		return ptWeight{quant.Quantize(m)}
+		return quant.Quantize(m)
 	}
 	out := make([]*QuantBlock, w.Config.L)
 	for b, bw := range w.Blocks {
@@ -140,9 +135,6 @@ func quantizeBlocks(w *model.Weights, perChannel bool) []*QuantBlock {
 	}
 	return out
 }
-
-// EngineOption tunes the quantized engine.
-type EngineOption func(*QuantEngine)
 
 // ReduceMode selects the precision of the inter-chip partial-output
 // exchange.
@@ -167,43 +159,42 @@ const (
 // QuantEngine runs the int8 network on n chips (n = 1 is the
 // single-chip reference).
 type QuantEngine struct {
-	cfg        model.Config
-	full       *model.Weights
-	blocks     []*QuantBlock
-	cal        *Calibration
-	plan       *partition.Plan
-	tree       *interconnect.Tree
-	mode       ReduceMode
-	perChannel bool
-	kvK        [][]*tensor.Mat // [chip][block], float KV cache
-	kvV        [][]*tensor.Mat
-	pos        int
+	cfg    model.Config
+	full   *model.Weights
+	blocks []*QuantBlock
+	cal    *Calibration
+	plan   *partition.Plan
+	tree   *interconnect.Tree
+	mode   ReduceMode
+	kvK    [][]*tensor.Mat // [chip][block], float KV cache
+	kvV    [][]*tensor.Mat
+	pos    int
 }
 
 // NewQuantEngine quantizes w once and distributes the codes according
 // to the plan.
-func NewQuantEngine(w *model.Weights, p *partition.Plan, cal *Calibration, mode ReduceMode, opts ...EngineOption) (*QuantEngine, error) {
+func NewQuantEngine(w *model.Weights, p *partition.Plan, cal *Calibration, mode ReduceMode) (*QuantEngine, error) {
 	if p.Strategy != partition.TensorParallel {
 		return nil, fmt.Errorf("numeric: quant engine supports the tensor-parallel strategy, got %v", p.Strategy)
+	}
+	if err := p.Validate(); err != nil {
+		return nil, err
 	}
 	tree, err := interconnect.BuildTree(p.Chips, 4)
 	if err != nil {
 		return nil, err
 	}
 	e := &QuantEngine{
-		cfg:  w.Config,
-		full: w,
-		cal:  cal,
-		plan: p,
-		tree: tree,
-		mode: mode,
-		kvK:  make([][]*tensor.Mat, p.Chips),
-		kvV:  make([][]*tensor.Mat, p.Chips),
+		cfg:    w.Config,
+		full:   w,
+		blocks: quantizeBlocks(w),
+		cal:    cal,
+		plan:   p,
+		tree:   tree,
+		mode:   mode,
+		kvK:    make([][]*tensor.Mat, p.Chips),
+		kvV:    make([][]*tensor.Mat, p.Chips),
 	}
-	for _, opt := range opts {
-		opt(e)
-	}
-	e.blocks = quantizeBlocks(w, e.perChannel)
 	for c := 0; c < p.Chips; c++ {
 		e.kvK[c] = make([]*tensor.Mat, w.Config.L)
 		e.kvV[c] = make([]*tensor.Mat, w.Config.L)
@@ -249,7 +240,7 @@ func (e *QuantEngine) block(b int, x *tensor.Mat, startPos int) *tensor.Mat {
 	// The root quantizes once; all chips receive the same codes.
 	qIn := quant.QuantizeWithScale(mhsaIn, e.cal.MHSAIn[b])
 
-	attParts := make([]accum, n)
+	attParts := make([]*quant.Acc, n)
 	for c := 0; c < n; c++ {
 		attParts[c] = e.chipMHSA(c, b, qIn, startPos)
 	}
@@ -266,7 +257,7 @@ func (e *QuantEngine) block(b int, x *tensor.Mat, startPos int) *tensor.Mat {
 	}
 	qFC := quant.QuantizeWithScale(fcIn, e.cal.FCIn[b])
 
-	fcParts := make([]accum, n)
+	fcParts := make([]*quant.Acc, n)
 	for c := 0; c < n; c++ {
 		fcParts[c] = e.chipFC(c, b, qFC)
 	}
@@ -281,16 +272,16 @@ func (e *QuantEngine) block(b int, x *tensor.Mat, startPos int) *tensor.Mat {
 
 // chipMHSA computes one chip's partial attention projection as int32
 // accumulators against the chip's weight-code slices.
-func (e *QuantEngine) chipMHSA(c, b int, qIn *quant.QMat, startPos int) accum {
+func (e *QuantEngine) chipMHSA(c, b int, qIn *quant.QMat, startPos int) *quant.Acc {
 	cfg := e.cfg
 	qb := e.blocks[b]
 	bw := e.full.Blocks[b]
 	pr := e.plan.PRange(c)
 	kr := e.plan.KVRange(c)
 
-	q := qb.WQ.cols(pr.Lo, pr.Hi).mul(qIn).deq()
-	k := qb.WK.cols(kr.Lo, kr.Hi).mul(qIn).deq()
-	v := qb.WV.cols(kr.Lo, kr.Hi).mul(qIn).deq()
+	q := quant.MatMulQ(qIn, qb.WQ.SliceCols(pr.Lo, pr.Hi)).Dequantize()
+	k := quant.MatMulQ(qIn, qb.WK.SliceCols(kr.Lo, kr.Hi)).Dequantize()
+	v := quant.MatMulQ(qIn, qb.WV.SliceCols(kr.Lo, kr.Hi)).Dequantize()
 	if bw.HasBiases() {
 		addBias(q, bw.BQ[pr.Lo:pr.Hi])
 		addBias(k, bw.BK[kr.Lo:kr.Hi])
@@ -313,11 +304,11 @@ func (e *QuantEngine) chipMHSA(c, b int, qIn *quant.QMat, startPos int) accum {
 	}
 	att := attendHeads(cfg, q, keys, values, startPos, e.plan.Heads[c].Len())
 	qAtt := quant.QuantizeWithScale(att, e.cal.AttOut[b])
-	return qb.WO.rows(pr.Lo, pr.Hi).mul(qAtt)
+	return quant.MatMulQ(qAtt, qb.WO.SliceRows(pr.Lo, pr.Hi))
 }
 
 // chipFC computes one chip's partial FC output as int32 accumulators.
-func (e *QuantEngine) chipFC(c, b int, qIn *quant.QMat) accum {
+func (e *QuantEngine) chipFC(c, b int, qIn *quant.QMat) *quant.Acc {
 	cfg := e.cfg
 	qb := e.blocks[b]
 	bw := e.full.Blocks[b]
@@ -325,18 +316,18 @@ func (e *QuantEngine) chipFC(c, b int, qIn *quant.QMat) accum {
 
 	var mid *tensor.Mat
 	if cfg.FFN == model.FFNGated {
-		gate := tensor.SiLU(qb.W1.cols(fr.Lo, fr.Hi).mul(qIn).deq())
-		up := qb.W3.cols(fr.Lo, fr.Hi).mul(qIn).deq()
+		gate := tensor.SiLU(quant.MatMulQ(qIn, qb.W1.SliceCols(fr.Lo, fr.Hi)).Dequantize())
+		up := quant.MatMulQ(qIn, qb.W3.SliceCols(fr.Lo, fr.Hi)).Dequantize()
 		mid = tensor.Mul(gate, up)
 	} else {
-		mid = qb.W1.cols(fr.Lo, fr.Hi).mul(qIn).deq()
+		mid = quant.MatMulQ(qIn, qb.W1.SliceCols(fr.Lo, fr.Hi)).Dequantize()
 		if bw.HasBiases() {
 			addBias(mid, bw.B1[fr.Lo:fr.Hi])
 		}
 		tensor.GELU(mid)
 	}
 	qMid := quant.QuantizeWithScale(mid, e.cal.Mid[b])
-	return qb.W2.rows(fr.Lo, fr.Hi).mul(qMid)
+	return quant.MatMulQ(qMid, qb.W2.SliceRows(fr.Lo, fr.Hi))
 }
 
 // reduceAccs combines per-chip partial accumulators along the tree and
@@ -344,17 +335,17 @@ func (e *QuantEngine) chipFC(c, b int, qIn *quant.QMat) accum {
 // accumulators; the int8/int16 modes requantize each partial onto the
 // exchange grid first and add with saturation, exactly as the
 // low-traffic deployments would.
-func (e *QuantEngine) reduceAccs(parts []accum, outScale float32) *tensor.Mat {
+func (e *QuantEngine) reduceAccs(parts []*quant.Acc, outScale float32) *tensor.Mat {
 	switch e.mode {
 	case ReduceInt32:
 		for _, hop := range e.tree.ReduceHops() {
-			parts[hop.To].add(parts[hop.From])
+			parts[hop.To].AddInPlace(parts[hop.From])
 		}
-		return parts[e.tree.Root].deq()
+		return parts[e.tree.Root].Dequantize()
 	case ReduceInt8:
 		q := make([]*quant.QMat, len(parts))
 		for i, p := range parts {
-			q[i] = p.req8(outScale)
+			q[i] = p.Requantize(outScale)
 		}
 		for _, hop := range e.tree.ReduceHops() {
 			saturatingAdd(q[hop.To], q[hop.From])
@@ -370,13 +361,12 @@ func (e *QuantEngine) reduceAccs(parts []accum, outScale float32) *tensor.Mat {
 		scale16 := outScale / 256
 		q := make([][]int16, len(parts))
 		for i, p := range parts {
-			q[i] = p.req16(scale16)
+			q[i] = requantize16(p, scale16)
 		}
 		for _, hop := range e.tree.ReduceHops() {
 			saturatingAdd16(q[hop.To], q[hop.From])
 		}
-		rows, cols := parts[0].dims()
-		out := tensor.New(rows, cols)
+		out := tensor.New(parts[0].Rows, parts[0].Cols)
 		root := q[e.tree.Root]
 		for i, v := range root {
 			out.Data[i] = float32(v) * scale16
@@ -385,6 +375,25 @@ func (e *QuantEngine) reduceAccs(parts []accum, outScale float32) *tensor.Mat {
 	default:
 		panic("numeric: unknown reduce mode")
 	}
+}
+
+// requantize16 converts accumulators to int16 under scale16, with
+// round-to-nearest and saturation: the int16 exchange's counterpart of
+// quant.(*Acc).Requantize.
+func requantize16(a *quant.Acc, scale16 float32) []int16 {
+	out := make([]int16, len(a.Data))
+	ratio := float64(a.Scale) / float64(scale16)
+	for i, v := range a.Data {
+		r := math.Round(float64(v) * ratio)
+		if r > 32767 {
+			r = 32767
+		}
+		if r < -32768 {
+			r = -32768
+		}
+		out[i] = int16(r)
+	}
+	return out
 }
 
 func saturatingAdd16(dst, src []int16) {

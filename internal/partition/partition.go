@@ -74,9 +74,6 @@ type Plan struct {
 	// Blocks[i] is the block range owned by chip i (Pipeline); for
 	// other strategies every chip participates in every block.
 	Blocks []Range
-	// Seq[i] is the sequence range processed by chip i (Replicated);
-	// computed per workload sequence length via SeqSplit.
-	seqLen int
 }
 
 // evenRanges splits size into n contiguous ranges differing by at most

@@ -116,6 +116,24 @@ func TestSliceSharesScale(t *testing.T) {
 	}
 }
 
+func TestSliceBoundsPanic(t *testing.T) {
+	q := Quantize(tensor.Random(4, 4, 1, 11))
+	for i, f := range []func(){
+		func() { q.SliceCols(-1, 2) },
+		func() { q.SliceCols(2, 5) },
+		func() { q.SliceRows(3, 2) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("case %d: bad slice accepted", i)
+				}
+			}()
+			f()
+		}()
+	}
+}
+
 func TestQuantizeWithScaleConsistentAcrossSlices(t *testing.T) {
 	m := tensor.Random(8, 8, 1, 10)
 	full := Quantize(m)

@@ -36,11 +36,6 @@ func Random(rows, cols int, scale float32, seed int64) *Mat {
 	return m
 }
 
-// At returns element (r, c).
-func (m *Mat) At(r, c int) float32 {
-	return m.Data[r*m.Cols+c]
-}
-
 // Set assigns element (r, c).
 func (m *Mat) Set(r, c int, v float32) {
 	m.Data[r*m.Cols+c] = v

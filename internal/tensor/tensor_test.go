@@ -362,3 +362,6 @@ func FromSlice(rows, cols int, data []float32) *Mat {
 	}
 	return &Mat{Rows: rows, Cols: cols, Data: data}
 }
+
+// At returns element (r, c).
+func (m *Mat) At(r, c int) float32 { return m.Data[r*m.Cols+c] }

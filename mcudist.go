@@ -39,19 +39,19 @@ type (
 	// Report is the consolidated result of one simulated forward.
 	Report = core.Report
 	// SessionOptions tunes the joint prefill+decode autotuner (the
-	// TopK pruning knob, the Exhaustive ground-truth mode, sequence
-	// lengths).
+	// TopK pruning knob, the Exhaustive ground-truth mode, the prompt
+	// length).
 	SessionOptions = explore.SessionOptions
 	// SessionResult is the outcome of a joint-session plan autotuning:
 	// the winning plan, its margin over the best uniform session, the
 	// predictor's rank accuracy, and the exact-simulation bill.
 	SessionResult = explore.SessionResult
-	// PlanFrontierOptions tunes PlanFrontier (extra networks, seed
-	// size, exhaustive ground-truth mode, sequence lengths).
+	// PlanFrontierOptions tunes PlanFrontier (the exhaustive
+	// ground-truth mode).
 	PlanFrontierOptions = explore.PlanFrontierOptions
 	// PlanFrontierResult is a surrogate-first plan frontier scan: every
-	// verified (network, chips, plan) point, Pareto marks across the
-	// union, and the exact-evaluation bill against the naive grid.
+	// verified (chips, plan) point, Pareto marks across the union, and
+	// the exact-evaluation bill against the naive grid.
 	PlanFrontierResult = explore.PlanFrontierResult
 	// ResultStore is the persistent content-addressed result cache
 	// (see OpenResultStore).
@@ -231,8 +231,8 @@ func AutotuneSession(base System, cfg Config, opts SessionOptions) (*SessionResu
 	return explore.AutotuneSession(base, cfg, opts)
 }
 
-// PlanFrontier scans the joint plan grid across networks × chip
-// counts surrogate-first: fit a cost model per cell, verify only the
+// PlanFrontier scans the joint plan grid across chip counts
+// surrogate-first: fit a cost model per chip count, verify only the
 // plans that could plausibly reach the latency/energy Pareto front,
 // and mark the front across the union on exact numbers. On the pinned
 // operating points the front is identical to exhaustive enumeration

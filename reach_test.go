@@ -1,6 +1,7 @@
 package mcudist
 
 import (
+	"cmp"
 	"fmt"
 	"go/ast"
 	"go/build"
@@ -65,6 +66,151 @@ func TestInternalDeclarationsReachable(t *testing.T) {
 	}
 }
 
+// unsetAllowed lists the internal/ struct fields that
+// TestInternalFieldsSet accepts without a production writer, each with
+// the reason: the test that needs it.
+var unsetAllowed = map[string]string{
+	"internal/deploy.Options.CommTileBytes":           "a core.System leaf perfsim.TestCommTileInvariantBytes and TestCommTilePipelining sweep; dropping it moves every store key, so it waits for a DigestVersion bump",
+	"internal/explore.PlanFrontierOptions.Exhaustive": "the ground-truth path TestPlanFrontierMatchesExhaustive8 and 64 hold the surrogate-first frontier to",
+	"internal/explore.SessionOptions.Exhaustive":      "the ground-truth path TestAutotuneSessionMatchesExhaustive8 and 64 hold the pruned session search to",
+	"internal/explore.TilingOptions.Exhaustive":       "the ground-truth path TestAutotuneTilingMatchesExhaustive holds the pruned tiling search to",
+}
+
+// TestInternalFieldsSet fails naming every field of a struct declared
+// under internal/ (outside internal/analytic) that no non-test file of
+// the module or bench/ sets. A field counts as set where such a file
+// assigns it (directly, or through an index or a longer selector),
+// names it as a composite-literal key, builds its struct with an
+// unkeyed literal, takes its address, or calls a method on it. A field
+// only tests set is a switch no program can flip: delete it, and the
+// code behind it.
+func TestInternalFieldsSet(t *testing.T) {
+	tr, err := loadTree(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := tr.setFields()
+	used := map[string]bool{}
+	var unset []string
+	for _, f := range tr.internalFields() {
+		if set[f.obj] {
+			continue
+		}
+		if _, ok := unsetAllowed[f.name]; ok {
+			used[f.name] = true
+			continue
+		}
+		unset = append(unset, fmt.Sprintf("%s (%s)", f.name, tr.fset.Position(f.obj.Pos())))
+	}
+	if len(unset) > 0 {
+		t.Errorf("%d internal/ struct fields are set by no command, example, benchmark or library file; delete them, with the code that reads them:\n\t%s",
+			len(unset), strings.Join(unset, "\n\t"))
+	}
+	for key := range unsetAllowed {
+		if !used[key] {
+			t.Errorf("unsetAllowed entry %q matches no unset field; drop it", key)
+		}
+	}
+}
+
+// internalFields returns, sorted by name, the fields of every struct
+// type written in a non-test file under internal/ outside
+// internal/analytic: named, local and anonymous (named "struct").
+func (tr *sourceTree) internalFields() []decl {
+	var out []decl
+	for ip, files := range tr.files {
+		rel := strings.TrimPrefix(ip, "mcudist/")
+		if !strings.HasPrefix(rel, "internal/") || rel == "internal/analytic" {
+			continue
+		}
+		for _, f := range files {
+			named := map[*ast.StructType]string{}
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.TypeSpec:
+					if st, ok := n.Type.(*ast.StructType); ok {
+						named[st] = n.Name.Name
+					}
+				case *ast.StructType:
+					owner := cmp.Or(named[n], "struct")
+					s := tr.info.TypeOf(n).(*types.Struct)
+					for i := 0; i < s.NumFields(); i++ {
+						out = append(out, decl{rel + "." + owner + "." + s.Field(i).Name(), s.Field(i)})
+					}
+				}
+				return true
+			})
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
+	return out
+}
+
+// setFields returns every struct field some non-test file of the tree
+// sets, by its declared (origin) object.
+func (tr *sourceTree) setFields() map[types.Object]bool {
+	set := map[types.Object]bool{}
+	mark := func(obj types.Object) {
+		if v, ok := obj.(*types.Var); ok && v.IsField() {
+			set[v.Origin()] = true
+		}
+	}
+	// target marks every field an lvalue-like expression selects on
+	// its way down to its root: x.a.b[i].c marks c, b and a.
+	var target func(e ast.Expr)
+	target = func(e ast.Expr) {
+		switch e := e.(type) {
+		case *ast.SelectorExpr:
+			mark(tr.info.Uses[e.Sel])
+			target(e.X)
+		case *ast.IndexExpr:
+			target(e.X)
+		case *ast.StarExpr:
+			target(e.X)
+		case *ast.ParenExpr:
+			target(e.X)
+		}
+	}
+	for _, files := range tr.files {
+		for _, f := range files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						target(lhs)
+					}
+				case *ast.IncDecStmt:
+					target(n.X)
+				case *ast.UnaryExpr:
+					if n.Op == token.AND {
+						target(n.X)
+					}
+				case *ast.CallExpr:
+					if sel, ok := n.Fun.(*ast.SelectorExpr); ok {
+						if _, method := tr.info.Uses[sel.Sel].(*types.Func); method {
+							target(sel.X)
+						}
+					}
+				case *ast.CompositeLit:
+					s, ok := tr.info.TypeOf(n).Underlying().(*types.Struct)
+					if !ok {
+						break
+					}
+					for i, e := range n.Elts {
+						if kv, keyed := e.(*ast.KeyValueExpr); keyed {
+							mark(tr.info.Uses[kv.Key.(*ast.Ident)])
+						} else {
+							mark(s.Field(i))
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	return set
+}
+
 // allowedBy returns the unreachedAllowed key covering a declaration
 // name, or "".
 func allowedBy(name string) string {
@@ -98,8 +244,9 @@ func loadTree(root string) (*sourceTree, error) {
 		pkgs:  map[string]*types.Package{},
 		files: map[string][]*ast.File{},
 		info: &types.Info{
-			Defs: map[*ast.Ident]types.Object{},
-			Uses: map[*ast.Ident]types.Object{},
+			Types: map[ast.Expr]types.TypeAndValue{},
+			Defs:  map[*ast.Ident]types.Object{},
+			Uses:  map[*ast.Ident]types.Object{},
 		},
 	}
 	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
@@ -163,9 +310,10 @@ func (tr *sourceTree) Import(path string) (*types.Package, error) {
 	return p, nil
 }
 
-// decl is one top-level function, method or type under internal/.
+// decl is one top-level function, method or type, or one struct
+// field, under internal/.
 type decl struct {
-	name string // e.g. internal/eventsim.(*Engine).Run
+	name string // e.g. internal/eventsim.(*Engine).Run, internal/fleet.Options.MaxBatch
 	obj  types.Object
 }
 

@@ -35,6 +35,9 @@ func main() {
 		gantt     = flag.Bool("gantt", false, "print a per-chip timeline chart")
 	)
 	flag.Parse()
+	if *gantt && *csv {
+		fatal(fmt.Errorf("-gantt prints its chart under the text report, not with -csv"))
+	}
 	if *seqLen < 0 {
 		fatal(fmt.Errorf("-seqlen %d must be non-negative (0 = paper default)", *seqLen))
 	}

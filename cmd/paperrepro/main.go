@@ -38,6 +38,14 @@ func main() {
 	backhaul := flag.Float64("backhaul", 10, "network ablation: inter-cluster bandwidth slowdown vs MIPI")
 	sess := cli.Register()
 	flag.Parse()
+	// Only the network step reads -cluster and -backhaul.
+	if *only != "" && !strings.EqualFold(*only, "network") {
+		flag.Visit(func(f *flag.Flag) {
+			if f.Name == "cluster" || f.Name == "backhaul" {
+				fatal(fmt.Errorf("-%s applies to the network step only, not -only %s", f.Name, *only))
+			}
+		})
+	}
 	if err := sess.Start(); err != nil {
 		fatal(err)
 	}

@@ -21,10 +21,12 @@ import (
 // reach: clustered networks, whose two link classes alternate along
 // the ring; a degraded link; a straggler; a per-sync collective plan;
 // the pipeline, whose bare schedule interns the zero link class ahead
-// of its chain's classes; and the DRAM tier, whose streamed GEMMs run
+// of its chain's classes; the DRAM tier, whose streamed GEMMs run
 // tile by tile (per-family, ragged and default tilings, a shallow
-// two-bank and a 1<<20-deep prefetch engine, a straggler). Any drift
-// in any counter's bits trips them.
+// two-bank and a 1<<20-deep prefetch engine, a straggler); the
+// replicated exchanges; a multi-tile payload; and two schedules
+// sharing links under a degraded link and a straggler. Any drift in
+// any counter's bits trips them.
 var reportDigests = []struct {
 	name   string
 	sys    func() System
@@ -154,6 +156,47 @@ var reportDigests = []struct {
 		},
 		wl:     Workload{Model: model.EdgeLlama1B(), Mode: model.Prompt},
 		digest: "9d7763f0e569209894b37adf2409f95474932678e1ac574e86d99f9e52cb034f",
+	},
+	{
+		// The replicated strategy's KV and output exchanges, which run
+		// no root work between reduce and broadcast.
+		name: "tinyllama-prompt-8-replicated",
+		sys: func() System {
+			s := DefaultSystem(8)
+			s.Strategy = partition.Replicated
+			return s
+		},
+		wl:     Workload{Model: model.TinyLlama42M(), Mode: model.Prompt},
+		digest: "c1354ede0929f199ac2215ae000d4ec32810805a892459085ba92ac6f2c0a01c",
+	},
+	{
+		// A 128 KiB payload: each sync runs two 64 KiB tiles.
+		name: "tinyllama-prompt-8-ring-seq256",
+		sys: func() System {
+			s := DefaultSystem(8)
+			s.HW.Topology = hw.TopoRing
+			return s
+		},
+		wl:     Workload{Model: model.TinyLlama42M(), Mode: model.Prompt, SeqLen: 256},
+		digest: "5745d1f4ec9bf70a4d9225043825aef17c27b64eb07757c53f527de50a9d9e5f",
+	},
+	{
+		// The ring and the tree share directed links such as 0->1, so
+		// link time carries over between two schedules in one run.
+		name: "scaled-ar-64-plan-degraded-straggler",
+		sys: func() System {
+			s := DefaultSystem(64)
+			plan, err := collective.ParsePlan("decode-mhsa=ring,decode-ffn=tree")
+			if err != nil {
+				panic(err)
+			}
+			s.Options.SyncPlan = plan
+			s.Options.DegradedLinkChip, s.Options.DegradedLinkFactor = 1, 0.25
+			s.Options.StragglerChip, s.Options.StragglerFactor = 5, 0.5
+			return s
+		},
+		wl:     Workload{Model: model.TinyLlamaScaled64(), Mode: model.Autoregressive},
+		digest: "706998ac06d8b923a43099fb85a1fe4f4659de549c5ea9a9b71ff4fdcfd53532",
 	},
 }
 

@@ -1,8 +1,7 @@
-// Package eventsim implements a small discrete-event simulation kernel.
-// It stands in for GVSoC, the event-driven platform simulator the paper
-// uses: simulated entities schedule events on a shared virtual clock,
-// and contended resources (DMA engines, serial links) serialize their
-// users in FIFO order.
+// Package eventsim is the fleet simulator's event queue: callbacks
+// scheduled on a shared virtual clock run in time order, FIFO among
+// simultaneous events. (The per-run performance simulator, perfsim,
+// schedules no events: its devices are plain free times.)
 //
 // Time is measured in cluster cycles as a float64 so that fractional
 // bandwidth quotients (e.g. 0.5 bytes/cycle) accumulate exactly.
@@ -95,17 +94,6 @@ func NewEngine() *Engine {
 // Now returns the current simulated time.
 func (e *Engine) Now() Time { return e.now }
 
-// Reset returns the engine to its initial state — clock at zero, no
-// queued events — keeping the queue's backing array so a recycled
-// engine schedules without reallocating. Arena reuse (perfsim's pooled
-// simulations) resets one engine per run instead of allocating one.
-func (e *Engine) Reset() {
-	clear(e.queue) // release callback references
-	e.queue = e.queue[:0]
-	e.now = 0
-	e.seq = 0
-}
-
 // At schedules fn to run at absolute time t. Scheduling in the past
 // panics: it indicates a causality bug in the model.
 func (e *Engine) At(t Time, fn func()) {
@@ -128,43 +116,4 @@ func (e *Engine) Run() Time {
 		ev.call()
 	}
 	return e.now
-}
-
-// Resource is a FIFO-served exclusive device (a DMA engine, a link
-// endpoint, a compute cluster). UseAfter queues a usage of a given
-// duration; done fires when the usage completes.
-type Resource struct {
-	eng    *Engine
-	freeAt Time
-}
-
-// Init (re)binds the resource to an engine with fresh state, in place:
-// a pooled simulation keeps a dense slice of Resource values and
-// re-initializes them per run instead of allocating each behind a
-// pointer.
-func (r *Resource) Init(eng *Engine) {
-	*r = Resource{eng: eng}
-}
-
-// UseAfter occupies the resource for duration cycles starting no
-// earlier than ready or now, queuing FIFO behind earlier users. It
-// returns the completion time and invokes done (if non-nil) at that
-// time.
-func (r *Resource) UseAfter(ready Time, duration Time, done func(start, end Time)) Time {
-	if duration < 0 {
-		panic(fmt.Sprintf("eventsim: negative use duration %v", duration))
-	}
-	start := r.freeAt
-	if start < ready {
-		start = ready
-	}
-	if now := r.eng.Now(); start < now {
-		start = now
-	}
-	end := start + duration
-	r.freeAt = end
-	if done != nil {
-		r.eng.At(end, func() { done(start, end) })
-	}
-	return end
 }

@@ -32,31 +32,3 @@ func TestEventsScheduledDuringRun(t *testing.T) {
 		t.Fatalf("order = %v", order)
 	}
 }
-
-func TestNegativeUsePanics(t *testing.T) {
-	var r Resource
-	r.Init(NewEngine())
-	defer func() {
-		if recover() == nil {
-			t.Error("negative duration accepted")
-		}
-	}()
-	r.UseAfter(0, -1, nil)
-}
-
-func TestZeroDurationUse(t *testing.T) {
-	var r Resource
-	r.Init(NewEngine())
-	if end := r.UseAfter(0, 0, nil); end != 0 {
-		t.Fatalf("zero use ended at %g", end)
-	}
-}
-
-func TestFreeAtTracksQueue(t *testing.T) {
-	var r Resource
-	r.Init(NewEngine())
-	r.UseAfter(0, 10, nil)
-	if end := r.UseAfter(0, 5, nil); end != 15 {
-		t.Fatalf("second use ends at %g, want 15", end)
-	}
-}

@@ -17,13 +17,6 @@ import (
 // chips) pair into an interned, read-only hop list the simulator
 // replays allocation-free.
 
-// ChainHop is one routed hop of a pipeline handoff: a directed wired
-// edge with its resolved link class.
-type ChainHop struct {
-	From, To int
-	Class    hw.LinkClass
-}
-
 // Route returns a shortest path of chips from `from` to `to` over the
 // network's defined edges among chips 0..n-1, inclusive of both
 // endpoints. The direct edge, when the network defines it, is always
@@ -102,15 +95,17 @@ func adjacency(net hw.Network, n int) ([][]int, error) {
 // PipelineChain is the lowered handoff chain of a pipeline deployment
 // over n chips: for each stage boundary c -> c+1, the routed hop
 // sequence (usually one direct hop; multi-hop on sparse or degraded
-// wirings). Interned entries are shared and read-only.
+// wirings). Each hop is a whole-payload Hop with its link class
+// resolved; its ClassIndex numbers the distinct classes in first-use
+// order along the chain. Interned entries are shared and read-only.
 type PipelineChain struct {
 	N    int
-	hops []ChainHop // all boundaries, flattened in chain order
-	off  []int      // boundary c spans hops[off[c]:off[c+1]]
+	hops []Hop // all boundaries, flattened in chain order
+	off  []int // boundary c spans hops[off[c]:off[c+1]]
 }
 
 // Segment returns the routed hops of the stage boundary c -> c+1.
-func (pc *PipelineChain) Segment(c int) []ChainHop {
+func (pc *PipelineChain) Segment(c int) []Hop {
 	return pc.hops[pc.off[c]:pc.off[c+1]]
 }
 
@@ -124,6 +119,7 @@ func NewPipelineChain(net hw.Network, n int) (*PipelineChain, error) {
 	}
 	// A single-stage pipeline hands nothing off: zero boundaries.
 	pc := &PipelineChain{N: n, off: make([]int, 1, n)}
+	index := map[hw.LinkClass]int32{}
 	for c := 0; c+1 < n; c++ {
 		path, err := Route(net, n, c, c+1)
 		if err != nil {
@@ -134,7 +130,12 @@ func NewPipelineChain(net hw.Network, n int) (*PipelineChain, error) {
 			if err != nil {
 				return nil, fmt.Errorf("interconnect: pipeline handoff %d->%d via %d->%d: %w", c, c+1, path[i], path[i+1], err)
 			}
-			pc.hops = append(pc.hops, ChainHop{From: path[i], To: path[i+1], Class: cls})
+			id, ok := index[cls]
+			if !ok {
+				id = int32(len(index))
+				index[cls] = id
+			}
+			pc.hops = append(pc.hops, Hop{From: path[i], To: path[i+1], Frac: 1, class: id, Class: cls})
 		}
 		pc.off = append(pc.off, len(pc.hops))
 	}

@@ -120,7 +120,7 @@ func TestPipelineChainRoutesAroundMissingEdge(t *testing.T) {
 		t.Fatal(err)
 	}
 	seg := pc.Segment(1)
-	if len(seg) != 2 || seg[0] != (ChainHop{From: 1, To: 3, Class: hw.MIPI()}) || seg[1] != (ChainHop{From: 3, To: 2, Class: hw.MIPI()}) {
+	if len(seg) != 2 || seg[0] != (Hop{From: 1, To: 3, Frac: 1, Class: hw.MIPI()}) || seg[1] != (Hop{From: 3, To: 2, Frac: 1, Class: hw.MIPI()}) {
 		t.Fatalf("boundary 1 segment = %+v, want 1->3->2", seg)
 	}
 	if len(pc.hops) != 4 {

@@ -13,8 +13,8 @@
 // stall; a plan has at most four shapes however many tiles it has.
 // Plan.Makespan evaluates the pipeline recurrence in closed form; the
 // performance simulator replays the identical per-tile costs on its
-// eventsim resources, so the closed form and the event-driven result
-// agree exactly — which is what lets explore.AutotuneTiling use plan
+// chip devices, so the closed form and the simulated result agree
+// exactly — which is what lets explore.AutotuneTiling use plan
 // makespans as a zero-probe additive predictor.
 //
 // Tiling is a real trade-off, not a monotone knob: small tiles overlap
@@ -392,8 +392,8 @@ const stackSlots = 8
 //	fd[i] = max(fd[i-1], cd[i-slots]) + Fetch[i]
 //	cd[i] = max(cd[i-1], fd[i]) + DMA[i] + Comp[i] + Stall[i]
 //
-// The performance simulator replays the same schedule on eventsim
-// resources (io = channel, dma+cluster = work) and lands on this exact
+// The performance simulator replays the same schedule on its chip
+// devices (io = channel, dma+cluster = work) and lands on this exact
 // value — pinned by a test — so plan makespans double as an exact
 // additive predictor for the tiling autotuner.
 func (p *Plan) Makespan() float64 {

@@ -1,8 +1,15 @@
-// Package perfsim executes a lowered deployment on the discrete-event
-// substrate and reports what the paper extracts from GVSoC: total
+// Package perfsim executes a lowered deployment and reports what the
+// paper extracts from GVSoC, its event-driven platform simulator: total
 // runtime in cycles, the runtime breakdown (computation, chip-to-chip
 // link, L3↔L2 DMA, L2↔L1 DMA), and per-chip byte counters for the
 // energy model.
+//
+// The simulator schedules no events. Every exclusive device — a chip's
+// cluster, its L2↔L1 DMA and L3 I/O engine, each directed link — is a
+// plain free time: a use starts when both the device and its input are
+// ready and serializes the device's users in call order. Each tile of
+// a synchronization runs its reduce and its broadcast hop lists through
+// one loop (hops) that prices, occupies and bills every hop inline.
 //
 // Modeling conventions (matching the paper's stacked-bar accounting):
 // compute, L2↔L1 tile movement, and exposed L3 streaming serialize
@@ -37,7 +44,6 @@ import (
 
 	"mcudist/internal/collective"
 	"mcudist/internal/deploy"
-	"mcudist/internal/eventsim"
 	"mcudist/internal/hw"
 	"mcudist/internal/interconnect"
 	"mcudist/internal/kernels"
@@ -137,10 +143,6 @@ type Result struct {
 	TotalC2CBytes int64
 }
 
-// classNone marks link transfers outside any collective
-// synchronization (pipeline handoffs).
-const classNone = collective.SyncClass(-1)
-
 // classAccum accumulates one synchronization class's activity while
 // the simulation runs.
 type classAccum struct {
@@ -154,11 +156,11 @@ type classAccum struct {
 }
 
 // Sim is a reusable simulation arena: one Sim owns every piece of
-// per-run scratch state — the event engine, the chip and link
-// resources, the per-(chip, chunk) readiness matrices, the per-chip
-// and per-class accumulators, the tile buffers — and recycles all of
-// it across runs, so repeated simulations (sweeps, autotuning probes,
-// fleet step pricing) allocate only their Results. The package-level
+// per-run scratch state — the device free times, the per-(chip, chunk)
+// readiness matrices, the kernel prices, the per-chip and per-class
+// accumulators, the tile buffers — and recycles all of it across runs,
+// so repeated simulations (sweeps, autotuning probes, fleet step
+// pricing) allocate only their Results. The package-level
 // Run/RunTraced draw Sims from an internal sync.Pool; construct one
 // with NewSim to pin an arena to a caller instead.
 //
@@ -174,25 +176,20 @@ type Sim struct {
 	// ids once at setup, so the per-sync hop loops index the class axis
 	// through Hop.ClassIndex instead of hashing a LinkClass per hop;
 	// scheds maps a bound topology to its index in lows.
-	sched  *interconnect.Schedule
-	lows   []loweredSched
-	scheds map[hw.Topology]int32
-	// curClass is the synchronization class currently executing
-	// (classNone outside collectives), the axis hopOn attributes link
-	// activity to.
-	curClass collective.SyncClass
+	sched    *interconnect.Schedule
+	lows     []loweredSched
+	scheds   map[hw.Topology]int32
 	classAcc [collective.NumSyncClasses]classAccum
-	eng      eventsim.Engine
-	// chipRes densely backs the per-chip exclusive devices; cluster,
-	// dma, and io are its thirds. linkRes holds one full-duplex
-	// resource per directed chip pair, indexed from*n+to (the hot-path
-	// replacement for a per-pair map of pointers).
-	chipRes []eventsim.Resource
-	cluster []eventsim.Resource
-	dma     []eventsim.Resource
-	io      []eventsim.Resource
-	linkRes []eventsim.Resource
-	n       int
+	// chipFree holds the free times of the per-chip exclusive devices;
+	// cluster, dma, and io are its thirds. linkFree holds one per
+	// directed chip pair (each edge is its own full-duplex link),
+	// indexed from*n+to. Both are cleared per run.
+	chipFree []float64
+	cluster  []float64
+	dma      []float64
+	io       []float64
+	linkFree []float64
+	n        int
 	// classes/classID intern the distinct link classes transfers
 	// cross (schedule classes first, pipeline-chain classes in chain
 	// order), defining the per-class accounting axis. The axis is
@@ -200,14 +197,13 @@ type Sim struct {
 	// hops' classes and the pipeline chain is resolved up front.
 	classes []hw.LinkClass
 	classID map[hw.LinkClass]int
-	// pipeHops is the routed pipeline handoff chain (pipeline strategy
-	// only), flattened in chain order with interned class ids; the
-	// stage boundary c -> c+1 spans pipeHops[pipeOff[c]:pipeOff[c+1]].
-	// On a fully wired network every boundary is the single direct hop
+	// chain is the routed pipeline handoff chain (pipeline strategy
+	// only), and chainIDs the run class id of each of its classes. On a
+	// fully wired network every stage boundary is the single direct hop
 	// the simulator always took; on sparse or degraded wirings a
 	// boundary routes multi-hop through surviving chips.
-	pipeHops []pipeHop
-	pipeOff  []int32
+	chain    *interconnect.PipelineChain
+	chainIDs []int32
 	stats    []ChipStats
 	// chipClassCycles/chipClassBytes back the per-chip per-class
 	// counters (n × len(classes), carved into stats[i]); accByLink
@@ -219,30 +215,30 @@ type Sim struct {
 	commTile        int64
 	tl              *trace.Timeline
 	// sync/strategy scratch: flat per-(chip, chunk) readiness
-	// matrices, ping-pong arrival buffers (alternating so a caller's
-	// previous arrival slice stays valid while the next sync reads
-	// it), phase timelines, and payload tile buffers.
+	// matrices, chunks entries per chip, ping-pong arrival buffers
+	// (alternating so a caller's previous arrival slice stays valid
+	// while the next sync reads it), phase timelines, and payload tile
+	// buffers.
 	partial  []float64
 	has      []float64
+	chunks   int
 	syncA    []float64
 	syncB    []float64
 	flip     bool
 	phaseBuf []float64
 	tiles    []int64
 	bcast    []int64
-	// hopMemo (indexed by run class id) and rootMemo (by root-work
-	// kernel) memoize the pure per-hop prices hopOn and execScaled
-	// would otherwise recompute for every hop.
+	// hopMemo (indexed by run class id), add (the reduce add) and
+	// rootMemo (by root-work kernel) memoize the pure per-hop prices a
+	// sync would otherwise recompute for every hop.
 	hopMemo  []hopPrice
+	add      kernelPrice
 	rootMemo []kernelPrice
-
-	// linkGen[i] records the generation that last initialized
-	// linkRes[i]; gen is bumped per run, so links are re-initialized
-	// lazily on first touch instead of sweeping all n*n slots — a run
-	// only ever uses the topology's edges, a small fraction of the
-	// dense pair matrix.
-	linkGen []uint32
-	gen     uint32
+	// prices holds every chip's phase-kernel prices, computed once per
+	// run: chip c's MHSA kernels from priceOff[c], its FC kernels right
+	// after.
+	prices   []kernelPrice
+	priceOff []int
 
 	// Hardware scalars the per-kernel and per-hop paths read on every
 	// call, cached flat at setup so the hot path never copies the
@@ -297,13 +293,6 @@ type hopPrice struct {
 	dur     float64
 }
 
-// pipeHop is one lowered hop of the routed pipeline handoff chain: a
-// directed edge with its interned accounting-class id.
-type pipeHop struct {
-	from, to int32
-	class    int32
-}
-
 // NewSim returns an empty arena. The zero Sim is ready to use; every
 // run sizes the scratch to its deployment.
 func NewSim() *Sim { return &Sim{} }
@@ -324,17 +313,29 @@ func (s *Sim) classIndex(c hw.LinkClass) int {
 	return id
 }
 
-// link returns the exclusive resource of the directed edge from->to,
-// re-initializing the slot in place the first time this run touches
-// it. A run only exercises its topology's edges, so the generation
-// check replaces a per-run sweep of the whole n*n matrix.
-func (s *Sim) link(from, to int) *eventsim.Resource {
-	idx := from*s.n + to
-	if s.linkGen[idx] != s.gen {
-		s.linkGen[idx] = s.gen
-		s.linkRes[idx].Init(&s.eng)
+// use occupies an exclusive device whose free time is *free for dur
+// cycles, starting once both the device and the caller (ready) are
+// free, and returns the end. Users serialize in the order they call.
+func use(free *float64, ready, dur float64) float64 {
+	if dur < 0 {
+		panic(negativeUse(dur))
 	}
-	return &s.linkRes[idx]
+	start := *free
+	if start < ready {
+		start = ready
+	}
+	end := start + dur
+	*free = end
+	return end
+}
+
+// negativeUse is the panic value of a use with a negative duration, a
+// pricing bug. Formatting the message inside use would put use over
+// the compiler's inlining budget.
+type negativeUse float64
+
+func (d negativeUse) Error() string {
+	return fmt.Sprintf("perfsim: negative use duration %v", float64(d))
 }
 
 // lowerSched registers one schedule for this run: its classes join the
@@ -416,13 +417,11 @@ func (s *Sim) RunTraced(d *deploy.Deployment, tl *trace.Timeline) (*Result, erro
 	// Rebind the recycled arena to this run.
 	s.d = d
 	s.sched = sched
-	s.curClass = classNone
 	s.syncs = 0
 	s.commTile = commTile
 	s.tl = tl
 	s.n = n
 	s.flip = false
-	s.eng.Reset()
 	s.freqHz = d.HW.Chip.FreqHz
 	s.dmaL2BPC = d.HW.Chip.DMAL2L1BytesPerCycle
 	s.dmaL2Setup = d.HW.Chip.DMAL2L1SetupCycles
@@ -496,17 +495,17 @@ func (s *Sim) RunTraced(d *deploy.Deployment, tl *trace.Timeline) (*Result, erro
 		if err != nil {
 			return nil, fmt.Errorf("perfsim: %w", err)
 		}
-		s.pipeHops = s.pipeHops[:0]
-		s.pipeOff = append(s.pipeOff[:0], 0)
+		s.chain = chain
+		// A chain hop's ClassIndex numbers the chain's classes in
+		// first-use order: intern each at its first use.
+		s.chainIDs = s.chainIDs[:0]
 		for c := 0; c+1 < n; c++ {
-			for _, h := range chain.Segment(c) {
-				s.pipeHops = append(s.pipeHops, pipeHop{
-					from:  int32(h.From),
-					to:    int32(h.To),
-					class: int32(s.classIndex(h.Class)),
-				})
+			seg := chain.Segment(c)
+			for i := range seg {
+				if seg[i].ClassIndex() == len(s.chainIDs) {
+					s.chainIDs = append(s.chainIDs, int32(s.classIndex(seg[i].Class)))
+				}
 			}
-			s.pipeOff = append(s.pipeOff, int32(len(s.pipeHops)))
 		}
 	}
 
@@ -535,26 +534,24 @@ func (s *Sim) RunTraced(d *deploy.Deployment, tl *trace.Timeline) (*Result, erro
 	s.hopMemo = s.hopMemo[:nc]
 	clear(s.hopMemo)
 
-	// Reusable resources: the chips' exclusive devices and one
-	// full-duplex link per directed pair, re-initialized in place.
-	s.chipRes = growResources(s.chipRes, 3*n)
-	for i := range s.chipRes {
-		s.chipRes[i].Init(&s.eng)
+	// Every device is free at time zero.
+	s.chipFree = growFloats(s.chipFree, 3*n)
+	s.cluster = s.chipFree[:n]
+	s.dma = s.chipFree[n : 2*n]
+	s.io = s.chipFree[2*n : 3*n]
+	s.linkFree = growFloats(s.linkFree, n*n)
+
+	// Phase kernels run at the same price in every block.
+	s.prices = s.prices[:0]
+	s.priceOff = s.priceOff[:0]
+	for c := range d.Chips {
+		s.priceOff = append(s.priceOff, len(s.prices))
+		for _, ops := range [2][]kernels.Cost{d.Chips[c].MHSA, d.Chips[c].FC} {
+			for i := range ops {
+				s.prices = append(s.prices, s.price(ops[i].TotalL2L1Bytes(), ops[i].Cycles))
+			}
+		}
 	}
-	s.cluster = s.chipRes[:n]
-	s.dma = s.chipRes[n : 2*n]
-	s.io = s.chipRes[2*n : 3*n]
-	// Link resources initialize lazily on first touch (see link): bump
-	// the generation instead of sweeping the dense n*n slot matrix.
-	s.gen++
-	if s.gen == 0 {
-		// Generation counter wrapped: restart the generation space so
-		// a stale slot can never alias the live generation.
-		s.gen = 1
-		clear(s.linkGen)
-	}
-	s.linkRes = growResources(s.linkRes, n*n)
-	s.linkGen = growGens(s.linkGen, n*n)
 
 	// Synchronization scratch: readiness matrices sized for the widest
 	// schedule, ping-pong arrival buffers, phase timelines.
@@ -685,26 +682,6 @@ func growInts(buf []int64, n int) []int64 {
 	return buf
 }
 
-// growResources resizes a resource arena without zeroing (each
-// element is re-initialized in place).
-func growResources(buf []eventsim.Resource, n int) []eventsim.Resource {
-	if cap(buf) < n {
-		return make([]eventsim.Resource, n)
-	}
-	return buf[:n]
-}
-
-// growGens resizes the link-generation array without zeroing: fresh
-// backing is zero (never the live generation, which starts at 1) and
-// reused slots hold generations from earlier runs, which are always
-// older than the current one.
-func growGens(buf []uint32, n int) []uint32 {
-	if cap(buf) < n {
-		return make([]uint32, n)
-	}
-	return buf[:n]
-}
-
 // carveFloats cuts row i of width nc out of a flat backing array,
 // capacity-clamped. A zero-width axis yields nil, matching the slices
 // a run with no link classes historically reported.
@@ -723,13 +700,6 @@ func carveInts(backing []int64, i, nc int) []int64 {
 	return backing[i*nc : (i+1)*nc : (i+1)*nc]
 }
 
-// execCost runs one kernel on a chip starting no earlier than t: tile
-// DMA and compute serialize, matching the stacked accounting.
-func (s *Sim) execCost(chip int, t float64, cost *kernels.Cost) float64 {
-	p := s.price(cost.TotalL2L1Bytes(), cost.Cycles)
-	return s.execPriced(chip, t, cost.Name, &p)
-}
-
 // price is the chip-independent cost of moving bytes L2↔L1 and
 // computing for cycles.
 func (s *Sim) price(bytes int64, cycles float64) kernelPrice {
@@ -740,8 +710,8 @@ func (s *Sim) price(bytes int64, cycles float64) kernelPrice {
 	return p
 }
 
-// execScaled runs a fraction of a kernel's cost (tile-level collective
-// work): its activation traffic and cycles scale, and it moves no
+// execScaled runs a fraction of a kernel's cost (a tile's share of the
+// root work): its activation traffic and cycles scale, and it moves no
 // weights. The price is a pure function of the kernel and the
 // fraction, so memo, which a sync keeps per kernel, reprices only when
 // the fraction changes.
@@ -759,7 +729,7 @@ func (s *Sim) execScaled(chip int, t float64, cost *kernels.Cost, frac float64, 
 func (s *Sim) execPriced(chip int, t float64, name string, p *kernelPrice) float64 {
 	st := &s.stats[chip]
 	if p.bytes > 0 {
-		t = s.dma[chip].UseAfter(t, p.dmaT, nil)
+		t = use(&s.dma[chip], t, p.dmaT)
 		s.span(chip, "dma-l2l1", name, t-p.dmaT, t)
 		st.L2L1Cycles += p.dmaT
 		st.L2L1Bytes += p.bytes
@@ -769,7 +739,7 @@ func (s *Sim) execPriced(chip int, t float64, name string, p *kernelPrice) float
 		if f := s.strFactor; f > 0 && chip == s.strChip {
 			cycles /= f
 		}
-		t = s.cluster[chip].UseAfter(t, cycles, nil)
+		t = use(&s.cluster[chip], t, cycles)
 		s.span(chip, "compute", name, t-cycles, t)
 		st.ComputeCycles += cycles
 	}
@@ -796,7 +766,7 @@ func (s *Sim) l3Load(chip int, t float64, bytes int64, spill bool) float64 {
 		return t
 	}
 	dur := s.l3Time(bytes)
-	end := s.io[chip].UseAfter(t, dur, nil)
+	end := use(&s.io[chip], t, dur)
 	if s.tl != nil {
 		label := "weights"
 		if spill {
@@ -823,7 +793,7 @@ func (s *Sim) l3Background(chip int, t float64, bytes int64) float64 {
 		return 0
 	}
 	dur := s.l3Time(bytes)
-	end := s.io[chip].UseAfter(t, dur, nil)
+	end := use(&s.io[chip], t, dur)
 	s.span(chip, "dma-l3", "prefetch", end-dur, end)
 	s.stats[chip].L3Bytes += bytes
 	return dur
@@ -831,11 +801,11 @@ func (s *Sim) l3Background(chip int, t float64, bytes int64) float64 {
 
 // phase executes a kernel list with optional synchronous L3 traffic
 // (TierStreamed weights + activation spill), serialized before the
-// compute as on a capacity-starved chip. plans, when non-nil, is the
-// index-parallel tile-plan list of the hierarchical memory model:
-// planned kernels execute tile-by-tile through the DRAM channel
-// instead of the monolithic execCost path.
-func (s *Sim) phase(chip int, t float64, ops []kernels.Cost, plans []*memsim.Plan, exposedL3 int64, spillShare int64) float64 {
+// compute as on a capacity-starved chip. prices is index-parallel to
+// ops. plans, when non-nil, is the index-parallel tile-plan list of the
+// hierarchical memory model: planned kernels execute tile-by-tile
+// through the DRAM channel instead of at their monolithic price.
+func (s *Sim) phase(chip int, t float64, ops []kernels.Cost, prices []kernelPrice, plans []*memsim.Plan, exposedL3 int64, spillShare int64) float64 {
 	if exposedL3 > 0 {
 		weightPart := exposedL3 - spillShare
 		if weightPart > 0 {
@@ -849,7 +819,7 @@ func (s *Sim) phase(chip int, t float64, ops []kernels.Cost, plans []*memsim.Pla
 		if plans != nil && plans[i] != nil {
 			t = s.execTiled(chip, t, &ops[i], plans[i])
 		} else {
-			t = s.execCost(chip, t, &ops[i])
+			t = s.execPriced(chip, t, ops[i].Name, &prices[i])
 		}
 	}
 	return t
@@ -883,18 +853,18 @@ func (s *Sim) execTiled(chip int, t float64, cost *kernels.Cost, p *memsim.Plan)
 		if r := ring[slot]; r > ready {
 			ready = r
 		}
-		fEnd := s.io[chip].UseAfter(ready, tile.Fetch, nil)
+		fEnd := use(&s.io[chip], ready, tile.Fetch)
 		if s.tl != nil {
 			s.span(chip, "dma-l3", "tile-fetch", fEnd-tile.Fetch, fEnd)
 		}
-		dEnd := s.dma[chip].UseAfter(maxF(fEnd, prevCd), tile.DMA, nil)
+		dEnd := use(&s.dma[chip], maxF(fEnd, prevCd), tile.DMA)
 		s.span(chip, "dma-l2l1", cost.Name, dEnd-tile.DMA, dEnd)
 		comp := tile.Comp
 		if f := s.strFactor; f > 0 && chip == s.strChip {
 			comp /= f
 		}
 		work := comp + tile.Stall
-		cEnd := s.cluster[chip].UseAfter(dEnd, work, nil)
+		cEnd := use(&s.cluster[chip], dEnd, work)
 		s.span(chip, "compute", cost.Name, cEnd-work, cEnd)
 		st.L2L1Cycles += tile.DMA
 		st.L2L1Bytes += tile.L2L1Bytes
@@ -917,49 +887,122 @@ func (s *Sim) execTiled(chip int, t float64, cost *kernels.Cost, p *memsim.Plan)
 	return prevCd
 }
 
-// hopOn moves share frac of a tile across the directed link from->to
-// of the given interned link class — each edge transfers at its own
-// class's rate and setup cost, which is what lets one schedule mix fast
-// local links with a slow backhaul. The nominal transfer is a pure
-// function of (class, tile, frac), memoized per class: a ring step
-// moves equal shares over every link, and on a clustered ring the class
-// alternates along the ring. Links touching a degraded chip (failure
-// injection) transfer at the configured fraction of nominal bandwidth.
-func (s *Sim) hopOn(from, to int, ready float64, tile int64, frac float64, id int32) float64 {
-	m := &s.hopMemo[id]
-	if m.tile != tile || m.frac != frac {
-		payload := interconnect.ScalePayload(tile, frac)
-		*m = hopPrice{tile: tile, frac: frac, payload: payload, dur: s.classes[id].TransferCycles(s.freqHz, payload)}
+// hops runs one tile's hop list. Each hop moves its Frac of tile
+// across the directed link From->To at the link class's own rate and
+// setup cost — which is what lets one schedule mix fast local links
+// with a slow backhaul — and bills the link time and bytes to the
+// sender, and to acc (nil outside a collective). The nominal transfer
+// is a pure function of (class, tile, Frac), memoized per class: a
+// ring step moves equal shares over every link, and on a clustered ring
+// the class alternates along the ring. Links touching a degraded chip
+// (failure injection) transfer at the configured fraction of nominal
+// bandwidth.
+//
+// A reduce hop starts when the sender's accumulator for the chunk
+// settles (or, for a hop that sends the original partial, when ready
+// says it is); the receiver then runs its part of the reduce add, the
+// fraction share*Frac of it, where share is the tile's fraction of the
+// payload. Any other hop starts when the sender holds the chunk (has)
+// and marks the receiver as holding it (has, arrive). hops returns the
+// last hop's end.
+//
+// Every step of a hop is inline, with the arena's slices and the fault
+// settings in locals: this loop is where a simulation spends its time.
+func (s *Sim) hops(list []interconnect.Hop, ids []int32, acc *classAccum, tile int64, share float64, ready, arrive []float64, reduce bool) float64 {
+	n, chunks, freqHz, tl := s.n, s.chunks, s.freqHz, s.tl
+	partial, has, links, stats := s.partial, s.has, s.linkFree, s.stats
+	memo, classes, dma, cluster := s.hopMemo, s.classes, s.dma, s.cluster
+	degChip, degFactor, strChip, strFactor := s.degChip, s.degFactor, s.strChip, s.strFactor
+	add, addCost := s.add, &s.d.ReduceAdd
+	var end float64
+	for i := range list {
+		h := &list[i]
+		from, to := h.From, h.To
+		var start float64
+		switch {
+		case !reduce:
+			start = has[from*chunks+h.Chunk]
+		case h.FromAccumulated:
+			start = partial[from*chunks+h.Chunk]
+		default:
+			// All-to-all sends the original partial; only the
+			// receiver accumulates.
+			start = ready[from]
+		}
+		id := ids[h.ClassIndex()]
+		m := &memo[id]
+		if m.tile != tile || m.frac != h.Frac {
+			payload := interconnect.ScalePayload(tile, h.Frac)
+			*m = hopPrice{tile: tile, frac: h.Frac, payload: payload, dur: classes[id].TransferCycles(freqHz, payload)}
+		}
+		payload, dur := m.payload, m.dur
+		if degFactor > 0 && (from == degChip || to == degChip) {
+			dur /= degFactor
+		}
+		end = use(&links[from*n+to], start, dur)
+		if tl != nil {
+			// Each edge is its own full-duplex PHY: trace it as its own
+			// exclusive device. The labels are formatted only on the
+			// traced (cold) path.
+			s.span(from, fmt.Sprintf("link%d-%d", from, to), fmt.Sprintf("%d->%d", from, to), end-dur, end)
+		}
+		st, rt := &stats[from], &stats[to]
+		st.C2CCycles += dur
+		st.C2CSentBytes += payload
+		st.C2CCyclesByClass[id] += dur
+		st.C2CSentBytesByClass[id] += payload
+		if acc != nil {
+			acc.cycles += dur
+			acc.bytes += payload
+			acc.byLink[id] += payload
+		}
+		if end > st.End {
+			st.End = end
+		}
+		if end > rt.End {
+			rt.End = end
+		}
+		q := to*chunks + h.Chunk
+		if !reduce {
+			if end > has[q] {
+				has[q] = end
+			}
+			if end > arrive[to] {
+				arrive[to] = end
+			}
+			continue
+		}
+		// The receiver's add: execScaled of the reduce add, inline.
+		t := maxF(end, partial[q])
+		if f := share * h.Frac; add.frac != f {
+			add = s.price(int64(float64(addCost.ActInBytes)*f)+int64(float64(addCost.ActOutBytes)*f), addCost.Cycles*f)
+			add.frac = f
+		}
+		if add.bytes > 0 {
+			t = use(&dma[to], t, add.dmaT)
+			if tl != nil {
+				s.span(to, "dma-l2l1", addCost.Name, t-add.dmaT, t)
+			}
+			rt.L2L1Cycles += add.dmaT
+			rt.L2L1Bytes += add.bytes
+		}
+		if add.cycles > 0 {
+			cycles := add.cycles
+			if strFactor > 0 && to == strChip {
+				cycles /= strFactor
+			}
+			t = use(&cluster[to], t, cycles)
+			if tl != nil {
+				s.span(to, "compute", addCost.Name, t-cycles, t)
+			}
+			rt.ComputeCycles += cycles
+		}
+		if t > rt.End {
+			rt.End = t
+		}
+		partial[q] = t
 	}
-	payload, dur := m.payload, m.dur
-	if f := s.degFactor; f > 0 && (from == s.degChip || to == s.degChip) {
-		dur /= f
-	}
-	end := s.link(from, to).UseAfter(ready, dur, nil)
-	if s.tl != nil {
-		// Each tree edge is its own full-duplex PHY: trace it as its
-		// own exclusive resource. The labels are formatted only on the
-		// traced (cold) path — they were the hot path's single biggest
-		// allocation source.
-		s.span(from, fmt.Sprintf("link%d-%d", from, to), fmt.Sprintf("%d->%d", from, to), end-dur, end)
-	}
-	st := &s.stats[from]
-	st.C2CCycles += dur
-	st.C2CSentBytes += payload
-	st.C2CCyclesByClass[id] += dur
-	st.C2CSentBytesByClass[id] += payload
-	if s.curClass != classNone {
-		acc := &s.classAcc[s.curClass]
-		acc.cycles += dur
-		acc.bytes += payload
-		acc.byLink[id] += payload
-	}
-	if end > st.End {
-		st.End = end
-	}
-	if end > s.stats[to].End {
-		s.stats[to].End = end
-	}
+	s.add = add
 	return end
 }
 
@@ -1017,8 +1060,6 @@ func (s *Sim) sync(class collective.SyncClass, ready []float64, reducePayload, b
 	acc := &s.classAcc[class]
 	acc.topology = sc.Topology
 	acc.syncs++
-	s.curClass = class
-	defer func() { s.curClass = classNone }()
 
 	s.tiles = appendTiles(s.tiles[:0], reducePayload, s.commTile)
 	tiles := s.tiles
@@ -1048,10 +1089,11 @@ func (s *Sim) sync(class collective.SyncClass, ready []float64, reducePayload, b
 	copy(arrive, ready)
 
 	chunks := sc.Chunks
+	s.chunks = chunks
 	partial := s.partial
 	has := s.has
 	// The reduce add's and each root-work kernel's memoized prices.
-	var add kernelPrice
+	s.add = kernelPrice{}
 	if cap(s.rootMemo) < len(rootWork) {
 		s.rootMemo = make([]kernelPrice, len(rootWork))
 	}
@@ -1065,18 +1107,7 @@ func (s *Sim) sync(class collective.SyncClass, ready []float64, reducePayload, b
 				has[c*chunks+q] = 0
 			}
 		}
-		for i := range sc.Reduce {
-			h := &sc.Reduce[i]
-			start := partial[h.From*chunks+h.Chunk]
-			if !h.FromAccumulated {
-				// All-to-all sends the original partial; only the
-				// receiver accumulates.
-				start = ready[h.From]
-			}
-			end := s.hopOn(h.From, h.To, start, tiles[k], h.Frac, lo.ids[h.ClassIndex()])
-			addEnd := s.execScaled(h.To, maxF(end, partial[h.To*chunks+h.Chunk]), &s.d.ReduceAdd, frac*h.Frac, &add)
-			partial[h.To*chunks+h.Chunk] = addEnd
-		}
+		s.hops(sc.Reduce, lo.ids, acc, tiles[k], frac, ready, arrive, true)
 		for _, f := range sc.Final {
 			t := partial[f.Chip*chunks+f.Chunk]
 			for i := range rootWork {
@@ -1087,16 +1118,7 @@ func (s *Sim) sync(class collective.SyncClass, ready []float64, reducePayload, b
 			}
 			has[f.Chip*chunks+f.Chunk] = t
 		}
-		for i := range sc.Broadcast {
-			h := &sc.Broadcast[i]
-			end := s.hopOn(h.From, h.To, has[h.From*chunks+h.Chunk], bcastTiles[k], h.Frac, lo.ids[h.ClassIndex()])
-			if end > has[h.To*chunks+h.Chunk] {
-				has[h.To*chunks+h.Chunk] = end
-			}
-			if end > arrive[h.To] {
-				arrive[h.To] = end
-			}
-		}
+		s.hops(sc.Broadcast, lo.ids, acc, bcastTiles[k], frac, ready, arrive, false)
 	}
 	return arrive
 }
@@ -1124,14 +1146,14 @@ func (s *Sim) runTensorParallel() float64 {
 				t = s.l3Load(c, t, cd.BlockLoadBytes, false)
 			}
 			spill := cd.ExposedMHSABytes - s.weightPartOf(cd, true)
-			phaseEnd[c] = s.phase(c, t, cd.MHSA, cd.MHSAStream, cd.ExposedMHSABytes, spill)
+			phaseEnd[c] = s.phase(c, t, cd.MHSA, s.prices[s.priceOff[c]:], cd.MHSAStream, cd.ExposedMHSABytes, spill)
 		}
 		afterMHSA := s.sync(cls[0], phaseEnd, s.d.ReducePayload, s.d.BcastPayload, s.d.RootSync)
 
 		for c := 0; c < n; c++ {
 			cd := &s.d.Chips[c]
 			spill := cd.ExposedFCBytes - s.weightPartOf(cd, false)
-			phaseEnd[c] = s.phase(c, afterMHSA[c], cd.FC, cd.FCStream, cd.ExposedFCBytes, spill)
+			phaseEnd[c] = s.phase(c, afterMHSA[c], cd.FC, s.prices[s.priceOff[c]+len(cd.MHSA):], cd.FCStream, cd.ExposedFCBytes, spill)
 		}
 		ready = s.sync(cls[1], phaseEnd, s.d.ReducePayload, s.d.BcastPayload, s.d.RootSync)
 
@@ -1208,7 +1230,7 @@ func (s *Sim) runReplicated() float64 {
 				t = s.l3Load(c, t, cd.BlockLoadBytes, false)
 			}
 			spill := cd.ExposedMHSABytes - s.weightPartOf(cd, true)
-			phaseEnd[c] = s.phase(c, t, cd.MHSA, cd.MHSAStream, cd.ExposedMHSABytes, spill)
+			phaseEnd[c] = s.phase(c, t, cd.MHSA, s.prices[s.priceOff[c]:], cd.MHSAStream, cd.ExposedMHSABytes, spill)
 		}
 		if active > 1 {
 			// Two synchronizations per block: K/V exchange before
@@ -1227,6 +1249,7 @@ func (s *Sim) runPipeline() float64 {
 	cfg := s.d.Plan.Config
 	sq := queryRowsOf(s.d)
 	actPayload := int64(sq) * int64(cfg.E) * int64(cfg.ActBytes)
+	s.chunks = 1
 
 	t := 0.0
 	for c := 0; c < n; c++ {
@@ -1236,15 +1259,16 @@ func (s *Sim) runPipeline() float64 {
 				t = s.l3Load(c, t, cd.BlockLoadBytes, false)
 			}
 			spill := cd.ExposedMHSABytes - s.weightPartOf(cd, true)
-			t = s.phase(c, t, cd.MHSA, cd.MHSAStream, cd.ExposedMHSABytes, spill)
+			t = s.phase(c, t, cd.MHSA, s.prices[s.priceOff[c]:], cd.MHSAStream, cd.ExposedMHSABytes, spill)
 		}
 		if c+1 < n {
-			// The handoff executes its routed segment serially: one
+			// The handoff executes its routed segment serially, each
+			// hop starting when its sender holds the activations: one
 			// direct hop on fully wired networks, multi-hop through
 			// surviving chips when the direct edge is missing.
-			for _, h := range s.pipeHops[s.pipeOff[c]:s.pipeOff[c+1]] {
-				t = s.hopOn(int(h.from), int(h.to), t, actPayload, 1, h.class)
-			}
+			clear(s.has[:n])
+			s.has[c] = t
+			t = s.hops(s.chain.Segment(c), s.chainIDs, nil, actPayload, 1, nil, s.syncA, false)
 		}
 	}
 	return t

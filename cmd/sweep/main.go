@@ -392,6 +392,10 @@ func fleetSweep(s study) (*report.Table, error) {
 	if s.fleet.Groups < 1 {
 		return nil, fmt.Errorf("-groups %d must be at least 1", s.fleet.Groups)
 	}
+	if s.fleet.Groups > s.trace.Requests {
+		return nil, fmt.Errorf("-groups %d exceeds -requests %d: a group past the request count never serves",
+			s.fleet.Groups, s.trace.Requests)
+	}
 	var rates []float64
 	for _, part := range strings.Split(s.rates, ",") {
 		r, err := strconv.ParseFloat(strings.TrimSpace(part), 64)

@@ -45,7 +45,9 @@ func runSweep(t *testing.T, args ...string) (int, string) {
 
 // A flag that only another mode reads is rejected with exit 1 and a
 // message naming it, before anything is simulated, instead of being
-// dropped silently.
+// dropped silently. So is a -groups beyond -requests, before any group
+// is allocated: a group past the request count never serves, and a
+// huge -groups used to exhaust memory.
 func TestRejectsFlagsOutsideTheirMode(t *testing.T) {
 	const fleetOnly = "applies to -fleet only"
 	const topkOnly = "-topk applies to -autotune-session, -autotune-tiling and -replan only"
@@ -67,6 +69,8 @@ func TestRejectsFlagsOutsideTheirMode(t *testing.T) {
 		{"topk-plain", []string{"-chips", "8", "-topk", "2"}, topkOnly},
 		{"topk-autotune", []string{"-model", "scaled", "-mode", "prompt", "-chips", "16", "-autotune", "-topk", "2"}, topkOnly},
 		{"topk-fleet", []string{"-fleet", "-chips", "8", "-topk", "2"}, topkOnly},
+		{"groups-beyond-requests", []string{"-fleet", "-chips", "8", "-groups", "100000000", "-rates", "1", "-requests", "10"},
+			"-groups 100000000 exceeds -requests 10"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			code, stderr := runSweep(t, tc.args...)

@@ -1,7 +1,10 @@
 package experiments
 
 import (
+	"fmt"
+
 	"mcudist/internal/core"
+	"mcudist/internal/explore"
 	"mcudist/internal/fleet"
 	"mcudist/internal/model"
 )
@@ -52,16 +55,21 @@ var fleetSaturationRates = []float64{50, 100, 200, 400, 800, 1600, 3200}
 // service floor; past it the queue grows without bound and p99
 // latency is queueing delay, not service time.
 func FleetSaturation() (*FleetSaturationResult, error) {
-	res := &FleetSaturationResult{}
+	sys, cfg := core.DefaultSystem(64), model.TinyLlamaScaled64()
+	tuned, err := explore.AutotuneSession(sys, cfg, explore.SessionOptions{})
+	if err != nil {
+		return nil, fmt.Errorf("experiments: fleet autotune: %w", err)
+	}
+	sys.Options.SyncPlan = tuned.Plan
+	res := &FleetSaturationResult{Plan: tuned.Plan.String(), PlanMargin: tuned.Margin}
 	for _, rate := range fleetSaturationRates {
 		opts := fleet.Options{
 			Trace: fleet.PoissonTrace(fleet.TraceOptions{
 				Requests: 2000, RatePerSecond: rate, Seed: 11,
 			}),
-			System:   core.DefaultSystem(64),
-			Model:    model.TinyLlamaScaled64(),
-			Groups:   2,
-			Autotune: true,
+			System: sys,
+			Model:  cfg,
+			Groups: 2,
 		}
 		fr, err := fleet.Run(opts)
 		if err != nil {
@@ -89,8 +97,6 @@ func FleetSaturation() (*FleetSaturationResult, error) {
 		if !row.Saturated {
 			res.KneePerSec = rate
 		}
-		res.Plan = fr.Plan.String()
-		res.PlanMargin = fr.AutotuneMargin
 	}
 	return res, nil
 }

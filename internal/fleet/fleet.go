@@ -16,11 +16,10 @@
 // millions — and a warm persistent store prices a million-request run
 // with zero exact simulations.
 //
-// The scheduler itself is strictly serial on the eventsim engine
-// (time in seconds), so fleet output is byte-identical across worker
-// counts and runs at a fixed seed: concurrency only ever lives in the
-// oracle pool, whose results are byte-identical by evalpool's own
-// guarantee.
+// The scheduler itself is one strictly serial event loop (time in
+// seconds), so fleet output is byte-identical across worker counts and
+// runs at a fixed seed: concurrency only ever lives in the oracle
+// pool, whose results are byte-identical by evalpool's own guarantee.
 //
 // Before the replay starts, the run lays out the shape rectangle the
 // trace can touch (every distinct prompt length at batch 1, every
@@ -34,10 +33,13 @@
 // byte-identical to.
 //
 // A warm replay does linear work and allocates no object per request
-// or per session: in-flight sessions live by value in their group's
-// batch, queued requests are indices into the trace, a trace already
-// in arrival order is read in place, and the latency percentiles are
-// selected in place rather than sorted.
+// or per session. The event queue is a heap of plain values holding one
+// in-flight step per group and the fault; arrivals never enter it, and
+// a trace already in arrival order is read in place. A group decodes
+// its sessions in lockstep, so a decode step touches a session only
+// when one completes. Queued requests are int32 indices into the
+// trace, and the latency percentiles are selected in place rather than
+// sorted.
 package fleet
 
 import (
@@ -52,7 +54,6 @@ import (
 	"mcudist/internal/collective"
 	"mcudist/internal/core"
 	"mcudist/internal/evalpool"
-	"mcudist/internal/eventsim"
 	"mcudist/internal/explore"
 	"mcudist/internal/model"
 	"mcudist/internal/resilience"
@@ -276,11 +277,12 @@ type Result struct {
 
 // session is one prefilled request's decoding state. Sessions live by
 // value in their group's active batch, so admitting one allocates
-// nothing.
+// nothing. Every decode step advances every active session (see
+// group.steps), so a session stores only where it entered the count.
 type session struct {
-	arrival   float64 // the request's arrival time
-	ctx       int     // current context length in tokens
-	remaining int     // decode tokens still to generate
+	arrival float64 // the request's arrival time
+	base    int     // context length minus the group's steps
+	finish  int     // the group's steps at which the budget runs out
 }
 
 // shape is one step shape: a prefill of seqLen prompt tokens at batch
@@ -325,19 +327,22 @@ type group struct {
 	// the front instead of growing it, so the array stays within twice
 	// the queue's peak depth and a lightly loaded group never
 	// reallocates.
-	promptQ     []int
+	promptQ     []int32
 	head        int
 	active      []session // prefilled sessions, admission order
 	prices      *priceTable
-	busy        bool
+	busy        bool // a step is in flight: the queue holds its event
 	busySeconds float64
-	// The in-flight step (at most one per group, guarded by busy) is
-	// parked in step* and consumed by the reusable finish callback, so
-	// scheduling a step allocates no closure.
-	stepReq   int // the prefilling request's index; -1 for a decode step
-	stepWidth int
-	stepEnd   float64
-	finish    func()
+	stepReq     int // the in-flight prefill's request index; -1 for a decode step
+	// Lockstep decode: a prefill is admitted only while len(active) <
+	// batchCap, so each decode step advances every active session.
+	// steps counts the group's decode steps, a session's context is its
+	// base plus steps, and maxBase and minFinish bound the active
+	// sessions' bases and finishes (math.MinInt and math.MaxInt when
+	// none is active).
+	steps     int
+	maxBase   int
+	minFinish int
 }
 
 func (g *group) outstanding() int { return len(g.promptQ) - g.head + len(g.active) }
@@ -345,7 +350,7 @@ func (g *group) outstanding() int { return len(g.promptQ) - g.head + len(g.activ
 // fleet is one run's full state.
 type fleet struct {
 	opts   Options
-	eng    *eventsim.Engine
+	events queue
 	groups []*group
 	// The shape rectangle (see speculativeShapes) lays every step shape
 	// the trace can touch out in one slice: first one slot per distinct
@@ -367,15 +372,12 @@ type fleet struct {
 	postFaultChips  int
 	postFaultPlan   collective.Plan
 	postFaultMargin float64
-	// Arrival feed: reqs is sorted by arrival time and fed into the
-	// event queue one request at a time by the reusable arriveNext
-	// callback. Scheduling arrivals lazily keeps the event heap a few
-	// entries deep (next arrival + one in-flight step per group)
-	// instead of pre-loading every request, and avoids allocating a
-	// Request-capturing closure per arrival.
-	reqs       []Request
-	nextReq    int
-	arriveNext func()
+	// Arrival feed: reqs is sorted by arrival time, reqs[nextReq]
+	// arrives next, and arrival is its event. Arrivals never enter the
+	// queue: replay compares arrival with the queue's root.
+	reqs    []Request
+	nextReq int
+	arrival event
 
 	// depth accounting (requests in system, all groups)
 	depth       int
@@ -418,6 +420,15 @@ func Run(opts Options) (*Result, error) {
 	}
 	if opts.Groups < 0 {
 		return nil, fmt.Errorf("fleet: group count %d must be non-negative", opts.Groups)
+	}
+	// Group k is routed a request only while k requests are in the
+	// system, so a group past the request count would never serve.
+	if opts.Groups > len(opts.Trace.Requests) {
+		return nil, fmt.Errorf("fleet: %d groups for %d requests: a group past the request count never serves",
+			opts.Groups, len(opts.Trace.Requests))
+	}
+	if len(opts.Trace.Requests) > math.MaxInt32 {
+		return nil, fmt.Errorf("fleet: %d requests exceed the %d a trace can hold", len(opts.Trace.Requests), math.MaxInt32)
 	}
 	groups := max(opts.Groups, 1)
 	if opts.MaxBatch < 0 {
@@ -474,7 +485,6 @@ func Run(opts Options) (*Result, error) {
 	}
 	f := &fleet{
 		opts:         opts,
-		eng:          eventsim.NewEngine(),
 		batchCap:     cmp.Or(opts.MaxBatch, 8),
 		reqs:         reqs,
 		stride:       1,
@@ -484,38 +494,18 @@ func Run(opts Options) (*Result, error) {
 	}
 	f.speculativeShapes()
 	f.pristine = priceTable{sys: sys, costs: make([]stepCost, len(f.shapes))}
-	if opts.Fault != nil {
-		f.eng.At(opts.Fault.AtSeconds, f.applyFault)
-	}
 	for i := 0; i < groups; i++ {
-		g := &group{id: i, prices: &f.pristine}
-		g.finish = func() {
-			if r := g.stepReq; r >= 0 {
-				f.finishPrefill(g, r, g.stepEnd)
-			} else {
-				f.finishDecode(g, g.stepWidth, g.stepEnd)
-			}
-		}
-		f.groups = append(f.groups, g)
+		f.groups = append(f.groups, &group{id: i, prices: &f.pristine, maxBase: math.MinInt, minFinish: math.MaxInt})
 	}
-
-	// Only the next arrival sits in the event queue, and delivering it
-	// schedules the one after. The next arrival is scheduled before the
-	// delivered request is processed so simultaneous arrivals still run
-	// in trace order.
-	f.arriveNext = func() {
-		i := f.nextReq
-		f.nextReq++
-		if f.nextReq < len(f.reqs) {
-			f.eng.At(f.reqs[f.nextReq].ArrivalSeconds, f.arriveNext)
-		}
-		f.arrive(i)
+	// The fault is numbered first, then the first arrival.
+	if opts.Fault != nil {
+		f.events.push(f.events.event(opts.Fault.AtSeconds, int32(groups)))
 	}
-	f.eng.At(reqs[0].ArrivalSeconds, f.arriveNext)
+	f.arrival = f.events.event(reqs[0].ArrivalSeconds, -1)
 	if !opts.NoPrePrice {
 		f.prePrice()
 	}
-	end := f.eng.Run()
+	end := f.replay()
 	if f.err != nil {
 		return nil, f.err
 	}
@@ -565,13 +555,55 @@ func (f *fleet) conserved(end float64) error {
 	return nil
 }
 
-// arrive routes request i to the least-loaded group and kicks its
-// scheduler.
-func (f *fleet) arrive(i int) {
-	if f.err != nil {
-		return
+// replay handles the events in (time, seq) order until none is left,
+// or until one fails the run, and returns the time of the last. The
+// handled step's event stays at the queue's root while it is handled:
+// when the group starts its next step, the new event replaces it.
+func (f *fleet) replay() float64 {
+	q := &f.events
+	for f.err == nil {
+		if f.nextReq < len(f.reqs) && (len(q.heap) == 0 || f.arrival.before(q.heap[0])) {
+			q.now = f.arrival.at
+			i := f.nextReq
+			f.nextReq++
+			// Numbering the next arrival before the delivered request
+			// starts a step keeps simultaneous events FIFO.
+			if f.nextReq < len(f.reqs) {
+				f.arrival = q.event(f.reqs[f.nextReq].ArrivalSeconds, -1)
+			}
+			g := f.arrive(i, q.now)
+			if end, ok := f.start(g, q.now); ok {
+				q.push(q.event(end, int32(g.id)))
+			}
+			continue
+		}
+		if len(q.heap) == 0 {
+			break
+		}
+		ev := q.heap[0]
+		q.now = ev.at
+		if int(ev.slot) == len(f.groups) {
+			q.pop()
+			f.applyFault()
+			continue
+		}
+		g := f.groups[ev.slot]
+		if g.stepReq >= 0 {
+			f.finishPrefill(g, ev.at)
+		} else {
+			f.finishDecode(g, ev.at)
+		}
+		if end, ok := f.start(g, ev.at); ok {
+			q.replace(q.event(end, ev.slot))
+		} else {
+			q.pop()
+		}
 	}
-	now := f.eng.Now()
+	return q.now
+}
+
+// arrive routes request i to the least-loaded group and returns it.
+func (f *fleet) arrive(i int, now float64) *group {
 	best := f.groups[0]
 	for _, g := range f.groups[1:] {
 		if g.outstanding() < best.outstanding() {
@@ -581,9 +613,9 @@ func (f *fleet) arrive(i int) {
 	if q := best.promptQ; len(q) == cap(q) && best.head >= len(q)/2 {
 		best.promptQ, best.head = q[:copy(q, q[best.head:])], 0
 	}
-	best.promptQ = append(best.promptQ, i)
+	best.promptQ = append(best.promptQ, int32(i))
 	f.noteDepth(now, +1)
-	f.start(best, now)
+	return best
 }
 
 // contextBucket is the pricing granularity of decode-step contexts:
@@ -635,9 +667,6 @@ func (f *fleet) evaluate(sys core.System, k shape) (stepCost, error) {
 // table for the degraded system. The step in flight keeps its
 // committed finish time and price.
 func (f *fleet) applyFault() {
-	if f.err != nil {
-		return
-	}
 	// After the trace drains there is nothing left to serve degraded:
 	// the fault is a no-op and the run reports FaultApplied=false.
 	if f.nextReq >= len(f.reqs) && f.depth == 0 {
@@ -751,95 +780,75 @@ func (f *fleet) prePrice() {
 	}
 }
 
-// start schedules the group's next step if it is idle and has work:
-// admit the oldest waiting prefill while the batch has room, otherwise
-// decode one micro-batch across every active session (continuous
-// batching).
-func (f *fleet) start(g *group, now float64) {
-	if f.err != nil || g.busy {
-		return
+// start starts the group's next step if it is idle and has work, and
+// returns the step's end: admit the oldest waiting prefill while the
+// batch has room, otherwise decode one micro-batch across every active
+// session (continuous batching).
+func (f *fleet) start(g *group, now float64) (end float64, ok bool) {
+	if g.busy {
+		return 0, false
 	}
+	var cost stepCost
+	var err error
 	switch {
 	case g.head < len(g.promptQ) && len(g.active) < f.batchCap:
-		r := g.promptQ[g.head]
+		g.stepReq = int(g.promptQ[g.head])
 		g.head++
-		cost, err := f.price(g, f.promptSlot[f.reqs[r].PromptLen])
-		if err != nil {
-			f.err = err
-			return
-		}
-		end := now + cost.seconds
-		f.totalEnergy += cost.joules
+		cost, err = f.price(g, f.promptSlot[f.reqs[g.stepReq].PromptLen])
 		f.prefillSteps++
-		g.busy = true
-		g.busySeconds += cost.seconds
-		g.stepReq = r
-		g.stepEnd = end
-		f.eng.At(end, g.finish)
 	case len(g.active) > 0:
-		width := min(len(g.active), f.batchCap)
-		maxCtx := 0
-		for _, s := range g.active[:width] {
-			maxCtx = max(maxCtx, s.ctx)
-		}
-		cost, err := f.price(g, f.decodeSlot(maxCtx, width))
-		if err != nil {
-			f.err = err
-			return
-		}
-		end := now + cost.seconds
-		f.totalEnergy += cost.joules
-		f.decodeSteps++
-		f.batchSum += int64(width)
-		g.busy = true
-		g.busySeconds += cost.seconds
 		g.stepReq = -1
-		g.stepWidth = width
-		g.stepEnd = end
-		f.eng.At(end, g.finish)
+		cost, err = f.price(g, f.decodeSlot(g.maxBase+g.steps, len(g.active)))
+		f.decodeSteps++
+		f.batchSum += int64(len(g.active))
+	default:
+		return 0, false
 	}
+	if err != nil {
+		f.err = err
+		return 0, false
+	}
+	f.totalEnergy += cost.joules
+	g.busy = true
+	g.busySeconds += cost.seconds
+	return now + cost.seconds, true
 }
 
-// finishPrefill admits prefilled request r to the decode pool (or
-// completes it outright when it has no decode budget) and reschedules.
-func (f *fleet) finishPrefill(g *group, r int, end float64) {
-	if f.err != nil {
-		return
-	}
+// finishPrefill admits the prefilled request to the decode pool, or
+// completes it outright when it has no decode budget.
+func (f *fleet) finishPrefill(g *group, end float64) {
 	g.busy = false
-	req := &f.reqs[r]
+	req := &f.reqs[g.stepReq]
 	f.ttfts = append(f.ttfts, end-req.ArrivalSeconds)
 	if req.DecodeTokens == 0 {
 		f.complete(req.ArrivalSeconds, end)
-	} else {
-		g.active = append(g.active, session{arrival: req.ArrivalSeconds, ctx: req.PromptLen, remaining: req.DecodeTokens})
-	}
-	f.start(g, end)
-}
-
-// finishDecode advances the first `width` active sessions by one token
-// each, completes the ones that exhausted their budget, and
-// reschedules.
-func (f *fleet) finishDecode(g *group, width int, end float64) {
-	if f.err != nil {
 		return
 	}
+	s := session{arrival: req.ArrivalSeconds, base: req.PromptLen - g.steps, finish: g.steps + req.DecodeTokens}
+	g.active = append(g.active, s)
+	g.maxBase, g.minFinish = max(g.maxBase, s.base), min(g.minFinish, s.finish)
+}
+
+// finishDecode advances every active session by one token and, once
+// some budget runs out, completes those sessions in admission order.
+func (f *fleet) finishDecode(g *group, end float64) {
 	g.busy = false
+	g.steps++
+	f.decodedTokens += int64(len(g.active))
+	if g.steps < g.minFinish {
+		return
+	}
 	kept := g.active[:0]
-	for i, s := range g.active {
-		if i < width {
-			s.ctx++
-			s.remaining--
-			f.decodedTokens++
-			if s.remaining == 0 {
-				f.complete(s.arrival, end)
-				continue
-			}
+	g.maxBase, g.minFinish = math.MinInt, math.MaxInt
+	for _, s := range g.active {
+		if s.finish == g.steps {
+			f.complete(s.arrival, end)
+			continue
 		}
 		kept = append(kept, s)
+		g.maxBase, g.minFinish = max(g.maxBase, s.base), min(g.minFinish, s.finish)
 	}
 	g.active = kept
-	f.start(g, end)
 }
 
 // complete records one finished request that arrived at arrival.

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"mcudist/internal/core"
@@ -216,6 +217,15 @@ func TestFleetValidation(t *testing.T) {
 	if _, err := Run(opts); err == nil {
 		t.Error("negative group count accepted")
 	}
+	// A group past the request count never serves, and allocating a
+	// huge group count would exhaust memory before the trace is read.
+	opts = smallOptions(10, 1)
+	opts.Groups = 100_000_000
+	if _, err := Run(opts); err == nil || !strings.Contains(err.Error(), "100000000 groups for 10 requests") {
+		t.Errorf("more groups than requests: got %v", err)
+	}
+	opts.Groups = 10
+	mustFleet(t, opts)
 }
 
 // The seeded Poisson generator is stable: the same options always

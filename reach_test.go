@@ -313,7 +313,7 @@ func (tr *sourceTree) Import(path string) (*types.Package, error) {
 // decl is one top-level function, method or type, or one struct
 // field, under internal/.
 type decl struct {
-	name string // e.g. internal/eventsim.(*Engine).Run, internal/fleet.Options.MaxBatch
+	name string // e.g. internal/perfsim.(*Sim).hops, internal/fleet.Options.MaxBatch
 	obj  types.Object
 }
 

@@ -354,11 +354,12 @@ func replanSweep(s study) (*report.Table, error) {
 	t := report.NewTable("", "chips", "degraded_chips", "faults", "stale_plan", "static_cycles",
 		"adopted_plan", "adopted_cycles", "replan_pays", "margin", "margin_joules", "exact_sims")
 	for _, n := range s.chips {
-		res, err := resilience.ReplanStudy(s.at(n), s.wl.Model, s.faults,
+		studies, err := resilience.ReplanStudy(s.at(n), s.wl.Model, [][]resilience.Fault{s.faults},
 			explore.SessionOptions{TopK: s.topK, PromptSeqLen: s.wl.SeqLen})
 		if err != nil {
 			return nil, fmt.Errorf("%d chips: %w", n, err)
 		}
+		res := studies[0]
 		r := res.Replan
 		static := 0.0
 		if r.Static != nil {

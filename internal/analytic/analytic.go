@@ -91,15 +91,8 @@ func syncTime(d *deploy.Deployment, tree *interconnect.Tree) float64 {
 	if depth == 0 {
 		return rootWork(d)
 	}
-	commTile := int64(d.Options.CommTileBytes)
-	if commTile == 0 {
-		commTile = deploy.DefaultCommTileBytes
-	}
 	reduceHop := interconnect.TransferCycles(d.HW, d.ReducePayload)
-	bcastTile := d.BcastPayload
-	if bcastTile > commTile {
-		bcastTile = commTile
-	}
+	bcastTile := min(d.BcastPayload, deploy.DefaultCommTileBytes)
 	bcastTrail := interconnect.TransferCycles(d.HW, bcastTile) * float64(depth)
 	bcastFull := interconnect.TransferCycles(d.HW, d.BcastPayload)
 

@@ -77,15 +77,17 @@ type Report struct {
 
 	// Cycles is the total runtime in cluster cycles.
 	Cycles float64
-	// Seconds is the runtime in wall-clock seconds.
-	Seconds float64
+	// Seconds is the runtime in wall-clock seconds. Like EDP it follows
+	// from the fields beside it and System.HW, so a stored report omits
+	// it and resultstore's Load recomputes it.
+	Seconds float64 `json:"-"`
 	// Breakdown attributes the runtime to compute / L2↔L1 / L3↔L2 /
 	// chip-to-chip, the paper's Fig. 4 categories.
 	Breakdown perfsim.Breakdown
 	// Energy itemizes the analytical energy model.
 	Energy energy.Report
 	// EDP is the energy-delay product in joule-seconds.
-	EDP float64
+	EDP float64 `json:"-"`
 	// Tier is the weakest weight-placement tier across chips.
 	Tier deploy.Tier
 	// Syncs counts chip synchronizations (2 per block for the
@@ -96,17 +98,9 @@ type Report struct {
 	C2CBytes int64
 	// MaxChipBusyCycles is the busiest chip's compute + L2↔L1 + L3
 	// cycles (for the pipeline, the slowest stage). The per-chip
-	// counters behind it are in perfsim.Result.
+	// counters behind it, and the per-synchronization-class split, are
+	// in perfsim.Result (energy.C2CByClass bills that split).
 	MaxChipBusyCycles float64
-	// ByClass splits the synchronization and link accounting per
-	// synchronization class (which classes ran, on which topology,
-	// with how much traffic) — the attribution axis for per-sync
-	// collective plans.
-	ByClass []perfsim.ClassStats
-	// C2CEnergyByClass itemizes the chip-to-chip energy per
-	// synchronization class; it sums to Energy.C2C for the collective
-	// strategies.
-	C2CEnergyByClass []energy.ClassEnergy
 }
 
 // Run plans, simulates, and evaluates one workload on one system.
@@ -149,9 +143,6 @@ func run(sys System, wl Workload) (*Report, *perfsim.Result, error) {
 		Tier:      d.WorstTier(),
 		Syncs:     res.Syncs,
 		C2CBytes:  res.TotalC2CBytes,
-		ByClass:   res.ByClass,
-
-		C2CEnergyByClass: energy.C2CByClass(sys.HW, res),
 	}
 	for i := range res.PerChip {
 		st := &res.PerChip[i]

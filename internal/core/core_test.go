@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"mcudist/internal/deploy"
+	"mcudist/internal/energy"
 	"mcudist/internal/model"
 	"mcudist/internal/partition"
 )
@@ -37,9 +38,9 @@ func TestRunDefaultSystem(t *testing.T) {
 	if len(res.PerChip) != 8 {
 		t.Fatalf("per-chip stats = %d", len(res.PerChip))
 	}
-	if len(rep.ByClass) != 2 || len(rep.C2CEnergyByClass) != 2 {
+	if split := energy.C2CByClass(rep.System.HW, res); len(res.ByClass) != 2 || len(split) != 2 {
 		t.Fatalf("per-class split = %d sync, %d energy classes, want 2 (decode MHSA, FFN)",
-			len(rep.ByClass), len(rep.C2CEnergyByClass))
+			len(res.ByClass), len(split))
 	}
 }
 

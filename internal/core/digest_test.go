@@ -15,8 +15,8 @@ import (
 )
 
 // reportDigests pins the sha256 of %+v of the whole report in its v3
-// shape (v3Report) — per-chip counters, per-class link splits, ByClass
-// and energy included — on
+// shape (v3Report) — per-chip counters, per-class link splits, the
+// per-class sync and energy split and energy included — on
 // the paths golden_test.go (uniform network, no faults) does not
 // reach: clustered networks, whose two link classes alternate along
 // the ring; a degraded link; a straggler; a per-sync collective plan;
@@ -201,10 +201,12 @@ var reportDigests = []struct {
 }
 
 // v3Report is Report as it stood when the digests were recorded, with
-// the per-chip counters it then carried: %+v prints field names, not
-// the type's, so the pins hold across Report's later reshaping.
+// the per-chip counters and the per-class split it then carried (now
+// rendered from perfsim.Result and energy.C2CByClass): %+v prints
+// field names, not the type's, so the pins hold across Report's later
+// reshaping.
 type v3Report struct {
-	System           System
+	System           v3System
 	Workload         Workload
 	Cycles           float64
 	Seconds          float64
@@ -220,19 +222,49 @@ type v3Report struct {
 	C2CEnergyByClass []energy.ClassEnergy
 }
 
+// v3System is System with the planner options as they stood when the
+// digests were recorded: they then carried a communication tile
+// override, which no program ever set.
+type v3System struct {
+	HW       hw.Params
+	Chips    int
+	Strategy partition.Strategy
+	Options  struct {
+		PrefetchExposed    bool
+		CommTileBytes      int
+		NoActivationSpill  bool
+		DegradedLinkFactor float64
+		DegradedLinkChip   int
+		SyncPlan           collective.Plan
+		StragglerFactor    float64
+		StragglerChip      int
+	}
+}
+
+func newV3System(s System) v3System {
+	v := v3System{HW: s.HW, Chips: s.Chips, Strategy: s.Strategy}
+	o := &v.Options
+	o.PrefetchExposed, o.NoActivationSpill = s.Options.PrefetchExposed, s.Options.NoActivationSpill
+	o.DegradedLinkFactor, o.DegradedLinkChip = s.Options.DegradedLinkFactor, s.Options.DegradedLinkChip
+	o.SyncPlan = s.Options.SyncPlan
+	o.StragglerFactor, o.StragglerChip = s.Options.StragglerFactor, s.Options.StragglerChip
+	return v
+}
+
 func TestReportDigests(t *testing.T) {
 	for _, c := range reportDigests {
 		t.Run(c.name, func(t *testing.T) {
-			rep, res, err := run(c.sys(), c.wl)
+			sys := c.sys()
+			rep, res, err := run(sys, c.wl)
 			if err != nil {
 				t.Fatal(err)
 			}
 			v3 := v3Report{
-				System: rep.System, Workload: rep.Workload,
+				System: newV3System(rep.System), Workload: rep.Workload,
 				Cycles: rep.Cycles, Seconds: rep.Seconds, Breakdown: rep.Breakdown,
 				Energy: rep.Energy, EDP: rep.EDP, Tier: rep.Tier, Syncs: rep.Syncs,
 				L3Bytes: rep.L3Bytes, C2CBytes: rep.C2CBytes, PerChip: res.PerChip,
-				ByClass: rep.ByClass, C2CEnergyByClass: rep.C2CEnergyByClass,
+				ByClass: res.ByClass, C2CEnergyByClass: energy.C2CByClass(sys.HW, res),
 			}
 			got := fmt.Sprintf("%x", sha256.Sum256([]byte(fmt.Sprintf("%+v", v3))))
 			if got != c.digest {

@@ -23,6 +23,10 @@ import (
 //  2. Doubling every edge's bandwidth in that table never raises
 //     Cycles: every device serves its users in a fixed order, so each
 //     end time is a max-plus expression of the durations.
+//  3. On the DRAM tier, doubling the channel's bandwidth
+//     (DRAMBytesPerCycle) never raises Cycles.
+//  4. On the DRAM tier, doubling the SRAM bank count never raises
+//     Cycles: each bank-contention stall shrinks.
 //
 // A violation is a simulator bug to fix, never a relation to drop.
 // Identity faults are TestPerturbMatchesReference's.
@@ -56,10 +60,11 @@ var relationPlan = func() collective.Plan {
 
 // relationPoint draws one point of the relation grid: model, chip
 // count, topology, network, collective plan, strategy, mode, memory
-// tier, sequence length, batch width and a degraded link. With faulty
-// set, two in three points then move to a degraded board made by
-// resilience.Perturb: one chip dropped, or a slowed edge plus a
-// straggler.
+// tier, sequence length, batch width, a degraded link and a straggler.
+// With faulty set, two in three points then move to a degraded board
+// made by resilience.Perturb: one chip dropped, or a slowed edge plus a
+// straggling chip (the drawn straggler, if any, since the simulator
+// models one).
 func relationPoint(r *rand.Rand, faulty bool) (core.System, core.Workload, error) {
 	m := relationModels[r.IntN(len(relationModels))]
 	var chips []int
@@ -97,10 +102,15 @@ func relationPoint(r *rand.Rand, faulty bool) (core.System, core.Workload, error
 	if r.IntN(4) == 0 {
 		sys.Options.DegradedLinkChip, sys.Options.DegradedLinkFactor = r.IntN(n), 0.25
 	}
+	straggler := n - 1
+	if r.IntN(4) == 0 {
+		straggler = r.IntN(n)
+		sys.Options.StragglerChip, sys.Options.StragglerFactor = straggler, 0.5
+	}
 	if !faulty || r.IntN(3) == 0 {
 		return sys, wl, nil
 	}
-	faults := []resilience.Fault{resilience.SlowEdge(0, 1, 4), resilience.StraggleChip(n-1, 2)}
+	faults := []resilience.Fault{resilience.SlowEdge(0, 1, 4), resilience.StraggleChip(straggler, 2)}
 	if n >= 3 && r.IntN(2) == 0 {
 		faults = []resilience.Fault{resilience.DropChip([]int{0, 1, n - 1}[r.IntN(3)])}
 	}
@@ -121,9 +131,15 @@ func simulate(t *testing.T, sys core.System, wl core.Workload) *perfsim.Result {
 	return res
 }
 
-// checkLinkRelations checks both relations on one point and reports
-// whether doubling the bandwidth made it strictly faster.
-func checkLinkRelations(t *testing.T, sys core.System, wl core.Workload) bool {
+// strictness records which doublings made one point strictly faster;
+// dram marks a point on the DRAM tier, where the last two apply.
+type strictness struct {
+	dram, links, bandwidth, banks bool
+}
+
+// checkLinkRelations checks the relations on one point and reports
+// which doublings made it strictly faster.
+func checkLinkRelations(t *testing.T, sys core.System, wl core.Workload) strictness {
 	t.Helper()
 	point := fmt.Sprintf("%s %s %d chips %s on %s, %s, plan %v, seq %d batch %d, options %+v",
 		wl.Model.Name, wl.Mode, sys.Chips, sys.Strategy, sys.HW.Topology, sys.HW.Network,
@@ -152,11 +168,31 @@ func checkLinkRelations(t *testing.T, sys core.System, wl core.Workload) bool {
 	if cycles > base.TotalCycles {
 		t.Fatalf("%s: doubling every link's bandwidth raised Cycles from %g to %g", point, base.TotalCycles, cycles)
 	}
-	return cycles < base.TotalCycles
+	st := strictness{dram: sys.HW.Mem.Enabled(), links: cycles < base.TotalCycles}
+	if !st.dram {
+		return st
+	}
+	for _, knob := range []struct {
+		name   string
+		double func(*hw.MemHierarchy)
+		strict *bool
+	}{
+		{"the DRAM bandwidth", func(m *hw.MemHierarchy) { m.DRAMBytesPerCycle *= 2 }, &st.bandwidth},
+		{"the SRAM bank count", func(m *hw.MemHierarchy) { m.SRAMBanks *= 2 }, &st.banks},
+	} {
+		more := sys
+		knob.double(&more.HW.Mem)
+		c := simulate(t, more, wl).TotalCycles
+		if c > base.TotalCycles {
+			t.Fatalf("%s: doubling %s raised Cycles from %g to %g", point, knob.name, base.TotalCycles, c)
+		}
+		*knob.strict = c < base.TotalCycles
+	}
+	return st
 }
 
-// TestLinkRelations checks both relations over two seeded grids: one
-// of healthy boards, and one where two in three points are degraded.
+// TestLinkRelations checks the relations over two seeded grids: one of
+// healthy boards, and one where two in three points are degraded.
 func TestLinkRelations(t *testing.T) {
 	for _, grid := range []struct {
 		name   string
@@ -168,18 +204,29 @@ func TestLinkRelations(t *testing.T) {
 		{"degraded", 2, 160, true},
 	} {
 		r := rand.New(rand.NewPCG(grid.seed, 0))
-		faster := 0
+		var faster, dram, bandwidth, banks int
 		for i := range grid.points {
 			sys, wl, err := relationPoint(r, grid.faulty)
 			if err != nil {
 				t.Fatalf("%s point %d: %v", grid.name, i, err)
 			}
-			if checkLinkRelations(t, sys, wl) {
+			st := checkLinkRelations(t, sys, wl)
+			if st.links {
 				faster++
 			}
+			if st.dram {
+				dram++
+			}
+			if st.bandwidth {
+				bandwidth++
+			}
+			if st.banks {
+				banks++
+			}
 		}
-		t.Logf("%s grid: both relations hold on %d points, %d of them strictly faster at double bandwidth",
-			grid.name, grid.points, faster)
+		t.Logf("%s grid: the relations hold on %d points, %d of them strictly faster at double link bandwidth; "+
+			"of the %d on the DRAM tier, %d strictly faster at double DRAM bandwidth and %d at double SRAM banks",
+			grid.name, grid.points, faster, dram, bandwidth, banks)
 	}
 }
 

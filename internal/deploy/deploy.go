@@ -25,9 +25,6 @@ type Options struct {
 	// residual time (transfer beyond the block's other work) to
 	// runtime instead of hiding it — the accounting ablation.
 	PrefetchExposed bool
-	// CommTileBytes overrides the collective staging tile
-	// (DefaultCommTileBytes when zero).
-	CommTileBytes int
 	// NoActivationSpill disables the streamed-tier activation spill
 	// to L3 — the ablation that isolates how much of the single-chip
 	// penalty comes from L3-resident intermediate tensors.
@@ -148,11 +145,6 @@ func NewBatched(p *partition.Plan, hwp hw.Params, mode model.Mode, s, batch int,
 		return nil, fmt.Errorf("deploy: autoregressive mode needs a decoder, %s is an %s",
 			p.Config.Name, p.Config.Arch)
 	}
-	commTile := opts.CommTileBytes
-	if commTile == 0 {
-		commTile = DefaultCommTileBytes
-	}
-
 	d := &Deployment{
 		Plan:          p,
 		HW:            hwp,
@@ -193,7 +185,7 @@ func NewBatched(p *partition.Plan, hwp hw.Params, mode model.Mode, s, batch int,
 			d.Chips = append(d.Chips, cd)
 			continue
 		}
-		cd, err := lowerChip(p, chip, hwp, mode, s, batch, commTile, opts)
+		cd, err := lowerChip(p, chip, hwp, mode, s, batch, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -211,8 +203,8 @@ type chipSig struct {
 	pslice, kvw, fw, blocks, blockWeight, kvPerBlock, rows int
 }
 
-func lowerChip(p *partition.Plan, chip int, hwp hw.Params, mode model.Mode, s, batch, commTile int, opts Options) (ChipDeploy, error) {
-	tier, fp := chooseTier(p, chip, mode, s, batch, commTile, hwp)
+func lowerChip(p *partition.Plan, chip int, hwp hw.Params, mode model.Mode, s, batch int, opts Options) (ChipDeploy, error) {
+	tier, fp := chooseTier(p, chip, mode, s, batch, hwp)
 	cd := ChipDeploy{
 		Chip:      chip,
 		Tier:      tier,

@@ -11,7 +11,8 @@ import (
 
 // DefaultCommTileBytes bounds the L2 staging for inbound/outbound
 // partial tensors: larger payloads are exchanged in tiles of this
-// size, so staging does not grow with sequence length.
+// size, so staging does not grow with sequence length. The simulator
+// pipelines every collective over tiles of this size.
 const DefaultCommTileBytes = 64 * 1024
 
 // queryRows returns the number of token rows processed per forward:
@@ -50,15 +51,11 @@ func activationBytes(p *partition.Plan, chip int, mode model.Mode, s, batch int)
 }
 
 // commStagingBytes is the bounded L2 staging for collective payloads.
-func commStagingBytes(p *partition.Plan, mode model.Mode, s, batch int, commTile int) int {
+func commStagingBytes(p *partition.Plan, mode model.Mode, s, batch int) int {
 	sq := queryRows(mode, s, batch)
 	staging := 0
 	for _, payload := range []int64{p.ReducePayloadBytes(sq), p.BcastPayloadBytes(sq)} {
-		if payload > int64(commTile) {
-			staging += commTile
-		} else {
-			staging += int(payload)
-		}
+		staging += int(min(payload, DefaultCommTileBytes))
 	}
 	return staging
 }
@@ -82,7 +79,7 @@ func kvResidentBytes(p *partition.Plan, chip int, s, batch int) int {
 // footprintAt builds the L2 footprint of a chip under a candidate
 // weight-residency multiple: weightBlocks = how many blocks' weight
 // slices are held simultaneously (0 = streamed tile only).
-func footprintAt(p *partition.Plan, chip int, mode model.Mode, s, batch, weightBlocks, commTile int, hwp hw.Params) mem.Footprint {
+func footprintAt(p *partition.Plan, chip int, mode model.Mode, s, batch, weightBlocks int, hwp hw.Params) mem.Footprint {
 	wb := p.BlockWeightBytesOnChip(chip) * weightBlocks
 	if weightBlocks == 0 {
 		// Streaming needs a double-buffered weight tile in L2 — or,
@@ -97,7 +94,7 @@ func footprintAt(p *partition.Plan, chip int, mode model.Mode, s, batch, weightB
 		WeightBytes:     wb,
 		KVBytes:         kvResidentBytes(p, chip, s, batch),
 		ActivationBytes: activationBytes(p, chip, mode, s, batch),
-		CommBytes:       commStagingBytes(p, mode, s, batch, commTile),
+		CommBytes:       commStagingBytes(p, mode, s, batch),
 	}
 }
 
@@ -138,17 +135,17 @@ func streamBufferBytes(p *partition.Plan, hwp hw.Params) int {
 }
 
 // chooseTier picks the best placement the chip's L2 budget allows.
-func chooseTier(p *partition.Plan, chip int, mode model.Mode, s, batch, commTile int, hwp hw.Params) (Tier, mem.Footprint) {
+func chooseTier(p *partition.Plan, chip int, mode model.Mode, s, batch int, hwp hw.Params) (Tier, mem.Footprint) {
 	budget := hwp.UsableL2Bytes()
 	blocks := p.BlocksOnChip(chip)
-	if fp := footprintAt(p, chip, mode, s, batch, blocks, commTile, hwp); fp.FitsIn(budget) {
+	if fp := footprintAt(p, chip, mode, s, batch, blocks, hwp); fp.FitsIn(budget) {
 		return TierResidentAll, fp
 	}
-	if fp := footprintAt(p, chip, mode, s, batch, 2, commTile, hwp); blocks > 1 && fp.FitsIn(budget) {
+	if fp := footprintAt(p, chip, mode, s, batch, 2, hwp); blocks > 1 && fp.FitsIn(budget) {
 		return TierDoubleBuffered, fp
 	}
-	if fp := footprintAt(p, chip, mode, s, batch, 1, commTile, hwp); fp.FitsIn(budget) {
+	if fp := footprintAt(p, chip, mode, s, batch, 1, hwp); fp.FitsIn(budget) {
 		return TierResidentSingle, fp
 	}
-	return TierStreamed, footprintAt(p, chip, mode, s, batch, 0, commTile, hwp)
+	return TierStreamed, footprintAt(p, chip, mode, s, batch, 0, hwp)
 }

@@ -65,16 +65,16 @@ func ResilienceMargin() ([]ResilienceRow, error) {
 	}
 	var rows []ResilienceRow
 	for _, sc := range scenarios {
-		for _, faults := range faultSets {
-			study, err := resilience.ReplanStudy(
-				core.DefaultSystem(sc.chips), sc.cfg, faults, explore.SessionOptions{})
-			if err != nil {
-				return nil, err
-			}
+		studies, err := resilience.ReplanStudy(
+			core.DefaultSystem(sc.chips), sc.cfg, faultSets, explore.SessionOptions{})
+		if err != nil {
+			return nil, err
+		}
+		for _, study := range studies {
 			r := study.Replan
 			row := ResilienceRow{
 				Chips:         sc.chips,
-				Faults:        resilience.FaultsString(faults),
+				Faults:        resilience.FaultsString(study.Faults),
 				DegradedChips: study.DegradedChips,
 				StalePlan:     study.Pristine.Plan.String(),
 				StaticErr:     r.StaticErr,

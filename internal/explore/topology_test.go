@@ -32,7 +32,7 @@ func TestTopologySingleChipEquivalence(t *testing.T) {
 	}
 }
 
-// Every report attributes its chip-to-chip link time to the
+// Every simulation attributes its chip-to-chip link time to the
 // synchronization classes that produced it, each under the run
 // topology, and the per-class cycles sum to the simulator's per-chip
 // C2C totals.
@@ -42,20 +42,6 @@ func TestClassCyclesSumToChipTotals(t *testing.T) {
 		for _, n := range []int{2, 8} {
 			sys := core.DefaultSystem(n)
 			sys.HW.Topology = topo
-			rep, err := core.Run(sys, wl)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(rep.ByClass) != 2 {
-				t.Fatalf("%s/%d: %d classes, want 2", topo, n, len(rep.ByClass))
-			}
-			var sum float64
-			for _, cs := range rep.ByClass {
-				if cs.Topology != topo {
-					t.Errorf("%s/%d: class %s ran on %s", topo, n, cs.Class, cs.Topology)
-				}
-				sum += cs.C2CCycles
-			}
 			d, err := core.Lower(sys, wl)
 			if err != nil {
 				t.Fatal(err)
@@ -63,6 +49,16 @@ func TestClassCyclesSumToChipTotals(t *testing.T) {
 			res, err := perfsim.Run(d)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if len(res.ByClass) != 2 {
+				t.Fatalf("%s/%d: %d classes, want 2", topo, n, len(res.ByClass))
+			}
+			var sum float64
+			for _, cs := range res.ByClass {
+				if cs.Topology != topo {
+					t.Errorf("%s/%d: class %s ran on %s", topo, n, cs.Class, cs.Topology)
+				}
+				sum += cs.C2CCycles
 			}
 			var chips float64
 			for _, st := range res.PerChip {

@@ -73,51 +73,6 @@ func TestPropertyMoreChipsNotSlower(t *testing.T) {
 	}
 }
 
-// The communication tile size changes pipelining granularity but must
-// never change how many bytes cross the links.
-func TestCommTileInvariantBytes(t *testing.T) {
-	cfg := model.MobileBERT512()
-	p, _ := partition.NewTensorParallel(cfg, 4)
-	var bytes []int64
-	for _, tile := range []int{8 * 1024, 64 * 1024, 1 << 20} {
-		d, err := deploy.NewBatched(p, hw.Siracusa(), model.Prompt, 268, 1, deploy.Options{CommTileBytes: tile})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := Run(d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bytes = append(bytes, res.TotalC2CBytes)
-	}
-	if bytes[0] != bytes[1] || bytes[1] != bytes[2] {
-		t.Fatalf("tile size changed link bytes: %v", bytes)
-	}
-}
-
-// Smaller communication tiles pipeline better (or equal) on large
-// payloads.
-func TestCommTilePipelining(t *testing.T) {
-	cfg := model.MobileBERT512()
-	p, _ := partition.NewTensorParallel(cfg, 4)
-	run := func(tile int) float64 {
-		d, err := deploy.NewBatched(p, hw.Siracusa(), model.Prompt, 268, 1, deploy.Options{CommTileBytes: tile})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := Run(d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.TotalCycles
-	}
-	small := run(16 * 1024)
-	huge := run(1 << 20) // payload in one piece: no reduce/bcast overlap
-	if small > huge {
-		t.Fatalf("smaller comm tiles slower: %g > %g", small, huge)
-	}
-}
-
 // GQA models simulate end to end and benefit from the smaller KV
 // projections.
 func TestGQASimulation(t *testing.T) {

@@ -212,7 +212,6 @@ type Sim struct {
 	chipClassBytes  []int64
 	accByLink       []int64
 	syncs           int
-	commTile        int64
 	tl              *trace.Timeline
 	// sync/strategy scratch: flat per-(chip, chunk) readiness
 	// matrices, chunks entries per chip, ping-pong arrival buffers
@@ -409,16 +408,10 @@ func (s *Sim) RunTraced(d *deploy.Deployment, tl *trace.Timeline) (*Result, erro
 	if err != nil {
 		return nil, err
 	}
-	commTile := int64(d.Options.CommTileBytes)
-	if commTile == 0 {
-		commTile = deploy.DefaultCommTileBytes
-	}
-
 	// Rebind the recycled arena to this run.
 	s.d = d
 	s.sched = sched
 	s.syncs = 0
-	s.commTile = commTile
 	s.tl = tl
 	s.n = n
 	s.flip = false
@@ -1006,17 +999,15 @@ func (s *Sim) hops(list []interconnect.Hop, ids []int32, acc *classAccum, tile i
 	return end
 }
 
-// appendTiles cuts a payload into tiles of at most commTile bytes,
-// appending into the caller's scratch buffer.
-func appendTiles(buf []int64, payload, commTile int64) []int64 {
+// appendTiles cuts a payload into tiles of at most
+// deploy.DefaultCommTileBytes, appending into the caller's scratch
+// buffer.
+func appendTiles(buf []int64, payload int64) []int64 {
 	if payload <= 0 {
 		return append(buf, 0)
 	}
 	for payload > 0 {
-		t := payload
-		if t > commTile {
-			t = commTile
-		}
+		t := min(payload, deploy.DefaultCommTileBytes)
 		buf = append(buf, t)
 		payload -= t
 	}
@@ -1061,10 +1052,10 @@ func (s *Sim) sync(class collective.SyncClass, ready []float64, reducePayload, b
 	acc.topology = sc.Topology
 	acc.syncs++
 
-	s.tiles = appendTiles(s.tiles[:0], reducePayload, s.commTile)
+	s.tiles = appendTiles(s.tiles[:0], reducePayload)
 	tiles := s.tiles
 	nt := len(tiles)
-	bcastTiles := appendTiles(s.bcast[:0], bcastPayload, s.commTile)
+	bcastTiles := appendTiles(s.bcast[:0], bcastPayload)
 	// Align tile counts (reduce fraction governs; broadcast payload
 	// is split proportionally).
 	for len(bcastTiles) < nt {

@@ -52,30 +52,36 @@ type Study struct {
 	Replan *explore.ReplanResult
 }
 
-// ReplanStudy measures the resilience margin of one fault scenario:
-// tune the pristine system, apply the faults, and compare serving the
-// stale plan on the degraded board against re-planning for it. The
-// returned study's Replan.MarginCycles is the headline number — how
-// much latency the static fleet pays before re-planning, >= 1 by
-// construction (+Inf when the stale plan no longer validates).
-func ReplanStudy(sys core.System, cfg model.Config, faults []Fault, opts explore.SessionOptions) (*Study, error) {
+// ReplanStudy measures the resilience margin of fault scenarios on one
+// pristine system: tune it once, then for each fault set apply the
+// faults and compare serving the stale plan on the degraded board
+// against re-planning for it. It returns one study per fault set, in
+// order, sharing the pristine tune. A study's Replan.MarginCycles is
+// the headline number — how much latency the static fleet pays before
+// re-planning, >= 1 by construction (+Inf when the stale plan no
+// longer validates).
+func ReplanStudy(sys core.System, cfg model.Config, faultSets [][]Fault, opts explore.SessionOptions) ([]*Study, error) {
 	pristine, err := explore.AutotuneSession(sys, cfg, opts)
 	if err != nil {
 		return nil, fmt.Errorf("resilience: pristine autotune: %w", err)
 	}
-	degraded, _, err := Degrade(sys, cfg, faults...)
-	if err != nil {
-		return nil, err
+	studies := make([]*Study, 0, len(faultSets))
+	for _, faults := range faultSets {
+		degraded, _, err := Degrade(sys, cfg, faults...)
+		if err != nil {
+			return nil, err
+		}
+		replan, err := explore.ReplanSession(degraded, cfg, pristine.Plan, opts)
+		if err != nil {
+			return nil, err
+		}
+		studies = append(studies, &Study{
+			Faults:        faults,
+			Chips:         sys.Chips,
+			DegradedChips: degraded.Chips,
+			Pristine:      pristine,
+			Replan:        replan,
+		})
 	}
-	replan, err := explore.ReplanSession(degraded, cfg, pristine.Plan, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &Study{
-		Faults:        faults,
-		Chips:         sys.Chips,
-		DegradedChips: degraded.Chips,
-		Pristine:      pristine,
-		Replan:        replan,
-	}, nil
+	return studies, nil
 }

@@ -26,10 +26,11 @@ func TestDegradeKeepsLegalChipCount(t *testing.T) {
 func TestReplanStudySlowEdge(t *testing.T) {
 	sys := core.DefaultSystem(8)
 	cfg := model.TinyLlama42M()
-	study, err := ReplanStudy(sys, cfg, []Fault{SlowEdge(0, 1, 10)}, explore.SessionOptions{})
+	studies, err := ReplanStudy(sys, cfg, [][]Fault{{SlowEdge(0, 1, 10)}}, explore.SessionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	study := studies[0]
 	if study.Chips != 8 || study.DegradedChips != 8 {
 		t.Fatalf("chips %d -> %d, want 8 -> 8", study.Chips, study.DegradedChips)
 	}
@@ -53,10 +54,11 @@ func TestReplanStudySlowEdge(t *testing.T) {
 func TestReplanStudyDropChip(t *testing.T) {
 	sys := core.DefaultSystem(8)
 	cfg := model.TinyLlama42M()
-	study, err := ReplanStudy(sys, cfg, []Fault{DropChip(3)}, explore.SessionOptions{})
+	studies, err := ReplanStudy(sys, cfg, [][]Fault{{DropChip(3)}}, explore.SessionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	study := studies[0]
 	if study.DegradedChips != 7 {
 		t.Fatalf("degraded chips = %d, want 7", study.DegradedChips)
 	}

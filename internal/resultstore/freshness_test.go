@@ -26,6 +26,9 @@ var canaryRows = map[int]string{
 	4: "bc5429dd71cfa83f4867f6315d9a97502d0d56083b21dc7773f3cf6354cbbb0d",
 	// v5 changed the key and the wiring records, and no simulated bit.
 	5: "bc5429dd71cfa83f4867f6315d9a97502d0d56083b21dc7773f3cf6354cbbb0d",
+	// v6 dropped the per-class split, Seconds and EDP from the body,
+	// and no simulated bit.
+	6: "103402bc15ed58e92c09031c47587bbb51f7dc41725ab28f239c4348276f4b7f",
 }
 
 // canary is one configuration the freshness guard simulates, in both
@@ -64,6 +67,58 @@ func canaries(t *testing.T) []canary {
 		out = append(out, canary{deg, tiny})
 	}
 	return out
+}
+
+// A stored report comes back exactly as core.Run returned it, System
+// and Workload included: Load restates the configuration and
+// recomputes Seconds and EDP, so their bits must match core.Run's on
+// every canary. After Close, Load misses.
+func TestLoadRestatesTheReport(t *testing.T) {
+	dir := t.TempDir()
+	s, err := resultstore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type point struct {
+		sys core.System
+		wl  core.Workload
+		rep *core.Report
+	}
+	var points []point
+	for _, c := range canaries(t) {
+		for _, mode := range []model.Mode{model.Prompt, model.Autoregressive} {
+			wl := core.Workload{Model: c.cfg, Mode: mode}
+			rep, err := core.Run(c.sys, wl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Append(c.sys, wl, rep); err != nil {
+				t.Fatal(err)
+			}
+			points = append(points, point{c.sys, wl, rep})
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if s, err = resultstore.Open(dir); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range points {
+		got, ok := s.Load(p.sys, p.wl)
+		if !ok {
+			t.Fatalf("%d chips %v: the stored report missed", p.sys.Chips, p.wl.Mode)
+		}
+		if g, w := fmt.Sprintf("%#v", *got), fmt.Sprintf("%#v", *p.rep); g != w {
+			t.Errorf("%d chips %v: loaded\n%s\nwant core.Run's\n%s", p.sys.Chips, p.wl.Mode, g, w)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.Load(points[0].sys, points[0].wl); ok {
+		t.Error("Load served a report after Close")
+	}
 }
 
 func TestStoreFreshness(t *testing.T) {

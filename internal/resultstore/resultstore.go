@@ -23,7 +23,9 @@
 //     skipped (the configuration is simply re-simulated), never fatal.
 //   - A report body holds only what the report's readers use: no
 //     configuration echo (the digest keys it and Load restates the
-//     requested configuration) and no per-chip counters.
+//     requested configuration), no per-chip counters, and no Seconds
+//     or EDP, which Load recomputes from the body and the requested
+//     hardware with core.Run's own expressions.
 //   - Reports whose system routes over an explicit per-edge table
 //     (hw.NetTable) or a degraded board (hw.NetView) persist the
 //     wiring alongside the entry, so a cold process rehydrates the
@@ -35,6 +37,9 @@
 //   - Errors are never persisted: a failed evaluation may be transient
 //     (or fixed by the next release), so only successful reports reach
 //     the log.
+//   - A Store holds one handle on its log, opened read-write in append
+//     mode: the open scan, Load and CompactTo read through it at
+//     indexed offsets, and Append writes through it.
 //
 // Concurrency: a Store is safe for concurrent use, and two Stores (or
 // two processes) appending to the same directory interleave cleanly —
@@ -88,7 +93,12 @@ import (
 // v5: the key is a walk over the configuration's leaves instead of
 // its %#v rendering, and a degraded board is a view record (base
 // network, survivors, re-priced edges) instead of a table record.
-const DigestVersion = 5
+//
+// v6: a stored report drops its per-class split (core.Report lost
+// ByClass and C2CEnergyByClass) and its Seconds and EDP, which Load
+// recomputes, and deploy.Options lost CommTileBytes, which changes the
+// key types' shape.
+const DigestVersion = 6
 
 var (
 	// keyPrefix opens every key's hashed bytes, and digestPrefix every
@@ -223,7 +233,7 @@ type Store struct {
 	path string
 
 	mu       sync.Mutex
-	file     *os.File // O_APPEND write handle
+	file     *os.File // the log, read-write in append mode
 	index    map[string]entryRef
 	tables   map[string]bool // table digests already persisted
 	views    map[string]bool // view digests already persisted
@@ -231,19 +241,19 @@ type Store struct {
 	tornTail bool            // log ends mid-record (a writer died); heal before appending
 }
 
-// Open opens (creating if needed) the result store under dir. The
-// whole log is scanned once: report records are indexed by digest
-// from their envelope (the report JSON is decoded only by Load),
-// table and view records re-register their wirings, and records that
-// are truncated, corrupt, or from another digest version are counted
-// and skipped — a damaged log degrades to extra simulations, never to
-// an error or a wrong result.
+// Open opens (creating if needed) the result store under dir and keeps
+// one handle on its log. The whole log is scanned once through it:
+// report records are indexed by digest from their envelope (the report
+// JSON is decoded only by Load), table and view records re-register
+// their wirings, and records that are truncated, corrupt, or from
+// another digest version are counted and skipped — a damaged log
+// degrades to extra simulations, never to an error or a wrong result.
 func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o777); err != nil {
 		return nil, fmt.Errorf("resultstore: %w", err)
 	}
 	path := filepath.Join(dir, fmt.Sprintf("results-v%d.log", DigestVersion))
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o666)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o666)
 	if err != nil {
 		return nil, fmt.Errorf("resultstore: %w", err)
 	}
@@ -255,23 +265,16 @@ func Open(dir string) (*Store, error) {
 		tables: map[string]bool{},
 		views:  map[string]bool{},
 	}
-	if err := s.scan(); err != nil {
-		f.Close()
-		return nil, err
-	}
+	s.scan()
 	return s, nil
 }
 
-// scan reads the existing log and builds the digest index.
-func (s *Store) scan() error {
-	f, err := os.Open(s.path)
-	if err != nil {
-		return fmt.Errorf("resultstore: %w", err)
-	}
-	defer f.Close()
+// scan reads the existing log through the store's handle and builds the
+// digest index. A read error ends the scan like the end of the log.
+func (s *Store) scan() {
 	// Lines are indexed in the reader's buffer; longer ones (a table
 	// record on more than about 90 chips) gather into one reused buffer.
-	r := bufio.NewReaderSize(f, 64<<10)
+	r := bufio.NewReaderSize(io.NewSectionReader(s.file, 0, math.MaxInt64), 64<<10)
 	var long []byte
 	var offset int64
 	for {
@@ -296,7 +299,6 @@ func (s *Store) scan() error {
 			break
 		}
 	}
-	return nil
 }
 
 // indexLine folds one log line into the index; anything unparseable
@@ -485,11 +487,12 @@ func reportBody(line []byte, digest string) ([]byte, bool) {
 }
 
 // Load returns the persisted report for the configuration, or ok=false
-// on a miss (no entry, damaged entry, or read failure — all of which
-// the caller answers by simulating). The returned report carries the
-// requested System and Workload verbatim, so it is indistinguishable
-// from a fresh core.Run result, and must be treated as immutable like
-// every cached report.
+// on a miss (no entry, damaged entry, read failure, or a closed store —
+// all of which the caller answers by simulating). The returned report
+// carries the requested System and Workload verbatim, and the Seconds
+// and EDP core.Run derives from them, so it is indistinguishable from a
+// fresh core.Run result, and must be treated as immutable like every
+// cached report.
 func (s *Store) Load(sys core.System, wl core.Workload) (*core.Report, bool) {
 	digest := Digest(sys, wl)
 	s.mu.Lock()
@@ -498,13 +501,8 @@ func (s *Store) Load(sys core.System, wl core.Workload) (*core.Report, bool) {
 	if !ok {
 		return nil, false
 	}
-	f, err := os.Open(s.path)
-	if err != nil {
-		return nil, false
-	}
-	defer f.Close()
 	line := make([]byte, ref.length)
-	if _, err := io.ReadFull(io.NewSectionReader(f, ref.offset, int64(ref.length)), line); err != nil {
+	if _, err := s.file.ReadAt(line, ref.offset); err != nil {
 		return nil, false
 	}
 	body, ok := reportBody(line, digest)
@@ -516,8 +514,11 @@ func (s *Store) Load(sys core.System, wl core.Workload) (*core.Report, bool) {
 		return nil, false
 	}
 	// The body holds no configuration: the requested one is the key.
+	// Seconds and EDP follow from it as core.Run computes them.
 	rep.System = sys
 	rep.Workload = wl
+	rep.Seconds = sys.HW.CyclesToSeconds(rep.Cycles)
+	rep.EDP = rep.Energy.Total() * sys.HW.CyclesToSeconds(rep.Cycles)
 	return rep, true
 }
 
@@ -621,22 +622,25 @@ func (s *Store) appendViewLocked(viewDigest string) error {
 // scan found the log ending mid-record — a writer died with its line
 // half flushed — the first append leads with a newline so the damaged
 // partial stays its own (skipped) line instead of swallowing this one.
+//
+// The offset is read back after the write: another store may append
+// between a seek to the end and this write, but the write leaves this
+// handle's offset at the end of the line it wrote.
 func (s *Store) writeLineLocked(line []byte) (int64, error) {
-	offset, err := s.file.Seek(0, io.SeekEnd)
-	if err != nil {
-		return 0, fmt.Errorf("resultstore: %w", err)
-	}
 	buf := make([]byte, 0, len(line)+2)
 	if s.tornTail {
 		buf = append(buf, '\n')
-		offset++
 	}
 	buf = append(append(buf, line...), '\n')
 	if _, err := s.file.Write(buf); err != nil {
 		return 0, fmt.Errorf("resultstore: %w", err)
 	}
 	s.tornTail = false
-	return offset, nil
+	end, err := s.file.Seek(0, io.SeekCurrent)
+	if err != nil {
+		return 0, fmt.Errorf("resultstore: %w", err)
+	}
+	return end - int64(len(line)+1), nil
 }
 
 // CompactTo rewrites the store into dstDir, keeping only the newest
@@ -670,12 +674,6 @@ func (s *Store) CompactTo(dstDir string) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	src, err := os.Open(s.path)
-	if err != nil {
-		dst.Close()
-		return nil, fmt.Errorf("resultstore: %w", err)
-	}
-	defer src.Close()
 
 	dst.mu.Lock()
 	defer dst.mu.Unlock()
@@ -696,7 +694,7 @@ func (s *Store) CompactTo(dstDir string) (*Store, error) {
 	for _, digest := range digests {
 		ref := refs[digest]
 		line := make([]byte, ref.length)
-		if _, err := io.ReadFull(io.NewSectionReader(src, ref.offset, int64(ref.length)), line); err != nil {
+		if _, err := s.file.ReadAt(line, ref.offset); err != nil {
 			dst.file.Close()
 			return nil, fmt.Errorf("resultstore: compact read %s: %w", digest, err)
 		}
@@ -773,8 +771,8 @@ func (s *Store) SizeBytes() int64 {
 // Dir returns the cache directory the store was opened on.
 func (s *Store) Dir() string { return s.dir }
 
-// Close releases the append handle. Load keeps working (it opens the
-// log per call), but Append fails after Close.
+// Close releases the store's handle on its log. After Close, Load
+// misses and Append and CompactTo fail.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

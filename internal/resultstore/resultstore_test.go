@@ -354,7 +354,9 @@ func TestAppendDeduplicates(t *testing.T) {
 }
 
 // Two stores on one directory — two processes, in miniature — append
-// concurrently without corrupting the log: a fresh open afterwards
+// concurrently without corrupting the log: each serves every entry it
+// wrote, since its index records where its own write landed even when
+// the other store appended in between, and a fresh open afterwards
 // indexes every entry and skips nothing.
 func TestConcurrentStores(t *testing.T) {
 	dir := t.TempDir()
@@ -366,22 +368,27 @@ func TestConcurrentStores(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wl := core.Workload{Model: model.TinyLlama42M(), Mode: model.Autoregressive}
+	const perWriter = 500
+	sys, wl := testPoint(2)
+	rep := mustRun(t, sys, wl)
 	var wg sync.WaitGroup
 	for i, s := range []*Store{s1, s2} {
 		wg.Add(1)
 		go func(s *Store, off int) {
 			defer wg.Done()
-			for n := 1; n <= 4; n++ {
-				sys := core.DefaultSystem(n)
-				sys.Options.CommTileBytes = 4096 + off // disjoint configs per writer
-				rep, err := core.Run(sys, wl)
-				if err != nil {
+			wl := wl
+			for n := range perWriter {
+				wl.SeqLen = 2*n + 1 + off // disjoint configs per writer
+				if err := s.Append(sys, wl, rep); err != nil {
 					t.Error(err)
 					return
 				}
-				if err := s.Append(sys, wl, rep); err != nil {
-					t.Error(err)
+			}
+			for n := range perWriter {
+				wl.SeqLen = 2*n + 1 + off
+				if _, ok := s.Load(sys, wl); !ok {
+					t.Errorf("store %d missed its own entry at SeqLen %d", off+1, wl.SeqLen)
+					return
 				}
 			}
 		}(s, i)
@@ -392,8 +399,8 @@ func TestConcurrentStores(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s3.Len() != 8 {
-		t.Errorf("concurrent appends left %d entries, want 8", s3.Len())
+	if s3.Len() != 2*perWriter {
+		t.Errorf("concurrent appends left %d entries, want %d", s3.Len(), 2*perWriter)
 	}
 	if s3.Skipped() != 0 {
 		t.Errorf("concurrent appends corrupted %d records", s3.Skipped())
@@ -558,16 +565,16 @@ func TestCompactDropsForgedBody(t *testing.T) {
 const goldenTable = "afe38c5f3eef37fb7b5aac51d8af0d6b5553fa78823038107f22b7fef2b076df"
 
 // goldenViewUniform and goldenViewTable are the degraded boards v5.log
-// persists (goldenViews), by their hw.ViewNetwork digests.
+// and v6.log persist (goldenViews), by their hw.ViewNetwork digests.
 const (
 	goldenViewUniform = "01cfed3a0e437e3e42b93dd6fdebf60812f1d4737ddb1e5e8870dfdf680fa449"
 	goldenViewTable   = "a9444717e4e75c6610426435a755d537d991e13cd163434be2bde0adf657bfd5"
 )
 
-// goldenViews returns the two degraded boards of v5.log: a 4-chip
-// uniform board with chip 1 dropped and the new 0<->1 edge ten times
-// slower, and the goldenTable board with nothing dropped or re-priced
-// (the view a straggler gets).
+// goldenViews returns the two degraded boards of v5.log and v6.log: a
+// 4-chip uniform board with chip 1 dropped and the new 0<->1 edge ten
+// times slower, and the goldenTable board with nothing dropped or
+// re-priced (the view a straggler gets).
 func goldenViews() (uniform, table hw.View) {
 	slow := hw.MIPI().Slower(10)
 	uniform = hw.View{
@@ -590,7 +597,7 @@ type goldenPoint struct {
 // goldenPoints lists the reports the golden logs hold, in order:
 // 2-chip autoregressive, 2-chip autoregressive routed over
 // goldenTable, 4-chip prompt with one Cycles digit flipped (CRC
-// damage), 4-chip autoregressive, then (v5.log only) 3-chip
+// damage), 4-chip autoregressive, then (v5.log and v6.log only) 3-chip
 // autoregressive on goldenViewUniform and 2-chip autoregressive on
 // goldenViewTable with chip 1 at half speed, and last 8-chip
 // autoregressive torn halfway through its line.
@@ -636,13 +643,13 @@ func openGolden(t *testing.T, golden, name string) (*Store, []byte) {
 	return s, raw
 }
 
-// testdata/v5.log was written by Append under DigestVersion 5 and is
+// testdata/v6.log was written by Append under DigestVersion 6 and is
 // never regenerated: it pins that logs already on disk still read the
 // same. It holds goldenPoints' reports, the goldenTable wiring ahead of
 // the first report routed over it, and each golden view ahead of the
 // first report on it.
-func TestGoldenV5Log(t *testing.T) {
-	s, raw := openGolden(t, "v5.log", filepath.Base(logPath("")))
+func TestGoldenV6Log(t *testing.T) {
+	s, raw := openGolden(t, "v6.log", filepath.Base(logPath("")))
 	if s.Len() != 5 || s.Skipped() != 2 {
 		t.Errorf("Len, Skipped = %d, %d; want 5, 2", s.Len(), s.Skipped())
 	}
@@ -691,21 +698,24 @@ func TestGoldenV5Log(t *testing.T) {
 	}
 }
 
-// testdata/v4.log and testdata/v3.log were written by Append under
-// DigestVersion 4 and 3 and are never regenerated. v4.log holds
-// goldenPoints' reports but the view-routed ones, and the goldenTable
-// wiring (v3.log the same records in the v3 shape: report bodies with
-// per-chip counters and the configuration echo, table edges as
-// objects). A v5 store reads older data as misses, never as errors:
-// under its own file name an old log is not read at all, and copied
-// into the v5 log every line is skipped.
+// testdata/v5.log, v4.log and v3.log were written by Append under
+// DigestVersion 5, 4 and 3 and are never regenerated. v5.log holds the
+// records v6.log does in the v5 shape (report bodies with the
+// per-class split, Seconds and EDP); v4.log the same but the
+// view-routed reports and the views; v3.log the v4 records in the v3
+// shape (report bodies with per-chip counters and the configuration
+// echo, table edges as objects). A store reads older data as misses,
+// never as errors: under its own file name an old log is not read at
+// all, and copied into the current log every line is skipped.
+func TestGoldenV5Log(t *testing.T) { testOldGoldenLog(t, 5) }
+
 func TestGoldenV4Log(t *testing.T) { testOldGoldenLog(t, 4) }
 
 func TestGoldenV3Log(t *testing.T) { testOldGoldenLog(t, 3) }
 
 func testOldGoldenLog(t *testing.T, version int) {
 	golden := fmt.Sprintf("v%d.log", version)
-	s, _ := openGolden(t, golden, fmt.Sprintf("results-v%d.log", version))
+	s, raw := openGolden(t, golden, fmt.Sprintf("results-v%d.log", version))
 	if s.Len() != 0 || s.Skipped() != 0 {
 		t.Errorf("%s under its own name: Len, Skipped = %d, %d; want 0, 0", golden, s.Len(), s.Skipped())
 	}
@@ -715,12 +725,13 @@ func testOldGoldenLog(t *testing.T, version int) {
 		}
 	}
 
+	lines := len(bytes.SplitAfter(bytes.TrimSuffix(raw, []byte("\n")), []byte("\n")))
 	s, _ = openGolden(t, golden, filepath.Base(logPath("")))
-	if s.Len() != 0 || s.Skipped() != 6 {
-		t.Errorf("%s lines in the v%d log: Len, Skipped = %d, %d; want 0, 6", golden, DigestVersion, s.Len(), s.Skipped())
+	if s.Len() != 0 || s.Skipped() != lines {
+		t.Errorf("%s lines in the v%d log: Len, Skipped = %d, %d; want 0, %d", golden, DigestVersion, s.Len(), s.Skipped(), lines)
 	}
-	if s.tables[goldenTable] {
-		t.Errorf("a %s table record was registered", golden)
+	if len(s.tables) != 0 || len(s.views) != 0 {
+		t.Errorf("%s registered %d table and %d view records", golden, len(s.tables), len(s.views))
 	}
 	for _, p := range goldenPoints() {
 		if _, ok := s.Load(p.sys, p.wl); ok {
@@ -733,11 +744,11 @@ func testOldGoldenLog(t *testing.T, version int) {
 // JSON decode it short-cuts: it never panics, and any line it accepts
 // json.Unmarshal reads as the same intact report record of this
 // version. The seed corpus in testdata/fuzz holds lines Append wrote
-// under v3 and their v4 and v5 twins (named -v4 and -v5): a plain
-// report, a report whose CRC is zero (key omitted), a table record, a
-// CRC-damaged report, a truncated one, one doctored to "v":0, and a
-// record whose digest needs JSON escapes. A small record is added so mutations
-// reach the accept path quickly.
+// under v3 and their v4, v5 and v6 twins (named -v4, -v5 and -v6): a
+// plain report, a report whose CRC is zero (key omitted), a table
+// record, a CRC-damaged report, a truncated one, one doctored to
+// "v":0, and a record whose digest needs JSON escapes. A small record
+// is added so mutations reach the accept path quickly.
 func FuzzDecodeReportLine(f *testing.F) {
 	small := json.RawMessage(`{"a":[1,"}"]}`)
 	line, err := json.Marshal(record{Kind: "report", V: DigestVersion, Digest: "d",
@@ -773,8 +784,8 @@ func FuzzDecodeReportLine(f *testing.F) {
 // wiring decodes to the same digest and edges. The seed corpus in
 // testdata/fuzz holds a 2-chip record, a 64-chip two-class record, an
 // out-of-range class index, a ragged edge list and a negative chip id,
-// each as written under v4 and as its v5 twin (named -v5), and a
-// v3-shaped record.
+// each as written under v4 and as its v5 and v6 twins (named -v5 and
+// -v6), and a v3-shaped record.
 func FuzzDecodeTableLine(f *testing.F) {
 	f.Fuzz(func(t *testing.T, line []byte) {
 		digest, edges, ok := decodeTableLine(line)
@@ -809,7 +820,8 @@ func FuzzDecodeTableLine(f *testing.F) {
 // decodes to the same digest and view. The seed corpus in testdata/fuzz
 // holds views over a uniform, a clustered and a table base (the
 // goldenTable wiring, registered here first), a survivor list out of
-// order, a class index out of range, and a v4 table line.
+// order and a class index out of range, each as written under v5 and
+// as its v6 twin (named -v6), and a v4 table line.
 func FuzzDecodeViewLine(f *testing.F) {
 	slow := hw.MIPI().Slower(3)
 	if _, err := hw.TableNetwork(map[hw.Edge]hw.LinkClass{{From: 0, To: 1}: slow, {From: 1, To: 0}: slow}); err != nil {
@@ -840,12 +852,14 @@ func FuzzDecodeViewLine(f *testing.F) {
 	})
 }
 
-// Size guards: a report body holds no per-chip counters and no
-// configuration echo, a table wiring is a class list plus integer
-// triples, and a degraded board is a view of its base. Any of them
-// creeping back would blow these bounds (a 64-chip report line was
-// 15.6-17.8 KB, a 64-chip table record 414 KB, and a 64-chip board
-// with a dropped chip and a slowed edge a ~31 KB table record).
+// Size guards: a report body holds no per-chip counters, no
+// configuration echo, no per-class split and no Seconds or EDP, a
+// table wiring is a class list plus integer triples, and a degraded
+// board is a view of its base. Any of them creeping back would blow
+// these bounds (a 64-chip report line was 15.6-17.8 KB, then about
+// 900 B with the per-class split; a 64-chip table record 414 KB, and a
+// 64-chip board with a dropped chip and a slowed edge a ~31 KB table
+// record).
 func TestRecordSizeBounds(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
@@ -910,8 +924,8 @@ func TestRecordSizeBounds(t *testing.T) {
 			}
 		default:
 			reports++
-			if len(line) > 2048 {
-				t.Errorf("64-chip prompt report line is %d bytes, want at most 2048", len(line))
+			if len(line) > 512 {
+				t.Errorf("64-chip prompt report line is %d bytes, want at most 512", len(line))
 			}
 		}
 	}

@@ -70,7 +70,6 @@ func TestInternalDeclarationsReachable(t *testing.T) {
 // TestInternalFieldsSet accepts without a production writer, each with
 // the reason: the test that needs it.
 var unsetAllowed = map[string]string{
-	"internal/deploy.Options.CommTileBytes":           "a core.System leaf perfsim.TestCommTileInvariantBytes and TestCommTilePipelining sweep; dropping it moves every store key, so it waits for a DigestVersion bump",
 	"internal/explore.PlanFrontierOptions.Exhaustive": "the ground-truth path TestPlanFrontierMatchesExhaustive8 and 64 hold the surrogate-first frontier to",
 	"internal/explore.SessionOptions.Exhaustive":      "the ground-truth path TestAutotuneSessionMatchesExhaustive8 and 64 hold the pruned session search to",
 	"internal/explore.TilingOptions.Exhaustive":       "the ground-truth path TestAutotuneTilingMatchesExhaustive holds the pruned tiling search to",

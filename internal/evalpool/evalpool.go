@@ -6,6 +6,17 @@
 // appears in Fig. 4, Fig. 5, Table I, and the headline metrics) is
 // simulated exactly once per process.
 //
+// It is the one place concurrency lives. Each is the worker loop
+// behind Map, the fleet's pre-pricing and the paper studies that run
+// side by side, and the pool's worker count bounds every fill (a
+// store read or a simulation) in flight across all callers at once,
+// however many Each loops nest: a -workers flag bounds the whole
+// process's evaluation work, not one loop's goroutines. MapFills also
+// reports how many points one call filled itself; searches bill their
+// exact evaluations from it, so work running beside a search never
+// reaches its bill, where a delta of the process-wide counters would
+// count it.
+//
 // The engine is guaranteed to produce byte-identical results to the
 // serial path (core.Run in a loop): results are returned
 // in input order, errors are reported for the lowest failing input
@@ -58,13 +69,15 @@ type Point struct {
 // concurrent use by multiple goroutines.
 type Pool struct {
 	workers int
+	// fills holds one token per fill in flight: at most workers fills
+	// run at once across every caller.
+	fills chan struct{}
 
 	// sims counts cache-miss evaluations (core.Run invocations) over
-	// the pool's lifetime; it survives Reset so callers can meter the
-	// exact-simulation cost of a search by delta. evals counts memory
+	// the pool's lifetime and survives Reset. evals counts memory
 	// misses regardless of which tier fills them (disk hit or
-	// simulation) — the storage-independent "distinct exact evaluations"
-	// a search needed.
+	// simulation) — the storage-independent "distinct exact
+	// evaluations" every caller together needed.
 	sims  atomic.Uint64
 	evals atomic.Uint64
 	// memHits counts requests answered by an already-settled (or
@@ -90,8 +103,8 @@ type Pool struct {
 }
 
 // Stats is a snapshot of a pool's cache-tier counters. All three
-// survive Reset, so the cost profile of one search is the delta of a
-// snapshot taken around it.
+// survive Reset, so the cost profile of a stretch of the process is
+// the delta of snapshots taken around it, whatever ran in it.
 type Stats struct {
 	// MemoryHits counts requests served by the in-process cache.
 	MemoryHits uint64
@@ -110,14 +123,17 @@ type flight struct {
 	err  error
 }
 
-// New returns a Pool evaluating up to workers points concurrently.
-// workers <= 0 selects runtime.GOMAXPROCS(0).
+// New returns a Pool evaluating up to workers points concurrently:
+// Each runs at most workers goroutines per call, and at most workers
+// fills run at once across all callers. workers <= 0 selects
+// runtime.GOMAXPROCS(0).
 func New(workers int) *Pool {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	return &Pool{
 		workers:  workers,
+		fills:    make(chan struct{}, workers),
 		cache:    make(map[Point]*core.Report),
 		errs:     make(map[Point]error),
 		inflight: make(map[Point]*flight),
@@ -148,29 +164,39 @@ func (p *Pool) Reset() {
 // evaluations are memoized for this process's lifetime (until Reset)
 // but never persisted.
 func (p *Pool) Run(sys core.System, wl core.Workload) (*core.Report, error) {
+	rep, _, err := p.run(sys, wl)
+	return rep, err
+}
+
+// run is Run that also reports whether this call filled the point
+// itself, rather than finding it settled or joining another caller's
+// flight. The fill waits for one of the pool's fill tokens.
+func (p *Pool) run(sys core.System, wl core.Workload) (*core.Report, bool, error) {
 	key := Point{System: sys, Workload: wl}
 	p.mu.Lock()
 	if rep, ok := p.cache[key]; ok {
 		p.mu.Unlock()
 		p.memHits.Add(1)
-		return rep, nil
+		return rep, false, nil
 	}
 	if err, ok := p.errs[key]; ok {
 		p.mu.Unlock()
 		p.memHits.Add(1)
-		return nil, err
+		return nil, false, err
 	}
 	if f, ok := p.inflight[key]; ok {
 		p.mu.Unlock()
 		p.memHits.Add(1)
 		<-f.done
-		return f.rep, f.err
+		return f.rep, false, f.err
 	}
 	f := &flight{done: make(chan struct{})}
 	p.inflight[key] = f
 	p.mu.Unlock()
 
+	p.fills <- struct{}{}
 	f.rep, f.err = p.fill(sys, wl)
+	<-p.fills
 
 	p.mu.Lock()
 	delete(p.inflight, key)
@@ -181,7 +207,7 @@ func (p *Pool) Run(sys core.System, wl core.Workload) (*core.Report, error) {
 	}
 	p.mu.Unlock()
 	close(f.done)
-	return f.rep, f.err
+	return f.rep, true, f.err
 }
 
 // simulate is the exact evaluation fill runs on a miss in both tiers;
@@ -222,18 +248,18 @@ func (p *Pool) Store() *resultstore.Store { return p.store.Load() }
 
 // Simulations returns the number of cache-miss evaluations — actual
 // core.Run invocations — the pool has executed since construction.
-// Cache hits leave it unchanged, and Reset does not rewind it, so the
-// exact-simulation cost of a search is the counter's delta around it
-// (process-wide on the default pool: concurrent unrelated work is
-// counted too).
+// Cache hits leave it unchanged, and Reset does not rewind it. It is
+// process-wide: a delta around one piece of work also counts whatever
+// ran beside it.
 func (p *Pool) Simulations() uint64 { return p.sims.Load() }
 
 // Evaluations returns the number of memory-memo misses the pool has
-// settled — exact evaluations a caller needed, whether a simulation
-// ran or the persistent store answered. Searches meter their cost by
-// this counter's delta so reported sim counts are byte-identical with
-// and without a warm store; Simulations is the subset that actually
-// invoked core.Run.
+// settled — exact evaluations callers needed, whether a simulation
+// ran or the persistent store answered; Simulations is the subset
+// that actually invoked core.Run. Like Simulations it is process-wide,
+// so searches do not meter themselves by its delta: each bills the
+// fills its own MapFills calls report, which equal the delta when the
+// search runs alone and stay exact when other work overlaps it.
 func (p *Pool) Evaluations() uint64 { return p.evals.Load() }
 
 // Stats returns a snapshot of the pool's lifetime cache counters.
@@ -245,48 +271,70 @@ func (p *Pool) Stats() Stats {
 	}
 }
 
+// Each calls f(i) for every i in [0, n) on up to the pool's worker
+// count of goroutines, the caller's among them, and returns the error
+// of the lowest failing index once every call has returned, so the
+// error does not depend on scheduling. With one worker (or n <= 1) it
+// calls f in index order on the calling goroutine. Each may nest: the
+// fills the calls start share the pool's one fill bound.
+func (p *Pool) Each(n int, f func(i int) error) error {
+	errs := make([]error, n)
+	var next atomic.Int64
+	work := func() {
+		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+			errs[i] = f(i)
+		}
+	}
+	var wg sync.WaitGroup
+	for range min(p.workers, n) - 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Map evaluates every point on the worker pool and returns reports in
 // input order. On failure it returns the error of the lowest failing
 // index — the same error the serial loop would hit first — so error
 // behavior is deterministic regardless of scheduling.
 func (p *Pool) Map(points []Point) ([]*core.Report, error) {
+	reports, _, err := p.MapFills(points)
+	return reports, err
+}
+
+// MapFills is Map that also returns how many of the points this call
+// filled itself, from the store or by simulation, failing ones
+// included; a point found settled or in flight for another caller is
+// not counted. Run alone, the count equals the Evaluations delta
+// around the call, and it is returned with an error too.
+func (p *Pool) MapFills(points []Point) ([]*core.Report, int, error) {
 	reports := make([]*core.Report, len(points))
-	errs := make([]error, len(points))
-
-	workers := p.workers
-	if workers > len(points) {
-		workers = len(points)
-	}
-	if workers <= 1 {
-		for i, pt := range points {
-			reports[i], errs[i] = p.Run(pt.System, pt.Workload)
+	var fills atomic.Int64
+	err := p.Each(len(points), func(i int) error {
+		rep, filled, err := p.run(points[i].System, points[i].Workload)
+		if filled {
+			fills.Add(1)
 		}
-	} else {
-		var next int64
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(atomic.AddInt64(&next, 1)) - 1
-					if i >= len(points) {
-						return
-					}
-					reports[i], errs[i] = p.Run(points[i].System, points[i].Workload)
-				}
-			}()
-		}
-		wg.Wait()
-	}
-
-	for i, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("evalpool: point %d (%d chips): %w",
-				i, points[i].System.Chips, err)
+			return fmt.Errorf("evalpool: point %d (%d chips): %w", i, points[i].System.Chips, err)
 		}
+		reports[i] = rep
+		return nil
+	})
+	if err != nil {
+		return nil, int(fills.Load()), err
 	}
-	return reports, nil
+	return reports, int(fills.Load()), nil
 }
 
 // Eval runs the workload across several chip counts on otherwise
@@ -361,6 +409,18 @@ func Run(sys core.System, wl core.Workload) (*core.Report, error) {
 // Map evaluates points on the default pool.
 func Map(points []Point) ([]*core.Report, error) {
 	return Default().Map(points)
+}
+
+// MapFills evaluates points on the default pool and counts this
+// call's fills (see Pool.MapFills).
+func MapFills(points []Point) ([]*core.Report, int, error) {
+	return Default().MapFills(points)
+}
+
+// Each runs f over [0, n) on the default pool's workers (see
+// Pool.Each).
+func Each(n int, f func(i int) error) error {
+	return Default().Each(n, f)
 }
 
 // Eval sweeps chip counts on the default pool.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"mcudist/internal/core"
+	"mcudist/internal/evalpool"
 	"mcudist/internal/explore"
 	"mcudist/internal/fleet"
 	"mcudist/internal/model"
@@ -61,8 +62,15 @@ func FleetSaturation() (*FleetSaturationResult, error) {
 		return nil, fmt.Errorf("experiments: fleet autotune: %w", err)
 	}
 	sys.Options.SyncPlan = tuned.Plan
-	res := &FleetSaturationResult{Plan: tuned.Plan.String(), PlanMargin: tuned.Margin}
-	for _, rate := range fleetSaturationRates {
+	// Each replay owns its state and prices its steps through the
+	// shared memo, so the loads replay side by side.
+	res := &FleetSaturationResult{
+		Plan:       tuned.Plan.String(),
+		PlanMargin: tuned.Margin,
+		Rows:       make([]FleetRow, len(fleetSaturationRates)),
+	}
+	err = evalpool.Each(len(fleetSaturationRates), func(i int) error {
+		rate := fleetSaturationRates[i]
 		opts := fleet.Options{
 			Trace: fleet.PoissonTrace(fleet.TraceOptions{
 				Requests: 2000, RatePerSecond: rate, Seed: 11,
@@ -73,7 +81,7 @@ func FleetSaturation() (*FleetSaturationResult, error) {
 		}
 		fr, err := fleet.Run(opts)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		m := fr.Metrics
 		util := 0.0
@@ -81,7 +89,7 @@ func FleetSaturation() (*FleetSaturationResult, error) {
 			util += u
 		}
 		util /= float64(len(m.GroupUtilization))
-		row := FleetRow{
+		res.Rows[i] = FleetRow{
 			OfferedPerSec:          rate,
 			AchievedPerSec:         m.RequestsPerSecond,
 			P50LatencySeconds:      m.P50LatencySeconds,
@@ -93,9 +101,14 @@ func FleetSaturation() (*FleetSaturationResult, error) {
 			Utilization:            util,
 			Saturated:              m.RequestsPerSecond < 0.95*rate,
 		}
-		res.Rows = append(res.Rows, row)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for _, row := range res.Rows {
 		if !row.Saturated {
-			res.KneePerSec = rate
+			res.KneePerSec = row.OfferedPerSec
 		}
 	}
 	return res, nil
@@ -124,30 +137,35 @@ func FleetBatchingAblation() ([]FleetBatchRow, error) {
 		Requests: 1500, RatePerSecond: 3000, Seed: 13,
 		PromptLens: []int{16, 32}, MinDecode: 16, MaxDecode: 48,
 	})
-	var rows []FleetBatchRow
-	base := 0.0
-	for _, cap := range []int{1, 2, 4, 8} {
+	// The replays share the trace and only read it, so the caps
+	// replay side by side; the margins wait for the cap-1 baseline.
+	caps := []int{1, 2, 4, 8}
+	rows := make([]FleetBatchRow, len(caps))
+	err := evalpool.Each(len(caps), func(i int) error {
 		fr, err := fleet.Run(fleet.Options{
 			Trace:    trace,
 			System:   core.DefaultSystem(64),
 			Model:    model.TinyLlamaScaled64(),
-			MaxBatch: cap,
+			MaxBatch: caps[i],
 		})
 		if err != nil {
-			return nil, err
+			return err
 		}
 		m := fr.Metrics
-		if cap == 1 {
-			base = m.TokensPerSecond
-		}
-		rows = append(rows, FleetBatchRow{
-			MaxBatch:               cap,
+		rows[i] = FleetBatchRow{
+			MaxBatch:               caps[i],
 			TokensPerSecond:        m.TokensPerSecond,
 			P99LatencySeconds:      m.P99LatencySeconds,
 			EnergyPerRequestJoules: m.EnergyPerRequestJoules,
 			MeanBatch:              m.MeanBatch,
-			Margin:                 m.TokensPerSecond / base,
-		})
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for i := range rows {
+		rows[i].Margin = rows[i].TokensPerSecond / rows[0].TokensPerSecond
 	}
 	return rows, nil
 }

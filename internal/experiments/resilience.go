@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"mcudist/internal/core"
+	"mcudist/internal/evalpool"
 	"mcudist/internal/explore"
 	"mcudist/internal/model"
 	"mcudist/internal/resilience"
@@ -34,8 +35,9 @@ type ResilienceRow struct {
 	// same ratio in energy.
 	MarginCycles float64
 	MarginJoules float64
-	// ExactSims is the evalpool memory-miss bill of the degraded-board
-	// comparison (static pricing plus the re-tune).
+	// ExactSims is the exact-evaluation bill of the degraded-board
+	// comparison (static pricing plus the re-tune), counting only the
+	// points the comparison filled itself.
 	ExactSims int
 }
 
@@ -63,13 +65,21 @@ func ResilienceMargin() ([]ResilienceRow, error) {
 		{resilience.SlowEdge(0, 1, 10)},
 		{resilience.StraggleChip(3, 2)},
 	}
-	var rows []ResilienceRow
-	for _, sc := range scenarios {
-		studies, err := resilience.ReplanStudy(
+	// The two boards share no point, so they are studied side by side.
+	perBoard := make([][]*resilience.Study, len(scenarios))
+	err := evalpool.Each(len(scenarios), func(i int) error {
+		sc := scenarios[i]
+		var err error
+		perBoard[i], err = resilience.ReplanStudy(
 			core.DefaultSystem(sc.chips), sc.cfg, faultSets, explore.SessionOptions{})
-		if err != nil {
-			return nil, err
-		}
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	var rows []ResilienceRow
+	for i, studies := range perBoard {
+		sc := scenarios[i]
 		for _, study := range studies {
 			r := study.Replan
 			row := ResilienceRow{

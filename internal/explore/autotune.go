@@ -55,7 +55,7 @@ func AutotunePlan(base core.System, wl core.Workload) (*AutotuneResult, error) {
 		return nil, fmt.Errorf("explore: the %s strategy executes no collective synchronizations to plan", base.Strategy)
 	}
 	sp := newPlanSpace(sessionMode{wl: wl, classes: classes})
-	ps, err := searchPlans("autotune", sp, base, nil, 0, false)
+	ps, err := searchPlans(new(int), "autotune", sp, base, nil, 0, false)
 	if err != nil {
 		return nil, err
 	}

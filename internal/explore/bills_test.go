@@ -1,6 +1,8 @@
 package explore
 
 import (
+	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"mcudist/internal/collective"
@@ -99,5 +101,78 @@ func TestSearchBills(t *testing.T) {
 				t.Errorf("bill = %+v, want %+v", got, c.want)
 			}
 		})
+	}
+}
+
+// TestSessionBillIgnoresOverlappingFills runs AutotuneSession while an
+// unrelated Map keeps filling fresh points on the same pool: the
+// session bills only the points its own evaluations filled, so its
+// ExactSims equals what it bills alone. The store is detached so every
+// fill simulates and the two overlap; a run in which the unrelated Map
+// happened to fill nothing while the session ran is repeated.
+func TestSessionBillIgnoresOverlappingFills(t *testing.T) {
+	store := evalpool.Default().Store()
+	evalpool.SetStore(nil)
+	t.Cleanup(func() { evalpool.SetStore(store) })
+	sys, cfg := core.DefaultSystem(8), model.TinyLlama42M()
+	evalpool.ResetCache()
+	solo, err := AutotuneSession(sys, cfg, SessionOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Each unrelated point is new to the process: a 1-chip board at a
+	// clock of its own, which no session point shares.
+	pt := evalpool.Point{System: core.DefaultSystem(1), Workload: core.Workload{Model: cfg, Mode: model.Autoregressive}}
+	for attempt := 1; ; attempt++ {
+		evalpool.ResetCache()
+		var filled atomic.Int64
+		stop, done := make(chan struct{}), make(chan struct{})
+		go func() {
+			defer close(done)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				pt.System.HW.Chip.FreqHz++
+				_, n, err := evalpool.MapFills([]evalpool.Point{pt})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				filled.Add(int64(n))
+			}
+		}()
+		for filled.Load() == 0 {
+			select {
+			case <-done:
+				t.Fatal("the unrelated Map stopped before it filled a point")
+			default:
+				runtime.Gosched()
+			}
+		}
+		before := filled.Load()
+		got, err := AutotuneSession(sys, cfg, SessionOptions{})
+		beside := filled.Load() - before
+		close(stop)
+		<-done
+		if err != nil {
+			t.Fatal(err)
+		}
+		if beside == 0 && attempt < 10 {
+			continue
+		}
+		if beside == 0 {
+			t.Fatalf("the unrelated Map filled no point while the session ran, %d times", attempt)
+		}
+		if got.ExactSims != solo.ExactSims {
+			t.Errorf("session billed %d exact sims beside %d unrelated fills, %d alone", got.ExactSims, beside, solo.ExactSims)
+		}
+		if got.Plan != solo.Plan || got.Cycles != solo.Cycles {
+			t.Errorf("session picked %s (%g cycles) beside other work, %s (%g) alone", got.Plan, got.Cycles, solo.Plan, solo.Cycles)
+		}
+		return
 	}
 }

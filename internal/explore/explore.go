@@ -21,7 +21,9 @@
 // chip count never pays for the large ones. Decisions are always made
 // over results in candidate order, so answers are identical to a
 // serial scan; repeated points are served from the process-wide report
-// cache.
+// cache. A search's ExactSims bills only the points its own
+// evaluations filled, so searches over disjoint systems may run side
+// by side and each still bills what it would alone.
 package explore
 
 import (

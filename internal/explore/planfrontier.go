@@ -52,22 +52,24 @@ type PlanFrontierResult struct {
 	// Candidates is the full plan-grid size across all cells; GridSims
 	// is the exact-simulation bill of enumerating it exhaustively as
 	// deployed; ExactSims is the number of distinct exact evaluations
-	// this scan needed (the evalpool memory-miss delta — disk-served
-	// evaluations count, so the number is identical cold and warm).
+	// this scan filled itself (disk-served evaluations count, so the
+	// number is identical cold and warm, and work running beside the
+	// scan is never billed to it).
 	Candidates int
 	GridSims   int
 	ExactSims  int
 }
 
-// planCell runs one chip-count cell of the scan and returns its
-// verified candidates in enumeration order.
-func planCell(sys core.System, cfg model.Config, exhaustive bool) ([]VerifiedPlan, int, error) {
+// planCell runs one chip-count cell of the scan, billing its exact
+// evaluations to *fills, and returns its verified candidates in
+// enumeration order.
+func planCell(fills *int, sys core.System, cfg model.Config, exhaustive bool) ([]VerifiedPlan, int, error) {
 	sp, err := sessionSpace(sys, cfg, SessionOptions{})
 	if err != nil {
 		return nil, 0, err
 	}
 	if exhaustive {
-		ps, err := searchPlans("session grid", sp, sys, nil, 0, true)
+		ps, err := searchPlans(fills, "session grid", sp, sys, nil, 0, true)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -82,7 +84,7 @@ func planCell(sys core.System, cfg model.Config, exhaustive bool) ([]VerifiedPla
 	if err != nil {
 		return nil, 0, err
 	}
-	s, err := fitSurrogate(sys, sp, ref)
+	s, err := fitSurrogate(fills, sys, sp, ref)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -110,7 +112,7 @@ func planCell(sys core.System, cfg model.Config, exhaustive bool) ([]VerifiedPla
 	// per phase, so probe and uniform configurations are served from
 	// the cache tiers.
 	verify := func(sel []int) ([]VerifiedPlan, error) {
-		exact, err := evalExact("session verify", len(sel), func(k int, buf []evalpool.Point) []evalpool.Point {
+		exact, err := evalExact(fills, "session verify", len(sel), func(k int, buf []evalpool.Point) []evalpool.Point {
 			return sp.points(buf, sys, sp.plan(cands.at(sel[k])), false)
 		})
 		if err != nil {
@@ -211,12 +213,12 @@ func planCell(sys core.System, cfg model.Config, exhaustive bool) ([]VerifiedPla
 // identical to exhaustive enumeration at a fraction of the
 // simulations (ExactSims vs GridSims).
 func PlanFrontier(base core.System, cfg model.Config, chips []int, opts PlanFrontierOptions) (*PlanFrontierResult, error) {
-	evalsBefore := evalpool.Evaluations()
+	var fills int
 	res := &PlanFrontierResult{}
 	for _, n := range chips {
 		sys := base
 		sys.Chips = n
-		verified, cells, err := planCell(sys, cfg, opts.Exhaustive)
+		verified, cells, err := planCell(&fills, sys, cfg, opts.Exhaustive)
 		if err != nil {
 			return nil, fmt.Errorf("explore: plan frontier (%s, %d chips): %w", base.HW.Network, n, err)
 		}
@@ -235,6 +237,6 @@ func PlanFrontier(base core.System, cfg model.Config, chips []int, opts PlanFron
 	for i, pareto := range paretoMask(secs, jls) {
 		res.Points[i].Pareto = pareto
 	}
-	res.ExactSims = int(evalpool.Evaluations() - evalsBefore)
+	res.ExactSims = fills
 	return res, nil
 }

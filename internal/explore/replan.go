@@ -30,13 +30,13 @@ type SessionCost struct {
 // spelling a serving fleet actually runs. A plan that routes an active
 // class over an edge the network does not wire fails here — the
 // degraded-wiring validation a stale plan must pass before it can be
-// priced at all.
-func evalSessionPlan(sys core.System, cfg model.Config, plan collective.Plan, opts SessionOptions) (*SessionCost, error) {
+// priced at all. The evaluation is billed to *fills.
+func evalSessionPlan(fills *int, sys core.System, cfg model.Config, plan collective.Plan, opts SessionOptions) (*SessionCost, error) {
 	sp, err := sessionSpace(sys, cfg, opts)
 	if err != nil {
 		return nil, err
 	}
-	exact, err := evalExact("session plan eval", 1, func(_ int, buf []evalpool.Point) []evalpool.Point {
+	exact, err := evalExact(fills, "session plan eval", 1, func(_ int, buf []evalpool.Point) []evalpool.Point {
 		return sp.points(buf, sys, plan, true)
 	})
 	if err != nil {
@@ -74,8 +74,9 @@ type ReplanResult struct {
 	// MarginJoules is the same ratio in energy.
 	MarginCycles float64
 	MarginJoules float64
-	// ExactSims is the evalpool memory-miss delta of the whole
-	// comparison (static pricing plus the re-tune).
+	// ExactSims is the exact-evaluation bill of the whole comparison:
+	// the points the static pricing filled plus the re-tune's own
+	// ExactSims.
 	ExactSims int
 }
 
@@ -84,9 +85,9 @@ type ReplanResult struct {
 // the two on exact cycles, so the margin is >= 1 by construction: the
 // autotuner can only add options, never force a worse plan.
 func ReplanSession(degraded core.System, cfg model.Config, stale collective.Plan, opts SessionOptions) (*ReplanResult, error) {
-	evalsBefore := evalpool.Evaluations()
+	var fills int
 	res := &ReplanResult{StalePlan: stale}
-	static, err := evalSessionPlan(degraded, cfg, stale, opts)
+	static, err := evalSessionPlan(&fills, degraded, cfg, stale, opts)
 	if err != nil {
 		res.StaticErr = err.Error()
 	} else {
@@ -115,6 +116,6 @@ func ReplanSession(degraded core.System, cfg model.Config, stale collective.Plan
 		res.MarginCycles = math.Inf(1)
 		res.MarginJoules = math.Inf(1)
 	}
-	res.ExactSims = int(evalpool.Evaluations() - evalsBefore)
+	res.ExactSims = fills + tuned.ExactSims
 	return res, nil
 }

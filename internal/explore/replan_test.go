@@ -20,7 +20,7 @@ func TestEvalSessionPlanMatchesAutotune(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cost, err := evalSessionPlan(sys, cfg, tuned.Plan, SessionOptions{})
+	cost, err := evalSessionPlan(new(int), sys, cfg, tuned.Plan, SessionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestEvalSessionPlanRejectsUnwiredPlan(t *testing.T) {
 	for _, cl := range collective.ActiveClasses(sys.Strategy, model.Autoregressive) {
 		plan = plan.With(cl, hw.TopoFullyConnected)
 	}
-	if _, err := evalSessionPlan(sys, model.TinyLlama42M(), plan, SessionOptions{}); err == nil {
+	if _, err := evalSessionPlan(new(int), sys, model.TinyLlama42M(), plan, SessionOptions{}); err == nil {
 		t.Fatal("a fully-connected plan priced on a chain-only wiring")
 	}
 }

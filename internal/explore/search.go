@@ -14,7 +14,8 @@ import (
 // package runs through. A search enumerates its candidates as an axis
 // product, ranks them by a cheap additive prediction, verifies the
 // predicted top-K plus its always-verified baselines exactly through
-// one deduplicated evalpool.Map, and picks the winner on exact cycles.
+// one deduplicated evalpool.MapFills, and picks the winner on exact
+// cycles.
 // Predictions only decide what is worth verifying; the exact simulator
 // decides who wins. A new axis (per-GEMM tiling, quantization bits)
 // is one more digit of the enumeration and one more term of the
@@ -104,10 +105,13 @@ type exactCost struct {
 }
 
 // evalExact evaluates n candidates exactly through one deduplicated
-// evalpool.Map: spell appends candidate k's points to the reused
+// evalpool.MapFills: spell appends candidate k's points to the reused
 // buffer it is handed, and points repeated across candidates are
-// evaluated once. A failure names the search step what.
-func evalExact(what string, n int, spell func(k int, buf []evalpool.Point) []evalpool.Point) ([]exactCost, error) {
+// evaluated once. It adds the points this call filled to *fills, a
+// failed call's included: a search's exact-evaluation bill is the sum
+// over its calls, so work running beside the search never reaches it.
+// A failure names the search step what.
+func evalExact(fills *int, what string, n int, spell func(k int, buf []evalpool.Point) []evalpool.Point) ([]exactCost, error) {
 	var (
 		points []evalpool.Point
 		index  = map[evalpool.Point]int{}
@@ -128,7 +132,8 @@ func evalExact(what string, n int, spell func(k int, buf []evalpool.Point) []eva
 		}
 		ends[k] = len(ids)
 	}
-	reports, err := evalpool.Map(points)
+	reports, filled, err := evalpool.MapFills(points)
+	*fills += filled
 	if err != nil {
 		return nil, fmt.Errorf("explore: %s: %w", what, err)
 	}

@@ -94,11 +94,12 @@ type SessionResult struct {
 	// Candidates is the size of the joint class × topology grid;
 	// GridSims = 2 × Candidates is the exact-simulation bill of
 	// enumerating it exhaustively; ExactSims is the number of distinct
-	// exact evaluations this call needed (measured as the evalpool
-	// memory-miss delta, so points already memoized — shared probes,
-	// repeated calls — are not double-billed, and evaluations answered
-	// by a warm persistent store still count: the search cost is a
-	// property of the search, not of where the reports were stored).
+	// exact evaluations this call filled itself (points already
+	// memoized — shared probes, repeated calls — are not
+	// double-billed, evaluations answered by a warm persistent store
+	// still count, and work running beside the search is never billed
+	// to it: the search cost is a property of the search, not of where
+	// the reports were stored or what else the process ran).
 	Candidates int
 	GridSims   int
 	ExactSims  int
@@ -265,8 +266,9 @@ type planSearch struct {
 // With a fitted surrogate it ranks the grid by predicted cycles and
 // verifies only the predicted top-K plus the uniform plans; with none
 // it verifies every candidate. deployed picks the point spelling and
-// what names the step in errors.
-func searchPlans(what string, sp planSpace, base core.System, s *surrogate, topK int, deployed bool) (*planSearch, error) {
+// what names the step in errors; the exact evaluations are billed to
+// *fills.
+func searchPlans(fills *int, what string, sp planSpace, base core.System, s *surrogate, topK int, deployed bool) (*planSearch, error) {
 	ps := &planSearch{planSpace: sp, cands: sp.grid()}
 	uniforms := sp.uniforms()
 	if s == nil {
@@ -282,7 +284,7 @@ func searchPlans(what string, sp planSpace, base core.System, s *surrogate, topK
 		ps.sel = verifySet(rankStable(ps.predicted), topK, uniforms)
 	}
 	var err error
-	ps.exact, err = evalExact(what, len(ps.sel), func(k int, buf []evalpool.Point) []evalpool.Point {
+	ps.exact, err = evalExact(fills, what, len(ps.sel), func(k int, buf []evalpool.Point) []evalpool.Point {
 		return sp.points(buf, base, ps.candidate(k), deployed)
 	})
 	if err != nil {
@@ -330,7 +332,7 @@ func perClass(p collective.Plan, classes []collective.SyncClass) []ClassChoice {
 // fraction of the simulations (ExactSims vs GridSims on the result).
 // Set the returned Plan on System.Options.SyncPlan to deploy it.
 func AutotuneSession(base core.System, cfg model.Config, opts SessionOptions) (*SessionResult, error) {
-	evalsBefore := evalpool.Evaluations()
+	var fills int
 	sp, err := sessionSpace(base, cfg, opts)
 	if err != nil {
 		return nil, err
@@ -342,12 +344,12 @@ func AutotuneSession(base core.System, cfg model.Config, opts SessionOptions) (*
 	var s *surrogate
 	what := "session grid"
 	if !opts.Exhaustive {
-		if s, err = fitSurrogate(base, sp, ref); err != nil {
+		if s, err = fitSurrogate(&fills, base, sp, ref); err != nil {
 			return nil, err
 		}
 		what = "session verify"
 	}
-	ps, err := searchPlans(what, sp, base, s, opts.TopK, opts.Exhaustive)
+	ps, err := searchPlans(&fills, what, sp, base, s, opts.TopK, opts.Exhaustive)
 	if err != nil {
 		return nil, err
 	}
@@ -378,6 +380,6 @@ func AutotuneSession(base core.System, cfg model.Config, opts SessionOptions) (*
 			})
 		}
 	}
-	res.ExactSims = int(evalpool.Evaluations() - evalsBefore)
+	res.ExactSims = fills
 	return res, nil
 }

@@ -159,7 +159,7 @@ func TestSessionPredictorRankAccuracy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := fitSurrogate(core.DefaultSystem(64), sp, ref)
+	s, err := fitSurrogate(new(int), core.DefaultSystem(64), sp, ref)
 	if err != nil {
 		t.Fatal(err)
 	}

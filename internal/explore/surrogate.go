@@ -41,8 +41,9 @@ type surrogate struct {
 // fitSurrogate runs the probe simulations — per phase, the uniform
 // plans (the margin baselines need them anyway) and one
 // single-deviation probe per (class, non-reference topology) — as one
-// deduplicated exact evaluation, and assembles the model.
-func fitSurrogate(base core.System, sp planSpace, ref int) (*surrogate, error) {
+// deduplicated exact evaluation billed to *fills, and assembles the
+// model.
+func fitSurrogate(fills *int, base core.System, sp planSpace, ref int) (*surrogate, error) {
 	type probe struct{ mode, class, topo int } // class -1: the phase's uniform plan
 	var probes []probe
 	for mi, m := range sp.modes {
@@ -57,7 +58,7 @@ func fitSurrogate(base core.System, sp planSpace, ref int) (*surrogate, error) {
 			}
 		}
 	}
-	exact, err := evalExact("surrogate probes", len(probes), func(j int, buf []evalpool.Point) []evalpool.Point {
+	exact, err := evalExact(fills, "surrogate probes", len(probes), func(j int, buf []evalpool.Point) []evalpool.Point {
 		pr := probes[j]
 		m := sp.modes[pr.mode]
 		var p collective.Plan

@@ -93,7 +93,8 @@ type TilingResult struct {
 	// Candidates is the size of the (capped) pair grid; GridSims is
 	// the exact-simulation bill of enumerating it exhaustively (one
 	// per pair); ExactSims is the number of distinct exact evaluations
-	// this call needed, measured as the evalpool memory-miss delta.
+	// this call filled itself, so work running beside it is never
+	// billed to it.
 	Candidates int
 	GridSims   int
 	ExactSims  int
@@ -256,7 +257,6 @@ func tilingPoint(base core.System, wl core.Workload, ta, tf memsim.Tiling) evalp
 // (ExactSims vs GridSims on the result). Set HW.Mem.TileK/TileN and
 // FFNTileK/FFNTileN from the returned pair to deploy it.
 func AutotuneTiling(base core.System, wl core.Workload, opts TilingOptions) (*TilingResult, error) {
-	evalsBefore := evalpool.Evaluations()
 	if !base.HW.Mem.Enabled() {
 		return nil, fmt.Errorf("explore: tiling autotune needs the hierarchical memory model enabled (HW.Mem profile is %s)", base.HW.Mem.Profile)
 	}
@@ -335,7 +335,8 @@ func AutotuneTiling(base core.System, wl core.Workload, opts TilingOptions) (*Ti
 		}
 	}
 	sel := verifySet(ranked, topK, uniforms)
-	exact, err := evalExact("tiling verify", len(sel), func(k int, buf []evalpool.Point) []evalpool.Point {
+	var fills int
+	exact, err := evalExact(&fills, "tiling verify", len(sel), func(k int, buf []evalpool.Point) []evalpool.Point {
 		attn, ffn := pair(sel[k])
 		return append(buf, tilingPoint(base, wl, attn, ffn))
 	})
@@ -374,6 +375,6 @@ func AutotuneTiling(base core.System, wl core.Workload, opts TilingOptions) (*Ti
 			Cycles:          exact[k].Cycles,
 		})
 	}
-	res.ExactSims = int(evalpool.Evaluations() - evalsBefore)
+	res.ExactSims = fills
 	return res, nil
 }

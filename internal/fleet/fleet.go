@@ -26,7 +26,7 @@
 // context bucket a decoding session can cross at every micro-batch
 // width up to the cap) as one dense price table per system, which the
 // event loop indexes directly by slot. A dry pre-pricing pass fills
-// the table through evalpool workers-wide, so a cold fleet run pays
+// the table through evalpool.Each, so a cold fleet run pays
 // its exact simulations in parallel instead of one at a time inside
 // the event loop. Options.NoPrePrice forces the lazy reference path,
 // which fills each slot on first use and which the pass is pinned
@@ -48,8 +48,6 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"mcudist/internal/collective"
 	"mcudist/internal/core"
@@ -253,10 +251,12 @@ type Result struct {
 	// replay priced lazily — and the upper bound on exact simulations
 	// a cold run pays.
 	DistinctShapes int
-	// ExactSims is how many exact core.Run simulations this run
-	// actually executed (the process-wide evalpool delta): positive on
-	// a cold store, zero on a warm one. Evaluations is the
-	// storage-independent memory-miss count.
+	// ExactSims is how many exact core.Run simulations ran during this
+	// run (the process-wide evalpool delta): positive on a cold store,
+	// zero on a warm one. Evaluations is the storage-independent
+	// memory-miss count. Both are process-wide, so runs that overlap
+	// (the paper studies replay their loads side by side) count each
+	// other's evaluations too; no study row prints them.
 	ExactSims   uint64
 	Evaluations uint64
 	// Plan is the adopted per-sync collective plan (zero unless
@@ -742,42 +742,18 @@ func (f *fleet) decodeSlot(ctx, width int) int {
 	return len(f.promptSlot) + (bucket(ctx)-f.minBucket)/contextBucket*f.batchCap + width - 1
 }
 
-// prePrice fills the pristine table through evalpool with the pool's
-// worker width, so the serial replay runs as pure table hits. A shape
-// that fails to evaluate is left unfilled, not fatal: the replay may
-// never need it, and if it does, the lazy path repeats the error and
-// fails the run exactly like the reference path. Prices are evalpool
-// results either way, so metrics are byte-identical to the lazy path.
+// prePrice fills the pristine table through evalpool.Each, so the
+// serial replay runs as pure table hits. A shape that fails to
+// evaluate is left unfilled, not fatal: the replay may never need it,
+// and if it does, the lazy path repeats the error and fails the run
+// exactly like the reference path. Prices are evalpool results either
+// way, so metrics are byte-identical to the lazy path.
 func (f *fleet) prePrice() {
 	costs := f.pristine.costs
-	price := func(i int) {
+	evalpool.Each(len(costs), func(i int) error {
 		costs[i], _ = f.evaluate(f.pristine.sys, f.shapes[i])
-	}
-	if workers := evalpool.Default().Workers(); workers > 1 && len(costs) > 1 {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		if workers > len(costs) {
-			workers = len(costs)
-		}
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(costs) {
-						return
-					}
-					price(i)
-				}
-			}()
-		}
-		wg.Wait()
-	} else {
-		for i := range costs {
-			price(i)
-		}
-	}
+		return nil
+	})
 }
 
 // start starts the group's next step if it is idle and has work, and

@@ -5,11 +5,15 @@
 package trace
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
+	"math"
+	"slices"
+	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // Span is one timed activity on one chip.
@@ -42,19 +46,33 @@ func (t *Timeline) Add(chip int, category, label string, start, end float64) {
 func (t *Timeline) Len() int { return len(t.spans) }
 
 // Spans returns a copy sorted by start time (chip, category break
-// ties).
+// ties). It sorts span indices rather than spans, so a swap moves 4
+// bytes instead of a whole span. The order of spans with equal keys is
+// whatever the sort's comparisons leave, and ChromeJSON's bytes depend
+// on it (core.TestTraceDigests pins them), so the comparison must keep
+// answering "less" exactly as it does.
 func (t *Timeline) Spans() []Span {
-	out := make([]Span, len(t.spans))
-	copy(out, t.spans)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Start != out[j].Start {
-			return out[i].Start < out[j].Start
+	idx := make([]int32, len(t.spans))
+	for i := range idx {
+		idx[i] = int32(i)
+	}
+	slices.SortFunc(idx, func(i, j int32) int {
+		a, b := &t.spans[i], &t.spans[j]
+		if a.Start != b.Start {
+			if a.Start < b.Start {
+				return -1
+			}
+			return 1
 		}
-		if out[i].Chip != out[j].Chip {
-			return out[i].Chip < out[j].Chip
+		if c := cmp.Compare(a.Chip, b.Chip); c != 0 {
+			return c
 		}
-		return out[i].Category < out[j].Category
+		return strings.Compare(a.Category, b.Category)
 	})
+	out := make([]Span, len(idx))
+	for i, j := range idx {
+		out[i] = t.spans[j]
+	}
 	return out
 }
 
@@ -69,38 +87,115 @@ func (t *Timeline) End() float64 {
 	return end
 }
 
-// chromeEvent is one complete ("X" phase) trace event.
-type chromeEvent struct {
-	Name     string  `json:"name"`
-	Phase    string  `json:"ph"`
-	TsMicros float64 `json:"ts"`
-	DurUs    float64 `json:"dur"`
-	PID      int     `json:"pid"`
-	TID      string  `json:"tid"`
-	Cat      string  `json:"cat"`
-}
-
 // ChromeJSON writes the timeline in the Chrome trace-event array
-// format; freqHz converts cycles to microseconds.
+// format, one complete ("X" phase) event per span in Spans order;
+// freqHz converts cycles to microseconds. The bytes are what
+// encoding/json writes for the same events: its number spelling, its
+// HTML-safe string escapes and its trailing newline. A timestamp or
+// duration that is not finite is an error, and nothing is written.
 func (t *Timeline) ChromeJSON(w io.Writer, freqHz float64) error {
 	if freqHz <= 0 {
 		return fmt.Errorf("trace: frequency must be positive")
 	}
 	toUs := 1e6 / freqHz
-	events := make([]chromeEvent, 0, len(t.spans))
-	for _, s := range t.Spans() {
-		events = append(events, chromeEvent{
-			Name:     s.Label,
-			Phase:    "X",
-			TsMicros: s.Start * toUs,
-			DurUs:    s.Duration() * toUs,
-			PID:      s.Chip,
-			TID:      s.Category,
-			Cat:      s.Category,
-		})
+	b := make([]byte, 0, 128*len(t.spans)+3)
+	b = append(b, '[')
+	for i, s := range t.Spans() {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		var err error
+		b = appendJSONString(append(b, `{"name":`...), s.Label)
+		b = append(b, `,"ph":"X","ts":`...)
+		if b, err = appendJSONFloat(b, s.Start*toUs); err != nil {
+			return err
+		}
+		b = append(b, `,"dur":`...)
+		if b, err = appendJSONFloat(b, s.Duration()*toUs); err != nil {
+			return err
+		}
+		b = strconv.AppendInt(append(b, `,"pid":`...), int64(s.Chip), 10)
+		b = append(b, `,"tid":`...)
+		cat := len(b)
+		b = appendJSONString(b, s.Category)
+		quoted := b[cat:] // tid and cat spell the category alike
+		b = append(append(b, `,"cat":`...), quoted...)
+		b = append(b, '}')
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(events)
+	b = append(b, "]\n"...)
+	_, err := w.Write(b)
+	return err
+}
+
+// appendJSONFloat appends f as encoding/json spells a float64: the
+// shortest round-trip form, in exponent form below 1e-6 or from 1e21
+// up, with the exponent unpadded. A value that is not finite is
+// encoding/json's UnsupportedValueError.
+func appendJSONFloat(b []byte, f float64) ([]byte, error) {
+	if math.IsInf(f, 0) || math.IsNaN(f) {
+		return b, &json.UnsupportedValueError{Str: strconv.FormatFloat(f, 'g', -1, 64)}
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1] // e-07 -> e-7
+		b = b[:n-1]
+	}
+	return b, nil
+}
+
+// appendJSONString appends s as encoding/json quotes a string with its
+// default HTML escaping: quote and backslash escaped, \b \f \n \r \t
+// by name, other control bytes and < > & as \u00XX, invalid UTF-8 as
+// \ufffd, and U+2028 and U+2029 as \u2028 and \u2029.
+func appendJSONString(b []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	b = append(b, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		if c := s[i]; c < utf8.RuneSelf {
+			if c >= 0x20 && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
+				i++
+				continue
+			}
+			b = append(b, s[start:i]...)
+			switch c {
+			case '"', '\\':
+				b = append(b, '\\', c)
+			case '\b':
+				b = append(b, '\\', 'b')
+			case '\f':
+				b = append(b, '\\', 'f')
+			case '\n':
+				b = append(b, '\\', 'n')
+			case '\r':
+				b = append(b, '\\', 'r')
+			case '\t':
+				b = append(b, '\\', 't')
+			default:
+				b = append(b, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case r == utf8.RuneError && size == 1:
+			b = append(append(b, s[start:i]...), `\ufffd`...)
+		case r == '\u2028' || r == '\u2029':
+			b = append(append(b, s[start:i]...), '\\', 'u', '2', '0', '2', hex[r&0xF])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
+	}
+	return append(append(b, s[start:]...), '"')
 }
 
 // Render writes a per-chip text Gantt chart of the given width.

@@ -1,7 +1,11 @@
 package trace
 
 import (
+	"bytes"
 	"encoding/json"
+	"math"
+	"math/rand/v2"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -81,5 +85,94 @@ func TestRender(t *testing.T) {
 	}
 	if !strings.Contains(b.String(), "empty") {
 		t.Fatal("empty timeline not flagged")
+	}
+}
+
+// referenceChromeJSON is the encoder ChromeJSON replaced: spans sorted
+// with sort.Slice, then each event encoded by encoding/json through
+// reflection. ChromeJSON must write its bytes and return its errors.
+func referenceChromeJSON(t *Timeline, w *bytes.Buffer, freqHz float64) error {
+	type chromeEvent struct {
+		Name     string  `json:"name"`
+		Phase    string  `json:"ph"`
+		TsMicros float64 `json:"ts"`
+		DurUs    float64 `json:"dur"`
+		PID      int     `json:"pid"`
+		TID      string  `json:"tid"`
+		Cat      string  `json:"cat"`
+	}
+	spans := append([]Span(nil), t.spans...)
+	sort.Slice(spans, func(i, j int) bool {
+		if spans[i].Start != spans[j].Start {
+			return spans[i].Start < spans[j].Start
+		}
+		if spans[i].Chip != spans[j].Chip {
+			return spans[i].Chip < spans[j].Chip
+		}
+		return spans[i].Category < spans[j].Category
+	})
+	toUs := 1e6 / freqHz
+	events := make([]chromeEvent, 0, len(spans))
+	for _, s := range spans {
+		events = append(events, chromeEvent{s.Label, "X", s.Start * toUs, s.Duration() * toUs, s.Chip, s.Category, s.Category})
+	}
+	return json.NewEncoder(w).Encode(events)
+}
+
+// TestChromeJSONMatchesEncodingJSON holds the direct encoder to
+// encoding/json byte for byte: HTML-safe string escapes (the > of a
+// link label), control bytes, invalid UTF-8, U+2028, the exponent form
+// below 1e-6 and from 1e21, negative zero, the trailing newline, an
+// empty timeline, and ties in (start, chip, category) that the sort
+// leaves where it always has. A seeded random timeline with many ties
+// follows the hand-picked one.
+func TestChromeJSONMatchesEncodingJSON(t *testing.T) {
+	labels := []string{"linear", "0->1", "a<b&c", `quote"back\\`, "tab\tnl\ncr\rbs\bff\f\x01\x1f\x7f",
+		"\xff\xfeinvalid", "line\u2028para\u2029", "é→✓", ""}
+	cats := []string{"compute", "dma-l2l1", "dma-l3", "link", "link<2>"}
+	check := func(t *testing.T, tl *Timeline, freqHz float64) {
+		t.Helper()
+		var got, want bytes.Buffer
+		gotErr := tl.ChromeJSON(&got, freqHz)
+		wantErr := referenceChromeJSON(tl, &want, freqHz)
+		if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
+			t.Fatalf("error %v, encoding/json %v", gotErr, wantErr)
+		}
+		if gotErr != nil && got.Len() != 0 {
+			t.Fatalf("%d bytes written before the error", got.Len())
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("bytes differ from encoding/json:\n got %.400s\nwant %.400s", got.Bytes(), want.Bytes())
+		}
+	}
+
+	var empty Timeline
+	check(t, &empty, 500e6)
+
+	var tl Timeline
+	for i, l := range labels {
+		tl.Add(i%3, cats[i%len(cats)], l, float64(i*7), float64(i*7+3))
+	}
+	for _, v := range []float64{0, 1e-4, 4e-4, 5e-4, 1, 123.456, 5e14, 5e15, 1e18, 3e25} {
+		tl.Add(1, "compute", "num", v, 2*v) // exponent forms at 500 MHz: below 1e-6 us and from 1e21 us
+		tl.Add(1, "compute", "tie", v, 3*v) // ties on (start, chip, category)
+	}
+	tl.Add(2, "link", "negzero", math.Copysign(0, -1), 0)
+	for _, freq := range []float64{500e6, 1, 3e9} {
+		check(t, &tl, freq)
+	}
+
+	r := rand.New(rand.NewPCG(7, 11))
+	var ties Timeline
+	for range 5000 {
+		start := float64(r.IntN(200)) * 1.5
+		ties.Add(r.IntN(8), cats[r.IntN(len(cats))], labels[r.IntN(len(labels))], start, start+float64(r.IntN(40))/7)
+	}
+	check(t, &ties, 500e6)
+
+	for _, c := range []struct{ start, end float64 }{{math.NaN(), math.NaN()}, {0, math.Inf(1)}, {math.Inf(-1), 0}} {
+		bad := tl
+		bad.spans = append(append([]Span(nil), tl.spans...), Span{Chip: 0, Category: "compute", Label: "bad", Start: c.start, End: c.end})
+		check(t, &bad, 500e6)
 	}
 }

@@ -167,6 +167,7 @@ func NewBatched(p *partition.Plan, hwp hw.Params, mode model.Mode, s, batch int,
 		split = p.SeqSplit(queryRows(mode, s, batch))
 	}
 	seen := make(map[chipSig]int, 4)
+	d.Chips = make([]ChipDeploy, 0, p.Chips)
 	for chip := 0; chip < p.Chips; chip++ {
 		sig := chipSig{
 			pslice:      p.PSlice(chip),

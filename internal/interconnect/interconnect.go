@@ -126,18 +126,16 @@ type Hop struct {
 	// the original partial instead and accumulates only at the
 	// receiver.
 	FromAccumulated bool
-	// class indexes Class in the owning Schedule's Classes, recorded
-	// when annotate resolves it. It sits in FromAccumulated's padding,
-	// so a Hop stays 64 bytes.
+	// class indexes the link class of the edge this hop crosses in
+	// the owning Schedule's (or PipelineChain's) Classes, resolved from
+	// the platform's network description at lowering time. It sits in
+	// FromAccumulated's padding, so a Hop is 40 bytes. An index with
+	// no defined class behind it — every hop of a bare schedule, which
+	// resolves none — marks an undefined edge; Validate rejects it.
 	class int32
-	// Class is the link class of the edge this hop crosses, resolved
-	// from the platform's network description at lowering time. The
-	// zero class marks an unresolved/undefined edge; Validate rejects
-	// it.
-	Class hw.LinkClass
 }
 
-// ClassIndex is the index of the hop's Class in its schedule's
+// ClassIndex is the index of the hop's link class in its schedule's
 // Classes, resolved at lowering, so a simulator maps the schedule's
 // few classes to its own ids instead of hashing a LinkClass per hop.
 // It is 0 on a bare schedule, which resolves no classes.

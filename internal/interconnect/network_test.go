@@ -21,8 +21,8 @@ func TestAnnotateUniformSingleClass(t *testing.T) {
 			t.Errorf("%s: classes = %+v, want exactly [MIPI]", topo, sched.Classes)
 		}
 		for _, h := range append(append([]Hop{}, sched.Reduce...), sched.Broadcast...) {
-			if h.Class != hw.MIPI() {
-				t.Errorf("%s: hop %d->%d class %+v, want MIPI", topo, h.From, h.To, h.Class)
+			if c := sched.classOf(&h); c != hw.MIPI() {
+				t.Errorf("%s: hop %d->%d class %+v, want MIPI", topo, h.From, h.To, c)
 			}
 		}
 	}
@@ -51,8 +51,8 @@ func TestAnnotateClusteredSplitsClasses(t *testing.T) {
 				want = back
 				sawBackhaul = true
 			}
-			if h.Class != want {
-				t.Errorf("%s: hop %d->%d class %+v, want %+v", topo, h.From, h.To, h.Class, want)
+			if c := sched.classOf(&h); c != want {
+				t.Errorf("%s: hop %d->%d class %+v, want %+v", topo, h.From, h.To, c, want)
 			}
 		}
 		if !sawBackhaul {
@@ -104,18 +104,30 @@ func TestTableNetworkRejectsUnwiredTopology(t *testing.T) {
 }
 
 // Validate must reject a hop whose class was never resolved (the
-// undefined-edge marker), independently of how the schedule was built.
+// undefined-edge marker), independently of how the schedule was built:
+// a class index past the schedule's classes, one naming the zero
+// class, and every hop of a bare schedule.
 func TestValidateRejectsUndefinedEdge(t *testing.T) {
 	sched, err := NewSchedule(netParams(hw.TopoTree, 4), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	corrupt := *sched
-	corrupt.Reduce = append([]Hop{}, sched.Reduce...)
-	corrupt.Reduce[2].Class = hw.LinkClass{}
-	if err := corrupt.Validate(); err == nil {
-		t.Fatal("hop with an undefined link class validated")
-	} else if !strings.Contains(err.Error(), "undefined edge") {
-		t.Errorf("error does not name the undefined edge: %v", err)
+	past := *sched
+	past.Reduce = append([]Hop{}, sched.Reduce...)
+	past.Reduce[2].class = int32(len(sched.Classes))
+	zero := past
+	zero.Classes = append(append([]hw.LinkClass{}, sched.Classes...), hw.LinkClass{})
+	bare, err := NewBareSchedule(hw.TopoTree, 8, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, corrupt := range map[string]*Schedule{"index past the classes": &past, "zero class": &zero, "bare": bare} {
+		if err := corrupt.Validate(); err == nil {
+			t.Errorf("%s: hop with an undefined link class validated", name)
+		} else if !strings.Contains(err.Error(), "undefined edge") {
+			t.Errorf("%s: error does not name the undefined edge: %v", name, err)
+		} else if ref := validateReference(corrupt); ref == nil || ref.Error() != err.Error() {
+			t.Errorf("%s: Validate says %q, the reference %v", name, err, ref)
+		}
 	}
 }

@@ -96,12 +96,15 @@ func adjacency(net hw.Network, n int) ([][]int, error) {
 // over n chips: for each stage boundary c -> c+1, the routed hop
 // sequence (usually one direct hop; multi-hop on sparse or degraded
 // wirings). Each hop is a whole-payload Hop with its link class
-// resolved; its ClassIndex numbers the distinct classes in first-use
-// order along the chain. Interned entries are shared and read-only.
+// resolved; its ClassIndex indexes Classes. Interned entries are
+// shared and read-only.
 type PipelineChain struct {
-	N    int
-	hops []Hop // all boundaries, flattened in chain order
-	off  []int // boundary c spans hops[off[c]:off[c+1]]
+	N int
+	// Classes lists the distinct link classes the chain's hops cross,
+	// in first-use order along the chain.
+	Classes []hw.LinkClass
+	hops    []Hop // all boundaries, flattened in chain order
+	off     []int // boundary c spans hops[off[c]:off[c+1]]
 }
 
 // Segment returns the routed hops of the stage boundary c -> c+1.
@@ -132,10 +135,11 @@ func NewPipelineChain(net hw.Network, n int) (*PipelineChain, error) {
 			}
 			id, ok := index[cls]
 			if !ok {
-				id = int32(len(index))
+				id = int32(len(pc.Classes))
 				index[cls] = id
+				pc.Classes = append(pc.Classes, cls)
 			}
-			pc.hops = append(pc.hops, Hop{From: path[i], To: path[i+1], Frac: 1, class: id, Class: cls})
+			pc.hops = append(pc.hops, Hop{From: path[i], To: path[i+1], Frac: 1, class: id})
 		}
 		pc.off = append(pc.off, len(pc.hops))
 	}

@@ -97,8 +97,8 @@ func TestPipelineChainDirect(t *testing.T) {
 		if len(seg) != 1 || seg[0].From != c || seg[0].To != c+1 {
 			t.Fatalf("boundary %d segment = %+v, want one direct hop", c, seg)
 		}
-		if seg[0].Class != hw.MIPI() {
-			t.Fatalf("boundary %d class = %+v, want MIPI", c, seg[0].Class)
+		if cls := pc.Classes[seg[0].ClassIndex()]; cls != hw.MIPI() {
+			t.Fatalf("boundary %d class = %+v, want MIPI", c, cls)
 		}
 	}
 }
@@ -120,8 +120,11 @@ func TestPipelineChainRoutesAroundMissingEdge(t *testing.T) {
 		t.Fatal(err)
 	}
 	seg := pc.Segment(1)
-	if len(seg) != 2 || seg[0] != (Hop{From: 1, To: 3, Frac: 1, Class: hw.MIPI()}) || seg[1] != (Hop{From: 3, To: 2, Frac: 1, Class: hw.MIPI()}) {
+	if len(seg) != 2 || seg[0] != (Hop{From: 1, To: 3, Frac: 1}) || seg[1] != (Hop{From: 3, To: 2, Frac: 1}) {
 		t.Fatalf("boundary 1 segment = %+v, want 1->3->2", seg)
+	}
+	if len(pc.Classes) != 1 || pc.Classes[0] != hw.MIPI() {
+		t.Fatalf("chain classes = %+v, want exactly [MIPI]", pc.Classes)
 	}
 	if len(pc.hops) != 4 {
 		t.Fatalf("chain has %d hops, want 4", len(pc.hops))

@@ -46,8 +46,9 @@ type Schedule struct {
 	Broadcast []Hop
 	// Classes lists the distinct link classes the schedule's hops
 	// resolved to, in first-use order — the per-class axis the
-	// simulator splits its chip-to-chip accounting over. A uniform
-	// network always yields exactly one class.
+	// simulator splits its chip-to-chip accounting over; a hop's
+	// ClassIndex indexes it. A uniform network always yields exactly
+	// one class.
 	Classes []hw.LinkClass
 	// Final lists the chips running the root work, with their shares.
 	Final []Final
@@ -118,24 +119,37 @@ func NewBareSchedule(topo hw.Topology, n, groupSize int) (*Schedule, error) {
 // per-class accounting axis of the simulator) and records each hop's
 // index into that list. Reduce hops are resolved before broadcast
 // hops, so class 0 is always the class of the first reduce hop.
+//
+// A hop that crosses the same edge as its sender's previous hop reuses
+// that edge's class: a ring chip sends over one edge only, so a 64-chip
+// ring resolves 64 edges for its 8,064 hops, and on a table or view
+// network every LinkFor is a registry read. last[from] holds the
+// receiver of chip from's previous hop plus one (0 before its first)
+// and that edge's class index.
 func (s *Schedule) annotate(net hw.Network) error {
 	s.Classes = nil
+	type edge struct{ to, class int32 }
+	last := make([]edge, s.N)
 	index := map[hw.LinkClass]int32{}
 	assign := func(hops []Hop) error {
 		for i := range hops {
-			c, err := net.LinkFor(hops[i].From, hops[i].To)
-			if err != nil {
-				return fmt.Errorf("interconnect: %s schedule over %d chips: hop %d->%d: %w",
-					s.Topology, s.N, hops[i].From, hops[i].To, err)
+			h := &hops[i]
+			e := &last[h.From]
+			if e.to != int32(h.To)+1 {
+				c, err := net.LinkFor(h.From, h.To)
+				if err != nil {
+					return fmt.Errorf("interconnect: %s schedule over %d chips: hop %d->%d: %w",
+						s.Topology, s.N, h.From, h.To, err)
+				}
+				id, ok := index[c]
+				if !ok {
+					id = int32(len(s.Classes))
+					index[c] = id
+					s.Classes = append(s.Classes, c)
+				}
+				*e = edge{int32(h.To) + 1, id}
 			}
-			id, ok := index[c]
-			if !ok {
-				id = int32(len(s.Classes))
-				index[c] = id
-				s.Classes = append(s.Classes, c)
-			}
-			hops[i].Class = c
-			hops[i].class = id
+			h.class = e.class
 		}
 		return nil
 	}
@@ -143,6 +157,16 @@ func (s *Schedule) annotate(net hw.Network) error {
 		return err
 	}
 	return assign(s.Broadcast)
+}
+
+// classOf returns the link class hop h of the schedule crosses, and
+// the zero (undefined) class when its index has no resolved class
+// behind it, as on a bare schedule.
+func (s *Schedule) classOf(h *Hop) hw.LinkClass {
+	if int(h.class) >= len(s.Classes) {
+		return hw.LinkClass{}
+	}
+	return s.Classes[h.class]
 }
 
 // scheduleFromTree lowers a reduction tree (hierarchical or flat) to
@@ -275,7 +299,8 @@ func (s *Schedule) CollectiveBytes(reducePayload, bcastPayload int64) int64 {
 // link class (no routing over unwired edges), each chip's partial
 // reaching a finalizing chip exactly once per chunk, and the broadcast
 // phase (together with the finalize placement) delivering every chunk
-// to every chip in dependency order.
+// to every chip in dependency order. It reports the first violation:
+// hops before finalizes before the broadcast, each list in order.
 func (s *Schedule) Validate() error {
 	if s.N <= 0 || s.Chunks <= 0 {
 		return fmt.Errorf("interconnect: schedule over %d chips / %d chunks", s.N, s.Chunks)
@@ -295,50 +320,24 @@ func (s *Schedule) Validate() error {
 			if h.Frac <= 0 || h.Frac > 1 {
 				return fmt.Errorf("interconnect: hop %d->%d fraction %g out of (0,1]", h.From, h.To, h.Frac)
 			}
-			if !h.Class.Defined() {
+			if !s.classOf(h).Defined() {
 				return fmt.Errorf("interconnect: hop %d->%d crosses an undefined edge (no link class resolved; lower the schedule with NewSchedule against a network that wires it)", h.From, h.To)
 			}
 		}
 	}
 
-	// Symbolic reduce: contrib[(c*Chunks+q)*N+src] counts how many
-	// times chip src's original partial has been folded into chip c's
-	// accumulator for chunk q. An accumulated send moves the live set;
-	// a plain send moves only the sender's own contribution.
-	n, chunks := s.N, s.Chunks
-	contrib := make([]int, n*chunks*n)
-	for c := 0; c < n; c++ {
-		for q := 0; q < chunks; q++ {
-			contrib[(c*chunks+q)*n+c] = 1
-		}
-	}
-	row := func(chip, chunk int) []int {
-		off := (chip*chunks + chunk) * n
-		return contrib[off : off+n : off+n]
-	}
-	for i := range s.Reduce {
-		h := &s.Reduce[i]
-		to := row(h.To, h.Chunk)
-		if !h.FromAccumulated {
-			to[h.From]++
-			continue
-		}
-		for src, cnt := range row(h.From, h.Chunk) {
-			to[src] += cnt
-		}
-	}
-	for _, f := range s.Final {
+	bad, badChip, badGot := s.reduceCounts()
+	for i := range s.Final {
+		f := &s.Final[i]
 		if f.Chip < 0 || f.Chip >= s.N || f.Chunk < 0 || f.Chunk >= s.Chunks {
 			return fmt.Errorf("interconnect: finalize (%d, chunk %d) out of range", f.Chip, f.Chunk)
 		}
 		if f.Frac <= 0 || f.Frac > 1 {
 			return fmt.Errorf("interconnect: finalize fraction %g out of (0,1]", f.Frac)
 		}
-		for chip, got := range row(f.Chip, f.Chunk) {
-			if got != 1 {
-				return fmt.Errorf("interconnect: chunk %d finalized on chip %d holds chip %d's partial %d times, want exactly once",
-					f.Chunk, f.Chip, chip, got)
-			}
+		if i == bad {
+			return fmt.Errorf("interconnect: chunk %d finalized on chip %d holds chip %d's partial %d times, want exactly once",
+				f.Chunk, f.Chip, badChip, badGot)
 		}
 	}
 	if len(s.Final) == 0 {
@@ -348,6 +347,7 @@ func (s *Schedule) Validate() error {
 	// Broadcast reachability: starting from the finalized (chip,
 	// chunk) pairs, every hop must forward an already-present chunk,
 	// and afterwards every chip must hold every chunk.
+	n, chunks := s.N, s.Chunks
 	has := make([]bool, n*chunks)
 	for _, f := range s.Final {
 		has[f.Chip*chunks+f.Chunk] = true
@@ -368,4 +368,80 @@ func (s *Schedule) Validate() error {
 		}
 	}
 	return nil
+}
+
+// reduceCounts runs the symbolic reduce of a schedule whose hops are
+// in range and returns the first finalize, by index, that does not
+// hold every chip's partial exactly once: its index (len(s.Final) if
+// none), the first chip whose partial it miscounts, and that count.
+// Finalizes out of range are skipped; Validate reports them.
+//
+// counts[c*N+src] counts how many times chip src's original partial
+// has been folded into chip c's accumulator of one chunk. An
+// accumulated send moves the live set; a plain send moves only the
+// sender's own contribution. A hop reads and writes only accumulators
+// of its own chunk, so the reduce runs one chunk at a time over one
+// reused N×N matrix, replaying that chunk's hops in schedule order: a
+// 64-chip ring counts in 32 KiB instead of 2 MiB for every (chip,
+// chunk) accumulator at once.
+func (s *Schedule) reduceCounts() (bad, badChip, badGot int) {
+	n, chunks := s.N, s.Chunks
+	// Bucket the reduce hops by chunk, stably: after the fill, end[q]
+	// ends chunk q's run of at, which starts where chunk q-1's ends.
+	idx := make([]int32, chunks+len(s.Reduce))
+	end, at := idx[:chunks], idx[chunks:]
+	for i := range s.Reduce {
+		if q := s.Reduce[i].Chunk; q+1 < chunks {
+			end[q+1]++
+		}
+	}
+	for q := 1; q < chunks; q++ {
+		end[q] += end[q-1]
+	}
+	for i := range s.Reduce {
+		q := s.Reduce[i].Chunk
+		at[end[q]] = int32(i)
+		end[q]++
+	}
+
+	bad = len(s.Final)
+	counts := make([]int, n*n)
+	var lo int32
+	for q := 0; q < chunks; q++ {
+		clear(counts)
+		for c := 0; c < n; c++ {
+			counts[c*n+c] = 1
+		}
+		for _, i := range at[lo:end[q]] {
+			fold(counts, n, &s.Reduce[i])
+		}
+		lo = end[q]
+		for i := 0; i < bad; i++ {
+			f := &s.Final[i]
+			if f.Chunk != q || f.Chip < 0 || f.Chip >= n {
+				continue
+			}
+			for chip, got := range counts[f.Chip*n : f.Chip*n+n] {
+				if got != 1 {
+					bad, badChip, badGot = i, chip, got
+					break
+				}
+			}
+		}
+	}
+	return bad, badChip, badGot
+}
+
+// fold replays reduce hop h on the count matrix of its chunk.
+func fold(counts []int, n int, h *Hop) {
+	to := counts[h.To*n : h.To*n+n : h.To*n+n]
+	if !h.FromAccumulated {
+		to[h.From]++
+		return
+	}
+	from := counts[h.From*n : h.From*n+n : h.From*n+n]
+	to = to[:len(from)]
+	for src, cnt := range from {
+		to[src] += cnt
+	}
 }

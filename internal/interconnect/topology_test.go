@@ -2,6 +2,7 @@ package interconnect
 
 import (
 	"fmt"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -249,6 +250,7 @@ func TestBuildTreeEdgeCases(t *testing.T) {
 func TestScheduleValidateCatchesCorruption(t *testing.T) {
 	tree, _ := NewSchedule(netParams(hw.TopoTree, 4), 8)
 	ring, _ := NewSchedule(netParams(hw.TopoRing, 4), 8)
+	fc, _ := NewSchedule(netParams(hw.TopoFullyConnected, 4), 4)
 	// Hop 19 of the 8-chip ring is step 2's 3->4 send of chunk 1,
 	// which chip 0 finalizes after four more accumulating hops.
 	const mid = 19
@@ -259,7 +261,7 @@ func TestScheduleValidateCatchesCorruption(t *testing.T) {
 	}{
 		{"tree double contribution", func() *Schedule {
 			dup := *tree
-			dup.Reduce = append(append([]Hop{}, tree.Reduce...), Hop{From: 1, To: 0, Frac: 1, FromAccumulated: false, Class: hw.MIPI()})
+			dup.Reduce = append(append([]Hop{}, tree.Reduce...), Hop{From: 1, To: 0, Frac: 1, FromAccumulated: false})
 			return &dup
 		}, "exactly once"},
 		{"tree unreached chip", func() *Schedule {
@@ -292,6 +294,22 @@ func TestScheduleValidateCatchesCorruption(t *testing.T) {
 			moved.Final[3].Chunk = 6 // chip 3 owns chunk 4
 			return &moved
 		}, "exactly once"},
+		{"ring hops of two chunks dropped, the later chunk's finalize first", func() *Schedule {
+			// Hop 0 (0->1) carries chunk 0, which chip 7 finalizes as
+			// Final[7]; hop 7 (7->0) carries chunk 7, which chip 6
+			// finalizes as Final[6]. Validate counts chunk 0 first but
+			// must report Final[6], the first finalize in order.
+			drop := *ring
+			drop.Reduce = append(append([]Hop{}, ring.Reduce[1:7]...), ring.Reduce[8:]...)
+			return &drop
+		}, "chunk 7 finalized on chip 6 holds chip 7's partial 0 times"},
+		{"fully-connected sends to two finalizes of one chunk dropped", func() *Schedule {
+			// Hops 0 and 1 are 0->1 and 0->2; both finalizes miss chip
+			// 0's partial, and the first in order is reported.
+			drop := *fc
+			drop.Reduce = append([]Hop{}, fc.Reduce[2:]...)
+			return &drop
+		}, "chunk 0 finalized on chip 1 holds chip 0's partial 0 times"},
 		{"ring broadcast hops swapped", func() *Schedule {
 			// Step 1's 0->1 hop forwards chunk 0, which chip 0 receives
 			// only from step 0's 7->0 hop.
@@ -318,9 +336,11 @@ func TestScheduleValidateCatchesCorruption(t *testing.T) {
 }
 
 // validateReference is Validate as it was before it counted over one
-// dense array: one map of source chips per (chip, chunk). It is the
-// oracle FuzzScheduleValidate and the corruption cases hold Validate
-// to, verdict and error text alike.
+// dense array: one map of source chips per (chip, chunk), the reduce
+// replayed once over every chunk. It reads each hop's link class
+// through the schedule's Classes, as Validate does. It is the oracle
+// FuzzScheduleValidate and the corruption cases hold Validate to,
+// verdict and error text alike.
 func validateReference(s *Schedule) error {
 	if s.N <= 0 || s.Chunks <= 0 {
 		return fmt.Errorf("interconnect: schedule over %d chips / %d chunks", s.N, s.Chunks)
@@ -338,7 +358,7 @@ func validateReference(s *Schedule) error {
 		if h.Frac <= 0 || h.Frac > 1 {
 			return fmt.Errorf("interconnect: hop %d->%d fraction %g out of (0,1]", h.From, h.To, h.Frac)
 		}
-		if !h.Class.Defined() {
+		if int(h.class) >= len(s.Classes) || !s.Classes[h.class].Defined() {
 			return fmt.Errorf("interconnect: hop %d->%d crosses an undefined edge (no link class resolved; lower the schedule with NewSchedule against a network that wires it)", h.From, h.To)
 		}
 	}
@@ -457,11 +477,14 @@ func FuzzScheduleValidate(f *testing.F) {
 // Lowering and validating the heaviest stock schedule — the 64-chip
 // ring on a clustered network, 8,064 hops over two link classes — must
 // allocate a bounded number of times, not once per hop or per (chip,
-// chunk) pair as a map-per-accumulator validation does (31,150).
+// chunk) pair as a map-per-accumulator validation does (31,150), and a
+// bounded number of bytes: the 40-byte hops (323 KB) plus scratch that
+// grows with N², not the 2.1 MB a count per (chip, chunk, source chip)
+// took, when the whole lowering allocated 2.63 MB.
 func TestRingLoweringAllocs(t *testing.T) {
 	p := netParams(hw.TopoRing, 4)
 	p.Network = hw.ClusteredNetwork(hw.MIPI(), hw.MIPI().Slower(10), 4)
-	allocs := testing.AllocsPerRun(5, func() {
+	lower := func() {
 		s, err := NewSchedule(p, 64)
 		if err != nil {
 			t.Fatal(err)
@@ -469,16 +492,35 @@ func TestRingLoweringAllocs(t *testing.T) {
 		if err := s.Validate(); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs > 32 {
+	}
+	if allocs := testing.AllocsPerRun(5, lower); allocs > 32 {
 		t.Errorf("lowering and validating the 64-chip clustered ring allocates %.0f times, want at most 32", allocs)
+	}
+	const budget = 512 << 10
+	if bytes := bytesPerRun(5, lower); bytes > budget {
+		t.Errorf("lowering and validating the 64-chip clustered ring allocates %d bytes, want at most %d", bytes, budget)
 	}
 }
 
-// Every schedule hop of a 64-chip collective is one Hop; the class
-// index annotate records rides in FromAccumulated's padding.
-func TestHopStays64Bytes(t *testing.T) {
-	if strconv.IntSize == 64 && unsafe.Sizeof(Hop{}) != 64 {
-		t.Errorf("Hop is %d bytes, want 64", unsafe.Sizeof(Hop{}))
+// bytesPerRun is testing.AllocsPerRun for bytes: the mean heap bytes
+// one call of f allocates, measured on one P after a warm-up call.
+func bytesPerRun(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+}
+
+// Every schedule hop of a 64-chip collective is one Hop; it keeps its
+// link class as an index into the schedule's Classes, in
+// FromAccumulated's padding, not as a 24-byte LinkClass.
+func TestHopStays40Bytes(t *testing.T) {
+	if strconv.IntSize == 64 && unsafe.Sizeof(Hop{}) != 40 {
+		t.Errorf("Hop is %d bytes, want 40", unsafe.Sizeof(Hop{}))
 	}
 }

@@ -489,16 +489,11 @@ func (s *Sim) RunTraced(d *deploy.Deployment, tl *trace.Timeline) (*Result, erro
 			return nil, fmt.Errorf("perfsim: %w", err)
 		}
 		s.chain = chain
-		// A chain hop's ClassIndex numbers the chain's classes in
-		// first-use order: intern each at its first use.
+		// A chain hop's ClassIndex indexes the chain's classes, listed
+		// in first-use order along the chain.
 		s.chainIDs = s.chainIDs[:0]
-		for c := 0; c+1 < n; c++ {
-			seg := chain.Segment(c)
-			for i := range seg {
-				if seg[i].ClassIndex() == len(s.chainIDs) {
-					s.chainIDs = append(s.chainIDs, int32(s.classIndex(seg[i].Class)))
-				}
-			}
+		for _, c := range chain.Classes {
+			s.chainIDs = append(s.chainIDs, int32(s.classIndex(c)))
 		}
 	}
 

@@ -28,9 +28,17 @@ type Span struct {
 // Duration returns the span length in cycles.
 func (s Span) Duration() float64 { return s.End - s.Start }
 
+// chunkSpans is the number of spans one chunk of a timeline's storage
+// holds (56 KiB of spans on 64-bit).
+const chunkSpans = 1024
+
 // Timeline collects spans in emission order.
 type Timeline struct {
-	spans []Span
+	// chunks holds the spans in emission order, chunkSpans to a chunk;
+	// every chunk but the last is full. The storage grows a chunk at a
+	// time, so a traced run never re-copies the spans it has recorded
+	// (a 64-chip prompt run records 19,488).
+	chunks [][]Span
 }
 
 // Add records one span. Inverted spans are rejected loudly: they
@@ -39,11 +47,26 @@ func (t *Timeline) Add(chip int, category, label string, start, end float64) {
 	if end < start {
 		panic(fmt.Sprintf("trace: inverted span %s [%g, %g)", label, start, end))
 	}
-	t.spans = append(t.spans, Span{Chip: chip, Category: category, Label: label, Start: start, End: end})
+	if k := len(t.chunks); k == 0 || len(t.chunks[k-1]) == chunkSpans {
+		t.chunks = append(t.chunks, make([]Span, 0, chunkSpans))
+	}
+	last := &t.chunks[len(t.chunks)-1]
+	*last = append(*last, Span{Chip: chip, Category: category, Label: label, Start: start, End: end})
 }
 
 // Len returns the number of recorded spans.
-func (t *Timeline) Len() int { return len(t.spans) }
+func (t *Timeline) Len() int {
+	k := len(t.chunks)
+	if k == 0 {
+		return 0
+	}
+	return (k-1)*chunkSpans + len(t.chunks[k-1])
+}
+
+// at returns the i-th span in emission order.
+func (t *Timeline) at(i int32) *Span {
+	return &t.chunks[i/chunkSpans][i%chunkSpans]
+}
 
 // Spans returns a copy sorted by start time (chip, category break
 // ties). It sorts span indices rather than spans, so a swap moves 4
@@ -52,12 +75,12 @@ func (t *Timeline) Len() int { return len(t.spans) }
 // on it (core.TestTraceDigests pins them), so the comparison must keep
 // answering "less" exactly as it does.
 func (t *Timeline) Spans() []Span {
-	idx := make([]int32, len(t.spans))
+	idx := make([]int32, t.Len())
 	for i := range idx {
 		idx[i] = int32(i)
 	}
 	slices.SortFunc(idx, func(i, j int32) int {
-		a, b := &t.spans[i], &t.spans[j]
+		a, b := t.at(i), t.at(j)
 		if a.Start != b.Start {
 			if a.Start < b.Start {
 				return -1
@@ -71,7 +94,7 @@ func (t *Timeline) Spans() []Span {
 	})
 	out := make([]Span, len(idx))
 	for i, j := range idx {
-		out[i] = t.spans[j]
+		out[i] = *t.at(j)
 	}
 	return out
 }
@@ -79,9 +102,11 @@ func (t *Timeline) Spans() []Span {
 // End returns the latest span end.
 func (t *Timeline) End() float64 {
 	var end float64
-	for _, s := range t.spans {
-		if s.End > end {
-			end = s.End
+	for _, c := range t.chunks {
+		for i := range c {
+			if c[i].End > end {
+				end = c[i].End
+			}
 		}
 	}
 	return end
@@ -98,7 +123,7 @@ func (t *Timeline) ChromeJSON(w io.Writer, freqHz float64) error {
 		return fmt.Errorf("trace: frequency must be positive")
 	}
 	toUs := 1e6 / freqHz
-	b := make([]byte, 0, 128*len(t.spans)+3)
+	b := make([]byte, 0, 128*t.Len()+3)
 	b = append(b, '[')
 	for i, s := range t.Spans() {
 		if i > 0 {
@@ -224,14 +249,16 @@ func (t *Timeline) Render(w io.Writer, width int) error {
 	}
 	byChip := map[int][]Span{}
 	maxChip := 0
-	for _, s := range t.spans {
-		byChip[s.Chip] = append(byChip[s.Chip], s)
-		if s.Chip > maxChip {
-			maxChip = s.Chip
+	for _, c := range t.chunks {
+		for _, s := range c {
+			byChip[s.Chip] = append(byChip[s.Chip], s)
+			if s.Chip > maxChip {
+				maxChip = s.Chip
+			}
 		}
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "timeline: %d spans over %.0f cycles (C=compute d=L2/L1 M=L3 L=link)\n", len(t.spans), end)
+	fmt.Fprintf(&b, "timeline: %d spans over %.0f cycles (C=compute d=L2/L1 M=L3 L=link)\n", t.Len(), end)
 	for chip := 0; chip <= maxChip; chip++ {
 		row := make([]byte, width)
 		for i := range row {

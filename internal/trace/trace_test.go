@@ -27,6 +27,36 @@ func TestAddAndSort(t *testing.T) {
 	}
 }
 
+// A span stays where Add stored it: the storage grows a chunk at a
+// time instead of re-copying every span. Len, End and the emission
+// order hold across chunk boundaries.
+func TestAddNeverMovesASpan(t *testing.T) {
+	var tl Timeline
+	tl.Add(0, "compute", "first", 0, 1)
+	first := tl.at(0)
+	const n = 3*chunkSpans + 5
+	for i := 1; i < n; i++ {
+		tl.Add(i%4, "compute", "k", float64(n-i), float64(n-i)+0.5)
+	}
+	if tl.at(0) != first {
+		t.Fatal("adding spans moved the first one")
+	}
+	if tl.Len() != n || len(tl.chunks) != 4 {
+		t.Fatalf("len = %d in %d chunks, want %d in 4", tl.Len(), len(tl.chunks), n)
+	}
+	for i, s := range emitted(&tl)[1:] {
+		if want := float64(n - 1 - i); s.Start != want {
+			t.Fatalf("span %d starts at %g, want %g", i+1, s.Start, want)
+		}
+	}
+	if end := tl.End(); end != float64(n-1)+0.5 {
+		t.Fatalf("end = %g, want %g", end, float64(n-1)+0.5)
+	}
+	if spans := tl.Spans(); spans[0].Label != "first" || spans[n-1].Start != n-1 {
+		t.Fatalf("sorted spans run %+v .. %+v", spans[0], spans[n-1])
+	}
+}
+
 func TestInvertedSpanPanics(t *testing.T) {
 	var tl Timeline
 	defer func() {
@@ -88,6 +118,15 @@ func TestRender(t *testing.T) {
 	}
 }
 
+// emitted returns a copy of the timeline's spans in emission order.
+func emitted(t *Timeline) []Span {
+	var out []Span
+	for _, c := range t.chunks {
+		out = append(out, c...)
+	}
+	return out
+}
+
 // referenceChromeJSON is the encoder ChromeJSON replaced: spans sorted
 // with sort.Slice, then each event encoded by encoding/json through
 // reflection. ChromeJSON must write its bytes and return its errors.
@@ -101,7 +140,7 @@ func referenceChromeJSON(t *Timeline, w *bytes.Buffer, freqHz float64) error {
 		TID      string  `json:"tid"`
 		Cat      string  `json:"cat"`
 	}
-	spans := append([]Span(nil), t.spans...)
+	spans := emitted(t)
 	sort.Slice(spans, func(i, j int) bool {
 		if spans[i].Start != spans[j].Start {
 			return spans[i].Start < spans[j].Start
@@ -171,8 +210,11 @@ func TestChromeJSONMatchesEncodingJSON(t *testing.T) {
 	check(t, &ties, 500e6)
 
 	for _, c := range []struct{ start, end float64 }{{math.NaN(), math.NaN()}, {0, math.Inf(1)}, {math.Inf(-1), 0}} {
-		bad := tl
-		bad.spans = append(append([]Span(nil), tl.spans...), Span{Chip: 0, Category: "compute", Label: "bad", Start: c.start, End: c.end})
+		var bad Timeline
+		for _, s := range emitted(&tl) {
+			bad.Add(s.Chip, s.Category, s.Label, s.Start, s.End)
+		}
+		bad.Add(0, "compute", "bad", c.start, c.end) // Add lets a non-finite span through
 		check(t, &bad, 500e6)
 	}
 }

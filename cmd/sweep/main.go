@@ -99,7 +99,7 @@ func main() {
 		maxBatch   = flag.Int("max-batch", 0, "fleet: decode micro-batch cap per group (0 = default 8; 1 = no batching)")
 		fleetTune  = flag.Bool("fleet-autotune", false, "fleet: pick each group's collective plan with the session autotuner")
 		fleetSlow  = flag.Bool("fleet-serial", false, "fleet: disable the parallel shape pre-pricing pass and price every step lazily inside the serial event loop (the reference path; output is byte-identical either way)")
-		netlist    = flag.String("netlist", "", "measured per-edge wiring file (chips/class/link directives); selects the table network profile and overrides -network")
+		netlist    = flag.String("netlist", "", "measured per-edge wiring file (chips/class/link directives); registers it as a view network and overrides -network")
 		faultSpec  = flag.String("fault", "", "fault injection spec, comma-separated: drop:CHIP | slow:FROM-TOxFACTOR | straggle:CHIPxFACTOR (e.g. drop:3,slow:0-1x10); degrades each swept system before pricing")
 		replan     = flag.Bool("replan", false, "resilience study: autotune the pristine system at each chip count, apply -fault, and race the stale plan against re-planning on the degraded board (one CSV row per chip count)")
 		faultAt    = flag.Float64("fault-at", 0, "fleet: fault time on the fleet clock in seconds (with -fleet -fault)")
@@ -498,9 +498,9 @@ func buildMem(name string, depth, banks int, bpc float64, burst, setup int, pj f
 }
 
 // buildNetwork maps the -network / -cluster / -backhaul flags to a
-// network description. The per-edge table and view profiles have no
-// -network spelling: a table needs a wiring list, which -netlist reads
-// from a file, and a view is a degraded board, which -fault builds.
+// network description. The view profile has no -network spelling: a
+// view is a measured wiring, which -netlist reads from a file, or a
+// degraded board, which -fault builds.
 func buildNetwork(name string, clusterSize int, backhaul float64) (hw.Network, error) {
 	profile, err := hw.ParseNetworkProfile(name)
 	if err != nil {
@@ -514,10 +514,8 @@ func buildNetwork(name string, clusterSize int, backhaul float64) (hw.Network, e
 			return hw.Network{}, fmt.Errorf("backhaul slowdown %g must be >= 1", backhaul)
 		}
 		return hw.ClusteredNetwork(hw.MIPI(), hw.MIPI().Slower(backhaul), clusterSize), nil
-	case hw.NetView:
-		return hw.Network{}, fmt.Errorf("network profile %s has no flag spelling (use -fault)", profile)
 	default:
-		return hw.Network{}, fmt.Errorf("network profile %s has no flag spelling (use -netlist)", profile)
+		return hw.Network{}, fmt.Errorf("network profile %s has no flag spelling (use -netlist for a measured wiring or -fault for a degraded board)", profile)
 	}
 }
 

@@ -81,3 +81,16 @@ func TestRejectsFlagsOutsideTheirMode(t *testing.T) {
 		})
 	}
 }
+
+// The view profile has no -network spelling. Every spelling of it,
+// the measured-wiring ones included, exits 1 naming both flags that
+// build a view: -netlist for a measured wiring and -fault for a
+// degraded board.
+func TestViewProfileNamesTheFlagsThatBuildIt(t *testing.T) {
+	for _, name := range []string{"view", "table", "per-edge", "netlist"} {
+		code, stderr := runSweep(t, "-chips", "8", "-network", name)
+		if code != 1 || !strings.Contains(stderr, "-netlist") || !strings.Contains(stderr, "-fault") {
+			t.Errorf("sweep -network %s: exit %d, stderr %q; want exit 1 naming -netlist and -fault", name, code, stderr)
+		}
+	}
+}

@@ -44,10 +44,7 @@ const pJ = 1e-12
 // Chip-to-chip energy is charged per link class: each byte pays the
 // pJ/B of the edge class it actually crossed (a slow SPI backhaul and
 // a fast MIPI local link bill differently), using the per-class byte
-// counters the simulator splits out. Results without per-class
-// counters (hand-built in tests, or from older traces) fall back to
-// the network's local class for every byte — exactly the pre-refactor
-// uniform accounting.
+// counters the simulator fills whenever a byte moves.
 func FromResult(p hw.Params, res *perfsim.Result) Report {
 	// Under the hierarchical memory model, off-chip bytes cross the
 	// DRAM channel and pay its pJ/B; the flat model keeps the paper's
@@ -61,12 +58,8 @@ func FromResult(p hw.Params, res *perfsim.Result) Report {
 		rep.Compute += p.Chip.ClusterPowerW * p.CyclesToSeconds(st.ComputeCycles)
 		rep.L3 += float64(st.L3Bytes) * l3pj * pJ
 		rep.L2 += float64(st.L2L1Bytes) * p.Energy.L2PJPerByte * pJ
-		if len(st.C2CSentBytesByClass) > 0 {
-			for i, b := range st.C2CSentBytesByClass {
-				rep.C2C += float64(b) * res.LinkClasses[i].EnergyPJPerByte * pJ
-			}
-		} else {
-			rep.C2C += float64(st.C2CSentBytes) * p.Network.Local.EnergyPJPerByte * pJ
+		for i, b := range st.C2CSentBytesByClass {
+			rep.C2C += float64(b) * res.LinkClasses[i].EnergyPJPerByte * pJ
 		}
 	}
 	return rep
@@ -88,18 +81,12 @@ type ClassEnergy struct {
 // is judged on. The classes sum to FromResult's C2C term for the
 // collective strategies (the pipeline's handoff chain belongs to no
 // synchronization and is excluded), up to float summation order.
-// Results without per-link counters fall back to the network's local
-// class for every byte, mirroring FromResult.
-func C2CByClass(p hw.Params, res *perfsim.Result) []ClassEnergy {
+func C2CByClass(_ hw.Params, res *perfsim.Result) []ClassEnergy {
 	out := make([]ClassEnergy, 0, len(res.ByClass))
 	for _, cs := range res.ByClass {
 		e := ClassEnergy{Class: cs.Class, Topology: cs.Topology}
-		if len(cs.C2CSentBytesByLink) > 0 {
-			for i, b := range cs.C2CSentBytesByLink {
-				e.C2CJoules += float64(b) * res.LinkClasses[i].EnergyPJPerByte * pJ
-			}
-		} else {
-			e.C2CJoules = float64(cs.C2CSentBytes) * p.Network.Local.EnergyPJPerByte * pJ
+		for i, b := range cs.C2CSentBytesByLink {
+			e.C2CJoules += float64(b) * res.LinkClasses[i].EnergyPJPerByte * pJ
 		}
 		out = append(out, e)
 	}

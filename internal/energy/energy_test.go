@@ -33,11 +33,13 @@ func TestEnergyComponentsManual(t *testing.T) {
 	p := hw.Siracusa()
 	res := &perfsim.Result{
 		TotalCycles: 500e6, // one second
+		LinkClasses: []hw.LinkClass{hw.MIPI()},
 		PerChip: []perfsim.ChipStats{{
-			ComputeCycles: 500e6,
-			L3Bytes:       1e6,
-			L2L1Bytes:     1e6,
-			C2CSentBytes:  1e6,
+			ComputeCycles:       500e6,
+			L3Bytes:             1e6,
+			L2L1Bytes:           1e6,
+			C2CSentBytes:        1e6,
+			C2CSentBytesByClass: []int64{1e6},
 		}},
 	}
 	rep := FromResult(p, res)
@@ -60,8 +62,7 @@ func TestEnergyComponentsManual(t *testing.T) {
 
 // Chip-to-chip energy is billed per link class: bytes over a
 // 150 pJ/B backhaul cost 1.5x the bytes over the 100 pJ/B local
-// class, and the per-class path must agree with the uniform fallback
-// when there is only one class.
+// class.
 func TestC2CEnergyPerClass(t *testing.T) {
 	p := hw.Siracusa()
 	local := hw.MIPI()
@@ -77,15 +78,6 @@ func TestC2CEnergyPerClass(t *testing.T) {
 	want := (1e6*100 + 2e6*150) * 1e-12
 	if math.Abs(rep.C2C-want) > 1e-15 {
 		t.Errorf("per-class C2C = %g, want %g", rep.C2C, want)
-	}
-
-	// Without per-class counters the model falls back to charging the
-	// local class for every byte (the pre-refactor accounting).
-	legacy := &perfsim.Result{
-		PerChip: []perfsim.ChipStats{{C2CSentBytes: 3e6}},
-	}
-	if got := FromResult(p, legacy).C2C; math.Abs(got-3e6*100*1e-12) > 1e-15 {
-		t.Errorf("fallback C2C = %g, want %g", got, 3e6*100*1e-12)
 	}
 }
 

@@ -13,18 +13,20 @@ func TestPropertyEnergyMonotone(t *testing.T) {
 	p := hw.Siracusa()
 	f := func(compRaw, l3Raw, l2Raw, c2cRaw uint32) bool {
 		base := perfsim.ChipStats{
-			ComputeCycles: float64(compRaw),
-			L3Bytes:       int64(l3Raw),
-			L2L1Bytes:     int64(l2Raw),
-			C2CSentBytes:  int64(c2cRaw),
+			ComputeCycles:       float64(compRaw),
+			L3Bytes:             int64(l3Raw),
+			L2L1Bytes:           int64(l2Raw),
+			C2CSentBytes:        int64(c2cRaw),
+			C2CSentBytesByClass: []int64{int64(c2cRaw)},
 		}
-		res := &perfsim.Result{PerChip: []perfsim.ChipStats{base}}
+		classes := []hw.LinkClass{hw.MIPI()}
+		res := &perfsim.Result{LinkClasses: classes, PerChip: []perfsim.ChipStats{base}}
 		e0 := FromResult(p, res).Total()
 
 		bumped := base
 		bumped.L3Bytes++
 		bumped.ComputeCycles++
-		res2 := &perfsim.Result{PerChip: []perfsim.ChipStats{bumped}}
+		res2 := &perfsim.Result{LinkClasses: classes, PerChip: []perfsim.ChipStats{bumped}}
 		e1 := FromResult(p, res2).Total()
 		return e1 >= e0
 	}

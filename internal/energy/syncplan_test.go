@@ -57,19 +57,3 @@ func TestC2CByClassBillsPerLink(t *testing.T) {
 		t.Errorf("per-class energy sums to %g J, whole-run C2C term is %g J", sum, whole)
 	}
 }
-
-// Hand-built class stats without a per-link split fall back to the
-// local class, mirroring FromResult.
-func TestC2CByClassFallback(t *testing.T) {
-	p := hw.Siracusa()
-	res := &perfsim.Result{
-		ByClass: []perfsim.ClassStats{
-			{Class: collective.DecodeMHSA, Topology: hw.TopoTree, Syncs: 4, C2CSentBytes: 4096},
-		},
-	}
-	split := C2CByClass(p, res)
-	want := 4096 * p.Network.Local.EnergyPJPerByte * 1e-12
-	if len(split) != 1 || math.Abs(split[0].C2CJoules-want) > 1e-18 {
-		t.Fatalf("fallback billed %v, want %g", split, want)
-	}
-}

@@ -97,8 +97,8 @@ func TestValidateRejectsBadParams(t *testing.T) {
 		{"clustered dead backhaul", func(p *Params) {
 			p.Network = ClusteredNetwork(MIPI(), LinkClass{}, 4)
 		}},
-		{"unregistered table", func(p *Params) {
-			p.Network = Network{Profile: NetTable, TableDigest: "no-such-digest"}
+		{"unregistered view", func(p *Params) {
+			p.Network = Network{Profile: NetView, TableDigest: "no-such-digest"}
 		}},
 		{"negative l3 energy", func(p *Params) { p.Energy.L3PJPerByte = -1 }},
 		{"negative l2 energy", func(p *Params) { p.Energy.L2PJPerByte = -1 }},

@@ -2,21 +2,21 @@ package hw
 
 import "fmt"
 
-// This file generates explicit per-edge wirings on top of the
-// TableNetwork machinery: a materializer that expands any network
-// profile into its edge table (the form stage routing searches), and
-// the 2D torus, a sparse fabric that exercises multi-hop stage
-// routing because most chip pairs have no direct edge.
+// This file generates explicit per-edge wirings: a materializer that
+// expands any network into its edge table (the form stage routing
+// searches), and the 2D torus, a sparse fabric registered through
+// TableNetwork that exercises multi-hop stage routing because most
+// chip pairs have no direct edge.
 
 // NetworkEdges materializes the network's wiring over chips 0..n-1 as
 // an explicit per-edge table: every directed edge the network defines
 // between those chips, with its resolved class. For the uniform and
 // clustered profiles that is the complete bipartite set (every ordered
-// pair is wired); for a table profile it is the registered edges
-// restricted to chips below n, and for a view the edges its base wires
-// between the survivors, re-priced by its overrides. The result is a
-// fresh map the caller may mutate; stage routing reads it to find
-// multi-hop paths.
+// pair is wired); for a view it is the edges its base wires between
+// the survivors, re-priced by its overrides, plus the edges its
+// overrides wire over the zero base (a measured wiring), restricted to
+// chips below n. The result is a fresh map the caller may mutate;
+// stage routing reads it to find multi-hop paths.
 func NetworkEdges(net Network, n int) (map[Edge]LinkClass, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("hw: cannot materialize a network over %d chips (need at least 2)", n)
@@ -26,13 +26,6 @@ func NetworkEdges(net Network, n int) (map[Edge]LinkClass, error) {
 	}
 	edges := make(map[Edge]LinkClass)
 	switch net.Profile {
-	case NetTable:
-		table := lookupTable(net.TableDigest)
-		for e, c := range table {
-			if e.From < n && e.To < n {
-				edges[e] = c
-			}
-		}
 	case NetView:
 		v := lookupView(net.TableDigest)
 		for from := 0; from < n; from++ {

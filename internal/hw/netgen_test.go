@@ -89,9 +89,9 @@ func TestTorusNetworkRoundTrip(t *testing.T) {
 	if a != b {
 		t.Fatalf("equal torus parameters produced unequal networks: %v vs %v", a, b)
 	}
-	edges, ok := TableEdges(a.TableDigest)
-	if !ok {
-		t.Fatal("torus table not registered")
+	edges, err := NetworkEdges(a, 16)
+	if err != nil {
+		t.Fatal(err)
 	}
 	// 16 chips x degree 4, both directions.
 	if len(edges) != 64 {

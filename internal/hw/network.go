@@ -1,7 +1,6 @@
 package hw
 
 import (
-	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
@@ -9,7 +8,6 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-	"sync"
 )
 
 // LinkClass describes one class of chip-to-chip serial interface: a
@@ -93,14 +91,11 @@ const (
 	// cluster use Network.Local, edges between clusters use
 	// Network.Backhaul (typically much slower).
 	NetClustered
-	// NetTable resolves edges from an explicit per-edge table
-	// registered with TableNetwork — the shape for measured board
-	// wirings. Edges absent from the table are undefined and reject
-	// any schedule that routes over them.
-	NetTable
-	// NetView resolves edges through a degraded board registered with
-	// ViewNetwork: its surviving chips and re-priced edges over a base
-	// network of one of the other profiles (see View).
+	// NetView resolves edges through a view registered with
+	// ViewNetwork: surviving chips and re-priced edges over a
+	// closed-form base network, or over the zero Network, whose
+	// overrides are then the whole wiring (see View). A degraded board
+	// and a measured wiring (TableNetwork) are both views.
 	NetView
 
 	networkProfileCount // sentinel for validation
@@ -112,8 +107,6 @@ func (p NetworkProfile) String() string {
 		return "uniform"
 	case NetClustered:
 		return "clustered"
-	case NetTable:
-		return "table"
 	case NetView:
 		return "view"
 	default:
@@ -125,16 +118,16 @@ func (p NetworkProfile) String() string {
 func (p NetworkProfile) Valid() bool { return p >= 0 && p < networkProfileCount }
 
 // ParseNetworkProfile maps a command-line spelling to a profile.
-// Accepted names: uniform | mipi, clustered | two-tier, table, view.
+// Accepted names: uniform | mipi, clustered | two-tier, view; table,
+// per-edge and netlist also name the view profile, the one a measured
+// wiring registers as.
 func ParseNetworkProfile(s string) (NetworkProfile, error) {
 	switch strings.ToLower(strings.TrimSpace(s)) {
 	case "uniform", "mipi", "flat":
 		return NetUniform, nil
 	case "clustered", "two-tier", "backhaul":
 		return NetClustered, nil
-	case "table", "per-edge", "netlist":
-		return NetTable, nil
-	case "view":
+	case "view", "table", "per-edge", "netlist":
 		return NetView, nil
 	default:
 		return 0, fmt.Errorf("hw: unknown network profile %q (want uniform | clustered | table | view)", s)
@@ -167,10 +160,12 @@ type Edge struct {
 
 // Network assigns a LinkClass to every directed chip-to-chip edge.
 // It is a comparable value type — the evalpool report cache keys on
-// the full hw.Params — so an explicit per-edge table or a degraded view
-// is carried by a canonical content digest into a process-wide
+// the full hw.Params — so a view (a measured wiring or a degraded
+// board) is carried by a canonical content digest into a process-wide
 // registry rather than by a map field: two networks built from equal
-// tables (or equal views) compare equal and share one cache entry.
+// views compare equal and share one cache entry. The zero Network
+// wires nothing; it serves only as the base of a view that lists
+// every edge it wires.
 type Network struct {
 	Profile NetworkProfile
 	// Local is the uniform class (NetUniform) or the intra-cluster
@@ -181,9 +176,9 @@ type Network struct {
 	// ClusterSize is the number of consecutive chips per cluster
 	// (NetClustered only).
 	ClusterSize int
-	// TableDigest identifies a registered per-edge table (NetTable) or
-	// view (NetView): the canonical content digest TableNetwork or
-	// ViewNetwork returned.
+	// TableDigest identifies a registered view (NetView): the
+	// canonical content digest ViewNetwork (or TableNetwork, which
+	// registers a wiring as a view) returned.
 	TableDigest string
 }
 
@@ -200,61 +195,36 @@ func ClusteredNetwork(local, backhaul LinkClass, clusterSize int) Network {
 	return Network{Profile: NetClustered, Local: local, Backhaul: backhaul, ClusterSize: clusterSize}
 }
 
-// tableRegistry interns explicit per-edge tables by canonical digest,
-// keeping Network a comparable value while supporting arbitrary
-// measured wirings.
-var (
-	tableMu  sync.RWMutex
-	tableReg = map[string]map[Edge]LinkClass{}
-)
-
-// TableNetwork registers an explicit per-edge link table and returns
-// the Network referencing it. The table is keyed by a canonical
-// digest of its exact contents (edges sorted, float bit patterns), so
-// registering an equal table twice yields equal Network values — the
-// property the evalpool cache key depends on. Every class in the
-// table must validate; edges not present are undefined and reject
-// schedules that route over them.
+// TableNetwork registers an explicit per-edge link table — a measured
+// board wiring — and returns the Network referencing it. The table is
+// registered as a view over the zero Network, which wires nothing:
+// its survivors are chips 0 through the largest id the table names,
+// and its overrides are every edge in (from, to) order. Equal tables
+// therefore yield equal Network values — the property the evalpool
+// cache key depends on. Every class in the table must validate; edges
+// not present are undefined and reject schedules that route over
+// them.
 func TableNetwork(edges map[Edge]LinkClass) (Network, error) {
-	digest, err := DigestTable(edges)
-	if err != nil {
-		return Network{}, err
-	}
-	cp := make(map[Edge]LinkClass, len(edges))
-	for e, c := range edges {
-		cp[e] = c
-	}
-	tableMu.Lock()
-	tableReg[digest] = cp
-	tableMu.Unlock()
-	return Network{Profile: NetTable, TableDigest: digest}, nil
-}
-
-// DigestTable validates an explicit per-edge link table and returns
-// the canonical content digest TableNetwork registers it under,
-// without registering it.
-func DigestTable(edges map[Edge]LinkClass) (string, error) {
 	if len(edges) == 0 {
-		return "", fmt.Errorf("hw: per-edge table must define at least one edge")
+		return Network{}, fmt.Errorf("hw: per-edge table must define at least one edge")
 	}
-	keys := make([]Edge, 0, len(edges))
-	for e := range edges {
-		keys = append(keys, e)
+	v := View{Overrides: make([]EdgeClass, 0, len(edges))}
+	last := 0
+	for e, c := range edges {
+		v.Overrides = append(v.Overrides, EdgeClass{Edge: e, Class: c})
+		last = max(last, e.From, e.To)
 	}
-	slices.SortFunc(keys, compareEdges)
-	h := sha256.New()
-	for _, e := range keys {
-		if err := checkEdge(e, edges[e]); err != nil {
-			return "", err
-		}
-		h.Write(appendEdgeDigest(make([]byte, 0, 128), e, edges[e]))
+	slices.SortFunc(v.Overrides, func(a, b EdgeClass) int { return compareEdges(a.Edge, b.Edge) })
+	v.Survivors = make([]int, last+1)
+	for i := range v.Survivors {
+		v.Survivors[i] = i
 	}
-	return hex.EncodeToString(h.Sum(nil)), nil
+	return ViewNetwork(v)
 }
 
-// checkEdge reports the first problem with one wired edge of a table
-// or a view. Tables and views check edges in (from, to) order, so the
-// error names the first bad edge of that order.
+// checkEdge reports the first problem with one wired edge of a view.
+// Views check edges in (from, to) order, so the error names the first
+// bad edge of that order.
 func checkEdge(e Edge, c LinkClass) error {
 	if e.From < 0 || e.To < 0 || e.From == e.To {
 		return fmt.Errorf("hw: bad edge %d->%d", e.From, e.To)
@@ -265,7 +235,7 @@ func checkEdge(e Edge, c LinkClass) error {
 	return nil
 }
 
-// unwired is the error for an edge a table or a view does not wire.
+// unwired is the error for an edge a view does not wire.
 func unwired(from, to int) error {
 	return fmt.Errorf("hw: edge %d->%d is not wired", from, to)
 }
@@ -290,35 +260,10 @@ func appendHex16(b []byte, v uint64) []byte {
 	return hex.AppendEncode(b, be[:])
 }
 
-// lookupTable returns the registered table, or nil.
-func lookupTable(digest string) map[Edge]LinkClass {
-	tableMu.RLock()
-	defer tableMu.RUnlock()
-	return tableReg[digest]
-}
-
-// TableEdges returns a copy of the per-edge table registered under
-// digest, or ok=false if no table with that digest is registered in
-// this process. The persistent result store uses it to write table
-// wirings next to the reports that reference them, so a cold process
-// can re-register the table (through TableNetwork, which reproduces
-// the same content digest) before serving cached table-backed runs.
-func TableEdges(digest string) (map[Edge]LinkClass, bool) {
-	table := lookupTable(digest)
-	if table == nil {
-		return nil, false
-	}
-	cp := make(map[Edge]LinkClass, len(table))
-	for e, c := range table {
-		cp[e] = c
-	}
-	return cp, true
-}
-
 // LinkFor resolves the class of the directed edge from->to. An edge a
-// network does not define — a table or view that was never
-// registered, or an unwired chip pair — returns an error; schedule
-// lowering surfaces it before any simulation runs.
+// network does not define — a view that was never registered, or an
+// unwired chip pair — returns an error; schedule lowering surfaces it
+// before any simulation runs.
 func (n Network) LinkFor(from, to int) (LinkClass, error) {
 	if from == to {
 		return LinkClass{}, fmt.Errorf("hw: self-edge %d->%d has no link", from, to)
@@ -334,16 +279,6 @@ func (n Network) LinkFor(from, to int) (LinkClass, error) {
 			return n.Local, nil
 		}
 		return n.Backhaul, nil
-	case NetTable:
-		table := lookupTable(n.TableDigest)
-		if table == nil {
-			return LinkClass{}, fmt.Errorf("hw: per-edge table %q is not registered (build the network with TableNetwork)", n.TableDigest)
-		}
-		c, ok := table[Edge{From: from, To: to}]
-		if !ok {
-			return LinkClass{}, unwired(from, to)
-		}
-		return c, nil
 	case NetView:
 		v := lookupView(n.TableDigest)
 		if v == nil {
@@ -360,8 +295,8 @@ func (n Network) LinkFor(from, to int) (LinkClass, error) {
 }
 
 // String names the network for sweep labels and reports: "uniform",
-// "clustered-4x10" (cluster size 4, backhaul 10x slower),
-// "table-<digest prefix>" or "view-<digest prefix>".
+// "clustered-4x10" (cluster size 4, backhaul 10x slower) or
+// "view-<digest prefix>".
 func (n Network) String() string {
 	switch n.Profile {
 	case NetUniform:
@@ -372,7 +307,7 @@ func (n Network) String() string {
 			slow = fmt.Sprintf("%g", n.Local.BandwidthBytesPerSec/n.Backhaul.BandwidthBytesPerSec)
 		}
 		return fmt.Sprintf("clustered-%dx%s", n.ClusterSize, slow)
-	case NetTable, NetView:
+	case NetView:
 		d := n.TableDigest
 		if len(d) > 8 {
 			d = d[:8]
@@ -397,11 +332,6 @@ func (n Network) Validate() error {
 		}
 		if n.ClusterSize <= 0 {
 			return fmt.Errorf("hw: clustered network needs a positive cluster size, got %d", n.ClusterSize)
-		}
-		return nil
-	case NetTable:
-		if lookupTable(n.TableDigest) == nil {
-			return fmt.Errorf("hw: per-edge table %q is not registered (build the network with TableNetwork)", n.TableDigest)
 		}
 		return nil
 	case NetView:

@@ -3,6 +3,7 @@ package hw
 import (
 	"encoding/json"
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -95,25 +96,28 @@ func TestTableNetworkCanonicalDigest(t *testing.T) {
 	if c == a {
 		t.Error("different tables collided on one digest")
 	}
-	// DigestTable names the same digest without registering the table.
-	unregistered := map[Edge]LinkClass{{2, 3}: MIPI().Slower(7)}
-	d, err := DigestTable(unregistered)
+	// The table is registered as a view over the zero Network: chips 0
+	// through the largest id survive, and the edges are its overrides.
+	sparse, err := TableNetwork(map[Edge]LinkClass{{3, 2}: MIPI().Slower(7), {0, 3}: MIPI()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := TableEdges(d); ok {
-		t.Error("DigestTable registered the table")
+	want := View{Survivors: []int{0, 1, 2, 3},
+		Overrides: []EdgeClass{{Edge{0, 3}, MIPI()}, {Edge{3, 2}, MIPI().Slower(7)}}}
+	if got, ok := ViewOf(sparse.TableDigest); !ok || !reflect.DeepEqual(got, want) || sparse.Profile != NetView {
+		t.Errorf("table registered as %+v (%v) on %v, want the view %+v", got, ok, sparse, want)
 	}
-	if n, err := TableNetwork(unregistered); err != nil || n.TableDigest != d {
-		t.Errorf("TableNetwork digest %q (%v), DigestTable %q", n.TableDigest, err, d)
+	if d, err := DigestView(want); err != nil || d != sparse.TableDigest {
+		t.Errorf("DigestView of the table's view = %q (%v), want %q", d, err, sparse.TableDigest)
 	}
 }
 
 // TestTableNetworkDigestPinned pins the content digests of two tables:
 // a materialized 64-chip clustered network, and a table with
 // non-round floats, multi-digit chip ids and energies whose bit
-// patterns have leading zero hex digits. Result-store table records
-// persist the digest, so its spelling must never change.
+// patterns have leading zero hex digits. A table's digest is its
+// view's, which result-store view records persist, so its spelling
+// must not change within a store version.
 func TestTableNetworkDigestPinned(t *testing.T) {
 	clustered, err := NetworkEdges(ClusteredNetwork(MIPI(), MIPI().Slower(10), 4), 64)
 	if err != nil {
@@ -131,8 +135,8 @@ func TestTableNetworkDigestPinned(t *testing.T) {
 		edges  map[Edge]LinkClass
 		digest string
 	}{
-		{"clustered-64", clustered, "88ac36e7e0aceaf5d7f9e0bef61a1d114a29d0719a84cfd871146aaf291cd535"},
-		{"odd-floats", odd, "8d35cfa6ced0fdd8dd3b2b97c0d3e66c4f693f06d811f76bdb193a743cf4f337"},
+		{"clustered-64", clustered, "1d3a09a64d3df3a441eeb66a78d311acb6792f1dc0b06e11559cd18b25360959"},
+		{"odd-floats", odd, "f100d16ad8a63827bce48a5c03ac1887be33523ff80281c4cd4af367ebf965fa"},
 	} {
 		net, err := TableNetwork(c.edges)
 		if err != nil {
@@ -274,6 +278,13 @@ func TestNetworkProfileTextRoundTrip(t *testing.T) {
 	if _, err := ParseNetworkProfile("token-ring"); err == nil {
 		t.Error("unknown profile parsed")
 	}
+	// A measured wiring registers as a view, so its spellings name the
+	// view profile.
+	for _, s := range []string{"table", "per-edge", "netlist"} {
+		if p, err := ParseNetworkProfile(s); err != nil || p != NetView {
+			t.Errorf("ParseNetworkProfile(%q) = %v, %v; want view", s, p, err)
+		}
+	}
 }
 
 func TestNetworkString(t *testing.T) {
@@ -287,7 +298,7 @@ func TestNetworkString(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := n.String(); len(got) != len("table-")+8 || got[:6] != "table-" {
-		t.Errorf("table String = %q, want table-<8 hex>", got)
+	if got := n.String(); len(got) != len("view-")+8 || got[:5] != "view-" {
+		t.Errorf("table String = %q, want view-<8 hex>", got)
 	}
 }

@@ -2,6 +2,7 @@ package hw
 
 import (
 	"maps"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -28,12 +29,11 @@ func chainTable(t *testing.T) (Network, map[Edge]LinkClass) {
 }
 
 // A view resolves each edge through its override, or else through the
-// base edge between the survivors, and wires nothing the base does
-// not; NetworkEdges materializes exactly that.
+// base edge between the survivors; NetworkEdges materializes exactly
+// that.
 func TestViewResolvesThroughBase(t *testing.T) {
-	base, edges := chainTable(t)
-	fast := MIPI().Slower(2)
-	v := View{Base: base, Survivors: []int{0, 2, 3}, Overrides: []EdgeClass{{Edge{1, 2}, fast}}}
+	local, back, fast := MIPI(), MIPI().Slower(10), MIPI().Slower(2)
+	v := View{Base: ClusteredNetwork(local, back, 2), Survivors: []int{0, 2, 3}, Overrides: []EdgeClass{{Edge{1, 2}, fast}}}
 	net, err := ViewNetwork(v)
 	if err != nil {
 		t.Fatal(err)
@@ -42,8 +42,8 @@ func TestViewResolvesThroughBase(t *testing.T) {
 		t.Fatalf("view network %+v spells %q", net, net)
 	}
 	want := map[Edge]LinkClass{
-		{0, 2}: edges[Edge{0, 3}], {2, 0}: edges[Edge{3, 0}],
-		{1, 2}: fast, {2, 1}: edges[Edge{3, 2}],
+		{0, 1}: back, {1, 0}: back, {0, 2}: back, {2, 0}: back,
+		{1, 2}: fast, {2, 1}: local,
 	}
 	got, err := NetworkEdges(net, 3)
 	if err != nil {
@@ -56,6 +56,38 @@ func TestViewResolvesThroughBase(t *testing.T) {
 		if l, err := net.LinkFor(e.From, e.To); err != nil || l != c {
 			t.Errorf("LinkFor(%v) = %+v, %v; want %+v", e, l, err, c)
 		}
+	}
+	for _, e := range []Edge{{0, 0}, {0, 3}, {-1, 0}} {
+		if _, err := net.LinkFor(e.From, e.To); err == nil {
+			t.Errorf("LinkFor(%v) resolved an edge the view does not wire", e)
+		}
+	}
+}
+
+// Over the zero Network a view wires exactly its overrides: the
+// measured wiring TableNetwork registers. Dropping a chip of such a
+// view drops its edges, and a view whose overrides all lie elsewhere
+// wires nothing below them.
+func TestZeroBaseViewWiresItsOverrides(t *testing.T) {
+	_, edges := chainTable(t)
+	v := View{Survivors: []int{0, 2, 3}, Overrides: []EdgeClass{
+		{Edge{0, 2}, edges[Edge{0, 3}]}, {Edge{1, 2}, edges[Edge{2, 3}]},
+		{Edge{2, 0}, edges[Edge{3, 0}]}, {Edge{2, 1}, edges[Edge{3, 2}]},
+	}}
+	net, err := ViewNetwork(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[Edge]LinkClass{}
+	for _, o := range v.Overrides {
+		want[o.Edge] = o.Class
+	}
+	got, err := NetworkEdges(net, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !maps.Equal(got, want) {
+		t.Fatalf("view wires %v, want %v", got, want)
 	}
 	for _, e := range []Edge{{0, 1}, {1, 0}, {0, 0}, {0, 3}, {-1, 0}} {
 		if _, err := net.LinkFor(e.From, e.To); err == nil {
@@ -114,9 +146,9 @@ func TestViewDigestIsContent(t *testing.T) {
 
 // ViewOver of a view composes: it keeps the base, takes the first n
 // survivors and keeps the overrides among them; of any other network
-// it is the identity view.
+// it is the identity view. A measured wiring composes like any view.
 func TestViewOverComposes(t *testing.T) {
-	base, _ := chainTable(t)
+	base := ClusteredNetwork(MIPI(), MIPI().Slower(10), 2)
 	v := View{Base: base, Survivors: []int{0, 1, 2, 3},
 		Overrides: []EdgeClass{{Edge{0, 1}, MIPI().Slower(3)}, {Edge{2, 3}, MIPI().Slower(5)}}}
 	net, err := ViewNetwork(v)
@@ -143,10 +175,24 @@ func TestViewOverComposes(t *testing.T) {
 	if !id.Slow(Edge{1, 2}, 5) || len(id.Overrides) != 1 || id.Overrides[0].Class != MIPI().Slower(2).Slower(5) {
 		t.Errorf("slowing one edge twice: %+v", id.Overrides)
 	}
+	chain, edges := chainTable(t)
+	sub, err := ViewOver(chain, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := View{Survivors: []int{0, 1, 2}, Overrides: []EdgeClass{
+		{Edge{0, 1}, edges[Edge{0, 1}]}, {Edge{1, 0}, edges[Edge{1, 0}]},
+		{Edge{1, 2}, edges[Edge{1, 2}]}, {Edge{2, 1}, edges[Edge{2, 1}]},
+	}}
+	if !reflect.DeepEqual(sub, want) {
+		t.Errorf("ViewOver(chain, 3) = %+v, want %+v", sub, want)
+	}
+	if !sub.Slow(Edge{1, 2}, 2) || sub.Slow(Edge{0, 2}, 2) {
+		t.Error("Slow on a measured wiring re-priced an unwired edge or missed a wired one")
+	}
 }
 
 func TestViewNetworkRejectsBadViews(t *testing.T) {
-	base, _ := chainTable(t)
 	uniform := UniformNetwork(MIPI())
 	nested, err := ViewNetwork(View{Base: uniform, Survivors: []int{0, 1}})
 	if err != nil {
@@ -154,7 +200,7 @@ func TestViewNetworkRejectsBadViews(t *testing.T) {
 	}
 	for name, v := range map[string]View{
 		"view base":           {Base: nested, Survivors: []int{0, 1}},
-		"unregistered base":   {Base: Network{Profile: NetTable, TableDigest: "feed"}, Survivors: []int{0, 1}},
+		"invalid base":        {Base: Network{Profile: NetClustered, Local: MIPI()}, Survivors: []int{0, 1}},
 		"one survivor":        {Base: uniform, Survivors: []int{0}},
 		"unsorted survivors":  {Base: uniform, Survivors: []int{0, 2, 1}},
 		"repeated survivor":   {Base: uniform, Survivors: []int{0, 1, 1}},
@@ -163,9 +209,8 @@ func TestViewNetworkRejectsBadViews(t *testing.T) {
 		"duplicate override":  {Base: uniform, Survivors: []int{0, 1}, Overrides: []EdgeClass{{Edge{0, 1}, MIPI()}, {Edge{0, 1}, MIPI()}}},
 		"self-edge override":  {Base: uniform, Survivors: []int{0, 1}, Overrides: []EdgeClass{{Edge{1, 1}, MIPI()}}},
 		"override off view":   {Base: uniform, Survivors: []int{0, 1}, Overrides: []EdgeClass{{Edge{0, 2}, MIPI()}}},
-		"override unwired":    {Base: base, Survivors: []int{0, 1, 2}, Overrides: []EdgeClass{{Edge{0, 2}, MIPI()}}},
 		"zero-bandwidth edge": {Base: uniform, Survivors: []int{0, 1}, Overrides: []EdgeClass{{Edge{0, 1}, LinkClass{}}}},
-		"wires nothing":       {Base: base, Survivors: []int{0, 2}},
+		"wires nothing":       {Survivors: []int{0, 2}},
 	} {
 		if _, err := ViewNetwork(v); err == nil {
 			t.Errorf("%s: accepted", name)

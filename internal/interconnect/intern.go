@@ -8,7 +8,7 @@ import (
 )
 
 // scheduleKey identifies one lowered schedule. hw.Network is a
-// comparable value — explicit per-edge tables and degraded views are
+// comparable value — views (measured wirings and degraded boards) are
 // carried by their canonical sha256 content digest, exactly like the
 // evalpool cache key — so two platforms request the same entry exactly
 // when their wiring, chip count, and topology match. GroupSize participates only
@@ -22,18 +22,49 @@ type scheduleKey struct {
 	group int
 }
 
-// internEntry memoizes one lowering. The first requester lowers and
-// validates inside the sync.Once; concurrent requesters of the same
-// key block on the Once and then read the settled result.
-type internEntry struct {
+// intern memoizes one value per key, computing each at most once. The
+// first requester of a key computes inside the entry's sync.Once;
+// concurrent requesters of the same key block on the Once and then
+// read the settled result. Nothing evicts on its own: reset drops
+// every entry.
+type intern[K comparable, V any] struct {
+	mu sync.Mutex
+	m  map[K]*internEntry[V]
+}
+
+type internEntry[V any] struct {
 	once sync.Once
-	s    *Schedule
+	v    V
 	err  error
 }
 
+// get returns the value interned under key, computing it on the key's
+// first request.
+func (c *intern[K, V]) get(key K, compute func() (V, error)) (V, error) {
+	c.mu.Lock()
+	e, ok := c.m[key]
+	if !ok {
+		if c.m == nil {
+			c.m = map[K]*internEntry[V]{}
+		}
+		e = &internEntry[V]{}
+		c.m[key] = e
+	}
+	c.mu.Unlock()
+	e.once.Do(func() { e.v, e.err = compute() })
+	return e.v, e.err
+}
+
+// reset drops every entry, so the next request of any key computes
+// afresh.
+func (c *intern[K, V]) reset() {
+	c.mu.Lock()
+	c.m = nil
+	c.mu.Unlock()
+}
+
 var (
-	internMu  sync.Mutex
-	internMap = map[scheduleKey]*internEntry{}
+	schedules intern[scheduleKey, *Schedule]
 	lowerings atomic.Uint64
 )
 
@@ -51,26 +82,17 @@ func CachedSchedule(p hw.Params, n int) (*Schedule, error) {
 	if p.Topology == hw.TopoRing || p.Topology == hw.TopoFullyConnected {
 		key.group = 0
 	}
-	internMu.Lock()
-	e, ok := internMap[key]
-	if !ok {
-		e = &internEntry{}
-		internMap[key] = e
-	}
-	internMu.Unlock()
-	e.once.Do(func() {
+	return schedules.get(key, func() (*Schedule, error) {
 		lowerings.Add(1)
 		s, err := NewSchedule(p, n)
 		if err == nil {
 			err = s.Validate()
 		}
 		if err != nil {
-			e.err = err
-			return
+			return nil, err
 		}
-		e.s = s
+		return s, nil
 	})
-	return e.s, e.err
 }
 
 // Lowerings returns the number of schedule lowerings the intern cache
@@ -83,14 +105,10 @@ func Lowerings() uint64 { return lowerings.Load() }
 // ResetScheduleCache drops every interned collective schedule and
 // every interned pipeline chain (neither cache evicts on its own), so
 // the next request of any key lowers afresh, as in a new process. The
-// lowering counter keeps counting across resets. Per-edge tables and
-// views registered with hw.TableNetwork and hw.ViewNetwork stay
-// registered.
+// lowering counter keeps counting across resets. Views registered with
+// hw.ViewNetwork (measured wirings from hw.TableNetwork among them)
+// stay registered.
 func ResetScheduleCache() {
-	internMu.Lock()
-	internMap = map[scheduleKey]*internEntry{}
-	internMu.Unlock()
-	chainMu.Lock()
-	chainMap = map[chainKey]*chainEntry{}
-	chainMu.Unlock()
+	schedules.reset()
+	chains.reset()
 }

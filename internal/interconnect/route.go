@@ -3,7 +3,6 @@ package interconnect
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"mcudist/internal/hw"
 )
@@ -147,37 +146,19 @@ func NewPipelineChain(net hw.Network, n int) (*PipelineChain, error) {
 }
 
 // chainKey identifies one lowered pipeline chain; like scheduleKey,
-// hw.Network is comparable (tables ride as content digests).
+// hw.Network is comparable (views ride as content digests).
 type chainKey struct {
 	net hw.Network
 	n   int
 }
 
-type chainEntry struct {
-	once sync.Once
-	pc   *PipelineChain
-	err  error
-}
-
-var (
-	chainMu  sync.Mutex
-	chainMap = map[chainKey]*chainEntry{}
-)
+var chains intern[chainKey, *PipelineChain]
 
 // CachedPipelineChain returns the interned pipeline chain for the
 // wiring, routing and class-resolving once per (network, chips) pair —
 // the same discipline CachedSchedule applies to collective lowerings.
 func CachedPipelineChain(net hw.Network, n int) (*PipelineChain, error) {
-	key := chainKey{net: net, n: n}
-	chainMu.Lock()
-	e, ok := chainMap[key]
-	if !ok {
-		e = &chainEntry{}
-		chainMap[key] = e
-	}
-	chainMu.Unlock()
-	e.once.Do(func() {
-		e.pc, e.err = NewPipelineChain(net, n)
+	return chains.get(chainKey{net: net, n: n}, func() (*PipelineChain, error) {
+		return NewPipelineChain(net, n)
 	})
-	return e.pc, e.err
 }

@@ -213,6 +213,10 @@ type Sim struct {
 	accByLink       []int64
 	syncs           int
 	tl              *trace.Timeline
+	// links holds each directed edge's span category and label on a
+	// traced run, indexed from*n+to and formatted on the edge's first
+	// traced hop of the run.
+	links []linkLabel
 	// sync/strategy scratch: flat per-(chip, chunk) readiness
 	// matrices, chunks entries per chip, ping-pong arrival buffers
 	// (alternating so a caller's previous arrival slice stays valid
@@ -260,6 +264,11 @@ type Sim struct {
 	memEnabled bool
 	memCh      memsim.Channel
 	tileRing   []float64
+}
+
+// linkLabel is the span category and label of one directed edge's hops.
+type linkLabel struct {
+	category, label string
 }
 
 // loweredSched is one schedule bound for this run plus the run-local
@@ -528,6 +537,13 @@ func (s *Sim) RunTraced(d *deploy.Deployment, tl *trace.Timeline) (*Result, erro
 	s.dma = s.chipFree[n : 2*n]
 	s.io = s.chipFree[2*n : 3*n]
 	s.linkFree = growFloats(s.linkFree, n*n)
+	if tl != nil {
+		if cap(s.links) < n*n {
+			s.links = make([]linkLabel, n*n)
+		}
+		s.links = s.links[:n*n]
+		clear(s.links)
+	}
 
 	// Phase kernels run at the same price in every block.
 	s.prices = s.prices[:0]
@@ -931,8 +947,12 @@ func (s *Sim) hops(list []interconnect.Hop, ids []int32, acc *classAccum, tile i
 		if tl != nil {
 			// Each edge is its own full-duplex PHY: trace it as its own
 			// exclusive device. The labels are formatted only on the
-			// traced (cold) path.
-			s.span(from, fmt.Sprintf("link%d-%d", from, to), fmt.Sprintf("%d->%d", from, to), end-dur, end)
+			// traced (cold) path, once per edge and run.
+			l := &s.links[from*n+to]
+			if l.category == "" {
+				l.category, l.label = fmt.Sprintf("link%d-%d", from, to), fmt.Sprintf("%d->%d", from, to)
+			}
+			s.span(from, l.category, l.label, end-dur, end)
 		}
 		st, rt := &stats[from], &stats[to]
 		st.C2CCycles += dur

@@ -143,3 +143,35 @@ func TestTraceContainsAllCategories(t *testing.T) {
 		t.Error("no link spans in trace")
 	}
 }
+
+// A traced run formats each directed edge's two labels once, on the
+// edge's first traced hop, instead of twice per hop. A traced 64-chip
+// scaled prompt run (19,488 spans) allocated 4,068 times when every
+// hop formatted its own labels, and 288 times with one pair per edge.
+// The arena is pinned and warm, so the count covers the labels, the
+// timeline's chunks and the Result.
+func TestTracedRunFormatsEachEdgeOnce(t *testing.T) {
+	cfg := model.TinyLlamaScaled64()
+	p, err := partition.NewTensorParallel(cfg, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := deploy.NewBatched(p, hw.Siracusa(), model.Prompt, model.PaperSeqLen(cfg, model.Prompt), 1, deploy.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewSim()
+	var warm trace.Timeline
+	if _, err := s.RunTraced(d, &warm); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(3, func() {
+		var tl trace.Timeline
+		if _, err := s.RunTraced(d, &tl); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 1000 {
+		t.Errorf("a traced 64-chip prompt run allocates %.0f times, want at most 1000", allocs)
+	}
+}

@@ -29,9 +29,9 @@ import (
 
 // Netlist is a measured per-edge board wiring: a chip count, named
 // link classes (bandwidth/setup/energy triples), and the directed
-// edges wired between chips. It is the file-format view of
-// hw.TableNetwork: ParseNetlist reads it, Network registers it with
-// the interned table machinery.
+// edges wired between chips. It is the file format of
+// hw.TableNetwork: ParseNetlist reads it, and Network registers it as
+// an interned view over the zero network.
 type Netlist struct {
 	// Chips is the number of chips the wiring spans (chip ids are
 	// 0..Chips-1).
@@ -196,9 +196,10 @@ func (nl *Netlist) EdgeTable() map[hw.Edge]hw.LinkClass {
 	return edges
 }
 
-// Network registers the wiring as an interned per-edge table network.
-// Equal netlists (same resolved edges, whatever the class names)
-// produce equal Network values — the content digest ignores naming.
+// Network registers the wiring as an interned view network (see
+// hw.TableNetwork). Equal netlists (same resolved edges, whatever the
+// class names) produce equal Network values — the content digest
+// ignores naming.
 func (nl *Netlist) Network() (hw.Network, error) {
 	return hw.TableNetwork(nl.EdgeTable())
 }

@@ -19,8 +19,9 @@ const (
 	// the schedules address chips 0..n-1).
 	FaultDropChip FaultKind = iota
 	// FaultSlowEdge divides one edge's bandwidth (both directions when
-	// both are wired) by Factor in the network table itself, so the
-	// degradation rides in the network digest like any measured wiring.
+	// both are wired) by Factor in an override of the board's view, so
+	// the degradation rides in the network digest like any measured
+	// wiring.
 	FaultSlowEdge
 	// FaultStraggle throttles one chip's compute throughput by Factor
 	// via the deployment straggler options (the perfsim hook the
@@ -161,15 +162,18 @@ func FaultsString(faults []Fault) string {
 // The degraded network is a view over the system's network (see
 // hw.View): the surviving chips, renumbered consecutively in their old
 // order, and the slowed edges, whose bandwidth is divided in an
-// override of the view. A system whose network is already a view
-// composes onto the same base, so faults accumulate without a view
-// ever nesting. Every fault set gets a view of its own, registered
+// override of the view. A system whose network is already a view (a
+// measured wiring, or a board degraded before) composes onto the same
+// base, so faults accumulate without a view ever nesting. On a
+// closed-form board every fault set gets a view of its own, registered
 // under a content digest no base network shares — even a straggler,
 // which leaves the wiring as it was — so the cache tiers never confuse
 // degraded results with pristine ones. Stragglers ride in the
-// deployment options (which the evalpool cache key also covers). Every
-// schedule the degraded system lowers re-validates against the degraded
-// wiring; pipeline chains re-route through surviving stage paths.
+// deployment options (which the evalpool cache key also covers), so a
+// lone straggler on a board that is already a view keeps its view and
+// still keys apart. Every schedule the degraded system lowers
+// re-validates against the degraded wiring; pipeline chains re-route
+// through surviving stage paths.
 func Perturb(sys core.System, faults ...Fault) (core.System, []int, error) {
 	n := sys.Chips
 	if n < 2 {

@@ -29,6 +29,9 @@ var canaryRows = map[int]string{
 	// v6 dropped the per-class split, Seconds and EDP from the body,
 	// and no simulated bit.
 	6: "103402bc15ed58e92c09031c47587bbb51f7dc41725ab28f239c4348276f4b7f",
+	// v7 made a measured wiring a view (a key leaf and every wiring's
+	// digest moved), and no simulated bit.
+	7: "103402bc15ed58e92c09031c47587bbb51f7dc41725ab28f239c4348276f4b7f",
 }
 
 // canary is one configuration the freshness guard simulates, in both

@@ -26,14 +26,14 @@
 //     requested configuration), no per-chip counters, and no Seconds
 //     or EDP, which Load recomputes from the body and the requested
 //     hardware with core.Run's own expressions.
-//   - Reports whose system routes over an explicit per-edge table
-//     (hw.NetTable) or a degraded board (hw.NetView) persist the
-//     wiring alongside the entry, so a cold process rehydrates the
-//     registry before serving those configurations. A table is written
-//     as its distinct link classes plus one (from, to, class index)
-//     integer triple per edge; a view as its base network, its
-//     survivor list and its re-priced edges in the same triples, after
-//     its base's table record when the base is a table.
+//   - Reports whose system routes over a view (hw.NetView: a measured
+//     wiring or a degraded board) persist the view alongside the
+//     entry, so a cold process rehydrates the registry before serving
+//     those configurations. A view record holds its base network, its
+//     survivor list, and its overrides as their distinct link classes
+//     plus one (from, to, class index) integer triple per edge; a
+//     measured wiring is a view over the zero network whose overrides
+//     are every edge it wires.
 //   - Errors are never persisted: a failed evaluation may be transient
 //     (or fixed by the next release), so only successful reports reach
 //     the log.
@@ -51,7 +51,6 @@ package resultstore
 import (
 	"bufio"
 	"bytes"
-	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -98,7 +97,12 @@ import (
 // ByClass and C2CEnergyByClass) and its Seconds and EDP, which Load
 // recomputes, and deploy.Options lost CommTileBytes, which changes the
 // key types' shape.
-const DigestVersion = 6
+//
+// v7: a measured wiring is a view over the zero network, so the table
+// record is gone, every wiring's digest is its view's, and the view
+// profile's number (a key leaf) moved from 3 to 2. Stored report
+// bodies are unchanged.
+const DigestVersion = 7
 
 var (
 	// keyPrefix opens every key's hashed bytes, and digestPrefix every
@@ -191,25 +195,13 @@ type record struct {
 	Report json.RawMessage `json:"report,omitempty"`
 }
 
-// tableRecord is one per-edge table line of the log: the
-// hw.TableNetwork content digest and the wiring that re-registers it
-// in a cold process. Classes lists the distinct link classes in their
-// first use along the canonical (from, to) edge order; Edges holds one
-// (from, to, index into Classes) triple per edge, in that order.
-type tableRecord struct {
-	Kind    string         `json:"kind"`
-	V       int            `json:"v"`
-	Table   string         `json:"table"`
-	Classes []hw.LinkClass `json:"classes"`
-	Edges   []int          `json:"edges"`
-}
-
-// viewRecord is one degraded-board line of the log: the hw.ViewNetwork
-// content digest and the view that re-registers it in a cold process.
-// Base is the view's base network (a table base's wiring is its own
-// record, written first) and Survivors its survivor list; Classes and
-// Edges hold the re-priced edges as a table record holds its wiring,
-// and are absent when the view re-prices none.
+// viewRecord is one view line of the log: the hw.ViewNetwork content
+// digest and the view that re-registers it in a cold process. Base is
+// the view's base network and Survivors its survivor list. Classes
+// lists the distinct classes of its overrides in first use along their
+// (from, to) order, and Edges holds one (from, to, index into Classes)
+// triple per override, in that order; both are absent when the view
+// has no overrides.
 type viewRecord struct {
 	Kind      string         `json:"kind"`
 	V         int            `json:"v"`
@@ -235,7 +227,6 @@ type Store struct {
 	mu       sync.Mutex
 	file     *os.File // the log, read-write in append mode
 	index    map[string]entryRef
-	tables   map[string]bool // table digests already persisted
 	views    map[string]bool // view digests already persisted
 	skipped  int             // corrupt/truncated/foreign-version records ignored on open
 	tornTail bool            // log ends mid-record (a writer died); heal before appending
@@ -244,8 +235,8 @@ type Store struct {
 // Open opens (creating if needed) the result store under dir and keeps
 // one handle on its log. The whole log is scanned once through it:
 // report records are indexed by digest from their envelope (the report
-// JSON is decoded only by Load), table and view records re-register
-// their wirings, and records that are truncated, corrupt, or from
+// JSON is decoded only by Load), view records re-register their
+// wirings, and records that are truncated, corrupt, or from
 // another digest version are counted and skipped — a damaged log
 // degrades to extra simulations, never to an error or a wrong result.
 func Open(dir string) (*Store, error) {
@@ -258,12 +249,11 @@ func Open(dir string) (*Store, error) {
 		return nil, fmt.Errorf("resultstore: %w", err)
 	}
 	s := &Store{
-		dir:    dir,
-		path:   path,
-		file:   f,
-		index:  map[string]entryRef{},
-		tables: map[string]bool{},
-		views:  map[string]bool{},
+		dir:   dir,
+		path:  path,
+		file:  f,
+		index: map[string]entryRef{},
+		views: map[string]bool{},
 	}
 	s.scan()
 	return s, nil
@@ -272,8 +262,9 @@ func Open(dir string) (*Store, error) {
 // scan reads the existing log through the store's handle and builds the
 // digest index. A read error ends the scan like the end of the log.
 func (s *Store) scan() {
-	// Lines are indexed in the reader's buffer; longer ones (a table
-	// record on more than about 90 chips) gather into one reused buffer.
+	// Lines are indexed in the reader's buffer; longer ones (the view
+	// record of a measured wiring on more than about 90 chips) gather
+	// into one reused buffer.
 	r := bufio.NewReaderSize(io.NewSectionReader(s.file, 0, math.MaxInt64), 64<<10)
 	var long []byte
 	var offset int64
@@ -303,7 +294,7 @@ func (s *Store) scan() {
 
 // indexLine folds one log line into the index; anything unparseable
 // is skipped. A report record is indexed from its envelope alone; a
-// table or view record re-registers its wiring.
+// view record re-registers its wiring.
 func (s *Store) indexLine(line []byte, offset int64, length int, complete bool) {
 	if !complete {
 		s.skipped++
@@ -313,18 +304,10 @@ func (s *Store) indexLine(line []byte, offset int64, length int, complete bool) 
 		s.index[digest] = entryRef{offset: offset, length: length}
 		return
 	}
-	if digest, edges, ok := decodeTableLine(line); ok {
-		// A wiring that does not reproduce its recorded digest is
-		// damaged. TableNetwork interned it under its actual content
-		// digest, which no entry references.
-		if net, err := hw.TableNetwork(edges); err == nil && net.TableDigest == digest {
-			s.tables[digest] = true
-			return
-		}
-	}
 	if digest, view, ok := decodeViewLine(line); ok {
-		// Likewise for a view; one whose base is a table that no intact
-		// record registered fails to register at all.
+		// A view that does not reproduce its recorded digest is
+		// damaged. ViewNetwork interned it under its actual content
+		// digest, which no entry references.
 		if net, err := hw.ViewNetwork(view); err == nil && net.TableDigest == digest {
 			s.views[digest] = true
 			return
@@ -343,7 +326,7 @@ var reportPrefix = []byte(fmt.Sprintf(`{"kind":"report","v":%d,"digest":"`, Dige
 // returns its digest and raw report once their CRC checks. It decodes
 // no report JSON: the CRC, computed by Append over json.Marshal output,
 // stands for the report's well-formedness, and Load's decode answers a
-// miss if it ever fails. Any other line (a table record, another
+// miss if it ever fails. Any other line (a view record, another
 // version, damage, JSON Append would not write, or a digest needing
 // escapes) returns ok=false and is not a report of this store.
 func decodeReportLine(line []byte) (digest string, body []byte, ok bool) {
@@ -377,21 +360,6 @@ func decodeReportLine(line []byte) (digest string, body []byte, ok bool) {
 		return "", nil, false
 	}
 	return digest, body, true
-}
-
-// encodeTableLine renders the table record of a per-edge wiring under
-// its hw.TableNetwork digest, without the trailing newline.
-func encodeTableLine(digest string, edges map[hw.Edge]hw.LinkClass) ([]byte, error) {
-	keys := slices.SortedFunc(maps.Keys(edges), func(a, b hw.Edge) int {
-		return cmp.Or(cmp.Compare(a.From, b.From), cmp.Compare(a.To, b.To))
-	})
-	rec := tableRecord{Kind: "table", V: DigestVersion, Table: digest}
-	var tr triples
-	for _, e := range keys {
-		tr.add(e, edges[e])
-	}
-	rec.Classes, rec.Edges = tr.classes, tr.edges
-	return json.Marshal(rec)
 }
 
 // triples collects edges as a record writes them: the distinct classes
@@ -430,26 +398,8 @@ func decodeTriples(classes []hw.LinkClass, edges []int, add func(hw.Edge, hw.Lin
 	return true
 }
 
-// decodeTableLine reads a table line of this version and returns its
-// recorded digest and wiring, or ok=false unless the edges are whole
-// (from, to, class) triples and every class index is in range. It
-// registers nothing and leaves the digest to the caller: the open
-// scan keeps a wiring only when hw.TableNetwork registers it under the
-// recorded digest.
-func decodeTableLine(line []byte) (digest string, edges map[hw.Edge]hw.LinkClass, ok bool) {
-	var rec tableRecord
-	if json.Unmarshal(line, &rec) != nil || rec.Kind != "table" || rec.V != DigestVersion {
-		return "", nil, false
-	}
-	edges = make(map[hw.Edge]hw.LinkClass, len(rec.Edges)/3)
-	if !decodeTriples(rec.Classes, rec.Edges, func(e hw.Edge, c hw.LinkClass) { edges[e] = c }) {
-		return "", nil, false
-	}
-	return rec.Table, edges, true
-}
-
-// encodeViewLine renders the view record of a degraded board under its
-// hw.ViewNetwork digest, without the trailing newline.
+// encodeViewLine renders the record of a view under its hw.ViewNetwork
+// digest, without the trailing newline.
 func encodeViewLine(digest string, v hw.View) ([]byte, error) {
 	rec := viewRecord{Kind: "view", V: DigestVersion, View: digest, Base: v.Base, Survivors: v.Survivors}
 	var tr triples
@@ -462,9 +412,9 @@ func encodeViewLine(digest string, v hw.View) ([]byte, error) {
 
 // decodeViewLine reads a view line of this version and returns its
 // recorded digest and view, or ok=false unless its re-priced edges are
-// whole triples with every class index in range. Like decodeTableLine
-// it registers nothing: the open scan keeps a view only when
-// hw.ViewNetwork registers it under the recorded digest.
+// whole triples with every class index in range. It registers
+// nothing: the open scan keeps a view only when hw.ViewNetwork
+// registers it under the recorded digest.
 func decodeViewLine(line []byte) (digest string, v hw.View, ok bool) {
 	var rec viewRecord
 	if json.Unmarshal(line, &rec) != nil || rec.Kind != "view" || rec.V != DigestVersion {
@@ -524,9 +474,8 @@ func (s *Store) Load(sys core.System, wl core.Workload) (*core.Report, bool) {
 
 // Append persists one successful evaluation. Configurations already
 // present are not re-written (content addressing makes duplicates
-// byte-equivalent), and a system routing over an explicit per-edge
-// table or a degraded view writes that wiring first so the entry is
-// self-contained for cold processes. Errors are reported but callers
+// byte-equivalent), and a system routing over a view writes that view
+// first so the entry is self-contained for cold processes. Errors are reported but callers
 // typically treat a failed append as a cache-fill miss, not a failure
 // of the evaluation itself.
 func (s *Store) Append(sys core.System, wl core.Workload, rep *core.Report) error {
@@ -536,12 +485,7 @@ func (s *Store) Append(sys core.System, wl core.Workload, rep *core.Report) erro
 	if _, ok := s.index[digest]; ok {
 		return nil
 	}
-	switch net := sys.HW.Network; net.Profile {
-	case hw.NetTable:
-		if err := s.appendTableLocked(net.TableDigest); err != nil {
-			return err
-		}
-	case hw.NetView:
+	if net := sys.HW.Network; net.Profile == hw.NetView {
 		if err := s.appendViewLocked(net.TableDigest); err != nil {
 			return err
 		}
@@ -568,30 +512,8 @@ func (s *Store) Append(sys core.System, wl core.Workload, rep *core.Report) erro
 	return nil
 }
 
-// appendTableLocked persists the per-edge wiring registered under the
-// given hw table digest, once per store lifetime.
-func (s *Store) appendTableLocked(tableDigest string) error {
-	if s.tables[tableDigest] {
-		return nil
-	}
-	edges, ok := hw.TableEdges(tableDigest)
-	if !ok {
-		return fmt.Errorf("resultstore: per-edge table %q is not registered", tableDigest)
-	}
-	line, err := encodeTableLine(tableDigest, edges)
-	if err != nil {
-		return fmt.Errorf("resultstore: encode table: %w", err)
-	}
-	if _, err := s.writeLineLocked(line); err != nil {
-		return err
-	}
-	s.tables[tableDigest] = true
-	return nil
-}
-
 // appendViewLocked persists the view registered under the given hw
-// view digest, once per store lifetime, after its base's table wiring
-// when the base is a table.
+// view digest, once per store lifetime.
 func (s *Store) appendViewLocked(viewDigest string) error {
 	if s.views[viewDigest] {
 		return nil
@@ -599,11 +521,6 @@ func (s *Store) appendViewLocked(viewDigest string) error {
 	v, ok := hw.ViewOf(viewDigest)
 	if !ok {
 		return fmt.Errorf("resultstore: view %q is not registered", viewDigest)
-	}
-	if v.Base.Profile == hw.NetTable {
-		if err := s.appendTableLocked(v.Base.TableDigest); err != nil {
-			return err
-		}
 	}
 	line, err := encodeViewLine(viewDigest, v)
 	if err != nil {
@@ -646,7 +563,7 @@ func (s *Store) writeLineLocked(line []byte) (int64, error) {
 // CompactTo rewrites the store into dstDir, keeping only the newest
 // valid record per digest (duplicates from concurrent writers, corrupt
 // lines, torn tails, and foreign-version records are all dropped) and
-// each table and view wiring the scan registered once. The source store is not
+// each view the scan registered once. The source store is not
 // modified — CI swaps the compacted directory in place of the old one
 // — and the returned store is open for use. Records are written in
 // digest order, so compacting equal contents yields byte-identical
@@ -665,7 +582,6 @@ func (s *Store) CompactTo(dstDir string) (*Store, error) {
 		digests = append(digests, d)
 		refs[d] = ref
 	}
-	tables := slices.Sorted(maps.Keys(s.tables))
 	views := slices.Sorted(maps.Keys(s.views))
 	s.mu.Unlock()
 	sort.Strings(digests)
@@ -677,14 +593,8 @@ func (s *Store) CompactTo(dstDir string) (*Store, error) {
 
 	dst.mu.Lock()
 	defer dst.mu.Unlock()
-	// The scan re-registered every persisted wiring, so each is
+	// The scan re-registered every persisted view, so each is
 	// available to re-encode.
-	for _, t := range tables {
-		if err := dst.appendTableLocked(t); err != nil {
-			dst.file.Close()
-			return nil, err
-		}
-	}
 	for _, v := range views {
 		if err := dst.appendViewLocked(v); err != nil {
 			dst.file.Close()

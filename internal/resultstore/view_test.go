@@ -18,23 +18,18 @@ import (
 // coldBoard is the degraded board TestViewColdProcess persists: a 4-chip
 // netlist (a MIPI chain 0-1-2-3 plus a slow 0<->3 repair wire) with
 // chip 2 dropped and the repair wire, now 0<->2, three times slower.
-// It returns the base table's wiring and the view.
-func coldBoard() (map[hw.Edge]hw.LinkClass, hw.View) {
-	mipi, spi := hw.MIPI(), hw.LinkClass{BandwidthBytesPerSec: 4.2e7, SetupCycles: 96, EnergyPJPerByte: 37}
-	edges := map[hw.Edge]hw.LinkClass{}
-	for _, w := range []struct {
-		a, b int
-		c    hw.LinkClass
-	}{{0, 1, mipi}, {1, 2, mipi}, {2, 3, mipi}, {0, 3, spi}} {
-		edges[hw.Edge{From: w.a, To: w.b}] = w.c
-		edges[hw.Edge{From: w.b, To: w.a}] = w.c
+// The netlist is a view over the zero network, so the degraded board
+// is one too: its overrides are the edges that survive, in view ids.
+func coldBoard() hw.View {
+	mipi, repair := hw.MIPI(), hw.LinkClass{BandwidthBytesPerSec: 4.2e7, SetupCycles: 96, EnergyPJPerByte: 37}.Slower(3)
+	v := hw.View{Survivors: []int{0, 1, 3}}
+	for _, o := range []struct {
+		from, to int
+		c        hw.LinkClass
+	}{{0, 1, mipi}, {0, 2, repair}, {1, 0, mipi}, {2, 0, repair}} {
+		v.Overrides = append(v.Overrides, hw.EdgeClass{Edge: hw.Edge{From: o.from, To: o.to}, Class: o.c})
 	}
-	table, _ := hw.DigestTable(edges)
-	v := hw.View{Base: hw.Network{Profile: hw.NetTable, TableDigest: table}, Survivors: []int{0, 1, 3}}
-	for _, e := range []hw.Edge{{From: 0, To: 2}, {From: 2, To: 0}} {
-		v.Overrides = append(v.Overrides, hw.EdgeClass{Edge: e, Class: spi.Slower(3)})
-	}
-	return edges, v
+	return v
 }
 
 // coldPoint is the configuration TestViewColdProcess stores on the view
@@ -47,23 +42,19 @@ func coldPoint(digest string) (core.System, core.Workload) {
 	return sys, core.Workload{Model: model.TinyLlama42M(), Mode: model.Autoregressive}
 }
 
-// A report on a view over a netlist table round-trips through a cold
+// A report on a degraded netlist board round-trips through a cold
 // process: this test writes the store, then runs its own binary again
-// (the "cold-read" arguments) to read it, in a process whose registries
-// hold neither the table nor the view until the open scan registers
-// them. The child also opens a copy whose table record is damaged — the
-// view over it is skipped along with the table, and nothing is fatal —
-// and compacts the intact store, keeping the table and the view.
+// (the "cold-read" arguments) to read it, in a process whose registry
+// does not hold the view until the open scan registers it. The child
+// also opens a copy whose view record is damaged — the view is
+// skipped, the report stays indexed, and nothing is fatal — and
+// compacts the intact store, keeping the view.
 func TestViewColdProcess(t *testing.T) {
 	if args := flag.Args(); len(args) == 4 && args[0] == "cold-read" {
 		coldRead(t, args[1], args[2], args[3])
 		return
 	}
-	edges, v := coldBoard()
-	if _, err := hw.TableNetwork(edges); err != nil {
-		t.Fatal(err)
-	}
-	net, err := hw.ViewNetwork(v)
+	net, err := hw.ViewNetwork(coldBoard())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,9 +73,8 @@ func TestViewColdProcess(t *testing.T) {
 		t.Fatal(err)
 	}
 	lines := bytes.SplitAfter(raw, []byte("\n"))
-	if len(lines) != 4 || !bytes.HasPrefix(lines[0], []byte(`{"kind":"table"`)) ||
-		!bytes.HasPrefix(lines[1], []byte(`{"kind":"view"`)) {
-		t.Fatalf("log is not a table, a view and a report line:\n%s", raw)
+	if len(lines) != 3 || !bytes.HasPrefix(lines[0], []byte(`{"kind":"view"`)) {
+		t.Fatalf("log is not a view and a report line:\n%s", raw)
 	}
 	lines[0] = bytes.Replace(lines[0], []byte(`"edges":[0,1,0`), []byte(`"edges":[0,1,9`), 1)
 	if err := os.WriteFile(logPath(damaged), bytes.Join(lines, nil), 0o666); err != nil {
@@ -98,7 +88,7 @@ func TestViewColdProcess(t *testing.T) {
 
 // coldRead is TestViewColdProcess' second process.
 func coldRead(t *testing.T, dir, damaged, digest string) {
-	_, want := coldBoard()
+	want := coldBoard()
 	if _, ok := hw.ViewOf(digest); ok {
 		t.Fatal("the view is registered before any store opened")
 	}
@@ -106,14 +96,14 @@ func coldRead(t *testing.T, dir, damaged, digest string) {
 
 	bad, err := Open(damaged)
 	if err != nil {
-		t.Fatalf("a damaged base table is fatal: %v", err)
+		t.Fatalf("a damaged view record is fatal: %v", err)
 	}
-	if bad.Skipped() != 2 || bad.Len() != 1 || len(bad.tables) != 0 || len(bad.views) != 0 {
-		t.Errorf("damaged base: Skipped, Len, tables, views = %d, %d, %d, %d; want 2, 1, 0, 0",
-			bad.Skipped(), bad.Len(), len(bad.tables), len(bad.views))
+	if bad.Skipped() != 1 || bad.Len() != 1 || len(bad.views) != 0 {
+		t.Errorf("damaged view: Skipped, Len, views = %d, %d, %d; want 1, 1, 0",
+			bad.Skipped(), bad.Len(), len(bad.views))
 	}
 	if _, ok := hw.ViewOf(digest); ok {
-		t.Error("a view over a damaged base table was registered")
+		t.Error("a damaged view record was registered")
 	}
 	bad.Close()
 
@@ -143,8 +133,8 @@ func coldRead(t *testing.T, dir, damaged, digest string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := bytes.Count(raw, []byte(`{"kind":"view"`)); n != 1 || dst.Len() != 1 || len(dst.tables) != 1 {
-		t.Errorf("compacted store holds %d views, %d reports and %d tables; want 1, 1, 1", n, dst.Len(), len(dst.tables))
+	if n := bytes.Count(raw, []byte(`{"kind":"view"`)); n != 1 || dst.Len() != 1 || len(dst.views) != 1 {
+		t.Errorf("compacted store holds %d view lines, %d reports and %d views; want 1, 1, 1", n, dst.Len(), len(dst.views))
 	}
 	dst.Close()
 	re, err := Open(dst.Dir())

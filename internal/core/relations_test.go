@@ -150,7 +150,7 @@ func checkLinkRelations(t *testing.T, sys core.System, wl core.Workload) strictn
 		t.Fatal(err)
 	}
 	table := sys
-	if table.HW.Network, err = hw.TableNetwork(edges); err != nil {
+	if table.HW.Network, err = hw.TableNetwork(edges, sys.Chips); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := fmt.Sprintf("%#v", *simulate(t, table, wl)), fmt.Sprintf("%#v", *base); got != want {
@@ -161,7 +161,7 @@ func checkLinkRelations(t *testing.T, sys core.System, wl core.Workload) strictn
 		edges[e] = c
 	}
 	fast := sys
-	if fast.HW.Network, err = hw.TableNetwork(edges); err != nil {
+	if fast.HW.Network, err = hw.TableNetwork(edges, sys.Chips); err != nil {
 		t.Fatal(err)
 	}
 	cycles := simulate(t, fast, wl).TotalCycles

@@ -64,11 +64,11 @@ func TestPointKeyBehaviour(t *testing.T) {
 
 	// Per-edge tables intern by canonical content digest: equal tables
 	// must collide on one key, different tables must not.
-	t1, err := hw.TableNetwork(map[hw.Edge]hw.LinkClass{{From: 0, To: 1}: hw.MIPI(), {From: 1, To: 0}: hw.MIPI()})
+	t1, err := hw.TableNetwork(map[hw.Edge]hw.LinkClass{{From: 0, To: 1}: hw.MIPI(), {From: 1, To: 0}: hw.MIPI()}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t2, err := hw.TableNetwork(map[hw.Edge]hw.LinkClass{{From: 1, To: 0}: hw.MIPI(), {From: 0, To: 1}: hw.MIPI()})
+	t2, err := hw.TableNetwork(map[hw.Edge]hw.LinkClass{{From: 1, To: 0}: hw.MIPI(), {From: 0, To: 1}: hw.MIPI()}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,7 +40,7 @@ func TestEvalSessionPlanRejectsUnwiredPlan(t *testing.T) {
 		edges[hw.Edge{From: c, To: c + 1}] = hw.MIPI()
 		edges[hw.Edge{From: c + 1, To: c}] = hw.MIPI()
 	}
-	chain, err := hw.TableNetwork(edges)
+	chain, err := hw.TableNetwork(edges, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -81,5 +81,5 @@ func TorusNetwork(dimX, dimY int, c LinkClass) (Network, error) {
 			wire(chip, ((y+1)%dimY)*dimX+x)
 		}
 	}
-	return TableNetwork(edges)
+	return TableNetwork(edges, dimX*dimY)
 }

@@ -18,7 +18,7 @@ func TestNetworkEdgesUniform(t *testing.T) {
 	}
 	// Round trip: materializing and re-registering must reproduce the
 	// resolved classes exactly.
-	tbl, err := TableNetwork(edges)
+	tbl, err := TableNetwork(edges, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestNetworkEdgesTableRestricts(t *testing.T) {
 		{From: 0, To: 1}: MIPI(),
 		{From: 1, To: 0}: MIPI(),
 		{From: 5, To: 6}: MIPI(),
-	})
+	}, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestTorusNetworkRoundTrip(t *testing.T) {
 	if len(edges) != 64 {
 		t.Fatalf("4x4 torus has %d directed edges, want 64", len(edges))
 	}
-	rt, err := TableNetwork(edges)
+	rt, err := TableNetwork(edges, 16)
 	if err != nil {
 		t.Fatal(err)
 	}

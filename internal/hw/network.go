@@ -196,26 +196,25 @@ func ClusteredNetwork(local, backhaul LinkClass, clusterSize int) Network {
 }
 
 // TableNetwork registers an explicit per-edge link table — a measured
-// board wiring — and returns the Network referencing it. The table is
-// registered as a view over the zero Network, which wires nothing:
-// its survivors are chips 0 through the largest id the table names,
-// and its overrides are every edge in (from, to) order. Equal tables
-// therefore yield equal Network values — the property the evalpool
-// cache key depends on. Every class in the table must validate; edges
-// not present are undefined and reject schedules that route over
-// them.
-func TableNetwork(edges map[Edge]LinkClass) (Network, error) {
+// board wiring — over chips 0..n-1, which may include chips the table
+// leaves unwired, and returns the Network referencing it. The table is
+// registered as a view over the zero Network, which wires nothing: its
+// survivors are chips 0..n-1, and its overrides are every edge in
+// (from, to) order. Equal tables over equal chip counts therefore yield
+// equal Network values — the property the evalpool cache key depends
+// on. Every class in the table must validate and every edge must lie
+// below chip n; edges not present are undefined and reject schedules
+// that route over them.
+func TableNetwork(edges map[Edge]LinkClass, n int) (Network, error) {
 	if len(edges) == 0 {
 		return Network{}, fmt.Errorf("hw: per-edge table must define at least one edge")
 	}
 	v := View{Overrides: make([]EdgeClass, 0, len(edges))}
-	last := 0
 	for e, c := range edges {
 		v.Overrides = append(v.Overrides, EdgeClass{Edge: e, Class: c})
-		last = max(last, e.From, e.To)
 	}
 	slices.SortFunc(v.Overrides, func(a, b EdgeClass) int { return compareEdges(a.Edge, b.Edge) })
-	v.Survivors = make([]int, last+1)
+	v.Survivors = make([]int, n)
 	for i := range v.Survivors {
 		v.Survivors[i] = i
 	}

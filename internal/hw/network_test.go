@@ -57,7 +57,7 @@ func TestTableNetworkResolvesAndRejects(t *testing.T) {
 		{0, 1}: MIPI(),
 		{1, 0}: MIPI(),
 		{1, 2}: spi,
-	})
+	}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,18 +78,18 @@ func TestTableNetworkResolvesAndRejects(t *testing.T) {
 // different table must produce a different digest.
 func TestTableNetworkCanonicalDigest(t *testing.T) {
 	table := map[Edge]LinkClass{{0, 1}: MIPI(), {1, 0}: MIPI().Slower(2)}
-	a, err := TableNetwork(table)
+	a, err := TableNetwork(table, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := TableNetwork(map[Edge]LinkClass{{1, 0}: MIPI().Slower(2), {0, 1}: MIPI()})
+	b, err := TableNetwork(map[Edge]LinkClass{{1, 0}: MIPI().Slower(2), {0, 1}: MIPI()}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a != b {
 		t.Errorf("equal tables produced distinct networks: %q vs %q", a.TableDigest, b.TableDigest)
 	}
-	c, err := TableNetwork(map[Edge]LinkClass{{0, 1}: MIPI()})
+	c, err := TableNetwork(map[Edge]LinkClass{{0, 1}: MIPI()}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestTableNetworkCanonicalDigest(t *testing.T) {
 	}
 	// The table is registered as a view over the zero Network: chips 0
 	// through the largest id survive, and the edges are its overrides.
-	sparse, err := TableNetwork(map[Edge]LinkClass{{3, 2}: MIPI().Slower(7), {0, 3}: MIPI()})
+	sparse, err := TableNetwork(map[Edge]LinkClass{{3, 2}: MIPI().Slower(7), {0, 3}: MIPI()}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,12 +133,13 @@ func TestTableNetworkDigestPinned(t *testing.T) {
 	for _, c := range []struct {
 		name   string
 		edges  map[Edge]LinkClass
+		n      int
 		digest string
 	}{
-		{"clustered-64", clustered, "1d3a09a64d3df3a441eeb66a78d311acb6792f1dc0b06e11559cd18b25360959"},
-		{"odd-floats", odd, "f100d16ad8a63827bce48a5c03ac1887be33523ff80281c4cd4af367ebf965fa"},
+		{"clustered-64", clustered, 64, "1d3a09a64d3df3a441eeb66a78d311acb6792f1dc0b06e11559cd18b25360959"},
+		{"odd-floats", odd, 128, "f100d16ad8a63827bce48a5c03ac1887be33523ff80281c4cd4af367ebf965fa"},
 	} {
-		net, err := TableNetwork(c.edges)
+		net, err := TableNetwork(c.edges, c.n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,7 +158,7 @@ func TestTableNetworkAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	if a := testing.AllocsPerRun(10, func() {
-		if _, err := TableNetwork(edges); err != nil {
+		if _, err := TableNetwork(edges, 64); err != nil {
 			t.Fatal(err)
 		}
 	}); a > 32 {
@@ -166,14 +167,28 @@ func TestTableNetworkAllocs(t *testing.T) {
 }
 
 func TestTableNetworkRejectsBadTables(t *testing.T) {
-	if _, err := TableNetwork(nil); err == nil {
+	if _, err := TableNetwork(nil, 2); err == nil {
 		t.Error("empty table accepted")
 	}
-	if _, err := TableNetwork(map[Edge]LinkClass{{0, 0}: MIPI()}); err == nil {
+	if _, err := TableNetwork(map[Edge]LinkClass{{0, 0}: MIPI()}, 2); err == nil {
 		t.Error("self-edge accepted")
 	}
-	if _, err := TableNetwork(map[Edge]LinkClass{{0, 1}: {}}); err == nil {
+	if _, err := TableNetwork(map[Edge]LinkClass{{0, 1}: {}}, 2); err == nil {
 		t.Error("zero-bandwidth class accepted")
+	}
+	if _, err := TableNetwork(map[Edge]LinkClass{{0, 2}: MIPI()}, 2); err == nil {
+		t.Error("edge past the table's chip count accepted")
+	}
+	// A board may be wider than its wiring: chip 2 is on it, unwired.
+	wide, err := TableNetwork(map[Edge]LinkClass{{0, 1}: MIPI()}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := ViewOf(wide.TableDigest); !ok || len(v.Survivors) != 3 {
+		t.Errorf("3-chip table view %+v, want 3 survivors", v)
+	}
+	if _, err := wide.LinkFor(1, 2); err == nil {
+		t.Error("unwired edge 1->2 of the wide table resolved")
 	}
 }
 
@@ -294,7 +309,7 @@ func TestNetworkString(t *testing.T) {
 	if got := ClusteredNetwork(MIPI(), MIPI().Slower(10), 4).String(); got != "clustered-4x10" {
 		t.Errorf("clustered String = %q", got)
 	}
-	n, err := TableNetwork(map[Edge]LinkClass{{0, 1}: MIPI()})
+	n, err := TableNetwork(map[Edge]LinkClass{{0, 1}: MIPI()}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,7 @@ func chainTable(t *testing.T) (Network, map[Edge]LinkClass) {
 		edges[Edge{w[0], w[1]}] = c
 		edges[Edge{w[1], w[0]}] = c
 	}
-	net, err := TableNetwork(edges)
+	net, err := TableNetwork(edges, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestBadEdgeErrorsAreOrdered(t *testing.T) {
 		bad[Edge{i + 1, i}] = LinkClass{}
 	}
 	for range 8 {
-		if _, err := TableNetwork(bad); err == nil || !strings.HasPrefix(err.Error(), "hw: edge 1->0:") {
+		if _, err := TableNetwork(bad, 17); err == nil || !strings.HasPrefix(err.Error(), "hw: edge 1->0:") {
 			t.Fatalf("table error %v, want the 1->0 edge's", err)
 		}
 	}

@@ -126,20 +126,76 @@ type Hop struct {
 	// the original partial instead and accumulates only at the
 	// receiver.
 	FromAccumulated bool
-	// class indexes the link class of the edge this hop crosses in
-	// the owning Schedule's (or PipelineChain's) Classes, resolved from
-	// the platform's network description at lowering time. It sits in
-	// FromAccumulated's padding, so a Hop is 40 bytes. An index with
-	// no defined class behind it — every hop of a bare schedule, which
-	// resolves none — marks an undefined edge; Validate rejects it.
-	class int32
+	// key indexes the hop's price key in the owning Schedule's (or
+	// PipelineChain's) Keys: the link class of the edge it crosses,
+	// resolved from the platform's network description at lowering
+	// time, and its Frac. It sits in FromAccumulated's padding, so a
+	// Hop is 40 bytes. An index with no key, or a key with no defined
+	// class, behind it — every hop of a bare schedule, which resolves
+	// none — marks an undefined edge; Validate rejects it.
+	key int32
 }
 
-// ClassIndex is the index of the hop's link class in its schedule's
-// Classes, resolved at lowering, so a simulator maps the schedule's
-// few classes to its own ids instead of hashing a LinkClass per hop.
-// It is 0 on a bare schedule, which resolves no classes.
-func (h *Hop) ClassIndex() int { return int(h.class) }
+// Key is the index of the hop's price key in its schedule's Keys,
+// resolved at lowering, so a simulator prices a tile once per key and
+// each hop reads its price by index. It is 0 on a bare schedule, which
+// resolves no keys.
+func (h *Hop) Key() int { return int(h.key) }
+
+// PriceKey is what one hop's transfer costs besides the tile it moves:
+// the link class of the edge it crosses, an index into its schedule's
+// (or chain's) Classes, and the share Frac of the tile it carries.
+// Annotate lists each distinct pair of a schedule once, whatever mix of
+// classes and fractions its hops carry.
+type PriceKey struct {
+	Class int
+	Frac  float64
+}
+
+// HopCount is how many hops of one list one chip sends, or receives, at
+// one price key. A byte counter is a sum of integers, exact in any
+// order, so a simulator bills a tile's bytes as Hops times the key's
+// price instead of hop by hop.
+type HopCount struct {
+	Chip, Key, Hops int32
+}
+
+// countGrid returns size zeroed cells of hop-count scratch: in buf when
+// they fit, so lowering and validating a schedule of up to 85 (chip,
+// key) pairs, a 64-chip one-class schedule among them, allocates none.
+func countGrid(buf *[256]int32, size int) []int32 {
+	if size <= len(buf) {
+		return buf[:size]
+	}
+	return make([]int32, size)
+}
+
+// appendCounts appends the nonzero cells of grid, an n×nk matrix of
+// hop counts per (chip, key), in (chip, key) order.
+func appendCounts(out []HopCount, grid []int32, nk int) []HopCount {
+	for i, cnt := range grid {
+		if cnt > 0 {
+			out = append(out, HopCount{Chip: int32(i / nk), Key: int32(i % nk), Hops: cnt})
+		}
+	}
+	return out
+}
+
+// countsMatch reports whether counts lists exactly the nonzero cells of
+// grid, as appendCounts would.
+func countsMatch(counts []HopCount, grid []int32, nk int) bool {
+	j := 0
+	for i, cnt := range grid {
+		if cnt == 0 {
+			continue
+		}
+		if j == len(counts) || counts[j] != (HopCount{Chip: int32(i / nk), Key: int32(i % nk), Hops: cnt}) {
+			return false
+		}
+		j++
+	}
+	return j == len(counts)
+}
 
 // ReduceHops returns the hops of the all-reduce in a valid dependency
 // order: every chip's hop to its parent appears after the hops of its

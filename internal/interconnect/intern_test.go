@@ -117,7 +117,7 @@ func TestCachedScheduleCachesErrors(t *testing.T) {
 	ResetScheduleCache()
 	// Wire only the 0->1 edge: every collective shape over 4 chips
 	// routes over missing edges.
-	net, err := hw.TableNetwork(map[hw.Edge]hw.LinkClass{{From: 0, To: 1}: hw.MIPI()})
+	net, err := hw.TableNetwork(map[hw.Edge]hw.LinkClass{{From: 0, To: 1}: hw.MIPI()}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -95,15 +95,21 @@ func adjacency(net hw.Network, n int) ([][]int, error) {
 // over n chips: for each stage boundary c -> c+1, the routed hop
 // sequence (usually one direct hop; multi-hop on sparse or degraded
 // wirings). Each hop is a whole-payload Hop with its link class
-// resolved; its ClassIndex indexes Classes. Interned entries are
-// shared and read-only.
+// resolved; its Key indexes Keys. Interned entries are shared and
+// read-only.
 type PipelineChain struct {
 	N int
 	// Classes lists the distinct link classes the chain's hops cross,
 	// in first-use order along the chain.
 	Classes []hw.LinkClass
-	hops    []Hop // all boundaries, flattened in chain order
-	off     []int // boundary c spans hops[off[c]:off[c+1]]
+	// Keys holds one price key per class, at Frac 1: key i is class i.
+	Keys []PriceKey
+	// Sends counts the chain's hops per (sender, key) over every
+	// boundary. A pipeline pass hands off across each boundary once,
+	// so these are the bytes the whole chain bills per pass.
+	Sends []HopCount
+	hops  []Hop // all boundaries, flattened in chain order
+	off   []int // boundary c spans hops[off[c]:off[c+1]]
 }
 
 // Segment returns the routed hops of the stage boundary c -> c+1.
@@ -137,11 +143,19 @@ func NewPipelineChain(net hw.Network, n int) (*PipelineChain, error) {
 				id = int32(len(pc.Classes))
 				index[cls] = id
 				pc.Classes = append(pc.Classes, cls)
+				pc.Keys = append(pc.Keys, PriceKey{Class: int(id), Frac: 1})
 			}
-			pc.hops = append(pc.hops, Hop{From: path[i], To: path[i+1], Frac: 1, class: id})
+			pc.hops = append(pc.hops, Hop{From: path[i], To: path[i+1], Frac: 1, key: id})
 		}
 		pc.off = append(pc.off, len(pc.hops))
 	}
+	nk := len(pc.Keys)
+	var buf [256]int32
+	grid := countGrid(&buf, n*nk)
+	for i := range pc.hops {
+		grid[pc.hops[i].From*nk+int(pc.hops[i].key)]++
+	}
+	pc.Sends = appendCounts(nil, grid, nk)
 	return pc, nil
 }
 

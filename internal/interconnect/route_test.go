@@ -32,7 +32,7 @@ func TestRouteMultiHopChain(t *testing.T) {
 		edges[hw.Edge{From: c, To: c + 1}] = hw.MIPI()
 		edges[hw.Edge{From: c + 1, To: c}] = hw.MIPI()
 	}
-	net, err := hw.TableNetwork(edges)
+	net, err := hw.TableNetwork(edges, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestRouteNoPath(t *testing.T) {
 	net, err := hw.TableNetwork(map[hw.Edge]hw.LinkClass{
 		{From: 0, To: 1}: hw.MIPI(), {From: 1, To: 0}: hw.MIPI(),
 		{From: 2, To: 3}: hw.MIPI(), {From: 3, To: 2}: hw.MIPI(),
-	})
+	}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestPipelineChainDirect(t *testing.T) {
 		if len(seg) != 1 || seg[0].From != c || seg[0].To != c+1 {
 			t.Fatalf("boundary %d segment = %+v, want one direct hop", c, seg)
 		}
-		if cls := pc.Classes[seg[0].ClassIndex()]; cls != hw.MIPI() {
+		if cls := pc.Classes[pc.Keys[seg[0].Key()].Class]; cls != hw.MIPI() {
 			t.Fatalf("boundary %d class = %+v, want MIPI", c, cls)
 		}
 	}
@@ -111,7 +111,7 @@ func TestPipelineChainRoutesAroundMissingEdge(t *testing.T) {
 		{From: 2, To: 3}: hw.MIPI(), {From: 3, To: 2}: hw.MIPI(),
 		{From: 1, To: 3}: hw.MIPI(), {From: 3, To: 1}: hw.MIPI(),
 	}
-	net, err := hw.TableNetwork(edges)
+	net, err := hw.TableNetwork(edges, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,10 +46,19 @@ type Schedule struct {
 	Broadcast []Hop
 	// Classes lists the distinct link classes the schedule's hops
 	// resolved to, in first-use order — the per-class axis the
-	// simulator splits its chip-to-chip accounting over; a hop's
-	// ClassIndex indexes it. A uniform network always yields exactly
-	// one class.
+	// simulator splits its chip-to-chip accounting over. A uniform
+	// network always yields exactly one class.
 	Classes []hw.LinkClass
+	// Keys lists the distinct (class, Frac) pairs the hops carry, in
+	// first-use order; a hop's Key indexes it. The four lowered shapes
+	// carry one Frac per schedule, so they have a key per class.
+	Keys []PriceKey
+	// ReduceSends and BroadcastSends count each list's hops per
+	// (sender, key), and ReduceAdds the reduce hops per (receiver, key),
+	// each one accumulation on the receiver: what a tile of the list
+	// bills in bytes. Annotate records them; Validate rejects counts the
+	// lists no longer match.
+	ReduceSends, ReduceAdds, BroadcastSends []HopCount
 	// Final lists the chips running the root work, with their shares.
 	Final []Final
 	// Tree is the underlying reduction tree for the shapes that have
@@ -68,7 +77,7 @@ func NewSchedule(p hw.Params, n int) (*Schedule, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := s.annotate(p.Network); err != nil {
+	if err := s.Annotate(p.Network); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -114,11 +123,15 @@ func NewBareSchedule(topo hw.Topology, n, groupSize int) (*Schedule, error) {
 	}
 }
 
-// annotate resolves each hop's link class under the network
+// Annotate resolves each hop's link class under the network
 // description, collects the distinct classes in first-use order (the
-// per-class accounting axis of the simulator) and records each hop's
-// index into that list. Reduce hops are resolved before broadcast
-// hops, so class 0 is always the class of the first reduce hop.
+// per-class accounting axis of the simulator) and the distinct (class,
+// Frac) price keys, records each hop's key index, and counts the hops
+// per (chip, key). Reduce hops are resolved before broadcast hops, so
+// class 0 and key 0 are always those of the first reduce hop.
+// NewSchedule annotates what it lowers; a schedule built or changed by
+// hand must be annotated again before Validate accepts it. A hop whose
+// chips lie outside 0..N-1 is an error here, as in Validate.
 //
 // A hop that crosses the same edge as its sender's previous hop reuses
 // that edge's class: a ring chip sends over one edge only, so a 64-chip
@@ -126,14 +139,20 @@ func NewBareSchedule(topo hw.Topology, n, groupSize int) (*Schedule, error) {
 // network every LinkFor is a registry read. last[from] holds the
 // receiver of chip from's previous hop plus one (0 before its first)
 // and that edge's class index.
-func (s *Schedule) annotate(net hw.Network) error {
-	s.Classes = nil
+func (s *Schedule) Annotate(net hw.Network) error {
+	if s.N <= 0 {
+		return fmt.Errorf("interconnect: schedule over %d chips / %d chunks", s.N, s.Chunks)
+	}
+	s.Classes, s.Keys = nil, nil
 	type edge struct{ to, class int32 }
 	last := make([]edge, s.N)
 	index := map[hw.LinkClass]int32{}
 	assign := func(hops []Hop) error {
 		for i := range hops {
 			h := &hops[i]
+			if h.From < 0 || h.From >= s.N || h.To < 0 || h.To >= s.N {
+				return fmt.Errorf("interconnect: hop %d->%d out of range", h.From, h.To)
+			}
 			e := &last[h.From]
 			if e.to != int32(h.To)+1 {
 				c, err := net.LinkFor(h.From, h.To)
@@ -149,24 +168,79 @@ func (s *Schedule) annotate(net hw.Network) error {
 				}
 				*e = edge{int32(h.To) + 1, id}
 			}
-			h.class = e.class
+			h.key = s.keyOf(PriceKey{Class: int(e.class), Frac: h.Frac})
 		}
 		return nil
 	}
 	if err := assign(s.Reduce); err != nil {
 		return err
 	}
-	return assign(s.Broadcast)
+	if err := assign(s.Broadcast); err != nil {
+		return err
+	}
+	var buf [256]int32
+	grid := countGrid(&buf, 3*s.N*len(s.Keys))
+	for l, hops := range [2][]Hop{s.Reduce, s.Broadcast} {
+		for i := range hops {
+			s.count(grid, l, &hops[i])
+		}
+	}
+	nk, block := len(s.Keys), s.N*len(s.Keys)
+	cells := 0
+	for _, cnt := range grid {
+		if cnt > 0 {
+			cells++
+		}
+	}
+	out := make([]HopCount, 0, cells)
+	out = appendCounts(out, grid[:block], nk)
+	r := len(out)
+	out = appendCounts(out, grid[block:2*block], nk)
+	a := len(out)
+	out = appendCounts(out, grid[2*block:], nk)
+	s.ReduceSends, s.ReduceAdds, s.BroadcastSends = out[:r:r], out[r:a:a], out[a:]
+	return nil
+}
+
+// keyOf returns the index of k in the schedule's Keys, appending it on
+// its first use. A schedule has a handful of keys, so a scan beats a
+// map.
+func (s *Schedule) keyOf(k PriceKey) int32 {
+	for i, have := range s.Keys {
+		if have == k {
+			return int32(i)
+		}
+	}
+	s.Keys = append(s.Keys, k)
+	return int32(len(s.Keys) - 1)
+}
+
+// count adds hop h of list l (0 the reduce, 1 the broadcast) to grid's
+// three n×len(Keys) blocks of hop counts per (chip, key): the reduce
+// hops by sender and by receiver, then the broadcast hops by sender.
+// The hop's chips and key must be in range.
+func (s *Schedule) count(grid []int32, l int, h *Hop) {
+	nk, k := len(s.Keys), int(h.key)
+	block := s.N * nk
+	if l == 0 {
+		grid[h.From*nk+k]++
+		grid[block+h.To*nk+k]++
+		return
+	}
+	grid[2*block+h.From*nk+k]++
 }
 
 // classOf returns the link class hop h of the schedule crosses, and
-// the zero (undefined) class when its index has no resolved class
-// behind it, as on a bare schedule.
+// the zero (undefined) class when its key, or its key's class, has
+// nothing resolved behind it, as on a bare schedule.
 func (s *Schedule) classOf(h *Hop) hw.LinkClass {
-	if int(h.class) >= len(s.Classes) {
+	if uint(h.key) >= uint(len(s.Keys)) {
 		return hw.LinkClass{}
 	}
-	return s.Classes[h.class]
+	if c := s.Keys[h.key].Class; uint(c) < uint(len(s.Classes)) {
+		return s.Classes[c]
+	}
+	return hw.LinkClass{}
 }
 
 // scheduleFromTree lowers a reduction tree (hierarchical or flat) to
@@ -296,11 +370,13 @@ func (s *Schedule) CollectiveBytes(reducePayload, bcastPayload int64) int64 {
 
 // Validate checks the structural invariants every schedule must hold:
 // indices in range, sane fractions, every hop resolved to a defined
-// link class (no routing over unwired edges), each chip's partial
-// reaching a finalizing chip exactly once per chunk, and the broadcast
-// phase (together with the finalize placement) delivering every chunk
-// to every chip in dependency order. It reports the first violation:
-// hops before finalizes before the broadcast, each list in order.
+// link class (no routing over unwired edges) under a price key of its
+// own fraction, each chip's partial reaching a finalizing chip exactly
+// once per chunk, the broadcast phase (together with the finalize
+// placement) delivering every chunk to every chip in dependency order,
+// and the recorded hop counts matching the lists. It reports the first
+// violation: hops before finalizes before the broadcast before the
+// counts, each list in order.
 func (s *Schedule) Validate() error {
 	if s.N <= 0 || s.Chunks <= 0 {
 		return fmt.Errorf("interconnect: schedule over %d chips / %d chunks", s.N, s.Chunks)
@@ -308,7 +384,10 @@ func (s *Schedule) Validate() error {
 	if s.Root < 0 || s.Root >= s.N {
 		return fmt.Errorf("interconnect: root %d out of range", s.Root)
 	}
-	for _, hops := range [2][]Hop{s.Reduce, s.Broadcast} {
+	nk, block := len(s.Keys), s.N*len(s.Keys)
+	var buf [256]int32
+	grid := countGrid(&buf, 3*block)
+	for l, hops := range [2][]Hop{s.Reduce, s.Broadcast} {
 		for i := range hops {
 			h := &hops[i]
 			if h.From < 0 || h.From >= s.N || h.To < 0 || h.To >= s.N || h.From == h.To {
@@ -317,12 +396,16 @@ func (s *Schedule) Validate() error {
 			if h.Chunk < 0 || h.Chunk >= s.Chunks {
 				return fmt.Errorf("interconnect: hop %d->%d chunk %d out of range", h.From, h.To, h.Chunk)
 			}
-			if h.Frac <= 0 || h.Frac > 1 {
+			if !(h.Frac > 0 && h.Frac <= 1) {
 				return fmt.Errorf("interconnect: hop %d->%d fraction %g out of (0,1]", h.From, h.To, h.Frac)
 			}
 			if !s.classOf(h).Defined() {
 				return fmt.Errorf("interconnect: hop %d->%d crosses an undefined edge (no link class resolved; lower the schedule with NewSchedule against a network that wires it)", h.From, h.To)
 			}
+			if k := s.Keys[h.key].Frac; k != h.Frac {
+				return fmt.Errorf("interconnect: hop %d->%d of fraction %g is priced at fraction %g (annotate the schedule again after changing a hop)", h.From, h.To, h.Frac, k)
+			}
+			s.count(grid, l, h)
 		}
 	}
 
@@ -332,7 +415,7 @@ func (s *Schedule) Validate() error {
 		if f.Chip < 0 || f.Chip >= s.N || f.Chunk < 0 || f.Chunk >= s.Chunks {
 			return fmt.Errorf("interconnect: finalize (%d, chunk %d) out of range", f.Chip, f.Chunk)
 		}
-		if f.Frac <= 0 || f.Frac > 1 {
+		if !(f.Frac > 0 && f.Frac <= 1) {
 			return fmt.Errorf("interconnect: finalize fraction %g out of (0,1]", f.Frac)
 		}
 		if i == bad {
@@ -366,6 +449,10 @@ func (s *Schedule) Validate() error {
 				return fmt.Errorf("interconnect: chunk %d never reaches chip %d", q, c)
 			}
 		}
+	}
+	if !countsMatch(s.ReduceSends, grid[:block], nk) || !countsMatch(s.ReduceAdds, grid[block:2*block], nk) ||
+		!countsMatch(s.BroadcastSends, grid[2*block:], nk) {
+		return fmt.Errorf("interconnect: the recorded hop counts do not match the hop lists (annotate the schedule again after changing a hop)")
 	}
 	return nil
 }

@@ -2,7 +2,10 @@ package interconnect
 
 import (
 	"fmt"
+	"math"
 	"runtime"
+	"slices"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -338,7 +341,8 @@ func TestScheduleValidateCatchesCorruption(t *testing.T) {
 // validateReference is Validate as it was before it counted over one
 // dense array: one map of source chips per (chip, chunk), the reduce
 // replayed once over every chunk. It reads each hop's link class
-// through the schedule's Classes, as Validate does. It is the oracle
+// through its price key and the schedule's Classes, as Validate does,
+// and recounts the hops per (chip, key) in maps. It is the oracle
 // FuzzScheduleValidate and the corruption cases hold Validate to,
 // verdict and error text alike.
 func validateReference(s *Schedule) error {
@@ -355,11 +359,18 @@ func validateReference(s *Schedule) error {
 		if h.Chunk < 0 || h.Chunk >= s.Chunks {
 			return fmt.Errorf("interconnect: hop %d->%d chunk %d out of range", h.From, h.To, h.Chunk)
 		}
-		if h.Frac <= 0 || h.Frac > 1 {
+		if math.IsNaN(h.Frac) || h.Frac <= 0 || h.Frac > 1 {
 			return fmt.Errorf("interconnect: hop %d->%d fraction %g out of (0,1]", h.From, h.To, h.Frac)
 		}
-		if int(h.class) >= len(s.Classes) || !s.Classes[h.class].Defined() {
+		if h.key < 0 || int(h.key) >= len(s.Keys) {
 			return fmt.Errorf("interconnect: hop %d->%d crosses an undefined edge (no link class resolved; lower the schedule with NewSchedule against a network that wires it)", h.From, h.To)
+		}
+		k := s.Keys[h.key]
+		if k.Class < 0 || k.Class >= len(s.Classes) || !s.Classes[k.Class].Defined() {
+			return fmt.Errorf("interconnect: hop %d->%d crosses an undefined edge (no link class resolved; lower the schedule with NewSchedule against a network that wires it)", h.From, h.To)
+		}
+		if k.Frac != h.Frac {
+			return fmt.Errorf("interconnect: hop %d->%d of fraction %g is priced at fraction %g (annotate the schedule again after changing a hop)", h.From, h.To, h.Frac, k.Frac)
 		}
 	}
 
@@ -383,7 +394,7 @@ func validateReference(s *Schedule) error {
 		if f.Chip < 0 || f.Chip >= s.N || f.Chunk < 0 || f.Chunk >= s.Chunks {
 			return fmt.Errorf("interconnect: finalize (%d, chunk %d) out of range", f.Chip, f.Chunk)
 		}
-		if f.Frac <= 0 || f.Frac > 1 {
+		if math.IsNaN(f.Frac) || f.Frac <= 0 || f.Frac > 1 {
 			return fmt.Errorf("interconnect: finalize fraction %g out of (0,1]", f.Frac)
 		}
 		for chip := 0; chip < s.N; chip++ {
@@ -417,6 +428,31 @@ func validateReference(s *Schedule) error {
 				return fmt.Errorf("interconnect: chunk %d never reaches chip %d", q, c)
 			}
 		}
+	}
+	tally := func(hops []Hop, recv bool) []HopCount {
+		counts := map[[2]int]int{}
+		for _, h := range hops {
+			chip := h.From
+			if recv {
+				chip = h.To
+			}
+			counts[[2]int{chip, int(h.key)}]++
+		}
+		var out []HopCount
+		for ck, n := range counts {
+			out = append(out, HopCount{Chip: int32(ck[0]), Key: int32(ck[1]), Hops: int32(n)})
+		}
+		sort.Slice(out, func(i, j int) bool {
+			if out[i].Chip != out[j].Chip {
+				return out[i].Chip < out[j].Chip
+			}
+			return out[i].Key < out[j].Key
+		})
+		return out
+	}
+	if !slices.Equal(tally(s.Reduce, false), s.ReduceSends) || !slices.Equal(tally(s.Reduce, true), s.ReduceAdds) ||
+		!slices.Equal(tally(s.Broadcast, false), s.BroadcastSends) {
+		return fmt.Errorf("interconnect: the recorded hop counts do not match the hop lists (annotate the schedule again after changing a hop)")
 	}
 	return nil
 }

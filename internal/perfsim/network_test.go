@@ -120,7 +120,7 @@ func TestPipelineChainUsesNetworkClasses(t *testing.T) {
 	}
 
 	// A table wiring only 1->0 leaves the 0->1 handoff undefined.
-	back, err := hw.TableNetwork(map[hw.Edge]hw.LinkClass{{From: 1, To: 0}: hw.MIPI()})
+	back, err := hw.TableNetwork(map[hw.Edge]hw.LinkClass{{From: 1, To: 0}: hw.MIPI()}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestPipelineChainUsesNetworkClasses(t *testing.T) {
 	// A chain-only table — the natural measured wiring of a
 	// daisy-chained pipeline board — must run: the pipeline executes
 	// no collective hops, so leaving collective edges unwired is fine.
-	chain, err := hw.TableNetwork(map[hw.Edge]hw.LinkClass{{From: 0, To: 1}: hw.MIPI()})
+	chain, err := hw.TableNetwork(map[hw.Edge]hw.LinkClass{{From: 0, To: 1}: hw.MIPI()}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestPipelineRoutesAroundMissingStageEdge(t *testing.T) {
 	for c := 0; c < 3; c++ {
 		full[hw.Edge{From: c, To: c + 1}] = mipi
 	}
-	wired, err := hw.TableNetwork(full)
+	wired, err := hw.TableNetwork(full, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestPipelineRoutesAroundMissingStageEdge(t *testing.T) {
 		{From: 3, To: 2}: mipi,
 		{From: 2, To: 3}: mipi,
 	}
-	gapped, err := hw.TableNetwork(gap)
+	gapped, err := hw.TableNetwork(gap, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

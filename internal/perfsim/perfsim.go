@@ -8,8 +8,10 @@
 // cluster, its L2↔L1 DMA and L3 I/O engine, each directed link — is a
 // plain free time: a use starts when both the device and its input are
 // ready and serializes the device's users in call order. Each tile of
-// a synchronization runs its reduce and its broadcast hop lists through
-// one loop (hops) that prices, occupies and bills every hop inline.
+// a synchronization prices its hop lists once per (link class,
+// fraction) key and bills their bytes per key; its reduce and its
+// broadcast loops then do per hop only what depends on hop order, and
+// each chip's End settles once per run.
 //
 // Modeling conventions (matching the paper's stacked-bar accounting):
 // compute, L2↔L1 tile movement, and exposed L3 streaming serialize
@@ -173,9 +175,9 @@ type Sim struct {
 	// sched is the run topology's schedule. lows holds it (always at
 	// index 0) plus one lowered schedule per topology the collective
 	// plan binds, each with its schedule classes mapped to run class
-	// ids once at setup, so the per-sync hop loops index the class axis
-	// through Hop.ClassIndex instead of hashing a LinkClass per hop;
-	// scheds maps a bound topology to its index in lows.
+	// ids once at setup, so a tile's price table carries each key's run
+	// class id instead of hashing a LinkClass per hop; scheds maps a
+	// bound topology to its index in lows.
 	sched    *interconnect.Schedule
 	lows     []loweredSched
 	scheds   map[hw.Topology]int32
@@ -231,12 +233,13 @@ type Sim struct {
 	phaseBuf []float64
 	tiles    []int64
 	bcast    []int64
-	// hopMemo (indexed by run class id), add (the reduce add) and
-	// rootMemo (by root-work kernel) memoize the pure per-hop prices a
-	// sync would otherwise recompute for every hop.
-	hopMemo  []hopPrice
-	add      kernelPrice
-	rootMemo []kernelPrice
+	// redPrice and bcastPrice are the current tile's price tables of the
+	// reduce and the broadcast (or pipeline chain) hop lists, one entry
+	// per price key (priceTile); rootMemo memoizes each root-work
+	// kernel's price by fraction.
+	redPrice   []hopPrice
+	bcastPrice []hopPrice
+	rootMemo   []kernelPrice
 	// prices holds every chip's phase-kernel prices, computed once per
 	// run: chip c's MHSA kernels from priceOff[c], its FC kernels right
 	// after.
@@ -272,7 +275,7 @@ type linkLabel struct {
 }
 
 // loweredSched is one schedule bound for this run plus the run-local
-// class id of each of its classes, indexed by Hop.ClassIndex.
+// class id of each of its classes, indexed by PriceKey.Class.
 type loweredSched struct {
 	sc  *interconnect.Schedule
 	ids []int32
@@ -290,15 +293,18 @@ type kernelPrice struct {
 	cycles float64
 }
 
-// hopPrice is one link class's memoized transfer: the bytes a hop
-// carrying share frac of a tile moves, and their nominal duration. The
-// zero value is the price of a zero share of an empty tile, so a
-// cleared memo never answers wrongly.
+// hopPrice is one price key's cost on one tile of a hop list: the run
+// class id of the key's link class, the bytes a hop moves, their
+// transfer time on a nominal link (dur) and on a link touching the
+// degraded chip (deg), and on a reduce the receiver's share of the
+// reduce add, with its cycles on the straggler (addStr) apart. Without
+// a degraded chip or a straggler the two prices are equal.
 type hopPrice struct {
-	tile    int64
-	frac    float64
-	payload int64
-	dur     float64
+	id       int32
+	payload  int64
+	dur, deg float64
+	add      kernelPrice
+	addStr   float64
 }
 
 // NewSim returns an empty arena. The zero Sim is ready to use; every
@@ -402,7 +408,7 @@ func (s *Sim) RunTraced(d *deploy.Deployment, tl *trace.Timeline) (*Result, erro
 	var err error
 	if d.Plan.Strategy == partition.Pipeline {
 		// The pipeline never executes the collective hops — it
-		// transfers only on its handoff chain (resolved below) — so a
+		// transfers only on its handoff chain (resolved in bind) — so a
 		// network that wires just the chain must not be rejected for
 		// leaving collective edges undefined.
 		sched, err = interconnect.NewBareSchedule(d.HW.Topology, n, d.HW.GroupSize)
@@ -417,159 +423,9 @@ func (s *Sim) RunTraced(d *deploy.Deployment, tl *trace.Timeline) (*Result, erro
 	if err != nil {
 		return nil, err
 	}
-	// Rebind the recycled arena to this run.
-	s.d = d
-	s.sched = sched
-	s.syncs = 0
-	s.tl = tl
-	s.n = n
-	s.flip = false
-	s.freqHz = d.HW.Chip.FreqHz
-	s.dmaL2BPC = d.HW.Chip.DMAL2L1BytesPerCycle
-	s.dmaL2Setup = d.HW.Chip.DMAL2L1SetupCycles
-	s.dmaL3BPC = d.HW.Chip.DMAL3L2BytesPerCycle
-	s.dmaL3Setup = d.HW.Chip.DMAL3L2SetupCycles
-	s.l1Tile = int64(d.HW.Chip.L1Bytes / 2)
-	s.memEnabled = d.HW.Mem.Enabled()
-	if s.memEnabled {
-		s.memCh = memsim.ChannelOf(d.HW)
+	if err := s.bind(d, sched, tl); err != nil {
+		return nil, err
 	}
-	s.strChip, s.strFactor = d.Options.StragglerChip, d.Options.StragglerFactor
-	s.degChip, s.degFactor = d.Options.DegradedLinkChip, d.Options.DegradedLinkFactor
-	if s.scheds == nil {
-		s.scheds = make(map[hw.Topology]int32, 4)
-	} else {
-		clear(s.scheds)
-	}
-	if s.classID == nil {
-		s.classID = make(map[hw.LinkClass]int, 4)
-	} else {
-		clear(s.classID)
-	}
-	s.classes = s.classes[:0]
-	s.lows = s.lows[:0]
-
-	// Seed the accounting axis with the schedule's classes so class
-	// order is deterministic (first reduce hop's class is class 0)
-	// regardless of which hop executes first, and resolve the run
-	// schedule's per-hop class ids (lows index 0, schedFor's default).
-	s.scheds[sched.Topology] = s.lowerSched(sched)
-	// Resolve one schedule per topology the collective plan binds to a
-	// class this run executes, each lowered and validated against the
-	// network wiring up front (through the same intern cache as the run
-	// schedule) — a plan routing an active class over an unwired edge
-	// fails here, before any simulation runs, while a merged
-	// prefill+decode plan never pays (or fails) for the other mode's
-	// bindings. The run topology's schedule is reused
-	// untouched, so the zero plan stays byte-identical to the
-	// single-topology simulator. The pipeline strategy executes no
-	// collectives and skips the lowering (its network may wire only
-	// the handoff chain).
-	if d.Plan.Strategy != partition.Pipeline {
-		for _, cl := range collective.ActiveClasses(d.Plan.Strategy, d.Mode) {
-			topo, bound := d.Options.SyncPlan.Explicit(cl)
-			if !bound {
-				continue
-			}
-			if _, ok := s.scheds[topo]; ok {
-				continue
-			}
-			hp := d.HW
-			hp.Topology = topo
-			alt, err := interconnect.CachedSchedule(hp, n)
-			if err != nil {
-				return nil, fmt.Errorf("perfsim: collective plan: %w", err)
-			}
-			s.scheds[topo] = s.lowerSched(alt)
-		}
-	}
-	if d.Plan.Strategy == partition.Pipeline {
-		// The pipeline handoff chain is not part of the collective
-		// schedule; it is routed and class-resolved against the network
-		// up front (through the interconnect intern cache, once per
-		// (network, chips) pair), so a severed chain fails before
-		// simulation, like any schedule hop over an undefined edge. A
-		// stage boundary whose direct edge is unwired — a sparse fabric
-		// or a degraded board — executes its routed multi-hop segment;
-		// on fully wired networks every segment is the single direct
-		// hop, byte-identical to the legacy chain.
-		chain, err := interconnect.CachedPipelineChain(d.HW.Network, n)
-		if err != nil {
-			return nil, fmt.Errorf("perfsim: %w", err)
-		}
-		s.chain = chain
-		// A chain hop's ClassIndex indexes the chain's classes, listed
-		// in first-use order along the chain.
-		s.chainIDs = s.chainIDs[:0]
-		for _, c := range chain.Classes {
-			s.chainIDs = append(s.chainIDs, int32(s.classIndex(c)))
-		}
-	}
-
-	// The class axis is final; carve the per-chip and per-class
-	// counters full-width from the arena's backing arrays.
-	nc := len(s.classes)
-	s.chipClassCycles = growFloats(s.chipClassCycles, n*nc)
-	s.chipClassBytes = growInts(s.chipClassBytes, n*nc)
-	if cap(s.stats) < n {
-		s.stats = make([]ChipStats, n)
-	}
-	s.stats = s.stats[:n]
-	for i := 0; i < n; i++ {
-		s.stats[i] = ChipStats{
-			C2CCyclesByClass:    carveFloats(s.chipClassCycles, i, nc),
-			C2CSentBytesByClass: carveInts(s.chipClassBytes, i, nc),
-		}
-	}
-	s.accByLink = growInts(s.accByLink, int(collective.NumSyncClasses)*nc)
-	for c := range s.classAcc {
-		s.classAcc[c] = classAccum{byLink: carveInts(s.accByLink, c, nc)}
-	}
-	if cap(s.hopMemo) < nc {
-		s.hopMemo = make([]hopPrice, nc)
-	}
-	s.hopMemo = s.hopMemo[:nc]
-	clear(s.hopMemo)
-
-	// Every device is free at time zero.
-	s.chipFree = growFloats(s.chipFree, 3*n)
-	s.cluster = s.chipFree[:n]
-	s.dma = s.chipFree[n : 2*n]
-	s.io = s.chipFree[2*n : 3*n]
-	s.linkFree = growFloats(s.linkFree, n*n)
-	if tl != nil {
-		if cap(s.links) < n*n {
-			s.links = make([]linkLabel, n*n)
-		}
-		s.links = s.links[:n*n]
-		clear(s.links)
-	}
-
-	// Phase kernels run at the same price in every block.
-	s.prices = s.prices[:0]
-	s.priceOff = s.priceOff[:0]
-	for c := range d.Chips {
-		s.priceOff = append(s.priceOff, len(s.prices))
-		for _, ops := range [2][]kernels.Cost{d.Chips[c].MHSA, d.Chips[c].FC} {
-			for i := range ops {
-				s.prices = append(s.prices, s.price(ops[i].TotalL2L1Bytes(), ops[i].Cycles))
-			}
-		}
-	}
-
-	// Synchronization scratch: readiness matrices sized for the widest
-	// schedule, ping-pong arrival buffers, phase timelines.
-	maxChunks := 0
-	for i := range s.lows {
-		if c := s.lows[i].sc.Chunks; c > maxChunks {
-			maxChunks = c
-		}
-	}
-	s.partial = growFloats(s.partial, n*maxChunks)
-	s.has = growFloats(s.has, n*maxChunks)
-	s.syncA = growFloats(s.syncA, n)
-	s.syncB = growFloats(s.syncB, n)
-	s.phaseBuf = growFloats(s.phaseBuf, 3*n)
 
 	var end float64
 	switch d.Plan.Strategy {
@@ -587,6 +443,7 @@ func (s *Sim) RunTraced(d *deploy.Deployment, tl *trace.Timeline) (*Result, erro
 		// overflow a transfer time; report it rather than print +Inf.
 		return nil, fmt.Errorf("perfsim: simulated runtime is not finite (%g cycles): a link or fault setting overflows the cycle count", end)
 	}
+	s.foldEnds()
 
 	// Results escape into caches shared between callers (evalpool
 	// memoizes them as immutable), so every accumulator is copied out
@@ -600,6 +457,7 @@ func (s *Sim) RunTraced(d *deploy.Deployment, tl *trace.Timeline) (*Result, erro
 		LinkClasses: append([]hw.LinkClass(nil), s.classes...),
 		PerChip:     make([]ChipStats, n),
 	}
+	nc := len(s.classes)
 	cyc := make([]float64, n*nc)
 	byt := make([]int64, n*nc)
 	copy(cyc, s.chipClassCycles)
@@ -663,6 +521,161 @@ func (s *Sim) RunTraced(d *deploy.Deployment, tl *trace.Timeline) (*Result, erro
 		res.Breakdown.C2C = 0
 	}
 	return res, nil
+}
+
+// bind rebinds the recycled arena to a run of d whose run topology
+// lowered to sched: it resolves the schedules the collective plan binds
+// and the pipeline's handoff chain, fixes the class axis, and sizes and
+// clears every device, counter and scratch buffer.
+func (s *Sim) bind(d *deploy.Deployment, sched *interconnect.Schedule, tl *trace.Timeline) error {
+	n := d.Plan.Chips
+	s.d = d
+	s.sched = sched
+	s.syncs = 0
+	s.tl = tl
+	s.n = n
+	s.flip = false
+	s.freqHz = d.HW.Chip.FreqHz
+	s.dmaL2BPC = d.HW.Chip.DMAL2L1BytesPerCycle
+	s.dmaL2Setup = d.HW.Chip.DMAL2L1SetupCycles
+	s.dmaL3BPC = d.HW.Chip.DMAL3L2BytesPerCycle
+	s.dmaL3Setup = d.HW.Chip.DMAL3L2SetupCycles
+	s.l1Tile = int64(d.HW.Chip.L1Bytes / 2)
+	s.memEnabled = d.HW.Mem.Enabled()
+	if s.memEnabled {
+		s.memCh = memsim.ChannelOf(d.HW)
+	}
+	s.strChip, s.strFactor = d.Options.StragglerChip, d.Options.StragglerFactor
+	s.degChip, s.degFactor = d.Options.DegradedLinkChip, d.Options.DegradedLinkFactor
+	if s.scheds == nil {
+		s.scheds = make(map[hw.Topology]int32, 4)
+	} else {
+		clear(s.scheds)
+	}
+	if s.classID == nil {
+		s.classID = make(map[hw.LinkClass]int, 4)
+	} else {
+		clear(s.classID)
+	}
+	s.classes = s.classes[:0]
+	s.lows = s.lows[:0]
+
+	// Seed the accounting axis with the schedule's classes so class
+	// order is deterministic (first reduce hop's class is class 0)
+	// regardless of which hop executes first, and resolve the run
+	// schedule's per-hop class ids (lows index 0, schedFor's default).
+	s.scheds[sched.Topology] = s.lowerSched(sched)
+	// Resolve one schedule per topology the collective plan binds to a
+	// class this run executes, each lowered and validated against the
+	// network wiring up front (through the same intern cache as the run
+	// schedule) — a plan routing an active class over an unwired edge
+	// fails here, before any simulation runs, while a merged
+	// prefill+decode plan never pays (or fails) for the other mode's
+	// bindings. The run topology's schedule is reused
+	// untouched, so the zero plan stays byte-identical to the
+	// single-topology simulator. The pipeline strategy executes no
+	// collectives and skips the lowering (its network may wire only
+	// the handoff chain).
+	if d.Plan.Strategy != partition.Pipeline {
+		for _, cl := range collective.ActiveClasses(d.Plan.Strategy, d.Mode) {
+			topo, bound := d.Options.SyncPlan.Explicit(cl)
+			if !bound {
+				continue
+			}
+			if _, ok := s.scheds[topo]; ok {
+				continue
+			}
+			hp := d.HW
+			hp.Topology = topo
+			alt, err := interconnect.CachedSchedule(hp, n)
+			if err != nil {
+				return fmt.Errorf("perfsim: collective plan: %w", err)
+			}
+			s.scheds[topo] = s.lowerSched(alt)
+		}
+	}
+	if d.Plan.Strategy == partition.Pipeline {
+		// The pipeline handoff chain is not part of the collective
+		// schedule; it is routed and class-resolved against the network
+		// up front (through the interconnect intern cache, once per
+		// (network, chips) pair), so a severed chain fails before
+		// simulation, like any schedule hop over an undefined edge. A
+		// stage boundary whose direct edge is unwired — a sparse fabric
+		// or a degraded board — executes its routed multi-hop segment;
+		// on fully wired networks every segment is the single direct
+		// hop, byte-identical to the legacy chain.
+		chain, err := interconnect.CachedPipelineChain(d.HW.Network, n)
+		if err != nil {
+			return fmt.Errorf("perfsim: %w", err)
+		}
+		s.chain = chain
+		// A chain key's Class indexes the chain's classes, listed in
+		// first-use order along the chain.
+		s.chainIDs = s.chainIDs[:0]
+		for _, c := range chain.Classes {
+			s.chainIDs = append(s.chainIDs, int32(s.classIndex(c)))
+		}
+	}
+
+	// The class axis is final; carve the per-chip and per-class
+	// counters full-width from the arena's backing arrays.
+	nc := len(s.classes)
+	s.chipClassCycles = growFloats(s.chipClassCycles, n*nc)
+	s.chipClassBytes = growInts(s.chipClassBytes, n*nc)
+	if cap(s.stats) < n {
+		s.stats = make([]ChipStats, n)
+	}
+	s.stats = s.stats[:n]
+	for i := 0; i < n; i++ {
+		s.stats[i] = ChipStats{
+			C2CCyclesByClass:    carveFloats(s.chipClassCycles, i, nc),
+			C2CSentBytesByClass: carveInts(s.chipClassBytes, i, nc),
+		}
+	}
+	s.accByLink = growInts(s.accByLink, int(collective.NumSyncClasses)*nc)
+	for c := range s.classAcc {
+		s.classAcc[c] = classAccum{byLink: carveInts(s.accByLink, c, nc)}
+	}
+	// Every device is free at time zero.
+	s.chipFree = growFloats(s.chipFree, 3*n)
+	s.cluster = s.chipFree[:n]
+	s.dma = s.chipFree[n : 2*n]
+	s.io = s.chipFree[2*n : 3*n]
+	s.linkFree = growFloats(s.linkFree, n*n)
+	if tl != nil {
+		if cap(s.links) < n*n {
+			s.links = make([]linkLabel, n*n)
+		}
+		s.links = s.links[:n*n]
+		clear(s.links)
+	}
+
+	// Phase kernels run at the same price in every block.
+	s.prices = s.prices[:0]
+	s.priceOff = s.priceOff[:0]
+	for c := range d.Chips {
+		s.priceOff = append(s.priceOff, len(s.prices))
+		for _, ops := range [2][]kernels.Cost{d.Chips[c].MHSA, d.Chips[c].FC} {
+			for i := range ops {
+				s.prices = append(s.prices, s.price(ops[i].TotalL2L1Bytes(), ops[i].Cycles))
+			}
+		}
+	}
+
+	// Synchronization scratch: readiness matrices sized for the widest
+	// schedule, ping-pong arrival buffers, phase timelines.
+	maxChunks := 0
+	for i := range s.lows {
+		if c := s.lows[i].sc.Chunks; c > maxChunks {
+			maxChunks = c
+		}
+	}
+	s.partial = growFloats(s.partial, n*maxChunks)
+	s.has = growFloats(s.has, n*maxChunks)
+	s.syncA = growFloats(s.syncA, n)
+	s.syncB = growFloats(s.syncB, n)
+	s.phaseBuf = growFloats(s.phaseBuf, 3*n)
+	return nil
 }
 
 // growFloats returns a zeroed length-n slice, reusing buf's backing
@@ -891,127 +904,218 @@ func (s *Sim) execTiled(chip int, t float64, cost *kernels.Cost, p *memsim.Plan)
 	return prevCd
 }
 
-// hops runs one tile's hop list. Each hop moves its Frac of tile
-// across the directed link From->To at the link class's own rate and
-// setup cost — which is what lets one schedule mix fast local links
-// with a slow backhaul — and bills the link time and bytes to the
-// sender, and to acc (nil outside a collective). The nominal transfer
-// is a pure function of (class, tile, Frac), memoized per class: a
-// ring step moves equal shares over every link, and on a clustered ring
-// the class alternates along the ring. Links touching a degraded chip
-// (failure injection) transfer at the configured fraction of nominal
-// bandwidth.
+// priceTile prices one tile of a hop list once per price key of its
+// schedule (or chain) into buf: the bytes a hop of the key moves — its
+// Frac of tile — and their time at the key's link class's own rate and
+// setup cost, which is what lets one schedule mix fast local links with
+// a slow backhaul; links touching a degraded chip (failure injection)
+// transfer at the configured fraction of nominal bandwidth. With add
+// set it also prices the receiver's part of a reduce hop: the fraction
+// share*Frac of the reduce add, where share is the tile's fraction of
+// the payload. Each price is a pure function of the key, tile and
+// share, so the table holds what every hop of the tile would compute.
+func (s *Sim) priceTile(buf []hopPrice, keys []interconnect.PriceKey, ids []int32, tile int64, share float64, add bool) []hopPrice {
+	buf = buf[:0]
+	cost := &s.d.ReduceAdd
+	for _, k := range keys {
+		id := ids[k.Class]
+		payload := interconnect.ScalePayload(tile, k.Frac)
+		p := hopPrice{id: id, payload: payload, dur: s.classes[id].TransferCycles(s.freqHz, payload)}
+		p.deg = p.dur
+		if s.degFactor > 0 {
+			p.deg /= s.degFactor
+		}
+		if add {
+			f := share * k.Frac
+			p.add = s.price(int64(float64(cost.ActInBytes)*f)+int64(float64(cost.ActOutBytes)*f), cost.Cycles*f)
+			p.addStr = p.add.cycles
+			if s.strFactor > 0 {
+				p.addStr /= s.strFactor
+			}
+		}
+		buf = append(buf, p)
+	}
+	return buf
+}
+
+// billSends bills one tile of a hop list's sent bytes: per (sender,
+// key), the hop count times the key's payload, to the sender and,
+// inside a collective (acc non-nil), to the sync class. Integer sums
+// are exact in any order, so this is billing hop by hop, batched.
+func (s *Sim) billSends(counts []interconnect.HopCount, prices []hopPrice, acc *classAccum) {
+	for _, c := range counts {
+		p := &prices[c.Key]
+		b := int64(c.Hops) * p.payload
+		st := &s.stats[c.Chip]
+		st.C2CSentBytes += b
+		st.C2CSentBytesByClass[p.id] += b
+		if acc != nil {
+			acc.bytes += b
+			acc.byLink[p.id] += b
+		}
+	}
+}
+
+// billAdds bills one reduce tile's accumulation traffic: per (receiver,
+// key), the hop count times the add's L2↔L1 bytes.
+func (s *Sim) billAdds(counts []interconnect.HopCount, prices []hopPrice) {
+	for _, c := range counts {
+		if b := prices[c.Key].add.bytes; b > 0 {
+			s.stats[c.Chip].L2L1Bytes += int64(c.Hops) * b
+		}
+	}
+}
+
+// reduce runs one tile's reduce hop list at the tile's prices (indexed
+// by each hop's key). A hop starts when the sender's accumulator for
+// the chunk settles (or, for a hop that sends the original partial,
+// when ready says it is), crosses the directed link From->To, and the
+// receiver then runs its part of the reduce add on its DMA and cluster.
 //
-// A reduce hop starts when the sender's accumulator for the chunk
-// settles (or, for a hop that sends the original partial, when ready
-// says it is); the receiver then runs its part of the reduce add, the
-// fraction share*Frac of it, where share is the tile's fraction of the
-// payload. Any other hop starts when the sender holds the chunk (has)
-// and marks the receiver as holding it (has, arrive). hops returns the
-// last hop's end.
-//
-// Every step of a hop is inline, with the arena's slices and the fault
-// settings in locals: this loop is where a simulation spends its time.
-func (s *Sim) hops(list []interconnect.Hop, ids []int32, acc *classAccum, tile int64, share float64, ready, arrive []float64, reduce bool) float64 {
-	n, chunks, freqHz, tl := s.n, s.chunks, s.freqHz, s.tl
-	partial, has, links, stats := s.partial, s.has, s.linkFree, s.stats
-	memo, classes, dma, cluster := s.hopMemo, s.classes, s.dma, s.cluster
-	degChip, degFactor, strChip, strFactor := s.degChip, s.degFactor, s.strChip, s.strFactor
-	add, addCost := s.add, &s.d.ReduceAdd
-	var end float64
+// A hop does only the work whose result depends on hop order: it
+// occupies its devices, traces them, and adds its cycles to the float
+// sums — the sender's C2CCycles and C2CCyclesByClass, the sync class's
+// cycles, the receiver's L2L1Cycles and ComputeCycles. Floating-point
+// addition is not associative, so those sums stay per hop, in hop order
+// (a tile's count times a price would round differently). Its bytes are
+// billed per tile (billSends, billAdds) and each chip's End once per
+// run (foldEnds). The arena's slices and the fault settings sit in
+// locals: this loop and broadcast are where a simulation spends its
+// time.
+func (s *Sim) reduce(list []interconnect.Hop, prices []hopPrice, cycles *float64, ready []float64) {
+	n, chunks, tl := s.n, s.chunks, s.tl
+	partial, links, stats, dma, cluster := s.partial, s.linkFree, s.stats, s.dma, s.cluster
+	degChip, strChip := s.degChip, s.strChip
+	// The sync class's running sum, held in a register: the same
+	// additions in the same order as on *cycles.
+	sum := *cycles
 	for i := range list {
 		h := &list[i]
 		from, to := h.From, h.To
 		var start float64
-		switch {
-		case !reduce:
-			start = has[from*chunks+h.Chunk]
-		case h.FromAccumulated:
+		if h.FromAccumulated {
 			start = partial[from*chunks+h.Chunk]
-		default:
-			// All-to-all sends the original partial; only the
-			// receiver accumulates.
+		} else {
+			// All-to-all sends the original partial; only the receiver
+			// accumulates.
 			start = ready[from]
 		}
-		id := ids[h.ClassIndex()]
-		m := &memo[id]
-		if m.tile != tile || m.frac != h.Frac {
-			payload := interconnect.ScalePayload(tile, h.Frac)
-			*m = hopPrice{tile: tile, frac: h.Frac, payload: payload, dur: classes[id].TransferCycles(freqHz, payload)}
+		p := &prices[h.Key()]
+		dur := p.dur
+		if from == degChip || to == degChip {
+			dur = p.deg
 		}
-		payload, dur := m.payload, m.dur
-		if degFactor > 0 && (from == degChip || to == degChip) {
-			dur /= degFactor
-		}
-		end = use(&links[from*n+to], start, dur)
+		end := use(&links[from*n+to], start, dur)
 		if tl != nil {
-			// Each edge is its own full-duplex PHY: trace it as its own
-			// exclusive device. The labels are formatted only on the
-			// traced (cold) path, once per edge and run.
-			l := &s.links[from*n+to]
-			if l.category == "" {
-				l.category, l.label = fmt.Sprintf("link%d-%d", from, to), fmt.Sprintf("%d->%d", from, to)
-			}
-			s.span(from, l.category, l.label, end-dur, end)
+			s.linkSpan(from, to, end-dur, end)
 		}
-		st, rt := &stats[from], &stats[to]
+		st := &stats[from]
 		st.C2CCycles += dur
-		st.C2CSentBytes += payload
-		st.C2CCyclesByClass[id] += dur
-		st.C2CSentBytesByClass[id] += payload
-		if acc != nil {
-			acc.cycles += dur
-			acc.bytes += payload
-			acc.byLink[id] += payload
-		}
-		if end > st.End {
-			st.End = end
-		}
-		if end > rt.End {
-			rt.End = end
-		}
+		st.C2CCyclesByClass[p.id] += dur
+		sum += dur
 		q := to*chunks + h.Chunk
-		if !reduce {
-			if end > has[q] {
-				has[q] = end
-			}
-			if end > arrive[to] {
-				arrive[to] = end
-			}
-			continue
-		}
-		// The receiver's add: execScaled of the reduce add, inline.
 		t := maxF(end, partial[q])
-		if f := share * h.Frac; add.frac != f {
-			add = s.price(int64(float64(addCost.ActInBytes)*f)+int64(float64(addCost.ActOutBytes)*f), addCost.Cycles*f)
-			add.frac = f
-		}
-		if add.bytes > 0 {
-			t = use(&dma[to], t, add.dmaT)
+		rt := &stats[to]
+		if p.add.bytes > 0 {
+			t = use(&dma[to], t, p.add.dmaT)
 			if tl != nil {
-				s.span(to, "dma-l2l1", addCost.Name, t-add.dmaT, t)
+				s.span(to, "dma-l2l1", s.d.ReduceAdd.Name, t-p.add.dmaT, t)
 			}
-			rt.L2L1Cycles += add.dmaT
-			rt.L2L1Bytes += add.bytes
+			rt.L2L1Cycles += p.add.dmaT
 		}
-		if add.cycles > 0 {
-			cycles := add.cycles
-			if strFactor > 0 && to == strChip {
-				cycles /= strFactor
+		if p.add.cycles > 0 {
+			c := p.add.cycles
+			if to == strChip {
+				c = p.addStr
 			}
-			t = use(&cluster[to], t, cycles)
+			t = use(&cluster[to], t, c)
 			if tl != nil {
-				s.span(to, "compute", addCost.Name, t-cycles, t)
+				s.span(to, "compute", s.d.ReduceAdd.Name, t-c, t)
 			}
-			rt.ComputeCycles += cycles
-		}
-		if t > rt.End {
-			rt.End = t
+			rt.ComputeCycles += c
 		}
 		partial[q] = t
 	}
-	s.add = add
+	*cycles = sum
+}
+
+// broadcast runs one tile's broadcast hop list, or one pipeline handoff
+// segment, at the tile's prices: each hop starts when its sender holds
+// the chunk (has), crosses the directed link From->To, and marks the
+// receiver as holding it (has, arrive). It returns the last hop's end.
+// As in reduce, a hop does only the work that depends on hop order,
+// and its float cycle sums stay per hop for their addition order.
+func (s *Sim) broadcast(list []interconnect.Hop, prices []hopPrice, cycles *float64, arrive []float64) float64 {
+	n, chunks, tl := s.n, s.chunks, s.tl
+	has, links, stats := s.has, s.linkFree, s.stats
+	degChip := s.degChip
+	sum := *cycles
+	var end float64
+	for i := range list {
+		h := &list[i]
+		from, to := h.From, h.To
+		p := &prices[h.Key()]
+		dur := p.dur
+		if from == degChip || to == degChip {
+			dur = p.deg
+		}
+		end = use(&links[from*n+to], has[from*chunks+h.Chunk], dur)
+		if tl != nil {
+			s.linkSpan(from, to, end-dur, end)
+		}
+		st := &stats[from]
+		st.C2CCycles += dur
+		st.C2CCyclesByClass[p.id] += dur
+		sum += dur
+		q := to*chunks + h.Chunk
+		if end > has[q] {
+			has[q] = end
+		}
+		if end > arrive[to] {
+			arrive[to] = end
+		}
+	}
+	*cycles = sum
 	return end
+}
+
+// linkSpan traces one hop on its directed edge. Each edge is its own
+// full-duplex PHY, traced as its own exclusive device; its labels are
+// formatted only on the traced (cold) path, once per edge and run.
+func (s *Sim) linkSpan(from, to int, start, end float64) {
+	l := &s.links[from*s.n+to]
+	if l.category == "" {
+		l.category, l.label = fmt.Sprintf("link%d-%d", from, to), fmt.Sprintf("%d->%d", from, to)
+	}
+	s.span(from, l.category, l.label, start, end)
+}
+
+// foldEnds settles each chip's End once per run, after the hop loops,
+// which leave it alone. A device's free time only grows, so the latest
+// end of any use of a chip's cluster, DMA or links — the links it sends
+// and receives on — is that device's final free time; unused links
+// stay free at 0. The other time a hop reaches, a receiver's settled
+// partial, is a device's end or a time the chip's End already holds.
+// The io engine stays out: a background prefetch (l3Background)
+// occupies it past any time the chip's work waits for.
+func (s *Sim) foldEnds() {
+	n, stats := s.n, s.stats
+	for c := range stats {
+		st := &stats[c]
+		st.End = maxF(s.cluster[c], st.End)
+		st.End = maxF(s.dma[c], st.End)
+	}
+	for from := 0; from < n; from++ {
+		sender := &stats[from]
+		for to, free := range s.linkFree[from*n : from*n+n] {
+			if free > sender.End {
+				sender.End = free
+			}
+			if free > stats[to].End {
+				stats[to].End = free
+			}
+		}
+	}
 }
 
 // appendTiles cuts a payload into tiles of at most
@@ -1098,22 +1202,25 @@ func (s *Sim) sync(class collective.SyncClass, ready []float64, reducePayload, b
 	s.chunks = chunks
 	partial := s.partial
 	has := s.has
-	// The reduce add's and each root-work kernel's memoized prices.
-	s.add = kernelPrice{}
+	// Each root-work kernel's memoized price.
 	if cap(s.rootMemo) < len(rootWork) {
 		s.rootMemo = make([]kernelPrice, len(rootWork))
 	}
 	roots := s.rootMemo[:len(rootWork)]
 	clear(roots)
+	frac := 1.0 / float64(nt)
 	for k := 0; k < nt; k++ {
-		frac := 1.0 / float64(nt)
 		for c := 0; c < n; c++ {
-			for q := 0; q < chunks; q++ {
-				partial[c*chunks+q] = ready[c]
-				has[c*chunks+q] = 0
+			row, r := partial[c*chunks:(c+1)*chunks], ready[c]
+			for q := range row {
+				row[q] = r
 			}
 		}
-		s.hops(sc.Reduce, lo.ids, acc, tiles[k], frac, ready, arrive, true)
+		clear(has[:n*chunks])
+		s.redPrice = s.priceTile(s.redPrice, sc.Keys, lo.ids, tiles[k], frac, true)
+		s.reduce(sc.Reduce, s.redPrice, &acc.cycles, ready)
+		s.billSends(sc.ReduceSends, s.redPrice, acc)
+		s.billAdds(sc.ReduceAdds, s.redPrice)
 		for _, f := range sc.Final {
 			t := partial[f.Chip*chunks+f.Chunk]
 			for i := range rootWork {
@@ -1124,7 +1231,9 @@ func (s *Sim) sync(class collective.SyncClass, ready []float64, reducePayload, b
 			}
 			has[f.Chip*chunks+f.Chunk] = t
 		}
-		s.hops(sc.Broadcast, lo.ids, acc, bcastTiles[k], frac, ready, arrive, false)
+		s.bcastPrice = s.priceTile(s.bcastPrice, sc.Keys, lo.ids, bcastTiles[k], frac, false)
+		s.broadcast(sc.Broadcast, s.bcastPrice, &acc.cycles, arrive)
+		s.billSends(sc.BroadcastSends, s.bcastPrice, acc)
 	}
 	return arrive
 }
@@ -1256,6 +1365,13 @@ func (s *Sim) runPipeline() float64 {
 	sq := queryRowsOf(s.d)
 	actPayload := int64(sq) * int64(cfg.E) * int64(cfg.ActBytes)
 	s.chunks = 1
+	// Every stage boundary hands the whole activation payload off once
+	// per pass: price the chain's keys and bill its sent bytes once.
+	// Handoffs belong to no sync class, so their cycles feed no class
+	// accumulator.
+	s.bcastPrice = s.priceTile(s.bcastPrice, s.chain.Keys, s.chainIDs, actPayload, 1, false)
+	s.billSends(s.chain.Sends, s.bcastPrice, nil)
+	var handoff float64
 
 	t := 0.0
 	for c := 0; c < n; c++ {
@@ -1274,7 +1390,7 @@ func (s *Sim) runPipeline() float64 {
 			// surviving chips when the direct edge is missing.
 			clear(s.has[:n])
 			s.has[c] = t
-			t = s.hops(s.chain.Segment(c), s.chainIDs, nil, actPayload, 1, nil, s.syncA, false)
+			t = s.broadcast(s.chain.Segment(c), s.bcastPrice, &handoff, s.syncA)
 		}
 	}
 	return t

@@ -325,32 +325,52 @@ func BenchmarkSimulate8ChipAR(b *testing.B) {
 }
 
 // The allocation-free hot path the package comment promises: a warm
-// run of the 64-chip ring (8,064 hops per synchronization) on a pinned
-// arena allocates only its Result — the Result itself, LinkClasses,
-// PerChip, the two backings of the per-chip class counters, ByClass
-// and its per-link backing. The arena comes from NewSim, not the
-// package pool, which drops items under the race detector.
+// 64-chip run of every collective shape on a pinned arena allocates
+// only its Result — the Result itself, LinkClasses, PerChip, the two
+// backings of the per-chip class counters, ByClass and its per-link
+// backing — so a tile's price tables stay in the arena and the hop
+// counts in the interned schedule. The ring runs 8,064 hops per
+// synchronization; the first case runs it on the clustered network
+// with a degraded link: two link classes, each at a nominal and a
+// degraded price. The arena comes from NewSim, not the package pool,
+// which drops items under the race detector.
 func TestWarmRingRunAllocatesOnlyItsResult(t *testing.T) {
 	p, err := partition.NewTensorParallel(model.TinyLlamaScaled64(), 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plat := hw.Siracusa()
-	plat.Topology = hw.TopoRing
-	d, err := deploy.NewBatched(p, plat, model.Prompt, 256, 1, deploy.Options{})
-	if err != nil {
-		t.Fatal(err)
+	type run struct {
+		name string
+		topo hw.Topology
+		net  hw.Network
+		opts deploy.Options
 	}
-	s := NewSim()
-	if _, err := s.RunTraced(d, nil); err != nil {
-		t.Fatal(err)
+	runs := []run{{name: "clustered-degraded-ring", topo: hw.TopoRing,
+		net:  hw.ClusteredNetwork(hw.MIPI(), hw.MIPI().Slower(10), 4),
+		opts: deploy.Options{DegradedLinkChip: 5, DegradedLinkFactor: 0.5}}}
+	for _, topo := range hw.Topologies() {
+		runs = append(runs, run{name: topo.String(), topo: topo, net: hw.Siracusa().Network})
 	}
-	allocs := testing.AllocsPerRun(3, func() {
-		if _, err := s.RunTraced(d, nil); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs > 7 {
-		t.Errorf("a warm 64-chip ring run allocates %.0f times, want at most the Result's 7", allocs)
+	for _, r := range runs {
+		t.Run(r.name, func(t *testing.T) {
+			plat := hw.Siracusa()
+			plat.Topology, plat.Network = r.topo, r.net
+			d, err := deploy.NewBatched(p, plat, model.Prompt, 256, 1, r.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := NewSim()
+			if _, err := s.RunTraced(d, nil); err != nil {
+				t.Fatal(err)
+			}
+			allocs := testing.AllocsPerRun(3, func() {
+				if _, err := s.RunTraced(d, nil); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs > 7 {
+				t.Errorf("a warm 64-chip %s run allocates %.0f times, want at most the Result's 7", r.name, allocs)
+			}
+		})
 	}
 }

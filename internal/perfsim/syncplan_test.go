@@ -228,7 +228,7 @@ func TestPlanUnwiredEdgeRejected(t *testing.T) {
 		edges[hw.Edge{From: 0, To: c}] = hw.MIPI()
 		edges[hw.Edge{From: c, To: 0}] = hw.MIPI()
 	}
-	net, err := hw.TableNetwork(edges)
+	net, err := hw.TableNetwork(edges, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -196,10 +196,12 @@ func (nl *Netlist) EdgeTable() map[hw.Edge]hw.LinkClass {
 	return edges
 }
 
-// Network registers the wiring as an interned view network (see
-// hw.TableNetwork). Equal netlists (same resolved edges, whatever the
-// class names) produce equal Network values — the content digest
+// Network registers the wiring as an interned view network over the
+// netlist's chips 0..Chips-1 (see hw.TableNetwork), chips the links
+// leave unwired included, so a fault on the board spans its declared
+// width. Equal netlists (same chip count and resolved edges, whatever
+// the class names) produce equal Network values — the content digest
 // ignores naming.
 func (nl *Netlist) Network() (hw.Network, error) {
-	return hw.TableNetwork(nl.EdgeTable())
+	return hw.TableNetwork(nl.EdgeTable(), nl.Chips)
 }

@@ -110,7 +110,7 @@ func TestPerturbDropChipRenumbers(t *testing.T) {
 	wire(1, 2)
 	wire(2, 3)
 	wire(1, 3)
-	net, err := hw.TableNetwork(edges)
+	net, err := hw.TableNetwork(edges, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +257,7 @@ func TestPerturbRejectsBadFaults(t *testing.T) {
 	chain, err := hw.TableNetwork(map[hw.Edge]hw.LinkClass{
 		{From: 0, To: 1}: hw.MIPI(), {From: 1, To: 0}: hw.MIPI(),
 		{From: 1, To: 2}: hw.MIPI(), {From: 2, To: 1}: hw.MIPI(),
-	})
+	}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,6 +358,55 @@ func TestStraggleOnlyGetsItsOwnView(t *testing.T) {
 	}
 	if deg == ablation {
 		t.Error("the straggler board is the ablation's configuration")
+	}
+}
+
+// A netlist whose chips line is wider than its wiring registers a view
+// over every declared chip, so a fault on the full board perturbs it
+// and the degraded board fails where the pristine one does: at
+// lowering, on an unwired edge, never on the view's width.
+func TestNetlistFaultSpansItsChipsLine(t *testing.T) {
+	const board = `chips 6
+class mipi 0.5e9 256 100
+link 0 1 mipi bidi
+link 0 2 mipi bidi
+link 0 3 mipi bidi
+link 1 2 mipi bidi
+link 1 3 mipi bidi
+link 2 3 mipi bidi
+`
+	nl, err := ParseNetlist(strings.NewReader(board))
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, err := nl.Network()
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, ok := hw.ViewOf(net.TableDigest)
+	if !ok || len(v.Survivors) != 6 {
+		t.Fatalf("netlist view %+v, want 6 survivors", v)
+	}
+	wl := core.Workload{Model: model.TinyLlamaScaled64(), Mode: model.Prompt}
+	sys := core.DefaultSystem(6)
+	sys.HW.Network = net
+	if _, err := core.Run(sys, wl); err == nil || !strings.Contains(err.Error(), "is not wired") {
+		t.Fatalf("pristine 6-chip board: err %v, want an unwired edge", err)
+	}
+	deg, _, err := Perturb(sys, DropChip(1))
+	if err != nil {
+		t.Fatalf("drop:1 on the 6-chip board: %v", err)
+	}
+	if deg.Chips != 5 {
+		t.Fatalf("degraded board has %d chips, want 5", deg.Chips)
+	}
+	if _, err := core.Run(deg, wl); err == nil || !strings.Contains(err.Error(), "is not wired") {
+		t.Fatalf("degraded board: err %v, want an unwired edge", err)
+	}
+	four := sys
+	four.Chips = 4
+	if _, err := core.Run(four, wl); err != nil {
+		t.Fatalf("the wired 4-chip part of the board: %v", err)
 	}
 }
 
@@ -509,7 +558,7 @@ func perturbReference(sys core.System, faults ...Fault) (core.System, []int, err
 	if len(kept) == 0 {
 		return core.System{}, nil, fmt.Errorf("resilience: no edges survive the faults")
 	}
-	net, err := hw.TableNetwork(kept)
+	net, err := hw.TableNetwork(kept, next)
 	if err != nil {
 		return core.System{}, nil, fmt.Errorf("resilience: %w", err)
 	}

@@ -320,6 +320,20 @@ func (s *Store) indexLine(line []byte, offset int64, length int, complete bool) 
 // renders record's fields in declaration order, without whitespace.
 var reportPrefix = []byte(fmt.Sprintf(`{"kind":"report","v":%d,"digest":"`, DigestVersion))
 
+// digestEnd returns the index of the first byte of b a digest cannot
+// hold — outside printable ASCII (0x20–0x7e), a backslash or a quote —
+// or -1 if there is none. Any byte of a multi-byte UTF-8 sequence is at
+// least 0x80, so this stops where bytes.IndexFunc with the same test on
+// runes does, without decoding them.
+func digestEnd(b []byte) int {
+	for i, c := range b {
+		if c < 0x20 || c > 0x7e || c == '\\' || c == '"' {
+			return i
+		}
+	}
+	return -1
+}
+
 // decodeReportLine reads a complete report line in exactly the bytes
 // Append writes, {"kind":"report","v":<DigestVersion>,"digest":"…",
 // "crc":N,"report":{…}} with the crc key absent for a zero CRC, and
@@ -334,7 +348,7 @@ func decodeReportLine(line []byte) (digest string, body []byte, ok bool) {
 	if !found {
 		return "", nil, false
 	}
-	end := bytes.IndexFunc(rest, func(r rune) bool { return r < 0x20 || r > 0x7e || r == '\\' || r == '"' })
+	end := digestEnd(rest)
 	if end <= 0 || rest[end] != '"' {
 		return "", nil, false
 	}

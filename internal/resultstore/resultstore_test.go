@@ -270,7 +270,7 @@ func TestTableNetworkPersisted(t *testing.T) {
 	for _, e := range [][2]int{{0, 1}, {1, 0}} {
 		edges[hw.Edge{From: e[0], To: e[1]}] = hw.MIPI()
 	}
-	net, err := hw.TableNetwork(edges)
+	net, err := hw.TableNetwork(edges, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -750,7 +750,10 @@ func testOldGoldenLog(t *testing.T, version int) {
 // record (from v7 on, a measured wiring's view record), a CRC-damaged
 // report, a truncated one, one doctored to "v":0, and a record whose
 // digest needs JSON escapes. A small record is added so mutations
-// reach the accept path quickly.
+// reach the accept path quickly, and a digest holding invalid UTF-8
+// and a multi-byte rune. On every input, digestEnd, the byte loop that
+// ends a digest, must stop where bytes.IndexFunc with the same test on
+// runes stops.
 func FuzzDecodeReportLine(f *testing.F) {
 	small := json.RawMessage(`{"a":[1,"}"]}`)
 	line, err := json.Marshal(record{Kind: "report", V: DigestVersion, Digest: "d",
@@ -759,7 +762,13 @@ func FuzzDecodeReportLine(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(append(line, '\n'))
+	f.Add(append(append([]byte(nil), reportPrefix...), "a\xffb\xe2\x82\xac\"}\n"...))
 	f.Fuzz(func(t *testing.T, line []byte) {
+		// The byte loop that ends a digest stops where a rune test does.
+		want := bytes.IndexFunc(line, func(r rune) bool { return r < 0x20 || r > 0x7e || r == '\\' || r == '"' })
+		if got := digestEnd(line); got != want {
+			t.Fatalf("digestEnd(%q) = %d, the rune test stops at %d", line, got, want)
+		}
 		digest, body, ok := decodeReportLine(line)
 		if !ok {
 			return
@@ -842,7 +851,7 @@ func TestRecordSizeBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net, err := hw.TableNetwork(edges)
+	net, err := hw.TableNetwork(edges, 64)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,8 +2,10 @@
 // the paper): given a partition plan, a hardware description, and a
 // workload, it decides weight placement (which residency tier each
 // chip runs in), sizes the L2 footprint, and lowers each block into
-// per-chip kernel sequences plus collective operations for the
-// performance simulator.
+// per-chip programs plus collective operations for the performance
+// simulator. The Deployment is the simulator's only description of
+// the work: each phase states its kernels and the L3 bytes it moves,
+// and chips of equal signature share one program.
 package deploy
 
 import (
@@ -12,7 +14,6 @@ import (
 	"mcudist/internal/collective"
 	"mcudist/internal/hw"
 	"mcudist/internal/kernels"
-	"mcudist/internal/mem"
 	"mcudist/internal/memsim"
 	"mcudist/internal/model"
 	"mcudist/internal/partition"
@@ -55,42 +56,44 @@ type Options struct {
 	StragglerChip int
 }
 
-// ChipDeploy is the lowered program of one chip.
+// ChipDeploy is the lowered program of one chip, shared by every chip
+// of equal signature.
 type ChipDeploy struct {
-	Chip      int
-	Tier      Tier
-	Footprint mem.Footprint
-	// MHSA and FC are the block-phase kernel sequences.
-	MHSA []kernels.Cost
-	FC   []kernels.Cost
-	// MHSAStream / FCStream are the memory-hierarchy tile plans of the
-	// phase sequences, index-parallel to MHSA / FC (nil entries for
-	// kernels that stream no tileable weights). Populated only when
-	// the platform enables the hierarchical memory model and the chip
-	// runs in the streamed tier; the simulator then executes those
-	// kernels tile-by-tile through the DRAM channel instead of the
-	// flat exposed-bytes accounting.
-	MHSAStream []*memsim.Plan
-	FCStream   []*memsim.Plan
+	Tier Tier
+	// MHSA and FC are the block's two phases.
+	MHSA Phase
+	FC   Phase
 	// StreamBytesPerBlock is the weight traffic L3→L2 this chip
 	// incurs per block execution in steady state (zero for
 	// TierResidentAll).
 	StreamBytesPerBlock int64
-	// ExposedMHSABytes / ExposedFCBytes are the synchronous L3
-	// transfers inside each phase under TierStreamed: the phase's
-	// weight share plus the activation spill (with L2 reduced to a
-	// staging buffer, every activation tensor lives in L3; tiled
-	// weights force operand re-fetches).
-	ExposedMHSABytes int64
-	ExposedFCBytes   int64
 	// BlockLoadBytes is the synchronous between-blocks weight load
 	// under TierResidentSingle.
 	BlockLoadBytes int64
 	// Blocks is how many blocks this chip executes per forward.
 	Blocks int
-	// SeqRows is the number of token rows this chip processes
-	// (differs per chip only under the Replicated baseline).
-	SeqRows int
+}
+
+// Phase is one block phase of a chip's program: its kernel sequence
+// and the synchronous L3 traffic the simulator moves before the
+// phase's compute.
+type Phase struct {
+	Ops []kernels.Cost
+	// Stream holds the memory-hierarchy tile plans of Ops,
+	// index-parallel to it (nil entries for kernels that stream no
+	// tileable weights). Populated only when the platform enables the
+	// hierarchical memory model and the chip runs in the streamed tier;
+	// the simulator then executes those kernels tile-by-tile through
+	// the DRAM channel.
+	Stream []*memsim.Plan
+	// L3Weights is the phase's share of the block's streamed weights
+	// under TierStreamed on the flat memory model (the hierarchical
+	// model streams them through Stream instead).
+	L3Weights int64
+	// L3Spill is the phase's activation spill under TierStreamed: with
+	// L2 reduced to a staging buffer every activation tensor lives in
+	// L3, and tiled weights force operand re-fetches.
+	L3Spill int64
 }
 
 // Deployment is the complete lowered program for the multi-chip
@@ -106,7 +109,9 @@ type Deployment struct {
 	// lowering's weight reads, kernel launches, and collectives.
 	Batch int
 
-	Chips []ChipDeploy
+	// Chips holds each chip's program, indexed by chip id. Chips of
+	// equal signature point at one program; programs are read-only.
+	Chips []*ChipDeploy
 	// ReduceAdd is the per-received-tile accumulation cost during the
 	// all-reduce (tensor-parallel and replicated strategies).
 	ReduceAdd kernels.Cost
@@ -159,16 +164,16 @@ func NewBatched(p *partition.Plan, hwp hw.Params, mode model.Mode, s, batch int,
 	}
 
 	// Chips with the same plan-level shares lower to identical
-	// deployments, so each distinct signature is lowered once and the
-	// ChipDeploy is reused (the op slices are read-only downstream).
-	// Uniform plans lower one chip instead of p.Chips.
+	// programs, so each distinct signature is lowered once and its
+	// chips share the program (read-only downstream). Uniform plans
+	// lower one chip instead of p.Chips.
 	var split []partition.Range
 	if p.Strategy == partition.Replicated {
 		split = p.SeqSplit(queryRows(mode, s, batch))
 	}
-	seen := make(map[chipSig]int, 4)
-	d.Chips = make([]ChipDeploy, 0, p.Chips)
-	for chip := 0; chip < p.Chips; chip++ {
+	seen := make(map[chipSig]*ChipDeploy, 4)
+	d.Chips = make([]*ChipDeploy, p.Chips)
+	for chip := range d.Chips {
 		sig := chipSig{
 			pslice:      p.PSlice(chip),
 			kvw:         p.KVWidth(chip),
@@ -180,21 +185,22 @@ func NewBatched(p *partition.Plan, hwp hw.Params, mode model.Mode, s, batch int,
 		if split != nil {
 			sig.rows = split[chip].Len()
 		}
-		if prev, ok := seen[sig]; ok {
-			cd := d.Chips[prev]
-			cd.Chip = chip
-			d.Chips = append(d.Chips, cd)
-			continue
+		cd, ok := seen[sig]
+		if !ok {
+			var err error
+			if cd, err = lowerChip(p, chip, hwp, mode, s, batch, opts); err != nil {
+				return nil, err
+			}
+			seen[sig] = cd
 		}
-		cd, err := lowerChip(p, chip, hwp, mode, s, batch, opts)
-		if err != nil {
-			return nil, err
-		}
-		seen[sig] = len(d.Chips)
-		d.Chips = append(d.Chips, cd)
+		d.Chips[chip] = cd
 	}
 	return d, nil
 }
+
+// QueryRows is the number of token rows one forward processes: the
+// decode micro-batch width in autoregressive mode, S in prompt mode.
+func (d *Deployment) QueryRows() int { return queryRows(d.Mode, d.SeqLen, d.Batch) }
 
 // chipSig captures every per-chip input of lowerChip: the chip's
 // tensor-parallel shares, its block placement and weight bytes, its
@@ -204,14 +210,11 @@ type chipSig struct {
 	pslice, kvw, fw, blocks, blockWeight, kvPerBlock, rows int
 }
 
-func lowerChip(p *partition.Plan, chip int, hwp hw.Params, mode model.Mode, s, batch int, opts Options) (ChipDeploy, error) {
-	tier, fp := chooseTier(p, chip, mode, s, batch, hwp)
-	cd := ChipDeploy{
-		Chip:      chip,
-		Tier:      tier,
-		Footprint: fp,
-		Blocks:    p.BlocksOnChip(chip),
-		SeqRows:   queryRows(mode, s, batch),
+func lowerChip(p *partition.Plan, chip int, hwp hw.Params, mode model.Mode, s, batch int, opts Options) (*ChipDeploy, error) {
+	tier, _ := chooseTier(p, chip, mode, s, batch, hwp)
+	cd := &ChipDeploy{
+		Tier:   tier,
+		Blocks: p.BlocksOnChip(chip),
 	}
 	if tier != TierResidentAll {
 		cd.StreamBytesPerBlock = int64(p.BlockWeightBytesOnChip(chip))
@@ -219,63 +222,59 @@ func lowerChip(p *partition.Plan, chip int, hwp hw.Params, mode model.Mode, s, b
 
 	switch p.Strategy {
 	case partition.TensorParallel:
-		cd.MHSA = mhsaOps(p, chip, mode, s, batch, hwp)
-		cd.FC = fcOps(p, chip, mode, s, batch, hwp)
+		cd.MHSA.Ops = mhsaOps(p, chip, mode, s, batch, hwp)
+		cd.FC.Ops = fcOps(p, chip, mode, s, batch, hwp)
 	case partition.Replicated:
 		rows := p.SeqSplit(queryRows(mode, s, batch))[chip].Len()
-		cd.SeqRows = rows
 		// The replicated baseline's block is modeled as one fused
 		// phase (MHSA) plus an empty FC phase; synchronization slots
 		// still apply (context exchange + output exchange).
-		cd.MHSA = replicatedChipOps(p, rows, s, hwp)
-		cd.FC = nil
+		cd.MHSA.Ops = replicatedChipOps(p, rows, s, hwp)
 		if rows == 0 {
 			cd.StreamBytesPerBlock = 0 // idle chips do not touch weights
 		}
 	case partition.Pipeline:
-		cd.MHSA = singleChipBlockOps(p.Config, mode, s, batch, hwp)
-		cd.FC = nil
+		cd.MHSA.Ops = singleChipBlockOps(p.Config, mode, s, batch, hwp)
 	default:
-		return cd, fmt.Errorf("deploy: unknown strategy %v", p.Strategy)
+		return nil, fmt.Errorf("deploy: unknown strategy %v", p.Strategy)
 	}
-	if err := attachL3Exposure(&cd, hwp, opts); err != nil {
-		return cd, err
+	if err := attachL3Exposure(cd, hwp, opts); err != nil {
+		return nil, err
 	}
 	return cd, nil
 }
 
 // attachL3Exposure derives the synchronous L3 traffic of the chip from
-// its tier: streamed chips move each phase's weights plus all
+// its tier: streamed chips move each phase's weight share plus all
 // activations through L3; resident-single chips reload one block's
 // weights between blocks. Under the hierarchical memory model,
 // streamed weights are instead planned tile-by-tile through the DRAM
-// channel (MHSAStream/FCStream) and the exposed byte counts carry only
-// the activation spill.
+// channel (Phase.Stream), and a phase's L3 bytes are only its spill.
 func attachL3Exposure(cd *ChipDeploy, hwp hw.Params, opts Options) error {
 	switch cd.Tier {
 	case TierStreamed:
+		phases := [2]*Phase{&cd.MHSA, &cd.FC}
 		if hwp.Mem.Enabled() {
 			ch := memsim.ChannelOf(hwp)
-			var err error
-			if cd.MHSAStream, err = streamPlans(ch, hwp.Mem, cd.MHSA); err != nil {
-				return err
-			}
-			if cd.FCStream, err = streamPlans(ch, hwp.Mem, cd.FC); err != nil {
-				return err
-			}
-			if !opts.NoActivationSpill {
-				cd.ExposedMHSABytes = hierSpillBytes(cd.MHSA, cd.MHSAStream)
-				cd.ExposedFCBytes = hierSpillBytes(cd.FC, cd.FCStream)
+			for _, ph := range phases {
+				var err error
+				if ph.Stream, err = streamPlans(ch, hwp.Mem, ph.Ops); err != nil {
+					return err
+				}
+				if !opts.NoActivationSpill {
+					ph.L3Spill = hierSpillBytes(ph.Ops, ph.Stream)
+				}
 			}
 			return nil
 		}
 		l1Tile := int64(hwp.Chip.L1Bytes / 2)
-		mw, fw := phaseWeightBytes(cd.MHSA), phaseWeightBytes(cd.FC)
-		cd.ExposedMHSABytes = weightShare(cd.StreamBytesPerBlock, mw, mw+fw)
-		cd.ExposedFCBytes = weightShare(cd.StreamBytesPerBlock, fw, mw+fw)
+		mw, fw := phaseWeightBytes(cd.MHSA.Ops), phaseWeightBytes(cd.FC.Ops)
+		cd.MHSA.L3Weights = weightShare(cd.StreamBytesPerBlock, mw, mw+fw)
+		cd.FC.L3Weights = weightShare(cd.StreamBytesPerBlock, fw, mw+fw)
 		if !opts.NoActivationSpill {
-			cd.ExposedMHSABytes += spillBytes(cd.MHSA, l1Tile)
-			cd.ExposedFCBytes += spillBytes(cd.FC, l1Tile)
+			for _, ph := range phases {
+				ph.L3Spill = spillBytes(ph.Ops, l1Tile)
+			}
 		}
 	case TierResidentSingle:
 		cd.BlockLoadBytes = cd.StreamBytesPerBlock

@@ -1,6 +1,7 @@
 package deploy
 
 import (
+	"runtime"
 	"testing"
 
 	"mcudist/internal/hw"
@@ -40,6 +41,13 @@ func phaseCost(ops []kernels.Cost) kernels.Cost {
 	return total
 }
 
+// footprintOf is chip 0's L2 footprint at the tier the planner picks
+// for it on Siracusa.
+func footprintOf(p *partition.Plan, mode model.Mode, s int) footprint {
+	_, fp := chooseTier(p, 0, mode, s, 1, hw.Siracusa())
+	return fp
+}
+
 // l3BytesPerForward is the steady-state L3 weight traffic of one full
 // forward pass across all chips.
 func l3BytesPerForward(d *Deployment) int64 {
@@ -63,10 +71,11 @@ func TestTinyLlamaAutoregressiveTiers(t *testing.T) {
 		8: TierDoubleBuffered, // paper: super-linear at 8
 	}
 	for n, wantTier := range want {
-		d := mustDeploy(t, mustTP(t, cfg, n), model.Autoregressive, s)
+		p := mustTP(t, cfg, n)
+		d := mustDeploy(t, p, model.Autoregressive, s)
 		if got := d.WorstTier(); got != wantTier {
 			t.Errorf("n=%d: tier %v, want %v (footprint %v, usable %d)",
-				n, got, wantTier, d.Chips[0].Footprint, hw.Siracusa().UsableL2Bytes())
+				n, got, wantTier, footprintOf(p, model.Autoregressive, s), hw.Siracusa().UsableL2Bytes())
 		}
 	}
 }
@@ -81,9 +90,10 @@ func TestScaledTinyLlamaTiers(t *testing.T) {
 		64: TierResidentAll,
 	}
 	for n, wantTier := range want {
-		d := mustDeploy(t, mustTP(t, cfg, n), model.Autoregressive, s)
+		p := mustTP(t, cfg, n)
+		d := mustDeploy(t, p, model.Autoregressive, s)
 		if got := d.WorstTier(); got != wantTier {
-			t.Errorf("n=%d: tier %v, want %v (footprint %v)", n, got, wantTier, d.Chips[0].Footprint)
+			t.Errorf("n=%d: tier %v, want %v (footprint %v)", n, got, wantTier, footprintOf(p, model.Autoregressive, s))
 		}
 	}
 }
@@ -97,9 +107,10 @@ func TestMobileBERTTiers(t *testing.T) {
 		4: TierDoubleBuffered, // paper: super-linear at 4
 	}
 	for n, wantTier := range want {
-		d := mustDeploy(t, mustTP(t, cfg, n), model.Prompt, s)
+		p := mustTP(t, cfg, n)
+		d := mustDeploy(t, p, model.Prompt, s)
 		if got := d.WorstTier(); got != wantTier {
-			t.Errorf("n=%d: tier %v, want %v (footprint %v)", n, got, wantTier, d.Chips[0].Footprint)
+			t.Errorf("n=%d: tier %v, want %v (footprint %v)", n, got, wantTier, footprintOf(p, model.Prompt, s))
 		}
 	}
 }
@@ -127,10 +138,15 @@ func TestFootprintFitsBudget(t *testing.T) {
 	cfg := model.TinyLlama42M()
 	budget := hw.Siracusa().UsableL2Bytes()
 	for _, n := range []int{1, 2, 4, 8} {
-		d := mustDeploy(t, mustTP(t, cfg, n), model.Autoregressive, 128)
-		for _, c := range d.Chips {
-			if !c.Footprint.FitsIn(budget) {
-				t.Errorf("n=%d chip %d footprint %v exceeds budget %d", n, c.Chip, c.Footprint, budget)
+		p := mustTP(t, cfg, n)
+		d := mustDeploy(t, p, model.Autoregressive, 128)
+		for c := range d.Chips {
+			tier, fp := chooseTier(p, c, model.Autoregressive, 128, 1, hw.Siracusa())
+			if tier != d.Chips[c].Tier {
+				t.Errorf("n=%d chip %d: lowered at tier %v, chooseTier says %v", n, c, d.Chips[c].Tier, tier)
+			}
+			if !fp.FitsIn(budget) {
+				t.Errorf("n=%d chip %d footprint %v exceeds budget %d", n, c, fp, budget)
 			}
 		}
 	}
@@ -143,12 +159,12 @@ func TestOpsCoverAllMACs(t *testing.T) {
 	for _, mode := range []model.Mode{model.Autoregressive, model.Prompt} {
 		s := model.PaperSeqLen(cfg, mode)
 		single := mustDeploy(t, mustTP(t, cfg, 1), mode, s)
-		singleMACs := phaseCost(single.Chips[0].MHSA).MACs + phaseCost(single.Chips[0].FC).MACs
+		singleMACs := phaseCost(single.Chips[0].MHSA.Ops).MACs + phaseCost(single.Chips[0].FC.Ops).MACs
 		for _, n := range []int{2, 4, 8} {
 			d := mustDeploy(t, mustTP(t, cfg, n), mode, s)
 			var total int64
 			for c := range d.Chips {
-				total += phaseCost(d.Chips[c].MHSA).MACs + phaseCost(d.Chips[c].FC).MACs
+				total += phaseCost(d.Chips[c].MHSA.Ops).MACs + phaseCost(d.Chips[c].FC.Ops).MACs
 			}
 			if total != singleMACs {
 				t.Errorf("%v n=%d: distributed MACs %d != single %d", mode, n, total, singleMACs)
@@ -162,7 +178,7 @@ func TestPerChipCyclesShrinkWithChips(t *testing.T) {
 	prev := -1.0
 	for _, n := range []int{1, 2, 4, 8} {
 		d := mustDeploy(t, mustTP(t, cfg, n), model.Prompt, 16)
-		c := phaseCost(d.Chips[0].MHSA).Cycles + phaseCost(d.Chips[0].FC).Cycles
+		c := phaseCost(d.Chips[0].MHSA.Ops).Cycles + phaseCost(d.Chips[0].FC.Ops).Cycles
 		if prev > 0 && c >= prev {
 			t.Errorf("n=%d: per-chip cycles %g did not shrink from %g", n, c, prev)
 		}
@@ -175,11 +191,11 @@ func TestSubLinearComputeScaling(t *testing.T) {
 	// utilization-loss effect the paper reports for MobileBERT).
 	cfg := model.MobileBERT512()
 	single := mustDeploy(t, mustTP(t, cfg, 1), model.Prompt, 268)
-	singleCycles := phaseCost(single.Chips[0].MHSA).Cycles + phaseCost(single.Chips[0].FC).Cycles
+	singleCycles := phaseCost(single.Chips[0].MHSA.Ops).Cycles + phaseCost(single.Chips[0].FC.Ops).Cycles
 	multi := mustDeploy(t, mustTP(t, cfg, 4), model.Prompt, 268)
 	var total float64
 	for c := range multi.Chips {
-		total += phaseCost(multi.Chips[c].MHSA).Cycles + phaseCost(multi.Chips[c].FC).Cycles
+		total += phaseCost(multi.Chips[c].MHSA.Ops).Cycles + phaseCost(multi.Chips[c].FC.Ops).Cycles
 	}
 	if total <= singleCycles {
 		t.Fatalf("4-chip aggregate compute %g <= single-chip %g: utilization loss missing", total, singleCycles)
@@ -212,8 +228,8 @@ func TestReplicatedBaselineLowering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Chips[0].SeqRows != 4 {
-		t.Fatalf("chip 0 rows = %d, want 4", d.Chips[0].SeqRows)
+	if rows := d.Chips[0].MHSA.Ops[0].M; rows != 4 {
+		t.Fatalf("chip 0 rows = %d, want 4", rows)
 	}
 	// Full weights per chip: replicated never fits TinyLlama.
 	if d.WorstTier() != TierStreamed {
@@ -226,7 +242,7 @@ func TestReplicatedBaselineLowering(t *testing.T) {
 	}
 	active := 0
 	for _, c := range da.Chips {
-		if len(c.MHSA) > 0 {
+		if len(c.MHSA.Ops) > 0 {
 			active++
 		}
 	}
@@ -245,14 +261,53 @@ func TestPipelineBaselineLowering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range d.Chips {
+	for i, c := range d.Chips {
 		if c.Blocks != 2 {
-			t.Fatalf("stage %d holds %d blocks", c.Chip, c.Blocks)
+			t.Fatalf("stage %d holds %d blocks", i, c.Blocks)
 		}
-		if len(c.MHSA) == 0 {
-			t.Fatalf("stage %d has no ops", c.Chip)
+		if len(c.MHSA.Ops) == 0 {
+			t.Fatalf("stage %d has no ops", i)
 		}
 	}
+}
+
+// A uniform tensor-parallel board runs one program N times: every chip
+// points at the one program the lowering built, so lowering 64 chips
+// allocates a pointer per chip, not a program per chip.
+func TestUniformPlanSharesOneProgram(t *testing.T) {
+	cfg := model.TinyLlamaScaled64()
+	p := mustTP(t, cfg, 64)
+	s := model.PaperSeqLen(cfg, model.Prompt)
+	lower := func() (*Deployment, error) {
+		return NewBatched(p, hw.Siracusa(), model.Prompt, s, 1, Options{})
+	}
+	d, err := lower()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for c, cd := range d.Chips {
+		if cd != d.Chips[0] {
+			t.Fatalf("chip %d runs a program of its own; a uniform plan shares chip 0's", c)
+		}
+	}
+	const budget = 8 << 10
+	if bytes := bytesPerRun(5, func() { _, _ = lower() }); bytes > budget {
+		t.Errorf("lowering 64 uniform chips allocates %d B per run, want at most %d", bytes, budget)
+	}
+}
+
+// bytesPerRun is testing.AllocsPerRun for bytes: the mean heap bytes
+// one call of f allocates, after a warm-up call.
+func bytesPerRun(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
 }
 
 func TestModeValidation(t *testing.T) {
@@ -287,7 +342,7 @@ func TestWeightBytesConservedAcrossChips(t *testing.T) {
 		d := mustDeploy(t, mustTP(t, cfg, n), model.Autoregressive, 128)
 		var weightBytes int64
 		for c := range d.Chips {
-			weightBytes += phaseCost(d.Chips[c].MHSA).WeightBytes + phaseCost(d.Chips[c].FC).WeightBytes
+			weightBytes += phaseCost(d.Chips[c].MHSA.Ops).WeightBytes + phaseCost(d.Chips[c].FC.Ops).WeightBytes
 		}
 		if weightBytes != int64(cfg.BlockWeightBytes()) {
 			t.Errorf("n=%d: per-block weight bytes touched %d, want %d", n, weightBytes, cfg.BlockWeightBytes())
@@ -301,7 +356,7 @@ func TestGatedFFNOpsLarger(t *testing.T) {
 	gated.FFN = model.FFNGated
 	d1 := mustDeploy(t, mustTP(t, cfg, 4), model.Prompt, 16)
 	d2 := mustDeploy(t, mustTP(t, gated, 4), model.Prompt, 16)
-	if phaseCost(d2.Chips[0].FC).MACs <= phaseCost(d1.Chips[0].FC).MACs {
+	if phaseCost(d2.Chips[0].FC.Ops).MACs <= phaseCost(d1.Chips[0].FC.Ops).MACs {
 		t.Fatal("gated FFN should cost more MACs")
 	}
 }

@@ -1,13 +1,47 @@
 package deploy
 
 import (
+	"fmt"
 	"math"
 
 	"mcudist/internal/hw"
-	"mcudist/internal/mem"
 	"mcudist/internal/model"
 	"mcudist/internal/partition"
 )
+
+// footprint itemizes one chip's L2 budget for a deployment: the sum
+// the tier chooser holds against the usable L2.
+type footprint struct {
+	// weights is resident weight storage (× 2 when double-buffered).
+	weights int
+	// kv is the resident KV-cache storage (decoders).
+	kv int
+	// activations is peak activation storage for one block.
+	activations int
+	// comm is staging for inbound/outbound partial tensors.
+	comm int
+}
+
+// Total returns the summed footprint, saturating at math.MaxInt
+// instead of wrapping.
+func (f footprint) Total() int {
+	total := 0
+	for _, b := range [...]int{f.weights, f.kv, f.activations, f.comm} {
+		if b > math.MaxInt-total {
+			return math.MaxInt
+		}
+		total += b
+	}
+	return total
+}
+
+// FitsIn reports whether the footprint fits the given budget.
+func (f footprint) FitsIn(budget int) bool { return f.Total() <= budget }
+
+func (f footprint) String() string {
+	return fmt.Sprintf("weights=%d kv=%d act=%d comm=%d total=%d",
+		f.weights, f.kv, f.activations, f.comm, f.Total())
+}
 
 // DefaultCommTileBytes bounds the L2 staging for inbound/outbound
 // partial tensors: larger payloads are exchanged in tiles of this
@@ -79,7 +113,7 @@ func kvResidentBytes(p *partition.Plan, chip int, s, batch int) int {
 // footprintAt builds the L2 footprint of a chip under a candidate
 // weight-residency multiple: weightBlocks = how many blocks' weight
 // slices are held simultaneously (0 = streamed tile only).
-func footprintAt(p *partition.Plan, chip int, mode model.Mode, s, batch, weightBlocks int, hwp hw.Params) mem.Footprint {
+func footprintAt(p *partition.Plan, chip int, mode model.Mode, s, batch, weightBlocks int, hwp hw.Params) footprint {
 	wb := p.BlockWeightBytesOnChip(chip) * weightBlocks
 	if weightBlocks == 0 {
 		// Streaming needs a double-buffered weight tile in L2 — or,
@@ -90,11 +124,11 @@ func footprintAt(p *partition.Plan, chip int, mode model.Mode, s, batch, weightB
 			wb = streamBufferBytes(p, hwp)
 		}
 	}
-	return mem.Footprint{
-		WeightBytes:     wb,
-		KVBytes:         kvResidentBytes(p, chip, s, batch),
-		ActivationBytes: activationBytes(p, chip, mode, s, batch),
-		CommBytes:       commStagingBytes(p, mode, s, batch),
+	return footprint{
+		weights:     wb,
+		kv:          kvResidentBytes(p, chip, s, batch),
+		activations: activationBytes(p, chip, mode, s, batch),
+		comm:        commStagingBytes(p, mode, s, batch),
 	}
 }
 
@@ -135,7 +169,7 @@ func streamBufferBytes(p *partition.Plan, hwp hw.Params) int {
 }
 
 // chooseTier picks the best placement the chip's L2 budget allows.
-func chooseTier(p *partition.Plan, chip int, mode model.Mode, s, batch int, hwp hw.Params) (Tier, mem.Footprint) {
+func chooseTier(p *partition.Plan, chip int, mode model.Mode, s, batch int, hwp hw.Params) (Tier, footprint) {
 	budget := hwp.UsableL2Bytes()
 	blocks := p.BlocksOnChip(chip)
 	if fp := footprintAt(p, chip, mode, s, batch, blocks, hwp); fp.FitsIn(budget) {

@@ -73,27 +73,44 @@ func TestStreamedFootprintUsesStreamBuffer(t *testing.T) {
 	p := mustTP(t, cfg, 2)
 	s := model.PaperSeqLen(cfg, model.Autoregressive)
 
-	flat := mustDeploy(t, p, model.Autoregressive, s)
-	if flat.WorstTier() != TierStreamed {
-		t.Fatalf("fixture must be streamed, got %v", flat.WorstTier())
+	flat := hw.Siracusa()
+	if tier := mustDeploy(t, p, model.Autoregressive, s).WorstTier(); tier != TierStreamed {
+		t.Fatalf("fixture must be streamed, got %v", tier)
 	}
 	hwp := hw.Siracusa()
 	hwp.Mem = hw.LPDDR5()
-	dram, err := NewBatched(p, hwp, model.Autoregressive, s, 1, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	slot := streamTileBytes(hwp)
-	for i := range flat.Chips {
-		ff, df := flat.Chips[i].Footprint, dram.Chips[i].Footprint
-		if ff.WeightBytes != 2*slot {
-			t.Errorf("chip %d: flat streamed staging %d, want %d", i, ff.WeightBytes, 2*slot)
+	for i := 0; i < p.Chips; i++ {
+		_, ff := chooseTier(p, i, model.Autoregressive, s, 1, flat)
+		dt, df := chooseTier(p, i, model.Autoregressive, s, 1, hwp)
+		if dt != TierStreamed {
+			t.Fatalf("chip %d: dram fixture must be streamed, got %v", i, dt)
 		}
-		if want := (hwp.Mem.PrefetchDepth + 1) * slot; df.WeightBytes != want {
-			t.Errorf("chip %d: dram streamed staging %d, want %d", i, df.WeightBytes, want)
+		if ff.weights != 2*slot {
+			t.Errorf("chip %d: flat streamed staging %d, want %d", i, ff.weights, 2*slot)
 		}
-		if ff.KVBytes != df.KVBytes || ff.ActivationBytes != df.ActivationBytes || ff.CommBytes != df.CommBytes {
+		if want := (hwp.Mem.PrefetchDepth + 1) * slot; df.weights != want {
+			t.Errorf("chip %d: dram streamed staging %d, want %d", i, df.weights, want)
+		}
+		if ff.kv != df.kv || ff.activations != df.activations || ff.comm != df.comm {
 			t.Errorf("chip %d: non-weight footprint diverged: flat %+v vs dram %+v", i, ff, df)
 		}
+	}
+}
+
+func TestFootprint(t *testing.T) {
+	f := footprint{weights: 100, kv: 20, activations: 30, comm: 5}
+	if f.Total() != 155 {
+		t.Fatalf("total = %d", f.Total())
+	}
+	if !f.FitsIn(155) {
+		t.Fatal("exact fit rejected")
+	}
+	if f.FitsIn(154) {
+		t.Fatal("overflow accepted")
+	}
+	huge := footprint{weights: math.MaxInt, kv: 20, activations: 30}
+	if huge.Total() != math.MaxInt || huge.FitsIn(1<<30) {
+		t.Fatalf("total = %d, want it saturated at math.MaxInt", huge.Total())
 	}
 }

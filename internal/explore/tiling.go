@@ -138,14 +138,13 @@ func (f *family) index(g memsim.GEMM) int {
 // family (the kernels carry the FFN tag the deployment planner set).
 func tilingFamilies(d *deploy.Deployment) (attn, ffn *family) {
 	attn, ffn = &family{}, &family{}
-	for i := range d.Chips {
-		cd := &d.Chips[i]
+	for _, cd := range d.Chips {
 		if cd.Tier != deploy.TierStreamed {
 			continue
 		}
 		a := famChip{blocks: float64(cd.Blocks)}
 		f := famChip{blocks: float64(cd.Blocks)}
-		for _, ops := range [][]kernels.Cost{cd.MHSA, cd.FC} {
+		for _, ops := range [][]kernels.Cost{cd.MHSA.Ops, cd.FC.Ops} {
 			for _, c := range ops {
 				if g, ok := memsim.GEMMOf(c); ok {
 					if c.FFN {

@@ -20,9 +20,8 @@ import (
 // regular chips that additionally accumulate partial results (the
 // paper reduces onto one chip of each group of four).
 type Tree struct {
-	N         int
-	GroupSize int
-	Root      int
+	N    int
+	Root int
 	// Parent[i] is the chip that i sends its partial result to
 	// during the reduce (-1 for the root).
 	Parent []int
@@ -47,11 +46,10 @@ func BuildTree(n, groupSize int) (*Tree, error) {
 		return nil, fmt.Errorf("interconnect: group size %d must be at least 2 (select hw.TopoStar for a flat all-to-one reduction)", groupSize)
 	}
 	t := &Tree{
-		N:         n,
-		GroupSize: groupSize,
-		Root:      0,
-		Parent:    make([]int, n),
-		Children:  make([][]int, n),
+		N:        n,
+		Root:     0,
+		Parent:   make([]int, n),
+		Children: make([][]int, n),
 	}
 	for i := range t.Parent {
 		t.Parent[i] = -1

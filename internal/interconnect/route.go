@@ -98,7 +98,6 @@ func adjacency(net hw.Network, n int) ([][]int, error) {
 // resolved; its Key indexes Keys. Interned entries are shared and
 // read-only.
 type PipelineChain struct {
-	N int
 	// Classes lists the distinct link classes the chain's hops cross,
 	// in first-use order along the chain.
 	Classes []hw.LinkClass
@@ -126,7 +125,7 @@ func NewPipelineChain(net hw.Network, n int) (*PipelineChain, error) {
 		return nil, fmt.Errorf("interconnect: a pipeline chain needs at least 1 chip, got %d", n)
 	}
 	// A single-stage pipeline hands nothing off: zero boundaries.
-	pc := &PipelineChain{N: n, off: make([]int, 1, n)}
+	pc := &PipelineChain{off: make([]int, 1, n)}
 	index := map[hw.LinkClass]int32{}
 	for c := 0; c+1 < n; c++ {
 		path, err := Route(net, n, c, c+1)

@@ -61,9 +61,6 @@ type Schedule struct {
 	ReduceSends, ReduceAdds, BroadcastSends []HopCount
 	// Final lists the chips running the root work, with their shares.
 	Final []Final
-	// Tree is the underlying reduction tree for the shapes that have
-	// one (TopoTree and TopoStar), nil otherwise.
-	Tree *Tree
 }
 
 // NewSchedule lowers the platform's topology selection onto n chips
@@ -255,7 +252,6 @@ func scheduleFromTree(topo hw.Topology, t *Tree) *Schedule {
 		Reduce:    t.ReduceHops(),
 		Broadcast: t.BroadcastHops(),
 		Final:     []Final{{Chip: t.Root, Chunk: 0, Frac: 1}},
-		Tree:      t,
 	}
 }
 

@@ -54,7 +54,7 @@ func TestTreeScheduleMatchesTree(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr, _ := BuildTree(8, 4)
-	if sched.Tree == nil || sched.Root != tr.Root || sched.Depth != tr.Depth() {
+	if sched.Root != tr.Root || sched.Depth != tr.Depth() {
 		t.Fatalf("tree schedule root/depth = %d/%d, want %d/%d",
 			sched.Root, sched.Depth, tr.Root, tr.Depth())
 	}

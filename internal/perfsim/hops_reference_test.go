@@ -326,8 +326,11 @@ func FuzzSyncMatchesReference(f *testing.F) {
 			Plan:      &partition.Plan{Strategy: partition.TensorParallel, Chips: n},
 			HW:        plat,
 			Options:   opts,
-			Chips:     make([]deploy.ChipDeploy, n),
+			Chips:     make([]*deploy.ChipDeploy, n),
 			ReduceAdd: randomCost(rng, "add"),
+		}
+		for c := range d.Chips {
+			d.Chips[c] = &deploy.ChipDeploy{}
 		}
 		for k := rng.IntN(3); k > 0; k-- {
 			d.RootSync = append(d.RootSync, randomCost(rng, "root"))

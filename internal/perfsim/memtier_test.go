@@ -158,9 +158,9 @@ func TestDRAMHierarchyEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, cd := range dramDep.Chips {
-		if cd.MHSAStream == nil || cd.FCStream == nil {
-			t.Fatalf("chip %d: streamed DRAM deployment must carry tile plans", cd.Chip)
+	for c, cd := range dramDep.Chips {
+		if cd.MHSA.Stream == nil || cd.FC.Stream == nil {
+			t.Fatalf("chip %d: streamed DRAM deployment must carry tile plans", c)
 		}
 	}
 	dram, err := Run(dramDep)

@@ -13,6 +13,11 @@
 // broadcast loops then do per hop only what depends on hop order, and
 // each chip's End settles once per run.
 //
+// Each phase of a chip's program carries its kernels, tile plans and
+// synchronous L3 weight and spill bytes (deploy.Phase); the simulator
+// executes them as the deployment states them and derives none again.
+// Chips sharing one program share its kernel prices.
+//
 // Modeling conventions (matching the paper's stacked-bar accounting):
 // compute, L2↔L1 tile movement, and exposed L3 streaming serialize
 // within a phase. Collective hops come from interconnect.Schedules —
@@ -50,7 +55,6 @@ import (
 	"mcudist/internal/interconnect"
 	"mcudist/internal/kernels"
 	"mcudist/internal/memsim"
-	"mcudist/internal/model"
 	"mcudist/internal/partition"
 	"mcudist/internal/trace"
 )
@@ -172,13 +176,12 @@ type classAccum struct {
 // runs of the same Sim.
 type Sim struct {
 	d *deploy.Deployment
-	// sched is the run topology's schedule. lows holds it (always at
-	// index 0) plus one lowered schedule per topology the collective
-	// plan binds, each with its schedule classes mapped to run class
-	// ids once at setup, so a tile's price table carries each key's run
-	// class id instead of hashing a LinkClass per hop; scheds maps a
-	// bound topology to its index in lows.
-	sched    *interconnect.Schedule
+	// lows holds the run topology's schedule (always at index 0) plus
+	// one lowered schedule per topology the collective plan binds, each
+	// with its schedule classes mapped to run class ids once at setup,
+	// so a tile's price table carries each key's run class id instead of
+	// hashing a LinkClass per hop; scheds maps a bound topology to its
+	// index in lows.
 	lows     []loweredSched
 	scheds   map[hw.Topology]int32
 	classAcc [collective.NumSyncClasses]classAccum
@@ -240,9 +243,10 @@ type Sim struct {
 	redPrice   []hopPrice
 	bcastPrice []hopPrice
 	rootMemo   []kernelPrice
-	// prices holds every chip's phase-kernel prices, computed once per
-	// run: chip c's MHSA kernels from priceOff[c], its FC kernels right
-	// after.
+	// prices holds every program's phase-kernel prices, computed once
+	// per run: chip c's MHSA kernels from priceOff[c], its FC kernels
+	// right after. A run of chips sharing one program shares its
+	// prices.
 	prices   []kernelPrice
 	priceOff []int
 
@@ -394,7 +398,6 @@ func RunTraced(d *deploy.Deployment, tl *trace.Timeline) (*Result, error) {
 	// Drop the per-run references before pooling so a parked arena
 	// does not pin a deployment (or a timeline) alive.
 	s.d = nil
-	s.sched = nil
 	s.tl = nil
 	simPool.Put(s)
 	return res, err
@@ -530,7 +533,6 @@ func (s *Sim) RunTraced(d *deploy.Deployment, tl *trace.Timeline) (*Result, erro
 func (s *Sim) bind(d *deploy.Deployment, sched *interconnect.Schedule, tl *trace.Timeline) error {
 	n := d.Plan.Chips
 	s.d = d
-	s.sched = sched
 	s.syncs = 0
 	s.tl = tl
 	s.n = n
@@ -650,12 +652,20 @@ func (s *Sim) bind(d *deploy.Deployment, sched *interconnect.Schedule, tl *trace
 		clear(s.links)
 	}
 
-	// Phase kernels run at the same price in every block.
+	// A program's kernels run at the same price in every block and on
+	// every chip that runs it (the straggler slowdown applies at
+	// execution), so each run of chips sharing a program prices it
+	// once: a chip whose program is its predecessor's reuses its
+	// prices.
 	s.prices = s.prices[:0]
 	s.priceOff = s.priceOff[:0]
-	for c := range d.Chips {
+	for c, cd := range d.Chips {
+		if c > 0 && cd == d.Chips[c-1] {
+			s.priceOff = append(s.priceOff, s.priceOff[c-1])
+			continue
+		}
 		s.priceOff = append(s.priceOff, len(s.prices))
-		for _, ops := range [2][]kernels.Cost{d.Chips[c].MHSA, d.Chips[c].FC} {
+		for _, ops := range [2][]kernels.Cost{cd.MHSA.Ops, cd.FC.Ops} {
 			for i := range ops {
 				s.prices = append(s.prices, s.price(ops[i].TotalL2L1Bytes(), ops[i].Cycles))
 			}
@@ -816,27 +826,20 @@ func (s *Sim) l3Background(chip int, t float64, bytes int64) float64 {
 	return dur
 }
 
-// phase executes a kernel list with optional synchronous L3 traffic
-// (TierStreamed weights + activation spill), serialized before the
-// compute as on a capacity-starved chip. prices is index-parallel to
-// ops. plans, when non-nil, is the index-parallel tile-plan list of the
-// hierarchical memory model: planned kernels execute tile-by-tile
+// phase executes one phase of a chip's program: its synchronous L3
+// traffic (TierStreamed weights, then activation spill) serialized
+// before the compute as on a capacity-starved chip, then its kernels.
+// prices is index-parallel to ph.Ops. Kernels with a tile plan
+// (ph.Stream, the hierarchical memory model) execute tile-by-tile
 // through the DRAM channel instead of at their monolithic price.
-func (s *Sim) phase(chip int, t float64, ops []kernels.Cost, prices []kernelPrice, plans []*memsim.Plan, exposedL3 int64, spillShare int64) float64 {
-	if exposedL3 > 0 {
-		weightPart := exposedL3 - spillShare
-		if weightPart > 0 {
-			t = s.l3Load(chip, t, weightPart, false)
-		}
-		if spillShare > 0 {
-			t = s.l3Load(chip, t, spillShare, true)
-		}
-	}
-	for i := range ops {
-		if plans != nil && plans[i] != nil {
-			t = s.execTiled(chip, t, &ops[i], plans[i])
+func (s *Sim) phase(chip int, t float64, ph *deploy.Phase, prices []kernelPrice) float64 {
+	t = s.l3Load(chip, t, ph.L3Weights, false)
+	t = s.l3Load(chip, t, ph.L3Spill, true)
+	for i := range ph.Ops {
+		if ph.Stream != nil && ph.Stream[i] != nil {
+			t = s.execTiled(chip, t, &ph.Ops[i], ph.Stream[i])
 		} else {
-			t = s.execPriced(chip, t, ops[i].Name, &prices[i])
+			t = s.execPriced(chip, t, ph.Ops[i].Name, &prices[i])
 		}
 	}
 	return t
@@ -1253,29 +1256,27 @@ func (s *Sim) runTensorParallel() float64 {
 		copy(blockStart, ready)
 
 		for c := 0; c < n; c++ {
-			cd := &s.d.Chips[c]
+			cd := s.d.Chips[c]
 			t := ready[c]
 			if cd.Tier == deploy.TierResidentSingle {
 				// Next block's weights load synchronously between
 				// blocks.
 				t = s.l3Load(c, t, cd.BlockLoadBytes, false)
 			}
-			spill := cd.ExposedMHSABytes - s.weightPartOf(cd, true)
-			phaseEnd[c] = s.phase(c, t, cd.MHSA, s.prices[s.priceOff[c]:], cd.MHSAStream, cd.ExposedMHSABytes, spill)
+			phaseEnd[c] = s.phase(c, t, &cd.MHSA, s.prices[s.priceOff[c]:])
 		}
 		afterMHSA := s.sync(cls[0], phaseEnd, s.d.ReducePayload, s.d.BcastPayload, s.d.RootSync)
 
 		for c := 0; c < n; c++ {
-			cd := &s.d.Chips[c]
-			spill := cd.ExposedFCBytes - s.weightPartOf(cd, false)
-			phaseEnd[c] = s.phase(c, afterMHSA[c], cd.FC, s.prices[s.priceOff[c]+len(cd.MHSA):], cd.FCStream, cd.ExposedFCBytes, spill)
+			cd := s.d.Chips[c]
+			phaseEnd[c] = s.phase(c, afterMHSA[c], &cd.FC, s.prices[s.priceOff[c]+len(cd.MHSA.Ops):])
 		}
 		ready = s.sync(cls[1], phaseEnd, s.d.ReducePayload, s.d.BcastPayload, s.d.RootSync)
 
 		// Double-buffered prefetch of the next block's weights:
 		// energy always, runtime only under the exposure ablation.
 		for c := 0; c < n; c++ {
-			cd := &s.d.Chips[c]
+			cd := s.d.Chips[c]
 			if cd.Tier != deploy.TierDoubleBuffered {
 				continue
 			}
@@ -1294,38 +1295,14 @@ func (s *Sim) runTensorParallel() float64 {
 	return maxAll(ready)
 }
 
-// weightPartOf returns the weight share of a phase's exposed L3 bytes.
-// Zero under the hierarchical memory model: streamed weights execute
-// through their tile plans, so the exposed bytes are pure spill.
-func (s *Sim) weightPartOf(cd *deploy.ChipDeploy, mhsa bool) int64 {
-	if cd.Tier != deploy.TierStreamed || s.memEnabled {
-		return 0
-	}
-	var mw, fw int64
-	for _, op := range cd.MHSA {
-		mw += op.WeightBytes
-	}
-	for _, op := range cd.FC {
-		fw += op.WeightBytes
-	}
-	total := mw + fw
-	if total == 0 {
-		return 0
-	}
-	if mhsa {
-		return cd.StreamBytesPerBlock * mw / total
-	}
-	return cd.StreamBytesPerBlock * fw / total
-}
-
 func (s *Sim) runReplicated() float64 {
 	n := s.d.Plan.Chips
 	blocks := s.d.Chips[0].Blocks
 	cfg := s.d.Plan.Config
-	sq := queryRowsOf(s.d)
+	sq := s.d.QueryRows()
 	active := 0
 	for c := 0; c < n; c++ {
-		if len(s.d.Chips[c].MHSA) > 0 {
+		if len(s.d.Chips[c].MHSA.Ops) > 0 {
 			active++
 		}
 	}
@@ -1339,13 +1316,12 @@ func (s *Sim) runReplicated() float64 {
 	phaseEnd := s.phaseBuf[n : 2*n]
 	for b := 0; b < blocks; b++ {
 		for c := 0; c < n; c++ {
-			cd := &s.d.Chips[c]
+			cd := s.d.Chips[c]
 			t := ready[c]
 			if cd.Tier == deploy.TierResidentSingle {
 				t = s.l3Load(c, t, cd.BlockLoadBytes, false)
 			}
-			spill := cd.ExposedMHSABytes - s.weightPartOf(cd, true)
-			phaseEnd[c] = s.phase(c, t, cd.MHSA, s.prices[s.priceOff[c]:], cd.MHSAStream, cd.ExposedMHSABytes, spill)
+			phaseEnd[c] = s.phase(c, t, &cd.MHSA, s.prices[s.priceOff[c]:])
 		}
 		if active > 1 {
 			// Two synchronizations per block: K/V exchange before
@@ -1362,7 +1338,7 @@ func (s *Sim) runReplicated() float64 {
 func (s *Sim) runPipeline() float64 {
 	n := s.d.Plan.Chips
 	cfg := s.d.Plan.Config
-	sq := queryRowsOf(s.d)
+	sq := s.d.QueryRows()
 	actPayload := int64(sq) * int64(cfg.E) * int64(cfg.ActBytes)
 	s.chunks = 1
 	// Every stage boundary hands the whole activation payload off once
@@ -1375,13 +1351,12 @@ func (s *Sim) runPipeline() float64 {
 
 	t := 0.0
 	for c := 0; c < n; c++ {
-		cd := &s.d.Chips[c]
+		cd := s.d.Chips[c]
 		for b := 0; b < cd.Blocks; b++ {
 			if cd.Tier == deploy.TierResidentSingle {
 				t = s.l3Load(c, t, cd.BlockLoadBytes, false)
 			}
-			spill := cd.ExposedMHSABytes - s.weightPartOf(cd, true)
-			t = s.phase(c, t, cd.MHSA, s.prices[s.priceOff[c]:], cd.MHSAStream, cd.ExposedMHSABytes, spill)
+			t = s.phase(c, t, &cd.MHSA, s.prices[s.priceOff[c]:])
 		}
 		if c+1 < n {
 			// The handoff executes its routed segment serially, each
@@ -1394,16 +1369,6 @@ func (s *Sim) runPipeline() float64 {
 		}
 	}
 	return t
-}
-
-func queryRowsOf(d *deploy.Deployment) int {
-	if d.Mode == model.Autoregressive {
-		if d.Batch > 1 {
-			return d.Batch
-		}
-		return 1
-	}
-	return d.SeqLen
 }
 
 func maxF(a, b float64) float64 {

@@ -332,8 +332,9 @@ func BenchmarkSimulate8ChipAR(b *testing.B) {
 // counts in the interned schedule. The ring runs 8,064 hops per
 // synchronization; the first case runs it on the clustered network
 // with a degraded link: two link classes, each at a nominal and a
-// degraded price. The arena comes from NewSim, not the package pool,
-// which drops items under the race detector.
+// degraded price. The arena's kernel price table holds the one program
+// the board's 64 chips share. The arena comes from NewSim, not the
+// package pool, which drops items under the race detector.
 func TestWarmRingRunAllocatesOnlyItsResult(t *testing.T) {
 	p, err := partition.NewTensorParallel(model.TinyLlamaScaled64(), 64)
 	if err != nil {
@@ -370,6 +371,12 @@ func TestWarmRingRunAllocatesOnlyItsResult(t *testing.T) {
 			})
 			if allocs > 7 {
 				t.Errorf("a warm 64-chip %s run allocates %.0f times, want at most the Result's 7", r.name, allocs)
+			}
+			// Every chip of the uniform board runs one program, so the
+			// arena prices its kernels once, not once per chip.
+			if cd := d.Chips[0]; len(s.prices) != len(cd.MHSA.Ops)+len(cd.FC.Ops) {
+				t.Errorf("the price table holds %d kernel prices, want one program's %d",
+					len(s.prices), len(cd.MHSA.Ops)+len(cd.FC.Ops))
 			}
 		})
 	}

@@ -16,11 +16,10 @@ import (
 	"testing"
 )
 
-// unreachedAllowed lists the internal/ declarations, or whole packages,
-// that TestInternalDeclarationsReachable accepts without a production
+// unreachedAllowed lists the internal/ declarations that
+// TestInternalDeclarationsReachable accepts without a production
 // caller, each with the reason: the test that needs it.
 var unreachedAllowed = map[string]string{
-	"internal/analytic": "the closed-form cross-check TestCrossValidationAgainstSimulator holds the simulator to; the ROADMAP's simulator-oracle item decides its fate",
 	"internal/interconnect.(*Schedule).CollectiveBytes": "the expected link traffic in perfsim.TestTopologyTrafficConservation and interconnect.TestCollectiveBytes",
 	"internal/hw.TorusNetwork":                          "the multi-hop wiring fixture of interconnect.TestRouteTorusAroundGap and resilience.TestNetlistFromNetworkRoundTrip",
 }
@@ -49,8 +48,8 @@ func TestInternalDeclarationsReachable(t *testing.T) {
 	used := map[string]bool{}
 	var dead []string
 	for _, d := range unreached {
-		if key := allowedBy(d.name); key != "" {
-			used[key] = true
+		if _, ok := unreachedAllowed[d.name]; ok {
+			used[d.name] = true
 			continue
 		}
 		dead = append(dead, fmt.Sprintf("%s (%s)", d.name, tr.fset.Position(d.obj.Pos())))
@@ -76,13 +75,12 @@ var unsetAllowed = map[string]string{
 }
 
 // TestInternalFieldsSet fails naming every field of a struct declared
-// under internal/ (outside internal/analytic) that no non-test file of
-// the module or bench/ sets. A field counts as set where such a file
-// assigns it (directly, or through an index or a longer selector),
-// names it as a composite-literal key, builds its struct with an
-// unkeyed literal, takes its address, or calls a method on it. A field
-// only tests set is a switch no program can flip: delete it, and the
-// code behind it.
+// under internal/ that no non-test file of the module or bench/ sets.
+// A field counts as set where such a file assigns it (directly, or
+// through an index or a longer selector), names it as a
+// composite-literal key, builds its struct with an unkeyed literal,
+// takes its address, or calls a method on it. A field only tests set
+// is a switch no program can flip: delete it, and the code behind it.
 func TestInternalFieldsSet(t *testing.T) {
 	tr, err := loadTree(".")
 	if err != nil {
@@ -113,13 +111,13 @@ func TestInternalFieldsSet(t *testing.T) {
 }
 
 // internalFields returns, sorted by name, the fields of every struct
-// type written in a non-test file under internal/ outside
-// internal/analytic: named, local and anonymous (named "struct").
+// type written in a non-test file under internal/: named, local and
+// anonymous (named "struct").
 func (tr *sourceTree) internalFields() []decl {
 	var out []decl
 	for ip, files := range tr.files {
 		rel := strings.TrimPrefix(ip, "mcudist/")
-		if !strings.HasPrefix(rel, "internal/") || rel == "internal/analytic" {
+		if !strings.HasPrefix(rel, "internal/") {
 			continue
 		}
 		for _, f := range files {
@@ -208,18 +206,6 @@ func (tr *sourceTree) setFields() map[types.Object]bool {
 		}
 	}
 	return set
-}
-
-// allowedBy returns the unreachedAllowed key covering a declaration
-// name, or "".
-func allowedBy(name string) string {
-	pkg, _, _ := strings.Cut(name, ".")
-	for _, key := range []string{name, pkg} {
-		if _, ok := unreachedAllowed[key]; ok {
-			return key
-		}
-	}
-	return ""
 }
 
 // sourceTree type-checks the packages under one directory from source

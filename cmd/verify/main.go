@@ -123,7 +123,10 @@ func tinyLlamaQuant() (string, error) {
 	cfg := model.TinyLlama42M()
 	w := model.NewWeights(cfg, 5)
 	x := tensor.Random(4, cfg.E, 1, 6)
-	cal := numeric.Calibrate(w, x)
+	cal, err := numeric.Calibrate(w, x)
+	if err != nil {
+		return "", err
+	}
 	p1, _ := partition.NewTensorParallel(cfg, 1)
 	ref, err := numeric.NewQuantEngine(w, p1, cal, numeric.ReduceInt32)
 	if err != nil {
@@ -145,7 +148,10 @@ func tinyLlamaInt8Reduce() (string, error) {
 	cfg := model.TinyLlama42M()
 	w := model.NewWeights(cfg, 7)
 	x := tensor.Random(4, cfg.E, 1, 8)
-	cal := numeric.Calibrate(w, x)
+	cal, err := numeric.Calibrate(w, x)
+	if err != nil {
+		return "", err
+	}
 	p8, _ := partition.NewTensorParallel(cfg, 8)
 	exact, err := numeric.NewQuantEngine(w, p8, cal, numeric.ReduceInt32)
 	if err != nil {

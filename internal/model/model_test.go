@@ -154,7 +154,7 @@ func TestWeightsShapes(t *testing.T) {
 	if b.W3 != nil {
 		t.Fatal("GELU FFN should have no gate matrix")
 	}
-	if b.HasBiases() {
+	if b.BQ != nil {
 		t.Fatal("RMSNorm model should not carry biases")
 	}
 }
@@ -163,7 +163,7 @@ func TestEncoderWeightsHaveBiases(t *testing.T) {
 	cfg := MobileBERT512()
 	cfg.L = 1
 	w := NewWeights(cfg, 2)
-	if !w.Blocks[0].HasBiases() {
+	if w.Blocks[0].BQ == nil {
 		t.Fatal("LayerNorm model should carry biases")
 	}
 	if len(w.Blocks[0].B1) != cfg.F || len(w.Blocks[0].BO) != cfg.E {

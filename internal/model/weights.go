@@ -75,9 +75,6 @@ func NewWeights(cfg Config, seed int64) *Weights {
 	return w
 }
 
-// HasBiases reports whether the linear layers carry bias vectors.
-func (b *BlockWeights) HasBiases() bool { return b.BQ != nil }
-
 func ones(n int) []float32 {
 	v := make([]float32, n)
 	for i := range v {

@@ -1,6 +1,7 @@
 package numeric
 
 import (
+	"strings"
 	"testing"
 
 	"mcudist/internal/model"
@@ -90,7 +91,7 @@ func TestExecutorRejectsCorruptPlan(t *testing.T) {
 	w := model.NewWeights(cfg, 47)
 	p, _ := partition.NewTensorParallel(cfg, 2)
 	p.Heads[1].Lo++ // break coverage
-	cal := Calibrate(w, tensor.Random(3, cfg.E, 1, 48))
+	cal := mustCalibrate(t, w, tensor.Random(3, cfg.E, 1, 48))
 	for _, tc := range []struct {
 		engine string
 		build  func() error
@@ -101,6 +102,55 @@ func TestExecutorRejectsCorruptPlan(t *testing.T) {
 		t.Run(tc.engine, func(t *testing.T) {
 			if tc.build() == nil {
 				t.Errorf("%s engine accepted a corrupt plan", tc.engine)
+			}
+		})
+	}
+}
+
+// Inputs that do not fit together fail at construction, naming the
+// problem, in both number formats, rather than panicking mid-forward.
+func TestConstructorsRejectMismatchedInputs(t *testing.T) {
+	cfg := testCfg()
+	w := model.NewWeights(cfg, 53)
+	x := tensor.Random(3, cfg.E, 1, 54)
+	cal := mustCalibrate(t, w, x)
+	p, _ := partition.NewTensorParallel(cfg, 2)
+
+	two := cfg
+	two.L = 2
+	wide := cfg
+	wide.E = 64
+	zero := *cal
+	zero.Mid = append([]float32(nil), cal.Mid...)
+	zero.Mid[1] = 0
+	enc := encoderCfg()
+	pEnc, _ := partition.NewTensorParallel(enc, 2)
+	wEnc := model.NewWeights(enc, 55)
+	wEnc.Blocks[1].B1 = wEnc.Blocks[1].B1[1:]
+
+	for _, tc := range []struct {
+		name  string
+		build func() (*Executor, error)
+		want  string
+	}{
+		{"int8 without a calibration", func() (*Executor, error) { return NewQuantEngine(w, p, nil, ReduceInt32) }, "needs a calibration"},
+		{"int8 calibrated on fewer blocks", func() (*Executor, error) {
+			return NewQuantEngine(w, p, mustCalibrate(t, model.NewWeights(two, 53), x), ReduceInt32)
+		}, "MHSAIn covers 2 blocks, model test-decoder has 3"},
+		{"int8 with a zero scale", func() (*Executor, error) { return NewQuantEngine(w, p, &zero, ReduceInt8) }, "Mid scale of block 1 is 0"},
+		{"int8 with an unknown reduce mode", func() (*Executor, error) { return NewQuantEngine(w, p, cal, ReduceMode(7)) }, "unknown reduce mode 7"},
+		{"float32 weights of another width", func() (*Executor, error) { return NewExecutor(model.NewWeights(wide, 56), p) }, "block 0 WQ is 64x32, model test-decoder needs 32x32"},
+		{"int8 weights of another width", func() (*Executor, error) { return NewQuantEngine(model.NewWeights(wide, 56), p, cal, ReduceInt32) }, "block 0 WQ is 64x32"},
+		{"float32 weights of fewer blocks", func() (*Executor, error) { return NewExecutor(model.NewWeights(two, 57), p) }, "weights hold 2 blocks, model test-decoder has 3"},
+		{"float32 bias of another length", func() (*Executor, error) { return NewExecutor(wEnc, pEnc) }, "block 1 B1 has length 47, model test-encoder needs 48"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e, err := tc.build()
+			if err == nil {
+				t.Fatalf("accepted (%T)", e)
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("error %q does not say %q", err, tc.want)
 			}
 		})
 	}
@@ -142,7 +192,7 @@ func TestExecutorInputValidation(t *testing.T) {
 func TestQuantEngineRejectsBaselinePlan(t *testing.T) {
 	cfg := testCfg()
 	w := model.NewWeights(cfg, 49)
-	cal := Calibrate(w, tensor.Random(3, cfg.E, 1, 50))
+	cal := mustCalibrate(t, w, tensor.Random(3, cfg.E, 1, 50))
 	p, _ := partition.NewReplicated(cfg, 2)
 	if _, err := NewQuantEngine(w, p, cal, ReduceInt32); err == nil {
 		t.Fatal("replicated plan accepted by quant engine")

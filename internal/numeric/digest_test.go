@@ -74,7 +74,7 @@ func digestOutputs(t *testing.T, cfg model.Config) map[string]hash.Hash {
 	const prompt, steps = 5, 2
 	w := model.NewWeights(cfg, 61)
 	x := tensor.Random(prompt+steps, cfg.E, 1, 62)
-	cal := Calibrate(w, x.SliceRows(0, prompt))
+	cal := mustCalibrate(t, w, x.SliceRows(0, prompt))
 	h := map[string]hash.Hash{}
 	for _, path := range []string{"calibration", "float32", "int32", "int8", "int16"} {
 		h[path] = sha256.New()

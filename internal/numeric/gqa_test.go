@@ -76,7 +76,7 @@ func TestGQAQuantizedInt32Exact(t *testing.T) {
 	cfg := gqaCfg()
 	w := model.NewWeights(cfg, 35)
 	x := tensor.Random(4, cfg.E, 1, 36)
-	cal := Calibrate(w, x)
+	cal := mustCalibrate(t, w, x)
 	p1, _ := partition.NewTensorParallel(cfg, 1)
 	ref, err := NewQuantEngine(w, p1, cal, ReduceInt32)
 	if err != nil {

@@ -31,6 +31,15 @@ func encoderCfg() model.Config {
 	}
 }
 
+func mustCalibrate(t *testing.T, w *model.Weights, x *tensor.Mat) *Calibration {
+	t.Helper()
+	cal, err := Calibrate(w, x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cal
+}
+
 func mustExec(t *testing.T, w *model.Weights, n int) *Executor {
 	t.Helper()
 	p, err := partition.NewTensorParallel(w.Config, n)
@@ -189,7 +198,7 @@ func TestQuantizedInt32ReduceBitExact(t *testing.T) {
 	cfg := testCfg()
 	w := model.NewWeights(cfg, 15)
 	x := tensor.Random(5, cfg.E, 1, 16)
-	cal := Calibrate(w, x)
+	cal := mustCalibrate(t, w, x)
 
 	p1, _ := partition.NewTensorParallel(cfg, 1)
 	ref, err := NewQuantEngine(w, p1, cal, ReduceInt32)
@@ -215,7 +224,7 @@ func TestQuantizedEncoderInt32Exact(t *testing.T) {
 	cfg := encoderCfg()
 	w := model.NewWeights(cfg, 17)
 	x := tensor.Random(4, cfg.E, 1, 18)
-	cal := Calibrate(w, x)
+	cal := mustCalibrate(t, w, x)
 	p1, _ := partition.NewTensorParallel(cfg, 1)
 	ref, _ := NewQuantEngine(w, p1, cal, ReduceInt32)
 	refOut := ref.Forward(x)
@@ -233,7 +242,7 @@ func TestQuantizedInt8ReduceClose(t *testing.T) {
 	cfg := testCfg()
 	w := model.NewWeights(cfg, 19)
 	x := tensor.Random(5, cfg.E, 1, 20)
-	cal := Calibrate(w, x)
+	cal := mustCalibrate(t, w, x)
 
 	p, _ := partition.NewTensorParallel(cfg, 4)
 	exact, _ := NewQuantEngine(w, p, cal, ReduceInt32)
@@ -254,7 +263,7 @@ func TestQuantizedInt16BetterThanInt8(t *testing.T) {
 	cfg := testCfg()
 	w := model.NewWeights(cfg, 51)
 	x := tensor.Random(5, cfg.E, 1, 52)
-	cal := Calibrate(w, x)
+	cal := mustCalibrate(t, w, x)
 	p, _ := partition.NewTensorParallel(cfg, 4)
 
 	run := func(mode ReduceMode) *tensor.Mat {
@@ -300,7 +309,7 @@ func TestQuantizedApproximatesFloat(t *testing.T) {
 	w := model.NewWeights(cfg, 21)
 	x := tensor.Random(5, cfg.E, 1, 22)
 	ref := model.Forward(w, x, nil)
-	cal := Calibrate(w, x)
+	cal := mustCalibrate(t, w, x)
 	p, _ := partition.NewTensorParallel(cfg, 4)
 	e, _ := NewQuantEngine(w, p, cal, ReduceInt32)
 	got := e.Forward(x)
@@ -316,7 +325,7 @@ func TestQuantizedAutoregressiveExact(t *testing.T) {
 	w := model.NewWeights(cfg, 23)
 	const steps = 4
 	x := tensor.Random(steps, cfg.E, 1, 24)
-	cal := Calibrate(w, x)
+	cal := mustCalibrate(t, w, x)
 
 	p1, _ := partition.NewTensorParallel(cfg, 1)
 	ref, _ := NewQuantEngine(w, p1, cal, ReduceInt32)
@@ -342,7 +351,7 @@ func TestQuantizedAutoregressiveExact(t *testing.T) {
 func TestCalibrationScalesPositive(t *testing.T) {
 	cfg := testCfg()
 	w := model.NewWeights(cfg, 25)
-	cal := Calibrate(w, tensor.Random(4, cfg.E, 1, 26))
+	cal := mustCalibrate(t, w, tensor.Random(4, cfg.E, 1, 26))
 	for b := 0; b < cfg.L; b++ {
 		for _, s := range []float32{cal.MHSAIn[b], cal.AttOut[b], cal.AttProj[b], cal.FCIn[b], cal.Mid[b], cal.FCOut[b]} {
 			if s <= 0 {
@@ -355,13 +364,22 @@ func TestCalibrationScalesPositive(t *testing.T) {
 func TestSliceBlockShapes(t *testing.T) {
 	cfg := testCfg()
 	w := model.NewWeights(cfg, 27)
-	p, _ := partition.NewTensorParallel(cfg, 4)
-	cb := SliceBlock(w.Blocks[0], p, 1)
-	if cb.WQ.Cols != cfg.P/4 || cb.WO.Rows != cfg.P/4 {
+	cb := mustExec(t, w, 4).chips[1][0]
+	if cb.WQ.(*tensor.Mat).Cols != cfg.P/4 || cb.WO.(*tensor.Mat).Rows != cfg.P/4 {
 		t.Fatal("attention slice shapes wrong")
 	}
-	if cb.W1.Cols != cfg.F/4 || cb.W2.Rows != cfg.F/4 {
+	if cb.W1.(*tensor.Mat).Cols != cfg.F/4 || cb.W2.(*tensor.Mat).Rows != cfg.F/4 {
 		t.Fatal("FFN slice shapes wrong")
+	}
+	// One chip's share spans every matrix: it is the matrix, not a copy.
+	bw, one := w.Blocks[0], mustExec(t, w, 1).chips[0][0]
+	for _, m := range []struct{ got, full *tensor.Mat }{
+		{one.WQ.(*tensor.Mat), bw.WQ}, {one.WK.(*tensor.Mat), bw.WK}, {one.WV.(*tensor.Mat), bw.WV},
+		{one.WO.(*tensor.Mat), bw.WO}, {one.W1.(*tensor.Mat), bw.W1}, {one.W2.(*tensor.Mat), bw.W2},
+	} {
+		if m.got != m.full {
+			t.Fatal("a one-chip plan copied a weight matrix")
+		}
 	}
 }
 
@@ -377,14 +395,4 @@ func BenchmarkDistributedForward(b *testing.B) {
 		e, _ = NewExecutor(w, p)
 		e.Forward(x)
 	}
-}
-
-// ForwardStep runs one quantized autoregressive step.
-func (e *QuantEngine) ForwardStep(x *tensor.Mat) *tensor.Mat {
-	if e.cfg.Arch != model.Decoder {
-		panic("numeric: autoregressive mode requires a decoder")
-	}
-	out := e.run(x, e.pos)
-	e.pos++
-	return out
 }

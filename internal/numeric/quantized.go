@@ -1,6 +1,7 @@
 package numeric
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -24,78 +25,50 @@ type Calibration struct {
 	FCOut   []float32 // FC output sum (int8-reduce mode)
 }
 
-// Calibrate runs a float pass over x (prompt style) and records
-// per-block maximum magnitudes at every quantization point.
-func Calibrate(w *model.Weights, x *tensor.Mat) *Calibration {
-	cfg := w.Config
-	cal := &Calibration{
-		MHSAIn:  make([]float32, cfg.L),
-		AttOut:  make([]float32, cfg.L),
-		AttProj: make([]float32, cfg.L),
-		FCIn:    make([]float32, cfg.L),
-		Mid:     make([]float32, cfg.L),
-		FCOut:   make([]float32, cfg.L),
+// point names a place in a block where the int8 format puts a tensor
+// on a calibrated grid; it indexes Calibration.scales.
+type point int
+
+const (
+	atMHSAIn point = iota
+	atAttOut
+	atAttProj
+	atFCIn
+	atMid
+	atFCOut
+)
+
+var pointNames = [...]string{"MHSAIn", "AttOut", "AttProj", "FCIn", "Mid", "FCOut"}
+
+// scales lists the calibration's per-block scale vectors in point
+// order.
+func (c *Calibration) scales() [6][]float32 {
+	return [...][]float32{c.MHSAIn, c.AttOut, c.AttProj, c.FCIn, c.Mid, c.FCOut}
+}
+
+// Calibrate runs the float32 executor over x (prompt style) on one
+// chip and records each block's maximum magnitude at every point where
+// the int8 format quantizes. It fails when w does not fit its config.
+func Calibrate(w *model.Weights, x *tensor.Mat) (*Calibration, error) {
+	p, err := partition.NewTensorParallel(w.Config, 1)
+	if err != nil {
+		return nil, err
 	}
-	out := x.Clone()
-	for b := 0; b < cfg.L; b++ {
-		bw := w.Blocks[b]
-		var mhsaIn *tensor.Mat
-		if cfg.Arch == model.Decoder {
-			mhsaIn = normalize(cfg, out, bw.Norm1Gain, bw.Norm1Bias)
-		} else {
-			mhsaIn = out
-		}
-		cal.MHSAIn[b] = scaleOf(mhsaIn)
-
-		q := tensor.MatMul(mhsaIn, bw.WQ)
-		k := tensor.MatMul(mhsaIn, bw.WK)
-		v := tensor.MatMul(mhsaIn, bw.WV)
-		addBias(q, bw.BQ)
-		addBias(k, bw.BK)
-		addBias(v, bw.BV)
-		if cfg.RoPE {
-			positions := make([]int, mhsaIn.Rows)
-			for i := range positions {
-				positions[i] = i
-			}
-			tensor.RoPE(q, cfg.HeadDim(), positions, cfg.RoPETheta)
-			tensor.RoPE(k, cfg.HeadDim(), positions, cfg.RoPETheta)
-		}
-		att := attendHeads(cfg, q, k, v, 0, cfg.H)
-		cal.AttOut[b] = scaleOf(att)
-		proj := tensor.MatMul(att, bw.WO)
-		addBias(proj, bw.BO)
-		cal.AttProj[b] = scaleOf(proj)
-		x2 := tensor.Add(out, proj)
-
-		var fcIn *tensor.Mat
-		if cfg.Arch == model.Decoder {
-			fcIn = normalize(cfg, x2, bw.Norm2Gain, bw.Norm2Bias)
-		} else {
-			x2 = normalize(cfg, x2, bw.Norm1Gain, bw.Norm1Bias)
-			fcIn = x2
-		}
-		cal.FCIn[b] = scaleOf(fcIn)
-
-		var mid *tensor.Mat
-		if cfg.FFN == model.FFNGated {
-			gate := tensor.SiLU(tensor.MatMul(fcIn, bw.W1))
-			mid = tensor.Mul(gate, tensor.MatMul(fcIn, bw.W3))
-		} else {
-			mid = tensor.MatMul(fcIn, bw.W1)
-			addBias(mid, bw.B1)
-			tensor.GELU(mid)
-		}
-		cal.Mid[b] = scaleOf(mid)
-		fc := tensor.MatMul(mid, bw.W2)
-		addBias(fc, bw.B2)
-		cal.FCOut[b] = scaleOf(fc)
-		out = tensor.Add(x2, fc)
-		if cfg.Arch == model.Encoder {
-			out = normalize(cfg, out, bw.Norm2Gain, bw.Norm2Bias)
-		}
+	e, err := NewExecutor(w, p)
+	if err != nil {
+		return nil, err
 	}
-	return cal
+	n := w.Config.L
+	e.tap = &Calibration{
+		MHSAIn:  make([]float32, n),
+		AttOut:  make([]float32, n),
+		AttProj: make([]float32, n),
+		FCIn:    make([]float32, n),
+		Mid:     make([]float32, n),
+		FCOut:   make([]float32, n),
+	}
+	e.Forward(x)
+	return e.tap, nil
 }
 
 func scaleOf(m *tensor.Mat) float32 {
@@ -109,31 +82,6 @@ func scaleOf(m *tensor.Mat) float32 {
 		return 1
 	}
 	return float32(maxAbs / 127)
-}
-
-// QuantBlock holds one block's int8 weights (full tensors; slices are
-// taken per chip so that every chip shares the same codes and scales).
-type QuantBlock struct {
-	WQ, WK, WV, WO *quant.QMat
-	W1, W2         *quant.QMat
-	W3             *quant.QMat
-}
-
-func quantizeBlocks(w *model.Weights) []*QuantBlock {
-	qz := func(m *tensor.Mat) *quant.QMat {
-		if m == nil {
-			return nil
-		}
-		return quant.Quantize(m)
-	}
-	out := make([]*QuantBlock, w.Config.L)
-	for b, bw := range w.Blocks {
-		out[b] = &QuantBlock{
-			WQ: qz(bw.WQ), WK: qz(bw.WK), WV: qz(bw.WV), WO: qz(bw.WO),
-			W1: qz(bw.W1), W2: qz(bw.W2), W3: qz(bw.W3),
-		}
-	}
-	return out
 }
 
 // ReduceMode selects the precision of the inter-chip partial-output
@@ -156,201 +104,71 @@ const (
 	ReduceInt16
 )
 
-// QuantEngine runs the int8 network on n chips (n = 1 is the
-// single-chip reference).
-type QuantEngine struct {
-	cfg    model.Config
-	full   *model.Weights
-	blocks []*QuantBlock
-	cal    *Calibration
-	plan   *partition.Plan
-	tree   *interconnect.Tree
-	mode   ReduceMode
-	kvK    [][]*tensor.Mat // [chip][block], float KV cache
-	kvV    [][]*tensor.Mat
-	pos    int
-}
-
-// NewQuantEngine quantizes w once and distributes the codes according
-// to the plan.
-func NewQuantEngine(w *model.Weights, p *partition.Plan, cal *Calibration, mode ReduceMode) (*QuantEngine, error) {
-	if p.Strategy != partition.TensorParallel {
-		return nil, fmt.Errorf("numeric: quant engine supports the tensor-parallel strategy, got %v", p.Strategy)
+// NewQuantEngine returns the int8 executor: it quantizes each weight
+// matrix of w once, distributes the codes according to the plan, puts
+// activations on cal's grids, and exchanges partials in mode's
+// precision. A one-chip plan is the single-chip int8 reference.
+func NewQuantEngine(w *model.Weights, p *partition.Plan, cal *Calibration, mode ReduceMode) (*Executor, error) {
+	if cal == nil {
+		return nil, errors.New("numeric: the int8 executor needs a calibration")
 	}
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	tree, err := interconnect.BuildTree(p.Chips, 4)
-	if err != nil {
-		return nil, err
-	}
-	e := &QuantEngine{
-		cfg:    w.Config,
-		full:   w,
-		blocks: quantizeBlocks(w),
-		cal:    cal,
-		plan:   p,
-		tree:   tree,
-		mode:   mode,
-		kvK:    make([][]*tensor.Mat, p.Chips),
-		kvV:    make([][]*tensor.Mat, p.Chips),
-	}
-	for c := 0; c < p.Chips; c++ {
-		e.kvK[c] = make([]*tensor.Mat, w.Config.L)
-		e.kvV[c] = make([]*tensor.Mat, w.Config.L)
-		for b := 0; b < w.Config.L; b++ {
-			e.kvK[c][b] = tensor.New(0, p.KVWidth(c))
-			e.kvV[c][b] = tensor.New(0, p.KVWidth(c))
+	for pt, s := range cal.scales() {
+		if len(s) != p.Config.L {
+			return nil, fmt.Errorf("numeric: calibration %s covers %d blocks, model %s has %d", pointNames[pt], len(s), p.Config.Name, p.Config.L)
+		}
+		for b, v := range s {
+			if !(v > 0) {
+				return nil, fmt.Errorf("numeric: calibration %s scale of block %d is %g, not positive", pointNames[pt], b, v)
+			}
 		}
 	}
-	return e, nil
+	if mode < ReduceInt32 || mode > ReduceInt16 {
+		return nil, fmt.Errorf("numeric: unknown reduce mode %d", mode)
+	}
+	return newExecutor(w, p, int8Format{cal: cal, mode: mode}, quant.Quantize)
 }
 
-// Forward runs the quantized prompt-mode pass.
-func (e *QuantEngine) Forward(x *tensor.Mat) *tensor.Mat {
-	if e.pos != 0 {
-		panic("numeric: prompt forward requires empty caches")
-	}
-	out := e.run(x, 0)
-	if e.cfg.Arch == model.Decoder {
-		e.pos = x.Rows
-	}
-	return out
+// int8Format computes in int8 under a calibration: the root quantizes
+// a broadcast once onto its calibrated grid, a chip multiplies int8
+// codes into int32 accumulators, and partials combine in the precision
+// mode selects.
+type int8Format struct {
+	cal  *Calibration
+	mode ReduceMode
 }
 
-func (e *QuantEngine) run(x *tensor.Mat, startPos int) *tensor.Mat {
-	out := x.Clone()
-	for b := 0; b < e.cfg.L; b++ {
-		out = e.block(b, out, startPos)
-	}
-	return out
+func (f int8Format) encode(m *tensor.Mat, pt point, b int) any {
+	return quant.QuantizeWithScale(m, f.cal.scales()[pt][b])
 }
 
-func (e *QuantEngine) block(b int, x *tensor.Mat, startPos int) *tensor.Mat {
-	cfg := e.cfg
-	bw := e.full.Blocks[b]
-	n := e.plan.Chips
-
-	var mhsaIn *tensor.Mat
-	if cfg.Arch == model.Decoder {
-		mhsaIn = normalize(cfg, x, bw.Norm1Gain, bw.Norm1Bias)
-	} else {
-		mhsaIn = x
-	}
-	// The root quantizes once; all chips receive the same codes.
-	qIn := quant.QuantizeWithScale(mhsaIn, e.cal.MHSAIn[b])
-
-	attParts := make([]*quant.Acc, n)
-	for c := 0; c < n; c++ {
-		attParts[c] = e.chipMHSA(c, b, qIn, startPos)
-	}
-	att := e.reduceAccs(attParts, e.cal.AttProj[b])
-	addBias(att, bw.BO)
-	x2 := tensor.Add(x, att)
-
-	var fcIn *tensor.Mat
-	if cfg.Arch == model.Decoder {
-		fcIn = normalize(cfg, x2, bw.Norm2Gain, bw.Norm2Bias)
-	} else {
-		x2 = normalize(cfg, x2, bw.Norm1Gain, bw.Norm1Bias)
-		fcIn = x2
-	}
-	qFC := quant.QuantizeWithScale(fcIn, e.cal.FCIn[b])
-
-	fcParts := make([]*quant.Acc, n)
-	for c := 0; c < n; c++ {
-		fcParts[c] = e.chipFC(c, b, qFC)
-	}
-	fc := e.reduceAccs(fcParts, e.cal.FCOut[b])
-	addBias(fc, bw.B2)
-	x3 := tensor.Add(x2, fc)
-	if cfg.Arch == model.Encoder {
-		x3 = normalize(cfg, x3, bw.Norm2Gain, bw.Norm2Bias)
-	}
-	return x3
+func (int8Format) apply(x, w any) any {
+	return quant.MatMulQ(x.(*quant.QMat), w.(*quant.QMat))
 }
 
-// chipMHSA computes one chip's partial attention projection as int32
-// accumulators against the chip's weight-code slices.
-func (e *QuantEngine) chipMHSA(c, b int, qIn *quant.QMat, startPos int) *quant.Acc {
-	cfg := e.cfg
-	qb := e.blocks[b]
-	bw := e.full.Blocks[b]
-	pr := e.plan.PRange(c)
-	kr := e.plan.KVRange(c)
+func (int8Format) decode(p any) *tensor.Mat { return p.(*quant.Acc).Dequantize() }
 
-	q := quant.MatMulQ(qIn, qb.WQ.SliceCols(pr.Lo, pr.Hi)).Dequantize()
-	k := quant.MatMulQ(qIn, qb.WK.SliceCols(kr.Lo, kr.Hi)).Dequantize()
-	v := quant.MatMulQ(qIn, qb.WV.SliceCols(kr.Lo, kr.Hi)).Dequantize()
-	if bw.HasBiases() {
-		addBias(q, bw.BQ[pr.Lo:pr.Hi])
-		addBias(k, bw.BK[kr.Lo:kr.Hi])
-		addBias(v, bw.BV[kr.Lo:kr.Hi])
-	}
-	if cfg.RoPE {
-		positions := make([]int, qIn.Rows)
-		for i := range positions {
-			positions[i] = startPos + i
-		}
-		tensor.RoPE(q, cfg.HeadDim(), positions, cfg.RoPETheta)
-		tensor.RoPE(k, cfg.HeadDim(), positions, cfg.RoPETheta)
-	}
-	keys, values := k, v
-	if cfg.Arch == model.Decoder {
-		e.kvK[c][b] = tensor.ConcatRows(e.kvK[c][b], k)
-		e.kvV[c][b] = tensor.ConcatRows(e.kvV[c][b], v)
-		keys = e.kvK[c][b]
-		values = e.kvV[c][b]
-	}
-	att := attendHeads(cfg, q, keys, values, startPos, e.plan.Heads[c].Len())
-	qAtt := quant.QuantizeWithScale(att, e.cal.AttOut[b])
-	return quant.MatMulQ(qAtt, qb.WO.SliceRows(pr.Lo, pr.Hi))
-}
-
-// chipFC computes one chip's partial FC output as int32 accumulators.
-func (e *QuantEngine) chipFC(c, b int, qIn *quant.QMat) *quant.Acc {
-	cfg := e.cfg
-	qb := e.blocks[b]
-	bw := e.full.Blocks[b]
-	fr := e.plan.FSlice[c]
-
-	var mid *tensor.Mat
-	if cfg.FFN == model.FFNGated {
-		gate := tensor.SiLU(quant.MatMulQ(qIn, qb.W1.SliceCols(fr.Lo, fr.Hi)).Dequantize())
-		up := quant.MatMulQ(qIn, qb.W3.SliceCols(fr.Lo, fr.Hi)).Dequantize()
-		mid = tensor.Mul(gate, up)
-	} else {
-		mid = quant.MatMulQ(qIn, qb.W1.SliceCols(fr.Lo, fr.Hi)).Dequantize()
-		if bw.HasBiases() {
-			addBias(mid, bw.B1[fr.Lo:fr.Hi])
-		}
-		tensor.GELU(mid)
-	}
-	qMid := quant.QuantizeWithScale(mid, e.cal.Mid[b])
-	return quant.MatMulQ(qMid, qb.W2.SliceRows(fr.Lo, fr.Hi))
-}
-
-// reduceAccs combines per-chip partial accumulators along the tree and
+// reduce combines per-chip partial accumulators along the hops and
 // returns the dequantized float sum. Int32 mode adds exact
 // accumulators; the int8/int16 modes requantize each partial onto the
-// exchange grid first and add with saturation, exactly as the
-// low-traffic deployments would.
-func (e *QuantEngine) reduceAccs(parts []*quant.Acc, outScale float32) *tensor.Mat {
-	switch e.mode {
+// exchange grid of the scale calibrated at pt first and add with
+// saturation, exactly as the low-traffic deployments would.
+func (f int8Format) reduce(parts []any, hops []interconnect.Hop, root int, pt point, b int) *tensor.Mat {
+	outScale := f.cal.scales()[pt][b]
+	switch f.mode {
 	case ReduceInt32:
-		for _, hop := range e.tree.ReduceHops() {
-			parts[hop.To].AddInPlace(parts[hop.From])
+		for _, hop := range hops {
+			parts[hop.To].(*quant.Acc).AddInPlace(parts[hop.From].(*quant.Acc))
 		}
-		return parts[e.tree.Root].Dequantize()
+		return parts[root].(*quant.Acc).Dequantize()
 	case ReduceInt8:
 		q := make([]*quant.QMat, len(parts))
 		for i, p := range parts {
-			q[i] = p.Requantize(outScale)
+			q[i] = p.(*quant.Acc).Requantize(outScale)
 		}
-		for _, hop := range e.tree.ReduceHops() {
+		for _, hop := range hops {
 			saturatingAdd(q[hop.To], q[hop.From])
 		}
-		return q[e.tree.Root].Dequantize()
+		return q[root].Dequantize()
 	case ReduceInt16:
 		// 16-bit grid anchored at the output scale: 256× finer than
 		// the int8 exchange, so the per-reduce injection is rounding
@@ -361,14 +179,14 @@ func (e *QuantEngine) reduceAccs(parts []*quant.Acc, outScale float32) *tensor.M
 		scale16 := outScale / 256
 		q := make([][]int16, len(parts))
 		for i, p := range parts {
-			q[i] = requantize16(p, scale16)
+			q[i] = requantize16(p.(*quant.Acc), scale16)
 		}
-		for _, hop := range e.tree.ReduceHops() {
+		for _, hop := range hops {
 			saturatingAdd16(q[hop.To], q[hop.From])
 		}
-		out := tensor.New(parts[0].Rows, parts[0].Cols)
-		root := q[e.tree.Root]
-		for i, v := range root {
+		acc := parts[root].(*quant.Acc)
+		out := tensor.New(acc.Rows, acc.Cols)
+		for i, v := range q[root] {
 			out.Data[i] = float32(v) * scale16
 		}
 		return out

@@ -307,22 +307,34 @@ func streamPlans(ch memsim.Channel, m hw.MemHierarchy, ops []kernels.Cost) ([]*m
 	return plans, nil
 }
 
-// hierSpillBytes is spillBytes under the hierarchical model: the
-// activation re-fetch count of a planned GEMM is its actual column
-// pass count (each N-tile group re-reads the M×K input slice), and
-// unplanned kernels keep the stage-in/stage-out minimum.
+// hierSpillBytes is spillBytes under the hierarchical model: the sum
+// of SpillBytes over a phase's kernels and their tile plans.
 func hierSpillBytes(ops []kernels.Cost, plans []*memsim.Plan) int64 {
 	var total int64
 	for i := range ops {
-		refetch := int64(2)
-		if plans != nil && plans[i] != nil {
-			if p := int64(plans[i].ActPasses) + 1; p > refetch {
-				refetch = p
-			}
+		var plan *memsim.Plan
+		if plans != nil {
+			plan = plans[i]
 		}
-		total += ops[i].ActInBytes*refetch + ops[i].ActOutBytes
+		total += SpillBytes(ops[i], plan)
 	}
 	return total
+}
+
+// SpillBytes is the L3 activation traffic of one kernel of a streamed
+// chip under the hierarchical model, given its tile plan (nil for a
+// kernel that is not planned). A planned GEMM reads its input once to
+// stage it and once per column pass (each N-tile group re-reads the
+// M×K input slice), and at least twice; an unplanned kernel reads its
+// input twice. The output is written back once.
+func SpillBytes(op kernels.Cost, plan *memsim.Plan) int64 {
+	refetch := int64(2)
+	if plan != nil {
+		if p := int64(plan.ActPasses) + 1; p > refetch {
+			refetch = p
+		}
+	}
+	return op.ActInBytes*refetch + op.ActOutBytes
 }
 
 func phaseWeightBytes(ops []kernels.Cost) int64 {

@@ -108,8 +108,10 @@ type TilingResult struct {
 // chips stream 56 GEMMs of 5 shapes), so familyCost plans each
 // distinct shape once per tiling.
 type family struct {
-	// shapes are the distinct GEMMs, in first-seen order.
+	// shapes are the distinct GEMMs, in first-seen order, and ops the
+	// first kernel of each.
 	shapes []memsim.GEMM
+	ops    []kernels.Cost
 	// chips are the streamed chips with GEMMs in this family.
 	chips []famChip
 	// makespan and spill are familyCost's per-shape prices.
@@ -124,12 +126,14 @@ type famChip struct {
 	gemms  []int
 }
 
-// index returns g's index in f.shapes, appending it when new.
-func (f *family) index(g memsim.GEMM) int {
+// index returns g's index in f.shapes, appending it and its kernel op
+// when new.
+func (f *family) index(g memsim.GEMM, op kernels.Cost) int {
 	j := slices.Index(f.shapes, g)
 	if j < 0 {
 		j = len(f.shapes)
 		f.shapes = append(f.shapes, g)
+		f.ops = append(f.ops, op)
 	}
 	return j
 }
@@ -148,9 +152,9 @@ func tilingFamilies(d *deploy.Deployment) (attn, ffn *family) {
 			for _, c := range ops {
 				if g, ok := memsim.GEMMOf(c); ok {
 					if c.FFN {
-						f.gemms = append(f.gemms, ffn.index(g))
+						f.gemms = append(f.gemms, ffn.index(g, c))
 					} else {
-						a.gemms = append(a.gemms, attn.index(g))
+						a.gemms = append(a.gemms, attn.index(g, c))
 					}
 				}
 			}
@@ -191,9 +195,10 @@ func tilingPool(ch memsim.Channel, fams ...*family) []memsim.Tiling {
 
 // familyCost is the closed-form per-family predictor: the bottleneck
 // chip's per-block makespan sum under tiling t, scaled by its block
-// count, plus the tiling-dependent activation-spill transfers (each
-// extra column pass re-reads the GEMM input from L3 — the term that
-// makes narrow tiles expensive even when their makespan looks good).
+// count, plus the tiling-dependent activation-spill transfers that
+// deploy.SpillBytes bills the lowering (each extra column pass re-reads
+// the GEMM input from L3 — the term that makes narrow tiles expensive
+// even when their makespan looks good).
 // Tile dimensions larger than a GEMM's own K/N clamp inside PlanGEMM,
 // so every pool tiling prices every GEMM. Each distinct GEMM is
 // planned once; the chips' sums add its prices in kernel order.
@@ -205,13 +210,7 @@ func familyCost(ch memsim.Channel, fam *family, t memsim.Tiling, spill bool) (fl
 		}
 		fam.makespan[j] = p.Makespan()
 		if spill {
-			refetch := int64(p.ActPasses) + 1
-			if refetch < 2 {
-				refetch = 2
-			}
-			ab := int64(g.ActElemBytes)
-			bytes := int64(g.M)*int64(g.K)*ab*refetch + int64(g.M)*int64(g.N)*ab
-			fam.spill[j] = ch.TransferCycles(bytes)
+			fam.spill[j] = ch.TransferCycles(deploy.SpillBytes(fam.ops[j], p))
 		}
 	}
 	var worst float64

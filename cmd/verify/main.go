@@ -9,9 +9,9 @@
 //
 // Usage:
 //
-//	verify                # every full-scale check
+//	verify                # every full-scale check (CI diffs its output
+//	                      # against testdata/verify.txt)
 //	verify -only smollm   # checks whose name contains the substring
-//	                      # (CI smoke-runs the fastest check this way)
 package main
 
 import (

@@ -43,12 +43,6 @@ var outputDigests = []struct{ cfg, path, digest string }{
 	{"gqa", "int16", "6e219e5567777873602daf209168cef1a75be3d004a38f04945d593a809ccf50"},
 }
 
-// forwarder is what both number formats' executors run.
-type forwarder interface {
-	Forward(x *tensor.Mat) *tensor.Mat
-	ForwardStep(x *tensor.Mat) *tensor.Mat
-}
-
 func TestOutputDigests(t *testing.T) {
 	gated := testCfg()
 	gated.FFN = model.FFNGated
@@ -82,7 +76,7 @@ func digestOutputs(t *testing.T, cfg model.Config) map[string]hash.Hash {
 	for _, scales := range [][]float32{cal.MHSAIn, cal.AttOut, cal.AttProj, cal.FCIn, cal.Mid, cal.FCOut} {
 		hashFloats(h["calibration"], scales)
 	}
-	run := func(hh hash.Hash, e forwarder) {
+	run := func(hh hash.Hash, e *Executor) {
 		hashMat(hh, e.Forward(x.SliceRows(0, prompt)))
 		if cfg.Arch != model.Decoder {
 			return

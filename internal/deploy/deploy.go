@@ -262,7 +262,13 @@ func attachL3Exposure(cd *ChipDeploy, hwp hw.Params, opts Options) error {
 					return err
 				}
 				if !opts.NoActivationSpill {
-					ph.L3Spill = hierSpillBytes(ph.Ops, ph.Stream)
+					for i, op := range ph.Ops {
+						var plan *memsim.Plan
+						if ph.Stream != nil {
+							plan = ph.Stream[i]
+						}
+						ph.L3Spill += SpillBytes(op, plan)
+					}
 				}
 			}
 			return nil
@@ -307,23 +313,9 @@ func streamPlans(ch memsim.Channel, m hw.MemHierarchy, ops []kernels.Cost) ([]*m
 	return plans, nil
 }
 
-// hierSpillBytes is spillBytes under the hierarchical model: the sum
-// of SpillBytes over a phase's kernels and their tile plans.
-func hierSpillBytes(ops []kernels.Cost, plans []*memsim.Plan) int64 {
-	var total int64
-	for i := range ops {
-		var plan *memsim.Plan
-		if plans != nil {
-			plan = plans[i]
-		}
-		total += SpillBytes(ops[i], plan)
-	}
-	return total
-}
-
-// SpillBytes is the L3 activation traffic of one kernel of a streamed
-// chip under the hierarchical model, given its tile plan (nil for a
-// kernel that is not planned). A planned GEMM reads its input once to
+// SpillBytes is spillBytes under the hierarchical model, for one
+// kernel of a streamed chip given its tile plan (nil for a kernel that
+// is not planned). A planned GEMM reads its input once to
 // stage it and once per column pass (each N-tile group re-reads the
 // M×K input slice), and at least twice; an unplanned kernel reads its
 // input twice. The output is written back once.

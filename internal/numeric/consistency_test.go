@@ -127,6 +127,8 @@ func TestConstructorsRejectMismatchedInputs(t *testing.T) {
 	pEnc, _ := partition.NewTensorParallel(enc, 2)
 	wEnc := model.NewWeights(enc, 55)
 	wEnc.Blocks[1].B1 = wEnc.Blocks[1].B1[1:]
+	short := model.NewWeights(cfg, 58)
+	short.Blocks = short.Blocks[:2]
 
 	for _, tc := range []struct {
 		name  string
@@ -143,6 +145,7 @@ func TestConstructorsRejectMismatchedInputs(t *testing.T) {
 		{"int8 weights of another width", func() (*Executor, error) { return NewQuantEngine(model.NewWeights(wide, 56), p, cal, ReduceInt32) }, "block 0 WQ is 64x32"},
 		{"float32 weights of fewer blocks", func() (*Executor, error) { return NewExecutor(model.NewWeights(two, 57), p) }, "weights hold 2 blocks, model test-decoder has 3"},
 		{"float32 bias of another length", func() (*Executor, error) { return NewExecutor(wEnc, pEnc) }, "block 1 B1 has length 47, model test-encoder needs 48"},
+		{"calibrating weights short of their config", func() (*Executor, error) { _, err := Calibrate(short, x); return nil, err }, "weights hold 2 blocks, model test-decoder has 3"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			e, err := tc.build()

@@ -89,8 +89,9 @@ func (c SyncClass) String() string {
 // (prefill or decode flavor per the mode); the replicated baseline
 // exchanges K/V context then output rows; the pipeline transfers only
 // on its handoff chain and has no collective synchronizations. This is
-// the single source of truth the simulator's sync sites and the plan
-// autotuner share.
+// the single source of truth the deployment's block program (its
+// Classes and the classes of its sync steps) and the plan autotuner
+// share.
 func ActiveClasses(st partition.Strategy, mode model.Mode) []SyncClass {
 	switch st {
 	case partition.TensorParallel:

@@ -71,6 +71,12 @@ func TestBatchValidation(t *testing.T) {
 	if _, err := Run(sys, Workload{Model: model.TinyLlama42M(), Mode: model.Prompt, Batch: 4}); err == nil {
 		t.Error("prompt-mode batch accepted")
 	}
+	// Lower shares Run's checks: a prompt batch fails with core's
+	// message before the planner sees it.
+	const want = "core: micro-batch width 4 needs autoregressive mode"
+	if _, err := Lower(sys, Workload{Model: model.TinyLlama42M(), Mode: model.Prompt, Batch: 4}); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("Lower with a prompt batch: err = %v, want %q", err, want)
+	}
 	if _, err := Run(sys, Workload{Model: model.TinyLlama42M(), Mode: model.Autoregressive, Batch: -1}); err == nil {
 		t.Error("negative batch accepted")
 	}

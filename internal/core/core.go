@@ -112,18 +112,7 @@ func Run(sys System, wl Workload) (*Report, error) {
 // run is Run that also returns the simulator result the report
 // summarizes.
 func run(sys System, wl Workload) (*Report, *perfsim.Result, error) {
-	if err := checkShape(sys, wl); err != nil {
-		return nil, nil, err
-	}
-	if wl.Batch > 1 && wl.Mode != model.Autoregressive {
-		return nil, nil, fmt.Errorf("core: micro-batch width %d needs autoregressive mode (prompt batching is the sequence length)", wl.Batch)
-	}
-	plan, err := buildPlan(sys, wl.Model)
-	if err != nil {
-		return nil, nil, err
-	}
-	s := wl.ResolvedSeqLen()
-	d, err := deploy.NewBatched(plan, sys.HW, wl.Mode, s, wl.ResolvedBatch(), sys.Options)
+	d, err := Lower(sys, wl)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -155,10 +144,11 @@ func run(sys System, wl Workload) (*Report, *perfsim.Result, error) {
 }
 
 // Lower runs just the deployment planner for a (system, workload)
-// pair — no simulation — exposing the per-chip kernel sequences and
-// memory-hierarchy tile plans. The tiling autotuner prices candidate
-// tilings from this lowering's closed-form plan makespans instead of
-// simulating them.
+// pair — no simulation — exposing the block program: the per-chip
+// kernel sequences, memory-hierarchy tile plans and the stages' steps.
+// Run simulates this lowering; the tiling autotuner prices candidate
+// tilings from its closed-form plan makespans instead of simulating
+// them.
 func Lower(sys System, wl Workload) (*deploy.Deployment, error) {
 	if err := checkShape(sys, wl); err != nil {
 		return nil, err
@@ -171,9 +161,10 @@ func Lower(sys System, wl Workload) (*deploy.Deployment, error) {
 }
 
 // checkShape rejects a chip count, micro-batch width or sequence
-// length no lowering can honour, and option chips the system does not
-// have. Zero widths and lengths select the defaults; a negative one is
-// an error, not a silent default.
+// length no lowering can honour, a micro-batch outside autoregressive
+// mode, and option chips the system does not have. Zero widths and
+// lengths select the defaults; a negative one is an error, not a
+// silent default.
 func checkShape(sys System, wl Workload) error {
 	if sys.Chips <= 0 {
 		return fmt.Errorf("core: chip count %d must be positive", sys.Chips)
@@ -186,6 +177,9 @@ func checkShape(sys System, wl Workload) error {
 	}
 	if wl.SeqLen < 0 {
 		return fmt.Errorf("core: sequence length %d must be non-negative", wl.SeqLen)
+	}
+	if wl.Batch > 1 && wl.Mode != model.Autoregressive {
+		return fmt.Errorf("core: micro-batch width %d needs autoregressive mode (prompt batching is the sequence length)", wl.Batch)
 	}
 	return nil
 }

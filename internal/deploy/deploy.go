@@ -1,15 +1,16 @@
 // Package deploy is the deployment planner (the role Deeploy plays in
 // the paper): given a partition plan, a hardware description, and a
 // workload, it decides weight placement (which residency tier each
-// chip runs in), sizes the L2 footprint, and lowers each block into
-// per-chip programs plus collective operations for the performance
-// simulator. The Deployment is the simulator's only description of
-// the work: each phase states its kernels and the L3 bytes it moves,
-// and chips of equal signature share one program.
+// chip runs in), sizes the L2 footprint, and lowers every strategy to
+// one block program for the performance simulator. The Deployment is
+// the simulator's only description of the work: each phase states its
+// kernels and the L3 bytes it moves, chips of equal signature share one
+// program, and the stages order phases, syncs and handoffs.
 package deploy
 
 import (
 	"fmt"
+	"slices"
 
 	"mcudist/internal/collective"
 	"mcudist/internal/hw"
@@ -42,9 +43,9 @@ type Options struct {
 	// The zero value executes every synchronization on the run
 	// topology, byte-identical to the single-topology simulator. It
 	// rides in Options (a comparable value) so it reaches both the
-	// evalpool cache key and the simulator without extra plumbing; the
-	// pipeline strategy has no collective synchronizations and ignores
-	// it.
+	// evalpool cache key and the simulator without extra plumbing. The
+	// simulator lowers the bindings of the deployment's Classes; a
+	// program without classes (the pipeline's) binds none of them.
 	SyncPlan collective.Plan
 	// StragglerFactor, when positive, scales one chip's compute
 	// throughput (thermal throttling / process variation: 0.5 runs
@@ -60,16 +61,14 @@ type Options struct {
 // of equal signature.
 type ChipDeploy struct {
 	Tier Tier
-	// MHSA and FC are the block's two phases.
-	MHSA Phase
-	FC   Phase
+	// Phases are the block's phases in program order: MHSA then FC
+	// under tensor-parallel, one whole-block phase under the replicated
+	// and pipeline strategies. A stage's phase steps index them.
+	Phases []Phase
 	// StreamBytesPerBlock is the weight traffic L3→L2 this chip
 	// incurs per block execution in steady state (zero for
-	// TierResidentAll).
+	// TierResidentAll and for a chip with no kernels).
 	StreamBytesPerBlock int64
-	// BlockLoadBytes is the synchronous between-blocks weight load
-	// under TierResidentSingle.
-	BlockLoadBytes int64
 	// Blocks is how many blocks this chip executes per forward.
 	Blocks int
 }
@@ -86,14 +85,46 @@ type Phase struct {
 	// the simulator then executes those kernels tile-by-tile through
 	// the DRAM channel.
 	Stream []*memsim.Plan
-	// L3Weights is the phase's share of the block's streamed weights
-	// under TierStreamed on the flat memory model (the hierarchical
-	// model streams them through Stream instead).
+	// L3Weights is the weight load before the phase: under
+	// TierStreamed on the flat memory model, the phase's share of the
+	// block's streamed weights (the hierarchical model streams them
+	// through Stream instead); under TierResidentSingle, on the first
+	// phase, the whole block's weights, loaded between blocks.
 	L3Weights int64
 	// L3Spill is the phase's activation spill under TierStreamed: with
 	// L2 reduced to a staging buffer every activation tensor lives in
 	// L3, and tiled weights force operand re-fetches.
 	L3Spill int64
+}
+
+// Stage is one stretch of the block program: the chips in Chips run
+// Steps, in order, once per block, Blocks times. Stages run in order
+// over consecutive chip ranges; between two of them the activations
+// move along the pipeline chain (Deployment.Handoff).
+type Stage struct {
+	Chips  partition.Range
+	Blocks int
+	Steps  []Step
+}
+
+// Step is one step of a stage: a collective synchronization over every
+// chip when Sync is set, otherwise phase Phase of each of the stage's
+// chips.
+type Step struct {
+	Phase int
+	Sync  *Sync
+}
+
+// Sync is one collective synchronization and everything it bills: its
+// class (which picks its schedule), the per-hop reduce and broadcast
+// payloads, the root's serial work between the reduce and the
+// broadcast, and the accumulation a receiver runs per reduce hop.
+type Sync struct {
+	Class         collective.SyncClass
+	ReducePayload int64
+	BcastPayload  int64
+	RootWork      []kernels.Cost
+	Add           kernels.Cost
 }
 
 // Deployment is the complete lowered program for the multi-chip
@@ -112,15 +143,16 @@ type Deployment struct {
 	// Chips holds each chip's program, indexed by chip id. Chips of
 	// equal signature point at one program; programs are read-only.
 	Chips []*ChipDeploy
-	// ReduceAdd is the per-received-tile accumulation cost during the
-	// all-reduce (tensor-parallel and replicated strategies).
-	ReduceAdd kernels.Cost
-	// RootSync is the root's serial residual+norm+requant work per
-	// synchronization.
-	RootSync []kernels.Cost
-	// ReducePayload/BcastPayload are per-hop collective payloads.
-	ReducePayload int64
-	BcastPayload  int64
+	// Stages is the block program every chip follows, in order.
+	Stages []Stage
+	// Classes lists the strategy's synchronization classes in the mode
+	// (collective.ActiveClasses), even where no sync step runs: the
+	// simulator lowers the plan's bindings for them, or a bare schedule
+	// when there are none.
+	Classes []collective.SyncClass
+	// Handoff is the activation payload each stage boundary hands
+	// along the pipeline chain.
+	Handoff int64
 }
 
 // NewBatched lowers a partition plan for a decode micro-batch of
@@ -151,26 +183,86 @@ func NewBatched(p *partition.Plan, hwp hw.Params, mode model.Mode, s, batch int,
 			p.Config.Name, p.Config.Arch)
 	}
 	d := &Deployment{
-		Plan:          p,
-		HW:            hwp,
-		Mode:          mode,
-		SeqLen:        s,
-		Options:       opts,
-		Batch:         batch,
-		ReduceAdd:     reduceAddOp(p.Config, mode, s, batch, hwp),
-		RootSync:      rootSyncOps(p.Config, mode, s, batch, hwp),
-		ReducePayload: p.ReducePayloadBytes(queryRows(mode, s, batch)),
-		BcastPayload:  p.BcastPayloadBytes(queryRows(mode, s, batch)),
+		Plan:    p,
+		HW:      hwp,
+		Mode:    mode,
+		SeqLen:  s,
+		Options: opts,
+		Batch:   batch,
+		Classes: collective.ActiveClasses(p.Strategy, mode),
+	}
+
+	// The strategy fixes the program: its stages with every payload
+	// they move, and how a chip's phases are built.
+	cfg, sq := p.Config, queryRows(mode, s, batch)
+	root, add := rootSyncOps(cfg, mode, s, batch, hwp), kernels.ReduceAdd(hwp, sq, cfg.E, elem(cfg))
+	all := partition.Range{Lo: 0, Hi: p.Chips}
+	var phases func(chip int) []Phase
+	var split []partition.Range
+	switch p.Strategy {
+	case partition.TensorParallel:
+		// Two synchronizations per block, after the MHSA and after the
+		// FC, each reducing the partial outputs and broadcasting the
+		// root's normalized result.
+		red, bc := p.ReducePayloadBytes(sq), p.BcastPayloadBytes(sq)
+		syncs := []Sync{
+			{Class: d.Classes[0], ReducePayload: red, BcastPayload: bc, RootWork: root, Add: add},
+			{Class: d.Classes[1], ReducePayload: red, BcastPayload: bc, RootWork: root, Add: add},
+		}
+		d.Stages = []Stage{{Chips: all, Blocks: p.BlocksOnChip(0),
+			Steps: []Step{{Phase: 0}, {Sync: &syncs[0]}, {Phase: 1}, {Sync: &syncs[1]}}}}
+		phases = func(chip int) []Phase {
+			return []Phase{
+				{Ops: mhsaOps(p, chip, mode, s, batch, hwp)},
+				{Ops: fcOps(p, chip, mode, s, batch, hwp)},
+			}
+		}
+	case partition.Replicated:
+		split = p.SeqSplit(sq)
+		steps := []Step{{Phase: 0}}
+		if min(p.Chips, sq) > 1 {
+			// More than one chip has rows, so two synchronizations per
+			// block: the K/V context exchange (each chip's keys and
+			// values for its rows) and the output exchange (its output
+			// rows).
+			rows := (sq + p.Chips - 1) / p.Chips
+			kv := int64(rows) * int64(2*cfg.P) * int64(cfg.ActBytes)
+			out := int64(rows) * int64(cfg.E) * int64(cfg.ActBytes)
+			syncs := []Sync{
+				{Class: d.Classes[0], ReducePayload: kv, BcastPayload: kv, Add: add},
+				{Class: d.Classes[1], ReducePayload: out, BcastPayload: out, Add: add},
+			}
+			steps = append(steps, Step{Sync: &syncs[0]}, Step{Sync: &syncs[1]})
+		}
+		d.Stages = []Stage{{Chips: all, Blocks: p.BlocksOnChip(0), Steps: steps}}
+		phases = func(chip int) []Phase {
+			return []Phase{{Ops: replicatedChipOps(p, split[chip].Len(), s, hwp)}}
+		}
+	case partition.Pipeline:
+		// One stage per chip over its blocks; every boundary hands the
+		// whole activation tensor on.
+		d.Handoff = int64(sq) * int64(cfg.E) * int64(cfg.ActBytes)
+		steps := []Step{{Phase: 0}}
+		d.Stages = make([]Stage, p.Chips)
+		for c := range d.Stages {
+			d.Stages[c] = Stage{Chips: partition.Range{Lo: c, Hi: c + 1}, Blocks: p.BlocksOnChip(c), Steps: steps}
+		}
+		phases = func(chip int) []Phase {
+			// The whole block on one chip: the plan gives every chip
+			// full widths, and the root's work after each sublayer runs
+			// in the phase.
+			ops := append(mhsaOps(p, chip, mode, s, batch, hwp), root...)
+			ops = append(append(ops, fcOps(p, chip, mode, s, batch, hwp)...), root...)
+			return []Phase{{Ops: ops}}
+		}
+	default:
+		return nil, fmt.Errorf("deploy: unknown strategy %v", p.Strategy)
 	}
 
 	// Chips with the same plan-level shares lower to identical
 	// programs, so each distinct signature is lowered once and its
 	// chips share the program (read-only downstream). Uniform plans
 	// lower one chip instead of p.Chips.
-	var split []partition.Range
-	if p.Strategy == partition.Replicated {
-		split = p.SeqSplit(queryRows(mode, s, batch))
-	}
 	seen := make(map[chipSig]*ChipDeploy, 4)
 	d.Chips = make([]*ChipDeploy, p.Chips)
 	for chip := range d.Chips {
@@ -188,7 +280,7 @@ func NewBatched(p *partition.Plan, hwp hw.Params, mode model.Mode, s, batch int,
 		cd, ok := seen[sig]
 		if !ok {
 			var err error
-			if cd, err = lowerChip(p, chip, hwp, mode, s, batch, opts); err != nil {
+			if cd, err = lowerChip(p, chip, hwp, mode, s, batch, opts, phases(chip)); err != nil {
 				return nil, err
 			}
 			seen[sig] = cd
@@ -198,10 +290,6 @@ func NewBatched(p *partition.Plan, hwp hw.Params, mode model.Mode, s, batch int,
 	return d, nil
 }
 
-// QueryRows is the number of token rows one forward processes: the
-// decode micro-batch width in autoregressive mode, S in prompt mode.
-func (d *Deployment) QueryRows() int { return queryRows(d.Mode, d.SeqLen, d.Batch) }
-
 // chipSig captures every per-chip input of lowerChip: the chip's
 // tensor-parallel shares, its block placement and weight bytes, its
 // per-block KV requirement, and (replicated strategy only) its
@@ -210,33 +298,17 @@ type chipSig struct {
 	pslice, kvw, fw, blocks, blockWeight, kvPerBlock, rows int
 }
 
-func lowerChip(p *partition.Plan, chip int, hwp hw.Params, mode model.Mode, s, batch int, opts Options) (*ChipDeploy, error) {
+// lowerChip places one chip's phases in the tier its L2 budget allows.
+// A chip with no kernels (an idle replicated chip) touches no weights.
+func lowerChip(p *partition.Plan, chip int, hwp hw.Params, mode model.Mode, s, batch int, opts Options, phases []Phase) (*ChipDeploy, error) {
 	tier, _ := chooseTier(p, chip, mode, s, batch, hwp)
 	cd := &ChipDeploy{
 		Tier:   tier,
+		Phases: phases,
 		Blocks: p.BlocksOnChip(chip),
 	}
-	if tier != TierResidentAll {
+	if tier != TierResidentAll && slices.ContainsFunc(phases, func(ph Phase) bool { return len(ph.Ops) > 0 }) {
 		cd.StreamBytesPerBlock = int64(p.BlockWeightBytesOnChip(chip))
-	}
-
-	switch p.Strategy {
-	case partition.TensorParallel:
-		cd.MHSA.Ops = mhsaOps(p, chip, mode, s, batch, hwp)
-		cd.FC.Ops = fcOps(p, chip, mode, s, batch, hwp)
-	case partition.Replicated:
-		rows := p.SeqSplit(queryRows(mode, s, batch))[chip].Len()
-		// The replicated baseline's block is modeled as one fused
-		// phase (MHSA) plus an empty FC phase; synchronization slots
-		// still apply (context exchange + output exchange).
-		cd.MHSA.Ops = replicatedChipOps(p, rows, s, hwp)
-		if rows == 0 {
-			cd.StreamBytesPerBlock = 0 // idle chips do not touch weights
-		}
-	case partition.Pipeline:
-		cd.MHSA.Ops = singleChipBlockOps(p.Config, mode, s, batch, hwp)
-	default:
-		return nil, fmt.Errorf("deploy: unknown strategy %v", p.Strategy)
 	}
 	if err := attachL3Exposure(cd, hwp, opts); err != nil {
 		return nil, err
@@ -247,16 +319,17 @@ func lowerChip(p *partition.Plan, chip int, hwp hw.Params, mode model.Mode, s, b
 // attachL3Exposure derives the synchronous L3 traffic of the chip from
 // its tier: streamed chips move each phase's weight share plus all
 // activations through L3; resident-single chips reload one block's
-// weights between blocks. Under the hierarchical memory model,
-// streamed weights are instead planned tile-by-tile through the DRAM
-// channel (Phase.Stream), and a phase's L3 bytes are only its spill.
+// weights between blocks, before the first phase. Under the
+// hierarchical memory model, streamed weights are instead planned
+// tile-by-tile through the DRAM channel (Phase.Stream), and a phase's
+// L3 bytes are only its spill.
 func attachL3Exposure(cd *ChipDeploy, hwp hw.Params, opts Options) error {
 	switch cd.Tier {
 	case TierStreamed:
-		phases := [2]*Phase{&cd.MHSA, &cd.FC}
 		if hwp.Mem.Enabled() {
 			ch := memsim.ChannelOf(hwp)
-			for _, ph := range phases {
+			for k := range cd.Phases {
+				ph := &cd.Phases[k]
 				var err error
 				if ph.Stream, err = streamPlans(ch, hwp.Mem, ph.Ops); err != nil {
 					return err
@@ -274,16 +347,19 @@ func attachL3Exposure(cd *ChipDeploy, hwp hw.Params, opts Options) error {
 			return nil
 		}
 		l1Tile := int64(hwp.Chip.L1Bytes / 2)
-		mw, fw := phaseWeightBytes(cd.MHSA.Ops), phaseWeightBytes(cd.FC.Ops)
-		cd.MHSA.L3Weights = weightShare(cd.StreamBytesPerBlock, mw, mw+fw)
-		cd.FC.L3Weights = weightShare(cd.StreamBytesPerBlock, fw, mw+fw)
-		if !opts.NoActivationSpill {
-			for _, ph := range phases {
+		var block int64
+		for _, ph := range cd.Phases {
+			block += phaseWeightBytes(ph.Ops)
+		}
+		for k := range cd.Phases {
+			ph := &cd.Phases[k]
+			ph.L3Weights = weightShare(cd.StreamBytesPerBlock, phaseWeightBytes(ph.Ops), block)
+			if !opts.NoActivationSpill {
 				ph.L3Spill = spillBytes(ph.Ops, l1Tile)
 			}
 		}
 	case TierResidentSingle:
-		cd.BlockLoadBytes = cd.StreamBytesPerBlock
+		cd.Phases[0].L3Weights = cd.StreamBytesPerBlock
 	}
 	return nil
 }

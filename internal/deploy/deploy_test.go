@@ -1,9 +1,12 @@
 package deploy
 
 import (
+	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 
+	"mcudist/internal/collective"
 	"mcudist/internal/hw"
 	"mcudist/internal/kernels"
 	"mcudist/internal/model"
@@ -26,6 +29,15 @@ func mustDeploy(t *testing.T, p *partition.Plan, mode model.Mode, s int) *Deploy
 		t.Fatal(err)
 	}
 	return d
+}
+
+// chipCost sums a chip's kernels over every phase of its program.
+func chipCost(cd *ChipDeploy) kernels.Cost {
+	var ops []kernels.Cost
+	for _, ph := range cd.Phases {
+		ops = append(ops, ph.Ops...)
+	}
+	return phaseCost(ops)
 }
 
 // phaseCost sums one phase's kernel sequence on a chip.
@@ -159,12 +171,12 @@ func TestOpsCoverAllMACs(t *testing.T) {
 	for _, mode := range []model.Mode{model.Autoregressive, model.Prompt} {
 		s := model.PaperSeqLen(cfg, mode)
 		single := mustDeploy(t, mustTP(t, cfg, 1), mode, s)
-		singleMACs := phaseCost(single.Chips[0].MHSA.Ops).MACs + phaseCost(single.Chips[0].FC.Ops).MACs
+		singleMACs := chipCost(single.Chips[0]).MACs
 		for _, n := range []int{2, 4, 8} {
 			d := mustDeploy(t, mustTP(t, cfg, n), mode, s)
 			var total int64
 			for c := range d.Chips {
-				total += phaseCost(d.Chips[c].MHSA.Ops).MACs + phaseCost(d.Chips[c].FC.Ops).MACs
+				total += chipCost(d.Chips[c]).MACs
 			}
 			if total != singleMACs {
 				t.Errorf("%v n=%d: distributed MACs %d != single %d", mode, n, total, singleMACs)
@@ -178,7 +190,7 @@ func TestPerChipCyclesShrinkWithChips(t *testing.T) {
 	prev := -1.0
 	for _, n := range []int{1, 2, 4, 8} {
 		d := mustDeploy(t, mustTP(t, cfg, n), model.Prompt, 16)
-		c := phaseCost(d.Chips[0].MHSA.Ops).Cycles + phaseCost(d.Chips[0].FC.Ops).Cycles
+		c := chipCost(d.Chips[0]).Cycles
 		if prev > 0 && c >= prev {
 			t.Errorf("n=%d: per-chip cycles %g did not shrink from %g", n, c, prev)
 		}
@@ -191,11 +203,11 @@ func TestSubLinearComputeScaling(t *testing.T) {
 	// utilization-loss effect the paper reports for MobileBERT).
 	cfg := model.MobileBERT512()
 	single := mustDeploy(t, mustTP(t, cfg, 1), model.Prompt, 268)
-	singleCycles := phaseCost(single.Chips[0].MHSA.Ops).Cycles + phaseCost(single.Chips[0].FC.Ops).Cycles
+	singleCycles := chipCost(single.Chips[0]).Cycles
 	multi := mustDeploy(t, mustTP(t, cfg, 4), model.Prompt, 268)
 	var total float64
 	for c := range multi.Chips {
-		total += phaseCost(multi.Chips[c].MHSA.Ops).Cycles + phaseCost(multi.Chips[c].FC.Ops).Cycles
+		total += chipCost(multi.Chips[c]).Cycles
 	}
 	if total <= singleCycles {
 		t.Fatalf("4-chip aggregate compute %g <= single-chip %g: utilization loss missing", total, singleCycles)
@@ -205,15 +217,119 @@ func TestSubLinearComputeScaling(t *testing.T) {
 	}
 }
 
+// TestCollectivePayloads holds every strategy's block program to its
+// shape and to the payload formulas: each stage's chip range and repeat
+// count; the sync steps' classes, which are the deployment's Classes in
+// order, or none when at most one replicated chip has rows; and every
+// payload — the tensor-parallel reduce and broadcast, the replicated
+// K/V (⌈S/n⌉·2P) and output (⌈S/n⌉·E) exchanges, and the pipeline
+// handoff (S·E), in activation bytes.
 func TestCollectivePayloads(t *testing.T) {
-	cfg := model.TinyLlama42M()
-	d := mustDeploy(t, mustTP(t, cfg, 8), model.Autoregressive, 128)
-	if d.ReducePayload != 512 || d.BcastPayload != 512 {
-		t.Fatalf("payloads %d/%d, want 512/512", d.ReducePayload, d.BcastPayload)
+	tl := model.TinyLlama42M()
+	builders := []func(model.Config, int) (*partition.Plan, error){
+		partition.NewTensorParallel, partition.NewReplicated, partition.NewPipeline,
 	}
-	dp := mustDeploy(t, mustTP(t, cfg, 8), model.Prompt, 16)
-	if dp.ReducePayload != 16*512 {
-		t.Fatalf("prompt reduce payload %d", dp.ReducePayload)
+	for _, w := range []struct {
+		cfg   model.Config
+		mode  model.Mode
+		chips []int
+	}{
+		{tl, model.Prompt, []int{1, 2, 8}},
+		{tl, model.Autoregressive, []int{1, 2, 8}},
+		{model.MobileBERT512(), model.Prompt, []int{1, 2, 4}}, // 4 heads
+	} {
+		cfg := w.cfg
+		s := model.PaperSeqLen(cfg, w.mode)
+		sq := s
+		if w.mode == model.Autoregressive {
+			sq = 1
+		}
+		act := int64(cfg.ActBytes)
+		for _, build := range builders {
+			for _, n := range w.chips {
+				p, err := build(cfg, n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				name := fmt.Sprintf("%s %v %v n=%d", cfg.Name, w.mode, p.Strategy, n)
+				d := mustDeploy(t, p, w.mode, s)
+				if !slices.Equal(d.Classes, collective.ActiveClasses(p.Strategy, w.mode)) {
+					t.Errorf("%s: classes %v, want the collective schedule's", name, d.Classes)
+				}
+
+				want := []partition.Range{{Lo: 0, Hi: n}}
+				if p.Strategy == partition.Pipeline {
+					want = want[:0]
+					for c := 0; c < n; c++ {
+						want = append(want, partition.Range{Lo: c, Hi: c + 1})
+					}
+				}
+				var got []partition.Range
+				var syncs []*Sync
+				for _, st := range d.Stages {
+					got = append(got, st.Chips)
+					if st.Blocks != p.BlocksOnChip(st.Chips.Lo) {
+						t.Errorf("%s: stage %v repeats %d times, want its %d blocks",
+							name, st.Chips, st.Blocks, p.BlocksOnChip(st.Chips.Lo))
+					}
+					for _, step := range st.Steps {
+						if step.Sync != nil {
+							syncs = append(syncs, step.Sync)
+						}
+					}
+				}
+				if !slices.Equal(got, want) {
+					t.Errorf("%s: stages over %v, want %v", name, got, want)
+				}
+
+				wantClasses := d.Classes
+				if p.Strategy == partition.Replicated && min(n, sq) <= 1 {
+					wantClasses = nil // one chip has rows: nothing to exchange
+				}
+				var classes []collective.SyncClass
+				for _, sy := range syncs {
+					classes = append(classes, sy.Class)
+				}
+				if !slices.Equal(classes, wantClasses) {
+					t.Errorf("%s: sync classes %v, want %v", name, classes, wantClasses)
+				}
+
+				rows := int64((sq + n - 1) / n)
+				for _, sy := range syncs {
+					var red, bc int64
+					switch sy.Class {
+					case collective.KVExchange:
+						red, bc = rows*int64(2*cfg.P)*act, rows*int64(2*cfg.P)*act
+					case collective.OutputExchange:
+						red, bc = rows*int64(cfg.E)*act, rows*int64(cfg.E)*act
+					default:
+						red, bc = p.ReducePayloadBytes(sq), p.BcastPayloadBytes(sq)
+					}
+					if sy.ReducePayload != red || sy.BcastPayload != bc {
+						t.Errorf("%s: %v payloads %d/%d, want %d/%d",
+							name, sy.Class, sy.ReducePayload, sy.BcastPayload, red, bc)
+					}
+				}
+				var handoff int64
+				if p.Strategy == partition.Pipeline {
+					handoff = int64(sq) * int64(cfg.E) * act
+				}
+				if d.Handoff != handoff {
+					t.Errorf("%s: handoff %d, want %d", name, d.Handoff, handoff)
+				}
+			}
+		}
+	}
+
+	// The formulas at two points: one decode row and 16 prompt rows of
+	// E=512 int8 activations.
+	d := mustDeploy(t, mustTP(t, tl, 8), model.Autoregressive, 128)
+	if sy := d.Stages[0].Steps[1].Sync; sy.ReducePayload != 512 || sy.BcastPayload != 512 {
+		t.Fatalf("payloads %d/%d, want 512/512", sy.ReducePayload, sy.BcastPayload)
+	}
+	dp := mustDeploy(t, mustTP(t, tl, 8), model.Prompt, 16)
+	if sy := dp.Stages[0].Steps[3].Sync; sy.ReducePayload != 16*512 {
+		t.Fatalf("prompt reduce payload %d", sy.ReducePayload)
 	}
 }
 
@@ -228,7 +344,7 @@ func TestReplicatedBaselineLowering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rows := d.Chips[0].MHSA.Ops[0].M; rows != 4 {
+	if rows := d.Chips[0].Phases[0].Ops[0].M; rows != 4 {
 		t.Fatalf("chip 0 rows = %d, want 4", rows)
 	}
 	// Full weights per chip: replicated never fits TinyLlama.
@@ -242,7 +358,7 @@ func TestReplicatedBaselineLowering(t *testing.T) {
 	}
 	active := 0
 	for _, c := range da.Chips {
-		if len(c.MHSA.Ops) > 0 {
+		if len(c.Phases[0].Ops) > 0 {
 			active++
 		}
 	}
@@ -265,7 +381,7 @@ func TestPipelineBaselineLowering(t *testing.T) {
 		if c.Blocks != 2 {
 			t.Fatalf("stage %d holds %d blocks", i, c.Blocks)
 		}
-		if len(c.MHSA.Ops) == 0 {
+		if len(c.Phases[0].Ops) == 0 {
 			t.Fatalf("stage %d has no ops", i)
 		}
 	}
@@ -342,7 +458,7 @@ func TestWeightBytesConservedAcrossChips(t *testing.T) {
 		d := mustDeploy(t, mustTP(t, cfg, n), model.Autoregressive, 128)
 		var weightBytes int64
 		for c := range d.Chips {
-			weightBytes += phaseCost(d.Chips[c].MHSA.Ops).WeightBytes + phaseCost(d.Chips[c].FC.Ops).WeightBytes
+			weightBytes += chipCost(d.Chips[c]).WeightBytes
 		}
 		if weightBytes != int64(cfg.BlockWeightBytes()) {
 			t.Errorf("n=%d: per-block weight bytes touched %d, want %d", n, weightBytes, cfg.BlockWeightBytes())
@@ -356,7 +472,7 @@ func TestGatedFFNOpsLarger(t *testing.T) {
 	gated.FFN = model.FFNGated
 	d1 := mustDeploy(t, mustTP(t, cfg, 4), model.Prompt, 16)
 	d2 := mustDeploy(t, mustTP(t, gated, 4), model.Prompt, 16)
-	if phaseCost(d2.Chips[0].FC.Ops).MACs <= phaseCost(d1.Chips[0].FC.Ops).MACs {
+	if phaseCost(d2.Chips[0].Phases[1].Ops).MACs <= phaseCost(d1.Chips[0].Phases[1].Ops).MACs {
 		t.Fatal("gated FFN should cost more MACs")
 	}
 }

@@ -12,11 +12,11 @@ func TestGQADeploymentMACsConserved(t *testing.T) {
 	for _, mode := range []model.Mode{model.Autoregressive, model.Prompt} {
 		s := 64
 		single := mustDeploy(t, mustTP(t, cfg, 1), mode, s)
-		singleMACs := phaseCost(single.Chips[0].MHSA.Ops).MACs + phaseCost(single.Chips[0].FC.Ops).MACs
+		singleMACs := chipCost(single.Chips[0]).MACs
 		d := mustDeploy(t, mustTP(t, cfg, 3), mode, s)
 		var total int64
 		for c := range d.Chips {
-			total += phaseCost(d.Chips[c].MHSA.Ops).MACs + phaseCost(d.Chips[c].FC.Ops).MACs
+			total += chipCost(d.Chips[c]).MACs
 		}
 		if total != singleMACs {
 			t.Errorf("%v: distributed MACs %d != single %d", mode, total, singleMACs)
@@ -29,7 +29,7 @@ func TestGQAWeightBytesConserved(t *testing.T) {
 	d := mustDeploy(t, mustTP(t, cfg, 3), model.Autoregressive, 64)
 	var weightBytes int64
 	for c := range d.Chips {
-		weightBytes += phaseCost(d.Chips[c].MHSA.Ops).WeightBytes + phaseCost(d.Chips[c].FC.Ops).WeightBytes
+		weightBytes += chipCost(d.Chips[c]).WeightBytes
 	}
 	if weightBytes != int64(cfg.BlockWeightBytes()) {
 		t.Errorf("per-block weights touched %d, want %d", weightBytes, cfg.BlockWeightBytes())
@@ -44,9 +44,9 @@ func TestGQAKVTrafficSmaller(t *testing.T) {
 	// (smaller K/V projections and KV cache reads).
 	dg := mustDeploy(t, mustTP(t, gqa, 3), model.Autoregressive, 128)
 	dm := mustDeploy(t, mustTP(t, mha, 3), model.Autoregressive, 128)
-	if phaseCost(dg.Chips[0].MHSA.Ops).TotalL2L1Bytes() >= phaseCost(dm.Chips[0].MHSA.Ops).TotalL2L1Bytes() {
+	if phaseCost(dg.Chips[0].Phases[0].Ops).TotalL2L1Bytes() >= phaseCost(dm.Chips[0].Phases[0].Ops).TotalL2L1Bytes() {
 		t.Errorf("GQA MHSA bytes %d not below MHA %d",
-			phaseCost(dg.Chips[0].MHSA.Ops).TotalL2L1Bytes(), phaseCost(dm.Chips[0].MHSA.Ops).TotalL2L1Bytes())
+			phaseCost(dg.Chips[0].Phases[0].Ops).TotalL2L1Bytes(), phaseCost(dm.Chips[0].Phases[0].Ops).TotalL2L1Bytes())
 	}
 }
 
@@ -65,7 +65,7 @@ func TestDeployOptionsNoSpill(t *testing.T) {
 		t.Fatalf("expected streamed tier, got %v", with.Chips[0].Tier)
 	}
 	l3 := func(ph Phase) int64 { return ph.L3Weights + ph.L3Spill }
-	if l3(without.Chips[0].MHSA) >= l3(with.Chips[0].MHSA) {
+	if l3(without.Chips[0].Phases[0]) >= l3(with.Chips[0].Phases[0]) {
 		t.Error("disabling spill did not shrink exposed L3 bytes")
 	}
 	// Weight traffic is identical either way.
@@ -81,18 +81,19 @@ func TestStreamedExposureCoversWeightsAndSpill(t *testing.T) {
 	if cd.Tier != TierStreamed {
 		t.Fatalf("tier %v", cd.Tier)
 	}
-	if spill := cd.MHSA.L3Spill + cd.FC.L3Spill; spill <= 0 {
+	mhsa, fc := cd.Phases[0], cd.Phases[1]
+	if spill := mhsa.L3Spill + fc.L3Spill; spill <= 0 {
 		t.Errorf("streamed phases spill %d activation bytes, want some", spill)
 	}
 	// The MHSA/FC weight shares must partition the block's weights,
 	// each phase loading exactly the weights its kernels read.
-	mhsaW := phaseWeightBytes(cd.MHSA.Ops)
-	fcW := phaseWeightBytes(cd.FC.Ops)
+	mhsaW := phaseWeightBytes(mhsa.Ops)
+	fcW := phaseWeightBytes(fc.Ops)
 	if mhsaW+fcW != cd.StreamBytesPerBlock {
 		t.Errorf("phase weights %d+%d != block %d", mhsaW, fcW, cd.StreamBytesPerBlock)
 	}
-	if cd.MHSA.L3Weights != mhsaW || cd.FC.L3Weights != fcW {
-		t.Errorf("phase weight loads %d+%d, want %d+%d", cd.MHSA.L3Weights, cd.FC.L3Weights, mhsaW, fcW)
+	if mhsa.L3Weights != mhsaW || fc.L3Weights != fcW {
+		t.Errorf("phase weight loads %d+%d, want %d+%d", mhsa.L3Weights, fc.L3Weights, mhsaW, fcW)
 	}
 }
 
@@ -103,11 +104,13 @@ func TestResidentSingleBlockLoad(t *testing.T) {
 		if cd.Tier != TierResidentSingle {
 			t.Fatalf("tier %v", cd.Tier)
 		}
-		if cd.BlockLoadBytes != cd.StreamBytesPerBlock {
-			t.Errorf("block load %d != stream %d", cd.BlockLoadBytes, cd.StreamBytesPerBlock)
+		// The block's weights load between blocks, before the first
+		// phase; no phase streams.
+		if load := cd.Phases[0].L3Weights; load != cd.StreamBytesPerBlock {
+			t.Errorf("block load %d != stream %d", load, cd.StreamBytesPerBlock)
 		}
-		for _, ph := range []Phase{cd.MHSA, cd.FC} {
-			if ph.L3Weights != 0 || ph.L3Spill != 0 || ph.Stream != nil {
+		for k, ph := range cd.Phases {
+			if (k > 0 && ph.L3Weights != 0) || ph.L3Spill != 0 || ph.Stream != nil {
 				t.Error("resident-single should not stream inside phases")
 			}
 		}

@@ -13,8 +13,8 @@ func elem(cfg model.Config) kernels.Elem {
 }
 
 // mhsaOps returns the compute sequence of one chip's partial MHSA for
-// one block under the tensor-parallel plan: QKV projections over the
-// chip's head slice, RoPE, KV append, per-head attention, and the
+// one block: QKV projections over the chip's head slice (every head
+// on a pipeline plan), RoPE, KV append, per-head attention, and the
 // partial output projection (plus requantization of the partial when
 // partials are exchanged in int8).
 func mhsaOps(p *partition.Plan, chip int, mode model.Mode, s, batch int, hwp hw.Params) []kernels.Cost {
@@ -55,8 +55,8 @@ func mhsaOps(p *partition.Plan, chip int, mode model.Mode, s, batch int, hwp hw.
 }
 
 // fcOps returns one chip's partial FC sequence: the F-sliced first
-// linear (plus gate for gated FFNs), activation, and the partial
-// second linear.
+// linear (plus gate for gated FFNs; all of F on a pipeline plan),
+// activation, and the partial second linear.
 func fcOps(p *partition.Plan, chip int, mode model.Mode, s, batch int, hwp hw.Params) []kernels.Cost {
 	cfg := p.Config
 	e := elem(cfg)
@@ -87,12 +87,6 @@ func markFFN(ops []kernels.Cost) []kernels.Cost {
 		ops[i].FFN = true
 	}
 	return ops
-}
-
-// reduceAddOp is the accumulation a parent performs per received
-// partial tile during the all-reduce.
-func reduceAddOp(cfg model.Config, mode model.Mode, s, batch int, hwp hw.Params) kernels.Cost {
-	return kernels.ReduceAdd(hwp, queryRows(mode, s, batch), cfg.E, elem(cfg))
 }
 
 // rootSyncOps is the serial work of the root after the reduce: merge
@@ -147,19 +141,4 @@ func replicatedChipOps(p *partition.Plan, rows int, s int, hwp hw.Params) []kern
 	ffn = append(ffn, kernels.Linear(hwp, rows, cfg.F, cfg.E, e))
 	ffn = append(ffn, kernels.ResidualAdd(hwp, rows, cfg.E, e), kernels.Norm(hwp, rows, cfg.E, e))
 	return append(ops, markFFN(ffn)...)
-}
-
-// singleChipBlockOps is the whole-block sequence on one chip (used by
-// the pipeline baseline stages and equivalent to the 1-chip
-// tensor-parallel plan).
-func singleChipBlockOps(cfg model.Config, mode model.Mode, s, batch int, hwp hw.Params) []kernels.Cost {
-	p, err := partition.NewTensorParallel(cfg, 1)
-	if err != nil {
-		panic(err)
-	}
-	ops := mhsaOps(p, 0, mode, s, batch, hwp)
-	ops = append(ops, rootSyncOps(cfg, mode, s, batch, hwp)...)
-	ops = append(ops, fcOps(p, 0, mode, s, batch, hwp)...)
-	ops = append(ops, rootSyncOps(cfg, mode, s, batch, hwp)...)
-	return ops
 }

@@ -148,8 +148,8 @@ func tilingFamilies(d *deploy.Deployment) (attn, ffn *family) {
 		}
 		a := famChip{blocks: float64(cd.Blocks)}
 		f := famChip{blocks: float64(cd.Blocks)}
-		for _, ops := range [][]kernels.Cost{cd.MHSA.Ops, cd.FC.Ops} {
-			for _, c := range ops {
+		for _, ph := range cd.Phases {
+			for _, c := range ph.Ops {
 				if g, ok := memsim.GEMMOf(c); ok {
 					if c.FFN {
 						f.gemms = append(f.gemms, ffn.index(g, c))

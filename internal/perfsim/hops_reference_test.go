@@ -29,18 +29,18 @@ type refHopPrice struct {
 // one loop, hopsReference, that priced, occupied and billed it inline:
 // the oracle FuzzSyncMatchesReference holds sync to. Its memos are
 // local; the arena's price tables and hop counts are never read.
-func (s *Sim) syncReference(class collective.SyncClass, ready []float64, reducePayload, bcastPayload int64, rootWork []kernels.Cost) []float64 {
+func (s *Sim) syncReference(step *deploy.Sync, ready []float64) []float64 {
 	s.syncs++
 	n := s.d.Plan.Chips
-	lo := s.schedFor(class)
+	lo := s.schedFor(step.Class)
 	sc := lo.sc
-	acc := &s.classAcc[class]
+	acc := &s.classAcc[step.Class]
 	acc.topology = sc.Topology
 	acc.syncs++
 
-	tiles := appendTiles(nil, reducePayload)
+	tiles := appendTiles(nil, step.ReducePayload)
 	nt := len(tiles)
-	bcastTiles := appendTiles(nil, bcastPayload)
+	bcastTiles := appendTiles(nil, step.BcastPayload)
 	for len(bcastTiles) < nt {
 		bcastTiles = append(bcastTiles, 0)
 	}
@@ -64,6 +64,7 @@ func (s *Sim) syncReference(class collective.SyncClass, ready []float64, reduceP
 	has := s.has
 	memo := make([]refHopPrice, len(s.classes))
 	var add kernelPrice
+	rootWork := step.RootWork
 	roots := make([]kernelPrice, len(rootWork))
 	for k := 0; k < nt; k++ {
 		frac := 1.0 / float64(nt)
@@ -73,7 +74,7 @@ func (s *Sim) syncReference(class collective.SyncClass, ready []float64, reduceP
 				has[c*chunks+q] = 0
 			}
 		}
-		s.hopsReference(sc.Reduce, sc.Keys, lo.ids, memo, &add, acc, tiles[k], frac, ready, arrive, true)
+		s.hopsReference(sc.Reduce, sc.Keys, lo.ids, memo, &step.Add, &add, acc, tiles[k], frac, ready, arrive, true)
 		for _, f := range sc.Final {
 			t := partial[f.Chip*chunks+f.Chunk]
 			for i := range rootWork {
@@ -84,7 +85,7 @@ func (s *Sim) syncReference(class collective.SyncClass, ready []float64, reduceP
 			}
 			has[f.Chip*chunks+f.Chunk] = t
 		}
-		s.hopsReference(sc.Broadcast, sc.Keys, lo.ids, memo, &add, acc, bcastTiles[k], frac, ready, arrive, false)
+		s.hopsReference(sc.Broadcast, sc.Keys, lo.ids, memo, &step.Add, &add, acc, bcastTiles[k], frac, ready, arrive, false)
 	}
 	return arrive
 }
@@ -95,15 +96,15 @@ func (s *Sim) syncReference(class collective.SyncClass, ready []float64, reduceP
 // across the directed link From->To at its class's rate, priced through
 // a per-class memo; bills the link time and bytes to the sender, and to
 // acc (nil outside a collective); raises both chips' End; and, on a
-// reduce, runs the receiver's share*Frac of the reduce add, repriced
-// whenever that fraction changes.
-func (s *Sim) hopsReference(list []interconnect.Hop, keys []interconnect.PriceKey, ids []int32, memo []refHopPrice, addMemo *kernelPrice,
+// reduce, runs the receiver's share*Frac of the reduce add addCost,
+// repriced whenever that fraction changes.
+func (s *Sim) hopsReference(list []interconnect.Hop, keys []interconnect.PriceKey, ids []int32, memo []refHopPrice, addCost *kernels.Cost, addMemo *kernelPrice,
 	acc *classAccum, tile int64, share float64, ready, arrive []float64, reduce bool) float64 {
 	n, chunks, freqHz, tl := s.n, s.chunks, s.freqHz, s.tl
 	partial, has, links, stats := s.partial, s.has, s.linkFree, s.stats
 	classes, dma, cluster := s.classes, s.dma, s.cluster
 	degChip, degFactor, strChip, strFactor := s.degChip, s.degFactor, s.strChip, s.strFactor
-	add, addCost := *addMemo, &s.d.ReduceAdd
+	add := *addMemo
 	var end float64
 	for i := range list {
 		h := &list[i]
@@ -323,25 +324,25 @@ func FuzzSyncMatchesReference(f *testing.F) {
 			opts.StragglerChip, opts.StragglerFactor = rng.IntN(n), 0.05+rng.Float64()*0.95
 		}
 		d := &deploy.Deployment{
-			Plan:      &partition.Plan{Strategy: partition.TensorParallel, Chips: n},
-			HW:        plat,
-			Options:   opts,
-			Chips:     make([]*deploy.ChipDeploy, n),
-			ReduceAdd: randomCost(rng, "add"),
+			Plan:    &partition.Plan{Chips: n},
+			HW:      plat,
+			Options: opts,
+			Chips:   make([]*deploy.ChipDeploy, n),
 		}
+		step := &deploy.Sync{Add: randomCost(rng, "add")}
 		for c := range d.Chips {
 			d.Chips[c] = &deploy.ChipDeploy{}
 		}
 		for k := rng.IntN(3); k > 0; k-- {
-			d.RootSync = append(d.RootSync, randomCost(rng, "root"))
+			step.RootWork = append(step.RootWork, randomCost(rng, "root"))
 		}
-		reducePayload := int64(rng.IntN(5 * deploy.DefaultCommTileBytes))
-		bcastPayload := int64(rng.IntN(5 * deploy.DefaultCommTileBytes))
+		step.ReducePayload = int64(rng.IntN(5 * deploy.DefaultCommTileBytes))
+		step.BcastPayload = int64(rng.IntN(5 * deploy.DefaultCommTileBytes))
 		ready := make([]float64, n)
 		for c := range ready {
 			ready[c] = rng.Float64() * 1e6
 		}
-		class := collective.SyncClass(rng.IntN(int(collective.NumSyncClasses)))
+		step.Class = collective.SyncClass(rng.IntN(int(collective.NumSyncClasses)))
 
 		sims := [2]*Sim{NewSim(), NewSim()}
 		var tls [2]*trace.Timeline
@@ -356,9 +357,9 @@ func FuzzSyncMatchesReference(f *testing.F) {
 				s.stats[c].End = ready[c]
 			}
 		}
-		got := sims[0].sync(class, ready, reducePayload, bcastPayload, d.RootSync)
+		got := sims[0].sync(step, ready)
 		sims[0].foldEnds()
-		want := sims[1].syncReference(class, ready, reducePayload, bcastPayload, d.RootSync)
+		want := sims[1].syncReference(step, ready)
 
 		a, b := sims[0], sims[1]
 		for _, c := range []struct {

@@ -159,7 +159,7 @@ func TestDRAMHierarchyEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	for c, cd := range dramDep.Chips {
-		if cd.MHSA.Stream == nil || cd.FC.Stream == nil {
+		if cd.Phases[0].Stream == nil || cd.Phases[1].Stream == nil {
 			t.Fatalf("chip %d: streamed DRAM deployment must carry tile plans", c)
 		}
 	}

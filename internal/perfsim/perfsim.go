@@ -13,10 +13,14 @@
 // broadcast loops then do per hop only what depends on hop order, and
 // each chip's End settles once per run.
 //
-// Each phase of a chip's program carries its kernels, tile plans and
-// synchronous L3 weight and spill bytes (deploy.Phase); the simulator
-// executes them as the deployment states them and derives none again.
-// Chips sharing one program share its kernel prices.
+// Every strategy reaches the simulator as one block program (stages
+// of phase and sync steps, deploy.Stage), which one loop runs without
+// asking which strategy lowered it. Each phase carries its kernels,
+// tile plans and synchronous L3 weight and spill bytes (deploy.Phase),
+// and each sync its class, payloads, root work and reduce add
+// (deploy.Sync); the simulator executes them as the deployment states
+// them and derives none again. Chips sharing one program share its
+// kernel prices.
 //
 // Modeling conventions (matching the paper's stacked-bar accounting):
 // compute, L2↔L1 tile movement, and exposed L3 streaming serialize
@@ -55,7 +59,6 @@ import (
 	"mcudist/internal/interconnect"
 	"mcudist/internal/kernels"
 	"mcudist/internal/memsim"
-	"mcudist/internal/partition"
 	"mcudist/internal/trace"
 )
 
@@ -202,7 +205,7 @@ type Sim struct {
 	// hops' classes and the pipeline chain is resolved up front.
 	classes []hw.LinkClass
 	classID map[hw.LinkClass]int
-	// chain is the routed pipeline handoff chain (pipeline strategy
+	// chain is the routed pipeline handoff chain (multi-stage programs
 	// only), and chainIDs the run class id of each of its classes. On a
 	// fully wired network every stage boundary is the single direct hop
 	// the simulator always took; on sparse or degraded wirings a
@@ -222,7 +225,7 @@ type Sim struct {
 	// traced run, indexed from*n+to and formatted on the edge's first
 	// traced hop of the run.
 	links []linkLabel
-	// sync/strategy scratch: flat per-(chip, chunk) readiness
+	// sync/program scratch: flat per-(chip, chunk) readiness
 	// matrices, chunks entries per chip, ping-pong arrival buffers
 	// (alternating so a caller's previous arrival slice stays valid
 	// while the next sync reads it), phase timelines, and payload tile
@@ -236,17 +239,17 @@ type Sim struct {
 	phaseBuf []float64
 	tiles    []int64
 	bcast    []int64
-	// redPrice and bcastPrice are the current tile's price tables of the
-	// reduce and the broadcast (or pipeline chain) hop lists, one entry
-	// per price key (priceTile); rootMemo memoizes each root-work
-	// kernel's price by fraction.
+	// redPrice, bcastPrice and chainPrice are the current tile's price
+	// tables of the reduce, the broadcast and the pipeline chain hop
+	// lists, one entry per price key (priceTile); rootMemo memoizes
+	// each root-work kernel's price by fraction.
 	redPrice   []hopPrice
 	bcastPrice []hopPrice
+	chainPrice []hopPrice
 	rootMemo   []kernelPrice
 	// prices holds every program's phase-kernel prices, computed once
-	// per run: chip c's MHSA kernels from priceOff[c], its FC kernels
-	// right after. A run of chips sharing one program shares its
-	// prices.
+	// per run: chip c's phases' kernels from priceOff[c], in order. A
+	// run of chips sharing one program shares its prices.
 	prices   []kernelPrice
 	priceOff []int
 
@@ -409,11 +412,11 @@ func (s *Sim) RunTraced(d *deploy.Deployment, tl *trace.Timeline) (*Result, erro
 	n := d.Plan.Chips
 	var sched *interconnect.Schedule
 	var err error
-	if d.Plan.Strategy == partition.Pipeline {
-		// The pipeline never executes the collective hops — it
-		// transfers only on its handoff chain (resolved in bind) — so a
-		// network that wires just the chain must not be rejected for
-		// leaving collective edges undefined.
+	if len(d.Classes) == 0 {
+		// A program without classes (the pipeline's) never executes the
+		// collective hops — it transfers only on its handoff chain
+		// (resolved in bind) — so a network that wires just the chain
+		// must not be rejected for leaving collective edges undefined.
 		sched, err = interconnect.NewBareSchedule(d.HW.Topology, n, d.HW.GroupSize)
 	} else {
 		// Collective schedules come from the process-wide intern cache:
@@ -430,17 +433,7 @@ func (s *Sim) RunTraced(d *deploy.Deployment, tl *trace.Timeline) (*Result, erro
 		return nil, err
 	}
 
-	var end float64
-	switch d.Plan.Strategy {
-	case partition.TensorParallel:
-		end = s.runTensorParallel()
-	case partition.Replicated:
-		end = s.runReplicated()
-	case partition.Pipeline:
-		end = s.runPipeline()
-	default:
-		return nil, fmt.Errorf("perfsim: unknown strategy %v", d.Plan.Strategy)
-	}
+	end := s.run()
 	if math.IsInf(end, 0) || math.IsNaN(end) {
 		// A finite, positive link bandwidth or fault factor can still
 		// overflow a transfer time; report it rather than print +Inf.
@@ -499,7 +492,7 @@ func (s *Sim) RunTraced(d *deploy.Deployment, tl *trace.Timeline) (*Result, erro
 			})
 		}
 	}
-	if d.Plan.Strategy == partition.Pipeline {
+	if len(d.Stages) > 1 {
 		// Stages run serially: the whole-system breakdown is the sum
 		// of per-stage activity plus the link handoffs.
 		for i := range s.stats {
@@ -568,35 +561,32 @@ func (s *Sim) bind(d *deploy.Deployment, sched *interconnect.Schedule, tl *trace
 	// schedule's per-hop class ids (lows index 0, schedFor's default).
 	s.scheds[sched.Topology] = s.lowerSched(sched)
 	// Resolve one schedule per topology the collective plan binds to a
-	// class this run executes, each lowered and validated against the
+	// class of the deployment, each lowered and validated against the
 	// network wiring up front (through the same intern cache as the run
 	// schedule) — a plan routing an active class over an unwired edge
 	// fails here, before any simulation runs, while a merged
 	// prefill+decode plan never pays (or fails) for the other mode's
 	// bindings. The run topology's schedule is reused
 	// untouched, so the zero plan stays byte-identical to the
-	// single-topology simulator. The pipeline strategy executes no
-	// collectives and skips the lowering (its network may wire only
-	// the handoff chain).
-	if d.Plan.Strategy != partition.Pipeline {
-		for _, cl := range collective.ActiveClasses(d.Plan.Strategy, d.Mode) {
-			topo, bound := d.Options.SyncPlan.Explicit(cl)
-			if !bound {
-				continue
-			}
-			if _, ok := s.scheds[topo]; ok {
-				continue
-			}
-			hp := d.HW
-			hp.Topology = topo
-			alt, err := interconnect.CachedSchedule(hp, n)
-			if err != nil {
-				return fmt.Errorf("perfsim: collective plan: %w", err)
-			}
-			s.scheds[topo] = s.lowerSched(alt)
+	// single-topology simulator. The pipeline has no classes (its
+	// network may wire only the handoff chain).
+	for _, cl := range d.Classes {
+		topo, bound := d.Options.SyncPlan.Explicit(cl)
+		if !bound {
+			continue
 		}
+		if _, ok := s.scheds[topo]; ok {
+			continue
+		}
+		hp := d.HW
+		hp.Topology = topo
+		alt, err := interconnect.CachedSchedule(hp, n)
+		if err != nil {
+			return fmt.Errorf("perfsim: collective plan: %w", err)
+		}
+		s.scheds[topo] = s.lowerSched(alt)
 	}
-	if d.Plan.Strategy == partition.Pipeline {
+	if len(d.Stages) > 1 {
 		// The pipeline handoff chain is not part of the collective
 		// schedule; it is routed and class-resolved against the network
 		// up front (through the interconnect intern cache, once per
@@ -665,15 +655,15 @@ func (s *Sim) bind(d *deploy.Deployment, sched *interconnect.Schedule, tl *trace
 			continue
 		}
 		s.priceOff = append(s.priceOff, len(s.prices))
-		for _, ops := range [2][]kernels.Cost{cd.MHSA.Ops, cd.FC.Ops} {
-			for i := range ops {
-				s.prices = append(s.prices, s.price(ops[i].TotalL2L1Bytes(), ops[i].Cycles))
+		for _, ph := range cd.Phases {
+			for i := range ph.Ops {
+				s.prices = append(s.prices, s.price(ph.Ops[i].TotalL2L1Bytes(), ph.Ops[i].Cycles))
 			}
 		}
 	}
 
 	// Synchronization scratch: readiness matrices sized for the widest
-	// schedule, ping-pong arrival buffers, phase timelines.
+	// schedule, ping-pong arrival buffers, the program's timelines.
 	maxChunks := 0
 	for i := range s.lows {
 		if c := s.lows[i].sc.Chunks; c > maxChunks {
@@ -917,9 +907,8 @@ func (s *Sim) execTiled(chip int, t float64, cost *kernels.Cost, p *memsim.Plan)
 // share*Frac of the reduce add, where share is the tile's fraction of
 // the payload. Each price is a pure function of the key, tile and
 // share, so the table holds what every hop of the tile would compute.
-func (s *Sim) priceTile(buf []hopPrice, keys []interconnect.PriceKey, ids []int32, tile int64, share float64, add bool) []hopPrice {
+func (s *Sim) priceTile(buf []hopPrice, keys []interconnect.PriceKey, ids []int32, tile int64, share float64, add *kernels.Cost) []hopPrice {
 	buf = buf[:0]
-	cost := &s.d.ReduceAdd
 	for _, k := range keys {
 		id := ids[k.Class]
 		payload := interconnect.ScalePayload(tile, k.Frac)
@@ -928,9 +917,9 @@ func (s *Sim) priceTile(buf []hopPrice, keys []interconnect.PriceKey, ids []int3
 		if s.degFactor > 0 {
 			p.deg /= s.degFactor
 		}
-		if add {
+		if add != nil {
 			f := share * k.Frac
-			p.add = s.price(int64(float64(cost.ActInBytes)*f)+int64(float64(cost.ActOutBytes)*f), cost.Cycles*f)
+			p.add = s.price(int64(float64(add.ActInBytes)*f)+int64(float64(add.ActOutBytes)*f), add.Cycles*f)
 			p.addStr = p.add.cycles
 			if s.strFactor > 0 {
 				p.addStr /= s.strFactor
@@ -985,7 +974,7 @@ func (s *Sim) billAdds(counts []interconnect.HopCount, prices []hopPrice) {
 // run (foldEnds). The arena's slices and the fault settings sit in
 // locals: this loop and broadcast are where a simulation spends its
 // time.
-func (s *Sim) reduce(list []interconnect.Hop, prices []hopPrice, cycles *float64, ready []float64) {
+func (s *Sim) reduce(list []interconnect.Hop, prices []hopPrice, addName string, cycles *float64, ready []float64) {
 	n, chunks, tl := s.n, s.chunks, s.tl
 	partial, links, stats, dma, cluster := s.partial, s.linkFree, s.stats, s.dma, s.cluster
 	degChip, strChip := s.degChip, s.strChip
@@ -1022,7 +1011,7 @@ func (s *Sim) reduce(list []interconnect.Hop, prices []hopPrice, cycles *float64
 		if p.add.bytes > 0 {
 			t = use(&dma[to], t, p.add.dmaT)
 			if tl != nil {
-				s.span(to, "dma-l2l1", s.d.ReduceAdd.Name, t-p.add.dmaT, t)
+				s.span(to, "dma-l2l1", addName, t-p.add.dmaT, t)
 			}
 			rt.L2L1Cycles += p.add.dmaT
 		}
@@ -1033,7 +1022,7 @@ func (s *Sim) reduce(list []interconnect.Hop, prices []hopPrice, cycles *float64
 			}
 			t = use(&cluster[to], t, c)
 			if tl != nil {
-				s.span(to, "compute", s.d.ReduceAdd.Name, t-c, t)
+				s.span(to, "compute", addName, t-c, t)
 			}
 			rt.ComputeCycles += c
 		}
@@ -1139,7 +1128,7 @@ func appendTiles(buf []int64, payload int64) []int64 {
 // schedFor resolves the schedule a synchronization class executes:
 // the collective plan's binding, or the run topology's schedule (lows
 // index 0). Every schedule a plan can select was lowered up front in
-// RunTraced.
+// bind.
 func (s *Sim) schedFor(class collective.SyncClass) *loweredSched {
 	if topo, ok := s.d.Options.SyncPlan.Explicit(class); ok {
 		return &s.lows[s.scheds[topo]]
@@ -1151,9 +1140,9 @@ func (s *Sim) schedFor(class collective.SyncClass) *loweredSched {
 // broadcast — by executing the hop schedule its class is bound to,
 // pipelined over payload tiles. ready[i] is when chip i's partial is
 // available; the returned slice is when each chip holds the broadcast
-// result. rootWork runs (tile- and share-proportionally) on the
-// schedule's finalizing chips between a tile's reduction and its
-// broadcast.
+// result. The step's root work runs (tile- and share-proportionally)
+// on the schedule's finalizing chips between a tile's reduction and
+// its broadcast.
 //
 // Readiness is tracked per (chip, chunk): partial[c*chunks+q] is when
 // chip c's accumulator for chunk q last settled, has[c*chunks+q] when
@@ -1164,20 +1153,20 @@ func (s *Sim) schedFor(class collective.SyncClass) *loweredSched {
 //
 // The returned arrival slice is arena scratch: syncs alternate between
 // two buffers, so it stays valid across exactly one subsequent sync —
-// the only lifetime the phase loops need.
-func (s *Sim) sync(class collective.SyncClass, ready []float64, reducePayload, bcastPayload int64, rootWork []kernels.Cost) []float64 {
+// the only lifetime the program's loop needs.
+func (s *Sim) sync(step *deploy.Sync, ready []float64) []float64 {
 	s.syncs++
 	n := s.d.Plan.Chips
-	lo := s.schedFor(class)
+	lo := s.schedFor(step.Class)
 	sc := lo.sc
-	acc := &s.classAcc[class]
+	acc := &s.classAcc[step.Class]
 	acc.topology = sc.Topology
 	acc.syncs++
 
-	s.tiles = appendTiles(s.tiles[:0], reducePayload)
+	s.tiles = appendTiles(s.tiles[:0], step.ReducePayload)
 	tiles := s.tiles
 	nt := len(tiles)
-	bcastTiles := appendTiles(s.bcast[:0], bcastPayload)
+	bcastTiles := appendTiles(s.bcast[:0], step.BcastPayload)
 	// Align tile counts (reduce fraction governs; broadcast payload
 	// is split proportionally).
 	for len(bcastTiles) < nt {
@@ -1206,6 +1195,7 @@ func (s *Sim) sync(class collective.SyncClass, ready []float64, reducePayload, b
 	partial := s.partial
 	has := s.has
 	// Each root-work kernel's memoized price.
+	rootWork := step.RootWork
 	if cap(s.rootMemo) < len(rootWork) {
 		s.rootMemo = make([]kernelPrice, len(rootWork))
 	}
@@ -1220,8 +1210,8 @@ func (s *Sim) sync(class collective.SyncClass, ready []float64, reducePayload, b
 			}
 		}
 		clear(has[:n*chunks])
-		s.redPrice = s.priceTile(s.redPrice, sc.Keys, lo.ids, tiles[k], frac, true)
-		s.reduce(sc.Reduce, s.redPrice, &acc.cycles, ready)
+		s.redPrice = s.priceTile(s.redPrice, sc.Keys, lo.ids, tiles[k], frac, &step.Add)
+		s.reduce(sc.Reduce, s.redPrice, step.Add.Name, &acc.cycles, ready)
 		s.billSends(sc.ReduceSends, s.redPrice, acc)
 		s.billAdds(sc.ReduceAdds, s.redPrice)
 		for _, f := range sc.Final {
@@ -1234,141 +1224,84 @@ func (s *Sim) sync(class collective.SyncClass, ready []float64, reducePayload, b
 			}
 			has[f.Chip*chunks+f.Chunk] = t
 		}
-		s.bcastPrice = s.priceTile(s.bcastPrice, sc.Keys, lo.ids, bcastTiles[k], frac, false)
+		s.bcastPrice = s.priceTile(s.bcastPrice, sc.Keys, lo.ids, bcastTiles[k], frac, nil)
 		s.broadcast(sc.Broadcast, s.bcastPrice, &acc.cycles, arrive)
 		s.billSends(sc.BroadcastSends, s.bcastPrice, acc)
 	}
 	return arrive
 }
 
-func (s *Sim) runTensorParallel() float64 {
-	n := s.d.Plan.Chips
-	blocks := s.d.Chips[0].Blocks
+// run executes the deployment's program and returns the runtime. Each
+// stage runs its steps once per block on its chips: a phase step runs
+// each chip's phase in chip order from the time the chip is ready, a
+// sync step synchronizes every chip. After each block a double-buffered
+// chip prefetches its next block's weights. Entering a stage after the
+// first, the previous stage's last chip hands the activations along the
+// chain to the stage's first chip, which starts when they arrive.
+func (s *Sim) run() float64 {
+	d, n := s.d, s.n
 	ready := s.phaseBuf[0:n]
 	blockStart := s.phaseBuf[n : 2*n]
-	phaseEnd := s.phaseBuf[2*n : 3*n]
-
-	// The block's two synchronizations, classed by mode: [MHSA, FFN]
-	// in prefill or decode flavor.
-	cls := collective.ActiveClasses(partition.TensorParallel, s.d.Mode)
-
-	for b := 0; b < blocks; b++ {
-		copy(blockStart, ready)
-
-		for c := 0; c < n; c++ {
-			cd := s.d.Chips[c]
-			t := ready[c]
-			if cd.Tier == deploy.TierResidentSingle {
-				// Next block's weights load synchronously between
-				// blocks.
-				t = s.l3Load(c, t, cd.BlockLoadBytes, false)
-			}
-			phaseEnd[c] = s.phase(c, t, &cd.MHSA, s.prices[s.priceOff[c]:])
+	relayed := s.phaseBuf[2*n : 3*n]
+	// Every stage boundary hands the whole activation payload off once
+	// per pass: price the chain's keys and bill its sent bytes once.
+	// Handoffs belong to no sync class, so their cycles feed no class
+	// accumulator.
+	var handoff float64
+	if len(d.Stages) > 1 {
+		s.chainPrice = s.priceTile(s.chainPrice, s.chain.Keys, s.chainIDs, d.Handoff, 1, nil)
+		s.billSends(s.chain.Sends, s.chainPrice, nil)
+	}
+	for i := range d.Stages {
+		st := &d.Stages[i]
+		lo, hi := st.Chips.Lo, st.Chips.Hi
+		if i > 0 {
+			// The handoff executes its routed segment serially, each hop
+			// starting when its sender holds the activations: one direct
+			// hop on fully wired networks, multi-hop through surviving
+			// chips when the direct edge is missing.
+			s.chunks = 1
+			clear(s.has[:n])
+			s.has[lo-1] = ready[lo-1]
+			ready[lo] = s.broadcast(s.chain.Segment(lo-1), s.chainPrice, &handoff, relayed)
 		}
-		afterMHSA := s.sync(cls[0], phaseEnd, s.d.ReducePayload, s.d.BcastPayload, s.d.RootSync)
-
-		for c := 0; c < n; c++ {
-			cd := s.d.Chips[c]
-			phaseEnd[c] = s.phase(c, afterMHSA[c], &cd.FC, s.prices[s.priceOff[c]+len(cd.MHSA.Ops):])
-		}
-		ready = s.sync(cls[1], phaseEnd, s.d.ReducePayload, s.d.BcastPayload, s.d.RootSync)
-
-		// Double-buffered prefetch of the next block's weights:
-		// energy always, runtime only under the exposure ablation.
-		for c := 0; c < n; c++ {
-			cd := s.d.Chips[c]
-			if cd.Tier != deploy.TierDoubleBuffered {
-				continue
+		for b := 0; b < st.Blocks; b++ {
+			copy(blockStart[lo:hi], ready[lo:hi])
+			for _, step := range st.Steps {
+				if step.Sync != nil {
+					ready = s.sync(step.Sync, ready)
+					continue
+				}
+				for c := lo; c < hi; c++ {
+					cd := d.Chips[c]
+					off := s.priceOff[c]
+					for _, ph := range cd.Phases[:step.Phase] {
+						off += len(ph.Ops)
+					}
+					ready[c] = s.phase(c, ready[c], &cd.Phases[step.Phase], s.prices[off:])
+				}
 			}
-			dur := s.l3Background(c, blockStart[c], cd.StreamBytesPerBlock)
-			if s.d.Options.PrefetchExposed {
-				if exposed := dur - (ready[c] - blockStart[c]); exposed > 0 {
-					s.stats[c].L3Cycles += exposed
-					ready[c] += exposed
-					if ready[c] > s.stats[c].End {
-						s.stats[c].End = ready[c]
+			// Double-buffered prefetch of the next block's weights:
+			// energy always, runtime only under the exposure ablation.
+			for c := lo; c < hi; c++ {
+				cd := d.Chips[c]
+				if cd.Tier != deploy.TierDoubleBuffered {
+					continue
+				}
+				dur := s.l3Background(c, blockStart[c], cd.StreamBytesPerBlock)
+				if d.Options.PrefetchExposed {
+					if exposed := dur - (ready[c] - blockStart[c]); exposed > 0 {
+						s.stats[c].L3Cycles += exposed
+						ready[c] += exposed
+						if ready[c] > s.stats[c].End {
+							s.stats[c].End = ready[c]
+						}
 					}
 				}
 			}
 		}
 	}
 	return maxAll(ready)
-}
-
-func (s *Sim) runReplicated() float64 {
-	n := s.d.Plan.Chips
-	blocks := s.d.Chips[0].Blocks
-	cfg := s.d.Plan.Config
-	sq := s.d.QueryRows()
-	active := 0
-	for c := 0; c < n; c++ {
-		if len(s.d.Chips[c].MHSA.Ops) > 0 {
-			active++
-		}
-	}
-	// Context exchange payload: each chip's keys/values for its rows;
-	// output exchange payload: its output rows.
-	rows := (sq + n - 1) / n
-	kvPayload := int64(rows) * int64(2*cfg.P) * int64(cfg.ActBytes)
-	outPayload := int64(rows) * int64(cfg.E) * int64(cfg.ActBytes)
-
-	ready := s.phaseBuf[0:n]
-	phaseEnd := s.phaseBuf[n : 2*n]
-	for b := 0; b < blocks; b++ {
-		for c := 0; c < n; c++ {
-			cd := s.d.Chips[c]
-			t := ready[c]
-			if cd.Tier == deploy.TierResidentSingle {
-				t = s.l3Load(c, t, cd.BlockLoadBytes, false)
-			}
-			phaseEnd[c] = s.phase(c, t, &cd.MHSA, s.prices[s.priceOff[c]:])
-		}
-		if active > 1 {
-			// Two synchronizations per block: K/V exchange before
-			// attention and output exchange after the block.
-			mid := s.sync(collective.KVExchange, phaseEnd, kvPayload, kvPayload, nil)
-			ready = s.sync(collective.OutputExchange, mid, outPayload, outPayload, nil)
-		} else {
-			ready = phaseEnd
-		}
-	}
-	return maxAll(ready)
-}
-
-func (s *Sim) runPipeline() float64 {
-	n := s.d.Plan.Chips
-	cfg := s.d.Plan.Config
-	sq := s.d.QueryRows()
-	actPayload := int64(sq) * int64(cfg.E) * int64(cfg.ActBytes)
-	s.chunks = 1
-	// Every stage boundary hands the whole activation payload off once
-	// per pass: price the chain's keys and bill its sent bytes once.
-	// Handoffs belong to no sync class, so their cycles feed no class
-	// accumulator.
-	s.bcastPrice = s.priceTile(s.bcastPrice, s.chain.Keys, s.chainIDs, actPayload, 1, false)
-	s.billSends(s.chain.Sends, s.bcastPrice, nil)
-	var handoff float64
-
-	t := 0.0
-	for c := 0; c < n; c++ {
-		cd := s.d.Chips[c]
-		for b := 0; b < cd.Blocks; b++ {
-			if cd.Tier == deploy.TierResidentSingle {
-				t = s.l3Load(c, t, cd.BlockLoadBytes, false)
-			}
-			t = s.phase(c, t, &cd.MHSA, s.prices[s.priceOff[c]:])
-		}
-		if c+1 < n {
-			// The handoff executes its routed segment serially, each
-			// hop starting when its sender holds the activations: one
-			// direct hop on fully wired networks, multi-hop through
-			// surviving chips when the direct edge is missing.
-			clear(s.has[:n])
-			s.has[c] = t
-			t = s.broadcast(s.chain.Segment(c), s.bcastPrice, &handoff, s.syncA)
-		}
-	}
-	return t
 }
 
 func maxF(a, b float64) float64 {

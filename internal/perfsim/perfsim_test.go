@@ -48,6 +48,47 @@ func TestTwoSyncsPerBlock(t *testing.T) {
 	}
 }
 
+// The simulator runs the program it is given: a run executes as many
+// synchronizations as the stages hold sync steps, each stage's counted
+// once per block it repeats, under every strategy, in both modes and at
+// 1, 2 and 8 chips (none where a replicated board has one chip with
+// rows, none on a pipeline).
+func TestSyncsFollowTheProgram(t *testing.T) {
+	cfg := model.TinyLlama42M()
+	builders := []func(model.Config, int) (*partition.Plan, error){
+		partition.NewTensorParallel, partition.NewReplicated, partition.NewPipeline,
+	}
+	for _, build := range builders {
+		for _, mode := range []model.Mode{model.Prompt, model.Autoregressive} {
+			for _, n := range []int{1, 2, 8} {
+				p, err := build(cfg, n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				d, err := deploy.NewBatched(p, hw.Siracusa(), mode, model.PaperSeqLen(cfg, mode), 1, deploy.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := 0
+				for _, st := range d.Stages {
+					for _, step := range st.Steps {
+						if step.Sync != nil {
+							want += st.Blocks
+						}
+					}
+				}
+				res, err := Run(d)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Syncs != want {
+					t.Errorf("%v %v n=%d: %d syncs, the program holds %d", p.Strategy, mode, n, res.Syncs, want)
+				}
+			}
+		}
+	}
+}
+
 func TestBreakdownSumsToTotal(t *testing.T) {
 	for _, n := range []int{1, 2, 4, 8} {
 		res := runTP(t, model.TinyLlama42M(), n, model.Autoregressive, 128, deploy.Options{})
@@ -374,9 +415,8 @@ func TestWarmRingRunAllocatesOnlyItsResult(t *testing.T) {
 			}
 			// Every chip of the uniform board runs one program, so the
 			// arena prices its kernels once, not once per chip.
-			if cd := d.Chips[0]; len(s.prices) != len(cd.MHSA.Ops)+len(cd.FC.Ops) {
-				t.Errorf("the price table holds %d kernel prices, want one program's %d",
-					len(s.prices), len(cd.MHSA.Ops)+len(cd.FC.Ops))
+			if ops := len(d.Chips[0].Phases[0].Ops) + len(d.Chips[0].Phases[1].Ops); len(s.prices) != ops {
+				t.Errorf("the price table holds %d kernel prices, want one program's %d", len(s.prices), ops)
 			}
 		})
 	}

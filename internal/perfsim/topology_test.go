@@ -43,7 +43,8 @@ func TestTopologyTrafficConservation(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := float64(res.Syncs) * float64(sched.CollectiveBytes(d.ReducePayload, d.BcastPayload))
+			sync := d.Stages[0].Steps[1].Sync
+			want := float64(res.Syncs) * float64(sched.CollectiveBytes(sync.ReducePayload, sync.BcastPayload))
 			got := float64(res.TotalC2CBytes)
 			if math.Abs(got-want) > 0.01*want+float64(res.Syncs*n) {
 				t.Errorf("%s n=%d: %g link bytes, want ~%g", topo, n, got, want)

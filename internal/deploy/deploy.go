@@ -227,7 +227,7 @@ func NewBatched(p *partition.Plan, hwp hw.Params, mode model.Mode, s, batch int,
 			// rows).
 			rows := (sq + p.Chips - 1) / p.Chips
 			kv := int64(rows) * int64(2*cfg.P) * int64(cfg.ActBytes)
-			out := int64(rows) * int64(cfg.E) * int64(cfg.ActBytes)
+			out := p.BcastPayloadBytes(rows)
 			syncs := []Sync{
 				{Class: d.Classes[0], ReducePayload: kv, BcastPayload: kv, Add: add},
 				{Class: d.Classes[1], ReducePayload: out, BcastPayload: out, Add: add},
@@ -241,7 +241,7 @@ func NewBatched(p *partition.Plan, hwp hw.Params, mode model.Mode, s, batch int,
 	case partition.Pipeline:
 		// One stage per chip over its blocks; every boundary hands the
 		// whole activation tensor on.
-		d.Handoff = int64(sq) * int64(cfg.E) * int64(cfg.ActBytes)
+		d.Handoff = p.BcastPayloadBytes(sq)
 		steps := []Step{{Phase: 0}}
 		d.Stages = make([]Stage, p.Chips)
 		for c := range d.Stages {
